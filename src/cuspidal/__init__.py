@@ -13,7 +13,8 @@ from .bernstein import (Certificate, CertificateError, DeltaSequence, FourReport
                         GammaExpr, NegativeK, PreconditionViolation,
                         ResidueDecision, RootCandidate, RootDecision,
                         ZariskiReport, certified_roots_from_semimodule,
-                        decide_root, delta_sequences, four_condition_check,
+                        certify_residue, decide_root, delta_sequences,
+                        four_condition_check,
                         interval_certificate, residue, residue_is_zero,
                         zariski_condition_check)
 from .curve import (CurveEquation, CuspidalSets, NoSolution, NotAdapted,
@@ -23,45 +24,43 @@ from .differentials import (DifferentialBasis, OneForm, SemimoduleBasis,
                             ValueMismatch, aligned_t_horizon,
                             apply_vector_field, delorme, differential_value,
                             monomial_value, oracle_differential_value,
-                            tuning_constant)
+                            random_form, tuning_constant)
 from .jacobian import (JacobianBasis, ReductionVanished, jacobian_basis_direct,
                        jacobian_basis_via_differentials, tjurina_number)
 from .poly import (Exponent, Term, TruncatedPoly, WeightedOrder, divides,
-                   leading, partial_derivative, poly_from_terms)
-from .rationals import Rat, rat, rat_str
+                   poly_from_terms)
+from .rationals import Rat, rat
 from .semimodules import (AbstractSemimodule, FourClassification, Unclassifiable,
                           axes_and_criticals, classify_four, elements_outside,
                           enumerate_increasing, membership, validate_basis)
 from .specfile import (CoefficientOutsideJ, CurveSpec, InvalidPair, ParseError,
                        SpecError, parse_spec)
-from .standard_basis import (FDividesXf, FinalReduction, HorizonExhausted,
-                             ReductionStatus, StandardBasis, basis_of_Xf_f,
-                             buchberger, codimension, final_reduction,
-                             reduce_step, s_process_min)
+from .standard_basis import (FinalReduction, HorizonExhausted, ReductionStatus,
+                             StandardBasis, buchberger, codimension,
+                             final_reduction, reduce_step, s_process_min)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbstractSemimodule", "Certificate", "CertificateError",
     "CoefficientOutsideJ", "CurveEquation", "CurveSpec", "CuspidalSets",
-    "DeltaSequence", "DifferentialBasis", "Exponent", "FDividesXf",
-    "FinalReduction", "FourClassification", "FourReport", "GammaExpr",
-    "HorizonExhausted", "InvalidPair", "JacobianBasis", "NegativeK",
-    "NoSolution", "NotAdapted", "OneForm", "Parametrization", "ParseError",
-    "PreconditionViolation", "Rat", "ReductionStatus", "ReductionVanished",
-    "ResidueDecision", "RootCandidate", "RootDecision", "Semigroup",
-    "SemimoduleBasis", "SpecError", "StandardBasis", "Term", "TruncatedPoly",
-    "Unclassifiable", "ValueMismatch", "WeightedOrder", "ZariskiReport",
-    "aligned_t_horizon", "apply_vector_field", "axes_and_criticals",
-    "basis_of_Xf_f", "buchberger", "certified_roots_from_semimodule",
-    "classify_four", "codimension", "cuspidal_sets", "decide_root",
-    "delorme", "delta_sequences", "differential_value", "divides",
-    "elements_outside", "enumerate_increasing", "four_condition_check",
-    "interval_certificate", "jacobian_basis_direct",
-    "jacobian_basis_via_differentials", "leading", "membership",
+    "DeltaSequence", "DifferentialBasis", "Exponent", "FinalReduction",
+    "FourClassification", "FourReport", "GammaExpr", "HorizonExhausted",
+    "InvalidPair", "JacobianBasis", "NegativeK", "NoSolution", "NotAdapted",
+    "OneForm", "Parametrization", "ParseError", "PreconditionViolation", "Rat",
+    "ReductionStatus", "ReductionVanished", "ResidueDecision", "RootCandidate",
+    "RootDecision", "Semigroup", "SemimoduleBasis", "SpecError",
+    "StandardBasis", "Term", "TruncatedPoly", "Unclassifiable",
+    "ValueMismatch", "WeightedOrder", "ZariskiReport", "aligned_t_horizon",
+    "apply_vector_field", "axes_and_criticals", "buchberger",
+    "certified_roots_from_semimodule", "certify_residue", "classify_four",
+    "codimension", "cuspidal_sets", "decide_root", "delorme",
+    "delta_sequences", "differential_value", "divides", "elements_outside",
+    "enumerate_increasing", "four_condition_check", "interval_certificate",
+    "jacobian_basis_direct", "jacobian_basis_via_differentials", "membership",
     "monomial_value", "newton_puiseux", "oracle_differential_value",
-    "parse_spec", "partial_derivative", "poly_from_terms", "pullback_value",
-    "rat", "rat_str", "reduce_step", "residue", "residue_is_zero",
-    "s_process_min", "tjurina_number", "tuning_constant", "validate_basis",
+    "parse_spec", "poly_from_terms", "pullback_value", "random_form", "rat",
+    "reduce_step", "residue", "residue_is_zero", "s_process_min",
+    "tjurina_number", "tuning_constant", "validate_basis",
     "zariski_condition_check",
 ]

@@ -18,7 +18,7 @@ from math import factorial
 import mpmath
 
 from .curve import CurveEquation, Semigroup
-from .differentials import delorme
+from .differentials import SemimoduleBasis
 from .rationals import ONE, Rat, rat
 from .semimodules import AbstractSemimodule, classify_four, elements_outside
 
@@ -258,22 +258,29 @@ def interval_certificate(expr: GammaExpr, precision: int = 256) -> Certificate:
         bits = min(2 * bits, ceiling)
 
 
-def residue_is_zero(expr: GammaExpr, precision: int = 256) -> ResidueDecision:
-    """Three-valued vanishing decision: zero when no canonical groups remain,
-    nonzero for a single surviving group (Gamma is positive on (0,1]), and
+def certify_residue(expr: GammaExpr, precision: int = 256
+                    ) -> tuple[ResidueDecision, Certificate | None]:
+    """Three-valued vanishing decision with the certificate behind it: zero
+    (no certificate) when no canonical groups remain, nonzero for a single
+    surviving group (Gamma is positive on (0,1]), and
     nonzero-assuming-independence for several groups.  Every nonzero verdict
     is cross-checked by an interval certificate; an enclosure that cannot
     exclude zero raises instead of guessing."""
     if expr.is_zero:
-        return ResidueDecision.ZERO
+        return ResidueDecision.ZERO, None
     cert = interval_certificate(expr, precision)
     if not cert.excludes_zero:
         raise CertificateError(
             f"interval [{cert.lower}, {cert.upper}] at {cert.precision_bits} "
             "bits does not exclude zero")
     if len(expr.groups) == 1:
-        return ResidueDecision.NONZERO
-    return ResidueDecision.NONZERO_ASSUMING_INDEPENDENCE
+        return ResidueDecision.NONZERO, cert
+    return ResidueDecision.NONZERO_ASSUMING_INDEPENDENCE, cert
+
+
+def residue_is_zero(expr: GammaExpr, precision: int = 256) -> ResidueDecision:
+    """The decision of ``certify_residue`` without its certificate."""
+    return certify_residue(expr, precision)[0]
 
 
 @dataclass(frozen=True)
@@ -307,8 +314,7 @@ def decide_root(eq: CurveEquation, j: int, precision: int = 256) -> RootDecision
         expr = residue(eq, (a, b), cand.beta)
         if expr.is_zero:
             continue
-        decision = residue_is_zero(expr, precision)
-        cert = interval_certificate(expr, precision)
+        decision, cert = certify_residue(expr, precision)
         return RootDecision("beta_root", cand, -cand.beta, (a, b), expr,
                             decision, cert)
     return RootDecision("alpha_root", cand, -cand.alpha_val)
@@ -350,19 +356,26 @@ class ZariskiReport:
     consistent: bool
 
 
-def zariski_condition_check(eq: CurveEquation, precision: int = 256) -> ZariskiReport:
-    """Verify on one curve that the smallest gap value with nonzero
-    coefficient, the Delorme-computed lambda_1, and the residue chain at test
-    exponent (1,1) all tell the same story, then confirm the guaranteed
-    nonzero residues across (lambda_1 + Gamma) \\ Gamma."""
+def _check_semimodule(eq: CurveEquation, values: SemimoduleBasis) -> None:
     if eq.form != "nice":
         raise ValueError("the coefficient pattern is read off the nice form")
+    if values.sg != eq.sg:
+        raise ValueError("semimodule belongs to a different semigroup")
+
+
+def zariski_condition_check(eq: CurveEquation, values: SemimoduleBasis,
+                            precision: int = 256) -> ZariskiReport:
+    """Verify on one curve that the smallest gap value with nonzero
+    coefficient, the lambda_1 of its Delorme basis ``values``, and the residue
+    chain at test exponent (1,1) all tell the same story, then confirm the
+    guaranteed nonzero residues across (lambda_1 + Gamma) \\ Gamma."""
+    _check_semimodule(eq, values)
     sg = eq.sg
     n, m = sg.n, sg.m
     z = {j: c for j, c in eq.nice_coeffs.items() if c}
     j1 = min(z) if z else None
 
-    basis = delorme(eq).values.lambdas
+    basis = values.lambdas
     lambda1 = basis[2] if len(basis) > 2 else None
 
     chain = []
@@ -409,21 +422,21 @@ class FourReport:
     consistent: bool
 
 
-def four_condition_check(eq: CurveEquation, precision: int = 256) -> FourReport:
+def four_condition_check(eq: CurveEquation, values: SemimoduleBasis,
+                         precision: int = 256) -> FourReport:
     """For n = 4: predict the second extension value lambda_2 = 8 alpha +
     3 epsilon + 4 q' from the coefficient pattern (simple vanishing tests
-    below q, a quadratic combination at q), compare against Delorme's
-    output, and verify the residue chain plus the guaranteed nonzero
-    residues above lambda_2."""
-    if eq.form != "nice":
-        raise ValueError("the coefficient pattern is read off the nice form")
+    below q, a quadratic combination at q), compare against the Delorme
+    basis ``values``, and verify the residue chain plus the guaranteed
+    nonzero residues above lambda_2."""
+    _check_semimodule(eq, values)
     sg = eq.sg
     n, m = sg.n, sg.m
     if n != 4:
         raise PreconditionViolation("this battery is specific to n = 4")
     alpha, epsilon = m // 4, m % 4
 
-    basis = delorme(eq).values.lambdas
+    basis = values.lambdas
     if len(basis) < 3:
         raise PreconditionViolation("the Zariski invariant vanishes (s = 0)")
     lambda1 = basis[2]

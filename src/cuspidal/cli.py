@@ -15,16 +15,15 @@ from math import gcd
 
 from .bernstein import (CertificateError, NegativeK, PreconditionViolation,
                         ResidueDecision, certified_roots_from_semimodule,
-                        decide_root, four_condition_check, interval_certificate,
-                        residue, residue_is_zero, zariski_condition_check)
+                        certify_residue, decide_root, four_condition_check,
+                        residue, zariski_condition_check)
 from .curve import CurveEquation, NoSolution, NotAdapted, Semigroup, cuspidal_sets, newton_puiseux
-from .differentials import (OneForm, aligned_t_horizon, delorme,
-                            differential_value, monomial_value,
-                            oracle_differential_value)
+from .differentials import (aligned_t_horizon, delorme, differential_value,
+                            monomial_value, oracle_differential_value,
+                            random_form)
 from .jacobian import jacobian_basis_direct, jacobian_basis_via_differentials, tjurina_number
-from .poly import TruncatedPoly
-from .rationals import Rat, rat, rat_str
-from .semimodules import AbstractSemimodule, elements_outside, enumerate_increasing
+from .rationals import Rat
+from .semimodules import elements_outside, enumerate_increasing
 from .specfile import CurveSpec, SpecError, parse_spec
 
 
@@ -113,11 +112,11 @@ def cmd_bs_roots(spec: CurveSpec) -> dict:
     diff = delorme(eq)
     certified = sorted(certified_roots_from_semimodule(diff.values))
     data: dict = {"basis": list(diff.values.lambdas),
-                  "roots": [rat_str(r) for r in certified]}
+                  "roots": [str(r) for r in certified]}
     assumed = False
     for j in spec.sets.J:
         dec = decide_root(eq, j, precision)
-        parts = [dec.kind, f"root={rat_str(dec.root)}"]
+        parts = [dec.kind, f"root={dec.root}"]
         if dec.witness is not None:
             parts.append(f"witness={dec.witness[0]},{dec.witness[1]}")
             parts.append(f"decision={dec.decision.value}")
@@ -139,14 +138,10 @@ def cmd_residue(spec: CurveSpec, j: int, ab) -> dict:
     a, b = ab
     k = j + sg.n + sg.m - sg.n * a - sg.m * b
     expr = residue(eq, ab, beta)
-    data = {"j": j, "beta": rat_str(beta), "ab": list(ab), "k": k,
-            "expr": str(expr)}
-    if expr.is_zero:
-        data["decision"] = ResidueDecision.ZERO.value
-    else:
-        decision = residue_is_zero(expr, _precision(spec))
-        cert = interval_certificate(expr, _precision(spec))
-        data["decision"] = decision.value
+    decision, cert = certify_residue(expr, _precision(spec))
+    data = {"j": j, "beta": str(beta), "ab": list(ab), "k": k,
+            "expr": str(expr), "decision": decision.value}
+    if cert is not None:
         data["interval"] = f"[{cert.lower}, {cert.upper}]"
         data["precision_bits"] = cert.precision_bits
     return data
@@ -162,7 +157,7 @@ def cmd_jacobian(spec: CurveSpec) -> dict:
             "direct_leading": [list(e) for e in sorted(direct.leading_powers)],
             "match": match,
             "values": list(via.semimodule_values()),
-            "tjurina": tjurina_number(eq)}
+            "tjurina": tjurina_number(direct)}
 
 
 def cmd_enumerate(spec: CurveSpec, max_m: int | None) -> dict:
@@ -181,28 +176,6 @@ def cmd_enumerate(spec: CurveSpec, max_m: int | None) -> dict:
         total += count
     data["total"] = total
     return data
-
-
-def _random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
-    """Sparse 1-form with small exponents and coefficients; never zero."""
-    sg = eq.sg
-    n, m = sg.n, sg.m
-
-    def poly() -> TruncatedPoly:
-        terms = {}
-        for _ in range(rng.randint(0, 2)):
-            while True:
-                a = rng.randint(0, m)
-                b = rng.randint(0, n)
-                if n * a + m * b <= n * m:
-                    break
-            terms[(a, b)] = rat(rng.choice([1, -1]) * rng.randint(1, 3))
-        return TruncatedPoly(sg.order, eq.f.horizon, terms)
-
-    while True:
-        form = OneForm(poly(), poly())
-        if not form.is_zero:
-            return form
 
 
 def cmd_verify(spec: CurveSpec) -> tuple[dict, bool]:
@@ -230,7 +203,7 @@ def cmd_verify(spec: CurveSpec) -> tuple[dict, bool]:
 
     checked = mismatches = 0
     for _ in range(50):
-        w = _random_form(rng, eq)
+        w = random_form(rng, eq)
         direct = differential_value(w, eq)
         if direct is None and not strict:
             continue  # infinite-window comparison needs the aligned horizon
@@ -246,31 +219,24 @@ def cmd_verify(spec: CurveSpec) -> tuple[dict, bool]:
     jac_ok = (set(via.leading_powers) == set(direct_basis.leading_powers)
               and via.semimodule_values() == vals.lambdas)
     data["jacobian_cross_check"] = "ok" if jac_ok else "FAIL"
-    data["tjurina"] = tjurina_number(eq)
+    data["tjurina"] = tjurina_number(direct_basis)
     ok &= jac_ok
 
     if eq.form == "nice":
-        zar = zariski_condition_check(eq, precision)
+        zar = zariski_condition_check(eq, vals, precision)
         data["zariski_consistency"] = "ok" if zar.consistent else "FAIL"
         ok &= zar.consistent
         if n == 4:
             try:
-                four = four_condition_check(eq, precision)
+                four = four_condition_check(eq, vals, precision)
                 data["four_consistency"] = "ok" if four.consistent else "FAIL"
                 ok &= four.consistent
             except PreconditionViolation as exc:
                 data["four_consistency"] = f"skipped ({exc})"
-        if n <= 4:
-            lams = elements_outside(vals.abstract(), 0)
-        elif vals.s >= 1:
-            lam1 = vals.lambdas[2]
-            lams = tuple(k for k in range(lam1, sg.conductor)
-                         if (k - lam1) in sg and k not in sg)
-        else:
-            lams = ()
+        lams = sorted(int(-r * (n * m)) for r in certified_roots_from_semimodule(vals))
         bad = [lam for lam in lams
                if decide_root(eq, lam - n - m, precision).kind != "beta_root"]
-        data["certified_roots"] = ("ok " + " ".join(rat_str(-Rat(lam, n * m))
+        data["certified_roots"] = ("ok " + " ".join(str(-Rat(lam, n * m))
                                                     for lam in lams)
                                    if not bad else
                                    "FAIL at " + " ".join(str(x) for x in bad))
@@ -284,6 +250,8 @@ def cmd_verify(spec: CurveSpec) -> tuple[dict, bool]:
 
 
 def cmd_conjecture_scan(seed: int, max_m: int, precision: int) -> tuple[dict, bool]:
+    """Scan all of Lambda \\ Gamma, not only the lambda_1 cone that
+    certified_roots_from_semimodule certifies for n >= 5: that is the conjecture."""
     rng = random.Random(seed)
     data: dict = {"seed": seed, "max_m": max_m}
     curves = checked = 0
@@ -315,7 +283,7 @@ def cmd_conjecture_scan(seed: int, max_m: int, precision: int) -> tuple[dict, bo
 
 
 def _coeff_str(coeffs: dict) -> str:
-    return ";".join(f"z{j}={rat_str(c)}" for j, c in sorted(coeffs.items()))
+    return ";".join(f"z{j}={c}" for j, c in sorted(coeffs.items()))
 
 
 # -- entry point ---------------------------------------------------------
@@ -356,41 +324,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _parse_ab(text: str) -> tuple[int, int]:
     try:
-        if args.command == "conjecture-scan":
-            data, ok = cmd_conjecture_scan(args.seed if args.seed is not None else 0,
-                                           args.max_m,
-                                           args.precision if args.precision else 256)
-            _print_report(data, args.json)
-            return 0 if ok else 1
-        spec = _load_spec(args)
-        if args.command == "semigroup":
-            data = cmd_semigroup(spec)
-        elif args.command == "cuspidal-sets":
-            data = cmd_cuspidal_sets(spec)
-        elif args.command == "delorme":
-            data = cmd_delorme(spec)
-        elif args.command == "bs-roots":
-            data = cmd_bs_roots(spec)
-        elif args.command == "residue":
-            try:
-                a, b = (int(x) for x in args.ab.split(","))
-            except ValueError:
-                raise SpecError(f"--ab expects 'a,b', got {args.ab!r}") from None
-            data = cmd_residue(spec, args.j, (a, b))
-        elif args.command == "jacobian":
-            data = cmd_jacobian(spec)
-        elif args.command == "enumerate":
-            data = cmd_enumerate(spec, args.max_m)
-        elif args.command == "verify":
-            data, ok = cmd_verify(spec)
-            _print_report(data, args.json)
-            return 0 if ok else 1
-        else:  # pragma: no cover - argparse restricts choices
-            raise SpecError(f"unknown subcommand {args.command}")
+        a, b = (int(x) for x in text.split(","))
+    except ValueError:
+        raise SpecError(f"--ab expects 'a,b', got {text!r}") from None
+    return a, b
+
+
+def _report(cmd):
+    """Handler for a spec subcommand whose report is never a failure."""
+    return lambda args: (cmd(_load_spec(args)), True)
+
+
+# Each handler maps the parsed arguments to (report, ok).
+_HANDLERS = {
+    "semigroup": _report(cmd_semigroup),
+    "cuspidal-sets": _report(cmd_cuspidal_sets),
+    "delorme": _report(cmd_delorme),
+    "bs-roots": _report(cmd_bs_roots),
+    "residue": lambda args: (
+        cmd_residue(_load_spec(args), args.j, _parse_ab(args.ab)), True),
+    "jacobian": _report(cmd_jacobian),
+    "enumerate": lambda args: (cmd_enumerate(_load_spec(args), args.max_m), True),
+    "verify": lambda args: cmd_verify(_load_spec(args)),
+    "conjecture-scan": lambda args: cmd_conjecture_scan(
+        args.seed if args.seed is not None else 0, args.max_m, args.precision or 256),
+}
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        data, ok = _HANDLERS[args.command](args)
     except SpecError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return 2
@@ -401,7 +367,7 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     _print_report(data, args.json)
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ provides an independent oracle for the same number.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from . import _series
@@ -73,6 +74,31 @@ class OneForm:
     def mul_monomial(self, coeff, shift: Exponent) -> "OneForm":
         return OneForm(self.dx.mul_monomial(coeff, shift),
                        self.dy.mul_monomial(coeff, shift))
+
+
+def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
+    """A nonzero 1-form A dx + B dy with 0-2 monomials on each side, small
+    integer coefficients, and weighted degrees at most nm."""
+    sg = eq.sg
+    nm = sg.n * sg.m
+    order = eq.f.order
+    horizon = eq.f.horizon
+    while True:
+        sides = []
+        for _ in range(2):
+            side = TruncatedPoly.zero(order, horizon)
+            for _ in range(rng.randint(0, 2)):
+                while True:
+                    a = rng.randint(0, nm // sg.n)
+                    b = rng.randint(0, sg.n - 1)
+                    if sg.n * a + sg.m * b <= nm:
+                        break
+                coeff = Rat(rng.choice([-1, 1]) * rng.randint(1, 3))
+                side = side + TruncatedPoly.monomial(order, coeff, (a, b), horizon)
+            sides.append(side)
+        form = OneForm(sides[0], sides[1])
+        if not form.is_zero:
+            return form
 
 
 def apply_vector_field(omega: OneForm, f: TruncatedPoly) -> TruncatedPoly:

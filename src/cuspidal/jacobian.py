@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .curve import CurveEquation, Semigroup
 from .differentials import DifferentialBasis
-from .poly import TruncatedPoly, divides
+from .poly import divides
 from .standard_basis import StandardBasis, buchberger, codimension
 
 
@@ -75,9 +75,10 @@ def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
     return buchberger([eq.f, eq.fx, eq.fy])
 
 
-def tjurina_number(eq: CurveEquation) -> int:
-    """Codimension of (f, f_x, f_y); finite for every cusp equation."""
-    tau = codimension(jacobian_basis_direct(eq))
+def tjurina_number(basis: StandardBasis) -> int:
+    """Codimension of (f, f_x, f_y), read off its direct standard basis
+    (``jacobian_basis_direct``); finite for every cusp equation."""
+    tau = codimension(basis)
     if tau is None:
         raise AssertionError("Jacobian codimension came out infinite")
     return tau

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .rationals import Rat, rat
 
@@ -41,18 +41,9 @@ class WeightedOrder:
         """Sort key: ascending = from leading (smallest) upward."""
         return (self.n * e[0] + self.m * e[1], e[0])
 
-    def compare(self, e1: Exponent, e2: Exponent) -> int:
-        """-1, 0 or 1 as e1 precedes, equals or follows e2."""
-        k1, k2 = self.key(e1), self.key(e2)
-        return -1 if k1 < k2 else (0 if k1 == k2 else 1)
-
     @property
     def default_horizon(self) -> int:
         return 4 * self.n * self.m
-
-
-def weighted_compare(order: WeightedOrder, e1: Exponent, e2: Exponent) -> int:
-    return order.compare(e1, e2)
 
 
 def divides(e1: Exponent, e2: Exponent) -> bool:
@@ -303,14 +294,6 @@ class TruncatedPoly:
             parts.append(frag)
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
-
-
-def partial_derivative(p: TruncatedPoly, var: str) -> TruncatedPoly:
-    return p.partial(var)
-
-
-def leading(p: TruncatedPoly) -> Term | None:
-    return p.leading
 
 
 def poly_from_terms(order: WeightedOrder, terms: Mapping[Exponent, object],

@@ -29,8 +29,3 @@ def rat(value) -> Rat:
     if isinstance(value, int):
         return Rat(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def rat_str(value) -> str:
-    """Lowest-terms decimal-free rendering, e.g. ``-7/2`` or ``3``."""
-    return str(value)

@@ -53,6 +53,18 @@ class CurveSpec:
     precision: int | None = None
     seed: int | None = None
 
+    def __post_init__(self) -> None:
+        # The one place the truncation horizons are checked: parse_spec and
+        # with_overrides both construct through here.
+        if self.horizon_mult is not None and self.horizon_mult < 2:
+            raise ParseError("horizon_mult must be at least 2")
+        if self.t_horizon is not None:
+            floor = self.n * self.m + self.semigroup.conductor
+            if self.t_horizon <= floor:
+                raise ParseError(
+                    f"t_horizon must exceed n*m + conductor = {floor}, "
+                    f"got {self.t_horizon}")
+
     @property
     def semigroup(self) -> Semigroup:
         return Semigroup(self.n, self.m)
@@ -158,8 +170,6 @@ def parse_spec(text: str) -> CurveSpec:
         raise ParseError("cannot mix z coefficients (nice form) with raw terms")
     if coeffs and fields.get("mu", ONE) != 1:
         raise ParseError("nice form fixes the x^m coefficient to 1; drop mu")
-    if fields.get("horizon_mult") is not None and fields["horizon_mult"] < 2:
-        raise ParseError("horizon_mult must be at least 2")
 
     if coeffs:
         valid = cuspidal_sets(sg).j_to_p

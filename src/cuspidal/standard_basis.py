@@ -12,18 +12,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .poly import Exponent, Term, TruncatedPoly, WeightedOrder, divides
-from .rationals import Rat
+from .poly import Exponent, TruncatedPoly, divides
 
 
 class HorizonExhausted(RuntimeError):
     """A basis computation produced data that cannot be classified below the horizon."""
-
-
-class FDividesXf(ValueError):
-    """Raised when the curve equation divides the applied vector field."""
 
 
 class ReductionStatus(Enum):
@@ -41,24 +36,9 @@ class FinalReduction:
         return self.status is ReductionStatus.VANISHED_TO_HORIZON
 
 
-Chooser = Callable[[list[tuple[int, TruncatedPoly]]], tuple[int, TruncatedPoly]]
-
-
-def _pick_reducer(eligible: list[tuple[int, TruncatedPoly]],
-                  order: WeightedOrder) -> tuple[int, TruncatedPoly]:
-    # Most specific divisor first: largest leading power, ties to the earliest.
-    best = None
-    best_key = None
-    for item in eligible:
-        k = order.key(item[1].leading_power)
-        if best is None or k > best_key:
-            best, best_key = item, k
-    return best
-
-
-def reduce_step(g: TruncatedPoly, basis: Sequence[TruncatedPoly],
-                choose: Chooser | None = None) -> TruncatedPoly | None:
-    """One reduction step of g against the first applicable basis element.
+def reduce_step(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> TruncatedPoly | None:
+    """One reduction step of g against the most specific applicable basis
+    element: the largest dividing leading power, ties to the earliest.
 
     Returns the reduced polynomial, or None when g is zero or no basis
     leading power divides lp(g).
@@ -67,25 +47,20 @@ def reduce_step(g: TruncatedPoly, basis: Sequence[TruncatedPoly],
     if lead is None:
         return None
     lp, lc = lead
-    eligible = [(i, b) for i, b in enumerate(basis)
-                if b.terms and divides(b.leading_power, lp)]
+    eligible = [b for b in basis if b.terms and divides(b.leading_power, lp)]
     if not eligible:
         return None
-    if choose is None:
-        _, b = _pick_reducer(eligible, g.order)
-    else:
-        _, b = choose(eligible)
+    b = max(eligible, key=lambda p: g.order.key(p.leading_power))
     bp, bc = b.leading
     shift = (lp[0] - bp[0], lp[1] - bp[1])
     return g - b.mul_monomial(lc / bc, shift)
 
 
-def final_reduction(g: TruncatedPoly, basis: Sequence[TruncatedPoly],
-                    choose: Chooser | None = None) -> FinalReduction:
+def final_reduction(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> FinalReduction:
     """Iterate reduce_step until irreducible or empty below the horizon."""
     current = g
     while True:
-        nxt = reduce_step(current, basis, choose)
+        nxt = reduce_step(current, basis)
         if nxt is None:
             if current.is_zero:
                 return FinalReduction(current, ReductionStatus.VANISHED_TO_HORIZON)
@@ -141,8 +116,7 @@ def _as_standard_basis(polys: Sequence[TruncatedPoly]) -> StandardBasis:
     return StandardBasis(tuple(sorted(polys, key=lambda p: p.leading_power[0])))
 
 
-def buchberger(gens: Sequence[TruncatedPoly],
-               choose: Chooser | None = None) -> StandardBasis:
+def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     """Standard basis of the ideal generated by ``gens``, valid below the horizon.
 
     FIFO processing of S-process pairs; a final reduction that vanishes to the
@@ -159,7 +133,7 @@ def buchberger(gens: Sequence[TruncatedPoly],
     while queue:
         i, j = queue.popleft()
         s = s_process_min(basis[i], basis[j])
-        red = final_reduction(s, basis, choose)
+        red = final_reduction(s, basis)
         if red.vanished:
             continue
         if order.degree(red.poly.leading_power) > horizon:  # pragma: no cover
@@ -191,38 +165,3 @@ def codimension(basis: StandardBasis) -> int | None:
         total += lps[i - 1][1] * (lps[i][0] - lps[i - 1][0])
     return total
 
-
-def basis_of_Xf_f(Xf: TruncatedPoly, f: TruncatedPoly) -> StandardBasis:
-    """Standard basis of the ideal (X(f), f) for an adapted curve equation f.
-
-    Three cases, driven by the final reduction of X(f) modulo {f}:
-    leading power (0, n-1) (then f reduces against X(f) down to (m, 0));
-    remainder with leading power (a, 0); or remainder with leading power
-    (a, b), 0 < b < n, which needs the extra S-process of f with the
-    remainder, of leading power (a+m, 0).
-    """
-    if Xf.is_zero:
-        raise FDividesXf("the applied vector field is zero below the horizon")
-    lp_f = f.leading_power
-    n = lp_f[1]
-    if lp_f[0] != 0:
-        raise ValueError("curve equation must have leading power (0, n)")
-    if Xf.leading_power == (0, n - 1):
-        red = final_reduction(f, [Xf])
-        if red.vanished:
-            raise FDividesXf("curve equation vanished against the vector field")
-        g = red.poly
-        if g.leading_power != (f.order.m, 0):
-            raise HorizonExhausted(f"unexpected leading power {g.leading_power}")
-        return _as_standard_basis([Xf, g])
-    red = final_reduction(Xf, [f])
-    if red.vanished:
-        raise FDividesXf("f divides X(f) below the horizon")
-    h = red.poly
-    a, b = h.leading_power
-    if b == 0:
-        return _as_standard_basis([f, h])
-    s = s_process_min(f, h)
-    if s.is_zero or s.leading_power != (a + f.order.m, 0):
-        raise HorizonExhausted(f"S-process of f and h has unexpected shape")
-    return _as_standard_basis([f, h, s])

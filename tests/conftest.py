@@ -1,4 +1,4 @@
-"""Shared corpus and random generators for the test suite.
+"""Shared corpus, random generators and a call counter for the test suite.
 
 The corpus covers every multiplicity the library special-cases (n = 2 through
 7) together with both small and spread-out second exponents.  Random curves
@@ -8,13 +8,13 @@ test run sees the same data.
 from __future__ import annotations
 
 import random
+import sys
 
-from cuspidal import (
+from cuspidal import (  # random_form is re-exported for the test modules
     CurveEquation,
-    OneForm,
     Semigroup,
-    TruncatedPoly,
     cuspidal_sets,
+    random_form,
 )
 from cuspidal.rationals import Rat
 
@@ -50,34 +50,27 @@ def curve_draws(sg: Semigroup, count: int, seed: int = 0):
             yield CurveEquation.nice(sg, random_nice_coeffs(rng, sg))
 
 
-def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
-    """A nonzero 1-form A dx + B dy with 0-2 monomials on each side, small
-    integer coefficients, and weighted degrees at most nm."""
-    sg = eq.sg
-    nm = sg.n * sg.m
-    order = eq.f.order
-    horizon = eq.f.horizon
-    while True:
-        sides = []
-        for _ in range(2):
-            side = TruncatedPoly.zero(order, horizon)
-            for _ in range(rng.randint(0, 2)):
-                while True:
-                    a = rng.randint(0, nm // sg.n)
-                    b = rng.randint(0, sg.n - 1)
-                    if sg.n * a + sg.m * b <= nm:
-                        break
-                coeff = Rat(rng.choice([-1, 1]) * rng.randint(1, 3))
-                side = side + TruncatedPoly.monomial(order, coeff, (a, b), horizon)
-            sides.append(side)
-        form = OneForm(sides[0], sides[1])
-        if not form.is_zero:
-            return form
-
-
 def coprime_pairs(n_values, m_bound: int):
     """All (n, m) with n in n_values, n < m <= m_bound, gcd(n, m) = 1."""
     from math import gcd
 
     return [(n, m) for n in n_values for m in range(n + 1, m_bound + 1)
             if gcd(n, m) == 1]
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace `fn` in every cuspidal module that holds it by a wrapper that
+    records each call; return the (growing) list of recorded calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name != "cuspidal" and not name.startswith("cuspidal."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, counted)
+    return calls

@@ -221,18 +221,19 @@ def test_criterion_08_equivalence_batteries():
     for pair in CORPUS:
         sg = Semigroup(*pair)
         for eq in curve_draws(sg, 8, seed=88):
-            rep = zariski_condition_check(eq)
+            values = delorme(eq).values
+            rep = zariski_condition_check(eq, values)
             if not rep.consistent:
                 failures.append((pair, eq.nice_coeffs, "zariski"))
             if sg.n == 4:
                 try:
-                    four = four_condition_check(eq)
+                    four = four_condition_check(eq, values)
                 except PreconditionViolation:
                     continue
                 if not four.consistent:
                     failures.append((pair, eq.nice_coeffs, "four"))
     degenerate = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(7, 18)})
-    rep = four_condition_check(degenerate)
+    rep = four_condition_check(degenerate, delorme(degenerate).values)
     if not (rep.consistent and rep.q_prime_coeffs is None
             and rep.q_prime_delorme is None and rep.chain == ((0, "zero"),)):
         failures.append(("degenerate", rep))
@@ -276,7 +277,7 @@ def test_criterion_10_worked_pins():
         failures.append(("(4,9) decide", recert))
     # x^5 + y^4 + x^3 y^2: Tjurina number 11, cross-checked against the
     # brute-force lattice count of its jacobian staircase
-    tau = tjurina_number(eq45)
+    tau = tjurina_number(jacobian_basis_direct(eq45))
     staircase = jacobian_basis_direct(eq45).leading_powers
     if tau != 11 or _lattice_count(staircase) != 11:
         failures.append(("tjurina", tau, staircase))

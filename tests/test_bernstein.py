@@ -14,6 +14,7 @@ from cuspidal.bernstein import (
     ResidueDecision,
     RootCandidate,
     certified_roots_from_semimodule,
+    certify_residue,
     decide_root,
     delta_sequences,
     four_condition_check,
@@ -27,6 +28,7 @@ from cuspidal.differentials import delorme
 from cuspidal.poly import WeightedOrder, poly_from_terms
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule
+from conftest import count_calls
 
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
 EQ49_DEG = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(7, 18)})
@@ -175,6 +177,30 @@ def test_decide_root_49(j, kind, root, witness):
         assert dec.certificate.excludes_zero
 
 
+def test_certify_residue_pairs_decision_with_certificate():
+    assert certify_residue(GammaExpr(())) == (ResidueDecision.ZERO, None)
+    expr = residue(EQ49, (1, 2), Rat(23, 36))
+    decision, cert = certify_residue(expr, 512)
+    assert decision is residue_is_zero(expr, 512) is ResidueDecision.NONZERO
+    assert cert == interval_certificate(expr, 512)
+
+
+def test_checks_reject_semimodule_of_other_pair():
+    other = delorme(EQ45_QH).values
+    with pytest.raises(ValueError, match="different semigroup"):
+        zariski_condition_check(EQ49, other)
+    with pytest.raises(ValueError, match="different semigroup"):
+        four_condition_check(EQ49, other)
+
+
+def test_decide_root_certifies_once(monkeypatch):
+    calls = count_calls(monkeypatch, interval_certificate)
+    dec = decide_root(EQ49, 10)
+    assert dec.kind == "beta_root"
+    assert dec.certificate.excludes_zero
+    assert len(calls) == 1
+
+
 def test_decide_root_alpha_case():
     dec = decide_root(EQ45_QH, 2)
     assert dec.kind == "alpha_root"
@@ -206,7 +232,7 @@ def test_certified_roots_large_multiplicity_uses_lambda1_cone():
 
 
 def test_zariski_report_pin():
-    rep = zariski_condition_check(EQ49)
+    rep = zariski_condition_check(EQ49, delorme(EQ49).values)
     assert rep.j1 == 1
     assert rep.lambda1 == 14
     assert rep.residue_j1 == 1
@@ -216,7 +242,7 @@ def test_zariski_report_pin():
 
 
 def test_zariski_quasihomogeneous():
-    rep = zariski_condition_check(EQ45_QH)
+    rep = zariski_condition_check(EQ45_QH, delorme(EQ45_QH).values)
     assert rep.j1 is None and rep.lambda1 is None and rep.residue_j1 is None
     assert rep.chain == ((2, "zero"),)
     assert rep.dagger == ()
@@ -224,7 +250,7 @@ def test_zariski_quasihomogeneous():
 
 
 def test_four_report_pin():
-    rep = four_condition_check(EQ49)
+    rep = four_condition_check(EQ49, delorme(EQ49).values)
     assert (rep.alpha, rep.epsilon, rep.q) == (2, 1, 0)
     assert rep.q_prime_coeffs == 0 == rep.q_prime_delorme
     assert rep.chain == ((0, "nonzero"),)
@@ -235,12 +261,13 @@ def test_four_report_pin():
 def test_four_report_degenerate():
     """Coefficients sitting exactly on the quadratic locus drop lambda_2: the
     residue chain vanishes identically and both q' predictions agree on None."""
-    rep = four_condition_check(EQ49_DEG)
+    rep = four_condition_check(EQ49_DEG, delorme(EQ49_DEG).values)
     assert rep.q_prime_coeffs is None and rep.q_prime_delorme is None
     assert rep.chain == ((0, "zero"),)
     assert rep.consistent
 
 
 def test_four_requires_multiplicity_four():
+    eq = CurveEquation.nice(Semigroup(5, 7))
     with pytest.raises(PreconditionViolation):
-        four_condition_check(CurveEquation.nice(Semigroup(5, 7)))
+        four_condition_check(eq, delorme(eq).values)

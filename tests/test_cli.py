@@ -6,6 +6,9 @@ import json
 import pytest
 
 from cuspidal.cli import main
+from cuspidal.differentials import delorme
+from cuspidal.jacobian import jacobian_basis_direct
+from conftest import count_calls
 
 SPEC49 = "n = 4\nm = 9\nz 1 = 1\n"
 SPEC45 = "n = 4\nm = 5\nz 2 = 1\n"
@@ -151,3 +154,35 @@ def test_precision_override_changes_certificate(capsys, spec49):
     _, out512, _ = run(capsys, "residue", "--spec", spec49, "--j", "10",
                        "--ab", "1,2", "--precision", "512")
     assert "precision_bits = 512" in out512
+
+
+@pytest.mark.parametrize("extra,argv", [
+    ("", ["--horizon-mult", "1"]),
+    ("", ["--horizon-mult", "0"]),
+    ("t_horizon = 40\n", []),   # n*m + conductor = 60 for (4, 9)
+])
+def test_unsound_horizon_exits_two(capsys, tmp_path, extra, argv):
+    p = tmp_path / "h.spec"
+    p.write_text(SPEC49 + extra)
+    code, out, err = run(capsys, "verify", "--spec", str(p), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse_error:")
+
+
+@pytest.mark.parametrize("command", ["jacobian", "verify"])
+def test_direct_jacobian_basis_built_once(capsys, monkeypatch, spec49, command):
+    calls = count_calls(monkeypatch, jacobian_basis_direct)
+    code, out, _ = run(capsys, command, "--spec", spec49)
+    assert code == 0
+    assert "tjurina = 21" in out
+    assert len(calls) == 1
+
+
+def test_verify_runs_delorme_once(capsys, monkeypatch, spec49):
+    calls = count_calls(monkeypatch, delorme)
+    code, out, _ = run(capsys, "verify", "--spec", spec49)
+    assert code == 0
+    assert "zariski_consistency = ok" in out
+    assert "four_consistency = ok" in out
+    assert len(calls) == 1

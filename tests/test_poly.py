@@ -21,9 +21,9 @@ def test_weighted_degree_and_ties():
     assert O45.degree((0, 4)) == 20
     assert O45.degree((5, 0)) == 20
     # equal weighted degree: the smaller x-exponent comes first
-    assert O45.compare((0, 4), (5, 0)) == -1
-    assert O45.compare((5, 0), (0, 4)) == 1
-    assert O45.compare((2, 1), (2, 1)) == 0
+    assert O45.key((0, 4)) < O45.key((5, 0))
+    assert O45.key((5, 0)) > O45.key((0, 4))
+    assert O45.key((2, 1)) == (13, 2)
 
 
 def test_default_horizon_is_four_nm():

@@ -64,6 +64,15 @@ def test_with_overrides_keeps_unset_fields():
     assert out.seed is None
 
 
+def test_overrides_pass_the_horizon_checks():
+    spec = parse_spec("n=4\nm=9\nz 1 = 1")
+    with pytest.raises(ParseError, match="horizon_mult must be at least 2"):
+        spec.with_overrides(horizon_mult=1)
+    with pytest.raises(ParseError, match="exceed n\\*m \\+ conductor = 60"):
+        spec.with_overrides(t_horizon=60)
+    assert spec.with_overrides(t_horizon=61).t_horizon == 61
+
+
 @pytest.mark.parametrize("text,exc,kind,line", [
     ("n=4\nm=8", InvalidPair, "invalid_pair", None),
     ("n=6\nm=3", InvalidPair, "invalid_pair", None),
@@ -73,6 +82,7 @@ def test_with_overrides_keeps_unset_fields():
     ("n=4\nm=5\nz 2 = 1\nterm 1 6 1", ParseError, "parse_error", None),
     ("n=4\nm=5\nz 2 = 1\nmu = 2", ParseError, "parse_error", None),
     ("n=4\nm=5\nhorizon_mult = 1", ParseError, "parse_error", None),
+    ("n=4\nm=5\nt_horizon = 32", ParseError, "parse_error", None),
     ("n=4\nn=5\nm=7", ParseError, "parse_error", 2),
     ("n=4\nm=5\nwhat is this", ParseError, "parse_error", 3),
     ("n=4\nm=5\nterm 1 1 1", ParseError, "parse_error", 3),

@@ -20,24 +20,24 @@ from .bernstein import (Certificate, CertificateError, DeltaSequence, FourReport
 from .curve import (CurveEquation, CuspidalSets, NoSolution, NotAdapted,
                     Parametrization, Semigroup, cuspidal_sets, newton_puiseux,
                     pullback_value)
-from .differentials import (DifferentialBasis, OneForm, SemimoduleBasis,
-                            ValueMismatch, aligned_t_horizon,
-                            apply_vector_field, delorme, differential_value,
-                            monomial_value, oracle_differential_value,
-                            random_form, tuning_constant)
-from .jacobian import (JacobianBasis, ReductionVanished, jacobian_basis_direct,
-                       jacobian_basis_via_differentials, tjurina_number)
+from .differentials import (DifferentialBasis, OneForm, ValueMismatch,
+                            aligned_t_horizon, apply_vector_field, delorme,
+                            differential_value, monomial_value,
+                            oracle_differential_value, random_form,
+                            tuning_constant)
+from .jacobian import (jacobian_basis_direct, jacobian_basis_via_differentials,
+                       tjurina_number)
 from .poly import (Exponent, Term, TruncatedPoly, WeightedOrder, divides,
                    poly_from_terms)
 from .rationals import Rat, rat
 from .semimodules import (AbstractSemimodule, FourClassification, Unclassifiable,
-                          axes_and_criticals, classify_four, elements_outside,
-                          enumerate_increasing, membership, validate_basis)
+                          classify_four, elements_outside, enumerate_increasing,
+                          validate_basis)
 from .specfile import (CoefficientOutsideJ, CurveSpec, InvalidPair, ParseError,
                        SpecError, parse_spec)
-from .standard_basis import (FinalReduction, HorizonExhausted, ReductionStatus,
-                             StandardBasis, buchberger, codimension,
-                             final_reduction, reduce_step, s_process_min)
+from .standard_basis import (FinalReduction, HorizonExhausted, StandardBasis,
+                             buchberger, codimension, final_reduction,
+                             reduce_step, s_process_min)
 
 __version__ = "0.1.0"
 
@@ -46,18 +46,17 @@ __all__ = [
     "CoefficientOutsideJ", "CurveEquation", "CurveSpec", "CuspidalSets",
     "DeltaSequence", "DifferentialBasis", "Exponent", "FinalReduction",
     "FourClassification", "FourReport", "GammaExpr", "HorizonExhausted",
-    "InvalidPair", "JacobianBasis", "NegativeK", "NoSolution", "NotAdapted",
-    "OneForm", "Parametrization", "ParseError", "PreconditionViolation", "Rat",
-    "ReductionStatus", "ReductionVanished", "ResidueDecision", "RootCandidate",
-    "RootDecision", "Semigroup", "SemimoduleBasis", "SpecError",
-    "StandardBasis", "Term", "TruncatedPoly", "Unclassifiable",
+    "InvalidPair", "NegativeK", "NoSolution", "NotAdapted", "OneForm",
+    "Parametrization", "ParseError", "PreconditionViolation", "Rat",
+    "ResidueDecision", "RootCandidate", "RootDecision", "Semigroup",
+    "SpecError", "StandardBasis", "Term", "TruncatedPoly", "Unclassifiable",
     "ValueMismatch", "WeightedOrder", "ZariskiReport", "aligned_t_horizon",
-    "apply_vector_field", "axes_and_criticals", "buchberger",
-    "certified_roots_from_semimodule", "certify_residue", "classify_four",
+    "apply_vector_field", "buchberger", "certified_roots_from_semimodule",
+    "certify_residue", "classify_four",
     "codimension", "cuspidal_sets", "decide_root", "delorme",
     "delta_sequences", "differential_value", "divides", "elements_outside",
     "enumerate_increasing", "four_condition_check", "interval_certificate",
-    "jacobian_basis_direct", "jacobian_basis_via_differentials", "membership",
+    "jacobian_basis_direct", "jacobian_basis_via_differentials",
     "monomial_value", "newton_puiseux", "oracle_differential_value",
     "parse_spec", "poly_from_terms", "pullback_value", "random_form", "rat",
     "reduce_step", "residue", "residue_is_zero", "s_process_min",

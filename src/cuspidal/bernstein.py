@@ -18,7 +18,6 @@ from math import factorial
 import mpmath
 
 from .curve import CurveEquation, Semigroup
-from .differentials import SemimoduleBasis
 from .rationals import ONE, Rat, rat
 from .semimodules import AbstractSemimodule, classify_four, elements_outside
 
@@ -320,19 +319,15 @@ def decide_root(eq: CurveEquation, j: int, precision: int = 256) -> RootDecision
     return RootDecision("alpha_root", cand, -cand.alpha_val)
 
 
-def certified_roots_from_semimodule(sm) -> frozenset:
+def certified_roots_from_semimodule(sm: AbstractSemimodule) -> frozenset:
     """The root subset certified directly by the semimodule of differential
     values: all of -(Lambda \\ Gamma)/nm when n <= 4, and the -(lambda_1 +
     Gamma \\ Gamma)/nm tail for larger n (empty when the Zariski invariant
     vanishes)."""
-    sg = sm.sg
-    basis = getattr(sm, "lambdas", None)
-    if basis is None:
-        basis = sm.basis
-    basis = tuple(basis)
+    sg, basis = sm.sg, sm.basis
     nm = sg.n * sg.m
     if sg.n <= 4:
-        lams = elements_outside(AbstractSemimodule(sg, basis), 0)
+        lams = elements_outside(sm, 0)
     elif len(basis) < 3:
         return frozenset()
     else:
@@ -356,14 +351,14 @@ class ZariskiReport:
     consistent: bool
 
 
-def _check_semimodule(eq: CurveEquation, values: SemimoduleBasis) -> None:
+def _check_semimodule(eq: CurveEquation, values: AbstractSemimodule) -> None:
     if eq.form != "nice":
         raise ValueError("the coefficient pattern is read off the nice form")
     if values.sg != eq.sg:
         raise ValueError("semimodule belongs to a different semigroup")
 
 
-def zariski_condition_check(eq: CurveEquation, values: SemimoduleBasis,
+def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule,
                             precision: int = 256) -> ZariskiReport:
     """Verify on one curve that the smallest gap value with nonzero
     coefficient, the lambda_1 of its Delorme basis ``values``, and the residue
@@ -375,7 +370,7 @@ def zariski_condition_check(eq: CurveEquation, values: SemimoduleBasis,
     z = {j: c for j, c in eq.nice_coeffs.items() if c}
     j1 = min(z) if z else None
 
-    basis = values.lambdas
+    basis = values.basis
     lambda1 = basis[2] if len(basis) > 2 else None
 
     chain = []
@@ -422,7 +417,7 @@ class FourReport:
     consistent: bool
 
 
-def four_condition_check(eq: CurveEquation, values: SemimoduleBasis,
+def four_condition_check(eq: CurveEquation, values: AbstractSemimodule,
                          precision: int = 256) -> FourReport:
     """For n = 4: predict the second extension value lambda_2 = 8 alpha +
     3 epsilon + 4 q' from the coefficient pattern (simple vanishing tests
@@ -436,7 +431,7 @@ def four_condition_check(eq: CurveEquation, values: SemimoduleBasis,
         raise PreconditionViolation("this battery is specific to n = 4")
     alpha, epsilon = m // 4, m % 4
 
-    basis = values.lambdas
+    basis = values.basis
     if len(basis) < 3:
         raise PreconditionViolation("the Zariski invariant vanishes (s = 0)")
     lambda1 = basis[2]
@@ -461,7 +456,7 @@ def four_condition_check(eq: CurveEquation, values: SemimoduleBasis,
             if quad:
                 q_prime_coeffs = gamma
 
-    cls = classify_four(AbstractSemimodule(sg, basis))
+    cls = classify_four(values)
     if cls.case == 3:
         if cls.q != q:
             raise AssertionError("classification and lambda_1 disagree on q")

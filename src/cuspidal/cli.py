@@ -94,8 +94,8 @@ def cmd_delorme(spec: CurveSpec) -> dict:
     eq = _equation(spec)
     diff = delorme(eq)
     vals = diff.values
-    outside = elements_outside(vals.abstract(), 0)
-    return {"basis": list(vals.lambdas),
+    outside = elements_outside(vals, 0)
+    return {"basis": list(vals.basis),
             "s": vals.s,
             "axes": list(vals.axes),
             "criticals": list(vals.critical),
@@ -111,10 +111,10 @@ def cmd_bs_roots(spec: CurveSpec) -> dict:
     precision = _precision(spec)
     diff = delorme(eq)
     certified = sorted(certified_roots_from_semimodule(diff.values))
-    data: dict = {"basis": list(diff.values.lambdas),
+    data: dict = {"basis": list(diff.values.basis),
                   "roots": [str(r) for r in certified]}
     assumed = False
-    for j in spec.sets.J:
+    for j in eq.sets.J:
         dec = decide_root(eq, j, precision)
         parts = [dec.kind, f"root={dec.root}"]
         if dec.witness is not None:
@@ -131,8 +131,8 @@ def cmd_residue(spec: CurveSpec, j: int, ab) -> dict:
     eq = _equation(spec)
     if eq.form != "nice":
         raise SpecError("residues need a nice-form spec (z coefficients)")
-    sg = spec.semigroup
-    if j not in spec.sets.j_to_p:
+    sg = eq.sg
+    if j not in eq.sets.j_to_p:
         raise SpecError(f"--j {j} is not a cuspidal gap value of ({sg.n}, {sg.m})")
     beta = Rat(j + sg.n + sg.m, sg.n * sg.m)
     a, b = ab
@@ -152,11 +152,10 @@ def cmd_jacobian(spec: CurveSpec) -> dict:
     diff = delorme(eq)
     via = jacobian_basis_via_differentials(eq, diff)
     direct = jacobian_basis_direct(eq)
-    match = set(via.leading_powers) == set(direct.leading_powers)
-    return {"leading": [list(e) for e in via.leading_powers],
-            "direct_leading": [list(e) for e in sorted(direct.leading_powers)],
-            "match": match,
-            "values": list(via.semimodule_values()),
+    return {"leading": [list(e) for e in diff.leading_powers],
+            "direct_leading": [list(e) for e in direct.leading_powers],
+            "match": via.leading_powers == direct.leading_powers,
+            "values": list(diff.values.basis),
             "tjurina": tjurina_number(direct)}
 
 
@@ -180,7 +179,7 @@ def cmd_enumerate(spec: CurveSpec, max_m: int | None) -> dict:
 
 def cmd_verify(spec: CurveSpec) -> tuple[dict, bool]:
     eq = _equation(spec)
-    sg = spec.semigroup
+    sg = eq.sg
     n, m = sg.n, sg.m
     precision = _precision(spec)
     rng = random.Random(spec.seed if spec.seed is not None else 0)
@@ -189,10 +188,10 @@ def cmd_verify(spec: CurveSpec) -> tuple[dict, bool]:
 
     diff = delorme(eq)
     vals = diff.values
-    data["basis"] = list(vals.lambdas)
+    data["basis"] = list(vals.basis)
 
     aligned = aligned_t_horizon(eq)
-    t_h = spec.t_horizon if spec.t_horizon else max(aligned, n * m + sg.conductor + 1)
+    t_h = spec.t_horizon if spec.t_horizon else max(aligned, sg.t_horizon_floor + 1)
     strict = t_h == aligned
     param = newton_puiseux(eq, t_h)
 
@@ -216,8 +215,7 @@ def cmd_verify(spec: CurveSpec) -> tuple[dict, bool]:
 
     via = jacobian_basis_via_differentials(eq, diff)
     direct_basis = jacobian_basis_direct(eq)
-    jac_ok = (set(via.leading_powers) == set(direct_basis.leading_powers)
-              and via.semimodule_values() == vals.lambdas)
+    jac_ok = via.leading_powers == direct_basis.leading_powers
     data["jacobian_cross_check"] = "ok" if jac_ok else "FAIL"
     data["tjurina"] = tjurina_number(direct_basis)
     ok &= jac_ok
@@ -268,7 +266,7 @@ def cmd_conjecture_scan(seed: int, max_m: int, precision: int) -> tuple[dict, bo
                 eq = CurveEquation.nice(sg, coeffs)
                 curves += 1
                 vals = delorme(eq).values
-                for lam in elements_outside(vals.abstract(), 0):
+                for lam in elements_outside(vals, 0):
                     checked += 1
                     dec = decide_root(eq, lam - n - m, precision)
                     if dec.kind != "beta_root":

@@ -42,6 +42,11 @@ class Semigroup:
     def conductor(self) -> int:
         return (self.n - 1) * (self.m - 1)
 
+    @property
+    def t_horizon_floor(self) -> int:
+        """n*m + conductor: a parametrization horizon must exceed it."""
+        return self.n * self.m + self.conductor
+
     @cached_property
     def order(self) -> WeightedOrder:
         return WeightedOrder(self.n, self.m)
@@ -67,9 +72,6 @@ class Semigroup:
         if k >= self.conductor:
             return True
         return k not in self._gap_set
-
-    def contains(self, k: int) -> bool:
-        return k in self
 
     def gaps(self) -> tuple:
         """All naturals below the conductor that are not in the semigroup."""
@@ -321,7 +323,7 @@ def newton_puiseux(eq: CurveEquation, t_horizon: int | None = None) -> Parametri
     nm = n * m
     if t_horizon is None:
         t_horizon = nm + 2 * sg.conductor
-    elif t_horizon <= nm + sg.conductor:
+    elif t_horizon <= sg.t_horizon_floor:
         raise ValueError("t_horizon must exceed n*m + conductor")
     xi, c0 = _leading_solution(n, m, eq.mu)
     work = t_horizon + nm - m

@@ -17,7 +17,7 @@ from . import _series
 from .curve import CurveEquation, Parametrization, Semigroup
 from .poly import Exponent, TruncatedPoly
 from .rationals import Rat, rat
-from .semimodules import AbstractSemimodule, _axis, axes_and_criticals
+from .semimodules import AbstractSemimodule, _axis
 from .standard_basis import FinalReduction, final_reduction
 
 
@@ -38,17 +38,10 @@ class OneForm:
         return cls(h.partial_x(), h.partial_y())
 
     @classmethod
-    def basic(cls, eq_or_order, which: str) -> "OneForm":
-        """dx or dy over the given equation's (or order's) ground ring.
-
-        A CurveEquation argument also fixes the truncation horizon of the
-        coefficients, so products against its f are not clamped."""
-        horizon = None
-        f = getattr(eq_or_order, "f", None)
-        if f is not None:
-            horizon = f.horizon
-        order = getattr(eq_or_order, "sg", eq_or_order)
-        order = getattr(order, "order", order)
+    def basic(cls, eq: CurveEquation, which: str) -> "OneForm":
+        """dx or dy over the equation's ground ring, at the truncation horizon
+        of its f, so products against f are not clamped."""
+        order, horizon = eq.sg.order, eq.f.horizon
         one = TruncatedPoly.monomial(order, 1, (0, 0), horizon)
         zero = TruncatedPoly.zero(order, horizon)
         if which == "dx":
@@ -180,40 +173,23 @@ def tuning_constant(eta1: OneForm, eta2: OneForm, eq: CurveEquation) -> Rat:
 
 
 @dataclass(frozen=True)
-class SemimoduleBasis:
-    """Basis of the semimodule of differential values with axes and critical
-    values: lambdas = (lambda_{-1}, ..., lambda_s), axes = (u_1, ..., u_{s+1}),
-    critical = (t_{-1}, ..., t_{s+1})."""
-
-    sg: Semigroup
-    lambdas: tuple
-    axes: tuple
-    critical: tuple
-
-    def __post_init__(self) -> None:
-        self.abstract()  # runs the basis validation
-        if len(self.axes) != len(self.lambdas) - 1:
-            raise ValueError("need one axis per extension step plus the final one")
-        if len(self.critical) != len(self.lambdas) + 1:
-            raise ValueError("critical values run from t_{-1} to t_{s+1}")
-
-    @property
-    def s(self) -> int:
-        return len(self.lambdas) - 2
-
-    def abstract(self) -> AbstractSemimodule:
-        return AbstractSemimodule(self.sg, self.lambdas)
-
-
-@dataclass(frozen=True)
 class DifferentialBasis:
-    """Minimal standard basis: 1-forms omega_i, their value data, and the
-    final reductions h_i of X_{omega_i}(f) whose leading powers encode the
-    values."""
+    """Minimal standard basis: 1-forms omega_i, the semimodule of their
+    values, and the final reductions h_i of X_{omega_i}(f) whose leading
+    powers encode the values."""
 
     forms: tuple
-    values: SemimoduleBasis
+    values: AbstractSemimodule
     reductions: tuple
+
+    def __post_init__(self) -> None:
+        # The inversion nu = n(a+1) + m(b+1) - n*m must give back the basis;
+        # this also rules out a zero h_i and fixes the seeds (0, n-1), (m-1, 0).
+        lps = self.leading_powers
+        if (None in lps or tuple(_value_of_power(self.values.sg, e) for e in lps)
+                != self.values.basis):
+            raise ValueError(f"leading powers {lps} do not encode the values "
+                             f"{self.values.basis}")
 
     @property
     def leading_powers(self) -> tuple:
@@ -242,13 +218,8 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     f = eq.f
 
     forms = [OneForm.basic(eq, "dx"), OneForm.basic(eq, "dy")]
-    h_minus1 = final_reduction(apply_vector_field(forms[0], f), [f])
-    h_zero = final_reduction(apply_vector_field(forms[1], f), [f])
-    if h_minus1.poly.leading_power != (0, n - 1):
-        raise AssertionError("reduction of X_dx(f) must lead at (0, n-1)")
-    if h_zero.poly.leading_power != (m - 1, 0):
-        raise AssertionError("reduction of X_dy(f) must lead at (m-1, 0)")
-    reductions = [h_minus1.poly, h_zero.poly]
+    # The seeds lead at (0, n-1) and (m-1, 0); DifferentialBasis checks it.
+    reductions = [final_reduction(apply_vector_field(w, f), [f]).poly for w in forms]
     lambdas = [n, m]
 
     def covered_index(v: int) -> int | None:
@@ -297,9 +268,8 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
         forms.append(eta)
         reductions.append(r.poly)
 
-    axes, crit = axes_and_criticals(AbstractSemimodule(sg, tuple(lambdas)))
-    values = SemimoduleBasis(sg, tuple(lambdas), axes, crit)
-    return DifferentialBasis(tuple(forms), values, tuple(reductions))
+    return DifferentialBasis(tuple(forms), AbstractSemimodule(sg, tuple(lambdas)),
+                             tuple(reductions))
 
 
 def _combine_axis_pair(eq: CurveEquation, forms, reductions, lambdas, u: int):

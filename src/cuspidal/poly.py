@@ -241,26 +241,15 @@ class TruncatedPoly:
 
     # -- calculus --------------------------------------------------------
 
-    def partial(self, var: str) -> "TruncatedPoly":
-        """Exact formal derivative of the stored terms with respect to x or y."""
-        if var not in ("x", "y"):
-            raise ValueError("var must be 'x' or 'y'")
-        out: dict[Exponent, Rat] = {}
-        if var == "x":
-            for (a, b), c in self.terms.items():
-                if a:
-                    out[(a - 1, b)] = c * a
-        else:
-            for (a, b), c in self.terms.items():
-                if b:
-                    out[(a, b - 1)] = c * b
+    def partial_x(self) -> "TruncatedPoly":
+        """Exact formal derivative of the stored terms with respect to x."""
+        out = {(a - 1, b): c * a for (a, b), c in self.terms.items() if a}
         return TruncatedPoly._raw(self.order, self.horizon, out)
 
-    def partial_x(self) -> "TruncatedPoly":
-        return self.partial("x")
-
     def partial_y(self) -> "TruncatedPoly":
-        return self.partial("y")
+        """Exact formal derivative of the stored terms with respect to y."""
+        out = {(a, b - 1): c * b for (a, b), c in self.terms.items() if b}
+        return TruncatedPoly._raw(self.order, self.horizon, out)
 
     # -- comparisons / display ------------------------------------------
 

@@ -59,15 +59,26 @@ class AbstractSemimodule:
     def __contains__(self, k: int) -> bool:
         return any((k - lam) in self.sg for lam in self.basis)
 
-    def contains(self, k: int, level: int | None = None) -> bool:
-        """Membership in Lambda_level (level = index i, -1-based); full
-        semimodule when level is None."""
-        top = len(self.basis) if level is None else level + 2
-        return any((k - lam) in self.sg for lam in self.basis[:top])
+    def contains(self, k: int, level: int) -> bool:
+        """Membership in Lambda_level (level = index i, -1-based); level s is
+        the full semimodule."""
+        return any((k - lam) in self.sg for lam in self.basis[:level + 2])
 
+    @cached_property
+    def axes(self) -> tuple:
+        """The axes (u_1, ..., u_{s+1}), by direct search."""
+        return tuple(_axis(self.sg, self.basis, i) for i in range(1, len(self.basis)))
 
-def membership(sm: AbstractSemimodule, k: int) -> bool:
-    return k in sm
+    @cached_property
+    def critical(self) -> tuple:
+        """The critical values (t_{-1}, ..., t_{s+1}): t_{-1} = n, t_0 = m and
+        t_i = t_{i-1} + u_i - lambda_{i-1}.  (The recursion is calibrated so
+        that t_i equals the monomial value of the i-th basis 1-form; in
+        particular u_1 = t_1 = n + m always.)"""
+        crit = [self.sg.n, self.sg.m]
+        for i, u in enumerate(self.axes, start=1):
+            crit.append(crit[-1] + u - self.basis[i])
+        return tuple(crit)
 
 
 def _axis(sg: Semigroup, basis, i: int) -> int:
@@ -79,22 +90,6 @@ def _axis(sg: Semigroup, basis, i: int) -> int:
         if (k - lam_prev) in sg and any((k - lam) in sg for lam in lower):
             return k
     raise AssertionError(f"axis u_{i} not found below {bound}")
-
-
-def axes_and_criticals(sm: AbstractSemimodule) -> tuple:
-    """The axes (u_1, ..., u_{s+1}) and critical values (t_{-1}, ..., t_{s+1}).
-
-    Axes come from direct search; critical values from t_{-1} = n, t_0 = m and
-    the recursion t_i = t_{i-1} + u_i - lambda_{i-1}.  (The recursion is
-    calibrated so that t_i equals the monomial value of the i-th basis 1-form;
-    in particular u_1 = t_1 = n + m always.)
-    """
-    sg, basis = sm.sg, sm.basis
-    axes = tuple(_axis(sg, basis, i) for i in range(1, len(basis)))
-    crit = [sg.n, sg.m]
-    for i, u in enumerate(axes, start=1):
-        crit.append(crit[-1] + u - basis[i])
-    return axes, tuple(crit)
 
 
 def enumerate_increasing(sg: Semigroup):
@@ -164,4 +159,4 @@ def elements_outside(sm: AbstractSemimodule, sub_level: int) -> tuple:
         raise ValueError(f"sub_level {sub_level} outside -1..{sm.s}")
     bound = sm.sg.n + sm.sg.conductor
     return tuple(k for k in range(bound)
-                 if sm.contains(k) and not sm.contains(k, sub_level))
+                 if k in sm and not sm.contains(k, sub_level))

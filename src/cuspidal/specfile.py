@@ -59,7 +59,7 @@ class CurveSpec:
         if self.horizon_mult is not None and self.horizon_mult < 2:
             raise ParseError("horizon_mult must be at least 2")
         if self.t_horizon is not None:
-            floor = self.n * self.m + self.semigroup.conductor
+            floor = self.semigroup.t_horizon_floor
             if self.t_horizon <= floor:
                 raise ParseError(
                     f"t_horizon must exceed n*m + conductor = {floor}, "

@@ -3,15 +3,14 @@
 Reduction here is leading-term cancellation: a step replaces g by
 r = g - (lc(g)/lc(b)) * x^(lp(g)-lp(b)) * b, whose leading power is strictly
 larger in the weighted order.  Because only finitely many exponents live below
-the horizon, iterated reduction terminates: either with an irreducible
-remainder (``FINISHED``) or with every remaining term pushed beyond the
-horizon (``VANISHED_TO_HORIZON``, which callers treat as ideal membership).
+the horizon, iterated reduction terminates: either with a nonzero
+irreducible remainder or with every remaining term pushed beyond the horizon
+(``FinalReduction.vanished``, which callers treat as ideal membership).
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .poly import Exponent, TruncatedPoly, divides
@@ -21,19 +20,14 @@ class HorizonExhausted(RuntimeError):
     """A basis computation produced data that cannot be classified below the horizon."""
 
 
-class ReductionStatus(Enum):
-    FINISHED = "finished"
-    VANISHED_TO_HORIZON = "vanished_to_horizon"
-
-
 @dataclass(frozen=True)
 class FinalReduction:
     poly: TruncatedPoly
-    status: ReductionStatus
 
     @property
     def vanished(self) -> bool:
-        return self.status is ReductionStatus.VANISHED_TO_HORIZON
+        """Every term was pushed beyond the horizon: ideal membership."""
+        return self.poly.is_zero
 
 
 def reduce_step(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> TruncatedPoly | None:
@@ -62,9 +56,7 @@ def final_reduction(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> FinalRe
     while True:
         nxt = reduce_step(current, basis)
         if nxt is None:
-            if current.is_zero:
-                return FinalReduction(current, ReductionStatus.VANISHED_TO_HORIZON)
-            return FinalReduction(current, ReductionStatus.FINISHED)
+            return FinalReduction(current)
         current = nxt
 
 

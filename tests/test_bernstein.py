@@ -224,6 +224,20 @@ def test_certified_roots_small_multiplicity():
         AbstractSemimodule(Semigroup(4, 9), (4, 9))) == frozenset()
 
 
+@pytest.mark.parametrize("pair,coeffs", [
+    ((4, 9), {1: Rat(1)}),
+    ((4, 5), {2: Rat(1)}),
+    ((5, 7), {1: Rat(1), 4: Rat(-2)}),
+    ((5, 7), {}),
+])
+def test_certified_roots_take_delorme_values(pair, coeffs):
+    sg = Semigroup(*pair)
+    values = delorme(CurveEquation.nice(sg, coeffs)).values
+    assert isinstance(values, AbstractSemimodule)
+    assert (certified_roots_from_semimodule(values)
+            == certified_roots_from_semimodule(AbstractSemimodule(sg, values.basis)))
+
+
 def test_certified_roots_large_multiplicity_uses_lambda1_cone():
     sm = AbstractSemimodule(Semigroup(5, 7), (5, 7, 13))
     # (13 + Gamma) \ Gamma = {13, 18, 20, 23, 25}∩gaps = {13, 18, 23}

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,9 @@ from cuspidal.differentials import (
     oracle_differential_value,
     tuning_constant,
 )
+from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
+from cuspidal.semimodules import AbstractSemimodule
 from conftest import CORPUS, curve_draws, random_form
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
@@ -82,8 +85,28 @@ def test_tuning_constant_needs_equal_values():
 ])
 def test_delorme_pins(eq, lambdas, lps):
     diff = delorme(eq)
-    assert diff.values.lambdas == lambdas
+    assert diff.values.basis == lambdas
     assert diff.leading_powers == lps
+
+
+def test_delorme_values_are_a_semimodule_with_readme_pins():
+    values = delorme(EQ49).values
+    assert isinstance(values, AbstractSemimodule)
+    assert values.basis == (4, 9, 14, 19)
+    assert values.axes == (13, 18, 23)
+    assert values.critical == (4, 9, 13, 17, 21)
+
+
+def test_differential_basis_rejects_reductions_that_miss_the_values():
+    diff = delorme(EQ49)
+    h = diff.reductions
+    zero = TruncatedPoly.zero(EQ49.sg.order, EQ49.f.horizon)
+    for bad in (h[:-1],                    # one value without its h_i
+                (h[1], h[0]) + h[2:],      # seeds swapped
+                h[:-1] + (h[-1].mul_monomial(Rat(1), (1, 0)),),
+                h[:-1] + (zero,)):
+        with pytest.raises(ValueError):
+            replace(diff, reductions=bad)
 
 
 def test_delorme_values_are_realized():
@@ -93,7 +116,7 @@ def test_delorme_values_are_realized():
     for eq in (EQ45, EQ49):
         diff = delorme(eq)
         n, m = eq.sg.n, eq.sg.m
-        for form, lam, red in zip(diff.forms, diff.values.lambdas, diff.reductions):
+        for form, lam, red in zip(diff.forms, diff.values.basis, diff.reductions):
             assert differential_value(form, eq) == lam
             a, b = red.leading_power
             assert n * (a + 1) + m * (b + 1) - n * m == lam
@@ -107,7 +130,7 @@ def test_delorme_structure_battery(pair):
     for eq in curve_draws(sg, 6, seed=11):
         diff = delorme(eq)
         basis = diff.values
-        assert basis.lambdas[:2] == (sg.n, sg.m)
+        assert basis.basis[:2] == (sg.n, sg.m)
         assert basis.axes[0] == sg.n + sg.m
         assert basis.critical[:2] == (sg.n, sg.m)
         if basis.s >= 1:
@@ -117,7 +140,7 @@ def test_delorme_structure_battery(pair):
             assert monomial_value(form) == t
         # item (5): lambda_i > u_i for 1 <= i <= s
         for i in range(1, basis.s + 1):
-            assert basis.lambdas[i + 1] > basis.axes[i - 1]
+            assert basis.basis[i + 1] > basis.axes[i - 1]
 
 
 def test_aligned_horizon_formula():
@@ -129,7 +152,7 @@ def test_oracle_matches_on_basis_forms():
     for eq in (EQ45, EQ49):
         param = newton_puiseux(eq, aligned_t_horizon(eq))
         diff = delorme(eq)
-        for form, lam in zip(diff.forms, diff.values.lambdas):
+        for form, lam in zip(diff.forms, diff.values.basis):
             assert oracle_differential_value(form, param) == lam
         assert oracle_differential_value(OneForm.d(eq.f), param) is None
 

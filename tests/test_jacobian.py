@@ -1,17 +1,18 @@
 """Jacobian ideal standard bases, two ways, and the Tjurina number."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from cuspidal import CurveEquation, Semigroup
 from cuspidal.differentials import delorme
 from cuspidal.jacobian import (
-    JacobianBasis,
     jacobian_basis_direct,
     jacobian_basis_via_differentials,
     tjurina_number,
 )
-from cuspidal.poly import TruncatedPoly, WeightedOrder
+from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.standard_basis import codimension
 from conftest import CORPUS, curve_draws
@@ -53,7 +54,8 @@ def test_leading_powers_recover_the_semimodule(pair):
     for eq in curve_draws(sg, 4, seed=29):
         diff = delorme(eq)
         via = jacobian_basis_via_differentials(eq, diff)
-        assert via.semimodule_values() == diff.values.lambdas
+        assert tuple(sorted(sg.n * (a + 1) + sg.m * (b + 1) - sg.n * sg.m
+                            for a, b in via.leading_powers)) == diff.values.basis
 
 
 def test_via_requires_matching_semigroup():
@@ -63,27 +65,29 @@ def test_via_requires_matching_semigroup():
         jacobian_basis_via_differentials(eq45, diff49)
 
 
-def _mono(order, e):
-    return TruncatedPoly.monomial(order, Rat(1), e, horizon=200)
+EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})  # values (4, 5, 11)
+
+
+def _via(*lps):
+    """The (4,5) basis with monomial reductions h_i at the given leading powers."""
+    reductions = tuple(TruncatedPoly.monomial(EQ45.sg.order, Rat(1), e, horizon=200)
+                       for e in lps)
+    return jacobian_basis_via_differentials(
+        EQ45, replace(delorme(EQ45), reductions=reductions))
 
 
 def test_jacobian_basis_validates_shape():
-    sg = Semigroup(4, 5)
-    o = WeightedOrder(4, 5)
-    ok = JacobianBasis(sg, (_mono(o, (0, 3)), _mono(o, (4, 0)), _mono(o, (3, 2))))
-    assert ok.leading_powers == ((0, 3), (4, 0), (3, 2))
-    assert ok.semimodule_values() == (4, 5, 11)
+    ok = _via((0, 3), (4, 0), (3, 2))
+    assert ok.leading_powers == ((0, 3), (3, 2), (4, 0))
     with pytest.raises(ValueError):
-        # (5, 1) is divisible by (4, 0): not an antichain
-        JacobianBasis(sg, (_mono(o, (0, 3)), _mono(o, (4, 0)), _mono(o, (5, 1))))
+        # (5, 1) is divisible by (4, 0) and encodes 14, not 11
+        _via((0, 3), (4, 0), (5, 1))
     with pytest.raises(ValueError):
-        JacobianBasis(sg, (_mono(o, (0, 3)),))
+        _via((0, 3))
 
 
 def test_jacobian_basis_requires_axis_leaders():
-    sg = Semigroup(4, 5)
-    o = WeightedOrder(4, 5)
     with pytest.raises(ValueError):
-        JacobianBasis(sg, (_mono(o, (1, 3)), _mono(o, (4, 0))))
+        _via((1, 3), (4, 0))
     with pytest.raises(ValueError):
-        JacobianBasis(sg, (_mono(o, (0, 3)), _mono(o, (4, 1))))
+        _via((0, 3), (4, 1))

@@ -7,11 +7,9 @@ from cuspidal import Semigroup
 from cuspidal.semimodules import (
     AbstractSemimodule,
     Unclassifiable,
-    axes_and_criticals,
     classify_four,
     elements_outside,
     enumerate_increasing,
-    membership,
     validate_basis,
 )
 
@@ -39,10 +37,10 @@ def test_membership_levels():
     # 23 = 14 + 9 enters at level 1, 19 only at level 2
     assert sm.contains(23, level=1)
     assert not sm.contains(19, level=1)
-    assert sm.contains(19)
-    assert membership(sm, 19)
-    assert not membership(sm, 10)
-    assert not sm.contains(3)
+    assert sm.contains(19, level=2)
+    assert 19 in sm
+    assert 10 not in sm
+    assert 3 not in sm
 
 
 @pytest.mark.parametrize("basis,axes,crit", [
@@ -53,14 +51,14 @@ def test_membership_levels():
 ])
 def test_axes_and_criticals_pins(basis, axes, crit):
     sm = AbstractSemimodule(SG49, basis)
-    assert axes_and_criticals(sm) == (axes, crit)
+    assert (sm.axes, sm.critical) == (axes, crit)
 
 
 def test_first_axis_is_n_plus_m():
     for pair in [(4, 5), (5, 7), (6, 7)]:
         sg = Semigroup(*pair)
         sm = AbstractSemimodule(sg, (sg.n, sg.m))
-        axes, crit = axes_and_criticals(sm)
+        axes, crit = sm.axes, sm.critical
         assert axes[0] == sg.n + sg.m
         assert crit[:2] == (sg.n, sg.m)
 
@@ -82,7 +80,7 @@ def test_enumerate_increasing_49():
 def test_enumerate_increasing_respects_axes():
     """Every enumerated semimodule with s >= 1 satisfies lambda_i > u_i."""
     for sm in enumerate_increasing(Semigroup(5, 6)):
-        axes, _ = axes_and_criticals(sm)
+        axes = sm.axes
         for i in range(1, len(sm.basis) - 1):
             assert sm.basis[i + 1] > axes[i - 1]
 

@@ -7,7 +7,7 @@ invent coefficients past the shorter operand.
 """
 from __future__ import annotations
 
-from .rationals import Rat, ZERO, rat
+from .rationals import ZERO, rat
 
 
 def zeros(upto: int) -> list:

@@ -44,18 +44,18 @@ class RootCandidate:
 
     j: int
     beta: Rat
-    alpha_val: Rat
 
     def __post_init__(self) -> None:
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must lie in (0,1), got {self.beta}")
-        if self.alpha_val != self.beta + 1:
-            raise ValueError("alpha_val must equal beta + 1")
+
+    @property
+    def alpha_val(self) -> Rat:
+        return self.beta + 1
 
     @classmethod
     def for_gap(cls, sg: Semigroup, j: int) -> "RootCandidate":
-        beta = Rat(j + sg.n + sg.m, sg.n * sg.m)
-        return cls(j, beta, beta + 1)
+        return cls(j, Rat(j + sg.n + sg.m, sg.n * sg.m))
 
 
 @dataclass(frozen=True)
@@ -331,9 +331,7 @@ def certified_roots_from_semimodule(sm: AbstractSemimodule) -> frozenset:
     elif len(basis) < 3:
         return frozenset()
     else:
-        lam1 = basis[2]
-        lams = tuple(k for k in range(lam1, sg.conductor)
-                     if (k - lam1) in sg and k not in sg)
+        lams = elements_outside(AbstractSemimodule(sg, basis[:3]), 0)
     return frozenset(-Rat(lam, nm) for lam in lams)
 
 
@@ -376,8 +374,8 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule,
     chain = []
     residue_j1 = None
     for ell in sorted(eq.sets.J):
-        decision = residue_is_zero(residue(eq, (1, 1), Rat(ell + n + m, n * m)),
-                                   precision)
+        decision = residue_is_zero(
+            residue(eq, (1, 1), RootCandidate.for_gap(sg, ell).beta), precision)
         chain.append((ell, decision.value))
         if decision is not ResidueDecision.ZERO:
             residue_j1 = ell
@@ -389,9 +387,7 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule,
 
     dagger = []
     if lambda1 is not None:
-        for lam in range(lambda1, sg.conductor):
-            if (lam - lambda1) not in sg or lam in sg:
-                continue
+        for lam in elements_outside(AbstractSemimodule(sg, basis[:3]), 0):
             a, b = sg.decompose(lam - lambda1)
             decision = residue_is_zero(
                 residue(eq, (a + 1, b + 1), Rat(lam, n * m)), precision)
@@ -480,10 +476,9 @@ def four_condition_check(eq: CurveEquation, values: AbstractSemimodule,
     dagger_ok = True
     if q_prime_delorme is not None:
         lambda2 = basis[3]
-        sub = AbstractSemimodule(sg, basis[:3])
         for a in range(q - q_prime_delorme + 1):
             lam = lambda2 + 4 * a
-            if lam in sub:
+            if values.contains(lam, 1):
                 raise AssertionError(f"{lam} unexpectedly lies in the sub-semimodule")
             decision = residue_is_zero(
                 residue(eq, (alpha - q + a, 1), Rat(lam, n * m)), precision)

@@ -14,9 +14,10 @@ import sys
 from math import gcd
 
 from .bernstein import (CertificateError, NegativeK, PreconditionViolation,
-                        ResidueDecision, certified_roots_from_semimodule,
-                        certify_residue, decide_root, four_condition_check,
-                        residue, zariski_condition_check)
+                        ResidueDecision, RootCandidate,
+                        certified_roots_from_semimodule, certify_residue,
+                        decide_root, four_condition_check, residue,
+                        zariski_condition_check)
 from .curve import CurveEquation, NoSolution, NotAdapted, Semigroup, cuspidal_sets, newton_puiseux
 from .differentials import (aligned_t_horizon, delorme, differential_value,
                             monomial_value, oracle_differential_value,
@@ -134,7 +135,7 @@ def cmd_residue(spec: CurveSpec, j: int, ab) -> dict:
     sg = eq.sg
     if j not in eq.sets.j_to_p:
         raise SpecError(f"--j {j} is not a cuspidal gap value of ({sg.n}, {sg.m})")
-    beta = Rat(j + sg.n + sg.m, sg.n * sg.m)
+    beta = RootCandidate.for_gap(sg, j).beta
     a, b = ab
     k = j + sg.n + sg.m - sg.n * a - sg.m * b
     expr = residue(eq, ab, beta)

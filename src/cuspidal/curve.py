@@ -221,6 +221,11 @@ class Parametrization:
     for mu = 1 equations and a rational power of mu otherwise: the sign/scale
     is exactly what keeps the coefficient recursion inside the rationals, and
     t-orders -- the only quantities consumed downstream -- do not depend on it.
+
+    The cached powers y**b (``y_power``) are the one evaluator along the
+    branch: ``compose`` sums them for any polynomial, ``newton_puiseux`` solves
+    through ``compose``, and ``y_power_dy`` reads y**b * y' off them by the
+    identity y**b * y' = (y**(b+1))' / (b+1), exact on truncated series.
     """
 
     n: int
@@ -255,21 +260,16 @@ class Parametrization:
         return got
 
     @cached_property
-    def y_prime(self) -> tuple:
-        """dy/dt; trustworthy through power t_horizon - 1."""
-        return tuple(_series.deriv(self.y))
-
-    @cached_property
     def _y_powers_dy(self) -> dict:
         return {}
 
     def y_power_dy(self, b: int) -> tuple:
-        """y(t)**b * y'(t), trustworthy through power t_horizon - 1; cached."""
+        """y(t)**b * y'(t) = (y**(b+1))' / (b+1), trustworthy through power
+        t_horizon - 1; cached."""
         pows = self._y_powers_dy
         got = pows.get(b)
         if got is None:
-            got = tuple(_series.mul(self.y_power(b), self.y_prime,
-                                    self.t_horizon - 1))
+            got = tuple(c / (b + 1) for c in _series.deriv(self.y_power(b + 1)))
             pows[b] = got
         return got
 
@@ -315,8 +315,10 @@ def newton_puiseux(eq: CurveEquation, t_horizon: int | None = None) -> Parametri
     The coefficients of y are the unique solution of the successive linear
     equations obtained by matching powers of t; they are found here by a
     Newton iteration with progressive truncation, which produces the same
-    series.  Postcondition (checked): the residual f(x(t), y(t)) vanishes
-    identically through power t_horizon + n*m - m.
+    series.  Each step evaluates f, and f_y when f does not vanish yet, by
+    ``Parametrization.compose`` on the current truncation, so the solver and
+    the oracle share one power table.  Postcondition (checked): the residual
+    f(x(t), y(t)) vanishes identically through power t_horizon + n*m - m.
     """
     sg = eq.sg
     n, m = sg.n, sg.m
@@ -328,40 +330,6 @@ def newton_puiseux(eq: CurveEquation, t_horizon: int | None = None) -> Parametri
     xi, c0 = _leading_solution(n, m, eq.mu)
     work = t_horizon + nm - m
 
-    # Collect f(xi*t^n, y) as polynomials in y with dense series coefficients.
-    slices: dict[int, list] = {}
-    for (a, b), c in eq.f.terms.items():
-        shift = n * a
-        if shift > work:
-            continue
-        s = slices.get(b)
-        if s is None:
-            s = slices[b] = _series.zeros(work)
-        s[shift] += c * xi ** a
-
-    def eval_f_and_fy(y: list, upto: int) -> tuple:
-        pows = {0: None, 1: list(y)}
-        top = max(slices)
-        cur = list(y)
-        for b in range(2, top + 1):
-            cur = _series.mul(cur, y, upto)
-            pows[b] = cur
-        val = _series.zeros(upto)
-        dval = _series.zeros(upto)
-        for b, s in slices.items():
-            src = pows.get(b)
-            for shift, coeff in enumerate(s):
-                if not coeff:
-                    continue
-                if b == 0:
-                    if shift <= upto:
-                        val[shift] += coeff
-                else:
-                    _series.add_shifted(val, src, shift, coeff)
-                    _series.add_shifted(dval, pows[b - 1] if b > 1 else [ONE],
-                                        shift, coeff * b)
-        return val, dval
-
     y = _series.zeros(m)
     y[m] = c0
     prec = m
@@ -369,11 +337,13 @@ def newton_puiseux(eq: CurveEquation, t_horizon: int | None = None) -> Parametri
         nxt = min(t_horizon, 2 * prec - m + 1)
         upto = nxt + nm - m
         cur = _series.trimmed(y, upto)
-        val, dval = eval_f_and_fy(cur, upto)
+        branch = Parametrization(n, xi, tuple(cur), upto)
+        val = branch.compose(eq.f)
         if _series.ord_of(val) is None:
             y = cur
             prec = nxt
             continue
+        dval = branch.compose(eq.fy)
         if _series.ord_of(dval) != nm - m:
             raise NoSolution("derivative lost its expected order; not a cusp shape")
         delta = _series.div([-v for v in val], dval, nxt)
@@ -382,7 +352,7 @@ def newton_puiseux(eq: CurveEquation, t_horizon: int | None = None) -> Parametri
         prec = nxt
 
     y = _series.trimmed(y, t_horizon)
-    check, _ = eval_f_and_fy(_series.trimmed(y, work), work)
+    check = Parametrization(n, xi, tuple(_series.trimmed(y, work)), work).compose(eq.f)
     if _series.ord_of(check) is not None:
         raise NoSolution("residual does not vanish to the horizon")
     return Parametrization(n, xi, tuple(y), t_horizon)

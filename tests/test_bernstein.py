@@ -23,7 +23,6 @@ from cuspidal.bernstein import (
     residue_is_zero,
     zariski_condition_check,
 )
-from cuspidal.curve import cuspidal_sets
 from cuspidal.differentials import delorme
 from cuspidal.poly import WeightedOrder, poly_from_terms
 from cuspidal.rationals import Rat
@@ -43,7 +42,7 @@ def test_root_candidate_for_gap():
 
 def test_root_candidate_validates_range():
     with pytest.raises(ValueError):
-        RootCandidate(j=1, beta=Rat(3, 2), alpha_val=Rat(5, 2))
+        RootCandidate(j=1, beta=Rat(3, 2))
 
 
 def test_delta_sequences_small():

@@ -4,8 +4,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import CurveEquation, Semigroup, cuspidal_sets
+from cuspidal import CurveEquation, Semigroup, _series, cuspidal_sets
 from cuspidal.curve import NotAdapted, newton_puiseux, pullback_value
+from cuspidal.differentials import aligned_t_horizon
 from cuspidal.poly import WeightedOrder, poly_from_terms
 from cuspidal.rationals import Rat
 from conftest import CORPUS, coprime_pairs
@@ -146,3 +147,38 @@ def test_parametrization_of_adapted_equation():
     param = newton_puiseux(eq)
     assert all(c == 0 for c in param.compose(eq.f))
     assert param.x_coeff == -8
+    assert [(k, c) for k, c in enumerate(param.y) if c][:6] == [
+        (5, 16), (7, 8), (9, 2), (11, -1), (13, Rat(-5, 8)), (15, Rat(7, 16))]
+
+
+def _adapted_45_mu2() -> CurveEquation:
+    f = poly_from_terms(WeightedOrder(4, 5), {(0, 4): 1, (5, 0): 2, (3, 2): 1})
+    return CurveEquation.adapted(Semigroup(4, 5), f)
+
+
+def _all_ones(n, m) -> CurveEquation:
+    sg = Semigroup(n, m)
+    return CurveEquation.nice(sg, {j: Rat(1) for j in cuspidal_sets(sg).J})
+
+
+@pytest.mark.parametrize("eq", [_all_ones(n, m) for n, m in CORPUS] + [_adapted_45_mu2()],
+                         ids=[f"{n}-{m}" for n, m in CORPUS] + ["adapted-4-5-mu2"])
+def test_y_power_dy_is_the_product_with_y_prime(eq):
+    """y^b * y' read off the cached power y^(b+1) equals the direct product."""
+    param = newton_puiseux(eq, aligned_t_horizon(eq))
+    y_prime = _series.deriv(param.y)
+    for b in range(eq.sg.n + 1):
+        assert list(param.y_power_dy(b)) == _series.mul(
+            param.y_power(b), y_prime, param.t_horizon - 1)
+
+
+@pytest.mark.parametrize("eq", [_all_ones(4, 9), _all_ones(5, 7), _adapted_45_mu2()],
+                         ids=["4-9", "5-7", "adapted-4-5-mu2"])
+def test_newton_puiseux_horizons_agree_on_common_prefix(eq):
+    floor = newton_puiseux(eq, eq.sg.t_horizon_floor + 1)
+    aligned = newton_puiseux(eq, aligned_t_horizon(eq))
+    default = newton_puiseux(eq)
+    for p, q in ((floor, aligned), (floor, default), (aligned, default)):
+        common = min(p.t_horizon, q.t_horizon) + 1
+        assert p.x_coeff == q.x_coeff
+        assert p.y[:common] == q.y[:common]

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from cuspidal import CurveEquation, Semigroup, cuspidal_sets
+from cuspidal import CurveEquation, Semigroup
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
     OneForm,

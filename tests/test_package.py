@@ -1,6 +1,9 @@
 """The package's public surface."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import cuspidal
 
 
@@ -8,3 +11,28 @@ def test_public_names_resolve_once():
     names = cuspidal.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(cuspidal, n)] == []
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports but never reads (``from __future__`` aside)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{path.name}:{line}: {name}"
+                  for name, line in imported.items() if name not in read)
+
+
+def test_modules_read_every_name_they_import():
+    """__init__.py is skipped: its imports are the package's re-exports."""
+    src = Path(cuspidal.__file__).parent
+    unused = [u for path in sorted(src.glob("*.py")) if path.name != "__init__.py"
+              for u in _unused_imports(path)]
+    assert unused == []

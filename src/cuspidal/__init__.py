@@ -27,8 +27,7 @@ from .differentials import (DifferentialBasis, OneForm, ValueMismatch,
                             tuning_constant)
 from .jacobian import (jacobian_basis_direct, jacobian_basis_via_differentials,
                        tjurina_number)
-from .poly import (Exponent, Term, TruncatedPoly, WeightedOrder, divides,
-                   poly_from_terms)
+from .poly import Exponent, Term, TruncatedPoly, WeightedOrder, divides
 from .rationals import Rat, rat
 from .semimodules import (AbstractSemimodule, FourClassification, Unclassifiable,
                           classify_four, elements_outside, enumerate_increasing,
@@ -58,7 +57,7 @@ __all__ = [
     "enumerate_increasing", "four_condition_check", "interval_certificate",
     "jacobian_basis_direct", "jacobian_basis_via_differentials",
     "monomial_value", "newton_puiseux", "oracle_differential_value",
-    "parse_spec", "poly_from_terms", "pullback_value", "random_form", "rat",
+    "parse_spec", "pullback_value", "random_form", "rat",
     "reduce_step", "residue", "residue_is_zero", "s_process_min",
     "tjurina_number", "tuning_constant", "validate_basis",
     "zariski_condition_check",

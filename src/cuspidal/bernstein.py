@@ -147,12 +147,6 @@ class GammaExpr:
     def is_zero(self) -> bool:
         return not self.groups
 
-    def scale(self, c) -> "GammaExpr":
-        c = rat(c)
-        if not c:
-            return GammaExpr(())
-        return GammaExpr(tuple((k, c * v) for k, v in self.groups))
-
     def __str__(self) -> str:
         if not self.groups:
             return "0"

@@ -196,8 +196,8 @@ def cmd_verify(spec: CurveSpec) -> tuple[dict, bool]:
     strict = t_h == aligned
     param = newton_puiseux(eq, t_h)
 
-    agree = all(differential_value(w, eq) == oracle_differential_value(w, param)
-                for w in diff.forms)
+    agree = all(oracle_differential_value(w, param) == lam
+                for w, lam in zip(diff.forms, vals.basis))
     data["oracle_basis_forms"] = "ok" if agree else "FAIL"
     ok &= agree
 
@@ -311,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("bs-roots", "certified Bernstein-Sato roots and per-gap verdicts")
     p = add("residue", "one residue as an exact Gamma expression")
     p.add_argument("--j", type=int, required=True, help="gap value in J")
-    p.add_argument("--ab", required=True, help="test exponent a,b")
+    p.add_argument("--ab", required=True, help="test exponent a,b (non-negative)")
     add("jacobian", "Jacobian ideal standard basis and Tjurina number")
     p = add("enumerate", "all increasing semimodules of the pair")
     p.add_argument("--max-m", type=int, dest="max_m",
@@ -328,6 +328,8 @@ def _parse_ab(text: str) -> tuple[int, int]:
         a, b = (int(x) for x in text.split(","))
     except ValueError:
         raise SpecError(f"--ab expects 'a,b', got {text!r}") from None
+    if a < 0 or b < 0:
+        raise SpecError(f"--ab entries must be non-negative, got {text!r}")
     return a, b
 
 

@@ -191,6 +191,12 @@ class CurveEquation:
     def __post_init__(self) -> None:
         if self.form not in ("nice", "adapted"):
             raise ValueError(f"unknown form {self.form!r}")
+        # The one horizon check every equation passes, however it is built:
+        # below 2nm the truncation can cut terms that decide the values.
+        floor = 2 * self.sg.n * self.sg.m
+        if self.f.horizon < floor:
+            raise ValueError(f"truncation horizon must be at least 2*n*m = {floor}, "
+                             f"got {self.f.horizon}")
 
     @property
     def nice_coeffs(self) -> dict:

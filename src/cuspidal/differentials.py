@@ -57,9 +57,6 @@ class OneForm:
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.dx + other.dx, self.dy + other.dy)
 
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.dx - other.dx, self.dy - other.dy)
-
     def scale(self, c) -> "OneForm":
         c = rat(c)
         return OneForm(self.dx.scale(c), self.dy.scale(c))
@@ -94,9 +91,10 @@ def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
             return form
 
 
-def apply_vector_field(omega: OneForm, f: TruncatedPoly) -> TruncatedPoly:
-    """X_omega(f) = dy_coeff * f_x - dx_coeff * f_y."""
-    return omega.dy * f.partial_x() - omega.dx * f.partial_y()
+def apply_vector_field(omega: OneForm, eq: CurveEquation) -> TruncatedPoly:
+    """X_omega(f) = dy_coeff * f_x - dx_coeff * f_y, from the equation's cached
+    partials."""
+    return omega.dy * eq.fx - omega.dx * eq.fy
 
 
 def _value_of_power(sg: Semigroup, e: Exponent) -> int:
@@ -105,7 +103,7 @@ def _value_of_power(sg: Semigroup, e: Exponent) -> int:
 
 def differential_value(omega: OneForm, eq: CurveEquation) -> int | None:
     """nu(omega) from the implicit equation; None = infinite to the horizon."""
-    red = final_reduction(apply_vector_field(omega, eq.f), [eq.f])
+    red = final_reduction(apply_vector_field(omega, eq), [eq.f])
     if red.vanished:
         return None
     return _value_of_power(eq.sg, red.poly.leading_power)
@@ -158,11 +156,9 @@ def aligned_t_horizon(eq: CurveEquation) -> int:
     return eq.f.horizon - sg.n * sg.m + sg.n + sg.m
 
 
-def tuning_constant(eta1: OneForm, eta2: OneForm, eq: CurveEquation) -> Rat:
-    """The scalar mu+ = -mu1/mu2 from the leading terms of final reductions
-    of X_eta1(f), X_eta2(f); guarantees nu(eta1 + mu+ eta2) > nu(eta1)."""
-    r1 = final_reduction(apply_vector_field(eta1, eq.f), [eq.f])
-    r2 = final_reduction(apply_vector_field(eta2, eq.f), [eq.f])
+def _tuning(r1: FinalReduction, r2: FinalReduction) -> Rat:
+    """mu+ = -lc(r1)/lc(r2): the scalar that cancels the leading term of r1
+    against r2.  Both reductions must be nonzero with the same leading power."""
     if r1.vanished or r2.vanished:
         raise ValueMismatch("tuning needs finite values on both sides")
     lt1, lt2 = r1.poly.leading, r2.poly.leading
@@ -170,6 +166,14 @@ def tuning_constant(eta1: OneForm, eta2: OneForm, eq: CurveEquation) -> Rat:
         raise ValueMismatch(
             f"values differ: leading powers {lt1.exponent} vs {lt2.exponent}")
     return -lt1.coeff / lt2.coeff
+
+
+def tuning_constant(eta1: OneForm, eta2: OneForm, eq: CurveEquation) -> Rat:
+    """The scalar mu+ = -mu1/mu2 from the leading terms of final reductions
+    of X_eta1(f), X_eta2(f); guarantees nu(eta1 + mu+ eta2) > nu(eta1)."""
+    r1 = final_reduction(apply_vector_field(eta1, eq), [eq.f])
+    r2 = final_reduction(apply_vector_field(eta2, eq), [eq.f])
+    return _tuning(r1, r2)
 
 
 @dataclass(frozen=True)
@@ -196,71 +200,60 @@ class DifferentialBasis:
         return tuple(h.leading_power for h in self.reductions)
 
 
-def _shifted_reduction(eq: CurveEquation, h: TruncatedPoly, coeff, shift: Exponent) -> FinalReduction:
-    """Final reduction of coeff * x^shift * h modulo {f}."""
-    return final_reduction(h.mul_monomial(coeff, shift), [eq.f])
-
-
 def delorme(eq: CurveEquation) -> DifferentialBasis:
     """Delorme's algorithm: the minimal standard basis of the differentials.
 
-    Starting from (dx, dy), each round computes the axis u_i, combines the two
-    monomial multiples that realize it with a tuning constant, and drives the
-    combination through value-increasing corrections against the basis built
-    so far.  A round ends with a fresh basis 1-form (its value is a gap not
-    covered by the previous ones) or with the value escaping to infinity,
+    Starting from (dx, dy), round i lifts the newest basis form omega_i by the
+    monomial x^s of value u_i - lambda_i (u_i the axis) and then tunes it:
+    each step cancels the leading term of the running reduction against
+    mu+ x^shift omega_j, for the largest j whose shifted semigroup covers the
+    current value.  The first step, at the axis itself, must use an earlier
+    form than omega_i; later ones may use any.  Every step strictly raises the
+    value (checked).  A round ends with a fresh basis 1-form (its value is a
+    gap covered by no basis form) or with the value escaping to infinity,
     which terminates the algorithm.  A chain whose value reaches the conductor
     is declared infinite: past that point every value is covered, so no final
     reduction can stop there.
     """
     sg = eq.sg
-    n, m, c_gamma = sg.n, sg.m, sg.conductor
     f = eq.f
 
     forms = [OneForm.basic(eq, "dx"), OneForm.basic(eq, "dy")]
     # The seeds lead at (0, n-1) and (m-1, 0); DifferentialBasis checks it.
-    reductions = [final_reduction(apply_vector_field(w, f), [f]).poly for w in forms]
-    lambdas = [n, m]
+    reductions = [final_reduction(apply_vector_field(w, eq), [f]).poly for w in forms]
+    lambdas = [sg.n, sg.m]
 
-    def covered_index(v: int) -> int | None:
-        """Largest basis index whose shifted semigroup contains v."""
-        for idx in range(len(lambdas) - 1, -1, -1):
-            if (v - lambdas[idx]) in sg:
-                return idx
-        return None
-
-    for i in range(1, n - 1):
+    for i in range(1, sg.n - 1):
         u = _axis(sg, tuple(lambdas), i)
-        eta, r = _combine_axis_pair(eq, forms, reductions, lambdas, u)
-        # Correct eta against the current basis until its value leaves the
-        # covered set or escapes.
+        s = sg.decompose(u - lambdas[i])
+        eta = forms[i].mul_monomial(1, s)
+        r = final_reduction(reductions[i].mul_monomial(1, s), [f])
+        value, usable = u, i  # the axis step may use only the forms before omega_i
         while True:
+            # decompose is the membership test of value - lambda_j in Gamma.
+            cover = next(((j, shift) for j in range(usable - 1, -1, -1)
+                          if (shift := sg.decompose(value - lambdas[j])) is not None),
+                         None)
+            if cover is None:
+                if usable == i:
+                    raise AssertionError(f"no earlier basis form covers the axis {u}")
+                break
+            j, shift = cover
+            part = final_reduction(reductions[j].mul_monomial(1, shift), [f])
+            mu = _tuning(r, part)
+            eta = eta + forms[j].mul_monomial(mu, shift)
+            r = final_reduction(r.poly + part.poly.scale(mu), [f])
             if r.vanished:
                 value = None
                 break
-            value = _value_of_power(sg, r.poly.leading_power)
-            if value >= c_gamma:
+            raised = _value_of_power(sg, r.poly.leading_power)
+            if raised <= value:
+                raise AssertionError("tuning failed to raise the value")
+            value = raised
+            if value >= sg.conductor:
                 value = None
                 break
-            idx = covered_index(value)
-            if idx is None:
-                break
-            shift = sg.decompose(value - lambdas[idx])
-            if shift is None:
-                raise AssertionError("covered value without a semigroup shift")
-            part = _shifted_reduction(eq, reductions[idx], 1, shift)
-            if part.vanished:
-                raise AssertionError("shifted basis reduction vanished")
-            if part.poly.leading_power != r.poly.leading_power:
-                raise AssertionError("shifted reduction misaligned with the chain")
-            mu = -r.poly.leading.coeff / part.poly.leading.coeff
-            eta = eta + forms[idx].mul_monomial(mu, shift)
-            new_r = final_reduction(r.poly + part.poly.scale(mu), [f])
-            if not new_r.vanished:
-                new_value = _value_of_power(sg, new_r.poly.leading_power)
-                if new_value <= value:
-                    raise AssertionError("correction failed to raise the value")
-            r = new_r
+            usable = len(lambdas)
 
         if value is None:
             break
@@ -270,39 +263,3 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
 
     return DifferentialBasis(tuple(forms), AbstractSemimodule(sg, tuple(lambdas)),
                              tuple(reductions))
-
-
-def _combine_axis_pair(eq: CurveEquation, forms, reductions, lambdas, u: int):
-    """Build eta = eta1 + mu+ eta2 from the two monomial multiples realizing
-    the axis u, together with a final reduction of X_eta(f).
-
-    The multiple of the newest form is a pure power of one variable and the
-    matching earlier multiple a pure power of the other (below n*m the
-    decomposition is unique, so exactly one pattern fits -- checked)."""
-    sg = eq.sg
-    n, m = sg.n, sg.m
-    newest = len(lambdas) - 1
-    candidates = []
-    d_new = u - lambdas[newest]
-    for k in range(newest):
-        d_old = u - lambdas[k]
-        if d_new % n == 0 and d_old % m == 0:
-            candidates.append((k, (d_new // n, 0), (0, d_old // m)))
-        if d_new % m == 0 and d_old % n == 0:
-            candidates.append((k, (0, d_new // m), (d_old // n, 0)))
-    if len(candidates) != 1:
-        raise AssertionError(
-            f"axis {u} admits {len(candidates)} pure decompositions, expected 1")
-    k, shift_new, shift_old = candidates[0]
-
-    part_new = _shifted_reduction(eq, reductions[newest], 1, shift_new)
-    part_old = _shifted_reduction(eq, reductions[k], 1, shift_old)
-    if part_new.vanished or part_old.vanished:
-        raise AssertionError("axis reductions vanished unexpectedly")
-    lt_new, lt_old = part_new.poly.leading, part_old.poly.leading
-    if lt_new.exponent != lt_old.exponent:
-        raise AssertionError("axis pair does not share a leading power")
-    mu_plus = -lt_new.coeff / lt_old.coeff
-    eta = forms[newest].mul_monomial(1, shift_new) + forms[k].mul_monomial(mu_plus, shift_old)
-    r = final_reduction(part_new.poly + part_old.poly.scale(mu_plus), [eq.f])
-    return eta, r

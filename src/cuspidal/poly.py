@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .rationals import Rat, rat
 
@@ -136,12 +136,6 @@ class TruncatedPoly:
 
     def sorted_terms(self) -> list[Term]:
         return [Term(e, self.terms[e]) for e in sorted(self.terms, key=self.order.key)]
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(self.sorted_terms())
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -284,8 +278,3 @@ class TruncatedPoly:
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 
-
-def poly_from_terms(order: WeightedOrder, terms: Mapping[Exponent, object],
-                    horizon: int | None = None) -> TruncatedPoly:
-    h = order.default_horizon if horizon is None else horizon
-    return TruncatedPoly(order, h, {e: rat(c) for e, c in terms.items()})

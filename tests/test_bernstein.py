@@ -24,7 +24,7 @@ from cuspidal.bernstein import (
     zariski_condition_check,
 )
 from cuspidal.differentials import delorme
-from cuspidal.poly import WeightedOrder, poly_from_terms
+from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule
 from conftest import count_calls
@@ -122,7 +122,7 @@ def test_residue_error_taxonomy():
         residue(EQ49, (3, 1), Rat(7, 18))
     with pytest.raises(ValueError):
         residue(EQ49, (1, 1), Rat(1, 7))  # k not an integer
-    f = poly_from_terms(WeightedOrder(4, 5), {(0, 4): 1, (5, 0): 2})
+    f = TruncatedPoly(WeightedOrder(4, 5), 80, {(0, 4): 1, (5, 0): 2})
     adapted = CurveEquation.adapted(Semigroup(4, 5), f)
     with pytest.raises(ValueError):
         residue(adapted, (1, 1), Rat(11, 20))

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from cuspidal import cli
 from cuspidal.cli import main
 from cuspidal.differentials import delorme
 from cuspidal.jacobian import jacobian_basis_direct
@@ -150,6 +152,14 @@ def test_bad_j_exits_two(capsys, spec49):
     assert "not a cuspidal gap value" in err
 
 
+@pytest.mark.parametrize("j,ab", [("1", "-1,2"), ("10", "-2,1")])
+def test_negative_ab_exits_two(capsys, spec49, j, ab):
+    code, out, err = run(capsys, "residue", "--spec", spec49, "--j", j, f"--ab={ab}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse_error: --ab entries must be non-negative")
+
+
 def test_precision_override_changes_certificate(capsys, spec49):
     _, out512, _ = run(capsys, "residue", "--spec", spec49, "--j", "10",
                        "--ab", "1,2", "--precision", "512")
@@ -186,3 +196,20 @@ def test_verify_runs_delorme_once(capsys, monkeypatch, spec49):
     assert "zariski_consistency = ok" in out
     assert "four_consistency = ok" in out
     assert len(calls) == 1
+
+
+def test_verify_checks_basis_forms_against_their_values(capsys, monkeypatch, spec49):
+    """Swapped seed forms keep reductions that encode the values, so
+    DifferentialBasis accepts them, but they no longer realize those values."""
+    real = cli.delorme
+
+    def swapped(eq):
+        diff = real(eq)
+        f = diff.forms
+        return replace(diff, forms=(f[1], f[0]) + f[2:])
+
+    monkeypatch.setattr(cli, "delorme", swapped)
+    code, out, _ = run(capsys, "verify", "--spec", spec49)
+    assert code == 1
+    assert "oracle_basis_forms = FAIL" in out
+    assert "verify = FAIL" in out

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cuspidal import CurveEquation, Semigroup, _series, cuspidal_sets
 from cuspidal.curve import NotAdapted, newton_puiseux, pullback_value
 from cuspidal.differentials import aligned_t_horizon
-from cuspidal.poly import WeightedOrder, poly_from_terms
+from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from conftest import CORPUS, coprime_pairs
 
@@ -103,14 +103,14 @@ def test_nice_rejects_exponent_outside_j():
 def test_adapted_requires_unit_times_corner():
     o = WeightedOrder(4, 5)
     # no x^m term at all: weighted initial part is not mu x^m + y^n
-    f = poly_from_terms(o, {(0, 4): 1, (3, 2): 1})
+    f = TruncatedPoly(o, 80, {(0, 4): 1, (3, 2): 1})
     with pytest.raises(NotAdapted):
         CurveEquation.adapted(Semigroup(4, 5), f)
 
 
 def test_adapted_reads_off_mu():
     o = WeightedOrder(4, 5)
-    f = poly_from_terms(o, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
+    f = TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
     eq = CurveEquation.adapted(Semigroup(4, 5), f)
     assert eq.mu == 2
     assert eq.form == "adapted"
@@ -125,8 +125,8 @@ def test_parametrization_solves_the_curve(n, m):
     residual = param.compose(eq.f)
     assert all(c == 0 for c in residual)
     o = eq.f.order
-    assert pullback_value(eq, param, poly_from_terms(o, {(1, 0): 1})) == n
-    assert pullback_value(eq, param, poly_from_terms(o, {(0, 1): 1})) == m
+    assert pullback_value(eq, param, TruncatedPoly(o, eq.f.horizon, {(1, 0): 1})) == n
+    assert pullback_value(eq, param, TruncatedPoly(o, eq.f.horizon, {(0, 1): 1})) == m
     assert pullback_value(eq, param, eq.f) is None
 
 
@@ -142,7 +142,7 @@ def test_parametrization_pin_49():
 
 def test_parametrization_of_adapted_equation():
     o = WeightedOrder(4, 5)
-    f = poly_from_terms(o, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
+    f = TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
     eq = CurveEquation.adapted(Semigroup(4, 5), f)
     param = newton_puiseux(eq)
     assert all(c == 0 for c in param.compose(eq.f))
@@ -152,7 +152,7 @@ def test_parametrization_of_adapted_equation():
 
 
 def _adapted_45_mu2() -> CurveEquation:
-    f = poly_from_terms(WeightedOrder(4, 5), {(0, 4): 1, (5, 0): 2, (3, 2): 1})
+    f = TruncatedPoly(WeightedOrder(4, 5), 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
     return CurveEquation.adapted(Semigroup(4, 5), f)
 
 

@@ -37,7 +37,7 @@ def test_basic_forms_have_axis_values():
 def test_vector_field_of_the_equation_vanishes():
     # X_df(f) = f_y f_x - f_x f_y = 0, so df carries no finite value
     df = OneForm.d(EQ45.f)
-    assert apply_vector_field(df, EQ45.f).is_zero
+    assert apply_vector_field(df, EQ45).is_zero
     assert differential_value(df, EQ45) is None
 
 
@@ -74,6 +74,9 @@ def test_tuning_constant_45():
 def test_tuning_constant_needs_equal_values():
     with pytest.raises(ValueMismatch):
         tuning_constant(OneForm.basic(EQ45, "dx"), OneForm.basic(EQ45, "dy"), EQ45)
+    # df has infinite value: X_df(f) = 0, so its reduction vanishes
+    with pytest.raises(ValueMismatch, match="finite values"):
+        tuning_constant(OneForm.basic(EQ45, "dx"), OneForm.d(EQ45.f), EQ45)
 
 
 @pytest.mark.parametrize("eq,lambdas,lps", [

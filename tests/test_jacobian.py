@@ -28,6 +28,19 @@ def test_tjurina_pins(eq, tau):
     assert tjurina_number(jacobian_basis_direct(eq)) == tau
 
 
+def test_equation_horizon_below_2nm_is_rejected():
+    """At horizon n*m the (4, 9) curve would read basis (4, 9) and tau = 24;
+    every constructor now refuses a horizon below 2nm."""
+    sg = Semigroup(4, 9)
+    with pytest.raises(ValueError, match="at least 2\\*n\\*m = 72"):
+        CurveEquation.nice(sg, {1: Rat(1)}, horizon=36)
+    with pytest.raises(ValueError, match="at least 2\\*n\\*m = 72"):
+        CurveEquation.adapted(sg, TruncatedPoly(sg.order, 71, {(0, 4): 1, (9, 0): 1}))
+    eq = CurveEquation.nice(sg, {1: Rat(1)}, horizon=72)
+    assert delorme(eq).values.basis == (4, 9, 14, 19)
+    assert tjurina_number(jacobian_basis_direct(eq)) == 21
+
+
 def test_tjurina_bounded_by_milnor():
     for pair in CORPUS:
         sg = Semigroup(*pair)

@@ -6,12 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal.poly import (
-    TruncatedPoly,
-    WeightedOrder,
-    divides,
-    poly_from_terms,
-)
+from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
 from cuspidal.rationals import Rat
 
 O45 = WeightedOrder(4, 5)
@@ -32,36 +27,36 @@ def test_default_horizon_is_four_nm():
 
 
 def test_leading_term_is_minimal():
-    p = poly_from_terms(O45, {(0, 4): 1, (5, 0): 1, (3, 2): Rat(1, 2)})
+    p = TruncatedPoly(O45, 80, {(0, 4): 1, (5, 0): 1, (3, 2): Rat(1, 2)})
     assert p.leading_power == (0, 4)
     assert p.leading.coeff == 1
     assert p.min_degree() == 20
 
 
 def test_horizon_truncation_is_inclusive():
-    p = poly_from_terms(O45, {(0, 0): 1, (20, 0): 1}, horizon=80)
+    p = TruncatedPoly(O45, 80, {(0, 0): 1, (20, 0): 1})
     # weighted degree exactly 80 must survive the cut
     assert (20, 0) in {t.exponent for t in p.sorted_terms()}
-    q = poly_from_terms(O45, {(0, 0): 1, (21, 0): 1}, horizon=80)
+    q = TruncatedPoly(O45, 80, {(0, 0): 1, (21, 0): 1})
     assert {t.exponent for t in q.sorted_terms()} == {(0, 0)}
 
 
 def test_binary_ops_take_min_horizon():
-    a = poly_from_terms(O45, {(1, 0): 1}, horizon=100)
-    b = poly_from_terms(O45, {(0, 1): 1}, horizon=40)
+    a = TruncatedPoly(O45, 100, {(1, 0): 1})
+    b = TruncatedPoly(O45, 40, {(0, 1): 1})
     assert (a + b).horizon == 40
     assert (a * b).horizon == 40
 
 
 def test_product_of_leading_terms():
-    p = poly_from_terms(O45, {(0, 4): 1, (5, 0): 2})
-    q = poly_from_terms(O45, {(1, 0): 3, (0, 2): 1})
+    p = TruncatedPoly(O45, 80, {(0, 4): 1, (5, 0): 2})
+    q = TruncatedPoly(O45, 80, {(1, 0): 3, (0, 2): 1})
     assert (p * q).leading.exponent == (1, 4)
     assert (p * q).leading.coeff == 3
 
 
 def test_partial_derivatives():
-    p = poly_from_terms(O45, {(5, 0): 1, (0, 4): 1, (3, 2): Rat(1, 2)})
+    p = TruncatedPoly(O45, 80, {(5, 0): 1, (0, 4): 1, (3, 2): Rat(1, 2)})
     px = p.partial_x()
     py = p.partial_y()
     assert {(t.exponent, t.coeff) for t in px.sorted_terms()} == {
@@ -71,7 +66,7 @@ def test_partial_derivatives():
 
 
 def test_mul_monomial_and_scale():
-    p = poly_from_terms(O45, {(0, 4): 1, (5, 0): 1})
+    p = TruncatedPoly(O45, 80, {(0, 4): 1, (5, 0): 1})
     shifted = p.mul_monomial(Rat(2), (1, 1))
     assert {t.exponent for t in shifted.sorted_terms()} == {(1, 5), (6, 1)}
     assert all(t.coeff == 2 for t in shifted.sorted_terms())
@@ -93,7 +88,7 @@ def _random_poly(rng: random.Random, order: WeightedOrder, horizon: int) -> Trun
     for _ in range(rng.randint(0, 5)):
         e = (rng.randint(0, 6), rng.randint(0, 5))
         terms[e] = Rat(rng.randint(-4, 4))
-    return poly_from_terms(order, terms, horizon=horizon)
+    return TruncatedPoly(order, horizon, terms)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cuspidal.poly import WeightedOrder, poly_from_terms, TruncatedPoly
+from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from cuspidal.standard_basis import (
     StandardBasis,
@@ -19,8 +19,8 @@ from cuspidal.standard_basis import (
 O45 = WeightedOrder(4, 5)
 
 
-def _p(terms, horizon=None, order=O45):
-    return poly_from_terms(order, terms, horizon=horizon)
+def _p(terms):
+    return TruncatedPoly(O45, O45.default_horizon, terms)
 
 
 def test_reduce_step_none_when_irreducible():

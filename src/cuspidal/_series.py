@@ -1,25 +1,32 @@
-"""Dense univariate power-series helpers over exact rationals.
+"""Dense univariate power-series helpers over the integers.
 
 A series is represented by a list (or tuple) ``c`` of coefficients where
 ``c[k]`` is the coefficient of ``t**k``; index ``len(c) - 1`` is the last
 power the series knows about.  All helpers are truncation-aware: they never
-invent coefficients past the shorter operand.
+invent coefficients past the shorter operand.  The one division, ``div``, is
+exact: it raises on a nonzero remainder instead of leaving the integers.
 """
 from __future__ import annotations
 
-from .rationals import ZERO, rat
+
+def exact_div(a: int, b: int) -> int:
+    """a / b for integers with b dividing a; a nonzero remainder raises."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"inexact division: remainder {r} modulo {b}")
+    return q
 
 
 def zeros(upto: int) -> list:
     """Mutable all-zero series holding powers 0..upto."""
-    return [ZERO] * (upto + 1)
+    return [0] * (upto + 1)
 
 
 def trimmed(c, upto: int) -> list:
     """Copy of c cut (or zero-padded) to hold powers 0..upto."""
     out = list(c[: upto + 1])
     if len(out) < upto + 1:
-        out.extend([ZERO] * (upto + 1 - len(out)))
+        out.extend([0] * (upto + 1 - len(out)))
     return out
 
 
@@ -31,26 +38,13 @@ def ord_of(c) -> int | None:
     return None
 
 
-def add_shifted(acc: list, c, shift: int = 0, scale=None) -> None:
-    """In-place: acc += scale * t**shift * c, ignoring powers past len(acc)-1."""
+def add_shifted(acc: list, c, shift: int = 0, scale: int = 1) -> None:
+    """In-place: acc += scale * t**shift * c, ignoring powers outside acc."""
     upto = len(acc) - 1
-    if scale is None:
-        for k, v in enumerate(c):
-            p = k + shift
-            if p > upto:
-                break
-            if v:
-                acc[p] += v
-    else:
-        s = rat(scale)
-        if not s:
-            return
-        for k, v in enumerate(c):
-            p = k + shift
-            if p > upto:
-                break
-            if v:
-                acc[p] += s * v
+    for k in range(max(0, -shift), min(len(c), upto - shift + 1)):
+        v = c[k]
+        if v:
+            acc[k + shift] += scale * v
 
 
 def mul(u, v, upto: int) -> list:
@@ -70,14 +64,9 @@ def mul(u, v, upto: int) -> list:
     return out
 
 
-def deriv(u) -> list:
-    """d/dt; the result knows one power fewer than the input."""
-    return [u[k] * k for k in range(1, len(u))]
-
-
 def div(u, v, upto: int) -> list:
     """u / v truncated to powers 0..upto; v must have a nonzero low coefficient
-    at or below ord(u)."""
+    at or below ord(u), and every quotient coefficient must be an integer."""
     dv = ord_of(v)
     if dv is None:
         raise ZeroDivisionError("series division by zero")
@@ -92,10 +81,10 @@ def div(u, v, upto: int) -> list:
     rem = list(u)
     for k in range(du - dv, upto + 1):
         idx = k + dv
-        cur = rem[idx] if idx < len(rem) else ZERO
+        cur = rem[idx] if idx < len(rem) else 0
         if not cur:
             continue
-        q = cur / lead
+        q = exact_div(cur, lead)
         out[k] = q
         top = len(rem) - 1
         for j in range(dv, len(v)):

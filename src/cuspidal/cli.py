@@ -25,7 +25,7 @@ from .differentials import (aligned_t_horizon, delorme, differential_value,
 from .jacobian import jacobian_basis_direct, jacobian_basis_via_differentials, tjurina_number
 from .rationals import Rat
 from .semimodules import elements_outside, enumerate_increasing
-from .specfile import CurveSpec, SpecError, parse_spec
+from .specfile import CurveSpec, SpecError, check_natural, parse_spec
 
 
 def _render_item(x) -> str:
@@ -333,6 +333,12 @@ def _parse_ab(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _conjecture_scan(args) -> tuple[dict, bool]:
+    check_natural("precision", args.precision)
+    return cmd_conjecture_scan(args.seed if args.seed is not None else 0,
+                               args.max_m, args.precision or 256)
+
+
 def _report(cmd):
     """Handler for a spec subcommand whose report is never a failure."""
     return lambda args: (cmd(_load_spec(args)), True)
@@ -349,8 +355,7 @@ _HANDLERS = {
     "jacobian": _report(cmd_jacobian),
     "enumerate": lambda args: (cmd_enumerate(_load_spec(args), args.max_m), True),
     "verify": lambda args: cmd_verify(_load_spec(args)),
-    "conjecture-scan": lambda args: cmd_conjecture_scan(
-        args.seed if args.seed is not None else 0, args.max_m, args.precision or 256),
+    "conjecture-scan": _conjecture_scan,
 }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from . import _series
 from .poly import Exponent, TruncatedPoly, WeightedOrder
@@ -220,83 +220,146 @@ class CurveEquation:
 
 @dataclass(frozen=True)
 class Parametrization:
-    """Primitive rational parametrization x = x_coeff * t^n, y = y(t).
+    """Primitive rational parametrization x = x_coeff * t^n, y = y(t), held
+    on integers.
 
-    ``y`` stores the coefficients of t^0..t^{t_horizon}; the series has order
-    m with a nonzero (rational) leading coefficient.  ``x_coeff`` is +1 or -1
-    for mu = 1 equations and a rational power of mu otherwise: the sign/scale
-    is exactly what keeps the coefficient recursion inside the rationals, and
-    t-orders -- the only quantities consumed downstream -- do not depend on it.
+    With D = ``scale``, the branch is y(D*s) = c0 * D^m * v(s), where v has
+    integer coefficients and starts with s^m (``newton_puiseux`` proves it),
+    so y_k = c0 * v_k / D^(k-m).  ``v_powers`` is the table v^0, v^1, ...
+    through s^t_horizon; higher powers are appended on demand.  ``x_coeff``
+    and ``c0`` are +1 or -1 for mu = 1 equations and rational powers of mu
+    otherwise: the sign/scale is exactly what keeps the coefficient recursion
+    inside the rationals, and t-orders -- the only quantities consumed
+    downstream -- do not depend on it.
 
-    The cached powers y**b (``y_power``) are the one evaluator along the
-    branch: ``compose`` sums them for any polynomial, ``newton_puiseux`` solves
-    through ``compose``, and ``y_power_dy`` reads y**b * y' off them by the
-    identity y**b * y' = (y**(b+1))' / (b+1), exact on truncated series.
+    Every series along the branch is read off the one table.  A *part*
+    (shift, b, theta, num, den) stands for (num/den) * t^shift * Y, with
+    integers num and den > 0, where Y = y^b, or Y = t * (y^b)' when
+    ``theta``.  The t^k coefficient of Y is
+    c0^b * T[k] / D^(k - m*b), with T = v^b, or T[k] = k * v^b[k] when
+    ``theta``.  So the t^K coefficient of a sum of parts, scaled by D^K and
+    one common denominator, is a sum of integer scalars times table entries:
+    ``series`` turns these sums back into exact rationals, and ``order``
+    stops at the first nonzero one.
     """
 
     n: int
+    m: int
     x_coeff: Rat
-    y: tuple
+    c0: Rat
+    scale: int
+    v_powers: tuple
     t_horizon: int
 
     def __post_init__(self) -> None:
-        if len(self.y) != self.t_horizon + 1:
-            raise ValueError("y series length disagrees with t_horizon")
-        if not self.x_coeff:
-            raise ValueError("x_coeff must be nonzero")
-        if _series.ord_of(self.y) is None:
-            raise ValueError("y series vanishes to the horizon")
+        if not (self.x_coeff and self.c0):
+            raise ValueError("x_coeff and c0 must be nonzero")
+        if self.scale < 1:
+            raise ValueError("scale must be a positive integer")
+        if len(self.v_powers) < 2 or any(len(p) != self.t_horizon + 1
+                                         for p in self.v_powers):
+            raise ValueError("power table length disagrees with t_horizon")
+        v = self.v_powers[1]
+        if self.m > self.t_horizon or v[self.m] != 1 or any(v[:self.m]):
+            raise ValueError("v must start with s^m")
 
-    @property
-    def m(self) -> int:
-        return _series.ord_of(self.y)
-
-    @cached_property
-    def _y_powers(self) -> dict:
-        return {0: (ONE,) + (ZERO,) * self.t_horizon, 1: self.y}
-
-    def y_power(self, b: int) -> tuple:
-        """y(t)**b truncated at the horizon, cached."""
-        pows = self._y_powers
-        got = pows.get(b)
-        if got is None:
-            prev = self.y_power(b - 1)
-            got = tuple(_series.mul(prev, self.y, self.t_horizon))
-            pows[b] = got
-        return got
+    def check_cusp(self, order: WeightedOrder) -> None:
+        """Raise unless the weights (n, m) are this branch's own: the scale D
+        belongs to one curve, so another cusp's data would be read wrongly."""
+        if (order.n, order.m) != (self.n, self.m):
+            raise ValueError("parametrization belongs to a different cusp")
 
     @cached_property
-    def _y_powers_dy(self) -> dict:
-        return {}
+    def _tables(self) -> dict:
+        return {(b, False): p for b, p in enumerate(self.v_powers)}
 
-    def y_power_dy(self, b: int) -> tuple:
-        """y(t)**b * y'(t) = (y**(b+1))' / (b+1), trustworthy through power
-        t_horizon - 1; cached."""
-        pows = self._y_powers_dy
-        got = pows.get(b)
+    def _table(self, b: int, theta: bool) -> tuple:
+        """v^b, or k * v^b[k] when theta, through s^t_horizon; cached."""
+        tables = self._tables
+        got = tables.get((b, theta))
         if got is None:
-            got = tuple(c / (b + 1) for c in _series.deriv(self.y_power(b + 1)))
-            pows[b] = got
+            if theta:
+                got = tuple(k * c for k, c in enumerate(self._table(b, False)))
+            else:
+                got = tuple(_series.mul(self._table(b - 1, False), self.v_powers[1],
+                                        self.t_horizon))
+            tables[(b, theta)] = got
         return got
+
+    def _rows(self, parts, upto: int) -> tuple:
+        """(rows, e0, den): rows (start, shift, T, k) sorted by start, with
+        integer k, such that the t^K coefficient of the sum of parts is
+        sum(k * T[K - shift]) / (den * D^(K - e0)) over the rows with
+        start <= K (T vanishes below start - shift).  Parts that start past
+        upto are dropped; e0 is the least start."""
+        cn, cd = self.c0.numerator, self.c0.denominator
+        scaled = [(shift + self.m * b, shift, b, theta, num * cn ** b, den * cd ** b)
+                  for shift, b, theta, num, den in parts if shift + self.m * b <= upto]
+        if not scaled:
+            return [], 0, 1
+        e0 = min(start for start, *_ in scaled)
+        den = lcm(*(d for *_, d in scaled))
+        D = self.scale
+        rows = [(start, shift, self._table(b, theta), num * (den // d) * D ** (start - e0))
+                for start, shift, b, theta, num, d in scaled]
+        rows.sort(key=lambda row: row[0])
+        return rows, e0, den
+
+    def series(self, parts, upto: int) -> list:
+        """The exact coefficients of t^0..t^upto of a sum of parts."""
+        rows, e0, den = self._rows(parts, upto)
+        acc = _series.zeros(upto)
+        for _, shift, table, k in rows:
+            _series.add_shifted(acc, table, shift, k)
+        D = self.scale
+        return [Rat(c, den * D ** (K - e0)) if c else ZERO for K, c in enumerate(acc)]
+
+    def order(self, parts, upto: int) -> int | None:
+        """The least K <= upto whose t^K coefficient in the sum of parts is
+        nonzero, walking K upward; None when all of t^0..t^upto vanish."""
+        rows, e0, _ = self._rows(parts, upto)
+        if not rows:
+            return None
+        for K in range(e0, upto + 1):
+            total = 0
+            for start, shift, table, k in rows:
+                if start > K:
+                    break
+                total += k * table[K - shift]
+            if total:
+                return K
+        return None
+
+    def _poly_parts(self, p: TruncatedPoly) -> list:
+        self.check_cusp(p.order)
+        xn, xd = self.x_coeff.numerator, self.x_coeff.denominator
+        return [(self.n * a, b, False, c.numerator * xn ** a, c.denominator * xd ** a)
+                for (a, b), c in p.terms.items()]
 
     def compose(self, p: TruncatedPoly) -> list:
         """p(x(t), y(t)) as a series valid through the horizon."""
-        out = _series.zeros(self.t_horizon)
-        for (a, b), c in p.terms.items():
-            shift = self.n * a
-            if shift > self.t_horizon:
-                continue
-            _series.add_shifted(out, self.y_power(b), shift,
-                                c * self.x_coeff ** a)
-        return out
+        return self.series(self._poly_parts(p), self.t_horizon)
+
+    def y_power(self, b: int) -> tuple:
+        """y(t)**b truncated at the horizon."""
+        return tuple(self.series([(0, b, False, 1, 1)], self.t_horizon))
+
+    @cached_property
+    def y(self) -> tuple:
+        """The coefficients of t^0..t^t_horizon of y(t)."""
+        return self.y_power(1)
+
+    def y_power_dy(self, b: int) -> tuple:
+        """y(t)**b * y'(t) = t^-1 * t(y**(b+1))' / (b+1), trustworthy through
+        power t_horizon - 1."""
+        return tuple(self.series([(-1, b + 1, True, 1, b + 1)], self.t_horizon - 1))
 
 
 def pullback_value(eq: CurveEquation, param: Parametrization, h: TruncatedPoly) -> int | None:
     """ord_t of h(x(t), y(t)); None when every coefficient up to the horizon
     vanishes (infinite to the horizon; h = f itself is the canonical case)."""
-    if param.n != eq.sg.n:
-        raise ValueError("parametrization belongs to a different cusp")
-    return _series.ord_of(param.compose(h))
+    param.check_cusp(eq.sg.order)
+    return param.order(param._poly_parts(h), param.t_horizon)
 
 
 def _leading_solution(n: int, m: int, mu: Rat) -> tuple:
@@ -315,16 +378,73 @@ def _leading_solution(n: int, m: int, mu: Rat) -> tuple:
     return -mu_u, mu_v
 
 
-def newton_puiseux(eq: CurveEquation, t_horizon: int | None = None) -> Parametrization:
-    """Solve f(x(t), y(t)) = 0 for y as a truncated rational series.
+def _scaled_equation(eq: CurveEquation, xi: Rat, c0: Rat) -> tuple:
+    """(D, H): the scale D = n^2 * L and the integer terms (n*a, b, h) of
+    H(s, v) = f(xi * (D*s)^n, c0 * D^m * v) / (c0^n * D^(nm)), whose term
+    h * s^(n*a) * v^b comes from the term c * x^a * y^b of f."""
+    sg = eq.sg
+    n, m = sg.n, sg.m
+    units = {(a, b): c * xi ** a * c0 ** (b - n) for (a, b), c in eq.f.terms.items()}
+    # x^m and y^n give -1 and 1, so taking them into L changes nothing.
+    scale = n * n * lcm(*(u.denominator for u in units.values()))
+    terms = [(n * a, b, _series.exact_div(u.numerator * scale ** (n * a + m * b - n * m),
+                                          u.denominator))
+             for (a, b), u in units.items()]
+    return scale, terms
 
-    The coefficients of y are the unique solution of the successive linear
-    equations obtained by matching powers of t; they are found here by a
+
+def _powers(v: list, top: int, upto: int) -> list:
+    """The table v^0..v^top through s^upto."""
+    pows = [_series.trimmed([1], upto), v]
+    while len(pows) <= top:
+        pows.append(_series.mul(pows[-1], v, upto))
+    return pows
+
+
+def _evaluate(terms, pows: list, upto: int) -> list:
+    """sum of h * s^shift * v^b over the terms (shift, b, h), through s^upto."""
+    out = _series.zeros(upto)
+    for shift, b, h in terms:
+        _series.add_shifted(out, pows[b], shift, h)
+    return out
+
+
+def newton_puiseux(eq: CurveEquation, t_horizon: int | None = None) -> Parametrization:
+    """Solve f(x(t), y(t)) = 0 for y as a truncated series, on integers.
+
+    Take x = xi * t^n and y = c0 * t^m + ... (``_leading_solution``).  Let L
+    be the lcm of the denominators of c * xi^a * c0^(b-n) over the terms
+    c * x^a * y^b of f other than x^m and y^n, and D = n^2 * L.  Writing
+    t = D*s and y = c0 * D^m * v(s), the equation becomes H(s, v) = 0 with
+
+        H(s, v) = f(xi * (D*s)^n, c0 * D^m * v) / (c0^n * D^(nm)),
+
+    whose coefficient at s^(na) * v^b is c * xi^a * c0^(b-n) * D^(na+mb-nm):
+    -1 at s^(nm), 1 at v^n, and an integer for every other term, whose
+    weight na + mb exceeds nm.  Then v = s^m + ... has integer coefficients
+    (Eisenstein's theorem on algebraic power series, worked out for this
+    equation).  Matching s^(k+nm-m) in H(s, v(s)) = 0 gives
+    n * v_k = -P_k, with P_k an integer polynomial in v_m..v_(k-1), so only
+    powers of n can enter a denominator.  Count them for the scale L alone,
+    where v'_k = v_k / n^(2(k-m)): the claim is at most 2(k-m) - 1 of them
+    for k > m.  In P_k, a product of factors v'_i from v^n has at least two
+    factors with i > m (one alone is the term n * v'_k), whose excesses
+    i - m sum to k - m; a product from a term of weight nm + e, e >= 1, has
+    excesses summing to k - m - e.  By induction either product carries at
+    most 2(k-m) - 2 factors n, and the division by n adds one.  Hence
+    v_k = n^(2(k-m)) * v'_k is an integer.
+
+    The coefficients of v are the unique solution of the successive linear
+    equations obtained by matching powers of s; they are found here by a
     Newton iteration with progressive truncation, which produces the same
-    series.  Each step evaluates f, and f_y when f does not vanish yet, by
-    ``Parametrization.compose`` on the current truncation, so the solver and
-    the oracle share one power table.  Postcondition (checked): the residual
-    f(x(t), y(t)) vanishes identically through power t_horizon + n*m - m.
+    series.  Each step evaluates H, and H_v when H does not vanish yet, on
+    the integer power table of the current truncation.  Newton's only
+    divisor is n, the leading coefficient of H_v(s, v(s)) at s^(nm-m), and
+    every quotient it forms is a coefficient of v or 0, so each division is
+    exact (``_series.div`` raises on a remainder).  Postcondition (checked): the
+    residual H(s, v(s)) vanishes identically through power
+    t_horizon + n*m - m.  The table v^0, v^1, ... built for that check,
+    trimmed to t_horizon, is the returned parametrization's.
     """
     sg = eq.sg
     n, m = sg.n, sg.m
@@ -334,31 +454,34 @@ def newton_puiseux(eq: CurveEquation, t_horizon: int | None = None) -> Parametri
     elif t_horizon <= sg.t_horizon_floor:
         raise ValueError("t_horizon must exceed n*m + conductor")
     xi, c0 = _leading_solution(n, m, eq.mu)
+    scale, h_terms = _scaled_equation(eq, xi, c0)
+    hv_terms = [(shift, b - 1, b * h) for shift, b, h in h_terms if b]
+    top = max(b for _, b, _ in h_terms)
     work = t_horizon + nm - m
 
-    y = _series.zeros(m)
-    y[m] = c0
+    v = _series.zeros(m)
+    v[m] = 1
     prec = m
     while prec < t_horizon:
         nxt = min(t_horizon, 2 * prec - m + 1)
         upto = nxt + nm - m
-        cur = _series.trimmed(y, upto)
-        branch = Parametrization(n, xi, tuple(cur), upto)
-        val = branch.compose(eq.f)
+        cur = _series.trimmed(v, upto)
+        pows = _powers(cur, top, upto)
+        val = _evaluate(h_terms, pows, upto)
         if _series.ord_of(val) is None:
-            y = cur
+            v = cur
             prec = nxt
             continue
-        dval = branch.compose(eq.fy)
+        dval = _evaluate(hv_terms, pows, upto)
         if _series.ord_of(dval) != nm - m:
             raise NoSolution("derivative lost its expected order; not a cusp shape")
-        delta = _series.div([-v for v in val], dval, nxt)
+        delta = _series.div([-c for c in val], dval, nxt)
         _series.add_shifted(cur, delta)
-        y = _series.trimmed(cur, nxt)
+        v = _series.trimmed(cur, nxt)
         prec = nxt
 
-    y = _series.trimmed(y, t_horizon)
-    check = Parametrization(n, xi, tuple(_series.trimmed(y, work)), work).compose(eq.f)
-    if _series.ord_of(check) is not None:
+    pows = _powers(_series.trimmed(v, work), top, work)
+    if _series.ord_of(_evaluate(h_terms, pows, work)) is not None:
         raise NoSolution("residual does not vanish to the horizon")
-    return Parametrization(n, xi, tuple(y), t_horizon)
+    return Parametrization(n, m, xi, c0, scale,
+                           tuple(tuple(p[:t_horizon + 1]) for p in pows), t_horizon)

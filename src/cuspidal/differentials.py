@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import _series
 from .curve import CurveEquation, Parametrization, Semigroup
 from .poly import Exponent, TruncatedPoly
 from .rationals import Rat, rat
@@ -129,22 +128,19 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
     """nu(omega) = ord_t(pullback) + 1 along x = xi t^n, y = y(t).
 
     The pullback (A(phi) * xi * n * t^{n-1} + B(phi) * y'(t)) dt is trusted
-    through power t_horizon - 1; None marks an order past that window.
+    through power t_horizon - 1; None marks an order past that window.  Each
+    monomial is one part of ``param``'s integer table, the term c*x^a*y^b*dy
+    by y^b * y' = t^-1 * t(y^(b+1))' / (b+1), and the coefficients of the
+    pullback are read upward only to the first nonzero one.
     """
+    param.check_cusp(omega.dx.order)
     n = param.n
-    upto = param.t_horizon - 1
-    out = _series.zeros(upto)
-    for (a, b), c in omega.dx.terms.items():
-        shift = n * a + n - 1
-        if shift <= upto:
-            _series.add_shifted(out, param.y_power(b), shift,
-                                c * param.x_coeff ** (a + 1) * n)
-    for (a, b), c in omega.dy.terms.items():
-        shift = n * a
-        if shift <= upto:
-            _series.add_shifted(out, param.y_power_dy(b), shift,
-                                c * param.x_coeff ** a)
-    o = _series.ord_of(out)
+    xn, xd = param.x_coeff.numerator, param.x_coeff.denominator
+    parts = [(n * a + n - 1, b, False, c.numerator * xn ** (a + 1) * n,
+              c.denominator * xd ** (a + 1)) for (a, b), c in omega.dx.terms.items()]
+    parts += [(n * a - 1, b + 1, True, c.numerator * xn ** a,
+               c.denominator * xd ** a * (b + 1)) for (a, b), c in omega.dy.terms.items()]
+    o = param.order(parts, param.t_horizon - 1)
     return None if o is None else o + 1
 
 

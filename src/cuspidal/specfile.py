@@ -39,6 +39,12 @@ class CoefficientOutsideJ(SpecError):
     kind = "coefficient_outside_J"
 
 
+def check_natural(what: str, value: int | None) -> None:
+    """Reject a negative setting; None means unset."""
+    if value is not None and value < 0:
+        raise ParseError(f"{what} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """Validated contents of a spec file."""
@@ -54,8 +60,10 @@ class CurveSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        # The one place the truncation horizons are checked: parse_spec and
-        # with_overrides both construct through here.
+        # The one place the truncation horizons and the tool settings are
+        # checked: parse_spec and with_overrides both construct through here.
+        check_natural("precision", self.precision)
+        check_natural("seed", self.seed)
         if self.horizon_mult is not None and self.horizon_mult < 2:
             raise ParseError("horizon_mult must be at least 2")
         if self.t_horizon is not None:

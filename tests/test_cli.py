@@ -213,3 +213,21 @@ def test_verify_checks_basis_forms_against_their_values(capsys, monkeypatch, spe
     assert code == 1
     assert "oracle_basis_forms = FAIL" in out
     assert "verify = FAIL" in out
+
+
+@pytest.mark.parametrize("command", [["bs-roots"], ["verify"],
+                                     ["residue", "--j", "10", "--ab", "1,2"]])
+@pytest.mark.parametrize("flag", ["--precision=-5", "--seed=-3"])
+def test_negative_setting_flags_exit_two(capsys, spec49, command, flag):
+    code, out, err = run(capsys, command[0], "--spec", spec49, *command[1:], flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse_error: ")
+    assert "must be non-negative" in err
+
+
+def test_conjecture_scan_negative_precision_exits_two(capsys):
+    code, out, err = run(capsys, "conjecture-scan", "--max-m", "7", "--precision=-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse_error: precision must be non-negative")

@@ -1,6 +1,8 @@
 """Semigroups, cuspidal exponent sets, curve equations, branch parametrization."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,11 +118,24 @@ def test_adapted_reads_off_mu():
     assert eq.form == "adapted"
 
 
+def _adapted_45_mu2() -> CurveEquation:
+    f = TruncatedPoly(WeightedOrder(4, 5), 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
+    return CurveEquation.adapted(Semigroup(4, 5), f)
+
+
+def _all_ones(n, m) -> CurveEquation:
+    sg = Semigroup(n, m)
+    return CurveEquation.nice(sg, {j: Rat(1) for j in cuspidal_sets(sg).J})
+
+
+BRANCH_CASES = [_all_ones(n, m) for n, m in CORPUS] + [_adapted_45_mu2()]
+BRANCH_IDS = [f"{n}-{m}" for n, m in CORPUS] + ["adapted-4-5-mu2"]
+
+
 @pytest.mark.parametrize("n,m", CORPUS)
 def test_parametrization_solves_the_curve(n, m):
     """Substituting the branch into f gives 0 modulo t^t_horizon."""
-    sg = Semigroup(n, m)
-    eq = CurveEquation.nice(sg, {j: Rat(1) for j in cuspidal_sets(sg).J})
+    eq = _all_ones(n, m)
     param = newton_puiseux(eq)
     residual = param.compose(eq.f)
     assert all(c == 0 for c in residual)
@@ -128,6 +143,56 @@ def test_parametrization_solves_the_curve(n, m):
     assert pullback_value(eq, param, TruncatedPoly(o, eq.f.horizon, {(1, 0): 1})) == n
     assert pullback_value(eq, param, TruncatedPoly(o, eq.f.horizon, {(0, 1): 1})) == m
     assert pullback_value(eq, param, eq.f) is None
+
+
+def _fraction_residual(eq: CurveEquation, param) -> list:
+    """f(x_coeff * t^n, y(t)) through t^t_horizon, from ``param.y`` alone, by
+    plain Fraction convolutions."""
+    top = param.t_horizon
+    y = [Fraction(int(c.numerator), int(c.denominator)) for c in param.y]
+
+    def times(u, w):
+        out = [Fraction(0)] * (top + 1)
+        for i, a in enumerate(u):
+            if a:
+                for j in range(top + 1 - i):
+                    out[i + j] += a * w[j]
+        return out
+
+    powers = [[Fraction(1)] + [Fraction(0)] * top]
+    residual = [Fraction(0)] * (top + 1)
+    for (a, b), c in eq.f.terms.items():
+        while len(powers) <= b:
+            powers.append(times(powers[-1], y))
+        scale = Fraction(int(c.numerator), int(c.denominator)) * Fraction(
+            int(param.x_coeff.numerator), int(param.x_coeff.denominator)) ** a
+        shift = eq.sg.n * a
+        for k in range(top + 1 - shift):
+            residual[k + shift] += scale * powers[b][k]
+    return residual
+
+
+@pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)
+def test_branch_is_exact_and_integral(eq):
+    """The residual, computed without the integer table, vanishes; and
+    v_k = y_k * D^(k-m) / c0 is the table's integer v_k."""
+    param = newton_puiseux(eq)
+    assert all(c == 0 for c in _fraction_residual(eq, param))
+    m, v = eq.sg.m, param.v_powers[1]
+    assert all(type(c) is int for p in param.v_powers for c in p)
+    assert all(c == 0 for c in param.y[:m])
+    for k in range(m, param.t_horizon + 1):
+        vk = param.y[k] * param.scale ** (k - m) / param.c0
+        assert vk.denominator == 1
+        assert vk == v[k]
+
+
+def test_exact_division_raises_on_a_remainder():
+    assert _series.exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _series.exact_div(7, 2)
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _series.div([0, 3, 1], [2, 1], 2)
 
 
 def test_parametrization_pin_49():
@@ -151,22 +216,11 @@ def test_parametrization_of_adapted_equation():
         (5, 16), (7, 8), (9, 2), (11, -1), (13, Rat(-5, 8)), (15, Rat(7, 16))]
 
 
-def _adapted_45_mu2() -> CurveEquation:
-    f = TruncatedPoly(WeightedOrder(4, 5), 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
-    return CurveEquation.adapted(Semigroup(4, 5), f)
-
-
-def _all_ones(n, m) -> CurveEquation:
-    sg = Semigroup(n, m)
-    return CurveEquation.nice(sg, {j: Rat(1) for j in cuspidal_sets(sg).J})
-
-
-@pytest.mark.parametrize("eq", [_all_ones(n, m) for n, m in CORPUS] + [_adapted_45_mu2()],
-                         ids=[f"{n}-{m}" for n, m in CORPUS] + ["adapted-4-5-mu2"])
+@pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)
 def test_y_power_dy_is_the_product_with_y_prime(eq):
-    """y^b * y' read off the cached power y^(b+1) equals the direct product."""
+    """y^b * y' read off the integer table equals the direct product."""
     param = newton_puiseux(eq, aligned_t_horizon(eq))
-    y_prime = _series.deriv(param.y)
+    y_prime = [k * c for k, c in enumerate(param.y)][1:]
     for b in range(eq.sg.n + 1):
         assert list(param.y_power_dy(b)) == _series.mul(
             param.y_power(b), y_prime, param.t_horizon - 1)

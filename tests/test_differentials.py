@@ -169,3 +169,21 @@ def test_oracle_matches_on_random_forms(pair):
         for _ in range(20):
             w = random_form(rng, eq)
             assert differential_value(w, eq) == oracle_differential_value(w, param)
+
+
+@pytest.mark.parametrize("t_horizon,value", [(64, 64), (63, None)])
+def test_oracle_window_edge(t_horizon, value):
+    """x^15 dx has value 64 on EQ49: its pullback has order 63, the last
+    power a horizon of 64 trusts and the first one past a horizon of 63."""
+    order, horizon = EQ49.sg.order, EQ49.f.horizon
+    form = OneForm(TruncatedPoly.monomial(order, 1, (15, 0), horizon),
+                   TruncatedPoly.zero(order, horizon))
+    param = newton_puiseux(EQ49, t_horizon)
+    assert oracle_differential_value(form, param) == value
+
+
+@pytest.mark.parametrize("pair", [(5, 7), (4, 11)])
+def test_oracle_rejects_a_branch_of_another_cusp(pair):
+    param = newton_puiseux(CurveEquation.nice(Semigroup(*pair)))
+    with pytest.raises(ValueError, match="different cusp"):
+        oracle_differential_value(OneForm.basic(EQ49, "dx"), param)

@@ -3,7 +3,8 @@
 Every subcommand reads a curve spec (except conjecture-scan, which builds its
 own random curves), runs one pipeline, and prints a line-oriented ``key =
 value`` report -- or the same data as JSON with ``--json``.  Exit codes: 0
-success, 1 a verification found a mismatch, 2 bad input.
+success, 1 a verification found a mismatch or a computation failed its own
+check, 2 bad input.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from .differentials import (aligned_t_horizon, delorme, differential_value,
 from .jacobian import jacobian_basis_direct, jacobian_basis_via_differentials, tjurina_number
 from .rationals import Rat
 from .semimodules import elements_outside, enumerate_increasing
-from .specfile import CurveSpec, SpecError, check_natural, parse_spec
+from .specfile import CurveSpec, ParseError, SpecError, check_natural, parse_spec
+from .standard_basis import HorizonExhausted
 
 
 def _render_item(x) -> str:
@@ -334,6 +336,11 @@ def _parse_ab(text: str) -> tuple[int, int]:
 
 
 def _conjecture_scan(args) -> tuple[dict, bool]:
+    # The scan draws its own curves at the default horizon: a spec or a
+    # horizon it would ignore is refused rather than silently dropped.
+    for flag, value in (("--spec", args.spec), ("--horizon-mult", args.horizon_mult)):
+        if value is not None:
+            raise ParseError(f"{flag} is not accepted by conjecture-scan")
     check_natural("precision", args.precision)
     return cmd_conjecture_scan(args.seed if args.seed is not None else 0,
                                args.max_m, args.precision or 256)
@@ -369,7 +376,7 @@ def main(argv=None) -> int:
     except NegativeK as exc:
         print(f"error: negative_k: {exc}", file=sys.stderr)
         return 2
-    except (NoSolution, CertificateError) as exc:
+    except (NoSolution, CertificateError, HorizonExhausted) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     _print_report(data, args.json)

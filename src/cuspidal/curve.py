@@ -47,6 +47,19 @@ class Semigroup:
         """n*m + conductor: a parametrization horizon must exceed it."""
         return self.n * self.m + self.conductor
 
+    @property
+    def hessian_degree(self) -> int:
+        """D = 2nm - 2n - 2m, the weighted degree of x^(m-2)*y^(n-2): the
+        Jacobian ideal (f, f_x, f_y) of a cusp contains every monomial of
+        weighted degree > D (see ``jacobian_basis_direct``)."""
+        return 2 * self.n * self.m - 2 * self.n - 2 * self.m
+
+    @property
+    def jacobian_horizon(self) -> int:
+        """H_J = D + n = 2nm - n - 2m: the proven horizon of the direct
+        Jacobian standard basis (``jacobian_basis_direct``)."""
+        return self.hessian_degree + self.n
+
     @cached_property
     def order(self) -> WeightedOrder:
         return WeightedOrder(self.n, self.m)

@@ -4,15 +4,16 @@ The minimal standard basis comes for free from the differential machinery:
 the final reductions h_i attached to the minimal basis 1-forms are exactly a
 minimal standard basis of the ideal, and ``DifferentialBasis`` checks that
 their leading powers encode the semimodule of differential values.  A direct
-Buchberger run over {f, f_x, f_y} provides the independent cross-check, and
-the codimension formula turns the leading powers into the Tjurina number.
+Buchberger run over {f, f_x, f_y}, at its own proven horizon (see
+``jacobian_basis_direct``), provides the independent cross-check, and the
+codimension formula turns the leading powers into the Tjurina number.
 """
 from __future__ import annotations
 
-from .curve import CurveEquation
+from .curve import CurveEquation, Semigroup
 from .differentials import DifferentialBasis
-from .standard_basis import (StandardBasis, _as_standard_basis, buchberger,
-                             codimension)
+from .standard_basis import (HorizonExhausted, StandardBasis, _as_standard_basis,
+                             buchberger, codimension)
 
 
 def jacobian_basis_via_differentials(eq: CurveEquation,
@@ -30,8 +31,63 @@ def jacobian_basis_via_differentials(eq: CurveEquation,
 
 
 def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
-    """Buchberger over the generators {f, f_x, f_y}."""
-    return buchberger([eq.f, eq.fx, eq.fy])
+    """Buchberger over the generators {f, f_x, f_y}, cut at the proven
+    horizon H_J = 2nm - n - 2m (``Semigroup.jacobian_horizon``), whatever
+    the horizon of f.
+
+    The leading powers, and so tau, are those of every horizon >= H_J, f's
+    own (>= 2nm) included:
+
+    - ``TruncatedPoly`` arithmetic at horizon H is exact in R/m_{>H}, where
+      m_{>H} is the ideal spanned by the monomials of weighted degree > H.
+      So ``buchberger`` returns a standard basis of I + m_{>H}, with
+      I = (f, f_x, f_y).  f is the stored polynomial and f_x, f_y are its
+      exact derivatives, so cutting them at H <= 2nm changes only terms
+      that m_{>H} absorbs.
+    - Every ``CurveEquation`` is mu*x^m + y^n plus terms of weight > nm, so
+      the lowest weighted parts of f_x and f_y are m*mu*x^(m-1) and
+      n*y^(n-1), a regular sequence.  By Arnold's theorem on
+      semi-quasi-homogeneous functions (Arnold, Gusein-Zade & Varchenko,
+      *Singularities of Differentiable Maps I*, par. 12), the Milnor
+      algebra R/(f_x, f_y) then has the monomial basis of that of its
+      principal part, x^i*y^j with i <= m - 2 and j <= n - 2, and every
+      monomial of weighted degree > D = 2nm - 2n - 2m, the degree of the
+      Hessian monomial x^(m-2)*y^(n-2) (``Semigroup.hessian_degree``),
+      lies in (f_x, f_y), hence in I.
+    - So I + m_{>H} = I for every H >= D, and the basis at H has the
+      corners of the leading ideal L(I) as leading powers once every corner
+      has degree <= H (the highest-corner argument: Greuel & Pfister,
+      *A Singular Introduction to Commutative Algebra*, par. 1.7).  A
+      corner x^a*y^b with a >= 1 has x^(a-1)*y^b outside L(I), so of
+      degree <= D, and the corner has degree <= D + n.  The corner with
+      a = 0 divides y^(n-1), the leading power of f_y, of degree
+      nm - m <= D + n.  So H_J = D + n is enough.  As a formula in n and m
+      it is tight: for n = 2 the corner x^(m-1) has degree exactly H_J.
+
+    The premise is checked on every call: the staircase must be finite and
+    its highest monomial of degree <= D, else ``HorizonExhausted``.
+    """
+    h = eq.sg.jacobian_horizon
+    basis = buchberger([p.truncated(h) for p in (eq.f, eq.fx, eq.fy)])
+    check_jacobian_staircase(basis, eq.sg)
+    return basis
+
+
+def check_jacobian_staircase(basis: StandardBasis, sg: Semigroup) -> None:
+    """Raise ``HorizonExhausted`` unless the staircase of ``basis`` is finite
+    and its highest monomial has weighted degree <= D = ``sg.hessian_degree``.
+
+    With leading powers (a_i, b_i) sorted by increasing a, the outer
+    corners of the staircase are (a_i - 1, b_{i-1} - 1).
+    """
+    if codimension(basis) is None:
+        raise HorizonExhausted("the Jacobian staircase is infinite")
+    lps = basis.leading_powers
+    top = max((sg.order.degree((a - 1, b - 1)) for (_, b), (a, _) in zip(lps, lps[1:])),
+              default=-1)
+    if top > sg.hessian_degree:
+        raise HorizonExhausted(f"the Jacobian staircase reaches weighted degree {top}, "
+                               f"past D = {sg.hessian_degree}")
 
 
 def tjurina_number(basis: StandardBasis) -> int:

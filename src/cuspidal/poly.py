@@ -153,6 +153,12 @@ class TruncatedPoly:
         n, m = self.order.n, self.order.m
         return {e: c for e, c in self.terms.items() if n * e[0] + m * e[1] <= horizon}
 
+    def truncated(self, horizon: int) -> "TruncatedPoly":
+        """The same polynomial cut at a horizon no larger than this one."""
+        if horizon > self.horizon:
+            raise ValueError(f"cannot raise the horizon {self.horizon} to {horizon}")
+        return TruncatedPoly._raw(self.order, horizon, self._shrunk(horizon))
+
     def __add__(self, other):
         if not isinstance(other, TruncatedPoly):
             return NotImplemented

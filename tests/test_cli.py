@@ -10,6 +10,7 @@ from cuspidal import cli
 from cuspidal.cli import main
 from cuspidal.differentials import delorme
 from cuspidal.jacobian import jacobian_basis_direct
+from cuspidal.standard_basis import HorizonExhausted
 from conftest import count_calls
 
 SPEC49 = "n = 4\nm = 9\nz 1 = 1\n"
@@ -231,3 +232,25 @@ def test_conjecture_scan_negative_precision_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: parse_error: precision must be non-negative")
+
+
+@pytest.mark.parametrize("argv", [["--spec", "/nonexistent"], ["--horizon-mult", "1"],
+                                  ["--horizon-mult", "4"]])
+def test_conjecture_scan_rejects_spec_flags(capsys, argv):
+    """The scan draws its own curves, so a spec or a horizon would be ignored."""
+    code, out, err = run(capsys, "conjecture-scan", "--max-m", "6", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: parse_error: {argv[0]} is not accepted by conjecture-scan")
+
+
+@pytest.mark.parametrize("command", ["jacobian", "verify"])
+def test_horizon_exhausted_exits_one(capsys, monkeypatch, spec49, command):
+    def exhausted(eq):
+        raise HorizonExhausted("the Jacobian staircase is infinite")
+
+    monkeypatch.setattr(cli, "jacobian_basis_direct", exhausted)
+    code, out, err = run(capsys, command, "--spec", spec49)
+    assert code == 1
+    assert out == ""
+    assert err == "error: HorizonExhausted: the Jacobian staircase is infinite\n"

@@ -1,6 +1,7 @@
 """Jacobian ideal standard bases, two ways, and the Tjurina number."""
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,13 +9,15 @@ import pytest
 from cuspidal import CurveEquation, Semigroup
 from cuspidal.differentials import delorme
 from cuspidal.jacobian import (
+    check_jacobian_staircase,
     jacobian_basis_direct,
     jacobian_basis_via_differentials,
     tjurina_number,
 )
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
-from cuspidal.standard_basis import codimension
+from cuspidal.standard_basis import (HorizonExhausted, StandardBasis, buchberger,
+                                     codimension)
 from conftest import CORPUS, curve_draws
 
 
@@ -104,3 +107,69 @@ def test_jacobian_basis_requires_axis_leaders():
         _via((1, 3), (4, 0))
     with pytest.raises(ValueError):
         _via((0, 3), (4, 1))
+
+
+def _buchberger_4nm(eq):
+    """The direct basis over (f, f_x, f_y) at the equation's own 4nm horizon."""
+    assert eq.f.horizon == 4 * eq.sg.n * eq.sg.m
+    return buchberger([eq.f, eq.fx, eq.fy])
+
+
+def _adapted_draws(sg: Semigroup, count: int, seed: int):
+    """Adapted curves mu*x^m + y^n + random terms above the weight line,
+    with mu != 1."""
+    rng = random.Random(f"{seed}:{sg.n}:{sg.m}")
+    n, m = sg.n, sg.m
+    for _ in range(count):
+        terms = {(m, 0): Rat(rng.choice([-1, 1]) * rng.randint(2, 5), rng.randint(1, 3)),
+                 (0, n): 1}
+        while len(terms) < 7:
+            a, b = rng.randint(0, 3 * m), rng.randint(0, 3 * n)
+            if n * m < n * a + m * b <= 4 * n * m:
+                terms[(a, b)] = Rat(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+        yield CurveEquation.adapted(sg, TruncatedPoly(sg.order, 4 * n * m, terms))
+
+
+@pytest.mark.parametrize("pair", CORPUS)
+def test_direct_basis_at_the_jacobian_horizon_matches_4nm(pair):
+    """Cutting at H_J = 2nm - n - 2m keeps the leading powers and tau of 4nm."""
+    sg = Semigroup(*pair)
+    eqs = list(curve_draws(sg, 4, seed=41)) + list(_adapted_draws(sg, 2, seed=43))
+    assert any(eq.mu != 1 for eq in eqs)
+    for eq in eqs:
+        direct = jacobian_basis_direct(eq)
+        wide = _buchberger_4nm(eq)
+        assert direct.leading_powers == wide.leading_powers
+        assert {p.horizon for p in direct} == {sg.jacobian_horizon}
+        assert tjurina_number(direct) == codimension(wide)
+
+
+def test_jacobian_horizon_is_tight():
+    """On (2, 5) the corner x^4 has weighted degree exactly H_J = 8: one
+    degree lower, the staircase is infinite and the leading powers change."""
+    sg = Semigroup(2, 5)
+    eq = CurveEquation.nice(sg)
+    h = sg.jacobian_horizon
+    assert (sg.hessian_degree, h) == (6, 8)
+    assert jacobian_basis_direct(eq).leading_powers == ((0, 1), (4, 0))
+    low = buchberger([eq.f.truncated(h - 1), eq.fx.truncated(h - 1),
+                      eq.fy.truncated(h - 1)])
+    assert low.leading_powers == ((0, 1),)
+    with pytest.raises(HorizonExhausted, match="infinite"):
+        check_jacobian_staircase(low, sg)
+
+
+def _monomial_basis(sg: Semigroup, *lps) -> StandardBasis:
+    return StandardBasis(tuple(TruncatedPoly.monomial(sg.order, 1, e) for e in lps))
+
+
+def test_staircase_check_accepts_at_most_d_and_rejects_past_it():
+    """(4, 5): D = 22, the degree of the Hessian monomial x^3*y^2."""
+    sg = Semigroup(4, 5)
+    assert sg.hessian_degree == 22
+    check_jacobian_staircase(_monomial_basis(sg, (0, 3), (4, 0)), sg)     # top x^3*y^2
+    check_jacobian_staircase(_monomial_basis(sg, (0, 2), (2, 1), (3, 0)), sg)
+    with pytest.raises(HorizonExhausted, match="degree 27, past D = 22"):
+        check_jacobian_staircase(_monomial_basis(sg, (0, 4), (4, 0)), sg)  # top x^3*y^3
+    with pytest.raises(HorizonExhausted, match="infinite"):
+        check_jacobian_staircase(_monomial_basis(sg, (0, 3), (4, 1)), sg)

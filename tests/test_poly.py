@@ -41,6 +41,16 @@ def test_horizon_truncation_is_inclusive():
     assert {t.exponent for t in q.sorted_terms()} == {(0, 0)}
 
 
+def test_truncated_cuts_at_a_lower_horizon_only():
+    p = TruncatedPoly(O45, 80, {(0, 0): 1, (5, 0): 2, (10, 0): 3})
+    q = p.truncated(20)
+    assert q.horizon == 20
+    assert q.terms == {(0, 0): 1, (5, 0): 2}   # degree 20 survives, 40 does not
+    assert p.truncated(80) == p
+    with pytest.raises(ValueError, match="cannot raise"):
+        p.truncated(81)
+
+
 def test_binary_ops_take_min_horizon():
     a = TruncatedPoly(O45, 100, {(1, 0): 1})
     b = TruncatedPoly(O45, 40, {(0, 1): 1})

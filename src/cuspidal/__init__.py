@@ -18,10 +18,9 @@ from .bernstein import (Certificate, CertificateError, DeltaSequence, FourReport
                         interval_certificate, residue, residue_is_zero,
                         zariski_condition_check)
 from .curve import (CurveEquation, CuspidalSets, NoSolution, NotAdapted,
-                    Parametrization, Semigroup, cuspidal_sets, newton_puiseux,
-                    pullback_value)
+                    Parametrization, Semigroup, cuspidal_sets, newton_puiseux)
 from .differentials import (DifferentialBasis, OneForm, ValueMismatch,
-                            aligned_t_horizon, apply_vector_field, delorme,
+                            apply_vector_field, delorme,
                             differential_value, monomial_value,
                             oracle_differential_value, random_form,
                             tuning_constant)
@@ -49,7 +48,7 @@ __all__ = [
     "Parametrization", "ParseError", "PreconditionViolation", "Rat",
     "ResidueDecision", "RootCandidate", "RootDecision", "Semigroup",
     "SpecError", "StandardBasis", "Term", "TruncatedPoly", "Unclassifiable",
-    "ValueMismatch", "WeightedOrder", "ZariskiReport", "aligned_t_horizon",
+    "ValueMismatch", "WeightedOrder", "ZariskiReport",
     "apply_vector_field", "buchberger", "certified_roots_from_semimodule",
     "certify_residue", "classify_four",
     "codimension", "cuspidal_sets", "decide_root", "delorme",
@@ -57,7 +56,7 @@ __all__ = [
     "enumerate_increasing", "four_condition_check", "interval_certificate",
     "jacobian_basis_direct", "jacobian_basis_via_differentials",
     "monomial_value", "newton_puiseux", "oracle_differential_value",
-    "parse_spec", "pullback_value", "random_form", "rat",
+    "parse_spec", "random_form", "rat",
     "reduce_step", "residue", "residue_is_zero", "s_process_min",
     "tjurina_number", "tuning_constant", "validate_basis",
     "zariski_condition_check",

@@ -3,8 +3,9 @@ equations in adapted or nice form, and exact rational parametrizations.
 
 A cusp is a plane branch whose semigroup is generated by a coprime pair
 (n, m) with 2 <= n < m.  Everything here is exact: the parametrization is a
-truncated power series over the rationals obtained by a Newton iteration, and
-it doubles as the independent oracle for the differential-value machinery.
+Newton iteration on integers, held as one scaled integer power table, at the
+window that the horizon of f fixes; it is the independent oracle for the
+differential-value machinery.
 """
 from __future__ import annotations
 
@@ -41,11 +42,6 @@ class Semigroup:
     @property
     def conductor(self) -> int:
         return (self.n - 1) * (self.m - 1)
-
-    @property
-    def t_horizon_floor(self) -> int:
-        """n*m + conductor: a parametrization horizon must exceed it."""
-        return self.n * self.m + self.conductor
 
     @property
     def hessian_degree(self) -> int:
@@ -205,7 +201,8 @@ class CurveEquation:
         if self.form not in ("nice", "adapted"):
             raise ValueError(f"unknown form {self.form!r}")
         # The one horizon check every equation passes, however it is built:
-        # below 2nm the truncation can cut terms that decide the values.
+        # below 2nm the truncation can cut terms that decide the values.  It
+        # also bounds the branch window t_horizon from below (newton_puiseux).
         floor = 2 * self.sg.n * self.sg.m
         if self.f.horizon < floor:
             raise ValueError(f"truncation horizon must be at least 2*n*m = {floor}, "
@@ -234,26 +231,25 @@ class CurveEquation:
 @dataclass(frozen=True)
 class Parametrization:
     """Primitive rational parametrization x = x_coeff * t^n, y = y(t), held
-    on integers.
+    as an integer table.
 
     With D = ``scale``, the branch is y(D*s) = c0 * D^m * v(s), where v has
     integer coefficients and starts with s^m (``newton_puiseux`` proves it),
-    so y_k = c0 * v_k / D^(k-m).  ``v_powers`` is the table v^0, v^1, ...
-    through s^t_horizon; higher powers are appended on demand.  ``x_coeff``
-    and ``c0`` are +1 or -1 for mu = 1 equations and rational powers of mu
-    otherwise: the sign/scale is exactly what keeps the coefficient recursion
-    inside the rationals, and t-orders -- the only quantities consumed
-    downstream -- do not depend on it.
+    so y_k = c0 * v_k / D^(k-m) (``y``).  ``v_powers`` is the table v^0,
+    v^1, ... through s^t_horizon; higher powers are appended on demand.
+    ``x_coeff`` and ``c0`` are +1 or -1 for mu = 1 equations and rational
+    powers of mu otherwise: the sign/scale is exactly what keeps the
+    coefficient recursion inside the rationals, and t-orders -- the only
+    quantities consumed downstream -- do not depend on it.
 
-    Every series along the branch is read off the one table.  A *part*
+    The oracle reads every pullback off the one table.  A *part*
     (shift, b, theta, num, den) stands for (num/den) * t^shift * Y, with
     integers num and den > 0, where Y = y^b, or Y = t * (y^b)' when
     ``theta``.  The t^k coefficient of Y is
     c0^b * T[k] / D^(k - m*b), with T = v^b, or T[k] = k * v^b[k] when
     ``theta``.  So the t^K coefficient of a sum of parts, scaled by D^K and
-    one common denominator, is a sum of integer scalars times table entries:
-    ``series`` turns these sums back into exact rationals, and ``order``
-    stops at the first nonzero one.
+    one common denominator, is a sum of integer scalars times table entries,
+    and ``order`` stops at the first nonzero one.
     """
 
     n: int
@@ -299,40 +295,25 @@ class Parametrization:
             tables[(b, theta)] = got
         return got
 
-    def _rows(self, parts, upto: int) -> tuple:
-        """(rows, e0, den): rows (start, shift, T, k) sorted by start, with
-        integer k, such that the t^K coefficient of the sum of parts is
-        sum(k * T[K - shift]) / (den * D^(K - e0)) over the rows with
-        start <= K (T vanishes below start - shift).  Parts that start past
-        upto are dropped; e0 is the least start."""
+    def order(self, parts, upto: int) -> int | None:
+        """The least K <= upto whose t^K coefficient in the sum of parts is
+        nonzero, walking K upward; None when all of t^0..t^upto vanish.
+        Parts that start past upto are dropped."""
         cn, cd = self.c0.numerator, self.c0.denominator
         scaled = [(shift + self.m * b, shift, b, theta, num * cn ** b, den * cd ** b)
                   for shift, b, theta, num, den in parts if shift + self.m * b <= upto]
         if not scaled:
-            return [], 0, 1
+            return None
+        # Row (start, shift, T, k): the t^K coefficient of the sum, times
+        # den * D^(K - e0), is the sum of k * T[K - shift] over the rows with
+        # start <= K (T vanishes below start - shift).
         e0 = min(start for start, *_ in scaled)
         den = lcm(*(d for *_, d in scaled))
         D = self.scale
-        rows = [(start, shift, self._table(b, theta), num * (den // d) * D ** (start - e0))
-                for start, shift, b, theta, num, d in scaled]
-        rows.sort(key=lambda row: row[0])
-        return rows, e0, den
-
-    def series(self, parts, upto: int) -> list:
-        """The exact coefficients of t^0..t^upto of a sum of parts."""
-        rows, e0, den = self._rows(parts, upto)
-        acc = _series.zeros(upto)
-        for _, shift, table, k in rows:
-            _series.add_shifted(acc, table, shift, k)
-        D = self.scale
-        return [Rat(c, den * D ** (K - e0)) if c else ZERO for K, c in enumerate(acc)]
-
-    def order(self, parts, upto: int) -> int | None:
-        """The least K <= upto whose t^K coefficient in the sum of parts is
-        nonzero, walking K upward; None when all of t^0..t^upto vanish."""
-        rows, e0, _ = self._rows(parts, upto)
-        if not rows:
-            return None
+        rows = sorted(((start, shift, self._table(b, theta),
+                        num * (den // d) * D ** (start - e0))
+                       for start, shift, b, theta, num, d in scaled),
+                      key=lambda row: row[0])
         for K in range(e0, upto + 1):
             total = 0
             for start, shift, table, k in rows:
@@ -343,36 +324,12 @@ class Parametrization:
                 return K
         return None
 
-    def _poly_parts(self, p: TruncatedPoly) -> list:
-        self.check_cusp(p.order)
-        xn, xd = self.x_coeff.numerator, self.x_coeff.denominator
-        return [(self.n * a, b, False, c.numerator * xn ** a, c.denominator * xd ** a)
-                for (a, b), c in p.terms.items()]
-
-    def compose(self, p: TruncatedPoly) -> list:
-        """p(x(t), y(t)) as a series valid through the horizon."""
-        return self.series(self._poly_parts(p), self.t_horizon)
-
-    def y_power(self, b: int) -> tuple:
-        """y(t)**b truncated at the horizon."""
-        return tuple(self.series([(0, b, False, 1, 1)], self.t_horizon))
-
     @cached_property
     def y(self) -> tuple:
         """The coefficients of t^0..t^t_horizon of y(t)."""
-        return self.y_power(1)
-
-    def y_power_dy(self, b: int) -> tuple:
-        """y(t)**b * y'(t) = t^-1 * t(y**(b+1))' / (b+1), trustworthy through
-        power t_horizon - 1."""
-        return tuple(self.series([(-1, b + 1, True, 1, b + 1)], self.t_horizon - 1))
-
-
-def pullback_value(eq: CurveEquation, param: Parametrization, h: TruncatedPoly) -> int | None:
-    """ord_t of h(x(t), y(t)); None when every coefficient up to the horizon
-    vanishes (infinite to the horizon; h = f itself is the canonical case)."""
-    param.check_cusp(eq.sg.order)
-    return param.order(param._poly_parts(h), param.t_horizon)
+        cn, cd, D = self.c0.numerator, self.c0.denominator, self.scale
+        return tuple(Rat(cn * c, cd * D ** (k - self.m)) if c else ZERO
+                     for k, c in enumerate(self.v_powers[1]))
 
 
 def _leading_solution(n: int, m: int, mu: Rat) -> tuple:
@@ -422,8 +379,17 @@ def _evaluate(terms, pows: list, upto: int) -> list:
     return out
 
 
-def newton_puiseux(eq: CurveEquation, t_horizon: int | None = None) -> Parametrization:
-    """Solve f(x(t), y(t)) = 0 for y as a truncated series, on integers.
+def newton_puiseux(eq: CurveEquation) -> Parametrization:
+    """Solve f(x(t), y(t)) = 0 for y as a truncated series, on integers,
+    through t^t_horizon with t_horizon = f.horizon - n*m + n + m.
+
+    That window is the implicit route's: ``differential_value`` sees the
+    values nu <= f.horizon - n*m + n + m, and the oracle sees
+    nu <= t_horizon.  It needs no check of its own: the branch is exact
+    through any window t_horizon >= m, by the recursion n * v_k = -P_k
+    below, and the check f.horizon >= 2nm in ``CurveEquation`` gives
+    t_horizon >= nm + n + m, past the conductor and so past every value in
+    Lambda minus Gamma.
 
     Take x = xi * t^n and y = c0 * t^m + ... (``_leading_solution``).  Let L
     be the lcm of the denominators of c * xi^a * c0^(b-n) over the terms
@@ -462,10 +428,7 @@ def newton_puiseux(eq: CurveEquation, t_horizon: int | None = None) -> Parametri
     sg = eq.sg
     n, m = sg.n, sg.m
     nm = n * m
-    if t_horizon is None:
-        t_horizon = nm + 2 * sg.conductor
-    elif t_horizon <= sg.t_horizon_floor:
-        raise ValueError("t_horizon must exceed n*m + conductor")
+    t_horizon = eq.f.horizon - nm + n + m
     xi, c0 = _leading_solution(n, m, eq.mu)
     scale, h_terms = _scaled_equation(eq, xi, c0)
     hv_terms = [(shift, b - 1, b * h) for shift, b, h in h_terms if b]

@@ -144,14 +144,6 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
     return None if o is None else o + 1
 
 
-def aligned_t_horizon(eq: CurveEquation) -> int:
-    """The parametrization horizon that makes the oracle and the implicit
-    route detect exactly the same window of finite values for this equation:
-    t_horizon = poly_horizon - n*m + n + m."""
-    sg = eq.sg
-    return eq.f.horizon - sg.n * sg.m + sg.n + sg.m
-
-
 def _tuning(r1: FinalReduction, r2: FinalReduction) -> Rat:
     """mu+ = -lc(r1)/lc(r2): the scalar that cancels the leading term of r1
     against r2.  Both reductions must be nonzero with the same leading power."""

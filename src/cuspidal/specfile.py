@@ -55,23 +55,16 @@ class CurveSpec:
     terms: tuple = ()        # ((coeff, a, b), ...) adapted form
     mu: Rat = ONE
     horizon_mult: int | None = None
-    t_horizon: int | None = None
     precision: int | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        # The one place the truncation horizons and the tool settings are
+        # The one place the truncation horizon and the tool settings are
         # checked: parse_spec and with_overrides both construct through here.
         check_natural("precision", self.precision)
         check_natural("seed", self.seed)
         if self.horizon_mult is not None and self.horizon_mult < 2:
             raise ParseError("horizon_mult must be at least 2")
-        if self.t_horizon is not None:
-            floor = self.semigroup.t_horizon_floor
-            if self.t_horizon <= floor:
-                raise ParseError(
-                    f"t_horizon must exceed n*m + conductor = {floor}, "
-                    f"got {self.t_horizon}")
 
     @property
     def semigroup(self) -> Semigroup:
@@ -119,7 +112,7 @@ def _natural(text: str, line: int, what: str) -> int:
     return value
 
 
-_INT_KEYS = ("n", "m", "horizon_mult", "t_horizon", "precision", "seed")
+_INT_KEYS = ("n", "m", "horizon_mult", "precision", "seed")
 
 
 def parse_spec(text: str) -> CurveSpec:
@@ -197,6 +190,5 @@ def parse_spec(text: str) -> CurveSpec:
     return CurveSpec(n=n, m=m, coeffs=tuple(coeffs), terms=tuple(clean_terms),
                      mu=fields.get("mu", ONE),
                      horizon_mult=fields.get("horizon_mult"),
-                     t_horizon=fields.get("t_horizon"),
                      precision=fields.get("precision"),
                      seed=fields.get("seed"))

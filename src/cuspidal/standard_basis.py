@@ -114,12 +114,16 @@ def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     FIFO processing of S-process pairs; a final reduction that vanishes to the
     horizon counts as membership.  The result is post-processed to minimality
     by discarding generators whose leading power is divisible by another's.
+    The generators must share one horizon: then every new generator, a
+    remainder at that horizon, leads at or below it.
     """
+    horizons = {g.horizon for g in gens}
+    if len(horizons) > 1:
+        raise ValueError(f"generators must share one horizon, got {sorted(horizons)}")
     basis = [g for g in gens if not g.is_zero]
     if not basis:
         raise ValueError("no nonzero generators")
     order = basis[0].order
-    horizon = min(g.horizon for g in basis)
     queue: deque[tuple[int, int]] = deque(
         (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while queue:
@@ -128,8 +132,6 @@ def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
         red = final_reduction(s, basis)
         if red.vanished:
             continue
-        if order.degree(red.poly.leading_power) > horizon:  # pragma: no cover
-            raise HorizonExhausted("new generator beyond the working horizon")
         basis.append(red.poly)
         new = len(basis) - 1
         queue.extend((k, new) for k in range(new))

@@ -15,7 +15,6 @@ from cuspidal import CurveEquation, Semigroup, cuspidal_sets
 from cuspidal.bernstein import certified_roots_from_semimodule, decide_root
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
-    aligned_t_horizon,
     delorme,
     differential_value,
     monomial_value,
@@ -48,7 +47,7 @@ def test_criterion_01_oracle_equivalence():
         sg = Semigroup(*pair)
         rng = random.Random(f"forms:{pair}")
         for eq in curve_draws(sg, 20, seed=101):
-            param = newton_puiseux(eq, aligned_t_horizon(eq))
+            param = newton_puiseux(eq)
             for _ in range(200):
                 w = random_form(rng, eq)
                 implicit = differential_value(w, eq)

@@ -8,7 +8,8 @@ import pytest
 
 from cuspidal import cli
 from cuspidal.cli import main
-from cuspidal.differentials import delorme
+from cuspidal.curve import newton_puiseux
+from cuspidal.differentials import delorme, oracle_differential_value
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.standard_basis import HorizonExhausted
 from conftest import count_calls
@@ -170,7 +171,7 @@ def test_precision_override_changes_certificate(capsys, spec49):
 @pytest.mark.parametrize("extra,argv", [
     ("", ["--horizon-mult", "1"]),
     ("", ["--horizon-mult", "0"]),
-    ("t_horizon = 40\n", []),   # n*m + conductor = 60 for (4, 9)
+    ("t_horizon = 40\n", []),   # not a spec key: the window comes from f's horizon
 ])
 def test_unsound_horizon_exits_two(capsys, tmp_path, extra, argv):
     p = tmp_path / "h.spec"
@@ -188,6 +189,24 @@ def test_direct_jacobian_basis_built_once(capsys, monkeypatch, spec49, command):
     assert code == 0
     assert "tjurina = 21" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", [SPEC49, "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n"],
+                         ids=["4-9", "5-7"])
+def test_verify_at_the_smallest_horizon(capsys, monkeypatch, tmp_path, text):
+    """At horizon 2nm the branch is built once, at t = nm + n + m, and all 50
+    random forms are compared."""
+    p = tmp_path / "c.spec"
+    p.write_text(text)
+    branches = count_calls(monkeypatch, newton_puiseux)
+    oracle = count_calls(monkeypatch, oracle_differential_value)
+    code, out, _ = run(capsys, "verify", "--spec", str(p), "--horizon-mult", "2")
+    assert code == 0
+    assert "oracle_random_forms = ok 50/50" in out
+    assert out.endswith("verify = ok\n")
+    assert len(branches) == 1
+    n, m = branches[0][0].sg.n, branches[0][0].sg.m
+    assert {param.t_horizon for _, param in oracle} == {n * m + n + m}
 
 
 def test_verify_runs_delorme_once(capsys, monkeypatch, spec49):

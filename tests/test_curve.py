@@ -1,14 +1,15 @@
 """Semigroups, cuspidal exponent sets, curve equations, branch parametrization."""
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import CurveEquation, Semigroup, _series, cuspidal_sets
-from cuspidal.curve import NotAdapted, newton_puiseux, pullback_value
-from cuspidal.differentials import aligned_t_horizon
+from cuspidal.curve import NotAdapted, newton_puiseux
+from cuspidal.differentials import OneForm, oracle_differential_value
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from conftest import CORPUS, coprime_pairs
@@ -132,44 +133,48 @@ BRANCH_CASES = [_all_ones(n, m) for n, m in CORPUS] + [_adapted_45_mu2()]
 BRANCH_IDS = [f"{n}-{m}" for n, m in CORPUS] + ["adapted-4-5-mu2"]
 
 
-@pytest.mark.parametrize("n,m", CORPUS)
-def test_parametrization_solves_the_curve(n, m):
-    """Substituting the branch into f gives 0 modulo t^t_horizon."""
-    eq = _all_ones(n, m)
-    param = newton_puiseux(eq)
-    residual = param.compose(eq.f)
-    assert all(c == 0 for c in residual)
-    o = eq.f.order
-    assert pullback_value(eq, param, TruncatedPoly(o, eq.f.horizon, {(1, 0): 1})) == n
-    assert pullback_value(eq, param, TruncatedPoly(o, eq.f.horizon, {(0, 1): 1})) == m
-    assert pullback_value(eq, param, eq.f) is None
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _times(u, w, top: int) -> list:
+    """The Fraction product of u and w through t^top."""
+    out = [Fraction(0)] * (top + 1)
+    for i, a in enumerate(u[:top + 1]):
+        if a:
+            for j in range(min(len(w), top + 1 - i)):
+                out[i + j] += a * w[j]
+    return out
 
 
 def _fraction_residual(eq: CurveEquation, param) -> list:
     """f(x_coeff * t^n, y(t)) through t^t_horizon, from ``param.y`` alone, by
     plain Fraction convolutions."""
     top = param.t_horizon
-    y = [Fraction(int(c.numerator), int(c.denominator)) for c in param.y]
-
-    def times(u, w):
-        out = [Fraction(0)] * (top + 1)
-        for i, a in enumerate(u):
-            if a:
-                for j in range(top + 1 - i):
-                    out[i + j] += a * w[j]
-        return out
-
+    y = [_fraction(c) for c in param.y]
+    x_coeff = _fraction(param.x_coeff)
     powers = [[Fraction(1)] + [Fraction(0)] * top]
     residual = [Fraction(0)] * (top + 1)
     for (a, b), c in eq.f.terms.items():
         while len(powers) <= b:
-            powers.append(times(powers[-1], y))
-        scale = Fraction(int(c.numerator), int(c.denominator)) * Fraction(
-            int(param.x_coeff.numerator), int(param.x_coeff.denominator)) ** a
+            powers.append(_times(powers[-1], y, top))
+        scale = _fraction(c) * x_coeff ** a
         shift = eq.sg.n * a
         for k in range(top + 1 - shift):
             residual[k + shift] += scale * powers[b][k]
     return residual
+
+
+@pytest.mark.parametrize("n,m", CORPUS)
+def test_parametrization_solves_the_curve(n, m):
+    """Substituting the branch into f gives 0 modulo t^t_horizon; the oracle
+    gives dx and dy the values n and m, and df an infinite one."""
+    eq = _all_ones(n, m)
+    param = newton_puiseux(eq)
+    assert all(c == 0 for c in _fraction_residual(eq, param))
+    assert oracle_differential_value(OneForm.basic(eq, "dx"), param) == n
+    assert oracle_differential_value(OneForm.basic(eq, "dy"), param) == m
+    assert oracle_differential_value(OneForm.d(eq.f), param) is None
 
 
 @pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)
@@ -210,7 +215,7 @@ def test_parametrization_of_adapted_equation():
     f = TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
     eq = CurveEquation.adapted(Semigroup(4, 5), f)
     param = newton_puiseux(eq)
-    assert all(c == 0 for c in param.compose(eq.f))
+    assert all(c == 0 for c in _fraction_residual(eq, param))
     assert param.x_coeff == -8
     assert [(k, c) for k, c in enumerate(param.y) if c][:6] == [
         (5, 16), (7, 8), (9, 2), (11, -1), (13, Rat(-5, 8)), (15, Rat(7, 16))]
@@ -218,21 +223,38 @@ def test_parametrization_of_adapted_equation():
 
 @pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)
 def test_y_power_dy_is_the_product_with_y_prime(eq):
-    """y^b * y' read off the integer table equals the direct product."""
-    param = newton_puiseux(eq, aligned_t_horizon(eq))
-    y_prime = [k * c for k, c in enumerate(param.y)][1:]
+    """y^b * y', read off the theta table that the oracle's dy parts use as
+    t^-1 * t(y^(b+1))' / (b+1), equals the Fraction product y^b times y'."""
+    param = newton_puiseux(eq)
+    m, top, D = eq.sg.m, param.t_horizon - 1, Fraction(param.scale)
+    c0 = _fraction(param.c0)
+    y = [_fraction(c) for c in param.y]
+    y_prime = [k * c for k, c in enumerate(y)][1:]
+    y_power = [Fraction(1)] + [Fraction(0)] * top
     for b in range(eq.sg.n + 1):
-        assert list(param.y_power_dy(b)) == _series.mul(
-            param.y_power(b), y_prime, param.t_horizon - 1)
+        theta = param._table(b + 1, True)
+        from_table = [c0 ** (b + 1) * theta[k + 1] / ((b + 1) * D ** (k + 1 - m * (b + 1)))
+                      for k in range(top + 1)]
+        assert from_table == _times(y_power, y_prime, top)
+        y_power = _times(y_power, y, top)
 
 
-@pytest.mark.parametrize("eq", [_all_ones(4, 9), _all_ones(5, 7), _adapted_45_mu2()],
-                         ids=["4-9", "5-7", "adapted-4-5-mu2"])
+HORIZON_PAIRS = coprime_pairs(range(2, 8), 14)
+
+
+@pytest.mark.parametrize("eq", [_all_ones(n, m) for n, m in HORIZON_PAIRS] + [_adapted_45_mu2()],
+                         ids=[f"{n}-{m}" for n, m in HORIZON_PAIRS] + ["adapted-4-5-mu2"])
 def test_newton_puiseux_horizons_agree_on_common_prefix(eq):
-    floor = newton_puiseux(eq, eq.sg.t_horizon_floor + 1)
-    aligned = newton_puiseux(eq, aligned_t_horizon(eq))
-    default = newton_puiseux(eq)
-    for p, q in ((floor, aligned), (floor, default), (aligned, default)):
-        common = min(p.t_horizon, q.t_horizon) + 1
-        assert p.x_coeff == q.x_coeff
-        assert p.y[:common] == q.y[:common]
+    """At each horizon H of f in {2nm, 3nm, 4nm} the branch is solved to
+    t = H - nm + n + m, and it is the prefix of the 4nm branch."""
+    n, m = eq.sg.n, eq.sg.m
+    nm = n * m
+    params = {h: newton_puiseux(replace(eq, f=eq.f.truncated(h)))
+              for h in (2 * nm, 3 * nm, 4 * nm)}
+    full = params[4 * nm]
+    for h, param in params.items():
+        t = h - nm + n + m
+        assert param.t_horizon == t
+        assert param.x_coeff == full.x_coeff
+        assert param.y == full.y[:t + 1]
+        assert param.v_powers[1] == full.v_powers[1][:t + 1]

@@ -11,7 +11,6 @@ from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
     OneForm,
     ValueMismatch,
-    aligned_t_horizon,
     apply_vector_field,
     delorme,
     differential_value,
@@ -147,13 +146,14 @@ def test_delorme_structure_battery(pair):
 
 
 def test_aligned_horizon_formula():
+    """The branch window is derived from f's horizon: t = H - nm + n + m."""
     nm = 4 * 9
-    assert aligned_t_horizon(EQ49) == 4 * nm - nm + 4 + 9
+    assert newton_puiseux(EQ49).t_horizon == 4 * nm - nm + 4 + 9
 
 
 def test_oracle_matches_on_basis_forms():
     for eq in (EQ45, EQ49):
-        param = newton_puiseux(eq, aligned_t_horizon(eq))
+        param = newton_puiseux(eq)
         diff = delorme(eq)
         for form, lam in zip(diff.forms, diff.values.basis):
             assert oracle_differential_value(form, param) == lam
@@ -165,7 +165,7 @@ def test_oracle_matches_on_random_forms(pair):
     sg = Semigroup(*pair)
     rng = random.Random(f"42:{pair}")
     for eq in curve_draws(sg, 3, seed=5):
-        param = newton_puiseux(eq, aligned_t_horizon(eq))
+        param = newton_puiseux(eq)
         for _ in range(20):
             w = random_form(rng, eq)
             assert differential_value(w, eq) == oracle_differential_value(w, param)
@@ -174,12 +174,18 @@ def test_oracle_matches_on_random_forms(pair):
 @pytest.mark.parametrize("t_horizon,value", [(64, 64), (63, None)])
 def test_oracle_window_edge(t_horizon, value):
     """x^15 dx has value 64 on EQ49: its pullback has order 63, the last
-    power a horizon of 64 trusts and the first one past a horizon of 63."""
-    order, horizon = EQ49.sg.order, EQ49.f.horizon
+    power a branch window of 64 trusts and the first one past a window of
+    63.  The windows come from f's horizons 87 and 86 (t = H - nm + n + m),
+    and the implicit route sees the same window."""
+    horizon = t_horizon + 4 * 9 - 4 - 9
+    eq = CurveEquation.nice(EQ49.sg, EQ49.nice_coeffs, horizon)
+    order = eq.sg.order
     form = OneForm(TruncatedPoly.monomial(order, 1, (15, 0), horizon),
                    TruncatedPoly.zero(order, horizon))
-    param = newton_puiseux(EQ49, t_horizon)
+    param = newton_puiseux(eq)
+    assert param.t_horizon == t_horizon
     assert oracle_differential_value(form, param) == value
+    assert differential_value(form, eq) == value
 
 
 @pytest.mark.parametrize("pair", [(5, 7), (4, 11)])

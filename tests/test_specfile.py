@@ -56,21 +56,18 @@ def test_build_adapted_equation_from_terms():
 
 
 def test_with_overrides_keeps_unset_fields():
-    spec = parse_spec("n=4\nm=5\nz 2 = 1\nt_horizon = 150")
+    spec = parse_spec("n=4\nm=5\nz 2 = 1\nseed = 7")
     out = spec.with_overrides(precision=512, horizon_mult=5, seed=None)
     assert (out.precision, out.horizon_mult) == (512, 5)
-    assert out.t_horizon == 150
+    assert out.seed == 7
     assert out.coeffs == spec.coeffs
-    assert out.seed is None
 
 
 def test_overrides_pass_the_horizon_checks():
     spec = parse_spec("n=4\nm=9\nz 1 = 1")
     with pytest.raises(ParseError, match="horizon_mult must be at least 2"):
         spec.with_overrides(horizon_mult=1)
-    with pytest.raises(ParseError, match="exceed n\\*m \\+ conductor = 60"):
-        spec.with_overrides(t_horizon=60)
-    assert spec.with_overrides(t_horizon=61).t_horizon == 61
+    assert spec.with_overrides(horizon_mult=2).build_equation().f.horizon == 72
 
 
 @pytest.mark.parametrize("text,exc,kind,line", [
@@ -82,7 +79,7 @@ def test_overrides_pass_the_horizon_checks():
     ("n=4\nm=5\nz 2 = 1\nterm 1 6 1", ParseError, "parse_error", None),
     ("n=4\nm=5\nz 2 = 1\nmu = 2", ParseError, "parse_error", None),
     ("n=4\nm=5\nhorizon_mult = 1", ParseError, "parse_error", None),
-    ("n=4\nm=5\nt_horizon = 32", ParseError, "parse_error", None),
+    ("n=4\nm=5\nt_horizon = 32", ParseError, "parse_error", 3),
     ("n=4\nn=5\nm=7", ParseError, "parse_error", 2),
     ("n=4\nm=5\nwhat is this", ParseError, "parse_error", 3),
     ("n=4\nm=5\nterm 1 1 1", ParseError, "parse_error", 3),

@@ -75,6 +75,14 @@ def test_buchberger_drops_redundant_generator():
     assert set(basis.leading_powers) == {(0, 3), (4, 0)}
 
 
+def test_buchberger_rejects_mixed_horizons():
+    """Over mixed horizons a remainder of two high-horizon generators could
+    lead past the lowest horizon, where no generator is trustworthy."""
+    gens = [TruncatedPoly(O45, 12, {(0, 3): 1}), _p({(4, 0): 1, (1, 3): 1})]
+    with pytest.raises(ValueError, match=r"share one horizon, got \[12, 80\]"):
+        buchberger(gens)
+
+
 def test_standard_basis_rejects_nested_leading_powers():
     with pytest.raises(ValueError):
         StandardBasis((_p({(0, 3): 1}), _p({(1, 3): 1})))

@@ -5,7 +5,8 @@ local weighted order, the semimodule of differential values of a cusp via
 Delorme's algorithm, Newton-Puiseux parametrizations used as independent
 value oracles, Jacobian-ideal standard bases with the Tjurina number, and
 certified subsets of Bernstein-Sato roots through an exact residue
-criterion backed by interval arithmetic.
+criterion.  A residue's sign is exact when it is a single Gamma group;
+interval arithmetic (mpmath, loaded on first use) certifies the rest.
 """
 from __future__ import annotations
 

@@ -4,18 +4,17 @@ Every gap value j in the cuspidal set J yields two candidate roots -beta_j
 and -alpha_j = -(beta_j + 1).  Which one is realized is decided by an exact
 residue: a Gamma-weighted polynomial in the nice-form coefficients z_j whose
 non-vanishing at some test exponent in M certifies -beta_j.  Residues are
-kept symbolic (GammaExpr) so the vanishing decision is exact rational
-arithmetic whenever the expression collapses to a single canonical group;
-multi-group survivors are declared nonzero under a flagged independence
-assumption, always backed by an interval-arithmetic certificate.
+kept symbolic (GammaExpr), so the vanishing decision is exact wherever it
+can be: no group left means zero, and a single group c*Gamma(r1)*Gamma(r2)
+has the sign of the rational c, since Gamma is positive on (0, 1].  Only an
+expression with several groups needs an interval-arithmetic certificate;
+mpmath is imported for that case alone.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from math import factorial
-
-import mpmath
 
 from .curve import CurveEquation, Semigroup
 from .rationals import ONE, Rat, rat
@@ -35,7 +34,6 @@ class CertificateError(RuntimeError):
 
 
 MAX_PRECISION_BITS = 1024
-RELATIVE_WIDTH_GOAL = mpmath.mpf("1e-30")
 
 
 @dataclass(frozen=True)
@@ -116,10 +114,19 @@ class GammaExpr:
     Arguments are recursively lowered into (0, 1] through
     Gamma(r) = (r-1) Gamma(r-1), the multipliers folding into the rational
     coefficient; the two arguments of a group are stored sorted (the product
-    is symmetric) and groups with coefficient 0 are dropped.
+    is symmetric) and groups with coefficient 0 are dropped.  Groups given
+    directly must already be in this form, else ValueError.
     """
 
     groups: tuple  # ((r1, r2, ...), coeff) pairs, argument tuples sorted
+
+    def __post_init__(self) -> None:
+        # certify_residue reads a single group's sign off its coefficient,
+        # which is sound only for a nonzero coefficient and arguments in (0, 1].
+        for args, coeff in self.groups:
+            if not coeff or not all(0 < r <= 1 for r in args):
+                gammas = "*".join(f"Gamma({r})" for r in args)
+                raise ValueError(f"not a canonical group: ({coeff})*{gammas}")
 
     @classmethod
     def from_terms(cls, terms) -> "GammaExpr":
@@ -197,34 +204,34 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
 class ResidueDecision(enum.Enum):
     ZERO = "zero"
     NONZERO = "nonzero"
+    # Several groups whose interval enclosure excludes zero: the value is
+    # proven nonzero all the same (certify_residue raises otherwise).  The
+    # name records that no exact proof was available, only the enclosure,
+    # and it is kept because `bs-roots` prints it and its
+    # `independence_assumed` line reads it.
     NONZERO_ASSUMING_INDEPENDENCE = "nonzero_assuming_independence"
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outward-rounded interval enclosure of a GammaExpr's value."""
+    """Why a GammaExpr is, or is not, known to be nonzero.
 
-    lower: str
-    upper: str
+    ``kind`` is "exact" for a single group, whose sign is the sign of its
+    rational coefficient: no endpoints and ``precision_bits == 0``.  It is
+    "interval" for an outward-rounded enclosure of the value computed at
+    ``precision_bits``; ``sign`` is 0 unless the enclosure excludes zero.
+    """
+
+    kind: str  # "exact" | "interval"
+    sign: int
     precision_bits: int
-    excludes_zero: bool
-    relative_width: str
+    lower: str | None = None
+    upper: str | None = None
+    relative_width: str | None = None
 
-
-def _interval_value(expr: GammaExpr, bits: int):
-    iv = mpmath.iv
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        total = iv.mpf(0)
-        for args, coeff in expr.groups:
-            term = iv.mpf(int(coeff.numerator)) / iv.mpf(int(coeff.denominator))
-            for r in args:
-                term = term * iv.gamma(iv.mpf(int(r.numerator)) / iv.mpf(int(r.denominator)))
-            total = total + term
-        return total
-    finally:
-        iv.prec = saved
+    @property
+    def excludes_zero(self) -> bool:
+        return self.sign != 0
 
 
 def interval_certificate(expr: GammaExpr, precision: int = 256) -> Certificate:
@@ -232,42 +239,62 @@ def interval_certificate(expr: GammaExpr, precision: int = 256) -> Certificate:
     evaluation, doubling the working precision until zero is excluded and the
     enclosure is tight (relative width under 1e-30), up to 1024 bits."""
     if expr.is_zero:
-        return Certificate("0", "0", precision, False, "0")
+        return Certificate("interval", 0, precision, "0", "0", "0")
+    import mpmath  # only interval certificates need it; it is slow to load
+
+    iv = mpmath.iv
+    goal = mpmath.mpf("1e-30")
     bits = max(precision, 8)
     ceiling = max(MAX_PRECISION_BITS, bits)
     while True:
-        val = _interval_value(expr, bits)
+        saved = iv.prec
+        iv.prec = bits
+        try:
+            val = iv.mpf(0)
+            for args, coeff in expr.groups:
+                term = iv.mpf(int(coeff.numerator)) / iv.mpf(int(coeff.denominator))
+                for r in args:
+                    term = term * iv.gamma(iv.mpf(int(r.numerator)) / iv.mpf(int(r.denominator)))
+                val = val + term
+        finally:
+            iv.prec = saved
         # .a/.b are width-zero intervals; unwrap to plain floats so that
         # comparisons and rendering below use the ordinary real context.
         lo = mpmath.mp.make_mpf(val.a._mpi_[0])
         hi = mpmath.mp.make_mpf(val.b._mpi_[1])
-        excludes = bool(lo > 0) or bool(hi < 0)
+        sign = 1 if lo > 0 else -1 if hi < 0 else 0
         width = hi - lo
         mid = abs(hi + lo) / 2
         rel = width / mid if mid > 0 else mpmath.inf
-        if (excludes and rel < RELATIVE_WIDTH_GOAL) or bits >= ceiling:
-            return Certificate(mpmath.nstr(lo, 40), mpmath.nstr(hi, 40),
-                               bits, excludes, mpmath.nstr(rel, 10))
+        if (sign and rel < goal) or bits >= ceiling:
+            return Certificate("interval", sign, bits, mpmath.nstr(lo, 40),
+                               mpmath.nstr(hi, 40), mpmath.nstr(rel, 10))
         bits = min(2 * bits, ceiling)
 
 
 def certify_residue(expr: GammaExpr, precision: int = 256
                     ) -> tuple[ResidueDecision, Certificate | None]:
-    """Three-valued vanishing decision with the certificate behind it: zero
-    (no certificate) when no canonical groups remain, nonzero for a single
-    surviving group (Gamma is positive on (0,1]), and
-    nonzero-assuming-independence for several groups.  Every nonzero verdict
-    is cross-checked by an interval certificate; an enclosure that cannot
-    exclude zero raises instead of guessing."""
+    """Three-valued vanishing decision with the certificate behind it.
+
+    - No canonical group left: zero, exactly, with no certificate.
+    - One group c*Gamma(r1)*Gamma(r2): nonzero, with an exact certificate
+      carrying the sign of c.  Gamma is positive on (0, 1], where every
+      argument of a GammaExpr lies, so no interval is computed and
+      ``precision`` is not used.
+    - Several groups: nonzero-assuming-independence, backed by
+      ``interval_certificate(expr, precision)``; an enclosure that cannot
+      exclude zero raises ``CertificateError`` instead of guessing.
+    """
     if expr.is_zero:
         return ResidueDecision.ZERO, None
+    if len(expr.groups) == 1:
+        ((_, c),) = expr.groups
+        return ResidueDecision.NONZERO, Certificate("exact", 1 if c > 0 else -1, 0)
     cert = interval_certificate(expr, precision)
     if not cert.excludes_zero:
         raise CertificateError(
             f"interval [{cert.lower}, {cert.upper}] at {cert.precision_bits} "
             "bits does not exclude zero")
-    if len(expr.groups) == 1:
-        return ResidueDecision.NONZERO, cert
     return ResidueDecision.NONZERO_ASSUMING_INDEPENDENCE, cert
 
 

@@ -17,8 +17,8 @@ from math import gcd
 from .bernstein import (CertificateError, NegativeK, PreconditionViolation,
                         ResidueDecision, RootCandidate,
                         certified_roots_from_semimodule, certify_residue,
-                        decide_root, four_condition_check, residue,
-                        zariski_condition_check)
+                        decide_root, four_condition_check,
+                        interval_certificate, residue, zariski_condition_check)
 from .curve import CurveEquation, NoSolution, NotAdapted, Semigroup, cuspidal_sets, newton_puiseux
 from .differentials import (delorme, differential_value, monomial_value,
                             oracle_differential_value, random_form)
@@ -73,7 +73,7 @@ def _equation(spec: CurveSpec) -> CurveEquation:
 
 
 def _precision(spec: CurveSpec) -> int:
-    return spec.precision if spec.precision else 256
+    return 256 if spec.precision is None else spec.precision
 
 
 # -- subcommands ---------------------------------------------------------
@@ -140,10 +140,15 @@ def cmd_residue(spec: CurveSpec, j: int, ab) -> dict:
     a, b = ab
     k = j + sg.n + sg.m - sg.n * a - sg.m * b
     expr = residue(eq, ab, beta)
-    decision, cert = certify_residue(expr, _precision(spec))
+    precision = _precision(spec)
+    decision, cert = certify_residue(expr, precision)
     data = {"j": j, "beta": str(beta), "ab": list(ab), "k": k,
             "expr": str(expr), "decision": decision.value}
     if cert is not None:
+        if cert.kind == "exact":
+            # This report exists to show the value, so it asks for an
+            # enclosure that the decision itself does not need.
+            cert = interval_certificate(expr, precision)
         data["interval"] = f"[{cert.lower}, {cert.upper}]"
         data["precision_bits"] = cert.precision_bits
     return data
@@ -293,7 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of key=value lines")
         p.add_argument("--horizon-mult", type=int, dest="horizon_mult",
                        help="truncation horizon as a multiple of n*m (default 4)")
-        p.add_argument("--precision", type=int, help="starting interval precision in bits")
+        p.add_argument("--precision", type=int,
+                       help="starting interval precision in bits (default 256); "
+                            "decisions need intervals for multi-group residues only")
         p.add_argument("--seed", type=int, help="random seed for verification draws")
         return p
 
@@ -333,7 +340,8 @@ def _conjecture_scan(args) -> tuple[dict, bool]:
             raise ParseError(f"{flag} is not accepted by conjecture-scan")
     check_natural("precision", args.precision)
     return cmd_conjecture_scan(args.seed if args.seed is not None else 0,
-                               args.max_m, args.precision or 256)
+                               args.max_m,
+                               256 if args.precision is None else args.precision)
 
 
 def _report(cmd):

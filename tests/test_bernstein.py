@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuspidal import CurveEquation, Semigroup
 from cuspidal.bernstein import (
+    Certificate,
     CertificateError,
     GammaExpr,
     NegativeK,
@@ -81,6 +82,18 @@ def test_gamma_expr_rejects_nonpositive_argument():
         GammaExpr.from_terms([(Rat(1), (Rat(0),))])
 
 
+@pytest.mark.parametrize("groups", [
+    (((Rat(1, 2),), Rat(0)),),               # a zero coefficient
+    (((Rat(3, 2),), Rat(1)),),               # an argument above 1
+    (((Rat(-1, 2), Rat(1, 3)), Rat(1)),),    # a negative argument flips Gamma's sign
+])
+def test_gamma_expr_refuses_non_canonical_groups(groups):
+    """The exact sign of a single group rests on this form, so a hand-built
+    expression outside it is refused rather than certified."""
+    with pytest.raises(ValueError, match="not a canonical group"):
+        GammaExpr(groups)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 60), st.integers(1, 20), st.integers(-9, 9), st.integers(1, 7))
 def test_gamma_functional_equation(num, den, cnum, cden):
@@ -139,7 +152,7 @@ def test_residue_is_zero_three_values():
 def test_interval_certificate_pin():
     expr = GammaExpr.from_terms([(Rat(-1), (Rat(3, 4), Rat(8, 9)))])
     cert = interval_certificate(expr)
-    assert cert.excludes_zero
+    assert (cert.kind, cert.sign, cert.excludes_zero) == ("interval", -1, True)
     assert cert.precision_bits == 256
     assert mpmath.mpf(cert.upper) < 0
     assert mpmath.mpf(cert.relative_width) < mpmath.mpf("1e-30")
@@ -181,7 +194,27 @@ def test_certify_residue_pairs_decision_with_certificate():
     expr = residue(EQ49, (1, 2), Rat(23, 36))
     decision, cert = certify_residue(expr, 512)
     assert decision is residue_is_zero(expr, 512) is ResidueDecision.NONZERO
-    assert cert == interval_certificate(expr, 512)
+    assert cert == Certificate("exact", -1, 0)
+    assert cert.lower is cert.upper is None
+    two = GammaExpr.from_terms([(Rat(1), (Rat(1, 2),)), (Rat(-1), (Rat(1, 3),))])
+    decision, cert = certify_residue(two, 512)
+    assert (decision is residue_is_zero(two, 512)
+            is ResidueDecision.NONZERO_ASSUMING_INDEPENDENCE)
+    assert cert == interval_certificate(two, 512)
+    assert (cert.kind, cert.sign, cert.precision_bits) == ("interval", -1, 512)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(-9, 9).filter(bool), st.integers(1, 7),
+       st.lists(st.tuples(st.integers(1, 40), st.integers(1, 12)), min_size=1, max_size=2))
+def test_exact_sign_agrees_with_interval(cnum, cden, args):
+    """A single group's sign is its coefficient's, also after from_terms
+    lowers arguments above 1 into (0, 1]."""
+    expr = GammaExpr.from_terms([(Rat(cnum, cden), tuple(Rat(p, q) for p, q in args))])
+    decision, cert = certify_residue(expr)
+    assert decision is ResidueDecision.NONZERO
+    assert (cert.kind, cert.excludes_zero, cert.precision_bits) == ("exact", True, 0)
+    assert cert.sign == interval_certificate(expr).sign != 0
 
 
 def test_checks_reject_semimodule_of_other_pair():
@@ -193,11 +226,15 @@ def test_checks_reject_semimodule_of_other_pair():
 
 
 def test_decide_root_certifies_once(monkeypatch):
-    calls = count_calls(monkeypatch, interval_certificate)
+    """The witness residue is one group, so its sign is exact: one
+    certificate and no interval."""
+    certified = count_calls(monkeypatch, certify_residue)
+    intervals = count_calls(monkeypatch, interval_certificate)
     dec = decide_root(EQ49, 10)
     assert dec.kind == "beta_root"
-    assert dec.certificate.excludes_zero
-    assert len(calls) == 1
+    assert dec.certificate == Certificate("exact", -1, 0)
+    assert len(certified) == 1
+    assert len(intervals) == 0
 
 
 def test_decide_root_alpha_case():

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from cuspidal import cli
+from cuspidal.bernstein import interval_certificate
 from cuspidal.cli import main
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import delorme, oracle_differential_value
@@ -65,6 +70,31 @@ def test_bs_roots_report(capsys, spec49):
     assert "roots = -23/36 -19/36 -7/18" in out
     assert "independence_assumed = no" in out
     assert "verdict j=10 = beta_root root=-23/36 witness=1,2 decision=nonzero" in out
+
+
+def test_bs_roots_makes_no_interval_certificate(capsys, monkeypatch, spec49):
+    """Every witness residue of demo.spec is one group, decided by its sign."""
+    calls = count_calls(monkeypatch, interval_certificate)
+    code, out, _ = run(capsys, "bs-roots", "--spec", spec49)
+    assert code == 0
+    assert out.count("decision=nonzero") == 4
+    assert calls == []
+
+
+def test_bs_roots_does_not_load_mpmath(spec49):
+    script = ("import sys\n"
+              "import cuspidal.cli\n"
+              f"code = cuspidal.cli.main(['bs-roots', '--spec', {spec49!r}])\n"
+              "print('mpmath loaded' if 'mpmath' in sys.modules else 'mpmath not loaded')\n"
+              "sys.exit(code)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "independence_assumed = no" in proc.stdout
+    assert proc.stdout.endswith("mpmath not loaded\n")
 
 
 def test_residue_report(capsys, spec49):
@@ -166,6 +196,15 @@ def test_precision_override_changes_certificate(capsys, spec49):
     _, out512, _ = run(capsys, "residue", "--spec", spec49, "--j", "10",
                        "--ab", "1,2", "--precision", "512")
     assert "precision_bits = 512" in out512
+
+
+def test_precision_zero_starts_at_eight_bits(capsys, spec49):
+    """0 is a precision like any other: the enclosure starts at 8 bits and
+    doubles to 128, where it is tight; it does not fall back to 256."""
+    code, out, _ = run(capsys, "residue", "--spec", spec49, "--j", "10",
+                       "--ab", "1,2", "--precision", "0")
+    assert code == 0
+    assert "precision_bits = 128" in out
 
 
 @pytest.mark.parametrize("extra,argv", [

@@ -5,17 +5,17 @@ local weighted order, the semimodule of differential values of a cusp via
 Delorme's algorithm, Newton-Puiseux parametrizations used as independent
 value oracles, Jacobian-ideal standard bases with the Tjurina number, and
 certified subsets of Bernstein-Sato roots through an exact residue
-criterion.  A residue's sign is exact when it is a single Gamma group;
-interval arithmetic (mpmath, loaded on first use) certifies the rest.
+criterion.  Every residue is zero or a single Gamma group, so each decision
+is an exact sign; mpmath is loaded only to display a residue's value as an
+interval.
 """
 from __future__ import annotations
 
-from .bernstein import (Certificate, CertificateError, DeltaSequence, FourReport,
-                        GammaExpr, NegativeK, PreconditionViolation,
-                        ResidueDecision, RootCandidate, RootDecision,
-                        ZariskiReport, certified_roots_from_semimodule,
-                        certify_residue, decide_root, delta_sequences,
-                        four_condition_check,
+from .bernstein import (Certificate, DeltaSequence, FourReport, GammaExpr,
+                        NegativeK, PreconditionViolation, ResidueDecision,
+                        RootCandidate, RootDecision, ZariskiReport,
+                        certified_roots_from_semimodule, certify_residue,
+                        decide_root, delta_sequences, four_condition_check,
                         interval_certificate, residue, residue_is_zero,
                         zariski_condition_check)
 from .curve import (CurveEquation, CuspidalSets, NoSolution, NotAdapted,
@@ -41,8 +41,8 @@ from .standard_basis import (FinalReduction, HorizonExhausted, StandardBasis,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbstractSemimodule", "Certificate", "CertificateError",
-    "CoefficientOutsideJ", "CurveEquation", "CurveSpec", "CuspidalSets",
+    "AbstractSemimodule", "Certificate", "CoefficientOutsideJ",
+    "CurveEquation", "CurveSpec", "CuspidalSets",
     "DeltaSequence", "DifferentialBasis", "Exponent", "FinalReduction",
     "FourClassification", "FourReport", "GammaExpr", "HorizonExhausted",
     "InvalidPair", "NegativeK", "NoSolution", "NotAdapted", "OneForm",

@@ -3,12 +3,12 @@
 Every gap value j in the cuspidal set J yields two candidate roots -beta_j
 and -alpha_j = -(beta_j + 1).  Which one is realized is decided by an exact
 residue: a Gamma-weighted polynomial in the nice-form coefficients z_j whose
-non-vanishing at some test exponent in M certifies -beta_j.  Residues are
-kept symbolic (GammaExpr), so the vanishing decision is exact wherever it
-can be: no group left means zero, and a single group c*Gamma(r1)*Gamma(r2)
-has the sign of the rational c, since Gamma is positive on (0, 1].  Only an
-expression with several groups needs an interval-arithmetic certificate;
-mpmath is imported for that case alone.
+non-vanishing at some test exponent in M certifies -beta_j.  Every residue
+is a single Gamma group c*Gamma(r1)*Gamma(r2) or zero (proved in
+``residue``), so the vanishing decision is exact: no group left means zero,
+and one group has the sign of the rational c, since Gamma is positive on
+(0, 1].  Interval arithmetic only displays a value (``interval_certificate``,
+which alone imports mpmath); no decision reads it.
 """
 from __future__ import annotations
 
@@ -27,10 +27,6 @@ class NegativeK(ValueError):
 
 class PreconditionViolation(ValueError):
     """The curve is outside the scope of the requested battery."""
-
-
-class CertificateError(RuntimeError):
-    """Interval evaluation could not separate the expression from zero."""
 
 
 MAX_PRECISION_BITS = 1024
@@ -67,16 +63,6 @@ class DeltaSequence:
     def total(self) -> int:
         return sum(d for _, d in self.entries)
 
-    @property
-    def weight(self) -> int:
-        return sum(l * d for l, d in self.entries)
-
-    def multiplicity(self, l: int) -> int:
-        for part, d in self.entries:
-            if part == l:
-                return d
-        return 0
-
 
 def delta_sequences(parts, k: int) -> frozenset:
     """All ways of writing k as a non-negative combination of the given parts.
@@ -109,28 +95,32 @@ def delta_sequences(parts, k: int) -> frozenset:
 
 @dataclass(frozen=True)
 class GammaExpr:
-    """Sum of terms coeff * Gamma(r1) * Gamma(r2) in canonical form.
+    """Zero, or one group coeff * Gamma(r1) * Gamma(r2) in canonical form.
 
     Arguments are recursively lowered into (0, 1] through
     Gamma(r) = (r-1) Gamma(r-1), the multipliers folding into the rational
-    coefficient; the two arguments of a group are stored sorted (the product
-    is symmetric) and groups with coefficient 0 are dropped.  Groups given
-    directly must already be in this form, else ValueError.
+    coefficient; the arguments are stored sorted (the product is symmetric)
+    and a group whose coefficient sums to 0 is dropped.  A residue is never
+    more than one group (see ``residue``): ``from_terms`` raises ValueError
+    on terms that lower to two different argument tuples, and the
+    constructor on a second group or a group not in canonical form.
     """
 
-    groups: tuple  # ((r1, r2, ...), coeff) pairs, argument tuples sorted
+    groups: tuple  # () or (((r1, r2, ...), coeff),), arguments sorted
 
     def __post_init__(self) -> None:
-        # certify_residue reads a single group's sign off its coefficient,
-        # which is sound only for a nonzero coefficient and arguments in (0, 1].
+        # certify_residue reads the group's sign off its coefficient, which
+        # is sound only for one group, a nonzero coefficient and arguments
+        # in (0, 1].
+        if len(self.groups) > 1:
+            raise ValueError(f"a residue is at most one Gamma group, got {len(self.groups)}")
         for args, coeff in self.groups:
             if not coeff or not all(0 < r <= 1 for r in args):
-                gammas = "*".join(f"Gamma({r})" for r in args)
-                raise ValueError(f"not a canonical group: ({coeff})*{gammas}")
+                raise ValueError(f"not a canonical group: {_group_str(args, coeff)}")
 
     @classmethod
     def from_terms(cls, terms) -> "GammaExpr":
-        acc: dict[tuple, Rat] = {}
+        key, total = None, None
         for coeff, args in terms:
             c = rat(coeff)
             if not c:
@@ -144,11 +134,15 @@ class GammaExpr:
                     r = r - 1
                     c = c * r
                 lowered.append(r)
-            key = tuple(sorted(lowered))
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
-        groups = tuple(sorted((k, v) for k, v in acc.items() if v))
-        return cls(groups)
+            lowered = tuple(sorted(lowered))
+            if key is None:
+                key, total = lowered, c
+            elif lowered == key:
+                total += c
+            else:
+                raise ValueError(f"terms lower to two argument tuples, {key} and "
+                                 f"{lowered}: not one Gamma group")
+        return cls(((key, total),) if total else ())
 
     @property
     def is_zero(self) -> bool:
@@ -157,11 +151,13 @@ class GammaExpr:
     def __str__(self) -> str:
         if not self.groups:
             return "0"
-        parts = []
-        for args, coeff in self.groups:
-            gammas = "*".join(f"Gamma({r})" for r in args)
-            parts.append(f"({coeff})*{gammas}" if gammas else f"({coeff})")
-        return " + ".join(parts)
+        ((args, coeff),) = self.groups
+        return _group_str(args, coeff)
+
+
+def _group_str(args, coeff) -> str:
+    gammas = "*".join(f"Gamma({r})" for r in args)
+    return f"({coeff})*{gammas}" if gammas else f"({coeff})"
 
 
 def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
@@ -173,6 +169,20 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
     the gap values with nonzero coefficient (others cannot contribute):
     (-1)^{sum delta} Gamma((sum delta*p1 + a)/m) Gamma((sum delta*p2 + b)/n)
     prod z^delta / delta!.
+
+    The sum is c*Gamma(r1)*Gamma(r2) or 0, because every term lowers to the
+    same arguments (r1, r2):
+
+    - A term has arguments s1/m and s2/n, with s1 = a + sum d*p1 and
+      s2 = b + sum d*p2.
+    - Each part is l = n*p1 + m*p2 - nm, and the parts' weights sum to
+      k = B - n*a - m*b, where B = beta*nm is an integer (checked below).
+    - So n*s1 + m*s2 = B + nm*sum d, which gives s1 = B*n^-1 (mod m) and
+      s2 = B*m^-1 (mod n); the inverses exist since gcd(n, m) = 1.
+    - Lowering s1/m into (0, 1] depends only on s1 mod m, and s2/n only on
+      s2 mod n, so every term lands on the same pair.
+
+    GammaExpr refuses a second group, so a slip here cannot go unnoticed.
     """
     if eq.form != "nice":
         raise ValueError("residues are defined against the nice form")
@@ -204,22 +214,17 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
 class ResidueDecision(enum.Enum):
     ZERO = "zero"
     NONZERO = "nonzero"
-    # Several groups whose interval enclosure excludes zero: the value is
-    # proven nonzero all the same (certify_residue raises otherwise).  The
-    # name records that no exact proof was available, only the enclosure,
-    # and it is kept because `bs-roots` prints it and its
-    # `independence_assumed` line reads it.
-    NONZERO_ASSUMING_INDEPENDENCE = "nonzero_assuming_independence"
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Why a GammaExpr is, or is not, known to be nonzero.
+    """The sign of a nonzero GammaExpr, and how it is known.
 
-    ``kind`` is "exact" for a single group, whose sign is the sign of its
-    rational coefficient: no endpoints and ``precision_bits == 0``.  It is
-    "interval" for an outward-rounded enclosure of the value computed at
-    ``precision_bits``; ``sign`` is 0 unless the enclosure excludes zero.
+    ``kind`` is "exact" for the decision's certificate: the sign of the
+    group's rational coefficient, no endpoints and ``precision_bits == 0``.
+    It is "interval" for an outward-rounded enclosure of the value computed
+    at ``precision_bits``, for display; ``sign`` is 0 unless the enclosure
+    excludes zero.
     """
 
     kind: str  # "exact" | "interval"
@@ -235,27 +240,27 @@ class Certificate:
 
 
 def interval_certificate(expr: GammaExpr, precision: int = 256) -> Certificate:
-    """Certify the sign of a nonzero-looking expression by interval
-    evaluation, doubling the working precision until zero is excluded and the
-    enclosure is tight (relative width under 1e-30), up to 1024 bits."""
+    """Enclose the value of an expression by interval evaluation, doubling
+    the working precision from ``precision`` (at least 8 bits) until zero is
+    excluded and the enclosure is tight (relative width under 1e-30), up to
+    1024 bits.  Decisions never need it (see ``certify_residue``); the
+    ``residue`` subcommand prints it to show the value."""
     if expr.is_zero:
         return Certificate("interval", 0, precision, "0", "0", "0")
-    import mpmath  # only interval certificates need it; it is slow to load
+    import mpmath  # only the displayed enclosure needs it; it is slow to load
 
     iv = mpmath.iv
     goal = mpmath.mpf("1e-30")
     bits = max(precision, 8)
     ceiling = max(MAX_PRECISION_BITS, bits)
+    ((args, coeff),) = expr.groups
     while True:
         saved = iv.prec
         iv.prec = bits
         try:
-            val = iv.mpf(0)
-            for args, coeff in expr.groups:
-                term = iv.mpf(int(coeff.numerator)) / iv.mpf(int(coeff.denominator))
-                for r in args:
-                    term = term * iv.gamma(iv.mpf(int(r.numerator)) / iv.mpf(int(r.denominator)))
-                val = val + term
+            val = iv.mpf(int(coeff.numerator)) / iv.mpf(int(coeff.denominator))
+            for r in args:
+                val = val * iv.gamma(iv.mpf(int(r.numerator)) / iv.mpf(int(r.denominator)))
         finally:
             iv.prec = saved
         # .a/.b are width-zero intervals; unwrap to plain floats so that
@@ -272,35 +277,23 @@ def interval_certificate(expr: GammaExpr, precision: int = 256) -> Certificate:
         bits = min(2 * bits, ceiling)
 
 
-def certify_residue(expr: GammaExpr, precision: int = 256
-                    ) -> tuple[ResidueDecision, Certificate | None]:
-    """Three-valued vanishing decision with the certificate behind it.
+def certify_residue(expr: GammaExpr) -> tuple[ResidueDecision, Certificate | None]:
+    """The vanishing decision with the certificate behind it.
 
-    - No canonical group left: zero, exactly, with no certificate.
-    - One group c*Gamma(r1)*Gamma(r2): nonzero, with an exact certificate
-      carrying the sign of c.  Gamma is positive on (0, 1], where every
-      argument of a GammaExpr lies, so no interval is computed and
-      ``precision`` is not used.
-    - Several groups: nonzero-assuming-independence, backed by
-      ``interval_certificate(expr, precision)``; an enclosure that cannot
-      exclude zero raises ``CertificateError`` instead of guessing.
+    No group left is zero, exactly, with no certificate.  Otherwise the
+    expression is one group c*Gamma(r1)*Gamma(r2) with both arguments in
+    (0, 1], where Gamma is positive: nonzero, with an exact certificate
+    carrying the sign of c.  No interval is computed.
     """
     if expr.is_zero:
         return ResidueDecision.ZERO, None
-    if len(expr.groups) == 1:
-        ((_, c),) = expr.groups
-        return ResidueDecision.NONZERO, Certificate("exact", 1 if c > 0 else -1, 0)
-    cert = interval_certificate(expr, precision)
-    if not cert.excludes_zero:
-        raise CertificateError(
-            f"interval [{cert.lower}, {cert.upper}] at {cert.precision_bits} "
-            "bits does not exclude zero")
-    return ResidueDecision.NONZERO_ASSUMING_INDEPENDENCE, cert
+    ((_, c),) = expr.groups
+    return ResidueDecision.NONZERO, Certificate("exact", 1 if c > 0 else -1, 0)
 
 
-def residue_is_zero(expr: GammaExpr, precision: int = 256) -> ResidueDecision:
+def residue_is_zero(expr: GammaExpr) -> ResidueDecision:
     """The decision of ``certify_residue`` without its certificate."""
-    return certify_residue(expr, precision)[0]
+    return certify_residue(expr)[0]
 
 
 @dataclass(frozen=True)
@@ -316,7 +309,7 @@ class RootDecision:
     certificate: Certificate | None = None
 
 
-def decide_root(eq: CurveEquation, j: int, precision: int = 256) -> RootDecision:
+def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     """-beta_j is a root iff some test exponent in M has nonzero residue;
     otherwise -alpha_j is.  Test exponents are scanned by increasing residue
     target k (then lexicographically), so the cheap decompositions -- and in
@@ -334,7 +327,7 @@ def decide_root(eq: CurveEquation, j: int, precision: int = 256) -> RootDecision
         expr = residue(eq, (a, b), cand.beta)
         if expr.is_zero:
             continue
-        decision, cert = certify_residue(expr, precision)
+        decision, cert = certify_residue(expr)
         return RootDecision("beta_root", cand, -cand.beta, (a, b), expr,
                             decision, cert)
     return RootDecision("alpha_root", cand, -cand.alpha_val)
@@ -377,8 +370,7 @@ def _check_semimodule(eq: CurveEquation, values: AbstractSemimodule) -> None:
         raise ValueError("semimodule belongs to a different semigroup")
 
 
-def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule,
-                            precision: int = 256) -> ZariskiReport:
+def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> ZariskiReport:
     """Verify on one curve that the smallest gap value with nonzero
     coefficient, the lambda_1 of its Delorme basis ``values``, and the residue
     chain at test exponent (1,1) all tell the same story, then confirm the
@@ -396,7 +388,7 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule,
     residue_j1 = None
     for ell in sorted(eq.sets.J):
         decision = residue_is_zero(
-            residue(eq, (1, 1), RootCandidate.for_gap(sg, ell).beta), precision)
+            residue(eq, (1, 1), RootCandidate.for_gap(sg, ell).beta))
         chain.append((ell, decision.value))
         if decision is not ResidueDecision.ZERO:
             residue_j1 = ell
@@ -411,7 +403,7 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule,
         for lam in elements_outside(AbstractSemimodule(sg, basis[:3]), 0):
             a, b = sg.decompose(lam - lambda1)
             decision = residue_is_zero(
-                residue(eq, (a + 1, b + 1), Rat(lam, n * m)), precision)
+                residue(eq, (a + 1, b + 1), Rat(lam, n * m)))
             dagger.append((lam, (a + 1, b + 1), decision.value))
             if decision is ResidueDecision.ZERO:
                 consistent = False
@@ -434,8 +426,7 @@ class FourReport:
     consistent: bool
 
 
-def four_condition_check(eq: CurveEquation, values: AbstractSemimodule,
-                         precision: int = 256) -> FourReport:
+def four_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> FourReport:
     """For n = 4: predict the second extension value lambda_2 = 8 alpha +
     3 epsilon + 4 q' from the coefficient pattern (simple vanishing tests
     below q, a quadratic combination at q), compare against the Delorme
@@ -486,8 +477,7 @@ def four_condition_check(eq: CurveEquation, values: AbstractSemimodule,
     chain_ok = True
     for gamma in range(top + 1):
         decision = residue_is_zero(
-            residue(eq, (alpha - q, 1), Rat(8 * alpha + 3 * epsilon + 4 * gamma, n * m)),
-            precision)
+            residue(eq, (alpha - q, 1), Rat(8 * alpha + 3 * epsilon + 4 * gamma, n * m)))
         chain.append((gamma, decision.value))
         expected_zero = q_prime_delorme is None or gamma < q_prime_delorme
         if (decision is ResidueDecision.ZERO) != expected_zero:
@@ -502,7 +492,7 @@ def four_condition_check(eq: CurveEquation, values: AbstractSemimodule,
             if values.contains(lam, 1):
                 raise AssertionError(f"{lam} unexpectedly lies in the sub-semimodule")
             decision = residue_is_zero(
-                residue(eq, (alpha - q + a, 1), Rat(lam, n * m)), precision)
+                residue(eq, (alpha - q + a, 1), Rat(lam, n * m)))
             dagger.append((lam, (alpha - q + a, 1), decision.value))
             if decision is ResidueDecision.ZERO:
                 dagger_ok = False

@@ -176,7 +176,7 @@ def test_criterion_06_small_multiplicity_roots():
                       and dec.root == Rat(-lam, nm)
                       and dec.certificate is not None
                       and dec.certificate.excludes_zero
-                      and dec.certificate.precision_bits <= 1024)
+                      and dec.certificate.kind == "exact")
                 if not ok:
                     failures.append((pair, eq.nice_coeffs, lam, dec.kind))
     if count < 200:

@@ -38,7 +38,10 @@ def spec45(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses an unknown option
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -278,18 +281,38 @@ def test_verify_checks_basis_forms_against_their_values(capsys, monkeypatch, spe
                                      ["residue", "--j", "10", "--ab", "1,2"]])
 @pytest.mark.parametrize("flag", ["--precision=-5", "--seed=-3"])
 def test_negative_setting_flags_exit_two(capsys, spec49, command, flag):
+    """A negative setting is a parse_error; --precision is an option of
+    `residue` alone, so elsewhere it is not recognised at all."""
     code, out, err = run(capsys, command[0], "--spec", spec49, *command[1:], flag)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: parse_error: ")
-    assert "must be non-negative" in err
+    if flag.startswith("--precision") and command[0] != "residue":
+        assert f"unrecognized arguments: {flag}" in err
+    else:
+        assert err.startswith("error: parse_error: ")
+        assert "must be non-negative" in err
 
 
 def test_conjecture_scan_negative_precision_exits_two(capsys):
+    """The scan decides every residue by its exact sign: no precision to set."""
     code, out, err = run(capsys, "conjecture-scan", "--max-m", "7", "--precision=-5")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: parse_error: precision must be non-negative")
+    assert "unrecognized arguments: --precision=-5" in err
+
+
+@pytest.mark.parametrize("command,max_m", [
+    ("conjecture-scan", "5"), ("conjecture-scan", "-1"),   # the scan starts at (5, 6)
+    ("enumerate", "4"), ("enumerate", "-3"),               # spec49 has n = 4
+])
+def test_max_m_that_selects_no_pair_exits_two(capsys, spec49, command, max_m):
+    """A bound below the first pair would report a vacuous scan or a zero
+    total; it is refused instead."""
+    spec = ["--spec", spec49] if command == "enumerate" else []
+    code, out, err = run(capsys, command, *spec, f"--max-m={max_m}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: parse_error: --max-m {max_m} selects no pair")
 
 
 @pytest.mark.parametrize("argv", [["--spec", "/nonexistent"], ["--horizon-mult", "1"],

@@ -3,8 +3,9 @@
 A series is represented by a list (or tuple) ``c`` of coefficients where
 ``c[k]`` is the coefficient of ``t**k``; index ``len(c) - 1`` is the last
 power the series knows about.  All helpers are truncation-aware: they never
-invent coefficients past the shorter operand.  The one division, ``div``, is
-exact: it raises on a nonzero remainder instead of leaving the integers.
+invent coefficients past the shorter operand.  The one division,
+``exact_div``, is on coefficients: it raises on a nonzero remainder instead
+of leaving the integers.
 """
 from __future__ import annotations
 
@@ -38,10 +39,11 @@ def ord_of(c) -> int | None:
     return None
 
 
-def add_shifted(acc: list, c, shift: int = 0, scale: int = 1) -> None:
-    """In-place: acc += scale * t**shift * c, ignoring powers outside acc."""
+def add_shifted(acc: list, c, shift: int, scale: int) -> None:
+    """In-place: acc += scale * t**shift * c for shift >= 0, ignoring powers
+    past acc."""
     upto = len(acc) - 1
-    for k in range(max(0, -shift), min(len(c), upto - shift + 1)):
+    for k in range(min(len(c), upto - shift + 1)):
         v = c[k]
         if v:
             acc[k + shift] += scale * v
@@ -61,36 +63,4 @@ def mul(u, v, upto: int) -> list:
                 break
             if b:
                 out[i + j] += a * b
-    return out
-
-
-def div(u, v, upto: int) -> list:
-    """u / v truncated to powers 0..upto; v must have a nonzero low coefficient
-    at or below ord(u), and every quotient coefficient must be an integer."""
-    dv = ord_of(v)
-    if dv is None:
-        raise ZeroDivisionError("series division by zero")
-    du = ord_of(u)
-    if du is None:
-        return zeros(upto)
-    if du < dv:
-        raise ValueError("quotient would have a pole")
-    lead = v[dv]
-    out = zeros(upto)
-    # Long division on the shifted series u / (v / t^dv) then shift back.
-    rem = list(u)
-    for k in range(du - dv, upto + 1):
-        idx = k + dv
-        cur = rem[idx] if idx < len(rem) else 0
-        if not cur:
-            continue
-        q = exact_div(cur, lead)
-        out[k] = q
-        top = len(rem) - 1
-        for j in range(dv, len(v)):
-            p = k + j
-            if p > top:
-                break
-            if v[j]:
-                rem[p] -= q * v[j]
     return out

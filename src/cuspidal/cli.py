@@ -9,6 +9,7 @@ check, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -58,8 +59,10 @@ def _load_spec(args) -> CurveSpec:
             text = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read {args.spec}: {exc}") from None
-    spec = parse_spec(text)
-    return spec.with_overrides(horizon_mult=args.horizon_mult, seed=args.seed)
+    # A subcommand declares only the options it reads; a declared one that
+    # is set replaces the spec's value.
+    return parse_spec(text).with_overrides(
+        **{key: getattr(args, key, None) for key in ("horizon_mult", "seed", "precision")})
 
 
 def _equation(spec: CurveSpec) -> CurveEquation:
@@ -277,37 +280,52 @@ def _coeff_str(coeffs: dict) -> str:
 # -- entry point ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ParseError, so that ``main`` reports it on
+    one line like any other bad input; the subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuspidal",
         description="Exact invariants of plane cusp singularities: semigroup "
                     "data, differential values, and certified Bernstein-Sato roots.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, spec: bool = True, horizon: bool = False,
+            seed: bool = False) -> argparse.ArgumentParser:
+        """A subcommand with --json and only the options its pipeline reads."""
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--spec", help="path to a curve spec file")
+        if spec:
+            p.add_argument("--spec", help="path to a curve spec file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of key=value lines")
-        p.add_argument("--horizon-mult", type=int, dest="horizon_mult",
-                       help="truncation horizon as a multiple of n*m (default 4)")
-        p.add_argument("--seed", type=int, help="random seed for verification draws")
+        if horizon:
+            p.add_argument("--horizon-mult", type=int, dest="horizon_mult",
+                           help="truncation horizon as a multiple of n*m (default 4)")
+        if seed:
+            p.add_argument("--seed", type=int, help="random seed for verification draws")
         return p
 
     add("semigroup", "semigroup facts: conductor and gaps")
     add("cuspidal-sets", "the exponent sets P, J, M")
-    add("delorme", "minimal standard basis of differential values")
-    add("bs-roots", "certified Bernstein-Sato roots and per-gap verdicts")
+    add("delorme", "minimal standard basis of differential values", horizon=True)
+    add("bs-roots", "certified Bernstein-Sato roots and per-gap verdicts", horizon=True)
     p = add("residue", "one residue as an exact Gamma expression")
     p.add_argument("--j", type=int, required=True, help="gap value in J")
     p.add_argument("--ab", required=True, help="test exponent a,b (non-negative)")
     p.add_argument("--precision", type=int,
                    help="starting precision in bits of the displayed interval (default 256)")
-    add("jacobian", "Jacobian ideal standard basis and Tjurina number")
+    add("jacobian", "Jacobian ideal standard basis and Tjurina number", horizon=True)
     p = add("enumerate", "all increasing semimodules of the pair")
     p.add_argument("--max-m", type=int, dest="max_m",
                    help="summarize counts for every coprime m up to this bound")
-    p = add("verify", "full consistency battery for one curve")
-    p = add("conjecture-scan", "random curves with n >= 5: check every semimodule value certifies a root")
+    add("verify", "full consistency battery for one curve", horizon=True, seed=True)
+    p = add("conjecture-scan", "random curves with n >= 5: check every semimodule value "
+            "certifies a root", spec=False, seed=True)
     p.add_argument("--max-m", type=int, dest="max_m", default=9,
                    help="largest m (and bound for n) in the scan")
     return parser
@@ -323,15 +341,6 @@ def _parse_ab(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _conjecture_scan(args) -> tuple[dict, bool]:
-    # The scan draws its own curves at the default horizon: a spec or a
-    # horizon it would ignore is refused rather than silently dropped.
-    for flag, value in (("--spec", args.spec), ("--horizon-mult", args.horizon_mult)):
-        if value is not None:
-            raise ParseError(f"{flag} is not accepted by conjecture-scan")
-    return cmd_conjecture_scan(args.seed if args.seed is not None else 0, args.max_m)
-
-
 def _report(cmd):
     """Handler for a spec subcommand whose report is never a failure."""
     return lambda args: (cmd(_load_spec(args)), True)
@@ -343,19 +352,18 @@ _HANDLERS = {
     "cuspidal-sets": _report(cmd_cuspidal_sets),
     "delorme": _report(cmd_delorme),
     "bs-roots": _report(cmd_bs_roots),
-    "residue": lambda args: (
-        cmd_residue(_load_spec(args).with_overrides(precision=args.precision),
-                    args.j, _parse_ab(args.ab)), True),
+    "residue": lambda args: (cmd_residue(_load_spec(args), args.j, _parse_ab(args.ab)), True),
     "jacobian": _report(cmd_jacobian),
     "enumerate": lambda args: (cmd_enumerate(_load_spec(args), args.max_m), True),
     "verify": lambda args: cmd_verify(_load_spec(args)),
-    "conjecture-scan": _conjecture_scan,
+    "conjecture-scan": lambda args: cmd_conjecture_scan(
+        args.seed if args.seed is not None else 0, args.max_m),
 }
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         data, ok = _HANDLERS[args.command](args)
     except SpecError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)

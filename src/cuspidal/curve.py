@@ -2,10 +2,11 @@
 equations in adapted or nice form, and exact rational parametrizations.
 
 A cusp is a plane branch whose semigroup is generated by a coprime pair
-(n, m) with 2 <= n < m.  Everything here is exact: the parametrization is a
-Newton iteration on integers, held as one scaled integer power table, at the
-window that the horizon of f fixes; it is the independent oracle for the
-differential-value machinery.
+(n, m) with 2 <= n < m.  Everything here is exact: the parametrization solves
+the coefficient recursion n * v_k = -P_k on integers, one coefficient per
+step, at the window that the horizon of f fixes, and is held as one scaled
+integer power table; it is the independent oracle for the differential-value
+machinery.
 """
 from __future__ import annotations
 
@@ -96,10 +97,6 @@ class Semigroup:
         if rest < 0 or rest % self.n:
             return None
         return (rest // self.n, b)
-
-    def elements_up_to(self, bound: int) -> tuple:
-        """Sorted members k with 0 <= k <= bound."""
-        return tuple(k for k in range(bound + 1) if k in self)
 
 
 @dataclass(frozen=True)
@@ -413,16 +410,17 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     most 2(k-m) - 2 factors n, and the division by n adds one.  Hence
     v_k = n^(2(k-m)) * v'_k is an integer.
 
-    The coefficients of v are the unique solution of the successive linear
-    equations obtained by matching powers of s; they are found here by a
-    Newton iteration with progressive truncation, which produces the same
-    series.  Each step evaluates H, and H_v when H does not vanish yet, on
-    the integer power table of the current truncation.  Newton's only
-    divisor is n, the leading coefficient of H_v(s, v(s)) at s^(nm-m), and
-    every quotient it forms is a coefficient of v or 0, so each division is
-    exact (``_series.div`` raises on a remainder).  Postcondition (checked): the
-    residual H(s, v(s)) vanishes identically through power
-    t_horizon + n*m - m.  The table v^0, v^1, ... built for that check,
+    The coefficients come from that recursion, k = m+1..t_horizon, on a
+    table of v^0..v^top (top the largest y-degree in f) through s^work,
+    work = t_horizon + nm - m.  Since v starts with s^m, v_k first enters
+    v^b at s^(k+m(b-1)), as b * v_k.  So step k fills that entry of each
+    v^b from v_m..v_(k-1), as one coefficient of v^(b-1) * v; reads P_k,
+    the s^(k+nm-m) coefficient of H on the table, where every term but v^n
+    reads only finished entries; sets v_k = -P_k / n, an exact division
+    (``_series.exact_div`` raises on a remainder); and adds b * v_k to the
+    entries it filled.  Postcondition (checked): the residual H(s, v(s))
+    vanishes through s^work on a table rebuilt from v alone by
+    ``_series.mul``, not the recursion's own.  That table v^0, v^1, ...,
     trimmed to t_horizon, is the returned parametrization's.
     """
     sg = eq.sg
@@ -431,30 +429,30 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     t_horizon = eq.f.horizon - nm + n + m
     xi, c0 = _leading_solution(n, m, eq.mu)
     scale, h_terms = _scaled_equation(eq, xi, c0)
-    hv_terms = [(shift, b - 1, b * h) for shift, b, h in h_terms if b]
     top = max(b for _, b, _ in h_terms)
     work = t_horizon + nm - m
 
-    v = _series.zeros(m)
-    v[m] = 1
-    prec = m
-    while prec < t_horizon:
-        nxt = min(t_horizon, 2 * prec - m + 1)
-        upto = nxt + nm - m
-        cur = _series.trimmed(v, upto)
-        pows = _powers(cur, top, upto)
-        val = _evaluate(h_terms, pows, upto)
-        if _series.ord_of(val) is None:
-            v = cur
-            prec = nxt
-            continue
-        dval = _evaluate(hv_terms, pows, upto)
-        if _series.ord_of(dval) != nm - m:
-            raise NoSolution("derivative lost its expected order; not a cusp shape")
-        delta = _series.div([-c for c in val], dval, nxt)
-        _series.add_shifted(cur, delta)
-        v = _series.trimmed(cur, nxt)
-        prec = nxt
+    # Every term has weight m*b <= f.horizon < work, so each v^b starts in
+    # the table with its leading 1 at s^(mb).
+    table = [_series.zeros(work) for _ in range(top + 1)]
+    for b, power in enumerate(table):
+        power[m * b] = 1
+    v = table[1]
+    for k in range(m + 1, t_horizon + 1):
+        for b in range(2, top + 1):
+            e = k + m * (b - 1)
+            if e > work:
+                break
+            lower = table[b - 1]
+            table[b][e] = sum(v[j] * lower[e - j] for j in range(m, k) if v[j])
+        p_k = sum(h * table[b][k + nm - m - shift] for shift, b, h in h_terms
+                  if shift <= k + nm - m)
+        v_k = _series.exact_div(-p_k, n)
+        for b in range(1, top + 1):
+            e = k + m * (b - 1)
+            if e > work:
+                break
+            table[b][e] += b * v_k
 
     pows = _powers(_series.trimmed(v, work), top, work)
     if _series.ord_of(_evaluate(h_terms, pows, work)) is not None:

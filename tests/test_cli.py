@@ -40,7 +40,7 @@ def spec45(tmp_path):
 def run(capsys, *argv):
     try:
         code = main(list(argv))
-    except SystemExit as exc:  # argparse refuses an unknown option
+    except SystemExit as exc:  # argparse exits after printing --help
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -277,17 +277,34 @@ def test_verify_checks_basis_forms_against_their_values(capsys, monkeypatch, spe
     assert "verify = FAIL" in out
 
 
+# The options each subcommand declares besides --json, and a value for each.
+DECLARED = {
+    "semigroup": {"--spec"},
+    "cuspidal-sets": {"--spec"},
+    "delorme": {"--spec", "--horizon-mult"},
+    "bs-roots": {"--spec", "--horizon-mult"},
+    "residue": {"--spec", "--j", "--ab", "--precision"},
+    "jacobian": {"--spec", "--horizon-mult"},
+    "enumerate": {"--spec", "--max-m"},
+    "verify": {"--spec", "--horizon-mult", "--seed"},
+    "conjecture-scan": {"--seed", "--max-m"},
+}
+SETTINGS = {"--spec": "c.spec", "--horizon-mult": "3", "--seed": "5", "--precision": "64",
+            "--max-m": "9", "--j": "1", "--ab": "1,1"}
+
+
 @pytest.mark.parametrize("command", [["bs-roots"], ["verify"],
                                      ["residue", "--j", "10", "--ab", "1,2"]])
 @pytest.mark.parametrize("flag", ["--precision=-5", "--seed=-3"])
 def test_negative_setting_flags_exit_two(capsys, spec49, command, flag):
     """A negative setting is a parse_error; --precision is an option of
-    `residue` alone, so elsewhere it is not recognised at all."""
+    `residue` alone and --seed of `verify`, so elsewhere it is not
+    recognised at all."""
     code, out, err = run(capsys, command[0], "--spec", spec49, *command[1:], flag)
     assert code == 2
     assert out == ""
-    if flag.startswith("--precision") and command[0] != "residue":
-        assert f"unrecognized arguments: {flag}" in err
+    if flag.split("=")[0] not in DECLARED[command[0]]:
+        assert err == f"error: parse_error: unrecognized arguments: {flag}\n"
     else:
         assert err.startswith("error: parse_error: ")
         assert "must be non-negative" in err
@@ -322,7 +339,53 @@ def test_conjecture_scan_rejects_spec_flags(capsys, argv):
     code, out, err = run(capsys, "conjecture-scan", "--max-m", "6", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: parse_error: {argv[0]} is not accepted by conjecture-scan")
+    assert err == f"error: parse_error: unrecognized arguments: {' '.join(argv)}\n"
+
+
+@pytest.mark.parametrize("command", DECLARED)
+def test_declared_flags_are_parsed(command):
+    argv = [command, "--json"]
+    for flag in sorted(DECLARED[command]):
+        argv += [flag, SETTINGS[flag]]
+    args = cli._build_parser().parse_args(argv)
+    assert args.json
+    for flag in DECLARED[command]:
+        assert str(getattr(args, flag[2:].replace("-", "_"))) == SETTINGS[flag]
+
+
+# "--j" is left out: where it is not declared, argparse reads it as an
+# abbreviation of --json.
+@pytest.mark.parametrize("command,flag", [(command, flag) for command in DECLARED
+                                          for flag in SETTINGS
+                                          if flag not in DECLARED[command] | {"--j"}])
+def test_undeclared_flag_is_refused(capsys, spec49, command, flag):
+    """A flag the subcommand would ignore is refused on one line."""
+    argv = {"conjecture-scan": ["--max-m", "6"],
+            "residue": ["--spec", spec49, "--j", "1", "--ab", "1,1"]}.get(
+                command, ["--spec", spec49])
+    code, out, err = run(capsys, command, *argv, flag, SETTINGS[flag])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: parse_error: unrecognized arguments: {flag} {SETTINGS[flag]}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["residue", "--spec", "c.spec", "--ab", "1,1"], "the following arguments are required: --j"),
+    (["enumerate", "--spec", "c.spec", "--max-m", "x"], "argument --max-m: invalid int value: 'x'"),
+    (["conjecture-scan", "--max-m", "x"], "argument --max-m: invalid int value: 'x'"),
+])
+def test_argparse_errors_are_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: parse_error: {message}\n"
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "verify", "--help")
+    assert code == 0
+    assert out.startswith("usage: cuspidal verify")
+    assert err == ""
 
 
 @pytest.mark.parametrize("command", ["jacobian", "verify"])

@@ -12,7 +12,7 @@ from cuspidal.curve import NotAdapted, newton_puiseux
 from cuspidal.differentials import OneForm, oracle_differential_value
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
-from conftest import CORPUS, coprime_pairs
+from conftest import CORPUS, coprime_pairs, count_calls
 
 
 @pytest.mark.parametrize("n,m", [(4, 8), (6, 9), (1, 5), (5, 5), (7, 3)])
@@ -51,11 +51,6 @@ def test_membership_decompose_roundtrip(pair, k):
         assert 0 <= b < sg.n
     else:
         assert d is None
-
-
-def test_elements_up_to():
-    sg = Semigroup(4, 5)
-    assert sg.elements_up_to(12) == (0, 4, 5, 8, 9, 10, 12)
 
 
 @pytest.mark.parametrize("n,m", coprime_pairs(range(2, 8), 15))
@@ -119,9 +114,14 @@ def test_adapted_reads_off_mu():
     assert eq.form == "adapted"
 
 
+def _adapted(n, m, terms: dict) -> CurveEquation:
+    """y^n plus the given terms, x^m among them, at horizon 4nm."""
+    f = TruncatedPoly(WeightedOrder(n, m), 4 * n * m, {(0, n): 1, **terms})
+    return CurveEquation.adapted(Semigroup(n, m), f)
+
+
 def _adapted_45_mu2() -> CurveEquation:
-    f = TruncatedPoly(WeightedOrder(4, 5), 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
-    return CurveEquation.adapted(Semigroup(4, 5), f)
+    return _adapted(4, 5, {(5, 0): 2, (3, 2): 1})
 
 
 def _all_ones(n, m) -> CurveEquation:
@@ -129,8 +129,15 @@ def _all_ones(n, m) -> CurveEquation:
     return CurveEquation.nice(sg, {j: Rat(1) for j in cuspidal_sets(sg).J})
 
 
-BRANCH_CASES = [_all_ones(n, m) for n, m in CORPUS] + [_adapted_45_mu2()]
-BRANCH_IDS = [f"{n}-{m}" for n, m in CORPUS] + ["adapted-4-5-mu2"]
+# The adapted curves carry a power y^b with b > n and a pure power x^a with
+# a > m, so the branch's power table runs past v^n and H has terms free of v.
+BRANCH_CASES = [_all_ones(n, m) for n, m in CORPUS] + [
+    _adapted_45_mu2(),
+    _adapted(3, 5, {(5, 0): Rat(3), (0, 4): Rat(-2, 3), (6, 0): Rat(5, 2), (2, 2): Rat(1)}),
+    _adapted(4, 5, {(5, 0): Rat(-1, 2), (0, 5): Rat(4), (6, 0): Rat(-3), (3, 2): Rat(1, 3)}),
+]
+BRANCH_IDS = [f"{n}-{m}" for n, m in CORPUS] + [
+    "adapted-4-5-mu2", "adapted-3-5-y4-x6", "adapted-4-5-y5-x6"]
 
 
 def _fraction(c) -> Fraction:
@@ -192,12 +199,20 @@ def test_branch_is_exact_and_integral(eq):
         assert vk == v[k]
 
 
+@pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)
+def test_branch_builds_one_power_table(monkeypatch, eq):
+    """The recursion fills its own table; the postcondition's table v^0..v^top
+    (top the largest y-degree in f) is the only one built by series products."""
+    calls = count_calls(monkeypatch, _series.mul)
+    newton_puiseux(eq)
+    top = max(b for _, b in eq.f.terms)
+    assert len(calls) <= top - 1
+
+
 def test_exact_division_raises_on_a_remainder():
     assert _series.exact_div(-12, 4) == -3
     with pytest.raises(ArithmeticError, match="inexact"):
         _series.exact_div(7, 2)
-    with pytest.raises(ArithmeticError, match="inexact"):
-        _series.div([0, 3, 1], [2, 1], 2)
 
 
 def test_parametrization_pin_49():

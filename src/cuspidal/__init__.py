@@ -23,8 +23,7 @@ from .curve import (CurveEquation, CuspidalSets, NoSolution, NotAdapted,
 from .differentials import (DifferentialBasis, OneForm, ValueMismatch,
                             apply_vector_field, delorme,
                             differential_value, monomial_value,
-                            oracle_differential_value, random_form,
-                            tuning_constant)
+                            oracle_differential_value, random_form)
 from .jacobian import (jacobian_basis_direct, jacobian_basis_via_differentials,
                        tjurina_number)
 from .poly import Exponent, Term, TruncatedPoly, WeightedOrder, divides
@@ -59,6 +58,6 @@ __all__ = [
     "monomial_value", "newton_puiseux", "oracle_differential_value",
     "parse_spec", "random_form", "rat",
     "reduce_step", "residue", "residue_is_zero", "s_process_min",
-    "tjurina_number", "tuning_constant", "validate_basis",
+    "tjurina_number", "validate_basis",
     "zariski_condition_check",
 ]

@@ -290,40 +290,43 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # No prefix matching: an abbreviation such as --j for --json would read
+    # a flag the subcommand does not declare as one it does.
     parser = _Parser(
-        prog="cuspidal",
+        prog="cuspidal", allow_abbrev=False,
         description="Exact invariants of plane cusp singularities: semigroup "
                     "data, differential values, and certified Bernstein-Sato roots.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, spec: bool = True, horizon: bool = False,
+    def add(name: str, help_text: str, spec: bool = True,
             seed: bool = False) -> argparse.ArgumentParser:
         """A subcommand with --json and only the options its pipeline reads."""
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if spec:
             p.add_argument("--spec", help="path to a curve spec file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of key=value lines")
-        if horizon:
-            p.add_argument("--horizon-mult", type=int, dest="horizon_mult",
-                           help="truncation horizon as a multiple of n*m (default 4)")
         if seed:
             p.add_argument("--seed", type=int, help="random seed for verification draws")
         return p
 
     add("semigroup", "semigroup facts: conductor and gaps")
     add("cuspidal-sets", "the exponent sets P, J, M")
-    add("delorme", "minimal standard basis of differential values", horizon=True)
-    add("bs-roots", "certified Bernstein-Sato roots and per-gap verdicts", horizon=True)
+    add("delorme", "minimal standard basis of differential values")
+    add("bs-roots", "certified Bernstein-Sato roots and per-gap verdicts")
     p = add("residue", "one residue as an exact Gamma expression")
     p.add_argument("--j", type=int, required=True, help="gap value in J")
     p.add_argument("--ab", required=True, help="test exponent a,b (non-negative)")
     p.add_argument("--precision", type=int,
                    help="starting precision in bits of the displayed interval (default 256)")
-    add("jacobian", "Jacobian ideal standard basis and Tjurina number", horizon=True)
+    add("jacobian", "Jacobian ideal standard basis and Tjurina number")
     p = add("enumerate", "all increasing semimodules of the pair")
     p.add_argument("--max-m", type=int, dest="max_m",
                    help="summarize counts for every coprime m up to this bound")
-    add("verify", "full consistency battery for one curve", horizon=True, seed=True)
+    # Only verify reads f's horizon: delorme and the Jacobian basis run at
+    # horizons of their own, the residues need none.
+    p = add("verify", "full consistency battery for one curve", seed=True)
+    p.add_argument("--horizon-mult", type=int, dest="horizon_mult",
+                   help="truncation horizon of f as a multiple of n*m (default 4)")
     p = add("conjecture-scan", "random curves with n >= 5: check every semimodule value "
             "certifies a root", spec=False, seed=True)
     p.add_argument("--max-m", type=int, dest="max_m", default=9,

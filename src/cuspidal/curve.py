@@ -52,6 +52,12 @@ class Semigroup:
         return 2 * self.n * self.m - 2 * self.n - 2 * self.m
 
     @property
+    def delorme_horizon(self) -> int:
+        """H_Delta = max(D, nm): the proven horizon of Delorme's algorithm
+        (``delorme``)."""
+        return max(self.hessian_degree, self.n * self.m)
+
+    @property
     def jacobian_horizon(self) -> int:
         """H_J = D + n = 2nm - n - 2m: the proven horizon of the direct
         Jacobian standard basis (``jacobian_basis_direct``)."""

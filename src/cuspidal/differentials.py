@@ -37,10 +37,10 @@ class OneForm:
         return cls(h.partial_x(), h.partial_y())
 
     @classmethod
-    def basic(cls, eq: CurveEquation, which: str) -> "OneForm":
-        """dx or dy over the equation's ground ring, at the truncation horizon
-        of its f, so products against f are not clamped."""
-        order, horizon = eq.sg.order, eq.f.horizon
+    def basic(cls, f: TruncatedPoly, which: str) -> "OneForm":
+        """dx or dy over the ground ring of f, at its truncation horizon, so
+        products against f are not clamped."""
+        order, horizon = f.order, f.horizon
         one = TruncatedPoly.monomial(order, 1, (0, 0), horizon)
         zero = TruncatedPoly.zero(order, horizon)
         if which == "dx":
@@ -156,14 +156,6 @@ def _tuning(r1: FinalReduction, r2: FinalReduction) -> Rat:
     return -lt1.coeff / lt2.coeff
 
 
-def tuning_constant(eta1: OneForm, eta2: OneForm, eq: CurveEquation) -> Rat:
-    """The scalar mu+ = -mu1/mu2 from the leading terms of final reductions
-    of X_eta1(f), X_eta2(f); guarantees nu(eta1 + mu+ eta2) > nu(eta1)."""
-    r1 = final_reduction(apply_vector_field(eta1, eq), [eq.f])
-    r2 = final_reduction(apply_vector_field(eta2, eq), [eq.f])
-    return _tuning(r1, r2)
-
-
 @dataclass(frozen=True)
 class DifferentialBasis:
     """Minimal standard basis: 1-forms omega_i, the semimodule of their
@@ -201,18 +193,52 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     gap covered by no basis form) or with the value escaping to infinity,
     which terminates the algorithm.  A chain whose value reaches the conductor
     is declared infinite: past that point every value is covered, so no final
-    reduction can stop there.
+    reduction can stop there.  So is a round whose axis is at or past the
+    conductor, before any step.
+
+    f, f_x and f_y are cut once, at H_Delta = max(D, nm)
+    (``Semigroup.delorme_horizon``, D = 2nm - 2n - 2m the Hessian degree),
+    whatever the horizon of f; the values, the leading powers, the forms'
+    values and the h_i modulo the monomials of degree > H_Delta are those of
+    every horizon >= H_Delta, f's own (>= 2nm) included:
+
+    - ``TruncatedPoly`` arithmetic at horizon H is exact in R/m_{>H}, where
+      m_{>H} is spanned by the monomials of weighted degree > H, and a
+      reduction step modulo f cancels the leading term and adds only terms
+      above the current leading degree.  So the run at H takes the steps of
+      the run at any larger horizon for as long as every leading term it
+      reads has degree <= H, with the same tuning constants.
+    - The values it reads are below the conductor c = nm - n - m + 1, since
+      a value >= c ends the round, and so does an axis >= c.  A value
+      nu < c leads at (a, b) with n(a+1) + m(b+1) - nm = nu, so at weighted
+      degree nu - n - m + nm <= 2nm - 2n - 2m = D <= H_Delta.  A reduction
+      that vanishes at H_Delta therefore has value >= c at every horizon:
+      infinite either way.  Without the axis guard, a round whose axis is
+      >= c could see its lifted reduction vanish at H_Delta and fail to tune.
+    - The seeds need x^m and y^n intact: X_dx(f) = -f_y and X_dy(f) = f_x
+      lead at n*y^(n-1) and m*mu*x^(m-1), and f leads at y^n, of degree nm.
+      Hence H_Delta >= nm; it exceeds D only on (2, m), (3, 4) and (3, 5).
+    - A form loses at H_Delta only monomials c*x^a*y^b*dx or dy of degree
+      > H_Delta, whose values are at least their monomial values, above
+      H_Delta + n > c.  A basis value is below c, so every form keeps its
+      value and its monomial value, and the oracle reads the same order
+      from its pullback.
     """
     sg = eq.sg
-    f = eq.f
+    h = sg.delorme_horizon
+    f, fx, fy = (p.truncated(h) for p in (eq.f, eq.fx, eq.fy))
 
-    forms = [OneForm.basic(eq, "dx"), OneForm.basic(eq, "dy")]
-    # The seeds lead at (0, n-1) and (m-1, 0); DifferentialBasis checks it.
-    reductions = [final_reduction(apply_vector_field(w, eq), [f]).poly for w in forms]
+    forms = [OneForm.basic(f, "dx"), OneForm.basic(f, "dy")]
+    # The seeds X_dx(f) = -f_y and X_dy(f) = f_x lead at (0, n-1) and
+    # (m-1, 0), which the leading power (0, n) of f divides neither, so they
+    # are their own final reductions; DifferentialBasis checks the powers.
+    reductions = [-fy, fx]
     lambdas = [sg.n, sg.m]
 
     for i in range(1, sg.n - 1):
         u = _axis(sg, tuple(lambdas), i)
+        if u >= sg.conductor:
+            break
         s = sg.decompose(u - lambdas[i])
         eta = forms[i].mul_monomial(1, s)
         r = final_reduction(reductions[i].mul_monomial(1, s), [f])

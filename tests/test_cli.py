@@ -281,10 +281,10 @@ def test_verify_checks_basis_forms_against_their_values(capsys, monkeypatch, spe
 DECLARED = {
     "semigroup": {"--spec"},
     "cuspidal-sets": {"--spec"},
-    "delorme": {"--spec", "--horizon-mult"},
-    "bs-roots": {"--spec", "--horizon-mult"},
+    "delorme": {"--spec"},
+    "bs-roots": {"--spec"},
     "residue": {"--spec", "--j", "--ab", "--precision"},
-    "jacobian": {"--spec", "--horizon-mult"},
+    "jacobian": {"--spec"},
     "enumerate": {"--spec", "--max-m"},
     "verify": {"--spec", "--horizon-mult", "--seed"},
     "conjecture-scan": {"--seed", "--max-m"},
@@ -353,11 +353,9 @@ def test_declared_flags_are_parsed(command):
         assert str(getattr(args, flag[2:].replace("-", "_"))) == SETTINGS[flag]
 
 
-# "--j" is left out: where it is not declared, argparse reads it as an
-# abbreviation of --json.
 @pytest.mark.parametrize("command,flag", [(command, flag) for command in DECLARED
                                           for flag in SETTINGS
-                                          if flag not in DECLARED[command] | {"--j"}])
+                                          if flag not in DECLARED[command]])
 def test_undeclared_flag_is_refused(capsys, spec49, command, flag):
     """A flag the subcommand would ignore is refused on one line."""
     argv = {"conjecture-scan": ["--max-m", "6"],
@@ -367,6 +365,45 @@ def test_undeclared_flag_is_refused(capsys, spec49, command, flag):
     assert code == 2
     assert out == ""
     assert err == f"error: parse_error: unrecognized arguments: {flag} {SETTINGS[flag]}\n"
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("delorme", ["--j"]),                    # not --json
+    ("bs-roots", ["--hor", "2"]),            # declared nowhere but verify
+    ("verify", ["--hor", "2"]),              # not --horizon-mult
+    ("verify", ["--se", "3"]),               # not --seed
+    ("residue", ["--prec", "64"]),           # not --precision
+    ("conjecture-scan", ["--max", "6"]),     # not --max-m
+])
+def test_abbreviated_flag_is_refused(capsys, spec49, command, bad):
+    """No prefix of a flag stands for the flag: each is refused by name."""
+    argv = {"conjecture-scan": [],
+            "residue": ["--spec", spec49, "--j", "10", "--ab", "1,2"]}.get(
+                command, ["--spec", spec49])
+    code, out, err = run(capsys, command, *argv, *bad)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: parse_error: unrecognized arguments: {' '.join(bad)}\n"
+
+
+@pytest.mark.parametrize("command", ["delorme", "bs-roots", "jacobian"])
+def test_output_does_not_depend_on_the_horizon_key(capsys, tmp_path, command):
+    """delorme and the Jacobian basis run at horizons of their own, so a
+    spec's horizon_mult changes nothing but verify; it is still checked."""
+    outs = set()
+    for mult in (2, 3, 4, 6):
+        p = tmp_path / f"h{mult}.spec"
+        p.write_text(f"{SPEC49}horizon_mult = {mult}\n")
+        code, out, _ = run(capsys, command, "--spec", str(p))
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    p = tmp_path / "h1.spec"
+    p.write_text(f"{SPEC49}horizon_mult = 1\n")
+    code, out, err = run(capsys, command, "--spec", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse_error:")
+    assert "horizon_mult must be at least 2" in err
 
 
 @pytest.mark.parametrize("argv,message", [

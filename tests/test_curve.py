@@ -179,8 +179,8 @@ def test_parametrization_solves_the_curve(n, m):
     eq = _all_ones(n, m)
     param = newton_puiseux(eq)
     assert all(c == 0 for c in _fraction_residual(eq, param))
-    assert oracle_differential_value(OneForm.basic(eq, "dx"), param) == n
-    assert oracle_differential_value(OneForm.basic(eq, "dy"), param) == m
+    assert oracle_differential_value(OneForm.basic(eq.f, "dx"), param) == n
+    assert oracle_differential_value(OneForm.basic(eq.f, "dy"), param) == m
     assert oracle_differential_value(OneForm.d(eq.f), param) is None
 
 

@@ -6,22 +6,23 @@ from dataclasses import replace
 
 import pytest
 
-from cuspidal import CurveEquation, Semigroup
+from cuspidal import CurveEquation, Semigroup, cuspidal_sets, parse_spec
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
     OneForm,
     ValueMismatch,
+    _tuning,
     apply_vector_field,
     delorme,
     differential_value,
     monomial_value,
     oracle_differential_value,
-    tuning_constant,
 )
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
-from cuspidal.semimodules import AbstractSemimodule
-from conftest import CORPUS, curve_draws, random_form
+from cuspidal.semimodules import AbstractSemimodule, _axis
+from cuspidal.standard_basis import final_reduction
+from conftest import CORPUS, coprime_pairs, curve_draws, random_form
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
@@ -29,8 +30,8 @@ EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
 
 def test_basic_forms_have_axis_values():
     for eq in (EQ45, EQ49):
-        assert differential_value(OneForm.basic(eq, "dx"), eq) == eq.sg.n
-        assert differential_value(OneForm.basic(eq, "dy"), eq) == eq.sg.m
+        assert differential_value(OneForm.basic(eq.f, "dx"), eq) == eq.sg.n
+        assert differential_value(OneForm.basic(eq.f, "dy"), eq) == eq.sg.m
 
 
 def test_vector_field_of_the_equation_vanishes():
@@ -42,8 +43,8 @@ def test_vector_field_of_the_equation_vanishes():
 
 def test_monomial_value():
     eq = EQ45
-    x_dy = OneForm.basic(eq, "dy").mul_monomial(Rat(1), (1, 0))
-    y_dx = OneForm.basic(eq, "dx").mul_monomial(Rat(1), (0, 1))
+    x_dy = OneForm.basic(eq.f, "dy").mul_monomial(Rat(1), (1, 0))
+    y_dx = OneForm.basic(eq.f, "dx").mul_monomial(Rat(1), (0, 1))
     assert monomial_value(x_dy) == 9
     assert monomial_value(y_dx) == 9
     assert monomial_value(x_dy + y_dx.scale(Rat(-5, 4))) == 9
@@ -54,28 +55,35 @@ def test_monomial_forms_realize_their_value():
     eq = EQ49
     n, m = eq.sg.n, eq.sg.m
     for a, b, which in [(0, 0, "dx"), (0, 0, "dy"), (2, 0, "dx"), (1, 1, "dy")]:
-        w = OneForm.basic(eq, which).mul_monomial(Rat(1), (a, b))
+        w = OneForm.basic(eq.f, which).mul_monomial(Rat(1), (a, b))
         assert differential_value(w, eq) == monomial_value(w)
         base = n if which == "dx" else m
         assert monomial_value(w) == base + n * a + m * b
 
 
+def _reduced(w: OneForm, eq: CurveEquation):
+    return final_reduction(apply_vector_field(w, eq), [eq.f])
+
+
 def test_tuning_constant_45():
+    """mu+ = -mu1/mu2 from the leading terms of the final reductions of
+    X_eta1(f) and X_eta2(f) raises the value of eta1 + mu+ eta2."""
     eq = EQ45
-    x_dy = OneForm.basic(eq, "dy").mul_monomial(Rat(1), (1, 0))
-    y_dx = OneForm.basic(eq, "dx").mul_monomial(Rat(1), (0, 1))
-    mu = tuning_constant(x_dy, y_dx, eq)
+    x_dy = OneForm.basic(eq.f, "dy").mul_monomial(Rat(1), (1, 0))
+    y_dx = OneForm.basic(eq.f, "dx").mul_monomial(Rat(1), (0, 1))
+    mu = _tuning(_reduced(x_dy, eq), _reduced(y_dx, eq))
     assert mu == Rat(-5, 4)
     jumped = x_dy + y_dx.scale(mu)
     assert differential_value(jumped, eq) == 11
 
 
 def test_tuning_constant_needs_equal_values():
+    dx, dy = OneForm.basic(EQ45.f, "dx"), OneForm.basic(EQ45.f, "dy")
     with pytest.raises(ValueMismatch):
-        tuning_constant(OneForm.basic(EQ45, "dx"), OneForm.basic(EQ45, "dy"), EQ45)
+        _tuning(_reduced(dx, EQ45), _reduced(dy, EQ45))
     # df has infinite value: X_df(f) = 0, so its reduction vanishes
     with pytest.raises(ValueMismatch, match="finite values"):
-        tuning_constant(OneForm.basic(EQ45, "dx"), OneForm.d(EQ45.f), EQ45)
+        _tuning(_reduced(dx, EQ45), _reduced(OneForm.d(EQ45.f), EQ45))
 
 
 @pytest.mark.parametrize("eq,lambdas,lps", [
@@ -192,4 +200,75 @@ def test_oracle_window_edge(t_horizon, value):
 def test_oracle_rejects_a_branch_of_another_cusp(pair):
     param = newton_puiseux(CurveEquation.nice(Semigroup(*pair)))
     with pytest.raises(ValueError, match="different cusp"):
-        oracle_differential_value(OneForm.basic(EQ49, "dx"), param)
+        oracle_differential_value(OneForm.basic(EQ49.f, "dx"), param)
+
+
+def _horizon_draws():
+    """Seeded curves for every coprime pair with n <= 9, m <= 15: the bare
+    curve, one nonzero z_j, two nice draws at each support density 0.15, 0.4
+    and 1, and an adapted curve with mu != 1 and random terms above nm."""
+    rng = random.Random(2026)
+    for n, m in coprime_pairs(range(2, 10), 15):
+        sg = Semigroup(n, m)
+        J = cuspidal_sets(sg).J
+        yield CurveEquation.nice(sg)
+        if J:
+            yield CurveEquation.nice(sg, {J[0]: Rat(1)})
+        for density in (0.15, 0.15, 0.4, 0.4, 1.0, 1.0):
+            yield CurveEquation.nice(sg, {
+                j: Rat(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
+                for j in J if rng.random() < density})
+        terms = {(m, 0): Rat(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)), (0, n): 1}
+        while len(terms) < 5:
+            a, b = rng.randint(0, 2 * m), rng.randint(0, n + 2)
+            if n * a + m * b > n * m and (a, b) != (m, 0):
+                terms[(a, b)] = Rat(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 3))
+        yield CurveEquation.adapted(sg, TruncatedPoly(sg.order, sg.order.default_horizon, terms))
+
+
+def _guard_fires(eq, diff) -> bool:
+    """Whether the last round ended at an axis at or past the conductor."""
+    i = len(diff.values.basis) - 1
+    return i < eq.sg.n - 1 and _axis(eq.sg, diff.values.basis, i) >= eq.sg.conductor
+
+
+def test_delorme_at_its_horizon_equals_the_full_horizon(monkeypatch):
+    """At H_Delta = max(D, nm) Delorme gives the values, leading powers,
+    monomial values, and forms and h_i cut at H_Delta, of a run at f's own
+    horizon 4nm: the proof in the ``delorme`` docstring, checked."""
+    pairs, fired = set(), set()
+    for eq in _horizon_draws():
+        sg = eq.sg
+        ours = delorme(eq)
+        with monkeypatch.context() as patch:
+            patch.setattr(Semigroup, "delorme_horizon", property(lambda s: 4 * s.n * s.m))
+            full = delorme(eq)
+        h = sg.delorme_horizon
+        assert h == max(2 * sg.n * sg.m - 2 * sg.n - 2 * sg.m, sg.n * sg.m)
+        assert {p.horizon for p in ours.reductions} == {h}
+        assert {p.horizon for p in full.reductions} == {4 * sg.n * sg.m}
+        assert ours.values == full.values
+        assert ours.leading_powers == full.leading_powers
+        assert ours.forms == tuple(OneForm(w.dx.truncated(h), w.dy.truncated(h))
+                                   for w in full.forms)
+        assert ours.reductions == tuple(p.truncated(h) for p in full.reductions)
+        assert [monomial_value(w) for w in ours.forms] == [monomial_value(w) for w in full.forms]
+        pairs.add((sg.n, sg.m))
+        if _guard_fires(eq, ours):
+            fired.add((sg.n, sg.m, eq.form, eq.coeffs))
+    assert len(pairs) == 47
+    # The guard ends a round on the bare (3,4), on (4,5) with z_2 alone, on
+    # adapted curves and on curves with n >= 5, where H_Delta = D.
+    assert {(3, 4, "nice", ()), (4, 5, "nice", ((2, 1),))} <= fired
+    assert any(form == "adapted" for _, _, form, _ in fired)
+    assert any(n >= 5 for n, _, _, _ in fired)
+
+
+def test_delorme_does_not_read_the_horizon_key():
+    """A spec's horizon_mult sets f's horizon, which delorme cuts at its
+    own; the output is the same object at 2nm, 3nm, 4nm and 6nm."""
+    for text in ("n = 4\nm = 9\nz 1 = 1\n", "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n",
+                 "n = 2\nm = 7\n", "n = 7\nm = 10\nz 1 = 1\nz 5 = 2/3\nz 8 = -1\n"):
+        diffs = [delorme(parse_spec(f"{text}horizon_mult = {k}\n").build_equation())
+                 for k in (2, 3, 4, 6)]
+        assert all(d == diffs[0] for d in diffs[1:])

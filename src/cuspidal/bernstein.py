@@ -120,29 +120,40 @@ class GammaExpr:
 
     @classmethod
     def from_terms(cls, terms) -> "GammaExpr":
+        """Sum terms (coeff, (r1, r2, ...)), each lowered on integers: an
+        argument p/q in lowest terms takes t = (p-1)//q steps of
+        Gamma(r) = (r-1) Gamma(r-1) to (p - t*q)/q, which multiply the
+        coefficient by prod_{i=1..t} (p - i*q) / q^t."""
         key, total = None, None
         for coeff, args in terms:
             c = rat(coeff)
             if not c:
                 continue
+            num = den = 1
             lowered = []
             for r in args:
                 r = rat(r)
-                if r <= 0:
+                p, q = r.numerator, r.denominator
+                if p <= 0:
                     raise ValueError(f"gamma argument must be positive, got {r}")
-                while r > 1:
-                    r = r - 1
-                    c = c * r
-                lowered.append(r)
+                t = (p - 1) // q
+                for i in range(1, t + 1):
+                    num *= p - i * q
+                den *= q ** t
+                # gcd(p - t*q, q) = gcd(p, q) = 1: the pair is the value's
+                # lowest terms, so equal pairs are equal arguments.
+                lowered.append((p - t * q, q))
+            if num != den:
+                c = Rat(c.numerator * num, c.denominator * den)
             lowered = tuple(sorted(lowered))
             if key is None:
                 key, total = lowered, c
             elif lowered == key:
                 total += c
             else:
-                raise ValueError(f"terms lower to two argument tuples, {key} and "
-                                 f"{lowered}: not one Gamma group")
-        return cls(((key, total),) if total else ())
+                raise ValueError(f"terms lower to two argument tuples, {_args(key)} and "
+                                 f"{_args(lowered)}: not one Gamma group")
+        return cls(((_args(key), total),) if total else ())
 
     @property
     def is_zero(self) -> bool:
@@ -153,6 +164,11 @@ class GammaExpr:
             return "0"
         ((args, coeff),) = self.groups
         return _group_str(args, coeff)
+
+
+def _args(pairs) -> tuple:
+    """Lowered arguments (p, q) as rationals p/q, sorted by value."""
+    return tuple(sorted(Rat(p, q) for p, q in pairs))
 
 
 def _group_str(args, coeff) -> str:
@@ -183,32 +199,44 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
       s2 mod n, so every term lands on the same pair.
 
     GammaExpr refuses a second group, so a slip here cannot go unnoticed.
+
+    The sequences of k depend on the curve and k alone, not on (a, b) or
+    beta.  So the first call with a given k stores them in
+    ``eq.delta_table`` as coefficients with their offsets (sum d*p1,
+    sum d*p2), and every call adds its own (a, b) to the offsets.  Sequences
+    with the same offsets have the same arguments, so they are stored as
+    one entry, the sum of their coefficients; a sum that cancels is
+    dropped.
     """
     if eq.form != "nice":
         raise ValueError("residues are defined against the nice form")
     sg = eq.sg
     n, m = sg.n, sg.m
     a, b = ab
-    k_rat = rat(beta) * (n * m) - n * a - m * b
-    k = int(k_rat)
-    if k != k_rat:
-        raise ValueError(f"beta*nm - n*a - m*b must be an integer, got {k_rat}")
+    beta = rat(beta)
+    if beta.numerator * n * m % beta.denominator:
+        raise ValueError("beta*nm - n*a - m*b must be an integer, got "
+                         f"{beta * (n * m) - n * a - m * b}")
+    k = beta.numerator * n * m // beta.denominator - n * a - m * b
     if k < 0:
         raise NegativeK(f"residue target k = {k} is negative")
-    z = {j: c for j, c in eq.nice_coeffs.items() if c}
-    sets = eq.sets
-    terms = []
-    for seq in delta_sequences(tuple(z), k):
-        s1 = a
-        s2 = b
-        coeff = ONE if seq.total % 2 == 0 else -ONE
-        for l, d in seq.entries:
-            p1, p2 = sets.p_of(l)
-            s1 += d * p1
-            s2 += d * p2
-            coeff = coeff * z[l] ** d / factorial(d)
-        terms.append((coeff, (Rat(s1, m), Rat(s2, n))))
-    return GammaExpr.from_terms(terms)
+    seqs = eq.delta_table.get(k)
+    if seqs is None:
+        z = {j: c for j, c in eq.nice_coeffs.items() if c}
+        p_of = eq.sets.p_of
+        merged: dict = {}
+        for seq in delta_sequences(tuple(z), k):
+            o1 = o2 = 0
+            coeff = ONE if seq.total % 2 == 0 else -ONE
+            for l, d in seq.entries:
+                p1, p2 = p_of(l)
+                o1 += d * p1
+                o2 += d * p2
+                coeff = coeff * z[l] ** d / factorial(d)
+            merged[o1, o2] = merged.get((o1, o2), 0) + coeff
+        eq.delta_table[k] = seqs = tuple((c, o1, o2) for (o1, o2), c in merged.items() if c)
+    return GammaExpr.from_terms((coeff, (Rat(a + o1, m), Rat(b + o2, n)))
+                                for coeff, o1, o2 in seqs)
 
 
 class ResidueDecision(enum.Enum):
@@ -320,9 +348,9 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     if j not in sets.j_to_p:
         raise ValueError(f"{j} is not a cuspidal gap value of {(n, m)}")
     cand = RootCandidate.for_gap(sg, j)
-    points = sorted((j + n + m - n * a - m * b, a, b) for (a, b) in sets.M)
-    for k, a, b in points:
-        if k < 0:
+    big_b = j + n + m
+    for a, b in sets.M_by_target:
+        if n * a + m * b > big_b:  # k < 0
             continue
         expr = residue(eq, (a, b), cand.beta)
         if expr.is_zero:

@@ -128,6 +128,14 @@ class CuspidalSets:
     def p_of(self, j: int) -> Exponent:
         return self.j_to_p[j]
 
+    @cached_property
+    def M_by_target(self) -> tuple:
+        """M sorted by decreasing weight n*a + m*b, then by (a, b): for every
+        j the order of increasing residue target k = j + n + m - n*a - m*b,
+        in which ``decide_root`` scans."""
+        n, m = self.sg.n, self.sg.m
+        return tuple(sorted(self.M, key=lambda ab: (-(n * ab[0] + m * ab[1]), ab)))
+
 
 def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
     """Build P, J, M by scanning the defining box; sanity-checks the P <-> J
@@ -229,6 +237,13 @@ class CurveEquation:
     @cached_property
     def sets(self) -> CuspidalSets:
         return cuspidal_sets(self.sg)
+
+    @cached_property
+    def delta_table(self) -> dict:
+        """The residue memo of this curve: k -> the delta sequences of k over
+        the nonzero z_j, as entries (coefficient, offset1, offset2).
+        ``bernstein.residue`` fills it on the first use of each k."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .curve import CurveEquation, Parametrization, Semigroup
 from .poly import Exponent, TruncatedPoly
@@ -158,13 +159,19 @@ def _tuning(r1: FinalReduction, r2: FinalReduction) -> Rat:
 
 @dataclass(frozen=True)
 class DifferentialBasis:
-    """Minimal standard basis: 1-forms omega_i, the semimodule of their
-    values, and the final reductions h_i of X_{omega_i}(f) whose leading
-    powers encode the values."""
+    """Minimal standard basis: the semimodule of values, the final
+    reductions h_i of X_{omega_i}(f) whose leading powers encode the values,
+    and the record from which the 1-forms omega_i are built when first read.
 
-    forms: tuple
+    ``rounds`` holds, for each omega_i after dx and dy, the shift s of the
+    lift x^s * omega_(i-1) and the tuning steps (j, mu, shift), each adding
+    mu * x^shift * omega_j; ``horizon`` is that of the forms.
+    """
+
     values: AbstractSemimodule
     reductions: tuple
+    horizon: int
+    rounds: tuple
 
     def __post_init__(self) -> None:
         # The inversion nu = n(a+1) + m(b+1) - n*m must give back the basis;
@@ -178,6 +185,19 @@ class DifferentialBasis:
     @property
     def leading_powers(self) -> tuple:
         return tuple(h.leading_power for h in self.reductions)
+
+    @cached_property
+    def forms(self) -> tuple:
+        """The basis 1-forms, replayed from ``rounds`` on the first read:
+        the same operations in the same order as ``delorme`` would take."""
+        zero = TruncatedPoly.zero(self.values.sg.order, self.horizon)
+        forms = [OneForm.basic(zero, "dx"), OneForm.basic(zero, "dy")]
+        for lift, steps in self.rounds:
+            eta = forms[-1].mul_monomial(1, lift)
+            for j, mu, shift in steps:
+                eta = eta + forms[j].mul_monomial(mu, shift)
+            forms.append(eta)
+        return tuple(forms)
 
 
 def delorme(eq: CurveEquation) -> DifferentialBasis:
@@ -194,7 +214,9 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     which terminates the algorithm.  A chain whose value reaches the conductor
     is declared infinite: past that point every value is covered, so no final
     reduction can stop there.  So is a round whose axis is at or past the
-    conductor, before any step.
+    conductor, before any step.  The run itself tunes only the reductions:
+    it records each round's lift and steps, and ``DifferentialBasis.forms``
+    builds the 1-forms from that record when a caller first reads them.
 
     f, f_x and f_y are cut once, at H_Delta = max(D, nm)
     (``Semigroup.delorme_horizon``, D = 2nm - 2n - 2m the Hessian degree),
@@ -228,19 +250,19 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     h = sg.delorme_horizon
     f, fx, fy = (p.truncated(h) for p in (eq.f, eq.fx, eq.fy))
 
-    forms = [OneForm.basic(f, "dx"), OneForm.basic(f, "dy")]
     # The seeds X_dx(f) = -f_y and X_dy(f) = f_x lead at (0, n-1) and
     # (m-1, 0), which the leading power (0, n) of f divides neither, so they
     # are their own final reductions; DifferentialBasis checks the powers.
     reductions = [-fy, fx]
     lambdas = [sg.n, sg.m]
+    rounds = []
 
     for i in range(1, sg.n - 1):
         u = _axis(sg, tuple(lambdas), i)
         if u >= sg.conductor:
             break
         s = sg.decompose(u - lambdas[i])
-        eta = forms[i].mul_monomial(1, s)
+        steps = []
         r = final_reduction(reductions[i].mul_monomial(1, s), [f])
         value, usable = u, i  # the axis step may use only the forms before omega_i
         while True:
@@ -255,7 +277,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             j, shift = cover
             part = final_reduction(reductions[j].mul_monomial(1, shift), [f])
             mu = _tuning(r, part)
-            eta = eta + forms[j].mul_monomial(mu, shift)
+            steps.append((j, mu, shift))
             r = final_reduction(r.poly + part.poly.scale(mu), [f])
             if r.vanished:
                 value = None
@@ -272,8 +294,8 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
         if value is None:
             break
         lambdas.append(value)
-        forms.append(eta)
+        rounds.append((s, tuple(steps)))
         reductions.append(r.poly)
 
-    return DifferentialBasis(tuple(forms), AbstractSemimodule(sg, tuple(lambdas)),
-                             tuple(reductions))
+    return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)), tuple(reductions),
+                             h, tuple(rounds))

@@ -159,9 +159,8 @@ class TruncatedPoly:
             raise ValueError(f"cannot raise the horizon {self.horizon} to {horizon}")
         return TruncatedPoly._raw(self.order, horizon, self._shrunk(horizon))
 
-    def __add__(self, other):
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
+    def _merge(self, other: "TruncatedPoly", negate: bool) -> "TruncatedPoly":
+        """self + other, or self - other in the same single pass."""
         h = self._join(other)
         out = self._shrunk(h)
         n, m = self.order.n, self.order.m
@@ -170,19 +169,24 @@ class TruncatedPoly:
                 continue
             s = out.get(e)
             if s is None:
-                out[e] = c
+                out[e] = -c if negate else c
             else:
-                s = s + c
+                s = s - c if negate else s + c
                 if s:
                     out[e] = s
                 else:
                     del out[e]
         return TruncatedPoly._raw(self.order, h, out)
 
+    def __add__(self, other):
+        if not isinstance(other, TruncatedPoly):
+            return NotImplemented
+        return self._merge(other, False)
+
     def __sub__(self, other):
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
-        return self.__add__(-other)
+        return self._merge(other, True)
 
     def __neg__(self):
         return TruncatedPoly._raw(self.order, self.horizon,
@@ -233,10 +237,12 @@ class TruncatedPoly:
             raise ValueError(f"negative shift {shift}")
         n, m, h = self.order.n, self.order.m, self.horizon
         d = n * da + m * db
-        out = {}
-        for (a, b), v in self.terms.items():
-            if n * a + m * b + d <= h:
-                out[(a + da, b + db)] = c * v
+        if c == 1:  # a plain shift, as in every lift of ``delorme``
+            out = {(a + da, b + db): v for (a, b), v in self.terms.items()
+                   if n * a + m * b + d <= h}
+        else:
+            out = {(a + da, b + db): c * v for (a, b), v in self.terms.items()
+                   if n * a + m * b + d <= h}
         return TruncatedPoly._raw(self.order, h, out)
 
     # -- calculus --------------------------------------------------------

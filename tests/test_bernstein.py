@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import factorial, gcd
 
 import mpmath
 import pytest
@@ -107,15 +107,70 @@ def test_gamma_expr_refuses_non_canonical_groups(groups):
         GammaExpr(groups)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(1, 60), st.integers(1, 20), st.integers(-9, 9), st.integers(1, 7))
-def test_gamma_functional_equation(num, den, cnum, cden):
-    """Gamma(r+1) = r Gamma(r) survives canonicalization for any r > 0."""
-    r = Rat(num, den)
+def _lower(r):
+    """Gamma(r) = mult * Gamma(low) with low in (0, 1], one step at a time in
+    rational arithmetic: Gamma(r) = (r-1) Gamma(r-1) while r > 1."""
+    mult = Rat(1)
+    while r > 1:
+        r -= 1
+        mult *= r
+    return r, mult
+
+
+def _reference_from_terms(terms) -> GammaExpr:
+    """``GammaExpr.from_terms`` with rational step-by-step lowering; each
+    distinct argument is lowered once per call."""
+    key, total = None, Rat(0)
+    seen = {}
+    for c, args in terms:
+        lowered = []
+        for r in args:
+            if r not in seen:
+                seen[r] = _lower(r)
+            low, mult = seen[r]
+            c *= mult
+            lowered.append(low)
+        lowered = tuple(sorted(lowered))
+        assert key in (None, lowered)
+        key, total = lowered, total + c
+    return GammaExpr(((key, total),) if total else ())
+
+
+def _reference_residue(eq, ab, beta) -> GammaExpr:
+    """``residue`` without the curve's table: every call enumerates the
+    delta sequences of its k and lowers them step by step."""
+    n, m = eq.sg.n, eq.sg.m
+    a, b = ab
+    k = beta * (n * m) - n * a - m * b
+    assert k.denominator == 1 and k >= 0
+    z = eq.nice_coeffs
+    terms = []
+    for seq in delta_sequences(tuple(z), int(k)):
+        s1, s2, coeff = a, b, Rat(-1) ** seq.total
+        for part, d in seq.entries:
+            p1, p2 = eq.sets.p_of(part)
+            s1 += d * p1
+            s2 += d * p2
+            coeff = coeff * z[part] ** d / factorial(d)
+        terms.append((coeff, (Rat(s1, m), Rat(s2, n))))
+    return _reference_from_terms(terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 38), st.integers(1, 20), st.integers(1, 20),
+       st.integers(-9, 9), st.integers(1, 7), st.integers(1, 40))
+def test_gamma_functional_equation(whole, frac, den, cnum, cden, other):
+    """Gamma(r+1) = r Gamma(r) survives the integer lowering for every r in
+    (0, 39], so for arguments up to 40, and the lowering agrees with the
+    step-by-step one, beside a second argument."""
+    r = Rat(whole * den + min(frac, den), den)
+    s = Rat(other, den)
     c = Rat(cnum if cnum else 1, cden)
     lhs = GammaExpr.from_terms([(c, (r + 1,))])
     rhs = GammaExpr.from_terms([(c * r, (r,))])
-    assert lhs == rhs
+    assert lhs == rhs == _reference_from_terms([(c * r, (r,))])
+    pair = [(c, (r + 1, s))]
+    assert GammaExpr.from_terms(pair) == _reference_from_terms(pair)
 
 
 def test_residue_pin_45():
@@ -143,7 +198,7 @@ def test_residue_quadratic_cancellation():
         ((Rat(3, 4), Rat(7, 9)), Rat(-11, 18)),)
 
 
-def _nice_curves(seed: int):
+def _nice_curves(seed: int, densities=(0.25, 0.5, 0.75)):
     """One seeded nice curve per coprime pair n <= 7, m <= 13 and per
     support density: each z_j is drawn nonzero with that probability."""
     for n in range(2, 8):
@@ -152,7 +207,7 @@ def _nice_curves(seed: int):
                 continue
             sg = Semigroup(n, m)
             rng = random.Random(f"{seed}:{n}:{m}")
-            for density in (0.25, 0.5, 0.75):
+            for density in densities:
                 yield CurveEquation.nice(sg, {
                     j: Rat(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
                     for j in cuspidal_sets(sg).J if rng.random() < density})
@@ -181,6 +236,52 @@ def test_every_residue_is_one_group_at_the_predicted_arguments():
                     nonzero += 1
                     assert expr.groups[0][0] == predicted
     assert nonzero > 1000
+
+
+def _queries(eq):
+    """Every (j, (a, b)) with j in J, (a, b) in M and k >= 0, with beta_j."""
+    n, m = eq.sg.n, eq.sg.m
+    return [((a, b), Rat(j + n + m, n * m)) for j in eq.sets.J for a, b in eq.sets.M
+            if j + n + m >= n * a + m * b]
+
+
+def test_residue_table_equals_the_direct_sum():
+    """The per-curve table gives the residue of a fresh enumeration at every
+    j in J and (a, b) in M with k >= 0, on every pair n <= 7, m <= 13, at
+    supports of density 0.3 and 1."""
+    checked = nonzero = 0
+    for eq in _nice_curves(seed=13, densities=(0.3, 1)):
+        n, m = eq.sg.n, eq.sg.m
+        targets = set()
+        for (a, b), beta in _queries(eq):
+            expr = residue(eq, (a, b), beta)
+            assert expr == _reference_residue(eq, (a, b), beta)
+            targets.add(int(beta * n * m) - n * a - m * b)
+            checked += 1
+            nonzero += not expr.is_zero
+        assert set(eq.delta_table) == targets  # one entry per k, none other
+    assert checked > 1500 and nonzero > 1000
+
+
+def test_residue_table_is_order_free_and_per_curve():
+    """Queries in shuffled order on one curve, and interleaved on two curves
+    of one pair, each give the residue of a fresh enumeration: the table of
+    one k does not depend on the first (a, b) that filled it, and nothing
+    passes from one curve to the other."""
+    sg = Semigroup(6, 11)
+    rng = random.Random("table")
+    eqs = [CurveEquation.nice(sg, {j: Rat(rng.choice([-1, 1]) * rng.randint(1, 5),
+                                          rng.randint(1, 3))
+                                   for j in cuspidal_sets(sg).J if rng.random() < 0.6})
+           for _ in range(2)]
+    assert eqs[0].nice_coeffs != eqs[1].nice_coeffs
+    queries = [(eq, q) for eq in eqs for q in _queries(eq)]
+    rng.shuffle(queries)
+    for eq, (ab, beta) in queries:
+        assert residue(eq, ab, beta) == _reference_residue(eq, ab, beta)
+    assert eqs[0].delta_table is not eqs[1].delta_table
+    assert eqs[0].delta_table.keys() == eqs[1].delta_table.keys()
+    assert eqs[0].delta_table != eqs[1].delta_table
 
 
 def test_residue_error_taxonomy():

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ from cuspidal import cli
 from cuspidal.bernstein import interval_certificate
 from cuspidal.cli import main
 from cuspidal.curve import newton_puiseux
-from cuspidal.differentials import delorme, oracle_differential_value
+from cuspidal.differentials import OneForm, delorme, oracle_differential_value
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.standard_basis import HorizonExhausted
 from conftest import count_calls
@@ -268,13 +267,34 @@ def test_verify_checks_basis_forms_against_their_values(capsys, monkeypatch, spe
     def swapped(eq):
         diff = real(eq)
         f = diff.forms
-        return replace(diff, forms=(f[1], f[0]) + f[2:])
+        # forms is cached on its first read: overwrite the cached tuple
+        vars(diff)["forms"] = (f[1], f[0]) + f[2:]
+        return diff
 
     monkeypatch.setattr(cli, "delorme", swapped)
     code, out, _ = run(capsys, "verify", "--spec", spec49)
     assert code == 1
     assert "oracle_basis_forms = FAIL" in out
     assert "verify = FAIL" in out
+
+
+@pytest.mark.parametrize("command", ["bs-roots", "jacobian"])
+def test_forms_are_built_only_when_read(capsys, monkeypatch, spec49, command):
+    """bs-roots and jacobian read Delorme's values and h_i but no 1-form, so
+    they do no form arithmetic; delorme prints the forms and does."""
+    calls = []
+    for name in ("mul_monomial", "__add__"):
+        def counted(self, *args, _real=getattr(OneForm, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(OneForm, name, counted)
+    code, _, _ = run(capsys, command, "--spec", spec49)
+    assert code == 0
+    assert calls == []
+    code, out, _ = run(capsys, "delorme", "--spec", spec49)
+    assert code == 0
+    assert "form_monomial_values = 4 9 13 17" in out
+    assert {"mul_monomial", "__add__"} <= set(calls)
 
 
 # The options each subcommand declares besides --json, and a value for each.

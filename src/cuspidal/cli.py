@@ -19,7 +19,7 @@ from .bernstein import (NegativeK, PreconditionViolation, RootCandidate,
                         certified_roots_from_semimodule, decide_root,
                         four_condition_check, interval_certificate, residue,
                         residue_is_zero, zariski_condition_check)
-from .curve import CurveEquation, NoSolution, NotAdapted, Semigroup, cuspidal_sets, newton_puiseux
+from .curve import CurveEquation, NoSolution, NotAdapted, Semigroup, newton_puiseux
 from .differentials import (delorme, differential_value, monomial_value,
                             oracle_differential_value, random_form)
 from .jacobian import jacobian_basis_direct, jacobian_basis_via_differentials, tjurina_number
@@ -252,7 +252,7 @@ def cmd_conjecture_scan(seed: int, max_m: int) -> tuple[dict, bool]:
             if gcd(n, m) != 1:
                 continue
             sg = Semigroup(n, m)
-            J = cuspidal_sets(sg).J
+            J = sg.sets.J
             for _ in range(5):
                 coeffs = {j: Rat(rng.choice([1, -1]) * rng.randint(1, 5),
                                  rng.randint(1, 3)) for j in J}

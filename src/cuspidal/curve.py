@@ -93,6 +93,18 @@ class Semigroup:
         """All naturals below the conductor that are not in the semigroup."""
         return tuple(sorted(self._gap_set))
 
+    @cached_property
+    def elements(self) -> tuple:
+        """The elements below n + c, ascending: enough for every sieve of
+        lambda + Gamma below n + c (``semimodules.covered``)."""
+        return tuple(k for k in range(self.n + self.conductor) if k not in self._gap_set)
+
+    @cached_property
+    def sets(self) -> "CuspidalSets":
+        """P, J and M of this pair, built once for the semigroup: the spec
+        check, the equation and the residues of one request share them."""
+        return cuspidal_sets(self)
+
     def decompose(self, k: int) -> Exponent | None:
         """The representation k = n*a + m*b with 0 <= b < n, or None if k is
         outside the semigroup.  Below n*m this is the only representation."""
@@ -173,7 +185,7 @@ class CurveEquation:
     @classmethod
     def nice(cls, sg: Semigroup, coeffs=None, horizon: int | None = None) -> "CurveEquation":
         """f = x^m + y^n + sum z_j x^{p1,j} y^{p2,j} with every j in J."""
-        sets = cuspidal_sets(sg)
+        sets = sg.sets
         n, m = sg.n, sg.m
         omit = {(m, 0): ONE, (0, n): ONE}
         z: dict[int, Rat] = {}
@@ -234,9 +246,9 @@ class CurveEquation:
     def fy(self) -> TruncatedPoly:
         return self.f.partial_y()
 
-    @cached_property
+    @property
     def sets(self) -> CuspidalSets:
-        return cuspidal_sets(self.sg)
+        return self.sg.sets
 
     @cached_property
     def delta_table(self) -> dict:

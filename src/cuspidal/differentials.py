@@ -17,7 +17,7 @@ from functools import cached_property
 from .curve import CurveEquation, Parametrization, Semigroup
 from .poly import Exponent, TruncatedPoly
 from .rationals import Rat, rat
-from .semimodules import AbstractSemimodule, _axis
+from .semimodules import AbstractSemimodule, _axis, covered
 from .standard_basis import FinalReduction, final_reduction
 
 
@@ -157,6 +157,13 @@ def _tuning(r1: FinalReduction, r2: FinalReduction) -> Rat:
     return -lt1.coeff / lt2.coeff
 
 
+def _last_uncovered(sg: Semigroup, taken: set) -> int:
+    """last: the largest value below the conductor outside ``taken``, the
+    values that the lambda_j + Gamma cover.  No lambda_j is below n, so
+    n - 1 <= last < c."""
+    return next(k for k in range(sg.conductor - 1, -1, -1) if k not in taken)
+
+
 @dataclass(frozen=True)
 class DifferentialBasis:
     """Minimal standard basis: the semimodule of values, the final
@@ -211,12 +218,28 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     form than omega_i; later ones may use any.  Every step strictly raises the
     value (checked).  A round ends with a fresh basis 1-form (its value is a
     gap covered by no basis form) or with the value escaping to infinity,
-    which terminates the algorithm.  A chain whose value reaches the conductor
-    is declared infinite: past that point every value is covered, so no final
-    reduction can stop there.  So is a round whose axis is at or past the
-    conductor, before any step.  The run itself tunes only the reductions:
-    it records each round's lift and steps, and ``DifferentialBasis.forms``
-    builds the 1-forms from that record when a caller first reads them.
+    which terminates the algorithm.  The run itself tunes only the
+    reductions: it records each round's lift and steps, and
+    ``DifferentialBasis.forms`` builds the 1-forms from that record when a
+    caller first reads them.
+
+    A round ends the run, with the value infinite, as soon as its value (the
+    axis first) passes last: the largest value below the conductor c that no
+    lambda_j + Gamma covers (``_last_uncovered``; n - 1 <= last < c).  The
+    cut changes no output:
+
+    - A round ends with a new basis value only at a value that no lambda_j
+      covers.  Every value >= c lies in Gamma \\ {0} = (n + Gamma) u
+      (m + Gamma), so that value is below c, hence <= last.  (The axis step
+      never ends the round: an earlier form covers the axis, which is
+      checked, and the step raises the value.)
+    - Values rise strictly along a round, which is checked at every step,
+      so a round past last can only climb through covered values or
+      vanish: it cannot end with a new basis value.
+    - An infinite round returns nothing: the run breaks before it touches
+      ``lambdas``, ``rounds`` or ``reductions``.
+
+    Ending the round at c instead is the case last = c - 1.
 
     f, f_x and f_y are cut once, at H_Delta = max(D, nm)
     (``Semigroup.delorme_horizon``, D = 2nm - 2n - 2m the Hessian degree),
@@ -231,11 +254,11 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
       the run at any larger horizon for as long as every leading term it
       reads has degree <= H, with the same tuning constants.
     - The values it reads are below the conductor c = nm - n - m + 1, since
-      a value >= c ends the round, and so does an axis >= c.  A value
+      a value or axis > last ends the round, and last < c.  A value
       nu < c leads at (a, b) with n(a+1) + m(b+1) - nm = nu, so at weighted
       degree nu - n - m + nm <= 2nm - 2n - 2m = D <= H_Delta.  A reduction
       that vanishes at H_Delta therefore has value >= c at every horizon:
-      infinite either way.  Without the axis guard, a round whose axis is
+      infinite either way.  Without the axis cut, a round whose axis is
       >= c could see its lifted reduction vanish at H_Delta and fail to tune.
     - The seeds need x^m and y^n intact: X_dx(f) = -f_y and X_dy(f) = f_x
       lead at n*y^(n-1) and m*mu*x^(m-1), and f leads at y^n, of degree nm.
@@ -247,6 +270,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
       from its pullback.
     """
     sg = eq.sg
+    c = sg.conductor
     h = sg.delorme_horizon
     f, fx, fy = (p.truncated(h) for p in (eq.f, eq.fx, eq.fy))
 
@@ -255,11 +279,13 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     # are their own final reductions; DifferentialBasis checks the powers.
     reductions = [-fy, fx]
     lambdas = [sg.n, sg.m]
+    taken = covered(sg, lambdas, c)
     rounds = []
 
     for i in range(1, sg.n - 1):
+        last = _last_uncovered(sg, taken)
         u = _axis(sg, tuple(lambdas), i)
-        if u >= sg.conductor:
+        if u > last:
             break
         s = sg.decompose(u - lambdas[i])
         steps = []
@@ -286,7 +312,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             if raised <= value:
                 raise AssertionError("tuning failed to raise the value")
             value = raised
-            if value >= sg.conductor:
+            if value > last:
                 value = None
                 break
             usable = len(lambdas)
@@ -294,6 +320,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
         if value is None:
             break
         lambdas.append(value)
+        taken |= covered(sg, (value,), c)
         rounds.append((s, tuple(steps)))
         reductions.append(r.poly)
 

@@ -8,6 +8,7 @@ increasing semimodule of a given semigroup, and classifies the n = 4 family.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,12 +152,25 @@ def classify_four(sm: AbstractSemimodule) -> FourClassification:
     raise Unclassifiable(f"basis {sm.basis} has s = {sm.s} > 2 with n = 4")
 
 
+def covered(sg: Semigroup, lambdas, bound: int) -> set:
+    """The values below ``bound`` in the union of the lambda + Gamma over
+    ``lambdas`` (each lambda >= 0), sieved from ``sg.elements``; the bound
+    is at most n + c."""
+    if bound > sg.n + sg.conductor:
+        raise ValueError(f"bound {bound} exceeds n + c = {sg.n + sg.conductor}")
+    elements = sg.elements
+    return {lam + g for lam in lambdas for g in elements[:bisect_left(elements, bound - lam)]}
+
+
 def elements_outside(sm: AbstractSemimodule, sub_level: int) -> tuple:
     """Sorted finite set Lambda \\ Lambda_{sub_level}; sub_level ranges over
     -1..s.  (Lambda \\ Gamma is the sub_level = 0 instance, since Lambda_0 is
-    the semigroup minus 0.)  Every element is below n + conductor."""
+    the semigroup minus 0.)  Every element is below n + conductor, since
+    Lambda_{-1} = n + Gamma holds every k >= n + c: the set is the sieve of
+    the basis elements past the level minus that of the ones up to it."""
     if not (-1 <= sub_level <= sm.s):
         raise ValueError(f"sub_level {sub_level} outside -1..{sm.s}")
-    bound = sm.sg.n + sm.sg.conductor
-    return tuple(k for k in range(bound)
-                 if k in sm and not sm.contains(k, sub_level))
+    sg, cut = sm.sg, sub_level + 2
+    bound = sg.n + sg.conductor
+    return tuple(sorted(covered(sg, sm.basis[cut:], bound)
+                        - covered(sg, sm.basis[:cut], bound)))

@@ -8,10 +8,10 @@ or without spaces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .curve import CurveEquation, CuspidalSets, Semigroup, cuspidal_sets
+from .curve import CurveEquation, CuspidalSets, Semigroup
 from .poly import TruncatedPoly
 from .rationals import ONE, Rat, rat
 
@@ -57,6 +57,9 @@ class CurveSpec:
     horizon_mult: int | None = None
     precision: int | None = None
     seed: int | None = None
+    # <n, m> itself, carried through with_overrides so that the spec check,
+    # the equation and the residues of one request share its cached sets.
+    semigroup: Semigroup | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The one place the truncation horizon and the tool settings are
@@ -65,14 +68,12 @@ class CurveSpec:
         check_natural("seed", self.seed)
         if self.horizon_mult is not None and self.horizon_mult < 2:
             raise ParseError("horizon_mult must be at least 2")
-
-    @property
-    def semigroup(self) -> Semigroup:
-        return Semigroup(self.n, self.m)
+        if self.semigroup is None:
+            object.__setattr__(self, "semigroup", Semigroup(self.n, self.m))
 
     @property
     def sets(self) -> CuspidalSets:
-        return cuspidal_sets(self.semigroup)
+        return self.semigroup.sets
 
     def with_overrides(self, **kw) -> "CurveSpec":
         """A copy with the given non-None options replacing stored ones."""
@@ -173,7 +174,7 @@ def parse_spec(text: str) -> CurveSpec:
         raise ParseError("nice form fixes the x^m coefficient to 1; drop mu")
 
     if coeffs:
-        valid = cuspidal_sets(sg).j_to_p
+        valid = sg.sets.j_to_p
         for j, _ in coeffs:
             if j not in valid:
                 raise CoefficientOutsideJ(
@@ -191,4 +192,4 @@ def parse_spec(text: str) -> CurveSpec:
                      mu=fields.get("mu", ONE),
                      horizon_mult=fields.get("horizon_mult"),
                      precision=fields.get("precision"),
-                     seed=fields.get("seed"))
+                     seed=fields.get("seed"), semigroup=sg)

@@ -12,7 +12,7 @@ import pytest
 from cuspidal import cli
 from cuspidal.bernstein import interval_certificate
 from cuspidal.cli import main
-from cuspidal.curve import newton_puiseux
+from cuspidal.curve import cuspidal_sets, newton_puiseux
 from cuspidal.differentials import OneForm, delorme, oracle_differential_value
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.standard_basis import HorizonExhausted
@@ -248,6 +248,21 @@ def test_verify_at_the_smallest_horizon(capsys, monkeypatch, tmp_path, text):
     assert len(branches) == 1
     n, m = branches[0][0].sg.n, branches[0][0].sg.m
     assert {param.t_horizon for _, param in oracle} == {n * m + n + m}
+
+
+@pytest.mark.parametrize("command", ["bs-roots", "delorme", "jacobian", "verify"])
+@pytest.mark.parametrize("text", [SPEC49, "n = 7\nm = 10\nz 1 = 1\nz 5 = 2/3\nz 8 = -1\n"],
+                         ids=["4-9", "7-10"])
+def test_cuspidal_sets_built_once_per_request(capsys, monkeypatch, tmp_path, command, text):
+    """The spec check, the equation and the residues share one CuspidalSets,
+    cached on the semigroup that the spec hands to the equation."""
+    p = tmp_path / "c.spec"
+    p.write_text(text)
+    calls = count_calls(monkeypatch, cuspidal_sets)
+    seed = ["--seed", "1"] if command == "verify" else []
+    code, _, _ = run(capsys, command, "--spec", str(p), *seed)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_verify_runs_delorme_once(capsys, monkeypatch, spec49):

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from cuspidal import CurveEquation, Semigroup, cuspidal_sets, parse_spec
+from cuspidal import differentials
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
     OneForm,
@@ -227,7 +229,9 @@ def _horizon_draws():
 
 
 def _guard_fires(eq, diff) -> bool:
-    """Whether the last round ended at an axis at or past the conductor."""
+    """Whether the last round ended at an axis at or past the conductor.  The
+    cut at last < c fires there whatever last is: the guard u >= c is the
+    special case last = c - 1."""
     i = len(diff.values.basis) - 1
     return i < eq.sg.n - 1 and _axis(eq.sg, diff.values.basis, i) >= eq.sg.conductor
 
@@ -272,3 +276,48 @@ def test_delorme_does_not_read_the_horizon_key():
         diffs = [delorme(parse_spec(f"{text}horizon_mult = {k}\n").build_equation())
                  for k in (2, 3, 4, 6)]
         assert all(d == diffs[0] for d in diffs[1:])
+
+
+def _bs_roots_draws():
+    """Three nice curves at each support density 0.3 and 1 on (7,10), (9,13)
+    and (11,13), the pairs on which bs-roots spends most of its delorme time."""
+    rng = random.Random(14)
+    for n, m in ((7, 10), (9, 13), (11, 13)):
+        sg = Semigroup(n, m)
+        for density in (0.3, 0.3, 0.3, 1.0, 1.0, 1.0):
+            yield CurveEquation.nice(sg, {
+                j: Rat(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
+                for j in sg.sets.J if rng.random() < density})
+
+
+def test_the_cut_at_last_is_invisible(monkeypatch):
+    """Ending a round once its value or axis passes last changes no output:
+    with ``_last_uncovered`` patched to c - 1, the cut at the conductor,
+    delorme gives the same values, horizon, rounds, reductions and forms on
+    every ``_horizon_draws()`` curve and on the bs-roots pairs.  There the cut
+    saves final reductions, and on some curve with n >= 5 it ends a round
+    below c, which is the only way it can save one."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return final_reduction(*args)
+
+    def run(eq):
+        calls.clear()
+        diff = delorme(eq)
+        return (diff.values, diff.horizon, diff.rounds, diff.reductions, diff.forms), len(calls)
+
+    monkeypatch.setattr(differentials, "final_reduction", counted)
+    saved, below_c = Counter(), False
+    for eq in [*_horizon_draws(), *_bs_roots_draws()]:
+        ours, cut = run(eq)
+        with monkeypatch.context() as patch:
+            patch.setattr(differentials, "_last_uncovered", lambda sg, taken: sg.conductor - 1)
+            old, full = run(eq)
+        assert ours == old
+        assert cut <= full
+        saved[eq.sg.n, eq.sg.m] += full - cut
+        below_c |= eq.sg.n >= 5 and cut < full
+    assert all(saved[pair] > 0 for pair in ((7, 10), (9, 13), (11, 13)))
+    assert below_c

@@ -8,10 +8,12 @@ from cuspidal.semimodules import (
     AbstractSemimodule,
     Unclassifiable,
     classify_four,
+    covered,
     elements_outside,
     enumerate_increasing,
     validate_basis,
 )
+from conftest import coprime_pairs
 
 SG49 = Semigroup(4, 9)
 
@@ -68,6 +70,32 @@ def test_elements_outside():
     assert elements_outside(sm, 0) == (14, 19, 23)
     assert elements_outside(sm, 1) == (19,)
     assert elements_outside(AbstractSemimodule(SG49, (4, 9)), 0) == ()
+
+
+def _outside_by_membership(sm, level) -> tuple:
+    """Lambda \\ Lambda_level by its definition: every k below n + c that
+    lies in Lambda and not in Lambda_level."""
+    bound = sm.sg.n + sm.sg.conductor
+    return tuple(k for k in range(bound) if k in sm and not sm.contains(k, level))
+
+
+def test_elements_outside_is_the_membership_definition():
+    """The sieve equals the definition on all 543 increasing semimodules of
+    the 31 pairs with 3 <= n <= 8, m <= 13, at every level -1..s."""
+    sms = [sm for n, m in coprime_pairs(range(3, 9), 13)
+           for sm in enumerate_increasing(Semigroup(n, m))]
+    assert len(sms) == 543
+    for sm in sms:
+        for level in range(-1, sm.s + 1):
+            assert elements_outside(sm, level) == _outside_by_membership(sm, level)
+
+
+def test_covered_refuses_a_bound_past_n_plus_c():
+    sg = SG49
+    assert covered(sg, (4, 9), sg.n + sg.conductor) == {
+        k for k in range(sg.n + sg.conductor) if (k - 4) in sg or (k - 9) in sg}
+    with pytest.raises(ValueError, match="exceeds n \\+ c"):
+        covered(sg, (4,), sg.n + sg.conductor + 1)
 
 
 def test_enumerate_increasing_49():

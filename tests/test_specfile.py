@@ -74,6 +74,7 @@ def test_overrides_pass_the_horizon_checks():
     ("n=4\nm=8", InvalidPair, "invalid_pair", None),
     ("n=6\nm=3", InvalidPair, "invalid_pair", None),
     ("n=4\nm=5\nz 3 = 1", CoefficientOutsideJ, "coefficient_outside_J", 3),
+    ("n=4\nm=5\nz 3 = 1\nhorizon_mult = 1", CoefficientOutsideJ, "coefficient_outside_J", 3),
     ("m=5", ParseError, "parse_error", None),
     ("n=4", ParseError, "parse_error", None),
     ("n=4\nm=5\nz 2 = 1\nterm 1 6 1", ParseError, "parse_error", None),

@@ -4,9 +4,9 @@ equations in adapted or nice form, and exact rational parametrizations.
 A cusp is a plane branch whose semigroup is generated by a coprime pair
 (n, m) with 2 <= n < m.  Everything here is exact: the parametrization solves
 the coefficient recursion n * v_k = -P_k on integers, one coefficient per
-step, at the window that the horizon of f fixes, and is held as one scaled
-integer power table; it is the independent oracle for the differential-value
-machinery.
+step, and is held as one scaled integer power table, exact through the
+window that the horizon of f fixes and solved that far only when read that
+far; it is the independent oracle for the differential-value machinery.
 """
 from __future__ import annotations
 
@@ -261,18 +261,30 @@ class CurveEquation:
 @dataclass(frozen=True)
 class Parametrization:
     """Primitive rational parametrization x = x_coeff * t^n, y = y(t), held
-    as an integer table.
+    as an integer table and solved on demand.
 
     With D = ``scale``, the branch is y(D*s) = c0 * D^m * v(s), where v has
     integer coefficients and starts with s^m (``newton_puiseux`` proves it),
-    so y_k = c0 * v_k / D^(k-m) (``y``).  ``v_powers`` is the table v^0,
-    v^1, ... through s^t_horizon; higher powers are appended on demand.
-    ``x_coeff`` and ``c0`` are +1 or -1 for mu = 1 equations and rational
-    powers of mu otherwise: the sign/scale is exactly what keeps the
-    coefficient recursion inside the rationals, and t-orders -- the only
-    quantities consumed downstream -- do not depend on it.
+    so y_k = c0 * v_k / D^(k-m) (``y``).  v solves H(s, v) = 0, the
+    rescaled equation whose integer terms (shift, b, h) stand for
+    h * s^shift * v^b (``terms``).  ``x_coeff`` and ``c0`` are +1 or -1 for
+    mu = 1 equations and rational powers of mu otherwise: the sign/scale is
+    exactly what keeps the coefficient recursion inside the rationals, and
+    t-orders -- the only quantities consumed downstream -- do not depend on
+    it.
 
-    The oracle reads every pullback off the one table.  A *part*
+    The branch is exact through t^t_horizon, and solved only as far as it
+    is read.  Construction solves it through ``window`` =
+    min(t_horizon, nm + n + m), the whole window of the least horizon 2nm
+    that ``CurveEquation`` allows; the first read past that window solves
+    it again through t_horizon, and so does any read of ``y``,
+    ``v_powers`` or ``_table``.  Both solves are ``_solve_branch``: the
+    same recursion and the same residual check, so every coefficient
+    served has passed that check, and the first window is a prefix of the
+    second.
+
+    The oracle reads every pullback off the one table v^0, v^1, ... (higher
+    powers than f's are appended on demand).  A *part*
     (shift, b, theta, num, den) stands for (num/den) * t^shift * Y, with
     integers num and den > 0, where Y = y^b, or Y = t * (y^b)' when
     ``theta``.  The t^k coefficient of Y is
@@ -287,7 +299,7 @@ class Parametrization:
     x_coeff: Rat
     c0: Rat
     scale: int
-    v_powers: tuple
+    terms: tuple
     t_horizon: int
 
     def __post_init__(self) -> None:
@@ -295,12 +307,9 @@ class Parametrization:
             raise ValueError("x_coeff and c0 must be nonzero")
         if self.scale < 1:
             raise ValueError("scale must be a positive integer")
-        if len(self.v_powers) < 2 or any(len(p) != self.t_horizon + 1
-                                         for p in self.v_powers):
-            raise ValueError("power table length disagrees with t_horizon")
-        v = self.v_powers[1]
-        if self.m > self.t_horizon or v[self.m] != 1 or any(v[:self.m]):
-            raise ValueError("v must start with s^m")
+        if self.t_horizon < self.m:
+            raise ValueError("the window must reach s^m")
+        self._solve(min(self.t_horizon, self.n * self.m + self.n + self.m))
 
     def check_cusp(self, order: WeightedOrder) -> None:
         """Raise unless the weights (n, m) are this branch's own: the scale D
@@ -310,25 +319,56 @@ class Parametrization:
 
     @cached_property
     def _tables(self) -> dict:
-        return {(b, False): p for b, p in enumerate(self.v_powers)}
+        return {}
 
-    def _table(self, b: int, theta: bool) -> tuple:
-        """v^b, or k * v^b[k] when theta, through s^t_horizon; cached."""
+    def _solve(self, window: int) -> None:
+        """Solve the branch through s^window and serve every table from it."""
+        powers = _solve_branch(self.n, self.m, self.terms, window)
+        self._tables.clear()
+        self._tables.update(((b, False), p) for b, p in enumerate(powers))
+
+    @property
+    def window(self) -> int:
+        """The last power of s (and of t) solved so far: nm + n + m, or
+        t_horizon if that is smaller, until a read past it."""
+        return len(self._tables[(1, False)]) - 1
+
+    def _solve_fully(self) -> None:
+        """Solve through t_horizon, unless that is done."""
+        if self.window < self.t_horizon:
+            self._solve(self.t_horizon)
+
+    def _read(self, b: int, theta: bool) -> tuple:
+        """v^b, or k * v^b[k] when theta, through s^window; cached until the
+        next solve."""
         tables = self._tables
         got = tables.get((b, theta))
         if got is None:
             if theta:
-                got = tuple(k * c for k, c in enumerate(self._table(b, False)))
+                got = tuple(k * c for k, c in enumerate(self._read(b, False)))
             else:
-                got = tuple(_series.mul(self._table(b - 1, False), self.v_powers[1],
-                                        self.t_horizon))
+                got = tuple(_series.mul(self._read(b - 1, False), tables[(1, False)],
+                                        self.window))
             tables[(b, theta)] = got
         return got
+
+    def _table(self, b: int, theta: bool) -> tuple:
+        """v^b, or k * v^b[k] when theta, through s^t_horizon."""
+        self._solve_fully()
+        return self._read(b, theta)
+
+    @property
+    def v_powers(self) -> tuple:
+        """The table v^0..v^top (top the largest y-degree in f) through
+        s^t_horizon."""
+        top = max(b for _, b, _ in self.terms)
+        return tuple(self._table(b, False) for b in range(top + 1))
 
     def order(self, parts, upto: int) -> int | None:
         """The least K <= upto whose t^K coefficient in the sum of parts is
         nonzero, walking K upward; None when all of t^0..t^upto vanish.
-        Parts that start past upto are dropped."""
+        Parts that start past upto are dropped.  The branch is solved
+        through t_horizon only if the walk reads past ``window``."""
         cn, cd = self.c0.numerator, self.c0.denominator
         scaled = [(shift + self.m * b, shift, b, theta, num * cn ** b, den * cd ** b)
                   for shift, b, theta, num, den in parts if shift + self.m * b <= upto]
@@ -340,13 +380,23 @@ class Parametrization:
         e0 = min(start for start, *_ in scaled)
         den = lcm(*(d for *_, d in scaled))
         D = self.scale
-        rows = sorted(((start, shift, self._table(b, theta),
-                        num * (den // d) * D ** (start - e0))
-                       for start, shift, b, theta, num, d in scaled),
-                      key=lambda row: row[0])
+        keyed = sorted(((start, shift, b, theta, num * (den // d) * D ** (start - e0))
+                        for start, shift, b, theta, num, d in scaled),
+                       key=lambda row: row[0])
+        # Coefficient K reads the tables at most at K - low.
+        low = min(shift for _, shift, *_ in keyed)
+
+        def rows() -> list:
+            return [(start, shift, self._read(b, theta), k)
+                    for start, shift, b, theta, k in keyed]
+
+        window, table_rows = self.window, rows()
         for K in range(e0, upto + 1):
+            if K - low > window:  # a read past the solved window
+                self._solve_fully()
+                window, table_rows = self.window, rows()
             total = 0
-            for start, shift, table, k in rows:
+            for start, shift, table, k in table_rows:
                 if start > K:
                     break
                 total += k * table[K - shift]
@@ -359,7 +409,7 @@ class Parametrization:
         """The coefficients of t^0..t^t_horizon of y(t)."""
         cn, cd, D = self.c0.numerator, self.c0.denominator, self.scale
         return tuple(Rat(cn * c, cd * D ** (k - self.m)) if c else ZERO
-                     for k, c in enumerate(self.v_powers[1]))
+                     for k, c in enumerate(self._table(1, False)))
 
 
 def _leading_solution(n: int, m: int, mu: Rat) -> tuple:
@@ -409,9 +459,49 @@ def _evaluate(terms, pows: list, upto: int) -> list:
     return out
 
 
+def _solve_branch(n: int, m: int, terms, window: int) -> list:
+    """The table v^0..v^top of the branch through s^window, top the largest
+    b among the terms (shift, b, h) of H: the recursion n * v_k = -P_k for
+    k = m+1..window, then the residual check (see ``newton_puiseux``)."""
+    nm = n * m
+    top = max(b for _, b, _ in terms)
+    work = window + nm - m
+
+    # Each v^b starts in the table with its leading 1 at s^(mb), or is zero
+    # through s^work if it starts past it.
+    table = [_series.zeros(work) for _ in range(top + 1)]
+    for b, power in enumerate(table):
+        if m * b <= work:
+            power[m * b] = 1
+    v = table[1]
+    for k in range(m + 1, window + 1):
+        for b in range(2, top + 1):
+            e = k + m * (b - 1)
+            if e > work:
+                break
+            lower = table[b - 1]
+            table[b][e] = sum(v[j] * lower[e - j] for j in range(m, k) if v[j])
+        p_k = sum(h * table[b][k + nm - m - shift] for shift, b, h in terms
+                  if shift <= k + nm - m)
+        v_k = _series.exact_div(-p_k, n)
+        for b in range(1, top + 1):
+            e = k + m * (b - 1)
+            if e > work:
+                break
+            table[b][e] += b * v_k
+
+    pows = _powers(_series.trimmed(v, work), top, work)
+    if _series.ord_of(_evaluate(terms, pows, work)) is not None:
+        raise NoSolution("residual does not vanish to the horizon")
+    return [tuple(p[:window + 1]) for p in pows]
+
+
 def newton_puiseux(eq: CurveEquation) -> Parametrization:
     """Solve f(x(t), y(t)) = 0 for y as a truncated series, on integers,
-    through t^t_horizon with t_horizon = f.horizon - n*m + n + m.
+    exact through t^t_horizon with t_horizon = f.horizon - n*m + n + m,
+    and solved on demand: through min(t_horizon, nm + n + m) now, through
+    t_horizon when something reads past that (``Parametrization``).  Every
+    coefficient served has passed the residual check below.
 
     That window is the implicit route's: ``differential_value`` sees the
     values nu <= f.horizon - n*m + n + m, and the oracle sees
@@ -419,7 +509,8 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     through any window t_horizon >= m, by the recursion n * v_k = -P_k
     below, and the check f.horizon >= 2nm in ``CurveEquation`` gives
     t_horizon >= nm + n + m, past the conductor and so past every value in
-    Lambda minus Gamma.
+    Lambda minus Gamma.  The same argument makes the first solve, through
+    nm + n + m, exact, and its coefficients a prefix of the full ones.
 
     Take x = xi * t^n and y = c0 * t^m + ... (``_leading_solution``).  Let L
     be the lcm of the denominators of c * xi^a * c0^(b-n) over the terms
@@ -443,52 +534,23 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     most 2(k-m) - 2 factors n, and the division by n adds one.  Hence
     v_k = n^(2(k-m)) * v'_k is an integer.
 
-    The coefficients come from that recursion, k = m+1..t_horizon, on a
-    table of v^0..v^top (top the largest y-degree in f) through s^work,
-    work = t_horizon + nm - m.  Since v starts with s^m, v_k first enters
-    v^b at s^(k+m(b-1)), as b * v_k.  So step k fills that entry of each
-    v^b from v_m..v_(k-1), as one coefficient of v^(b-1) * v; reads P_k,
-    the s^(k+nm-m) coefficient of H on the table, where every term but v^n
-    reads only finished entries; sets v_k = -P_k / n, an exact division
-    (``_series.exact_div`` raises on a remainder); and adds b * v_k to the
-    entries it filled.  Postcondition (checked): the residual H(s, v(s))
-    vanishes through s^work on a table rebuilt from v alone by
-    ``_series.mul``, not the recursion's own.  That table v^0, v^1, ...,
-    trimmed to t_horizon, is the returned parametrization's.
+    A solve through s^window (``_solve_branch``) runs that recursion,
+    k = m+1..window, on a table of v^0..v^top (top the largest y-degree in
+    f) through s^work, work = window + nm - m.  Since v starts with s^m,
+    v_k first enters v^b at s^(k+m(b-1)), as b * v_k.  So step k fills that
+    entry of each v^b from v_m..v_(k-1), as one coefficient of
+    v^(b-1) * v; reads P_k, the s^(k+nm-m) coefficient of H on the table,
+    where every term but v^n reads only finished entries; sets
+    v_k = -P_k / n, an exact division (``_series.exact_div`` raises on a
+    remainder); and adds b * v_k to the entries it filled.  Postcondition
+    (checked): the residual H(s, v(s)) vanishes through s^work on a table
+    rebuilt from v alone by ``_series.mul``, not the recursion's own.  That
+    table v^0, v^1, ..., trimmed to the window, is the one the
+    parametrization serves.
     """
     sg = eq.sg
     n, m = sg.n, sg.m
-    nm = n * m
-    t_horizon = eq.f.horizon - nm + n + m
     xi, c0 = _leading_solution(n, m, eq.mu)
-    scale, h_terms = _scaled_equation(eq, xi, c0)
-    top = max(b for _, b, _ in h_terms)
-    work = t_horizon + nm - m
-
-    # Every term has weight m*b <= f.horizon < work, so each v^b starts in
-    # the table with its leading 1 at s^(mb).
-    table = [_series.zeros(work) for _ in range(top + 1)]
-    for b, power in enumerate(table):
-        power[m * b] = 1
-    v = table[1]
-    for k in range(m + 1, t_horizon + 1):
-        for b in range(2, top + 1):
-            e = k + m * (b - 1)
-            if e > work:
-                break
-            lower = table[b - 1]
-            table[b][e] = sum(v[j] * lower[e - j] for j in range(m, k) if v[j])
-        p_k = sum(h * table[b][k + nm - m - shift] for shift, b, h in h_terms
-                  if shift <= k + nm - m)
-        v_k = _series.exact_div(-p_k, n)
-        for b in range(1, top + 1):
-            e = k + m * (b - 1)
-            if e > work:
-                break
-            table[b][e] += b * v_k
-
-    pows = _powers(_series.trimmed(v, work), top, work)
-    if _series.ord_of(_evaluate(h_terms, pows, work)) is not None:
-        raise NoSolution("residual does not vanish to the horizon")
-    return Parametrization(n, m, xi, c0, scale,
-                           tuple(tuple(p[:t_horizon + 1]) for p in pows), t_horizon)
+    scale, terms = _scaled_equation(eq, xi, c0)
+    return Parametrization(n, m, xi, c0, scale, tuple(terms),
+                           eq.f.horizon - n * m + n + m)

@@ -76,7 +76,8 @@ def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
     while True:
         sides = []
         for _ in range(2):
-            side = TruncatedPoly.zero(order, horizon)
+            # A repeated monomial adds up; the constructor drops a sum that cancels.
+            terms = {}
             for _ in range(rng.randint(0, 2)):
                 while True:
                     a = rng.randint(0, nm // sg.n)
@@ -84,8 +85,8 @@ def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
                     if sg.n * a + sg.m * b <= nm:
                         break
                 coeff = Rat(rng.choice([-1, 1]) * rng.randint(1, 3))
-                side = side + TruncatedPoly.monomial(order, coeff, (a, b), horizon)
-            sides.append(side)
+                terms[(a, b)] = terms[(a, b)] + coeff if (a, b) in terms else coeff
+            sides.append(TruncatedPoly(order, horizon, terms))
         form = OneForm(sides[0], sides[1])
         if not form.is_zero:
             return form
@@ -304,7 +305,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             part = final_reduction(reductions[j].mul_monomial(1, shift), [f])
             mu = _tuning(r, part)
             steps.append((j, mu, shift))
-            r = final_reduction(r.poly + part.poly.scale(mu), [f])
+            r = final_reduction(r.poly.add_scaled(part.poly, mu), [f])
             if r.vanished:
                 value = None
                 break

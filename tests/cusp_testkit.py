@@ -1,5 +1,9 @@
 """Shared corpus, random generators and a call counter for the test suite.
 
+A plain module rather than ``conftest.py``, so that ``from cusp_testkit
+import ...`` names this file even when pytest also collects another suite
+with a conftest of its own (``pytest tests bench/tests``).
+
 The corpus covers every multiplicity the library special-cases (n = 2 through
 7) together with both small and spread-out second exponents.  Random curves
 and 1-forms are drawn through seeded `random.Random` instances so that every

@@ -30,7 +30,7 @@ from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, elements_outside, enumerate_increasing
 from cuspidal.standard_basis import StandardBasis, codimension
 from cuspidal.bernstein import four_condition_check, zariski_condition_check, PreconditionViolation
-from conftest import CORPUS, coprime_pairs, curve_draws, random_form
+from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
 
 
 def _verdict(num: int, name: str, failures: list) -> None:

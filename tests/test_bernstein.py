@@ -30,7 +30,7 @@ from cuspidal.differentials import delorme
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule
-from conftest import count_calls
+from cusp_testkit import count_calls
 
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
 EQ49_DEG = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(7, 18)})

@@ -16,7 +16,7 @@ from cuspidal.curve import cuspidal_sets, newton_puiseux
 from cuspidal.differentials import OneForm, delorme, oracle_differential_value
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.standard_basis import HorizonExhausted
-from conftest import count_calls
+from cusp_testkit import count_calls
 
 SPEC49 = "n = 4\nm = 9\nz 1 = 1\n"
 SPEC45 = "n = 4\nm = 5\nz 2 = 1\n"
@@ -248,6 +248,19 @@ def test_verify_at_the_smallest_horizon(capsys, monkeypatch, tmp_path, text):
     assert len(branches) == 1
     n, m = branches[0][0].sg.n, branches[0][0].sg.m
     assert {param.t_horizon for _, param in oracle} == {n * m + n + m}
+
+
+def test_default_verify_solves_the_branch_only_to_the_first_window(capsys, monkeypatch,
+                                                                    spec49):
+    """At the default horizon 4nm no oracle read on the (4,9) spec passes
+    nm + n + m, so the branch is never solved through t_horizon = 3nm + n + m."""
+    oracle = count_calls(monkeypatch, oracle_differential_value)
+    code, out, _ = run(capsys, "verify", "--spec", spec49)
+    assert code == 0
+    assert out.endswith("verify = ok\n")
+    params = {id(param): param for _, param in oracle}.values()
+    assert len(params) == 1
+    assert {(param.window, param.t_horizon) for param in params} == {(49, 121)}
 
 
 @pytest.mark.parametrize("command", ["bs-roots", "delorme", "jacobian", "verify"])

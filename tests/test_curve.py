@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import CurveEquation, Semigroup, _series, cuspidal_sets
-from cuspidal.curve import NotAdapted, newton_puiseux
+from cuspidal.curve import NotAdapted, _solve_branch, newton_puiseux
 from cuspidal.differentials import OneForm, oracle_differential_value
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
-from conftest import CORPUS, coprime_pairs, count_calls
+from cusp_testkit import CORPUS, coprime_pairs, count_calls
 
 
 @pytest.mark.parametrize("n,m", [(4, 8), (6, 9), (1, 5), (5, 5), (7, 3)])
@@ -131,13 +131,15 @@ def _all_ones(n, m) -> CurveEquation:
 
 # The adapted curves carry a power y^b with b > n and a pure power x^a with
 # a > m, so the branch's power table runs past v^n and H has terms free of v.
+# On the last one v^7 starts at s^21, past the first solve's table (s^14).
 BRANCH_CASES = [_all_ones(n, m) for n, m in CORPUS] + [
     _adapted_45_mu2(),
     _adapted(3, 5, {(5, 0): Rat(3), (0, 4): Rat(-2, 3), (6, 0): Rat(5, 2), (2, 2): Rat(1)}),
     _adapted(4, 5, {(5, 0): Rat(-1, 2), (0, 5): Rat(4), (6, 0): Rat(-3), (3, 2): Rat(1, 3)}),
+    _adapted(2, 3, {(3, 0): Rat(-2), (0, 7): Rat(3), (1, 5): Rat(1, 2)}),
 ]
 BRANCH_IDS = [f"{n}-{m}" for n, m in CORPUS] + [
-    "adapted-4-5-mu2", "adapted-3-5-y4-x6", "adapted-4-5-y5-x6"]
+    "adapted-4-5-mu2", "adapted-3-5-y4-x6", "adapted-4-5-y5-x6", "adapted-2-3-y7"]
 
 
 def _fraction(c) -> Fraction:
@@ -207,6 +209,42 @@ def test_branch_builds_one_power_table(monkeypatch, eq):
     newton_puiseux(eq)
     top = max(b for _, b in eq.f.terms)
     assert len(calls) <= top - 1
+
+
+@pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)
+def test_infinite_value_solves_the_whole_branch(eq):
+    """The branch is first solved through nm + n + m.  The oracle's walk on
+    df (infinite value) reads to t_horizon, which solves the branch again
+    there: the first window is a prefix of the second, the tables cached at
+    the first window are replaced, and the residual vanishes through
+    t_horizon.  On the adapted curves with y^5 (n = 4) and y^7 (n = 2) the
+    table runs past v^n, so the cut-offs of the recursion at s^work are
+    exercised."""
+    n, m = eq.sg.n, eq.sg.m
+    param = newton_puiseux(eq)
+    assert (param.window, param.t_horizon) == (n * m + n + m, 3 * n * m + n + m)
+    first = param._read(1, False)
+    param._read(n + 1, True)
+    assert oracle_differential_value(OneForm.d(eq.f), param) is None
+    assert param.window == param.t_horizon
+    assert param._read(1, False)[:len(first)] == first
+    assert all(len(t) == param.t_horizon + 1 for t in param._tables.values())
+    assert all(c == 0 for c in _fraction_residual(eq, param))
+    assert param.v_powers == tuple(_solve_branch(n, m, param.terms, param.t_horizon))
+
+
+@pytest.mark.parametrize("read", ["y", "v_powers", "_table"])
+def test_reading_the_table_solves_the_whole_branch(read):
+    """y, v_powers and _table serve t^0..t^t_horizon, so each solves that far."""
+    eq = BRANCH_CASES[BRANCH_IDS.index("adapted-4-5-y5-x6")]
+    assert max(b for _, b in eq.f.terms) == eq.sg.n + 1
+    param = newton_puiseux(eq)
+    assert param.window < param.t_horizon
+    if read == "_table":
+        param._table(2, True)
+    else:
+        getattr(param, read)
+    assert param.window == param.t_horizon
 
 
 def test_exact_division_raises_on_a_remainder():

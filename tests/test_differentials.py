@@ -24,7 +24,7 @@ from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, _axis
 from cuspidal.standard_basis import final_reduction
-from conftest import CORPUS, coprime_pairs, curve_draws, random_form
+from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})

@@ -18,7 +18,7 @@ from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.standard_basis import (HorizonExhausted, StandardBasis, buchberger,
                                      codimension)
-from conftest import CORPUS, curve_draws
+from cusp_testkit import CORPUS, curve_draws
 
 
 @pytest.mark.parametrize("eq,tau", [

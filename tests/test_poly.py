@@ -133,3 +133,18 @@ def test_leading_multiplicative(seed):
         lead = prod.leading
         assert lead.exponent == joint
         assert lead.coeff == p.leading.coeff * q.leading.coeff
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([Rat(0), Rat(1), Rat(-1), Rat(2, 3), Rat(-5, 2)]))
+def test_add_scaled_is_the_sum_with_the_scaled_copy(seed, mu):
+    """p.add_scaled(q, mu) == p + q.scale(mu): the same terms (cancelled ones
+    dropped, none zero) and the smaller horizon."""
+    rng = random.Random(seed)
+    order = WeightedOrder(3, 5)
+    p = _random_poly(rng, order, 60)
+    q = _random_poly(rng, order, rng.choice([30, 60, 90]))
+    q = q + p.scale(rng.choice([Rat(-1), -1 / mu if mu else Rat(1)]))  # cancellations
+    got = p.add_scaled(q, mu)
+    assert got == p + q.scale(mu)
+    assert all(got.terms.values())

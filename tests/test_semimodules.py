@@ -13,7 +13,7 @@ from cuspidal.semimodules import (
     enumerate_increasing,
     validate_basis,
 )
-from conftest import coprime_pairs
+from cusp_testkit import coprime_pairs
 
 SG49 = Semigroup(4, 9)
 

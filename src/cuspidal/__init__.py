@@ -6,16 +6,17 @@ Delorme's algorithm, Newton-Puiseux parametrizations used as independent
 value oracles, Jacobian-ideal standard bases with the Tjurina number, and
 certified subsets of Bernstein-Sato roots through an exact residue
 criterion.  Every residue is zero or a single Gamma group, so each decision
-is an exact sign; mpmath is loaded only to display a residue's value as an
-interval.
+is exact, and a root verdict is its kind, its root and the test exponent
+whose residue is nonzero; mpmath is loaded only to display a residue's
+value as an interval.
 """
 from __future__ import annotations
 
 from .bernstein import (Certificate, DeltaSequence, FourReport, GammaExpr,
                         NegativeK, PreconditionViolation, ResidueDecision,
                         RootCandidate, RootDecision, ZariskiReport,
-                        certified_roots_from_semimodule, certify_residue,
-                        decide_root, delta_sequences, four_condition_check,
+                        certified_roots_from_semimodule, decide_root,
+                        delta_sequences, four_condition_check,
                         interval_certificate, residue, residue_is_zero,
                         zariski_condition_check)
 from .curve import (CurveEquation, CuspidalSets, NoSolution, NotAdapted,
@@ -50,8 +51,7 @@ __all__ = [
     "SpecError", "StandardBasis", "Term", "TruncatedPoly", "Unclassifiable",
     "ValueMismatch", "WeightedOrder", "ZariskiReport",
     "apply_vector_field", "buchberger", "certified_roots_from_semimodule",
-    "certify_residue", "classify_four",
-    "codimension", "cuspidal_sets", "decide_root", "delorme",
+    "classify_four", "codimension", "cuspidal_sets", "decide_root", "delorme",
     "delta_sequences", "differential_value", "divides", "elements_outside",
     "enumerate_increasing", "four_condition_check", "interval_certificate",
     "jacobian_basis_direct", "jacobian_basis_via_differentials",

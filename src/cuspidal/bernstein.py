@@ -6,9 +6,10 @@ residue: a Gamma-weighted polynomial in the nice-form coefficients z_j whose
 non-vanishing at some test exponent in M certifies -beta_j.  Every residue
 is a single Gamma group c*Gamma(r1)*Gamma(r2) or zero (proved in
 ``residue``), so the vanishing decision is exact: no group left means zero,
-and one group has the sign of the rational c, since Gamma is positive on
-(0, 1].  Interval arithmetic only displays a value (``interval_certificate``,
-which alone imports mpmath); no decision reads it.
+and one group is nonzero (``residue_is_zero``).  A root verdict is its kind,
+its root and the test exponent whose residue is nonzero (``decide_root``).
+Interval arithmetic only displays a value (``interval_certificate``, which
+alone imports mpmath); no decision reads it.
 """
 from __future__ import annotations
 
@@ -109,9 +110,9 @@ class GammaExpr:
     groups: tuple  # () or (((r1, r2, ...), coeff),), arguments sorted
 
     def __post_init__(self) -> None:
-        # certify_residue reads the group's sign off its coefficient, which
-        # is sound only for one group, a nonzero coefficient and arguments
-        # in (0, 1].
+        # residue_is_zero reads "nonzero" off a group being left, which is
+        # sound only for one group with a nonzero coefficient and arguments
+        # in (0, 1], where Gamma is positive.
         if len(self.groups) > 1:
             raise ValueError(f"a residue is at most one Gamma group, got {len(self.groups)}")
         for args, coeff in self.groups:
@@ -246,41 +247,31 @@ class ResidueDecision(enum.Enum):
 
 @dataclass(frozen=True)
 class Certificate:
-    """The sign of a nonzero GammaExpr, and how it is known.
+    """An outward-rounded enclosure [lower, upper] of a GammaExpr's value,
+    computed at ``precision_bits``, for display; ``sign`` is 0 unless the
+    enclosure excludes zero."""
 
-    ``kind`` is "exact" for the decision's certificate: the sign of the
-    group's rational coefficient, no endpoints and ``precision_bits == 0``.
-    It is "interval" for an outward-rounded enclosure of the value computed
-    at ``precision_bits``, for display; ``sign`` is 0 unless the enclosure
-    excludes zero.
-    """
-
-    kind: str  # "exact" | "interval"
     sign: int
     precision_bits: int
-    lower: str | None = None
-    upper: str | None = None
-    relative_width: str | None = None
-
-    @property
-    def excludes_zero(self) -> bool:
-        return self.sign != 0
+    lower: str
+    upper: str
+    relative_width: str
 
 
-def interval_certificate(expr: GammaExpr, precision: int = 256) -> Certificate:
+def interval_certificate(expr: GammaExpr) -> Certificate:
     """Enclose the value of an expression by interval evaluation, doubling
-    the working precision from ``precision`` (at least 8 bits) until zero is
-    excluded and the enclosure is tight (relative width under 1e-30), up to
-    1024 bits.  Decisions never need it (see ``certify_residue``); the
-    ``residue`` subcommand prints it to show the value."""
+    the working precision from 256 bits until zero is excluded and the
+    enclosure is tight (relative width under 1e-30), up to
+    ``MAX_PRECISION_BITS``.  Decisions never need it (see
+    ``residue_is_zero``); the ``residue`` subcommand prints it to show the
+    value."""
+    bits = 256
     if expr.is_zero:
-        return Certificate("interval", 0, precision, "0", "0", "0")
+        return Certificate(0, bits, "0", "0", "0")
     import mpmath  # only the displayed enclosure needs it; it is slow to load
 
     iv = mpmath.iv
     goal = mpmath.mpf("1e-30")
-    bits = max(precision, 8)
-    ceiling = max(MAX_PRECISION_BITS, bits)
     ((args, coeff),) = expr.groups
     while True:
         saved = iv.prec
@@ -299,49 +290,37 @@ def interval_certificate(expr: GammaExpr, precision: int = 256) -> Certificate:
         width = hi - lo
         mid = abs(hi + lo) / 2
         rel = width / mid if mid > 0 else mpmath.inf
-        if (sign and rel < goal) or bits >= ceiling:
-            return Certificate("interval", sign, bits, mpmath.nstr(lo, 40),
+        if (sign and rel < goal) or bits >= MAX_PRECISION_BITS:
+            return Certificate(sign, bits, mpmath.nstr(lo, 40),
                                mpmath.nstr(hi, 40), mpmath.nstr(rel, 10))
-        bits = min(2 * bits, ceiling)
-
-
-def certify_residue(expr: GammaExpr) -> tuple[ResidueDecision, Certificate | None]:
-    """The vanishing decision with the certificate behind it.
-
-    No group left is zero, exactly, with no certificate.  Otherwise the
-    expression is one group c*Gamma(r1)*Gamma(r2) with both arguments in
-    (0, 1], where Gamma is positive: nonzero, with an exact certificate
-    carrying the sign of c.  No interval is computed.
-    """
-    if expr.is_zero:
-        return ResidueDecision.ZERO, None
-    ((_, c),) = expr.groups
-    return ResidueDecision.NONZERO, Certificate("exact", 1 if c > 0 else -1, 0)
+        bits = min(2 * bits, MAX_PRECISION_BITS)
 
 
 def residue_is_zero(expr: GammaExpr) -> ResidueDecision:
-    """The decision of ``certify_residue`` without its certificate."""
-    return certify_residue(expr)[0]
+    """Zero exactly when no group is left.  Otherwise the expression is one
+    group c*Gamma(r1)*Gamma(r2) with c nonzero and both arguments in
+    (0, 1], where Gamma is positive, so it is nonzero with the sign of c.
+    No interval is computed."""
+    return ResidueDecision.ZERO if expr.is_zero else ResidueDecision.NONZERO
 
 
 @dataclass(frozen=True)
 class RootDecision:
-    """Outcome of the residue criterion for one j in J."""
+    """Outcome of the residue criterion for one j in J: the kind, the root,
+    and for a beta root the test exponent (a, b) whose residue is nonzero."""
 
     kind: str  # "beta_root" | "alpha_root"
-    candidate: RootCandidate
     root: Rat
     witness: tuple | None = None
-    witness_residue: GammaExpr | None = None
-    decision: ResidueDecision | None = None
-    certificate: Certificate | None = None
 
 
 def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     """-beta_j is a root iff some test exponent in M has nonzero residue;
     otherwise -alpha_j is.  Test exponents are scanned by increasing residue
     target k (then lexicographically), so the cheap decompositions -- and in
-    the certified families the theory's own witness -- come first."""
+    the certified families the theory's own witness -- come first.  The
+    first nonzero residue is the witness; ``residue(eq, witness, beta_j)``
+    recomputes it."""
     sg = eq.sg
     n, m = sg.n, sg.m
     sets = eq.sets
@@ -352,13 +331,9 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     for a, b in sets.M_by_target:
         if n * a + m * b > big_b:  # k < 0
             continue
-        expr = residue(eq, (a, b), cand.beta)
-        if expr.is_zero:
-            continue
-        decision, cert = certify_residue(expr)
-        return RootDecision("beta_root", cand, -cand.beta, (a, b), expr,
-                            decision, cert)
-    return RootDecision("alpha_root", cand, -cand.alpha_val)
+        if not residue(eq, (a, b), cand.beta).is_zero:
+            return RootDecision("beta_root", -cand.beta, (a, b))
+    return RootDecision("alpha_root", -cand.alpha_val)
 
 
 def certified_roots_from_semimodule(sm: AbstractSemimodule) -> frozenset:

@@ -305,7 +305,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             part = final_reduction(reductions[j].mul_monomial(1, shift), [f])
             mu = _tuning(r, part)
             steps.append((j, mu, shift))
-            r = final_reduction(r.poly.add_scaled(part.poly, mu), [f])
+            r = final_reduction(r.poly + part.poly.scale(mu), [f])
             if r.vanished:
                 value = None
                 break

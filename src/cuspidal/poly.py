@@ -159,17 +159,12 @@ class TruncatedPoly:
             raise ValueError(f"cannot raise the horizon {self.horizon} to {horizon}")
         return TruncatedPoly._raw(self.order, horizon, self._shrunk(horizon))
 
-    def _merge(self, other: "TruncatedPoly", mu) -> "TruncatedPoly":
-        """self + mu * other in one pass.  ``+`` and ``-`` pass mu = 1 and
-        mu = -1, which multiply nothing; ``add_scaled`` passes its own mu."""
+    def _merge(self, other: "TruncatedPoly", negate: bool) -> "TruncatedPoly":
+        """self + other, or self - other in the same single pass."""
         h = self._join(other)
         out = self._shrunk(h)
         n, m = self.order.n, self.order.m
-        terms = other.terms.items()
-        if mu != 1 and mu != -1:
-            terms = ((e, mu * c) for e, c in terms)  # scaled as they are merged
-        negate = mu == -1
-        for e, c in terms:
+        for e, c in other.terms.items():
             if n * e[0] + m * e[1] > h:
                 continue
             s = out.get(e)
@@ -186,18 +181,12 @@ class TruncatedPoly:
     def __add__(self, other):
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
-        return self._merge(other, 1)
+        return self._merge(other, False)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
-        return self._merge(other, -1)
-
-    def add_scaled(self, other: "TruncatedPoly", mu) -> "TruncatedPoly":
-        """self + mu * other, in one pass without the copy mu * other."""
-        mu = rat(mu)
-        # mu = 0 adds the zero polynomial, at the horizon of other.
-        return self._merge(other if mu else other.scale(mu), mu)
+        return self._merge(other, True)
 
     def __neg__(self):
         return TruncatedPoly._raw(self.order, self.horizon,

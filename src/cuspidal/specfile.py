@@ -39,12 +39,6 @@ class CoefficientOutsideJ(SpecError):
     kind = "coefficient_outside_J"
 
 
-def check_natural(what: str, value: int | None) -> None:
-    """Reject a negative setting; None means unset."""
-    if value is not None and value < 0:
-        raise ParseError(f"{what} must be non-negative, got {value}")
-
-
 @dataclass(frozen=True)
 class CurveSpec:
     """Validated contents of a spec file."""
@@ -55,7 +49,6 @@ class CurveSpec:
     terms: tuple = ()        # ((coeff, a, b), ...) adapted form
     mu: Rat = ONE
     horizon_mult: int | None = None
-    precision: int | None = None
     seed: int | None = None
     # <n, m> itself, carried through with_overrides so that the spec check,
     # the equation and the residues of one request share its cached sets.
@@ -64,8 +57,8 @@ class CurveSpec:
     def __post_init__(self) -> None:
         # The one place the truncation horizon and the tool settings are
         # checked: parse_spec and with_overrides both construct through here.
-        check_natural("precision", self.precision)
-        check_natural("seed", self.seed)
+        if self.seed is not None and self.seed < 0:
+            raise ParseError(f"seed must be non-negative, got {self.seed}")
         if self.horizon_mult is not None and self.horizon_mult < 2:
             raise ParseError("horizon_mult must be at least 2")
         if self.semigroup is None:
@@ -113,7 +106,7 @@ def _natural(text: str, line: int, what: str) -> int:
     return value
 
 
-_INT_KEYS = ("n", "m", "horizon_mult", "precision", "seed")
+_INT_KEYS = ("n", "m", "horizon_mult", "seed")
 
 
 def parse_spec(text: str) -> CurveSpec:
@@ -152,6 +145,10 @@ def parse_spec(text: str) -> CurveSpec:
             if any(t[1] == a and t[2] == b for t in terms):
                 raise ParseError(f"duplicate term x^{a} y^{b}", line_no)
             terms.append((c, a, b, line_no))
+        elif tokens[0] == "precision":
+            raise ParseError("the precision key was removed: every residue decision is "
+                             "exact, and residue's interval always starts at 256 bits",
+                             line_no)
         else:
             raise ParseError(f"unrecognized line {raw.strip()!r}", line_no)
 
@@ -191,5 +188,4 @@ def parse_spec(text: str) -> CurveSpec:
     return CurveSpec(n=n, m=m, coeffs=tuple(coeffs), terms=tuple(clean_terms),
                      mu=fields.get("mu", ONE),
                      horizon_mult=fields.get("horizon_mult"),
-                     precision=fields.get("precision"),
                      seed=fields.get("seed"), semigroup=sg)

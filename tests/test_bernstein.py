@@ -1,4 +1,4 @@
-"""Residues, gamma-product certificates, and certified root decisions."""
+"""Residues, their vanishing decisions and intervals, and root verdicts."""
 from __future__ import annotations
 
 import random
@@ -16,8 +16,8 @@ from cuspidal.bernstein import (
     PreconditionViolation,
     ResidueDecision,
     RootCandidate,
+    RootDecision,
     certified_roots_from_semimodule,
-    certify_residue,
     decide_root,
     delta_sequences,
     four_condition_check,
@@ -304,10 +304,10 @@ def test_residue_is_zero_two_values():
 def test_interval_certificate_pin():
     expr = GammaExpr.from_terms([(Rat(-1), (Rat(3, 4), Rat(8, 9)))])
     cert = interval_certificate(expr)
-    assert (cert.kind, cert.sign, cert.excludes_zero) == ("interval", -1, True)
-    assert cert.precision_bits == 256
+    assert (cert.sign, cert.precision_bits) == (-1, 256)
     assert mpmath.mpf(cert.upper) < 0
     assert mpmath.mpf(cert.relative_width) < mpmath.mpf("1e-30")
+    assert interval_certificate(GammaExpr(())) == Certificate(0, 256, "0", "0", "0")
 
 
 @pytest.mark.parametrize("j,kind,root,witness", [
@@ -321,30 +321,29 @@ def test_decide_root_49(j, kind, root, witness):
     assert dec.root == root
     if witness is not None:
         assert dec.witness == witness
-        assert dec.decision is ResidueDecision.NONZERO
-        assert dec.certificate.excludes_zero
+    assert residue_is_zero(residue(EQ49, dec.witness, -root)) is ResidueDecision.NONZERO
 
 
-def test_certify_residue_pairs_decision_with_certificate():
-    assert certify_residue(GammaExpr(())) == (ResidueDecision.ZERO, None)
-    expr = residue(EQ49, (1, 2), Rat(23, 36))
-    decision, cert = certify_residue(expr)
-    assert decision is residue_is_zero(expr) is ResidueDecision.NONZERO
-    assert cert == Certificate("exact", -1, 0)
-    assert cert.lower is cert.upper is None
+def test_root_decision_is_kind_root_and_witness():
+    """A verdict holds what its readers print; the witness residue is
+    recomputed from it."""
+    dec = decide_root(EQ49, 10)
+    assert dec == RootDecision("beta_root", Rat(-23, 36), (1, 2))
+    expr = residue(EQ49, dec.witness, -dec.root)
+    assert str(expr) == "(-1)*Gamma(3/4)*Gamma(8/9)"
+    assert residue_is_zero(expr) is ResidueDecision.NONZERO
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(-9, 9).filter(bool), st.integers(1, 7),
        st.lists(st.tuples(st.integers(1, 40), st.integers(1, 12)), min_size=1, max_size=2))
 def test_exact_sign_agrees_with_interval(cnum, cden, args):
-    """A single group's sign is its coefficient's, also after from_terms
-    lowers arguments above 1 into (0, 1]."""
+    """A single group is nonzero with its coefficient's sign, also after
+    from_terms lowers arguments above 1 into (0, 1]."""
     expr = GammaExpr.from_terms([(Rat(cnum, cden), tuple(Rat(p, q) for p, q in args))])
-    decision, cert = certify_residue(expr)
-    assert decision is ResidueDecision.NONZERO
-    assert (cert.kind, cert.excludes_zero, cert.precision_bits) == ("exact", True, 0)
-    assert cert.sign == interval_certificate(expr).sign != 0
+    assert residue_is_zero(expr) is ResidueDecision.NONZERO
+    ((_, coeff),) = expr.groups
+    assert (1 if coeff > 0 else -1) == interval_certificate(expr).sign
 
 
 def test_checks_reject_semimodule_of_other_pair():
@@ -356,15 +355,12 @@ def test_checks_reject_semimodule_of_other_pair():
 
 
 def test_decide_root_certifies_once(monkeypatch):
-    """The witness residue is one group, so its sign is exact: one
-    certificate and no interval."""
-    certified = count_calls(monkeypatch, certify_residue)
+    """The witness residue is one group, nonzero exactly: the verdict
+    computes no interval."""
     intervals = count_calls(monkeypatch, interval_certificate)
     dec = decide_root(EQ49, 10)
-    assert dec.kind == "beta_root"
-    assert dec.certificate == Certificate("exact", -1, 0)
-    assert len(certified) == 1
-    assert len(intervals) == 0
+    assert (dec.kind, dec.witness) == ("beta_root", (1, 2))
+    assert intervals == []
 
 
 def test_decide_root_alpha_case():
@@ -372,7 +368,6 @@ def test_decide_root_alpha_case():
     assert dec.kind == "alpha_root"
     assert dec.root == Rat(-31, 20)
     assert dec.witness is None
-    assert dec.certificate is None
 
 
 def test_decide_root_validates_j():

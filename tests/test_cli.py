@@ -194,21 +194,6 @@ def test_negative_ab_exits_two(capsys, spec49, j, ab):
     assert err.startswith("error: parse_error: --ab entries must be non-negative")
 
 
-def test_precision_override_changes_certificate(capsys, spec49):
-    _, out512, _ = run(capsys, "residue", "--spec", spec49, "--j", "10",
-                       "--ab", "1,2", "--precision", "512")
-    assert "precision_bits = 512" in out512
-
-
-def test_precision_zero_starts_at_eight_bits(capsys, spec49):
-    """0 is a precision like any other: the enclosure starts at 8 bits and
-    doubles to 128, where it is tight; it does not fall back to 256."""
-    code, out, _ = run(capsys, "residue", "--spec", spec49, "--j", "10",
-                       "--ab", "1,2", "--precision", "0")
-    assert code == 0
-    assert "precision_bits = 128" in out
-
-
 @pytest.mark.parametrize("extra,argv", [
     ("", ["--horizon-mult", "1"]),
     ("", ["--horizon-mult", "0"]),
@@ -325,13 +310,14 @@ def test_forms_are_built_only_when_read(capsys, monkeypatch, spec49, command):
     assert {"mul_monomial", "__add__"} <= set(calls)
 
 
-# The options each subcommand declares besides --json, and a value for each.
+# The options each subcommand declares besides --json, and a value for each
+# option; --precision is declared by none, so every subcommand refuses it.
 DECLARED = {
     "semigroup": {"--spec"},
     "cuspidal-sets": {"--spec"},
     "delorme": {"--spec"},
     "bs-roots": {"--spec"},
-    "residue": {"--spec", "--j", "--ab", "--precision"},
+    "residue": {"--spec", "--j", "--ab"},
     "jacobian": {"--spec"},
     "enumerate": {"--spec", "--max-m"},
     "verify": {"--spec", "--horizon-mult", "--seed"},
@@ -345,8 +331,8 @@ SETTINGS = {"--spec": "c.spec", "--horizon-mult": "3", "--seed": "5", "--precisi
                                      ["residue", "--j", "10", "--ab", "1,2"]])
 @pytest.mark.parametrize("flag", ["--precision=-5", "--seed=-3"])
 def test_negative_setting_flags_exit_two(capsys, spec49, command, flag):
-    """A negative setting is a parse_error; --precision is an option of
-    `residue` alone and --seed of `verify`, so elsewhere it is not
+    """A negative seed is a parse_error; --seed is an option of `verify`
+    alone and --precision of no subcommand, so elsewhere they are not
     recognised at all."""
     code, out, err = run(capsys, command[0], "--spec", spec49, *command[1:], flag)
     assert code == 2
@@ -364,6 +350,19 @@ def test_conjecture_scan_negative_precision_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --precision=-5" in err
+
+
+@pytest.mark.parametrize("command", [c for c in DECLARED if "--spec" in DECLARED[c]])
+def test_precision_spec_key_is_refused(capsys, tmp_path, command):
+    """The removed key is named on one line, not ignored."""
+    path = tmp_path / "p.spec"
+    path.write_text(SPEC49 + "precision = 512\n")
+    argv = ["--j", "1", "--ab", "1,1"] if command == "residue" else []
+    code, out, err = run(capsys, command, "--spec", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse_error: line 4: the precision key was removed")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command,max_m", [
@@ -420,7 +419,7 @@ def test_undeclared_flag_is_refused(capsys, spec49, command, flag):
     ("bs-roots", ["--hor", "2"]),            # declared nowhere but verify
     ("verify", ["--hor", "2"]),              # not --horizon-mult
     ("verify", ["--se", "3"]),               # not --seed
-    ("residue", ["--prec", "64"]),           # not --precision
+    ("residue", ["--js"]),                   # not --json
     ("conjecture-scan", ["--max", "6"]),     # not --max-m
 ])
 def test_abbreviated_flag_is_refused(capsys, spec49, command, bad):

@@ -30,11 +30,10 @@ m=9      # trailing comment
 z 1 = 1
 z 2 = 7/18
 horizon_mult = 6
-precision=512
-seed = 11
+seed=11
 """)
     assert spec.coeffs == ((1, Rat(1)), (2, Rat(7, 18)))
-    assert (spec.horizon_mult, spec.precision, spec.seed) == (6, 512, 11)
+    assert (spec.horizon_mult, spec.seed) == (6, 11)
     assert spec.horizon() == 6 * 36
 
 
@@ -57,8 +56,8 @@ def test_build_adapted_equation_from_terms():
 
 def test_with_overrides_keeps_unset_fields():
     spec = parse_spec("n=4\nm=5\nz 2 = 1\nseed = 7")
-    out = spec.with_overrides(precision=512, horizon_mult=5, seed=None)
-    assert (out.precision, out.horizon_mult) == (512, 5)
+    out = spec.with_overrides(horizon_mult=5, seed=None)
+    assert out.horizon_mult == 5
     assert out.seed == 7
     assert out.coeffs == spec.coeffs
 
@@ -81,6 +80,7 @@ def test_overrides_pass_the_horizon_checks():
     ("n=4\nm=5\nz 2 = 1\nmu = 2", ParseError, "parse_error", None),
     ("n=4\nm=5\nhorizon_mult = 1", ParseError, "parse_error", None),
     ("n=4\nm=5\nt_horizon = 32", ParseError, "parse_error", 3),
+    ("n=4\nm=5\nprecision = 512", ParseError, "parse_error", 3),   # removed key
     ("n=4\nn=5\nm=7", ParseError, "parse_error", 2),
     ("n=4\nm=5\nwhat is this", ParseError, "parse_error", 3),
     ("n=4\nm=5\nterm 1 1 1", ParseError, "parse_error", 3),

@@ -12,9 +12,9 @@ value as an interval.
 """
 from __future__ import annotations
 
-from .bernstein import (Certificate, DeltaSequence, FourReport, GammaExpr,
-                        NegativeK, PreconditionViolation, ResidueDecision,
-                        RootCandidate, RootDecision, ZariskiReport,
+from .bernstein import (Certificate, FourReport, GammaExpr, NegativeK,
+                        PreconditionViolation, ResidueDecision, RootCandidate,
+                        RootDecision, ZariskiReport,
                         certified_roots_from_semimodule, decide_root,
                         delta_sequences, four_condition_check,
                         interval_certificate, residue, residue_is_zero,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AbstractSemimodule", "Certificate", "CoefficientOutsideJ",
     "CurveEquation", "CurveSpec", "CuspidalSets",
-    "DeltaSequence", "DifferentialBasis", "Exponent", "FinalReduction",
+    "DifferentialBasis", "Exponent", "FinalReduction",
     "FourClassification", "FourReport", "GammaExpr", "HorizonExhausted",
     "InvalidPair", "NegativeK", "NoSolution", "NotAdapted", "OneForm",
     "Parametrization", "ParseError", "PreconditionViolation", "Rat",

@@ -4,10 +4,12 @@ Every gap value j in the cuspidal set J yields two candidate roots -beta_j
 and -alpha_j = -(beta_j + 1).  Which one is realized is decided by an exact
 residue: a Gamma-weighted polynomial in the nice-form coefficients z_j whose
 non-vanishing at some test exponent in M certifies -beta_j.  Every residue
-is a single Gamma group c*Gamma(r1)*Gamma(r2) or zero (proved in
-``residue``), so the vanishing decision is exact: no group left means zero,
-and one group is nonzero (``residue_is_zero``).  A root verdict is its kind,
-its root and the test exponent whose residue is nonzero (``decide_root``).
+is a single Gamma group c*Gamma(r1)*Gamma(r2) or zero, with the pair
+(r1, r2) fixed by beta alone (proved in ``residue``, which computes the pair
+once and checks every term against it).  So the vanishing decision is
+exact: no group left means zero, and one group is nonzero
+(``residue_is_zero``).  A root verdict is its kind, its root and the test
+exponent whose residue is nonzero (``decide_root``).
 Interval arithmetic only displays a value (``interval_certificate``, which
 alone imports mpmath); no decision reads it.
 """
@@ -53,20 +55,10 @@ class RootCandidate:
         return cls(j, Rat(j + sg.n + sg.m, sg.n * sg.m))
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
-    """A multiset of parts from J: entries ((part, multiplicity), ...) with
-    every multiplicity positive, parts strictly increasing."""
-
-    entries: tuple
-
-    @property
-    def total(self) -> int:
-        return sum(d for _, d in self.entries)
-
-
 def delta_sequences(parts, k: int) -> frozenset:
-    """All ways of writing k as a non-negative combination of the given parts.
+    """All ways of writing k as a non-negative combination of the given parts,
+    each a tuple ((part, multiplicity), ...) with every multiplicity positive
+    and the parts increasing.
 
     DFS over the parts in decreasing order; k = 0 yields the empty (all-zero)
     sequence.
@@ -74,12 +66,12 @@ def delta_sequences(parts, k: int) -> frozenset:
     if k < 0:
         raise ValueError("k must be non-negative")
     uniq = sorted(set(parts), reverse=True)
-    out: list[DeltaSequence] = []
+    out: list[tuple] = []
     chosen: list[tuple] = []
 
     def rec(i: int, rem: int) -> None:
         if rem == 0:
-            out.append(DeltaSequence(tuple(sorted(chosen))))
+            out.append(tuple(sorted(chosen)))
             return
         if i == len(uniq):
             return
@@ -96,15 +88,13 @@ def delta_sequences(parts, k: int) -> frozenset:
 
 @dataclass(frozen=True)
 class GammaExpr:
-    """Zero, or one group coeff * Gamma(r1) * Gamma(r2) in canonical form.
-
-    Arguments are recursively lowered into (0, 1] through
-    Gamma(r) = (r-1) Gamma(r-1), the multipliers folding into the rational
-    coefficient; the arguments are stored sorted (the product is symmetric)
-    and a group whose coefficient sums to 0 is dropped.  A residue is never
-    more than one group (see ``residue``): ``from_terms`` raises ValueError
-    on terms that lower to two different argument tuples, and the
-    constructor on a second group or a group not in canonical form.
+    """Zero, or one group coeff * Gamma(r1) * Gamma(r2) in canonical form:
+    a nonzero coefficient and arguments in (0, 1], stored sorted (the
+    product is symmetric).  ``residue`` builds it with the arguments already
+    lowered and the multipliers folded into the coefficient; a coefficient
+    that sums to 0 is no group at all.  A residue is never more than one
+    group (see ``residue``), so the constructor raises ValueError on a
+    second group or on a group not in canonical form.
     """
 
     groups: tuple  # () or (((r1, r2, ...), coeff),), arguments sorted
@@ -119,43 +109,6 @@ class GammaExpr:
             if not coeff or not all(0 < r <= 1 for r in args):
                 raise ValueError(f"not a canonical group: {_group_str(args, coeff)}")
 
-    @classmethod
-    def from_terms(cls, terms) -> "GammaExpr":
-        """Sum terms (coeff, (r1, r2, ...)), each lowered on integers: an
-        argument p/q in lowest terms takes t = (p-1)//q steps of
-        Gamma(r) = (r-1) Gamma(r-1) to (p - t*q)/q, which multiply the
-        coefficient by prod_{i=1..t} (p - i*q) / q^t."""
-        key, total = None, None
-        for coeff, args in terms:
-            c = rat(coeff)
-            if not c:
-                continue
-            num = den = 1
-            lowered = []
-            for r in args:
-                r = rat(r)
-                p, q = r.numerator, r.denominator
-                if p <= 0:
-                    raise ValueError(f"gamma argument must be positive, got {r}")
-                t = (p - 1) // q
-                for i in range(1, t + 1):
-                    num *= p - i * q
-                den *= q ** t
-                # gcd(p - t*q, q) = gcd(p, q) = 1: the pair is the value's
-                # lowest terms, so equal pairs are equal arguments.
-                lowered.append((p - t * q, q))
-            if num != den:
-                c = Rat(c.numerator * num, c.denominator * den)
-            lowered = tuple(sorted(lowered))
-            if key is None:
-                key, total = lowered, c
-            elif lowered == key:
-                total += c
-            else:
-                raise ValueError(f"terms lower to two argument tuples, {_args(key)} and "
-                                 f"{_args(lowered)}: not one Gamma group")
-        return cls(((_args(key), total),) if total else ())
-
     @property
     def is_zero(self) -> bool:
         return not self.groups
@@ -167,14 +120,26 @@ class GammaExpr:
         return _group_str(args, coeff)
 
 
-def _args(pairs) -> tuple:
-    """Lowered arguments (p, q) as rationals p/q, sorted by value."""
-    return tuple(sorted(Rat(p, q) for p, q in pairs))
-
-
 def _group_str(args, coeff) -> str:
     gammas = "*".join(f"Gamma({r})" for r in args)
     return f"({coeff})*{gammas}" if gammas else f"({coeff})"
+
+
+def _lower(s: int, q: int, r: int) -> tuple:
+    """Gamma(s/q) = (num/den) * Gamma(r/q) for s = r (mod q) and
+    0 < r <= q: the (s - r)/q steps of Gamma(x) = (x-1) Gamma(x-1) give
+    num = (s - q)(s - 2q)...r and den = q^((s - r)/q).  Refuses a pole
+    (s <= 0) and an s that does not lower to r."""
+    if s <= 0:
+        raise ValueError(f"gamma argument must be positive, got {Rat(s, q)}")
+    t, off = divmod(s - r, q)
+    if off:
+        raise ValueError(f"Gamma({Rat(s, q)}) does not lower to Gamma({Rat(r, q)}): "
+                         "not one Gamma group")
+    num = 1
+    for i in range(1, t + 1):
+        num *= s - i * q
+    return num, q ** t
 
 
 def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
@@ -199,7 +164,12 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
     - Lowering s1/m into (0, 1] depends only on s1 mod m, and s2/n only on
       s2 mod n, so every term lands on the same pair.
 
-    GammaExpr refuses a second group, so a slip here cannot go unnoticed.
+    So the pair is computed once, from beta alone: r1 = ((B*n^-1 - 1) mod m)
+    + 1 and r2 = ((B*m^-1 - 1) mod n) + 1, the arguments r1/m and r2/n.
+    Each term then costs only its integer multiplier (``_lower``), and is
+    checked against the pair: a term off it raises ValueError, so a slip in
+    the proof or the table cannot go unnoticed.  A term at a pole (s1 <= 0
+    or s2 <= 0) raises ValueError too.
 
     The sequences of k depend on the curve and k alone, not on (a, b) or
     beta.  So the first call with a given k stores them in
@@ -218,7 +188,8 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
     if beta.numerator * n * m % beta.denominator:
         raise ValueError("beta*nm - n*a - m*b must be an integer, got "
                          f"{beta * (n * m) - n * a - m * b}")
-    k = beta.numerator * n * m // beta.denominator - n * a - m * b
+    big_b = beta.numerator * n * m // beta.denominator
+    k = big_b - n * a - m * b
     if k < 0:
         raise NegativeK(f"residue target k = {k} is negative")
     seqs = eq.delta_table.get(k)
@@ -228,16 +199,24 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
         merged: dict = {}
         for seq in delta_sequences(tuple(z), k):
             o1 = o2 = 0
-            coeff = ONE if seq.total % 2 == 0 else -ONE
-            for l, d in seq.entries:
+            coeff = ONE if sum(d for _, d in seq) % 2 == 0 else -ONE
+            for l, d in seq:
                 p1, p2 = p_of(l)
                 o1 += d * p1
                 o2 += d * p2
                 coeff = coeff * z[l] ** d / factorial(d)
             merged[o1, o2] = merged.get((o1, o2), 0) + coeff
         eq.delta_table[k] = seqs = tuple((c, o1, o2) for (o1, o2), c in merged.items() if c)
-    return GammaExpr.from_terms((coeff, (Rat(a + o1, m), Rat(b + o2, n)))
-                                for coeff, o1, o2 in seqs)
+    r1 = (big_b * pow(n, -1, m) - 1) % m + 1
+    r2 = (big_b * pow(m, -1, n) - 1) % n + 1
+    total = 0
+    for coeff, o1, o2 in seqs:
+        num1, den1 = _lower(a + o1, m, r1)
+        num2, den2 = _lower(b + o2, n, r2)
+        total += Rat(coeff.numerator * num1 * num2, coeff.denominator * den1 * den2)
+    if not total:
+        return GammaExpr(())
+    return GammaExpr(((tuple(sorted((Rat(r1, m), Rat(r2, n)))), total),))
 
 
 class ResidueDecision(enum.Enum):

@@ -57,7 +57,7 @@ def _load_spec(args) -> CurveSpec:
     try:
         with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {args.spec}: {exc}") from None
     # A subcommand declares only the options it reads; a declared one that
     # is set replaces the spec's value.

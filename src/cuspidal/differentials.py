@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .curve import CurveEquation, Parametrization, Semigroup
 from .poly import Exponent, TruncatedPoly
-from .rationals import Rat, rat
+from .rationals import Rat
 from .semimodules import AbstractSemimodule, _axis, covered
 from .standard_basis import FinalReduction, final_reduction
 
@@ -56,10 +56,6 @@ class OneForm:
 
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.dx + other.dx, self.dy + other.dy)
-
-    def scale(self, c) -> "OneForm":
-        c = rat(c)
-        return OneForm(self.dx.scale(c), self.dy.scale(c))
 
     def mul_monomial(self, coeff, shift: Exponent) -> "OneForm":
         return OneForm(self.dx.mul_monomial(coeff, shift),

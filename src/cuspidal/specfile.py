@@ -1,8 +1,9 @@
 """Plain-text curve specifications for the command line.
 
 A spec names the semigroup pair and either nice-form coefficients (``z j =
-value`` with j in the cuspidal value set J) or raw adapted-form terms
-(``term coeff a b`` above the weight line), plus optional tool settings.
+value`` with j in the cuspidal value set J) or an adapted form mu*x^m + y^n
+plus raw terms (``term coeff a b`` above the weight line; ``mu`` alone,
+with no terms, is adapted too), plus optional tool settings.
 Lines are independent, ``#`` starts a comment, and ``=`` may be written with
 or without spaces.
 """
@@ -79,7 +80,7 @@ class CurveSpec:
 
     def build_equation(self) -> CurveEquation:
         sg = self.semigroup
-        if self.terms:
+        if self.terms or self.mu != 1:
             order = sg.order
             h = order.default_horizon if self.horizon_mult is None else self.horizon()
             table = {(self.m, 0): self.mu, (0, self.n): ONE}

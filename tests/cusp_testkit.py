@@ -14,12 +14,7 @@ from __future__ import annotations
 import random
 import sys
 
-from cuspidal import (  # random_form is re-exported for the test modules
-    CurveEquation,
-    Semigroup,
-    cuspidal_sets,
-    random_form,
-)
+from cuspidal import CurveEquation, Semigroup, cuspidal_sets
 from cuspidal.rationals import Rat
 
 CORPUS = [

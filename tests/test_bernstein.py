@@ -17,6 +17,7 @@ from cuspidal.bernstein import (
     ResidueDecision,
     RootCandidate,
     RootDecision,
+    _lower,
     certified_roots_from_semimodule,
     decide_root,
     delta_sequences,
@@ -49,50 +50,70 @@ def test_root_candidate_validates_range():
 
 
 def test_delta_sequences_small():
-    assert {d.entries for d in delta_sequences((1, 2, 6, 10), 2)} == {
-        ((1, 2),), ((2, 1),)}
-    assert {d.entries for d in delta_sequences((1, 2, 6, 10), 0)} == {()}
-    assert {d.entries for d in delta_sequences((1, 2, 6, 10), 5)} == {
+    assert delta_sequences((1, 2, 6, 10), 2) == {((1, 2),), ((2, 1),)}
+    assert delta_sequences((1, 2, 6, 10), 0) == {()}
+    assert delta_sequences((1, 2, 6, 10), 5) == {
         ((1, 5),), ((1, 3), (2, 1)), ((1, 1), (2, 2))}
     with pytest.raises(ValueError):
         delta_sequences((1, 2), -1)
 
 
 def test_delta_sequence_statistics():
-    (d,) = [d for d in delta_sequences((1, 2, 6, 10), 5)
-            if d.entries == ((1, 1), (2, 2))]
-    assert d.total == 3          # number of gamma factors drawn
+    (d,) = [d for d in delta_sequences((1, 2, 6, 10), 5) if d == ((1, 1), (2, 2))]
+    assert sum(mult for _, mult in d) == 3    # number of gamma factors drawn
 
 
 def test_gamma_expr_canonical_form():
-    e = GammaExpr.from_terms([(Rat(1, 2), (Rat(16, 9), Rat(3, 4)))])
+    """The (2, 1) residue on EQ49 is (1/2) z_1^2 Gamma(16/9) Gamma(3/4):
+    lowered to 7/9, sorted, and printed."""
+    e = residue(EQ49, (2, 1), Rat(19, 36))
     assert e.groups == (((Rat(3, 4), Rat(7, 9)), Rat(7, 18)),)
     assert str(e) == "(7/18)*Gamma(3/4)*Gamma(7/9)"
+    assert _lowered(Rat(1, 2), [(16, 9), (3, 4)]) == e
 
 
 def test_gamma_expr_cancellation():
-    e = GammaExpr.from_terms([(Rat(3), (Rat(1, 2),)), (Rat(-3), (Rat(1, 2),))])
+    """A coefficient that sums to 0 leaves no group: zero is the empty
+    expression, whether given directly or summed by residue."""
+    e = GammaExpr(())
     assert e.is_zero
-    assert e.groups == ()
+    assert e.groups == () == residue(EQ49_DEG, (2, 1), Rat(19, 36)).groups
+    assert str(e) == "0"
 
 
 def test_gamma_expr_refuses_two_argument_pairs():
     """A residue is one Gamma group, so two distinct argument pairs are a
-    bug upstream, refused whether built from terms or given directly."""
-    pairs = [(Rat(1), (Rat(1, 2), Rat(2, 3))), (Rat(-1), (Rat(1, 3), Rat(3, 4)))]
-    with pytest.raises(ValueError, match="two argument tuples"):
-        GammaExpr.from_terms(pairs)
-    # lowered arguments are compared: 3/2 lowers to 1/2, 5/3 to 2/3
-    with pytest.raises(ValueError, match="two argument tuples"):
-        GammaExpr.from_terms([(Rat(1), (Rat(3, 2), Rat(2, 3))),
-                              (Rat(1), (Rat(1, 2), Rat(1, 3)))])
+    bug upstream, refused when given directly."""
     with pytest.raises(ValueError, match="at most one Gamma group"):
         GammaExpr((((Rat(1, 2), Rat(2, 3)), Rat(1)), ((Rat(1, 3), Rat(3, 4)), Rat(-1))))
 
 
+def test_residue_refuses_a_term_off_the_proven_pair():
+    """Every term of a residue must lower to the pair that beta fixes; a
+    table entry moved off the congruence is refused, not summed."""
+    eq = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(1)})
+    good = residue(eq, (2, 1), Rat(19, 36))
+    table = eq.delta_table[2]
+    assert len(table) == 2
+    (c, o1, o2), rest = table[0], table[1:]
+    eq.delta_table[2] = ((c, o1 + 1, o2),) + rest
+    with pytest.raises(ValueError, match="not one Gamma group"):
+        residue(eq, (2, 1), Rat(19, 36))
+    eq.delta_table[2] = ((c, o1, o2 + 2),) + rest
+    with pytest.raises(ValueError, match="not one Gamma group"):
+        residue(eq, (2, 1), Rat(19, 36))
+    eq.delta_table[2] = table
+    assert residue(eq, (2, 1), Rat(19, 36)) == good
+
+
 def test_gamma_expr_rejects_nonpositive_argument():
-    with pytest.raises(ValueError):
-        GammaExpr.from_terms([(Rat(1), (Rat(0),))])
+    """A Gamma argument at or below 0 is refused by the constructor and,
+    as a pole, by residue: at (0, 2) and beta = 1/2 on EQ49, k = 0 and the
+    one term has s1 = 0."""
+    with pytest.raises(ValueError, match="not a canonical group"):
+        GammaExpr((((Rat(0), Rat(1, 2)), Rat(1)),))
+    with pytest.raises(ValueError, match="must be positive"):
+        residue(EQ49, (0, 2), Rat(1, 2))
 
 
 @pytest.mark.parametrize("groups", [
@@ -107,7 +128,7 @@ def test_gamma_expr_refuses_non_canonical_groups(groups):
         GammaExpr(groups)
 
 
-def _lower(r):
+def _lower_by_steps(r):
     """Gamma(r) = mult * Gamma(low) with low in (0, 1], one step at a time in
     rational arithmetic: Gamma(r) = (r-1) Gamma(r-1) while r > 1."""
     mult = Rat(1)
@@ -117,16 +138,29 @@ def _lower(r):
     return r, mult
 
 
+def _lowered(coeff, args) -> GammaExpr:
+    """coeff * prod Gamma(s/q) over args (s, q) as one group, each argument
+    lowered into (0, 1] by ``_lower``, the integer lowering of ``residue``."""
+    lowered = []
+    for s, q in args:
+        r = (s - 1) % q + 1
+        num, den = _lower(s, q, r)
+        coeff *= Rat(num, den)
+        lowered.append(Rat(r, q))
+    return GammaExpr(((tuple(sorted(lowered)), coeff),) if coeff else ())
+
+
 def _reference_from_terms(terms) -> GammaExpr:
-    """``GammaExpr.from_terms`` with rational step-by-step lowering; each
-    distinct argument is lowered once per call."""
+    """The sum of terms (coeff, (r1, r2, ...)) as one group, lowered with
+    rational step-by-step arithmetic; each distinct argument is lowered once
+    per call."""
     key, total = None, Rat(0)
     seen = {}
     for c, args in terms:
         lowered = []
         for r in args:
             if r not in seen:
-                seen[r] = _lower(r)
+                seen[r] = _lower_by_steps(r)
             low, mult = seen[r]
             c *= mult
             lowered.append(low)
@@ -146,8 +180,8 @@ def _reference_residue(eq, ab, beta) -> GammaExpr:
     z = eq.nice_coeffs
     terms = []
     for seq in delta_sequences(tuple(z), int(k)):
-        s1, s2, coeff = a, b, Rat(-1) ** seq.total
-        for part, d in seq.entries:
+        s1, s2, coeff = a, b, Rat(-1) ** sum(d for _, d in seq)
+        for part, d in seq:
             p1, p2 = eq.sets.p_of(part)
             s1 += d * p1
             s2 += d * p2
@@ -160,17 +194,17 @@ def _reference_residue(eq, ab, beta) -> GammaExpr:
 @given(st.integers(0, 38), st.integers(1, 20), st.integers(1, 20),
        st.integers(-9, 9), st.integers(1, 7), st.integers(1, 40))
 def test_gamma_functional_equation(whole, frac, den, cnum, cden, other):
-    """Gamma(r+1) = r Gamma(r) survives the integer lowering for every r in
-    (0, 39], so for arguments up to 40, and the lowering agrees with the
-    step-by-step one, beside a second argument."""
-    r = Rat(whole * den + min(frac, den), den)
-    s = Rat(other, den)
+    """Gamma(r+1) = r Gamma(r) survives the integer lowering of ``residue``
+    for every r = s/den in (0, 39], so for arguments up to 40, and the
+    lowering agrees with the step-by-step one, beside a second argument."""
+    s = whole * den + min(frac, den)
+    r = Rat(s, den)
     c = Rat(cnum if cnum else 1, cden)
-    lhs = GammaExpr.from_terms([(c, (r + 1,))])
-    rhs = GammaExpr.from_terms([(c * r, (r,))])
+    lhs = _lowered(c, [(s + den, den)])
+    rhs = _lowered(c * r, [(s, den)])
     assert lhs == rhs == _reference_from_terms([(c * r, (r,))])
-    pair = [(c, (r + 1, s))]
-    assert GammaExpr.from_terms(pair) == _reference_from_terms(pair)
+    assert _lowered(c, [(s + den, den), (other, den)]) == _reference_from_terms(
+        [(c, (r + 1, Rat(other, den)))])
 
 
 def test_residue_pin_45():
@@ -297,12 +331,12 @@ def test_residue_error_taxonomy():
 
 def test_residue_is_zero_two_values():
     assert residue_is_zero(GammaExpr(())) is ResidueDecision.ZERO
-    single = GammaExpr.from_terms([(Rat(-1), (Rat(3, 4), Rat(8, 9)))])
+    single = GammaExpr((((Rat(3, 4), Rat(8, 9)), Rat(-1)),))
     assert residue_is_zero(single) is ResidueDecision.NONZERO
 
 
 def test_interval_certificate_pin():
-    expr = GammaExpr.from_terms([(Rat(-1), (Rat(3, 4), Rat(8, 9)))])
+    expr = GammaExpr((((Rat(3, 4), Rat(8, 9)), Rat(-1)),))
     cert = interval_certificate(expr)
     assert (cert.sign, cert.precision_bits) == (-1, 256)
     assert mpmath.mpf(cert.upper) < 0
@@ -339,8 +373,9 @@ def test_root_decision_is_kind_root_and_witness():
        st.lists(st.tuples(st.integers(1, 40), st.integers(1, 12)), min_size=1, max_size=2))
 def test_exact_sign_agrees_with_interval(cnum, cden, args):
     """A single group is nonzero with its coefficient's sign, also after
-    from_terms lowers arguments above 1 into (0, 1]."""
-    expr = GammaExpr.from_terms([(Rat(cnum, cden), tuple(Rat(p, q) for p, q in args))])
+    the integer lowering of ``residue`` takes arguments above 1 into
+    (0, 1]."""
+    expr = _lowered(Rat(cnum, cden), args)
     assert residue_is_zero(expr) is ResidueDecision.NONZERO
     ((_, coeff),) = expr.groups
     assert (1 if coeff > 0 else -1) == interval_certificate(expr).sign

@@ -172,6 +172,24 @@ def test_missing_file_exits_two(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_undecodable_file_exits_two(capsys, tmp_path):
+    p = tmp_path / "latin1.spec"
+    p.write_bytes(b"n = 4\nm = 9\n# caf\xe9 \xff\n")
+    code, out, err = run(capsys, "delorme", "--spec", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: parse_error: cannot read {p}: ")
+    assert err.count("\n") == 1
+
+
+def test_lone_mu_verifies_the_adapted_form(capsys, tmp_path):
+    p = tmp_path / "mu.spec"
+    p.write_text("n = 4\nm = 9\nmu = 2\n")
+    code, out, _ = run(capsys, "verify", "--spec", str(p))
+    assert code == 0
+    assert "form = adapted" in out
+    assert "zariski_consistency = skipped (adapted form)" in out
+
+
 def test_negative_k_exits_two(capsys, spec49):
     code, _, err = run(capsys, "residue", "--spec", spec49, "--j", "1",
                        "--ab", "3,1")

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from cuspidal import CurveEquation, Semigroup, cuspidal_sets, parse_spec
+from cuspidal import CurveEquation, Semigroup, cuspidal_sets, parse_spec, random_form
 from cuspidal import differentials
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
@@ -24,7 +24,7 @@ from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, _axis
 from cuspidal.standard_basis import final_reduction
-from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
+from cusp_testkit import CORPUS, coprime_pairs, curve_draws
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
@@ -49,7 +49,7 @@ def test_monomial_value():
     y_dx = OneForm.basic(eq.f, "dx").mul_monomial(Rat(1), (0, 1))
     assert monomial_value(x_dy) == 9
     assert monomial_value(y_dx) == 9
-    assert monomial_value(x_dy + y_dx.scale(Rat(-5, 4))) == 9
+    assert monomial_value(x_dy + y_dx.mul_monomial(Rat(-5, 4), (0, 0))) == 9
 
 
 def test_monomial_forms_realize_their_value():
@@ -75,7 +75,7 @@ def test_tuning_constant_45():
     y_dx = OneForm.basic(eq.f, "dx").mul_monomial(Rat(1), (0, 1))
     mu = _tuning(_reduced(x_dy, eq), _reduced(y_dx, eq))
     assert mu == Rat(-5, 4)
-    jumped = x_dy + y_dx.scale(mu)
+    jumped = x_dy + y_dx.mul_monomial(mu, (0, 0))
     assert differential_value(jumped, eq) == 11
 
 

@@ -31,8 +31,10 @@ def _unused_imports(path: Path) -> list:
 
 
 def test_modules_read_every_name_they_import():
-    """__init__.py is skipped: its imports are the package's re-exports."""
+    """Package modules and test modules alike; the package's __init__.py is
+    skipped, since its imports are the package's re-exports."""
     src = Path(cuspidal.__file__).parent
-    unused = [u for path in sorted(src.glob("*.py")) if path.name != "__init__.py"
-              for u in _unused_imports(path)]
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    unused = [u for path in paths for u in _unused_imports(path)]
     assert unused == []

@@ -54,6 +54,16 @@ def test_build_adapted_equation_from_terms():
     assert got == {(0, 4): 1, (5, 0): 2, (4, 1): Rat(1, 2), (6, 0): 3}
 
 
+def test_lone_mu_builds_the_adapted_form():
+    """mu != 1 without terms is the adapted curve mu*x^m + y^n, not the
+    nice curve x^m + y^n."""
+    eq = parse_spec("n=4\nm=9\nmu = 2").build_equation()
+    assert eq.form == "adapted"
+    got = {t.exponent: t.coeff for t in eq.f.sorted_terms()}
+    assert got == {(0, 4): 1, (9, 0): 2}
+    assert parse_spec("n=4\nm=9\nmu = 1").build_equation().form == "nice"
+
+
 def test_with_overrides_keeps_unset_fields():
     spec = parse_spec("n=4\nm=5\nz 2 = 1\nseed = 7")
     out = spec.with_overrides(horizon_mult=5, seed=None)

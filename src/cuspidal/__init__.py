@@ -8,7 +8,8 @@ certified subsets of Bernstein-Sato roots through an exact residue
 criterion.  Every residue is zero or a single Gamma group, so each decision
 is exact, and a root verdict is its kind, its root and the test exponent
 whose residue is nonzero; mpmath is loaded only to display a residue's
-value as an interval.
+value as an interval.  ``parse_spec`` turns the command line's plain-text
+curve spec into its ``CurveEquation``.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from .rationals import Rat, rat
 from .semimodules import (AbstractSemimodule, FourClassification, Unclassifiable,
                           classify_four, elements_outside, enumerate_increasing,
                           validate_basis)
-from .specfile import (CoefficientOutsideJ, CurveSpec, InvalidPair, ParseError,
-                       SpecError, parse_spec)
+from .specfile import (CoefficientOutsideJ, InvalidPair, ParseError, SpecError,
+                       parse_spec)
 from .standard_basis import (FinalReduction, HorizonExhausted, StandardBasis,
                              buchberger, codimension, final_reduction,
                              reduce_step, s_process_min)
@@ -42,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbstractSemimodule", "Certificate", "CoefficientOutsideJ",
-    "CurveEquation", "CurveSpec", "CuspidalSets",
+    "CurveEquation", "CuspidalSets",
     "DifferentialBasis", "Exponent", "FinalReduction",
     "FourClassification", "FourReport", "GammaExpr", "HorizonExhausted",
     "InvalidPair", "NegativeK", "NoSolution", "NotAdapted", "OneForm",

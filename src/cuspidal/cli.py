@@ -2,9 +2,11 @@
 
 Every subcommand reads a curve spec (except conjecture-scan, which builds its
 own random curves), runs one pipeline, and prints a line-oriented ``key =
-value`` report -- or the same data as JSON with ``--json``.  Exit codes: 0
-success, 1 a verification found a mismatch or a computation failed its own
-check, 2 bad input.
+value`` report -- or the same data as JSON with ``--json``.  The spec
+describes the curve alone; the run settings ``--seed`` and ``--horizon-mult``
+are options of the subcommands that read them.  Exit codes: 0 success, 1 a
+verification found a mismatch or a computation failed its own check, 2 bad
+input.
 """
 from __future__ import annotations
 
@@ -19,13 +21,13 @@ from .bernstein import (NegativeK, PreconditionViolation, RootCandidate,
                         certified_roots_from_semimodule, decide_root,
                         four_condition_check, interval_certificate, residue,
                         residue_is_zero, zariski_condition_check)
-from .curve import CurveEquation, NoSolution, NotAdapted, Semigroup, newton_puiseux
+from .curve import CurveEquation, NoSolution, Semigroup, newton_puiseux
 from .differentials import (delorme, differential_value, monomial_value,
                             oracle_differential_value, random_form)
 from .jacobian import jacobian_basis_direct, jacobian_basis_via_differentials, tjurina_number
 from .rationals import Rat
 from .semimodules import elements_outside, enumerate_increasing
-from .specfile import CurveSpec, ParseError, SpecError, parse_spec
+from .specfile import ParseError, SpecError, parse_spec
 from .standard_basis import HorizonExhausted
 
 
@@ -51,7 +53,9 @@ def _print_report(data: dict, as_json: bool) -> None:
         print(f"{key} = {_render_value(value)}")
 
 
-def _load_spec(args) -> CurveSpec:
+def _load_curve(args, horizon_mult: int | None = None) -> CurveEquation:
+    """The curve of ``--spec``, with f cut at horizon_mult * n * m (at the
+    default horizon when None)."""
     if not args.spec:
         raise SpecError("--spec <path> is required for this subcommand")
     try:
@@ -59,37 +63,26 @@ def _load_spec(args) -> CurveSpec:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {args.spec}: {exc}") from None
-    # A subcommand declares only the options it reads; a declared one that
-    # is set replaces the spec's value.
-    return parse_spec(text).with_overrides(
-        **{key: getattr(args, key, None) for key in ("horizon_mult", "seed")})
-
-
-def _equation(spec: CurveSpec) -> CurveEquation:
-    try:
-        return spec.build_equation()
-    except (NotAdapted, ValueError) as exc:
-        raise SpecError(str(exc)) from None
+    return parse_spec(text, horizon_mult)
 
 
 # -- subcommands ---------------------------------------------------------
 
 
-def cmd_semigroup(spec: CurveSpec) -> dict:
-    sg = spec.semigroup
+def cmd_semigroup(eq: CurveEquation) -> dict:
+    sg = eq.sg
     return {"n": sg.n, "m": sg.m, "conductor": sg.conductor,
             "gaps": list(sg.gaps())}
 
 
-def cmd_cuspidal_sets(spec: CurveSpec) -> dict:
-    sets = spec.sets
+def cmd_cuspidal_sets(eq: CurveEquation) -> dict:
+    sets = eq.sets
     return {"J": list(sets.J),
             "P": [list(sets.p_of(j)) for j in sets.J],
             "M": [list(ab) for ab in sets.M]}
 
 
-def cmd_delorme(spec: CurveSpec) -> dict:
-    eq = _equation(spec)
+def cmd_delorme(eq: CurveEquation) -> dict:
     diff = delorme(eq)
     vals = diff.values
     outside = elements_outside(vals, 0)
@@ -102,8 +95,7 @@ def cmd_delorme(spec: CurveSpec) -> dict:
             "h_leading": [list(e) for e in diff.leading_powers]}
 
 
-def cmd_bs_roots(spec: CurveSpec) -> dict:
-    eq = _equation(spec)
+def cmd_bs_roots(eq: CurveEquation) -> dict:
     if eq.form != "nice":
         raise SpecError("bs-roots needs a nice-form spec (z coefficients)")
     diff = delorme(eq)
@@ -126,8 +118,7 @@ def cmd_bs_roots(spec: CurveSpec) -> dict:
     return data
 
 
-def cmd_residue(spec: CurveSpec, j: int, ab) -> dict:
-    eq = _equation(spec)
+def cmd_residue(eq: CurveEquation, j: int, ab) -> dict:
     if eq.form != "nice":
         raise SpecError("residues need a nice-form spec (z coefficients)")
     sg = eq.sg
@@ -148,8 +139,7 @@ def cmd_residue(spec: CurveSpec, j: int, ab) -> dict:
     return data
 
 
-def cmd_jacobian(spec: CurveSpec) -> dict:
-    eq = _equation(spec)
+def cmd_jacobian(eq: CurveEquation) -> dict:
     diff = delorme(eq)
     via = jacobian_basis_via_differentials(eq, diff)
     direct = jacobian_basis_direct(eq)
@@ -160,11 +150,12 @@ def cmd_jacobian(spec: CurveSpec) -> dict:
             "tjurina": tjurina_number(direct)}
 
 
-def cmd_enumerate(spec: CurveSpec, max_m: int | None) -> dict:
-    n = spec.n
+def cmd_enumerate(eq: CurveEquation, max_m: int | None) -> dict:
+    sg = eq.sg
+    n = sg.n
     if max_m is None:
-        sms = enumerate_increasing(spec.semigroup)
-        return {"n": n, "m": spec.m, "count": len(sms),
+        sms = enumerate_increasing(sg)
+        return {"n": n, "m": sg.m, "count": len(sms),
                 "basis": [list(sm.basis) for sm in sms]}
     if max_m <= n:
         raise ParseError(f"--max-m {max_m} selects no pair: it must exceed n = {n}")
@@ -180,11 +171,10 @@ def cmd_enumerate(spec: CurveSpec, max_m: int | None) -> dict:
     return data
 
 
-def cmd_verify(spec: CurveSpec) -> tuple[dict, bool]:
-    eq = _equation(spec)
+def cmd_verify(eq: CurveEquation, seed: int) -> tuple[dict, bool]:
     sg = eq.sg
     n, m = sg.n, sg.m
-    rng = random.Random(spec.seed if spec.seed is not None else 0)
+    rng = random.Random(seed)
     data: dict = {"n": n, "m": m, "form": eq.form}
     ok = True
 
@@ -210,8 +200,16 @@ def cmd_verify(spec: CurveSpec) -> tuple[dict, bool]:
     direct_basis = jacobian_basis_direct(eq)
     jac_ok = via.leading_powers == direct_basis.leading_powers
     data["jacobian_cross_check"] = "ok" if jac_ok else "FAIL"
-    data["tjurina"] = tjurina_number(direct_basis)
+    tau = tjurina_number(direct_basis)
+    data["tjurina"] = tau
     ok &= jac_ok
+
+    # A plane branch has mu = c and mu - tau = #(Lambda \ Gamma)
+    # (Hefez-Hernandes): Buchberger's staircase at H_J against Delorme's
+    # values at H_Delta.
+    tau_ok = sg.conductor - tau == len(elements_outside(vals, 0))
+    data["tjurina_semimodule"] = "ok" if tau_ok else "FAIL"
+    ok &= tau_ok
 
     if eq.form == "nice":
         zar = zariski_condition_check(eq, vals)
@@ -290,6 +288,17 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _seed(text: str) -> int:
+    """The type of --seed: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # No prefix matching: an abbreviation such as --j for --json would read
@@ -308,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spec", help="path to a curve spec file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of key=value lines")
         if seed:
-            p.add_argument("--seed", type=int, help="random seed for verification draws")
+            p.add_argument("--seed", type=_seed, default=0,
+                           help="random seed for verification draws")
         return p
 
     add("semigroup", "semigroup facts: conductor and gaps")
@@ -346,7 +356,7 @@ def _parse_ab(text: str) -> tuple[int, int]:
 
 def _report(cmd):
     """Handler for a spec subcommand whose report is never a failure."""
-    return lambda args: (cmd(_load_spec(args)), True)
+    return lambda args: (cmd(_load_curve(args)), True)
 
 
 # Each handler maps the parsed arguments to (report, ok).
@@ -355,12 +365,11 @@ _HANDLERS = {
     "cuspidal-sets": _report(cmd_cuspidal_sets),
     "delorme": _report(cmd_delorme),
     "bs-roots": _report(cmd_bs_roots),
-    "residue": lambda args: (cmd_residue(_load_spec(args), args.j, _parse_ab(args.ab)), True),
+    "residue": lambda args: (cmd_residue(_load_curve(args), args.j, _parse_ab(args.ab)), True),
     "jacobian": _report(cmd_jacobian),
-    "enumerate": lambda args: (cmd_enumerate(_load_spec(args), args.max_m), True),
-    "verify": lambda args: cmd_verify(_load_spec(args)),
-    "conjecture-scan": lambda args: cmd_conjecture_scan(
-        args.seed if args.seed is not None else 0, args.max_m),
+    "enumerate": lambda args: (cmd_enumerate(_load_curve(args), args.max_m), True),
+    "verify": lambda args: cmd_verify(_load_curve(args, args.horizon_mult), args.seed),
+    "conjecture-scan": lambda args: cmd_conjecture_scan(args.seed, args.max_m),
 }
 
 

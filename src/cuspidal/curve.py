@@ -203,12 +203,15 @@ class CurveEquation:
 
     @classmethod
     def adapted(cls, sg: Semigroup, f: TruncatedPoly) -> "CurveEquation":
-        """Wrap an already-built adapted-form polynomial, validating its shape."""
+        """Wrap an already-built adapted-form polynomial, validating its shape.
+
+        The horizon is checked first, by construction: a horizon that is
+        too low drops terms, and their absence is no fault of the shape."""
         n, m = sg.n, sg.m
+        eq = cls(sg, f, "adapted", f.terms.get((m, 0)))
         if f.order != sg.order:
             raise NotAdapted("polynomial order does not match the semigroup")
-        mu = f.terms.get((m, 0))
-        if not mu:
+        if not eq.mu:
             raise NotAdapted(f"missing x^{m} term")
         if f.terms.get((0, n)) != 1:
             raise NotAdapted(f"coefficient of y^{n} must be 1")
@@ -218,7 +221,7 @@ class CurveEquation:
             if n * a + m * b <= n * m:
                 raise NotAdapted(
                     f"term x^{a}*y^{b} has weighted degree {n * a + m * b} <= {n * m}")
-        return cls(sg, f, "adapted", mu)
+        return eq
 
     def __post_init__(self) -> None:
         if self.form not in ("nice", "adapted"):
@@ -277,11 +280,10 @@ class Parametrization:
     is read.  Construction solves it through ``window`` =
     min(t_horizon, nm + n + m), the whole window of the least horizon 2nm
     that ``CurveEquation`` allows; the first read past that window solves
-    it again through t_horizon, and so does any read of ``y``,
-    ``v_powers`` or ``_table``.  Both solves are ``_solve_branch``: the
-    same recursion and the same residual check, so every coefficient
-    served has passed that check, and the first window is a prefix of the
-    second.
+    it again through t_horizon, and so does any read of ``y`` or
+    ``_table``.  Both solves are ``_solve_branch``: the same recursion and
+    the same residual check, so every coefficient served has passed that
+    check, and the first window is a prefix of the second.
 
     The oracle reads every pullback off the one table v^0, v^1, ... (higher
     powers than f's are appended on demand).  A *part*
@@ -356,13 +358,6 @@ class Parametrization:
         """v^b, or k * v^b[k] when theta, through s^t_horizon."""
         self._solve_fully()
         return self._read(b, theta)
-
-    @property
-    def v_powers(self) -> tuple:
-        """The table v^0..v^top (top the largest y-degree in f) through
-        s^t_horizon."""
-        top = max(b for _, b, _ in self.terms)
-        return tuple(self._table(b, False) for b in range(top + 1))
 
     def order(self, parts, upto: int) -> int | None:
         """The least K <= upto whose t^K coefficient in the sum of parts is

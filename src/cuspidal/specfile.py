@@ -3,16 +3,16 @@
 A spec names the semigroup pair and either nice-form coefficients (``z j =
 value`` with j in the cuspidal value set J) or an adapted form mu*x^m + y^n
 plus raw terms (``term coeff a b`` above the weight line; ``mu`` alone,
-with no terms, is adapted too), plus optional tool settings.
-Lines are independent, ``#`` starts a comment, and ``=`` may be written with
-or without spaces.
+with no terms, is adapted too).  It describes the curve and nothing else:
+run settings such as the seed and f's truncation horizon are options of
+the subcommands that read them.  Lines are independent, ``#`` starts a
+comment, and ``=`` may be written with or without spaces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .curve import CurveEquation, CuspidalSets, Semigroup
+from .curve import CurveEquation, Semigroup
 from .poly import TruncatedPoly
 from .rationals import ONE, Rat, rat
 
@@ -40,56 +40,6 @@ class CoefficientOutsideJ(SpecError):
     kind = "coefficient_outside_J"
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """Validated contents of a spec file."""
-
-    n: int
-    m: int
-    coeffs: tuple = ()       # ((j, z_j), ...) nice form
-    terms: tuple = ()        # ((coeff, a, b), ...) adapted form
-    mu: Rat = ONE
-    horizon_mult: int | None = None
-    seed: int | None = None
-    # <n, m> itself, carried through with_overrides so that the spec check,
-    # the equation and the residues of one request share its cached sets.
-    semigroup: Semigroup | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # The one place the truncation horizon and the tool settings are
-        # checked: parse_spec and with_overrides both construct through here.
-        if self.seed is not None and self.seed < 0:
-            raise ParseError(f"seed must be non-negative, got {self.seed}")
-        if self.horizon_mult is not None and self.horizon_mult < 2:
-            raise ParseError("horizon_mult must be at least 2")
-        if self.semigroup is None:
-            object.__setattr__(self, "semigroup", Semigroup(self.n, self.m))
-
-    @property
-    def sets(self) -> CuspidalSets:
-        return self.semigroup.sets
-
-    def with_overrides(self, **kw) -> "CurveSpec":
-        """A copy with the given non-None options replacing stored ones."""
-        return replace(self, **{k: v for k, v in kw.items() if v is not None})
-
-    def horizon(self) -> int | None:
-        if self.horizon_mult is None:
-            return None
-        return self.horizon_mult * self.n * self.m
-
-    def build_equation(self) -> CurveEquation:
-        sg = self.semigroup
-        if self.terms or self.mu != 1:
-            order = sg.order
-            h = order.default_horizon if self.horizon_mult is None else self.horizon()
-            table = {(self.m, 0): self.mu, (0, self.n): ONE}
-            for c, a, b in self.terms:
-                table[(a, b)] = c
-            return CurveEquation.adapted(sg, TruncatedPoly(order, h, table))
-        return CurveEquation.nice(sg, dict(self.coeffs), self.horizon())
-
-
 def _rational(text: str, line: int) -> Rat:
     try:
         return rat(Fraction(text))
@@ -107,11 +57,22 @@ def _natural(text: str, line: int, what: str) -> int:
     return value
 
 
-_INT_KEYS = ("n", "m", "horizon_mult", "seed")
+# Keys the format no longer has, each with why; a spec that sets one is
+# refused rather than read or ignored.
+_REMOVED_KEYS = {
+    "precision": "every residue decision is exact, and residue's interval "
+                 "always starts at 256 bits",
+    "seed": "the seed is a run setting; pass --seed to verify or conjecture-scan",
+    "horizon_mult": "f's truncation horizon is a run setting; pass --horizon-mult "
+                    "to verify",
+}
 
 
-def parse_spec(text: str) -> CurveSpec:
-    """Parse and validate a spec; diagnostics name the first offending line."""
+def parse_spec(text: str, horizon_mult: int | None = None) -> CurveEquation:
+    """Parse and validate a spec and return the curve it describes, with f
+    truncated at horizon_mult * n * m (the default horizon when None).
+    Diagnostics name the first offending line; an equation the text cannot
+    build, such as one below the least horizon, is a ParseError."""
     fields: dict = {}
     coeffs: list = []
     terms: list = []
@@ -121,7 +82,7 @@ def parse_spec(text: str) -> CurveSpec:
         if not line:
             continue
         tokens = line.replace("=", " = ").split()
-        if len(tokens) == 3 and tokens[1] == "=" and tokens[0] in _INT_KEYS:
+        if len(tokens) == 3 and tokens[1] == "=" and tokens[0] in ("n", "m"):
             key = tokens[0]
             if key in fields:
                 raise ParseError(f"duplicate {key}", line_no)
@@ -146,9 +107,8 @@ def parse_spec(text: str) -> CurveSpec:
             if any(t[1] == a and t[2] == b for t in terms):
                 raise ParseError(f"duplicate term x^{a} y^{b}", line_no)
             terms.append((c, a, b, line_no))
-        elif tokens[0] == "precision":
-            raise ParseError("the precision key was removed: every residue decision is "
-                             "exact, and residue's interval always starts at 256 bits",
+        elif tokens[0] in _REMOVED_KEYS:
+            raise ParseError(f"the {tokens[0]} key was removed: {_REMOVED_KEYS[tokens[0]]}",
                              line_no)
         else:
             raise ParseError(f"unrecognized line {raw.strip()!r}", line_no)
@@ -158,17 +118,17 @@ def parse_spec(text: str) -> CurveSpec:
     if "m" not in fields:
         raise ParseError("missing m")
     n, m = fields["n"], fields["m"]
-    sg_error = None
     try:
+        # One semigroup per request: the spec check, the equation and the
+        # residues share its cached sets.
         sg = Semigroup(n, m)
     except ValueError as exc:
-        sg_error = str(exc)
-    if sg_error is not None:
-        raise InvalidPair(sg_error)
+        raise InvalidPair(str(exc)) from None
+    mu = fields.get("mu", ONE)
 
     if coeffs and terms:
         raise ParseError("cannot mix z coefficients (nice form) with raw terms")
-    if coeffs and fields.get("mu", ONE) != 1:
+    if coeffs and mu != 1:
         raise ParseError("nice form fixes the x^m coefficient to 1; drop mu")
 
     if coeffs:
@@ -178,15 +138,18 @@ def parse_spec(text: str) -> CurveSpec:
                 raise CoefficientOutsideJ(
                     f"z {j} is not a cuspidal gap value of ({n}, {m})",
                     coeff_line[j])
-    clean_terms = []
+    table = {(m, 0): mu, (0, n): ONE}
     for c, a, b, line_no in terms:
         if n * a + m * b <= n * m:
             raise ParseError(
                 f"term x^{a} y^{b} has weighted degree {n * a + m * b} <= {n * m}",
                 line_no)
-        clean_terms.append((c, a, b))
+        table[(a, b)] = c
 
-    return CurveSpec(n=n, m=m, coeffs=tuple(coeffs), terms=tuple(clean_terms),
-                     mu=fields.get("mu", ONE),
-                     horizon_mult=fields.get("horizon_mult"),
-                     seed=fields.get("seed"), semigroup=sg)
+    horizon = sg.order.default_horizon if horizon_mult is None else horizon_mult * n * m
+    try:
+        if terms or mu != 1:
+            return CurveEquation.adapted(sg, TruncatedPoly(sg.order, horizon, table))
+        return CurveEquation.nice(sg, dict(coeffs), horizon)
+    except ValueError as exc:    # CurveEquation's horizon check, among others
+        raise ParseError(str(exc)) from None

@@ -31,7 +31,7 @@ from cuspidal.differentials import delorme
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule
-from cusp_testkit import count_calls
+from cusp_testkit import coprime_pairs, count_calls
 
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
 EQ49_DEG = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(7, 18)})
@@ -398,11 +398,25 @@ def test_decide_root_certifies_once(monkeypatch):
     assert intervals == []
 
 
+QH_PAIRS = coprime_pairs(range(2, 8), 15)
+
+
 def test_decide_root_alpha_case():
+    """x^m + y^n is quasi-homogeneous, so every root is -alpha_j (Kashiwara;
+    Yano, "On the theory of b-functions", 1978): on each pair with n <= 7,
+    m <= 15 the semimodule is the semigroup and every j in J decides
+    alpha_root at -(beta_j + 1)."""
+    assert len(QH_PAIRS) == 39
     dec = decide_root(EQ45_QH, 2)
-    assert dec.kind == "alpha_root"
-    assert dec.root == Rat(-31, 20)
-    assert dec.witness is None
+    assert (dec.kind, dec.root, dec.witness) == ("alpha_root", Rat(-31, 20), None)
+    for n, m in QH_PAIRS:
+        sg = Semigroup(n, m)
+        eq = CurveEquation.nice(sg)
+        assert delorme(eq).values.basis == (n, m)
+        for j in sg.sets.J:
+            dec = decide_root(eq, j)
+            beta = RootCandidate.for_gap(sg, j).beta
+            assert (dec.kind, dec.root, dec.witness) == ("alpha_root", -(beta + 1), None)
 
 
 def test_decide_root_validates_j():

@@ -15,6 +15,7 @@ from cuspidal.cli import main
 from cuspidal.curve import cuspidal_sets, newton_puiseux
 from cuspidal.differentials import OneForm, delorme, oracle_differential_value
 from cuspidal.jacobian import jacobian_basis_direct
+from cuspidal.specfile import parse_spec
 from cuspidal.standard_basis import HorizonExhausted
 from cusp_testkit import count_calls
 
@@ -127,7 +128,19 @@ def test_verify_passes(capsys, spec45):
     assert "verify = ok" in out
     assert "oracle_basis_forms = ok" in out
     assert "oracle_random_forms = ok 50/50" in out
+    assert "tjurina_semimodule = ok" in out
     assert "certified_roots = ok -11/20" in out
+
+
+def test_tjurina_off_the_semimodule_fails_verify(capsys, monkeypatch, spec49):
+    """mu - tau = #(Lambda \\ Gamma) ties the Buchberger staircase to
+    Delorme's values; a tau that breaks it fails verify."""
+    monkeypatch.setattr(cli, "tjurina_number", lambda basis: 20)
+    code, out, _ = run(capsys, "verify", "--spec", spec49)
+    assert code == 1
+    assert "jacobian_cross_check = ok" in out
+    assert "tjurina_semimodule = FAIL" in out
+    assert out.endswith("verify = FAIL\n")
 
 
 def test_conjecture_scan_small(capsys):
@@ -218,12 +231,20 @@ def test_negative_ab_exits_two(capsys, spec49, j, ab):
     ("t_horizon = 40\n", []),   # not a spec key: the window comes from f's horizon
 ])
 def test_unsound_horizon_exits_two(capsys, tmp_path, extra, argv):
-    p = tmp_path / "h.spec"
-    p.write_text(SPEC49 + extra)
-    code, out, err = run(capsys, "verify", "--spec", str(p), *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: parse_error:")
+    """On the nice and the adapted form alike: a horizon that drops x^m is
+    refused for the horizon, not for a missing term."""
+    for base in (SPEC49, "n = 4\nm = 9\nmu = 2\nterm 1 7 1\n"):
+        p = tmp_path / "h.spec"
+        p.write_text(base + extra)
+        code, out, err = run(capsys, "verify", "--spec", str(p), *argv)
+        assert code == 2
+        assert out == ""
+        if argv:
+            assert err == ("error: parse_error: truncation horizon must be at least "
+                           f"2*n*m = 72, got {36 * int(argv[1])}\n")
+        else:
+            assert err.startswith("error: parse_error: line ")
+            assert err.endswith(": unrecognized line 't_horizon = 40'\n")
 
 
 @pytest.mark.parametrize("command", ["jacobian", "verify"])
@@ -346,20 +367,21 @@ SETTINGS = {"--spec": "c.spec", "--horizon-mult": "3", "--seed": "5", "--precisi
 
 
 @pytest.mark.parametrize("command", [["bs-roots"], ["verify"],
-                                     ["residue", "--j", "10", "--ab", "1,2"]])
+                                     ["residue", "--j", "10", "--ab", "1,2"],
+                                     ["conjecture-scan", "--max-m", "6"]])
 @pytest.mark.parametrize("flag", ["--precision=-5", "--seed=-3"])
 def test_negative_setting_flags_exit_two(capsys, spec49, command, flag):
-    """A negative seed is a parse_error; --seed is an option of `verify`
-    alone and --precision of no subcommand, so elsewhere they are not
-    recognised at all."""
-    code, out, err = run(capsys, command[0], "--spec", spec49, *command[1:], flag)
+    """A negative seed is a parse_error; --seed is an option of `verify` and
+    `conjecture-scan` alone and --precision of no subcommand, so elsewhere
+    they are not recognised at all."""
+    spec = [] if command[0] == "conjecture-scan" else ["--spec", spec49]
+    code, out, err = run(capsys, command[0], *spec, *command[1:], flag)
     assert code == 2
     assert out == ""
     if flag.split("=")[0] not in DECLARED[command[0]]:
         assert err == f"error: parse_error: unrecognized arguments: {flag}\n"
     else:
-        assert err.startswith("error: parse_error: ")
-        assert "must be non-negative" in err
+        assert err == "error: parse_error: argument --seed: must be non-negative, got -3\n"
 
 
 def test_conjecture_scan_negative_precision_exits_two(capsys):
@@ -368,6 +390,22 @@ def test_conjecture_scan_negative_precision_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments: --precision=-5" in err
+
+
+@pytest.mark.parametrize("command", [c for c in DECLARED if "--spec" in DECLARED[c]])
+@pytest.mark.parametrize("key,flag", [("seed", "--seed"), ("horizon_mult", "--horizon-mult")])
+def test_run_setting_spec_keys_are_refused(capsys, tmp_path, command, key, flag):
+    """A spec describes the curve alone: a run setting in it is refused on
+    one line that names the flag, on every subcommand, not ignored."""
+    path = tmp_path / "k.spec"
+    path.write_text(f"{SPEC49}{key} = 3\n")
+    argv = ["--j", "1", "--ab", "1,1"] if command == "residue" else []
+    code, out, err = run(capsys, command, "--spec", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: parse_error: line 4: the {key} key was removed: ")
+    assert f"{flag} " in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [c for c in DECLARED if "--spec" in DECLARED[c]])
@@ -453,22 +491,21 @@ def test_abbreviated_flag_is_refused(capsys, spec49, command, bad):
 
 @pytest.mark.parametrize("command", ["delorme", "bs-roots", "jacobian"])
 def test_output_does_not_depend_on_the_horizon_key(capsys, tmp_path, command):
-    """delorme and the Jacobian basis run at horizons of their own, so a
-    spec's horizon_mult changes nothing but verify; it is still checked."""
-    outs = set()
-    for mult in (2, 3, 4, 6):
-        p = tmp_path / f"h{mult}.spec"
-        p.write_text(f"{SPEC49}horizon_mult = {mult}\n")
-        code, out, _ = run(capsys, command, "--spec", str(p))
-        assert code == 0
-        outs.add(out)
-    assert len(outs) == 1
-    p = tmp_path / "h1.spec"
-    p.write_text(f"{SPEC49}horizon_mult = 1\n")
+    """delorme and the Jacobian basis run at horizons of their own, so f's
+    horizon changes none of these reports: they take no --horizon-mult, and
+    a spec that sets horizon_mult is refused."""
+    cmd = {"delorme": cli.cmd_delorme, "bs-roots": cli.cmd_bs_roots,
+           "jacobian": cli.cmd_jacobian}[command]
+    reports = [cmd(parse_spec(SPEC49, mult)) for mult in (None, 2, 3, 6)]
+    assert all(report == reports[0] for report in reports)
+    p = tmp_path / "h.spec"
+    p.write_text(f"{SPEC49}horizon_mult = 2\n")
     code, out, err = run(capsys, command, "--spec", str(p))
     assert (code, out) == (2, "")
-    assert err.startswith("error: parse_error:")
-    assert "horizon_mult must be at least 2" in err
+    assert err.startswith("error: parse_error: line 4: the horizon_mult key was removed")
+    code, out, err = run(capsys, command, "--spec", str(p), "--horizon-mult", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: parse_error: unrecognized arguments: --horizon-mult 2\n"
 
 
 @pytest.mark.parametrize("argv,message", [

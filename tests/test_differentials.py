@@ -269,12 +269,12 @@ def test_delorme_at_its_horizon_equals_the_full_horizon(monkeypatch):
 
 
 def test_delorme_does_not_read_the_horizon_key():
-    """A spec's horizon_mult sets f's horizon, which delorme cuts at its
-    own; the output is the same object at 2nm, 3nm, 4nm and 6nm."""
+    """parse_spec's horizon_mult (verify's --horizon-mult) sets f's horizon,
+    which delorme cuts at its own; the output is the same object at 2nm,
+    3nm, 4nm and 6nm."""
     for text in ("n = 4\nm = 9\nz 1 = 1\n", "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n",
                  "n = 2\nm = 7\n", "n = 7\nm = 10\nz 1 = 1\nz 5 = 2/3\nz 8 = -1\n"):
-        diffs = [delorme(parse_spec(f"{text}horizon_mult = {k}\n").build_equation())
-                 for k in (2, 3, 4, 6)]
+        diffs = [delorme(parse_spec(text, horizon_mult=k)) for k in (2, 3, 4, 6)]
         assert all(d == diffs[0] for d in diffs[1:])
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from cuspidal import CurveEquation, Semigroup
+from cuspidal.curve import NotAdapted
 from cuspidal.differentials import delorme
 from cuspidal.jacobian import (
     check_jacobian_staircase,
@@ -16,6 +17,7 @@ from cuspidal.jacobian import (
 )
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
+from cuspidal.semimodules import elements_outside
 from cuspidal.standard_basis import (HorizonExhausted, StandardBasis, buchberger,
                                      codimension)
 from cusp_testkit import CORPUS, curve_draws
@@ -39,19 +41,29 @@ def test_equation_horizon_below_2nm_is_rejected():
         CurveEquation.nice(sg, {1: Rat(1)}, horizon=36)
     with pytest.raises(ValueError, match="at least 2\\*n\\*m = 72"):
         CurveEquation.adapted(sg, TruncatedPoly(sg.order, 71, {(0, 4): 1, (9, 0): 1}))
+    # The horizon is checked before the shape: at 20 the truncation drops
+    # x^9, which is not a missing term of the curve.
+    with pytest.raises(ValueError, match="at least 2\\*n\\*m = 72, got 20") as info:
+        CurveEquation.adapted(sg, TruncatedPoly(sg.order, 20, {(9, 0): 1, (0, 4): 1}))
+    assert not isinstance(info.value, NotAdapted)
     eq = CurveEquation.nice(sg, {1: Rat(1)}, horizon=72)
     assert delorme(eq).values.basis == (4, 9, 14, 19)
     assert tjurina_number(jacobian_basis_direct(eq)) == 21
 
 
 def test_tjurina_bounded_by_milnor():
+    """mu - tau = #(Lambda \\ Gamma) with mu = c for a plane branch
+    (Hefez-Hernandes), so tau <= mu, with equality exactly when the
+    semimodule adds no value to the semigroup."""
     for pair in CORPUS:
         sg = Semigroup(*pair)
         milnor = (sg.n - 1) * (sg.m - 1)
+        assert milnor == sg.conductor
         for eq in curve_draws(sg, 4, seed=3):
-            tau = tjurina_number(jacobian_basis_direct(eq))
-            assert tau <= milnor
-            assert tau == codimension(jacobian_basis_direct(eq))
+            basis = jacobian_basis_direct(eq)
+            tau = tjurina_number(basis)
+            assert milnor - tau == len(elements_outside(delorme(eq).values, 0))
+            assert tau == codimension(basis)
 
 
 @pytest.mark.parametrize("pair", CORPUS)

@@ -14,42 +14,36 @@ from cuspidal.specfile import (
 
 
 def test_minimal_spec():
-    spec = parse_spec("n=4\nm=5\nz 2 = 1")
-    assert (spec.n, spec.m) == (4, 5)
-    assert spec.coeffs == ((2, Rat(1)),)
-    assert spec.mu == 1
-    assert spec.terms == ()
-    assert spec.horizon() is None
+    eq = parse_spec("n=4\nm=5\nz 2 = 1")
+    assert (eq.sg.n, eq.sg.m) == (4, 5)
+    assert eq.form == "nice"
+    assert eq.nice_coeffs == {2: Rat(1)}
+    assert eq.mu == 1
+    assert eq.f.horizon == eq.sg.order.default_horizon == 80
 
 
 def test_spacing_and_comments_are_free():
-    spec = parse_spec("""
+    eq = parse_spec("""
 # full curve description
 n = 4
 m=9      # trailing comment
 z 1 = 1
 z 2 = 7/18
-horizon_mult = 6
-seed=11
 """)
-    assert spec.coeffs == ((1, Rat(1)), (2, Rat(7, 18)))
-    assert (spec.horizon_mult, spec.seed) == (6, 11)
-    assert spec.horizon() == 6 * 36
+    assert eq.nice_coeffs == {1: Rat(1), 2: Rat(7, 18)}
 
 
 def test_build_nice_equation():
-    spec = parse_spec("n=4\nm=9\nz 1 = 1\nhorizon_mult = 6")
-    eq = spec.build_equation()
+    eq = parse_spec("n=4\nm=9\nz 1 = 1", horizon_mult=6)
     assert eq.form == "nice"
     assert eq.f.horizon == 216
     assert eq.nice_coeffs == {1: Rat(1)}
 
 
 def test_build_adapted_equation_from_terms():
-    spec = parse_spec("n=4\nm=5\nterm 1/2 4 1\nterm 3 6 0\nmu = 2")
-    assert spec.mu == 2
-    eq = spec.build_equation()
+    eq = parse_spec("n=4\nm=5\nterm 1/2 4 1\nterm 3 6 0\nmu = 2")
     assert eq.form == "adapted"
+    assert eq.mu == 2
     got = {t.exponent: t.coeff for t in eq.f.sorted_terms()}
     assert got == {(0, 4): 1, (5, 0): 2, (4, 1): Rat(1, 2), (6, 0): 3}
 
@@ -57,38 +51,36 @@ def test_build_adapted_equation_from_terms():
 def test_lone_mu_builds_the_adapted_form():
     """mu != 1 without terms is the adapted curve mu*x^m + y^n, not the
     nice curve x^m + y^n."""
-    eq = parse_spec("n=4\nm=9\nmu = 2").build_equation()
+    eq = parse_spec("n=4\nm=9\nmu = 2")
     assert eq.form == "adapted"
     got = {t.exponent: t.coeff for t in eq.f.sorted_terms()}
     assert got == {(0, 4): 1, (9, 0): 2}
-    assert parse_spec("n=4\nm=9\nmu = 1").build_equation().form == "nice"
+    assert parse_spec("n=4\nm=9\nmu = 1").form == "nice"
 
 
-def test_with_overrides_keeps_unset_fields():
-    spec = parse_spec("n=4\nm=5\nz 2 = 1\nseed = 7")
-    out = spec.with_overrides(horizon_mult=5, seed=None)
-    assert out.horizon_mult == 5
-    assert out.seed == 7
-    assert out.coeffs == spec.coeffs
-
-
-def test_overrides_pass_the_horizon_checks():
-    spec = parse_spec("n=4\nm=9\nz 1 = 1")
-    with pytest.raises(ParseError, match="horizon_mult must be at least 2"):
-        spec.with_overrides(horizon_mult=1)
-    assert spec.with_overrides(horizon_mult=2).build_equation().f.horizon == 72
+@pytest.mark.parametrize("text", ["n=4\nm=9\nz 1 = 1", "n=4\nm=9\nmu = 2",
+                                  "n=4\nm=9\nterm 1 9 1"])
+def test_horizon_argument_passes_the_equation_check(text):
+    """A horizon below 2nm is refused by CurveEquation, the one horizon
+    check, and reported as a ParseError on either form."""
+    for mult in (1, 0, -1):
+        with pytest.raises(ParseError) as info:
+            parse_spec(text, horizon_mult=mult)
+        assert str(info.value) == f"truncation horizon must be at least 2*n*m = 72, got {36 * mult}"
+    assert parse_spec(text, horizon_mult=2).f.horizon == 72
 
 
 @pytest.mark.parametrize("text,exc,kind,line", [
     ("n=4\nm=8", InvalidPair, "invalid_pair", None),
     ("n=6\nm=3", InvalidPair, "invalid_pair", None),
     ("n=4\nm=5\nz 3 = 1", CoefficientOutsideJ, "coefficient_outside_J", 3),
-    ("n=4\nm=5\nz 3 = 1\nhorizon_mult = 1", CoefficientOutsideJ, "coefficient_outside_J", 3),
+    ("n=4\nm=5\nz 3 = 1\nhorizon_mult = 1", ParseError, "parse_error", 4),   # removed key
     ("m=5", ParseError, "parse_error", None),
     ("n=4", ParseError, "parse_error", None),
     ("n=4\nm=5\nz 2 = 1\nterm 1 6 1", ParseError, "parse_error", None),
     ("n=4\nm=5\nz 2 = 1\nmu = 2", ParseError, "parse_error", None),
-    ("n=4\nm=5\nhorizon_mult = 1", ParseError, "parse_error", None),
+    ("n=4\nm=5\nhorizon_mult = 1", ParseError, "parse_error", 3),   # removed key
+    ("n=4\nm=5\nseed = 7", ParseError, "parse_error", 3),           # removed key
     ("n=4\nm=5\nt_horizon = 32", ParseError, "parse_error", 3),
     ("n=4\nm=5\nprecision = 512", ParseError, "parse_error", 3),   # removed key
     ("n=4\nn=5\nm=7", ParseError, "parse_error", 2),
@@ -112,6 +104,6 @@ def test_term_weighted_degree_must_exceed_nm():
 
 
 def test_semigroup_and_sets_properties():
-    spec = parse_spec("n=4\nm=9\nz 1 = 1")
-    assert spec.semigroup.conductor == 24
-    assert spec.sets.J == (1, 2, 6, 10)
+    eq = parse_spec("n=4\nm=9\nz 1 = 1")
+    assert eq.sg.conductor == 24
+    assert eq.sets.J == (1, 2, 6, 10)

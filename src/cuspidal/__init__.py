@@ -3,7 +3,8 @@
 The package computes, over exact rationals: truncated standard bases for the
 local weighted order, the semimodule of differential values of a cusp via
 Delorme's algorithm, Newton-Puiseux parametrizations used as independent
-value oracles, Jacobian-ideal standard bases with the Tjurina number, and
+value oracles (checked on every form Delorme's run passes through, not on
+random ones), Jacobian-ideal standard bases with the Tjurina number, and
 certified subsets of Bernstein-Sato roots through an exact residue
 criterion.  Every residue is zero or a single Gamma group, so each decision
 is exact, and a root verdict is its kind, its root and the test exponent
@@ -25,7 +26,7 @@ from .curve import (CurveEquation, CuspidalSets, NoSolution, NotAdapted,
 from .differentials import (DifferentialBasis, OneForm, ValueMismatch,
                             apply_vector_field, delorme,
                             differential_value, monomial_value,
-                            oracle_differential_value, random_form)
+                            oracle_differential_value)
 from .jacobian import (jacobian_basis_direct, jacobian_basis_via_differentials,
                        tjurina_number)
 from .poly import Exponent, Term, TruncatedPoly, WeightedOrder, divides
@@ -57,7 +58,7 @@ __all__ = [
     "enumerate_increasing", "four_condition_check", "interval_certificate",
     "jacobian_basis_direct", "jacobian_basis_via_differentials",
     "monomial_value", "newton_puiseux", "oracle_differential_value",
-    "parse_spec", "random_form", "rat",
+    "parse_spec", "rat",
     "reduce_step", "residue", "residue_is_zero", "s_process_min",
     "tjurina_number", "validate_basis",
     "zariski_condition_check",

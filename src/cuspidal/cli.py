@@ -3,10 +3,11 @@
 Every subcommand reads a curve spec (except conjecture-scan, which builds its
 own random curves), runs one pipeline, and prints a line-oriented ``key =
 value`` report -- or the same data as JSON with ``--json``.  The spec
-describes the curve alone; the run settings ``--seed`` and ``--horizon-mult``
-are options of the subcommands that read them.  Exit codes: 0 success, 1 a
-verification found a mismatch or a computation failed its own check, 2 bad
-input.
+describes the curve alone; the run settings are options of the one
+subcommand that reads each, ``--horizon-mult`` of verify (which draws
+nothing at random) and ``--seed`` of conjecture-scan.  Exit codes: 0
+success, 1 a verification found a mismatch or a computation failed its own
+check, 2 bad input.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .bernstein import (NegativeK, PreconditionViolation, RootCandidate,
                         residue_is_zero, zariski_condition_check)
 from .curve import CurveEquation, NoSolution, Semigroup, newton_puiseux
 from .differentials import (delorme, differential_value, monomial_value,
-                            oracle_differential_value, random_form)
+                            oracle_differential_value)
 from .jacobian import jacobian_basis_direct, jacobian_basis_via_differentials, tjurina_number
 from .rationals import Rat
 from .semimodules import elements_outside, enumerate_increasing
@@ -171,10 +172,9 @@ def cmd_enumerate(eq: CurveEquation, max_m: int | None) -> dict:
     return data
 
 
-def cmd_verify(eq: CurveEquation, seed: int) -> tuple[dict, bool]:
+def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
     sg = eq.sg
     n, m = sg.n, sg.m
-    rng = random.Random(seed)
     data: dict = {"n": n, "m": m, "form": eq.form}
     ok = True
 
@@ -189,12 +189,16 @@ def cmd_verify(eq: CurveEquation, seed: int) -> tuple[dict, bool]:
     data["oracle_basis_forms"] = "ok" if agree else "FAIL"
     ok &= agree
 
-    forms = [random_form(rng, eq) for _ in range(50)]
-    mismatches = sum(differential_value(w, eq) != oracle_differential_value(w, param)
-                     for w in forms)
-    data["oracle_random_forms"] = ("ok 50/50" if not mismatches
-                                   else f"FAIL {mismatches}/50")
-    ok &= not mismatches
+    # The forms of Delorme's run: the tuning moves their values.
+    if n == 2:
+        data["oracle_delorme_forms"] = "skipped (n = 2: Delorme runs no round)"
+    else:
+        trail = diff.trail
+        mismatches = sum(differential_value(w, eq) != oracle_differential_value(w, param)
+                         for w in trail)
+        data["oracle_delorme_forms"] = (f"ok {len(trail)}/{len(trail)}" if not mismatches
+                                        else f"FAIL {mismatches}/{len(trail)}")
+        ok &= not mismatches
 
     via = jacobian_basis_via_differentials(eq, diff)
     direct_basis = jacobian_basis_direct(eq)
@@ -215,13 +219,12 @@ def cmd_verify(eq: CurveEquation, seed: int) -> tuple[dict, bool]:
         zar = zariski_condition_check(eq, vals)
         data["zariski_consistency"] = "ok" if zar.consistent else "FAIL"
         ok &= zar.consistent
-        if n == 4:
-            try:
-                four = four_condition_check(eq, vals)
-                data["four_consistency"] = "ok" if four.consistent else "FAIL"
-                ok &= four.consistent
-            except PreconditionViolation as exc:
-                data["four_consistency"] = f"skipped ({exc})"
+        try:
+            four = four_condition_check(eq, vals)
+            data["four_consistency"] = "ok" if four.consistent else "FAIL"
+            ok &= four.consistent
+        except PreconditionViolation as exc:  # n != 4 among the reasons
+            data["four_consistency"] = f"skipped ({exc})"
         lams = sorted(int(-r * (n * m)) for r in certified_roots_from_semimodule(vals))
         bad = [lam for lam in lams
                if decide_root(eq, lam - n - m).kind != "beta_root"]
@@ -231,8 +234,8 @@ def cmd_verify(eq: CurveEquation, seed: int) -> tuple[dict, bool]:
                                    "FAIL at " + " ".join(str(x) for x in bad))
         ok &= not bad
     else:
-        data["zariski_consistency"] = "skipped (adapted form)"
-        data["certified_roots"] = "skipped (adapted form)"
+        for key in ("zariski_consistency", "four_consistency", "certified_roots"):
+            data[key] = "skipped (adapted form)"
 
     data["verify"] = "ok" if ok else "FAIL"
     return data, ok
@@ -309,16 +312,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "data, differential values, and certified Bernstein-Sato roots.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, spec: bool = True,
-            seed: bool = False) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, spec: bool = True) -> argparse.ArgumentParser:
         """A subcommand with --json and only the options its pipeline reads."""
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if spec:
             p.add_argument("--spec", help="path to a curve spec file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of key=value lines")
-        if seed:
-            p.add_argument("--seed", type=_seed, default=0,
-                           help="random seed for verification draws")
         return p
 
     add("semigroup", "semigroup facts: conductor and gaps")
@@ -334,11 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="summarize counts for every coprime m up to this bound")
     # Only verify reads f's horizon: delorme and the Jacobian basis run at
     # horizons of their own, the residues need none.
-    p = add("verify", "full consistency battery for one curve", seed=True)
+    p = add("verify", "full consistency battery for one curve")
     p.add_argument("--horizon-mult", type=int, dest="horizon_mult",
                    help="truncation horizon of f as a multiple of n*m (default 4)")
     p = add("conjecture-scan", "random curves with n >= 5: check every semimodule value "
-            "certifies a root", spec=False, seed=True)
+            "certifies a root", spec=False)
+    p.add_argument("--seed", type=_seed, default=0, help="random seed for the curves")
     p.add_argument("--max-m", type=int, dest="max_m", default=9,
                    help="largest m (and bound for n) in the scan")
     return parser
@@ -368,7 +368,7 @@ _HANDLERS = {
     "residue": lambda args: (cmd_residue(_load_curve(args), args.j, _parse_ab(args.ab)), True),
     "jacobian": _report(cmd_jacobian),
     "enumerate": lambda args: (cmd_enumerate(_load_curve(args), args.max_m), True),
-    "verify": lambda args: cmd_verify(_load_curve(args, args.horizon_mult), args.seed),
+    "verify": lambda args: cmd_verify(_load_curve(args, args.horizon_mult)),
     "conjecture-scan": lambda args: cmd_conjecture_scan(args.seed, args.max_m),
 }
 

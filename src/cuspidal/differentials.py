@@ -10,7 +10,6 @@ provides an independent oracle for the same number.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,32 +61,6 @@ class OneForm:
                        self.dy.mul_monomial(coeff, shift))
 
 
-def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
-    """A nonzero 1-form A dx + B dy with 0-2 monomials on each side, small
-    integer coefficients, and weighted degrees at most nm."""
-    sg = eq.sg
-    nm = sg.n * sg.m
-    order = eq.f.order
-    horizon = eq.f.horizon
-    while True:
-        sides = []
-        for _ in range(2):
-            # A repeated monomial adds up; the constructor drops a sum that cancels.
-            terms = {}
-            for _ in range(rng.randint(0, 2)):
-                while True:
-                    a = rng.randint(0, nm // sg.n)
-                    b = rng.randint(0, sg.n - 1)
-                    if sg.n * a + sg.m * b <= nm:
-                        break
-                coeff = Rat(rng.choice([-1, 1]) * rng.randint(1, 3))
-                terms[(a, b)] = terms[(a, b)] + coeff if (a, b) in terms else coeff
-            sides.append(TruncatedPoly(order, horizon, terms))
-        form = OneForm(sides[0], sides[1])
-        if not form.is_zero:
-            return form
-
-
 def apply_vector_field(omega: OneForm, eq: CurveEquation) -> TruncatedPoly:
     """X_omega(f) = dy_coeff * f_x - dx_coeff * f_y, from the equation's cached
     partials."""
@@ -125,8 +98,10 @@ def monomial_value(omega: OneForm) -> int:
 def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | None:
     """nu(omega) = ord_t(pullback) + 1 along x = xi t^n, y = y(t).
 
-    The pullback (A(phi) * xi * n * t^{n-1} + B(phi) * y'(t)) dt is trusted
-    through power t_horizon - 1; None marks an order past that window.  Each
+    The pullback (A(phi) * xi * n * t^{n-1} + B(phi) * y'(t)) dt is read
+    through power min(t_horizon, H - nm + n + m) - 1, H the smaller horizon
+    of A and B, the window of ``differential_value`` at H and f's horizon;
+    None marks an order past that window.  Each
     monomial is one part of ``param``'s integer table, the term c*x^a*y^b*dy
     by y^b * y' = t^-1 * t(y^(b+1))' / (b+1), and the coefficients of the
     pullback are read upward only to the first nonzero one.
@@ -138,7 +113,9 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
               c.denominator * xd ** (a + 1)) for (a, b), c in omega.dx.terms.items()]
     parts += [(n * a - 1, b + 1, True, c.numerator * xn ** a,
                c.denominator * xd ** a * (b + 1)) for (a, b), c in omega.dy.terms.items()]
-    o = param.order(parts, param.t_horizon - 1)
+    horizon = min(omega.dx.horizon, omega.dy.horizon)
+    upto = min(param.t_horizon, horizon - n * param.m + n + param.m) - 1
+    o = param.order(parts, upto)
     return None if o is None else o + 1
 
 
@@ -169,13 +146,15 @@ class DifferentialBasis:
 
     ``rounds`` holds, for each omega_i after dx and dy, the shift s of the
     lift x^s * omega_(i-1) and the tuning steps (j, mu, shift), each adding
-    mu * x^shift * omega_j; ``horizon`` is that of the forms.
+    mu * x^shift * omega_j; ``ended`` is the record of the round that ended
+    the run, None if s = n - 2 was reached; ``horizon`` is that of the forms.
     """
 
     values: AbstractSemimodule
     reductions: tuple
     horizon: int
     rounds: tuple
+    ended: tuple | None
 
     def __post_init__(self) -> None:
         # The inversion nu = n(a+1) + m(b+1) - n*m must give back the basis;
@@ -191,17 +170,31 @@ class DifferentialBasis:
         return tuple(h.leading_power for h in self.reductions)
 
     @cached_property
-    def forms(self) -> tuple:
-        """The basis 1-forms, replayed from ``rounds`` on the first read:
-        the same operations in the same order as ``delorme`` would take."""
+    def _replay(self) -> tuple:
+        """(forms, trail), replayed from ``rounds`` and ``ended`` on the first
+        read: the same operations in the same order as ``delorme`` would take."""
         zero = TruncatedPoly.zero(self.values.sg.order, self.horizon)
         forms = [OneForm.basic(zero, "dx"), OneForm.basic(zero, "dy")]
-        for lift, steps in self.rounds:
+        trail = []
+        for lift, steps in self.rounds + ((self.ended,) if self.ended else ()):
             eta = forms[-1].mul_monomial(1, lift)
+            trail.append(eta)
             for j, mu, shift in steps:
                 eta = eta + forms[j].mul_monomial(mu, shift)
+                trail.append(eta)
             forms.append(eta)
-        return tuple(forms)
+        return tuple(forms[:2 + len(self.rounds)]), tuple(trail)
+
+    @cached_property
+    def forms(self) -> tuple:
+        """The basis 1-forms: dx, dy and the last form of each completed round."""
+        return self._replay[0]
+
+    @property
+    def trail(self) -> tuple:
+        """Every form the run passed through after dx and dy: each lift
+        x^s * omega_i and each tuned form, the ending round's included."""
+        return self._replay[1]
 
 
 def delorme(eq: CurveEquation) -> DifferentialBasis:
@@ -216,9 +209,9 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     value (checked).  A round ends with a fresh basis 1-form (its value is a
     gap covered by no basis form) or with the value escaping to infinity,
     which terminates the algorithm.  The run itself tunes only the
-    reductions: it records each round's lift and steps, and
-    ``DifferentialBasis.forms`` builds the 1-forms from that record when a
-    caller first reads them.
+    reductions: it records each round's lift and steps, the ending round's
+    as ``ended``, and ``DifferentialBasis`` builds the 1-forms from that
+    record when a caller first reads them.
 
     A round ends the run, with the value infinite, as soon as its value (the
     axis first) passes last: the largest value below the conductor c that no
@@ -233,8 +226,9 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     - Values rise strictly along a round, which is checked at every step,
       so a round past last can only climb through covered values or
       vanish: it cannot end with a new basis value.
-    - An infinite round returns nothing: the run breaks before it touches
-      ``lambdas``, ``rounds`` or ``reductions``.
+    - An infinite round adds no basis value: the run records it as
+      ``ended`` and breaks before it touches ``lambdas``, ``rounds`` or
+      ``reductions``.
 
     Ending the round at c instead is the case last = c - 1.
 
@@ -264,7 +258,8 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
       > H_Delta, whose values are at least their monomial values, above
       H_Delta + n > c.  A basis value is below c, so every form keeps its
       value and its monomial value, and the oracle reads the same order
-      from its pullback.
+      from its pullback.  A form of the ending round may pass c; both routes
+      read it in the window of its horizon (``oracle_differential_value``).
     """
     sg = eq.sg
     c = sg.conductor
@@ -278,13 +273,15 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     lambdas = [sg.n, sg.m]
     taken = covered(sg, lambdas, c)
     rounds = []
+    ended = None
 
     for i in range(1, sg.n - 1):
         last = _last_uncovered(sg, taken)
         u = _axis(sg, tuple(lambdas), i)
-        if u > last:
-            break
         s = sg.decompose(u - lambdas[i])
+        if u > last:
+            ended = (s, ())
+            break
         steps = []
         r = final_reduction(reductions[i].mul_monomial(1, s), [f])
         value, usable = u, i  # the axis step may use only the forms before omega_i
@@ -315,6 +312,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             usable = len(lambdas)
 
         if value is None:
+            ended = (s, tuple(steps))
             break
         lambdas.append(value)
         taken |= covered(sg, (value,), c)
@@ -322,4 +320,4 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
         reductions.append(r.poly)
 
     return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)), tuple(reductions),
-                             h, tuple(rounds))
+                             h, tuple(rounds), ended)

@@ -62,7 +62,7 @@ def _natural(text: str, line: int, what: str) -> int:
 _REMOVED_KEYS = {
     "precision": "every residue decision is exact, and residue's interval "
                  "always starts at 256 bits",
-    "seed": "the seed is a run setting; pass --seed to verify or conjecture-scan",
+    "seed": "the seed is a run setting; pass --seed to conjecture-scan",
     "horizon_mult": "f's truncation horizon is a run setting; pass --horizon-mult "
                     "to verify",
 }

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import sys
 
-from cuspidal import CurveEquation, Semigroup, cuspidal_sets
+from cuspidal import CurveEquation, OneForm, Semigroup, TruncatedPoly, cuspidal_sets
 from cuspidal.rationals import Rat
 
 CORPUS = [
@@ -47,6 +47,32 @@ def curve_draws(sg: Semigroup, count: int, seed: int = 0):
             yield CurveEquation.nice(sg)
         else:
             yield CurveEquation.nice(sg, random_nice_coeffs(rng, sg))
+
+
+def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
+    """A nonzero 1-form A dx + B dy with 0-2 monomials on each side, small
+    integer coefficients, and weighted degrees at most nm."""
+    sg = eq.sg
+    nm = sg.n * sg.m
+    order = eq.f.order
+    horizon = eq.f.horizon
+    while True:
+        sides = []
+        for _ in range(2):
+            # A repeated monomial adds up; the constructor drops a sum that cancels.
+            terms = {}
+            for _ in range(rng.randint(0, 2)):
+                while True:
+                    a = rng.randint(0, nm // sg.n)
+                    b = rng.randint(0, sg.n - 1)
+                    if sg.n * a + sg.m * b <= nm:
+                        break
+                coeff = Rat(rng.choice([-1, 1]) * rng.randint(1, 3))
+                terms[(a, b)] = terms[(a, b)] + coeff if (a, b) in terms else coeff
+            sides.append(TruncatedPoly(order, horizon, terms))
+        form = OneForm(sides[0], sides[1])
+        if not form.is_zero:
+            return form
 
 
 def coprime_pairs(n_values, m_bound: int):

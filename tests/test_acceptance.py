@@ -11,7 +11,7 @@ import random
 import time
 from math import gcd
 
-from cuspidal import CurveEquation, Semigroup, cuspidal_sets, random_form
+from cuspidal import CurveEquation, Semigroup, cuspidal_sets
 from cuspidal.bernstein import certified_roots_from_semimodule, decide_root, residue
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
@@ -30,7 +30,7 @@ from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, elements_outside, enumerate_increasing
 from cuspidal.standard_basis import StandardBasis, codimension
 from cuspidal.bernstein import four_condition_check, zariski_condition_check, PreconditionViolation
-from cusp_testkit import CORPUS, coprime_pairs, curve_draws
+from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
 
 
 def _verdict(num: int, name: str, failures: list) -> None:

@@ -13,7 +13,7 @@ from cuspidal import cli
 from cuspidal.bernstein import interval_certificate
 from cuspidal.cli import main
 from cuspidal.curve import cuspidal_sets, newton_puiseux
-from cuspidal.differentials import OneForm, delorme, oracle_differential_value
+from cuspidal.differentials import OneForm, delorme, monomial_value, oracle_differential_value
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.specfile import parse_spec
 from cuspidal.standard_basis import HorizonExhausted
@@ -127,9 +127,54 @@ def test_verify_passes(capsys, spec45):
     assert code == 0
     assert "verify = ok" in out
     assert "oracle_basis_forms = ok" in out
-    assert "oracle_random_forms = ok 50/50" in out
+    assert "oracle_delorme_forms = ok 3/3" in out
     assert "tjurina_semimodule = ok" in out
     assert "certified_roots = ok -11/20" in out
+
+
+def test_monomial_value_oracle_fails_verify(capsys, monkeypatch, tmp_path):
+    """On x^7 + y^4 (s = 0) the basis forms dx and dy have their monomial
+    values, but the run tunes 4x dy - 7y dx, whose value is infinite: an
+    oracle that returns the monomial value fails on that form."""
+    p = tmp_path / "c47.spec"
+    p.write_text("n = 4\nm = 7\n")
+    code, out, _ = run(capsys, "verify", "--spec", str(p))
+    assert code == 0
+    assert "oracle_delorme_forms = ok 2/2" in out
+    monkeypatch.setattr(cli, "oracle_differential_value",
+                        lambda w, param: monomial_value(w))
+    code, out, _ = run(capsys, "verify", "--spec", str(p))
+    assert code == 1
+    assert "oracle_basis_forms = ok" in out
+    assert "oracle_delorme_forms = FAIL 1/2" in out
+    assert out.endswith("verify = FAIL\n")
+
+
+NOT_FOUR = "four_consistency = skipped (this battery is specific to n = 4)"
+
+
+@pytest.mark.parametrize("text,lines", [
+    ("n = 2\nm = 5\n", ["oracle_delorme_forms = skipped (n = 2: Delorme runs no round)",
+                        NOT_FOUR]),
+    ("n = 5\nm = 7\nz 4 = 1\n", ["oracle_delorme_forms = ok 3/3", NOT_FOUR]),
+    ("n = 4\nm = 9\nmu = -1\n", ["oracle_delorme_forms = ok 2/2",
+                                  "zariski_consistency = skipped (adapted form)",
+                                  "four_consistency = skipped (adapted form)",
+                                  "certified_roots = skipped (adapted form)"]),
+], ids=["2-5", "5-7", "4-9-adapted"])
+def test_verify_reports_every_check(capsys, tmp_path, text, lines):
+    """Each check is on the report as ran or skipped, with the reason, and
+    in the same place whatever the curve."""
+    p = tmp_path / "c.spec"
+    p.write_text(text)
+    code, out, _ = run(capsys, "verify", "--spec", str(p))
+    assert code == 0
+    for line in lines:
+        assert f"\n{line}\n" in out
+    keys = [line.partition(" = ")[0] for line in out.splitlines()]
+    assert keys == ["n", "m", "form", "basis", "oracle_basis_forms", "oracle_delorme_forms",
+                    "jacobian_cross_check", "tjurina", "tjurina_semimodule",
+                    "zariski_consistency", "four_consistency", "certified_roots", "verify"]
 
 
 def test_tjurina_off_the_semimodule_fails_verify(capsys, monkeypatch, spec49):
@@ -259,15 +304,15 @@ def test_direct_jacobian_basis_built_once(capsys, monkeypatch, spec49, command):
 @pytest.mark.parametrize("text", [SPEC49, "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n"],
                          ids=["4-9", "5-7"])
 def test_verify_at_the_smallest_horizon(capsys, monkeypatch, tmp_path, text):
-    """At horizon 2nm the branch is built once, at t = nm + n + m, and all 50
-    random forms are compared."""
+    """At horizon 2nm the branch is built once, at t = nm + n + m, and every
+    form of Delorme's run is compared."""
     p = tmp_path / "c.spec"
     p.write_text(text)
     branches = count_calls(monkeypatch, newton_puiseux)
     oracle = count_calls(monkeypatch, oracle_differential_value)
     code, out, _ = run(capsys, "verify", "--spec", str(p), "--horizon-mult", "2")
     assert code == 0
-    assert "oracle_random_forms = ok 50/50" in out
+    assert "oracle_delorme_forms = ok " in out
     assert out.endswith("verify = ok\n")
     assert len(branches) == 1
     n, m = branches[0][0].sg.n, branches[0][0].sg.m
@@ -296,8 +341,7 @@ def test_cuspidal_sets_built_once_per_request(capsys, monkeypatch, tmp_path, com
     p = tmp_path / "c.spec"
     p.write_text(text)
     calls = count_calls(monkeypatch, cuspidal_sets)
-    seed = ["--seed", "1"] if command == "verify" else []
-    code, _, _ = run(capsys, command, "--spec", str(p), *seed)
+    code, _, _ = run(capsys, command, "--spec", str(p))
     assert code == 0
     assert len(calls) == 1
 
@@ -359,7 +403,7 @@ DECLARED = {
     "residue": {"--spec", "--j", "--ab"},
     "jacobian": {"--spec"},
     "enumerate": {"--spec", "--max-m"},
-    "verify": {"--spec", "--horizon-mult", "--seed"},
+    "verify": {"--spec", "--horizon-mult"},
     "conjecture-scan": {"--seed", "--max-m"},
 }
 SETTINGS = {"--spec": "c.spec", "--horizon-mult": "3", "--seed": "5", "--precision": "64",
@@ -371,7 +415,7 @@ SETTINGS = {"--spec": "c.spec", "--horizon-mult": "3", "--seed": "5", "--precisi
                                      ["conjecture-scan", "--max-m", "6"]])
 @pytest.mark.parametrize("flag", ["--precision=-5", "--seed=-3"])
 def test_negative_setting_flags_exit_two(capsys, spec49, command, flag):
-    """A negative seed is a parse_error; --seed is an option of `verify` and
+    """A negative seed is a parse_error; --seed is an option of
     `conjecture-scan` alone and --precision of no subcommand, so elsewhere
     they are not recognised at all."""
     spec = [] if command[0] == "conjecture-scan" else ["--spec", spec49]
@@ -474,7 +518,7 @@ def test_undeclared_flag_is_refused(capsys, spec49, command, flag):
     ("delorme", ["--j"]),                    # not --json
     ("bs-roots", ["--hor", "2"]),            # declared nowhere but verify
     ("verify", ["--hor", "2"]),              # not --horizon-mult
-    ("verify", ["--se", "3"]),               # not --seed
+    ("verify", ["--se", "3"]),               # not --spec
     ("residue", ["--js"]),                   # not --json
     ("conjecture-scan", ["--max", "6"]),     # not --max-m
 ])
@@ -489,23 +533,27 @@ def test_abbreviated_flag_is_refused(capsys, spec49, command, bad):
     assert err == f"error: parse_error: unrecognized arguments: {' '.join(bad)}\n"
 
 
-@pytest.mark.parametrize("command", ["delorme", "bs-roots", "jacobian"])
+@pytest.mark.parametrize("command", ["delorme", "bs-roots", "jacobian", "verify"])
 def test_output_does_not_depend_on_the_horizon_key(capsys, tmp_path, command):
     """delorme and the Jacobian basis run at horizons of their own, so f's
-    horizon changes none of these reports: they take no --horizon-mult, and
-    a spec that sets horizon_mult is refused."""
+    horizon changes none of these reports, on SPEC49 or on x^7 + y^4
+    (s = 0).  verify's oracle reads each form of the run in that form's own
+    window, so its report does not change either.  A spec that sets
+    horizon_mult is refused, and only verify takes --horizon-mult."""
     cmd = {"delorme": cli.cmd_delorme, "bs-roots": cli.cmd_bs_roots,
-           "jacobian": cli.cmd_jacobian}[command]
-    reports = [cmd(parse_spec(SPEC49, mult)) for mult in (None, 2, 3, 6)]
-    assert all(report == reports[0] for report in reports)
+           "jacobian": cli.cmd_jacobian, "verify": cli.cmd_verify}[command]
+    for text in (SPEC49, "n = 4\nm = 7\n"):
+        reports = [cmd(parse_spec(text, mult)) for mult in (None, 2, 3, 6)]
+        assert all(report == reports[0] for report in reports)
     p = tmp_path / "h.spec"
     p.write_text(f"{SPEC49}horizon_mult = 2\n")
     code, out, err = run(capsys, command, "--spec", str(p))
     assert (code, out) == (2, "")
     assert err.startswith("error: parse_error: line 4: the horizon_mult key was removed")
-    code, out, err = run(capsys, command, "--spec", str(p), "--horizon-mult", "2")
-    assert (code, out) == (2, "")
-    assert err == "error: parse_error: unrecognized arguments: --horizon-mult 2\n"
+    if command != "verify":
+        code, out, err = run(capsys, command, "--spec", str(p), "--horizon-mult", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: parse_error: unrecognized arguments: --horizon-mult 2\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -7,12 +7,13 @@ from dataclasses import replace
 
 import pytest
 
-from cuspidal import CurveEquation, Semigroup, cuspidal_sets, parse_spec, random_form
+from cuspidal import CurveEquation, Semigroup, cuspidal_sets, parse_spec
 from cuspidal import differentials
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
     OneForm,
     ValueMismatch,
+    _last_uncovered,
     _tuning,
     apply_vector_field,
     delorme,
@@ -22,9 +23,9 @@ from cuspidal.differentials import (
 )
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
-from cuspidal.semimodules import AbstractSemimodule, _axis
+from cuspidal.semimodules import AbstractSemimodule, _axis, covered
 from cuspidal.standard_basis import final_reduction
-from cusp_testkit import CORPUS, coprime_pairs, curve_draws
+from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
@@ -198,6 +199,59 @@ def test_oracle_window_edge(t_horizon, value):
     assert differential_value(form, eq) == value
 
 
+@pytest.mark.parametrize("mult", [2, 4, 6, 10])
+def test_oracle_reads_the_window_of_the_forms_horizon(mult):
+    """On the (4, 7) curve with z_2 = -2, Delorme's run ends with
+    -7/4 y^2 dx + x y dy, built at H_Delta = 34.  The implicit route sees
+    values up to 34 - 28 + 11 = 17 there, and the oracle reads the same
+    window, not f's: both say infinite, at every horizon of f, although
+    the pullback has order 19."""
+    eq = parse_spec("n = 4\nm = 7\nz 2 = -2\n", mult)
+    order = eq.sg.order
+    form = OneForm(TruncatedPoly(order, 34, {(0, 2): Rat(-7, 4)}),
+                   TruncatedPoly(order, 34, {(1, 1): Rat(1)}))
+    assert delorme(eq).trail[-1] == form
+    assert differential_value(form, eq) is None
+    assert oracle_differential_value(form, newton_puiseux(eq)) is None
+
+
+@pytest.mark.parametrize("text,lifts,steps", [
+    ("n = 2\nm = 7\n", 0, 0),                      # no round
+    ("n = 3\nm = 5\n", 1, 0),                      # ended at the axis 8 > last
+    ("n = 4\nm = 7\n", 1, 1),                      # the tuned form is infinite
+    ("n = 4\nm = 9\nz 1 = 1\n", 2, 2),             # both rounds give a basis form
+])
+def test_trail_holds_every_form_of_the_run(text, lifts, steps):
+    """The trail is the lift and each tuned form of every round, the ending
+    round's included; the basis forms are the last form of each completed
+    round, replayed once with the trail."""
+    diff = delorme(parse_spec(text))
+    rounds = diff.rounds + ((diff.ended,) if diff.ended else ())
+    assert (len(rounds), sum(len(record[1]) for record in rounds)) == (lifts, steps)
+    assert len(diff.trail) == lifts + steps
+    ends, at = [], -1
+    for _, round_steps in rounds:
+        at += 1 + len(round_steps)
+        ends.append(diff.trail[at])
+    assert diff.forms[2:] == tuple(ends[:len(diff.rounds)])
+    assert (diff.ended is None) == (len(diff.values.basis) == diff.values.sg.n)
+
+
+def test_trail_values_agree_on_both_routes():
+    """On every ``_horizon_draws()`` curve the oracle agrees with the
+    implicit route on each form of the run, and the form that ends it has a
+    value past last, or an infinite one."""
+    for eq in _horizon_draws():
+        diff = delorme(eq)
+        param = newton_puiseux(eq)
+        values = [differential_value(w, eq) for w in diff.trail]
+        assert values == [oracle_differential_value(w, param) for w in diff.trail]
+        if diff.ended:
+            sg = eq.sg
+            last = _last_uncovered(sg, covered(sg, diff.values.basis, sg.conductor))
+            assert values[-1] is None or values[-1] > last
+
+
 @pytest.mark.parametrize("pair", [(5, 7), (4, 11)])
 def test_oracle_rejects_a_branch_of_another_cusp(pair):
     param = newton_puiseux(CurveEquation.nice(Semigroup(*pair)))
@@ -238,8 +292,9 @@ def _guard_fires(eq, diff) -> bool:
 
 def test_delorme_at_its_horizon_equals_the_full_horizon(monkeypatch):
     """At H_Delta = max(D, nm) Delorme gives the values, leading powers,
-    monomial values, and forms and h_i cut at H_Delta, of a run at f's own
-    horizon 4nm: the proof in the ``delorme`` docstring, checked."""
+    monomial values, ending round, and forms and h_i cut at H_Delta, of a
+    run at f's own horizon 4nm: the proof in the ``delorme`` docstring,
+    checked."""
     pairs, fired = set(), set()
     for eq in _horizon_draws():
         sg = eq.sg
@@ -255,6 +310,7 @@ def test_delorme_at_its_horizon_equals_the_full_horizon(monkeypatch):
         assert ours.leading_powers == full.leading_powers
         assert ours.forms == tuple(OneForm(w.dx.truncated(h), w.dy.truncated(h))
                                    for w in full.forms)
+        assert ours.ended == full.ended
         assert ours.reductions == tuple(p.truncated(h) for p in full.reductions)
         assert [monomial_value(w) for w in ours.forms] == [monomial_value(w) for w in full.forms]
         pairs.add((sg.n, sg.m))

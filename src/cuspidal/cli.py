@@ -3,11 +3,11 @@
 Every subcommand reads a curve spec (except conjecture-scan, which builds its
 own random curves), runs one pipeline, and prints a line-oriented ``key =
 value`` report -- or the same data as JSON with ``--json``.  The spec
-describes the curve alone; the run settings are options of the one
-subcommand that reads each, ``--horizon-mult`` of verify (which draws
-nothing at random) and ``--seed`` of conjecture-scan.  Exit codes: 0
-success, 1 a verification found a mismatch or a computation failed its own
-check, 2 bad input.
+describes the curve alone, and a subcommand takes only its own inputs:
+the one run setting is ``--seed`` of conjecture-scan.  f is cut at the
+default horizon 4nm, and every layer cuts it again at a horizon of its
+own.  Exit codes: 0 success, 1 a verification found a mismatch or a
+computation failed its own check, 2 bad input.
 """
 from __future__ import annotations
 
@@ -54,9 +54,8 @@ def _print_report(data: dict, as_json: bool) -> None:
         print(f"{key} = {_render_value(value)}")
 
 
-def _load_curve(args, horizon_mult: int | None = None) -> CurveEquation:
-    """The curve of ``--spec``, with f cut at horizon_mult * n * m (at the
-    default horizon when None)."""
+def _load_curve(args) -> CurveEquation:
+    """The curve of ``--spec``."""
     if not args.spec:
         raise SpecError("--spec <path> is required for this subcommand")
     try:
@@ -64,7 +63,7 @@ def _load_curve(args, horizon_mult: int | None = None) -> CurveEquation:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {args.spec}: {exc}") from None
-    return parse_spec(text, horizon_mult)
+    return parse_spec(text)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -331,11 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", "all increasing semimodules of the pair")
     p.add_argument("--max-m", type=int, dest="max_m",
                    help="summarize counts for every coprime m up to this bound")
-    # Only verify reads f's horizon: delorme and the Jacobian basis run at
-    # horizons of their own, the residues need none.
-    p = add("verify", "full consistency battery for one curve")
-    p.add_argument("--horizon-mult", type=int, dest="horizon_mult",
-                   help="truncation horizon of f as a multiple of n*m (default 4)")
+    add("verify", "full consistency battery for one curve")
     p = add("conjecture-scan", "random curves with n >= 5: check every semimodule value "
             "certifies a root", spec=False)
     p.add_argument("--seed", type=_seed, default=0, help="random seed for the curves")
@@ -368,7 +363,7 @@ _HANDLERS = {
     "residue": lambda args: (cmd_residue(_load_curve(args), args.j, _parse_ab(args.ab)), True),
     "jacobian": _report(cmd_jacobian),
     "enumerate": lambda args: (cmd_enumerate(_load_curve(args), args.max_m), True),
-    "verify": lambda args: cmd_verify(_load_curve(args, args.horizon_mult)),
+    "verify": lambda args: cmd_verify(_load_curve(args)),
     "conjecture-scan": lambda args: cmd_conjecture_scan(args.seed, args.max_m),
 }
 

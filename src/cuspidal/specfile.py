@@ -4,9 +4,9 @@ A spec names the semigroup pair and either nice-form coefficients (``z j =
 value`` with j in the cuspidal value set J) or an adapted form mu*x^m + y^n
 plus raw terms (``term coeff a b`` above the weight line; ``mu`` alone,
 with no terms, is adapted too).  It describes the curve and nothing else:
-run settings such as the seed and f's truncation horizon are options of
-the subcommands that read them.  Lines are independent, ``#`` starts a
-comment, and ``=`` may be written with or without spaces.
+f is cut at the default horizon 4nm, and the seed is an option of the
+subcommand that reads it.  Lines are independent, ``#`` starts a comment,
+and ``=`` may be written with or without spaces.
 """
 from __future__ import annotations
 
@@ -63,16 +63,15 @@ _REMOVED_KEYS = {
     "precision": "every residue decision is exact, and residue's interval "
                  "always starts at 256 bits",
     "seed": "the seed is a run setting; pass --seed to conjecture-scan",
-    "horizon_mult": "f's truncation horizon is a run setting; pass --horizon-mult "
-                    "to verify",
+    "horizon_mult": "f's truncation horizon is fixed, and every layer cuts f "
+                    "at its own proven horizon",
 }
 
 
-def parse_spec(text: str, horizon_mult: int | None = None) -> CurveEquation:
+def parse_spec(text: str) -> CurveEquation:
     """Parse and validate a spec and return the curve it describes, with f
-    truncated at horizon_mult * n * m (the default horizon when None).
-    Diagnostics name the first offending line; an equation the text cannot
-    build, such as one below the least horizon, is a ParseError."""
+    truncated at the default horizon 4nm.  Diagnostics name the first
+    offending line; an equation the text cannot build is a ParseError."""
     fields: dict = {}
     coeffs: list = []
     terms: list = []
@@ -146,10 +145,10 @@ def parse_spec(text: str, horizon_mult: int | None = None) -> CurveEquation:
                 line_no)
         table[(a, b)] = c
 
-    horizon = sg.order.default_horizon if horizon_mult is None else horizon_mult * n * m
     try:
         if terms or mu != 1:
-            return CurveEquation.adapted(sg, TruncatedPoly(sg.order, horizon, table))
-        return CurveEquation.nice(sg, dict(coeffs), horizon)
-    except ValueError as exc:    # CurveEquation's horizon check, among others
+            return CurveEquation.adapted(
+                sg, TruncatedPoly(sg.order, sg.order.default_horizon, table))
+        return CurveEquation.nice(sg, dict(coeffs))
+    except ValueError as exc:    # CurveEquation's checks
         raise ParseError(str(exc)) from None

@@ -75,6 +75,17 @@ def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
             return form
 
 
+def at_horizon(eq: CurveEquation, k: int) -> CurveEquation:
+    """The curve of ``eq`` with f cut at k*n*m instead: a nice curve from its
+    coefficients, an adapted one from the terms of its f, which must not
+    have lost any to its own horizon."""
+    sg = eq.sg
+    horizon = k * sg.n * sg.m
+    if eq.form == "nice":
+        return CurveEquation.nice(sg, eq.nice_coeffs, horizon)
+    return CurveEquation.adapted(sg, TruncatedPoly(sg.order, horizon, eq.f.terms))
+
+
 def coprime_pairs(n_values, m_bound: int):
     """All (n, m) with n in n_values, n < m <= m_bound, gcd(n, m) = 1."""
     from math import gcd

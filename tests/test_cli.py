@@ -17,10 +17,12 @@ from cuspidal.differentials import OneForm, delorme, monomial_value, oracle_diff
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.specfile import parse_spec
 from cuspidal.standard_basis import HorizonExhausted
-from cusp_testkit import count_calls
+from cusp_testkit import at_horizon, count_calls
 
 SPEC49 = "n = 4\nm = 9\nz 1 = 1\n"
 SPEC45 = "n = 4\nm = 5\nz 2 = 1\n"
+# Adapted, with y^9 at weight 81 > 2nm = 72: f loses that term at 2nm only.
+SPEC49_ADAPTED = "n = 4\nm = 9\nmu = 2\nterm 1 7 1\nterm 1 0 9\n"
 
 
 @pytest.fixture
@@ -270,26 +272,18 @@ def test_negative_ab_exits_two(capsys, spec49, j, ab):
     assert err.startswith("error: parse_error: --ab entries must be non-negative")
 
 
-@pytest.mark.parametrize("extra,argv", [
-    ("", ["--horizon-mult", "1"]),
-    ("", ["--horizon-mult", "0"]),
-    ("t_horizon = 40\n", []),   # not a spec key: the window comes from f's horizon
-])
-def test_unsound_horizon_exits_two(capsys, tmp_path, extra, argv):
-    """On the nice and the adapted form alike: a horizon that drops x^m is
-    refused for the horizon, not for a missing term."""
-    for base in (SPEC49, "n = 4\nm = 9\nmu = 2\nterm 1 7 1\n"):
-        p = tmp_path / "h.spec"
-        p.write_text(base + extra)
-        code, out, err = run(capsys, "verify", "--spec", str(p), *argv)
-        assert code == 2
-        assert out == ""
-        if argv:
-            assert err == ("error: parse_error: truncation horizon must be at least "
-                           f"2*n*m = 72, got {36 * int(argv[1])}\n")
-        else:
-            assert err.startswith("error: parse_error: line ")
-            assert err.endswith(": unrecognized line 't_horizon = 40'\n")
+@pytest.mark.parametrize("base", [SPEC49, "n = 4\nm = 9\nmu = 2\nterm 1 7 1\n"],
+                         ids=["nice", "adapted"])
+def test_unsound_horizon_exits_two(capsys, tmp_path, base):
+    """t_horizon is no spec key: the branch window comes from f's horizon.
+    The nice and the adapted form alike refuse it on its line."""
+    p = tmp_path / "h.spec"
+    p.write_text(base + "t_horizon = 40\n")
+    code, out, err = run(capsys, "verify", "--spec", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parse_error: line ")
+    assert err.endswith(": unrecognized line 't_horizon = 40'\n")
 
 
 @pytest.mark.parametrize("command", ["jacobian", "verify"])
@@ -303,17 +297,16 @@ def test_direct_jacobian_basis_built_once(capsys, monkeypatch, spec49, command):
 
 @pytest.mark.parametrize("text", [SPEC49, "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n"],
                          ids=["4-9", "5-7"])
-def test_verify_at_the_smallest_horizon(capsys, monkeypatch, tmp_path, text):
-    """At horizon 2nm the branch is built once, at t = nm + n + m, and every
+def test_verify_at_the_smallest_horizon(monkeypatch, text):
+    """On f cut at 2nm the branch is built once, at t = nm + n + m, and every
     form of Delorme's run is compared."""
-    p = tmp_path / "c.spec"
-    p.write_text(text)
+    eq = at_horizon(parse_spec(text), 2)
     branches = count_calls(monkeypatch, newton_puiseux)
     oracle = count_calls(monkeypatch, oracle_differential_value)
-    code, out, _ = run(capsys, "verify", "--spec", str(p), "--horizon-mult", "2")
-    assert code == 0
-    assert "oracle_delorme_forms = ok " in out
-    assert out.endswith("verify = ok\n")
+    data, ok = cli.cmd_verify(eq)
+    assert ok
+    assert data["oracle_delorme_forms"].startswith("ok ")
+    assert data["verify"] == "ok"
     assert len(branches) == 1
     n, m = branches[0][0].sg.n, branches[0][0].sg.m
     assert {param.t_horizon for _, param in oracle} == {n * m + n + m}
@@ -394,7 +387,8 @@ def test_forms_are_built_only_when_read(capsys, monkeypatch, spec49, command):
 
 
 # The options each subcommand declares besides --json, and a value for each
-# option; --precision is declared by none, so every subcommand refuses it.
+# option; --precision and --horizon-mult are declared by none, so every
+# subcommand refuses them.
 DECLARED = {
     "semigroup": {"--spec"},
     "cuspidal-sets": {"--spec"},
@@ -403,7 +397,7 @@ DECLARED = {
     "residue": {"--spec", "--j", "--ab"},
     "jacobian": {"--spec"},
     "enumerate": {"--spec", "--max-m"},
-    "verify": {"--spec", "--horizon-mult"},
+    "verify": {"--spec"},
     "conjecture-scan": {"--seed", "--max-m"},
 }
 SETTINGS = {"--spec": "c.spec", "--horizon-mult": "3", "--seed": "5", "--precision": "64",
@@ -436,20 +430,28 @@ def test_conjecture_scan_negative_precision_exits_two(capsys):
     assert "unrecognized arguments: --precision=-5" in err
 
 
+# Why each removed run-setting key is refused, as the refusal says it.
+REMOVED_REASONS = {
+    "seed": "the seed is a run setting; pass --seed to conjecture-scan",
+    "horizon_mult": "f's truncation horizon is fixed, and every layer cuts f at its "
+                    "own proven horizon",
+}
+
+
 @pytest.mark.parametrize("command", [c for c in DECLARED if "--spec" in DECLARED[c]])
 @pytest.mark.parametrize("key,flag", [("seed", "--seed"), ("horizon_mult", "--horizon-mult")])
 def test_run_setting_spec_keys_are_refused(capsys, tmp_path, command, key, flag):
     """A spec describes the curve alone: a run setting in it is refused on
-    one line that names the flag, on every subcommand, not ignored."""
+    one line that says why, on every subcommand, not ignored.  The reason
+    names the flag only where a subcommand still declares it."""
     path = tmp_path / "k.spec"
     path.write_text(f"{SPEC49}{key} = 3\n")
     argv = ["--j", "1", "--ab", "1,1"] if command == "residue" else []
     code, out, err = run(capsys, command, "--spec", str(path), *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: parse_error: line 4: the {key} key was removed: ")
-    assert f"{flag} " in err
-    assert err.count("\n") == 1
+    assert err == f"error: parse_error: line 4: the {key} key was removed: {REMOVED_REASONS[key]}\n"
+    assert (flag in err) == any(flag in flags for flags in DECLARED.values())
 
 
 @pytest.mark.parametrize("command", [c for c in DECLARED if "--spec" in DECLARED[c]])
@@ -516,8 +518,8 @@ def test_undeclared_flag_is_refused(capsys, spec49, command, flag):
 
 @pytest.mark.parametrize("command,bad", [
     ("delorme", ["--j"]),                    # not --json
-    ("bs-roots", ["--hor", "2"]),            # declared nowhere but verify
-    ("verify", ["--hor", "2"]),              # not --horizon-mult
+    ("bs-roots", ["--hor", "2"]),            # a prefix of no option
+    ("verify", ["--hor", "2"]),              # a prefix of no option
     ("verify", ["--se", "3"]),               # not --spec
     ("residue", ["--js"]),                   # not --json
     ("conjecture-scan", ["--max", "6"]),     # not --max-m
@@ -534,26 +536,23 @@ def test_abbreviated_flag_is_refused(capsys, spec49, command, bad):
 
 
 @pytest.mark.parametrize("command", ["delorme", "bs-roots", "jacobian", "verify"])
-def test_output_does_not_depend_on_the_horizon_key(capsys, tmp_path, command):
+def test_output_does_not_depend_on_the_horizon_key(command):
     """delorme and the Jacobian basis run at horizons of their own, so f's
-    horizon changes none of these reports, on SPEC49 or on x^7 + y^4
-    (s = 0).  verify's oracle reads each form of the run in that form's own
-    window, so its report does not change either.  A spec that sets
-    horizon_mult is refused, and only verify takes --horizon-mult."""
+    horizon (2nm, 3nm, 4nm or 6nm) changes none of these reports, on SPEC49,
+    on x^7 + y^4 (s = 0) or on an adapted curve whose f itself differs
+    between 2nm and 3nm.  verify's oracle reads each form of the run in
+    that form's own window, so its report does not change either.  Which
+    is why the command line cuts f at 4nm and takes no horizon."""
     cmd = {"delorme": cli.cmd_delorme, "bs-roots": cli.cmd_bs_roots,
            "jacobian": cli.cmd_jacobian, "verify": cli.cmd_verify}[command]
-    for text in (SPEC49, "n = 4\nm = 7\n"):
-        reports = [cmd(parse_spec(text, mult)) for mult in (None, 2, 3, 6)]
+    texts = [SPEC49, "n = 4\nm = 7\n", SPEC49_ADAPTED]
+    if command == "bs-roots":
+        texts.pop()    # bs-roots needs the nice form
+    for text in texts:
+        reports = [cmd(at_horizon(parse_spec(text), k)) for k in (2, 3, 4, 6)]
         assert all(report == reports[0] for report in reports)
-    p = tmp_path / "h.spec"
-    p.write_text(f"{SPEC49}horizon_mult = 2\n")
-    code, out, err = run(capsys, command, "--spec", str(p))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: parse_error: line 4: the horizon_mult key was removed")
-    if command != "verify":
-        code, out, err = run(capsys, command, "--spec", str(p), "--horizon-mult", "2")
-        assert (code, out) == (2, "")
-        assert err == "error: parse_error: unrecognized arguments: --horizon-mult 2\n"
+    adapted = [at_horizon(parse_spec(SPEC49_ADAPTED), k).f for k in (2, 3)]
+    assert [len(f.terms) for f in adapted] == [3, 4]
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -25,7 +25,7 @@ from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, _axis, covered
 from cuspidal.standard_basis import final_reduction
-from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
+from cusp_testkit import CORPUS, at_horizon, coprime_pairs, curve_draws, random_form
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
@@ -206,7 +206,7 @@ def test_oracle_reads_the_window_of_the_forms_horizon(mult):
     values up to 34 - 28 + 11 = 17 there, and the oracle reads the same
     window, not f's: both say infinite, at every horizon of f, although
     the pullback has order 19."""
-    eq = parse_spec("n = 4\nm = 7\nz 2 = -2\n", mult)
+    eq = CurveEquation.nice(Semigroup(4, 7), {2: Rat(-2)}, mult * 28)
     order = eq.sg.order
     form = OneForm(TruncatedPoly(order, 34, {(0, 2): Rat(-7, 4)}),
                    TruncatedPoly(order, 34, {(1, 1): Rat(1)}))
@@ -240,12 +240,19 @@ def test_trail_holds_every_form_of_the_run(text, lifts, steps):
 def test_trail_values_agree_on_both_routes():
     """On every ``_horizon_draws()`` curve the oracle agrees with the
     implicit route on each form of the run, and the form that ends it has a
-    value past last, or an infinite one."""
+    value past last, or an infinite one.  Adding 3g*df for g in {1, x, y}
+    keeps a form's value on both routes: g*df pulls back to zero."""
     for eq in _horizon_draws():
         diff = delorme(eq)
         param = newton_puiseux(eq)
         values = [differential_value(w, eq) for w in diff.trail]
         assert values == [oracle_differential_value(w, param) for w in diff.trail]
+        multiples = [OneForm.d(eq.f).mul_monomial(3, g) for g in ((0, 0), (1, 0), (0, 1))]
+        for w, value in zip(diff.trail, values):
+            for g_df in multiples:
+                moved = w + g_df
+                assert differential_value(moved, eq) == value
+                assert oracle_differential_value(moved, param) == value
         if diff.ended:
             sg = eq.sg
             last = _last_uncovered(sg, covered(sg, diff.values.basis, sg.conductor))
@@ -325,12 +332,11 @@ def test_delorme_at_its_horizon_equals_the_full_horizon(monkeypatch):
 
 
 def test_delorme_does_not_read_the_horizon_key():
-    """parse_spec's horizon_mult (verify's --horizon-mult) sets f's horizon,
-    which delorme cuts at its own; the output is the same object at 2nm,
-    3nm, 4nm and 6nm."""
+    """delorme cuts f at its own horizon, so the output is the same object
+    for f cut at 2nm, 3nm, 4nm and 6nm."""
     for text in ("n = 4\nm = 9\nz 1 = 1\n", "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n",
                  "n = 2\nm = 7\n", "n = 7\nm = 10\nz 1 = 1\nz 5 = 2/3\nz 8 = -1\n"):
-        diffs = [delorme(parse_spec(text, horizon_mult=k)) for k in (2, 3, 4, 6)]
+        diffs = [delorme(at_horizon(parse_spec(text), k)) for k in (2, 3, 4, 6)]
         assert all(d == diffs[0] for d in diffs[1:])
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from cuspidal import CurveEquation
 from cuspidal.rationals import Rat
 from cuspidal.specfile import (
     CoefficientOutsideJ,
@@ -11,6 +12,7 @@ from cuspidal.specfile import (
     SpecError,
     parse_spec,
 )
+from cusp_testkit import at_horizon
 
 
 def test_minimal_spec():
@@ -34,10 +36,12 @@ z 2 = 7/18
 
 
 def test_build_nice_equation():
-    eq = parse_spec("n=4\nm=9\nz 1 = 1", horizon_mult=6)
+    """The spec cuts f at 4nm; a library caller picks another horizon."""
+    eq = parse_spec("n=4\nm=9\nz 1 = 1")
     assert eq.form == "nice"
-    assert eq.f.horizon == 216
+    assert eq.f.horizon == 144
     assert eq.nice_coeffs == {1: Rat(1)}
+    assert CurveEquation.nice(eq.sg, eq.nice_coeffs, 6 * 36).f.horizon == 216
 
 
 def test_build_adapted_equation_from_terms():
@@ -61,13 +65,14 @@ def test_lone_mu_builds_the_adapted_form():
 @pytest.mark.parametrize("text", ["n=4\nm=9\nz 1 = 1", "n=4\nm=9\nmu = 2",
                                   "n=4\nm=9\nterm 1 9 1"])
 def test_horizon_argument_passes_the_equation_check(text):
-    """A horizon below 2nm is refused by CurveEquation, the one horizon
-    check, and reported as a ParseError on either form."""
+    """A spec's curve rebuilt below 2nm is refused by CurveEquation, the one
+    horizon check, on either form."""
+    eq = parse_spec(text)
     for mult in (1, 0, -1):
-        with pytest.raises(ParseError) as info:
-            parse_spec(text, horizon_mult=mult)
+        with pytest.raises(ValueError) as info:
+            at_horizon(eq, mult)
         assert str(info.value) == f"truncation horizon must be at least 2*n*m = 72, got {36 * mult}"
-    assert parse_spec(text, horizon_mult=2).f.horizon == 72
+    assert at_horizon(eq, 2).f.horizon == 72
 
 
 @pytest.mark.parametrize("text,exc,kind,line", [
@@ -94,6 +99,10 @@ def test_error_taxonomy(text, exc, kind, line):
     assert info.value.kind == kind
     assert info.value.line == line
     assert isinstance(info.value, SpecError)
+    if "horizon_mult" in text:
+        assert str(info.value) == (f"line {line}: the horizon_mult key was removed: f's "
+                                   "truncation horizon is fixed, and every layer cuts f "
+                                   "at its own proven horizon")
 
 
 def test_term_weighted_degree_must_exceed_nm():

@@ -6,8 +6,10 @@ value`` report -- or the same data as JSON with ``--json``.  The spec
 describes the curve alone, and a subcommand takes only its own inputs:
 the one run setting is ``--seed`` of conjecture-scan.  f is cut at the
 default horizon 4nm, and every layer cuts it again at a horizon of its
-own.  Exit codes: 0 success, 1 a verification found a mismatch or a
-computation failed its own check, 2 bad input.
+own: ``delorme`` at H_Delta, the direct Jacobian basis at H_J, and the
+Newton-Puiseux branch at 2nm, which ``newton_puiseux`` solves once,
+through t = nm + n + m.  Exit codes: 0 success, 1 a verification found a
+mismatch or a computation failed its own check, 2 bad input.
 """
 from __future__ import annotations
 

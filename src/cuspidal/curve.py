@@ -4,9 +4,9 @@ equations in adapted or nice form, and exact rational parametrizations.
 A cusp is a plane branch whose semigroup is generated by a coprime pair
 (n, m) with 2 <= n < m.  Everything here is exact: the parametrization solves
 the coefficient recursion n * v_k = -P_k on integers, one coefficient per
-step, and is held as one scaled integer power table, exact through the
-window that the horizon of f fixes and solved that far only when read that
-far; it is the independent oracle for the differential-value machinery.
+step, once, on f cut at 2nm, and is held as one scaled integer power table
+through t^(nm + n + m); it is the independent oracle for the
+differential-value machinery.
 """
 from __future__ import annotations
 
@@ -62,6 +62,13 @@ class Semigroup:
         """H_J = D + n = 2nm - n - 2m: the proven horizon of the direct
         Jacobian standard basis (``jacobian_basis_direct``)."""
         return self.hessian_degree + self.n
+
+    @property
+    def branch_horizon(self) -> int:
+        """2nm: the horizon at which ``newton_puiseux`` cuts f, the largest
+        of the layers' horizons, and so the least horizon of f that
+        ``CurveEquation`` accepts."""
+        return 2 * self.n * self.m
 
     @cached_property
     def order(self) -> WeightedOrder:
@@ -227,9 +234,10 @@ class CurveEquation:
         if self.form not in ("nice", "adapted"):
             raise ValueError(f"unknown form {self.form!r}")
         # The one horizon check every equation passes, however it is built:
-        # below 2nm the truncation can cut terms that decide the values.  It
-        # also bounds the branch window t_horizon from below (newton_puiseux).
-        floor = 2 * self.sg.n * self.sg.m
+        # each layer cuts f at its own horizon, and the branch's 2nm is the
+        # largest (H_Delta, H_J <= 2nm), so below it a layer would read f
+        # without terms that decide its values.
+        floor = self.sg.branch_horizon
         if self.f.horizon < floor:
             raise ValueError(f"truncation horizon must be at least 2*n*m = {floor}, "
                              f"got {self.f.horizon}")
@@ -264,29 +272,22 @@ class CurveEquation:
 @dataclass(frozen=True)
 class Parametrization:
     """Primitive rational parametrization x = x_coeff * t^n, y = y(t), held
-    as an integer table and solved on demand.
+    as the integer table that ``newton_puiseux`` solved.
 
     With D = ``scale``, the branch is y(D*s) = c0 * D^m * v(s), where v has
     integer coefficients and starts with s^m (``newton_puiseux`` proves it),
-    so y_k = c0 * v_k / D^(k-m) (``y``).  v solves H(s, v) = 0, the
-    rescaled equation whose integer terms (shift, b, h) stand for
-    h * s^shift * v^b (``terms``).  ``x_coeff`` and ``c0`` are +1 or -1 for
-    mu = 1 equations and rational powers of mu otherwise: the sign/scale is
-    exactly what keeps the coefficient recursion inside the rationals, and
-    t-orders -- the only quantities consumed downstream -- do not depend on
-    it.
+    so y_k = c0 * v_k / D^(k-m) (``y``), and v solves the rescaled integer
+    equation H(s, v) = 0 of ``newton_puiseux``.  ``x_coeff`` and ``c0`` are
+    +1 or -1 for mu = 1 equations and rational powers of mu otherwise: the
+    sign/scale is exactly what keeps the coefficient recursion inside the
+    rationals, and t-orders -- the only quantities consumed downstream -- do
+    not depend on it.
 
-    The branch is exact through t^t_horizon, and solved only as far as it
-    is read.  Construction solves it through ``window`` =
-    min(t_horizon, nm + n + m), the whole window of the least horizon 2nm
-    that ``CurveEquation`` allows; the first read past that window solves
-    it again through t_horizon, and so does any read of ``y`` or
-    ``_table``.  Both solves are ``_solve_branch``: the same recursion and
-    the same residual check, so every coefficient served has passed that
-    check, and the first window is a prefix of the second.
-
-    The oracle reads every pullback off the one table v^0, v^1, ... (higher
-    powers than f's are appended on demand).  A *part*
+    ``powers`` is the table v^0, v^1, ..., v^top (top the largest y-degree
+    of H) through s^t_horizon, t_horizon = nm + n + m, solved once by
+    ``newton_puiseux``, where it passed the residual check; nothing here
+    solves.  The oracle reads every pullback off that table (higher powers
+    than H's are appended on first read).  A *part*
     (shift, b, theta, num, den) stands for (num/den) * t^shift * Y, with
     integers num and den > 0, where Y = y^b, or Y = t * (y^b)' when
     ``theta``.  The t^k coefficient of Y is
@@ -301,8 +302,7 @@ class Parametrization:
     x_coeff: Rat
     c0: Rat
     scale: int
-    terms: tuple
-    t_horizon: int
+    powers: tuple = field(repr=False)
 
     def __post_init__(self) -> None:
         if not (self.x_coeff and self.c0):
@@ -311,7 +311,11 @@ class Parametrization:
             raise ValueError("scale must be a positive integer")
         if self.t_horizon < self.m:
             raise ValueError("the window must reach s^m")
-        self._solve(min(self.t_horizon, self.n * self.m + self.n + self.m))
+
+    @property
+    def t_horizon(self) -> int:
+        """The last power of s (and of t) in the table."""
+        return len(self.powers[1]) - 1
 
     def check_cusp(self, order: WeightedOrder) -> None:
         """Raise unless the weights (n, m) are this branch's own: the scale D
@@ -321,49 +325,25 @@ class Parametrization:
 
     @cached_property
     def _tables(self) -> dict:
-        return {}
+        return {(b, False): p for b, p in enumerate(self.powers)}
 
-    def _solve(self, window: int) -> None:
-        """Solve the branch through s^window and serve every table from it."""
-        powers = _solve_branch(self.n, self.m, self.terms, window)
-        self._tables.clear()
-        self._tables.update(((b, False), p) for b, p in enumerate(powers))
-
-    @property
-    def window(self) -> int:
-        """The last power of s (and of t) solved so far: nm + n + m, or
-        t_horizon if that is smaller, until a read past it."""
-        return len(self._tables[(1, False)]) - 1
-
-    def _solve_fully(self) -> None:
-        """Solve through t_horizon, unless that is done."""
-        if self.window < self.t_horizon:
-            self._solve(self.t_horizon)
-
-    def _read(self, b: int, theta: bool) -> tuple:
-        """v^b, or k * v^b[k] when theta, through s^window; cached until the
-        next solve."""
+    def _table(self, b: int, theta: bool) -> tuple:
+        """v^b, or k * v^b[k] when theta, through s^t_horizon; cached."""
         tables = self._tables
         got = tables.get((b, theta))
         if got is None:
             if theta:
-                got = tuple(k * c for k, c in enumerate(self._read(b, False)))
+                got = tuple(k * c for k, c in enumerate(self._table(b, False)))
             else:
-                got = tuple(_series.mul(self._read(b - 1, False), tables[(1, False)],
-                                        self.window))
+                got = tuple(_series.mul(self._table(b - 1, False), self.powers[1],
+                                        self.t_horizon))
             tables[(b, theta)] = got
         return got
-
-    def _table(self, b: int, theta: bool) -> tuple:
-        """v^b, or k * v^b[k] when theta, through s^t_horizon."""
-        self._solve_fully()
-        return self._read(b, theta)
 
     def order(self, parts, upto: int) -> int | None:
         """The least K <= upto whose t^K coefficient in the sum of parts is
         nonzero, walking K upward; None when all of t^0..t^upto vanish.
-        Parts that start past upto are dropped.  The branch is solved
-        through t_horizon only if the walk reads past ``window``."""
+        Parts that start past upto are dropped."""
         cn, cd = self.c0.numerator, self.c0.denominator
         scaled = [(shift + self.m * b, shift, b, theta, num * cn ** b, den * cd ** b)
                   for shift, b, theta, num, den in parts if shift + self.m * b <= upto]
@@ -375,23 +355,13 @@ class Parametrization:
         e0 = min(start for start, *_ in scaled)
         den = lcm(*(d for *_, d in scaled))
         D = self.scale
-        keyed = sorted(((start, shift, b, theta, num * (den // d) * D ** (start - e0))
-                        for start, shift, b, theta, num, d in scaled),
-                       key=lambda row: row[0])
-        # Coefficient K reads the tables at most at K - low.
-        low = min(shift for _, shift, *_ in keyed)
-
-        def rows() -> list:
-            return [(start, shift, self._read(b, theta), k)
-                    for start, shift, b, theta, k in keyed]
-
-        window, table_rows = self.window, rows()
+        rows = sorted(((start, shift, self._table(b, theta),
+                        num * (den // d) * D ** (start - e0))
+                       for start, shift, b, theta, num, d in scaled),
+                      key=lambda row: row[0])
         for K in range(e0, upto + 1):
-            if K - low > window:  # a read past the solved window
-                self._solve_fully()
-                window, table_rows = self.window, rows()
             total = 0
-            for start, shift, table, k in table_rows:
+            for start, shift, table, k in rows:
                 if start > K:
                     break
                 total += k * table[K - shift]
@@ -404,7 +374,7 @@ class Parametrization:
         """The coefficients of t^0..t^t_horizon of y(t)."""
         cn, cd, D = self.c0.numerator, self.c0.denominator, self.scale
         return tuple(Rat(cn * c, cd * D ** (k - self.m)) if c else ZERO
-                     for k, c in enumerate(self._table(1, False)))
+                     for k, c in enumerate(self.powers[1]))
 
 
 def _leading_solution(n: int, m: int, mu: Rat) -> tuple:
@@ -423,13 +393,12 @@ def _leading_solution(n: int, m: int, mu: Rat) -> tuple:
     return -mu_u, mu_v
 
 
-def _scaled_equation(eq: CurveEquation, xi: Rat, c0: Rat) -> tuple:
+def _scaled_equation(f: TruncatedPoly, xi: Rat, c0: Rat) -> tuple:
     """(D, H): the scale D = n^2 * L and the integer terms (n*a, b, h) of
     H(s, v) = f(xi * (D*s)^n, c0 * D^m * v) / (c0^n * D^(nm)), whose term
     h * s^(n*a) * v^b comes from the term c * x^a * y^b of f."""
-    sg = eq.sg
-    n, m = sg.n, sg.m
-    units = {(a, b): c * xi ** a * c0 ** (b - n) for (a, b), c in eq.f.terms.items()}
+    n, m = f.order.n, f.order.m
+    units = {(a, b): c * xi ** a * c0 ** (b - n) for (a, b), c in f.terms.items()}
     # x^m and y^n give -1 and 1, so taking them into L changes nothing.
     scale = n * n * lcm(*(u.denominator for u in units.values()))
     terms = [(n * a, b, _series.exact_div(u.numerator * scale ** (n * a + m * b - n * m),
@@ -462,12 +431,10 @@ def _solve_branch(n: int, m: int, terms, window: int) -> list:
     top = max(b for _, b, _ in terms)
     work = window + nm - m
 
-    # Each v^b starts in the table with its leading 1 at s^(mb), or is zero
-    # through s^work if it starts past it.
+    # Each v^b starts in the table with its leading 1 at s^(mb).
     table = [_series.zeros(work) for _ in range(top + 1)]
     for b, power in enumerate(table):
-        if m * b <= work:
-            power[m * b] = 1
+        power[m * b] = 1
     v = table[1]
     for k in range(m + 1, window + 1):
         for b in range(2, top + 1):
@@ -492,20 +459,31 @@ def _solve_branch(n: int, m: int, terms, window: int) -> list:
 
 
 def newton_puiseux(eq: CurveEquation) -> Parametrization:
-    """Solve f(x(t), y(t)) = 0 for y as a truncated series, on integers,
-    exact through t^t_horizon with t_horizon = f.horizon - n*m + n + m,
-    and solved on demand: through min(t_horizon, nm + n + m) now, through
-    t_horizon when something reads past that (``Parametrization``).  Every
-    coefficient served has passed the residual check below.
+    """Solve f(x(t), y(t)) = 0 for y as a truncated series, on integers.
+    f is cut at 2nm (``Semigroup.branch_horizon``), whatever its horizon,
+    and the branch is solved once, here, through t^t_horizon with
+    t_horizon = nm + n + m.  Every coefficient of the table that the
+    ``Parametrization`` holds has passed the residual check below.
 
-    That window is the implicit route's: ``differential_value`` sees the
-    values nu <= f.horizon - n*m + n + m, and the oracle sees
-    nu <= t_horizon.  It needs no check of its own: the branch is exact
-    through any window t_horizon >= m, by the recursion n * v_k = -P_k
-    below, and the check f.horizon >= 2nm in ``CurveEquation`` gives
-    t_horizon >= nm + n + m, past the conductor and so past every value in
-    Lambda minus Gamma.  The same argument makes the first solve, through
-    nm + n + m, exact, and its coefficients a prefix of the full ones.
+    The oracle reads a form at horizon H_w through
+    min(t_horizon, H_w - nm + n + m) - 1 (``oracle_differential_value``),
+    and ``differential_value`` sees the values
+    nu <= min(f.horizon, H_w) - nm + n + m.  For a form at a horizon
+    <= 2nm, every form Delorme builds among them, the two windows are one;
+    above 2nm, the oracle's None means "past nm + n + m".  The window is
+    past the conductor, and so past every value in Lambda minus Gamma.  It
+    needs no check of its own: the branch of the cut f is exact through any
+    window >= m, by the recursion n * v_k = -P_k below.
+
+    The terms of f above 2nm change no order the oracle reads.  A term of
+    weight w > 2nm moves y by some delta of t-order >= w - (n-1)m >= nm + m + 1,
+    since f_y has t-order (n-1)m.  The pullback A(x, y) x' + B(x, y) y' of
+    A dx + B dy then moves by B * delta', of t-order >= beta + nm + m with
+    beta = ord_t B(x, y) in Gamma, and by terms of t-order >= nm + n + m.
+    Inside the window, orders <= nm + n + m - 1, that leaves beta = 0, and
+    then the pullback has order m - 1 on both branches: its t^(m-1)
+    coefficient is B(0, 0) * m * c0, as A(x, y) x' has no t^(m-1) term
+    (m - n is not in Gamma).
 
     Take x = xi * t^n and y = c0 * t^m + ... (``_leading_solution``).  Let L
     be the lcm of the denominators of c * xi^a * c0^(b-n) over the terms
@@ -529,10 +507,11 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     most 2(k-m) - 2 factors n, and the division by n adds one.  Hence
     v_k = n^(2(k-m)) * v'_k is an integer.
 
-    A solve through s^window (``_solve_branch``) runs that recursion,
-    k = m+1..window, on a table of v^0..v^top (top the largest y-degree in
-    f) through s^work, work = window + nm - m.  Since v starts with s^m,
-    v_k first enters v^b at s^(k+m(b-1)), as b * v_k.  So step k fills that
+    The solve (``_solve_branch``) runs that recursion, k = m+1..t_horizon,
+    on a table of v^0..v^top (top the largest y-degree in the cut f)
+    through s^work, work = t_horizon + nm - m = 2nm + n.  Each v^b starts
+    at s^(mb) <= 2nm, inside the table.  Since v starts with s^m, v_k first
+    enters v^b at s^(k+m(b-1)), as b * v_k.  So step k fills that
     entry of each v^b from v_m..v_(k-1), as one coefficient of
     v^(b-1) * v; reads P_k, the s^(k+nm-m) coefficient of H on the table,
     where every term but v^n reads only finished entries; sets
@@ -540,12 +519,12 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     remainder); and adds b * v_k to the entries it filled.  Postcondition
     (checked): the residual H(s, v(s)) vanishes through s^work on a table
     rebuilt from v alone by ``_series.mul``, not the recursion's own.  That
-    table v^0, v^1, ..., trimmed to the window, is the one the
-    parametrization serves.
+    table v^0, v^1, ..., trimmed to s^t_horizon, is the one the
+    parametrization holds.
     """
     sg = eq.sg
     n, m = sg.n, sg.m
     xi, c0 = _leading_solution(n, m, eq.mu)
-    scale, terms = _scaled_equation(eq, xi, c0)
-    return Parametrization(n, m, xi, c0, scale, tuple(terms),
-                           eq.f.horizon - n * m + n + m)
+    scale, terms = _scaled_equation(eq.f.truncated(sg.branch_horizon), xi, c0)
+    powers = _solve_branch(n, m, terms, n * m + n + m)
+    return Parametrization(n, m, xi, c0, scale, tuple(powers))

@@ -99,9 +99,12 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
     """nu(omega) = ord_t(pullback) + 1 along x = xi t^n, y = y(t).
 
     The pullback (A(phi) * xi * n * t^{n-1} + B(phi) * y'(t)) dt is read
-    through power min(t_horizon, H - nm + n + m) - 1, H the smaller horizon
-    of A and B, the window of ``differential_value`` at H and f's horizon;
-    None marks an order past that window.  Each
+    through power min(t_horizon, H - nm + n + m) - 1, with
+    t_horizon = nm + n + m and H the smaller horizon of A and B.  For
+    H <= 2nm, every form Delorme builds among them, that is the window of
+    ``differential_value`` at H and f's horizon; None marks an order past
+    the window, which for a form above 2nm means past nm + n + m - 1
+    (``newton_puiseux``).  Each
     monomial is one part of ``param``'s integer table, the term c*x^a*y^b*dy
     by y^b * y' = t^-1 * t(y^(b+1))' / (b+1), and the coefficients of the
     pullback are read upward only to the first nonzero one.

@@ -12,7 +12,7 @@ import pytest
 from cuspidal import cli
 from cuspidal.bernstein import interval_certificate
 from cuspidal.cli import main
-from cuspidal.curve import cuspidal_sets, newton_puiseux
+from cuspidal.curve import _solve_branch, cuspidal_sets, newton_puiseux
 from cuspidal.differentials import OneForm, delorme, monomial_value, oracle_differential_value
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.specfile import parse_spec
@@ -295,34 +295,28 @@ def test_direct_jacobian_basis_built_once(capsys, monkeypatch, spec49, command):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("k", [2, 4], ids=["2nm", "4nm"])
 @pytest.mark.parametrize("text", [SPEC49, "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n"],
                          ids=["4-9", "5-7"])
-def test_verify_at_the_smallest_horizon(monkeypatch, text):
-    """On f cut at 2nm the branch is built once, at t = nm + n + m, and every
-    form of Delorme's run is compared."""
-    eq = at_horizon(parse_spec(text), 2)
+def test_verify_solves_one_branch(monkeypatch, text, k):
+    """On f cut at 2nm, the least horizon, or at 4nm, the command line's,
+    verify compares every form of Delorme's run against one branch, solved
+    once, through t_horizon = nm + n + m; a read of its y afterwards, the
+    one the traced benchmark makes, solves nothing more."""
+    eq = at_horizon(parse_spec(text), k)
     branches = count_calls(monkeypatch, newton_puiseux)
+    solves = count_calls(monkeypatch, _solve_branch)
     oracle = count_calls(monkeypatch, oracle_differential_value)
     data, ok = cli.cmd_verify(eq)
     assert ok
     assert data["oracle_delorme_forms"].startswith("ok ")
     assert data["verify"] == "ok"
-    assert len(branches) == 1
-    n, m = branches[0][0].sg.n, branches[0][0].sg.m
-    assert {param.t_horizon for _, param in oracle} == {n * m + n + m}
-
-
-def test_default_verify_solves_the_branch_only_to_the_first_window(capsys, monkeypatch,
-                                                                    spec49):
-    """At the default horizon 4nm no oracle read on the (4,9) spec passes
-    nm + n + m, so the branch is never solved through t_horizon = 3nm + n + m."""
-    oracle = count_calls(monkeypatch, oracle_differential_value)
-    code, out, _ = run(capsys, "verify", "--spec", spec49)
-    assert code == 0
-    assert out.endswith("verify = ok\n")
-    params = {id(param): param for _, param in oracle}.values()
-    assert len(params) == 1
-    assert {(param.window, param.t_horizon) for param in params} == {(49, 121)}
+    assert len(branches) == len(solves) == 1
+    (param,) = {id(param): param for _, param in oracle}.values()
+    n, m = eq.sg.n, eq.sg.m
+    assert param.t_horizon == n * m + n + m
+    assert len(param.y) == n * m + n + m + 1
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("command", ["bs-roots", "delorme", "jacobian", "verify"])

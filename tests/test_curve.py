@@ -1,7 +1,6 @@
 """Semigroups, cuspidal exponent sets, curve equations, branch parametrization."""
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from cuspidal.curve import NotAdapted, _solve_branch, newton_puiseux
 from cuspidal.differentials import OneForm, oracle_differential_value
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
-from cusp_testkit import CORPUS, coprime_pairs, count_calls
+from cusp_testkit import CORPUS, at_horizon, coprime_pairs, count_calls
 
 
 @pytest.mark.parametrize("n,m", [(4, 8), (6, 9), (1, 5), (5, 5), (7, 3)])
@@ -129,17 +128,27 @@ def _all_ones(n, m) -> CurveEquation:
     return CurveEquation.nice(sg, {j: Rat(1) for j in cuspidal_sets(sg).J})
 
 
+def _adapted_45_x9y() -> CurveEquation:
+    """x^5 + y^4 + x^9*y: the last term, of weight 41, is just above the cut
+    at 2nm = 40, and a branch of f at 4nm would move from t^26 on."""
+    return _adapted(4, 5, {(5, 0): Rat(1), (9, 1): Rat(1)})
+
+
 # The adapted curves carry a power y^b with b > n and a pure power x^a with
-# a > m, so the branch's power table runs past v^n and H has terms free of v.
-# On the last one v^7 starts at s^21, past the first solve's table (s^14).
+# a > m, so the branch's power table runs past v^n and H has terms free of v;
+# the y^5 term (n = 4) and the y^4 term (n = 2, on the cut at 2nm = 12) reach
+# the cut-offs of the recursion at s^work.  The y^7 and x*y^5 terms of the
+# other (2, 3) curve are above the cut, so its branch is that of y^2 - 2x^3.
 BRANCH_CASES = [_all_ones(n, m) for n, m in CORPUS] + [
     _adapted_45_mu2(),
     _adapted(3, 5, {(5, 0): Rat(3), (0, 4): Rat(-2, 3), (6, 0): Rat(5, 2), (2, 2): Rat(1)}),
     _adapted(4, 5, {(5, 0): Rat(-1, 2), (0, 5): Rat(4), (6, 0): Rat(-3), (3, 2): Rat(1, 3)}),
     _adapted(2, 3, {(3, 0): Rat(-2), (0, 7): Rat(3), (1, 5): Rat(1, 2)}),
+    _adapted(2, 3, {(3, 0): Rat(-2), (0, 4): Rat(3), (1, 3): Rat(1, 2)}),
 ]
 BRANCH_IDS = [f"{n}-{m}" for n, m in CORPUS] + [
-    "adapted-4-5-mu2", "adapted-3-5-y4-x6", "adapted-4-5-y5-x6", "adapted-2-3-y7"]
+    "adapted-4-5-mu2", "adapted-3-5-y4-x6", "adapted-4-5-y5-x6", "adapted-2-3-y7",
+    "adapted-2-3-y4"]
 
 
 def _fraction(c) -> Fraction:
@@ -193,7 +202,7 @@ def test_branch_is_exact_and_integral(eq):
     param = newton_puiseux(eq)
     assert all(c == 0 for c in _fraction_residual(eq, param))
     m, v = eq.sg.m, param._table(1, False)
-    top = max(b for _, b, _ in param.terms)
+    top = len(param.powers) - 1
     assert all(type(c) is int for b in range(top + 1) for c in param._table(b, False))
     assert all(c == 0 for c in param.y[:m])
     for k in range(m, param.t_horizon + 1):
@@ -213,40 +222,31 @@ def test_branch_builds_one_power_table(monkeypatch, eq):
 
 
 @pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)
-def test_infinite_value_solves_the_whole_branch(eq):
-    """The branch is first solved through nm + n + m.  The oracle's walk on
-    df (infinite value) reads to t_horizon, which solves the branch again
-    there: the first window is a prefix of the second, the tables cached at
-    the first window are replaced, and the residual vanishes through
-    t_horizon.  On the adapted curves with y^5 (n = 4) and y^7 (n = 2) the
-    table runs past v^n, so the cut-offs of the recursion at s^work are
-    exercised."""
+def test_infinite_value_solves_the_whole_branch(monkeypatch, eq):
+    """newton_puiseux solves the whole branch, through t_horizon = nm + n + m.
+    The oracle's walk on df (infinite value) reads its tables to the end,
+    and a power past those of f is built to the end too, without a solve."""
     n, m = eq.sg.n, eq.sg.m
     param = newton_puiseux(eq)
-    assert (param.window, param.t_horizon) == (n * m + n + m, 3 * n * m + n + m)
-    first = param._read(1, False)
-    param._read(n + 1, True)
+    assert param.t_horizon == n * m + n + m
+    solves = count_calls(monkeypatch, _solve_branch)
+    param._table(len(param.powers), True)
     assert oracle_differential_value(OneForm.d(eq.f), param) is None
-    assert param.window == param.t_horizon
-    assert param._read(1, False)[:len(first)] == first
+    assert not solves
     assert all(len(t) == param.t_horizon + 1 for t in param._tables.values())
-    assert all(c == 0 for c in _fraction_residual(eq, param))
-    solved = _solve_branch(n, m, param.terms, param.t_horizon)
-    assert [param._table(b, False) for b in range(len(solved))] == solved
 
 
 @pytest.mark.parametrize("read", ["y", "_table"])
-def test_reading_the_table_solves_the_whole_branch(read):
-    """y and _table serve t^0..t^t_horizon, so each solves that far."""
+def test_reading_the_table_solves_the_whole_branch(monkeypatch, read):
+    """y and _table serve t^0..t^t_horizon from the one solve that
+    newton_puiseux ran; a read solves nothing more."""
     eq = BRANCH_CASES[BRANCH_IDS.index("adapted-4-5-y5-x6")]
-    assert max(b for _, b in eq.f.terms) == eq.sg.n + 1
+    solves = count_calls(monkeypatch, _solve_branch)
     param = newton_puiseux(eq)
-    assert param.window < param.t_horizon
-    if read == "_table":
-        param._table(2, True)
-    else:
-        param.y
-    assert param.window == param.t_horizon
+    assert len(param.powers) == eq.sg.n + 2
+    got = param._table(2, True) if read == "_table" else param.y
+    assert len(got) == param.t_horizon + 1
+    assert len(solves) == 1
 
 
 def test_exact_division_raises_on_a_remainder():
@@ -297,19 +297,17 @@ def test_y_power_dy_is_the_product_with_y_prime(eq):
 HORIZON_PAIRS = coprime_pairs(range(2, 8), 14)
 
 
-@pytest.mark.parametrize("eq", [_all_ones(n, m) for n, m in HORIZON_PAIRS] + [_adapted_45_mu2()],
-                         ids=[f"{n}-{m}" for n, m in HORIZON_PAIRS] + ["adapted-4-5-mu2"])
+@pytest.mark.parametrize("eq", [_all_ones(n, m) for n, m in HORIZON_PAIRS]
+                         + [_adapted_45_mu2(), _adapted_45_x9y()],
+                         ids=[f"{n}-{m}" for n, m in HORIZON_PAIRS]
+                         + ["adapted-4-5-mu2", "adapted-4-5-x9y"])
 def test_newton_puiseux_horizons_agree_on_common_prefix(eq):
-    """At each horizon H of f in {2nm, 3nm, 4nm} the branch is solved to
-    t = H - nm + n + m, and it is the prefix of the 4nm branch."""
+    """One branch at every horizon: f cut at 2nm, 3nm or 4nm gives the same
+    branch, through t_horizon = nm + n + m, so the branches agree on all of
+    their common prefix."""
     n, m = eq.sg.n, eq.sg.m
-    nm = n * m
-    params = {h: newton_puiseux(replace(eq, f=eq.f.truncated(h)))
-              for h in (2 * nm, 3 * nm, 4 * nm)}
-    full = params[4 * nm]
-    for h, param in params.items():
-        t = h - nm + n + m
-        assert param.t_horizon == t
-        assert param.x_coeff == full.x_coeff
-        assert param.y == full.y[:t + 1]
-        assert param._table(1, False) == full._table(1, False)[:t + 1]
+    params = [newton_puiseux(at_horizon(eq, k)) for k in (2, 3, 4)]
+    for param in params:
+        assert param.t_horizon == n * m + n + m
+        assert ((param.x_coeff, param.c0, param.scale, param.y)
+                == (params[0].x_coeff, params[0].c0, params[0].scale, params[0].y))

@@ -157,9 +157,11 @@ def test_delorme_structure_battery(pair):
 
 
 def test_aligned_horizon_formula():
-    """The branch window is derived from f's horizon: t = H - nm + n + m."""
+    """The branch window is that of f cut at 2nm, whatever f's horizon:
+    t = 2nm - nm + n + m."""
     nm = 4 * 9
-    assert newton_puiseux(EQ49).t_horizon == 4 * nm - nm + 4 + 9
+    assert EQ49.f.horizon == 4 * nm
+    assert newton_puiseux(EQ49).t_horizon == nm + 4 + 9
 
 
 def test_oracle_matches_on_basis_forms():
@@ -182,21 +184,17 @@ def test_oracle_matches_on_random_forms(pair):
             assert differential_value(w, eq) == oracle_differential_value(w, param)
 
 
-@pytest.mark.parametrize("t_horizon,value", [(64, 64), (63, None)])
-def test_oracle_window_edge(t_horizon, value):
-    """x^15 dx has value 64 on EQ49: its pullback has order 63, the last
-    power a branch window of 64 trusts and the first one past a window of
-    63.  The windows come from f's horizons 87 and 86 (t = H - nm + n + m),
-    and the implicit route sees the same window."""
-    horizon = t_horizon + 4 * 9 - 4 - 9
-    eq = CurveEquation.nice(EQ49.sg, EQ49.nice_coeffs, horizon)
-    order = eq.sg.order
-    form = OneForm(TruncatedPoly.monomial(order, 1, (15, 0), horizon),
+@pytest.mark.parametrize("horizon,value", [(71, 48), (70, None)])
+def test_oracle_window_edge(horizon, value):
+    """x^11 dx has value 48 on EQ49: its pullback has order 47, the last
+    power read in the window of a form at horizon 71
+    (71 - nm + n + m - 1 = 47) and the first one past that of a form at
+    horizon 70.  The implicit route sees the same window."""
+    order = EQ49.sg.order
+    form = OneForm(TruncatedPoly.monomial(order, 1, (11, 0), horizon),
                    TruncatedPoly.zero(order, horizon))
-    param = newton_puiseux(eq)
-    assert param.t_horizon == t_horizon
-    assert oracle_differential_value(form, param) == value
-    assert differential_value(form, eq) == value
+    assert oracle_differential_value(form, newton_puiseux(EQ49)) == value
+    assert differential_value(form, EQ49) == value
 
 
 @pytest.mark.parametrize("mult", [2, 4, 6, 10])

@@ -7,9 +7,11 @@ non-vanishing at some test exponent in M certifies -beta_j.  Every residue
 is a single Gamma group c*Gamma(r1)*Gamma(r2) or zero, with the pair
 (r1, r2) fixed by beta alone (proved in ``residue``, which computes the pair
 once and checks every term against it).  So the vanishing decision is
-exact: no group left means zero, and one group is nonzero
-(``residue_is_zero``).  A root verdict is its kind, its root and the test
-exponent whose residue is nonzero (``decide_root``).
+exact: c = 0 means zero, and otherwise the group is nonzero with the sign
+of c (``residue_is_zero``).  One integer core, ``_residue_sum``, computes c
+as (num, den) from the curve's table; ``residue`` wraps it as a GammaExpr,
+and ``decide_root`` reads only whether num is 0.  A root verdict is its
+kind, its root and the test exponent whose residue is nonzero.
 Interval arithmetic only displays a value (``interval_certificate``, which
 alone imports mpmath); no decision reads it.
 """
@@ -17,10 +19,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lcm
 
 from .curve import CurveEquation, Semigroup
-from .rationals import ONE, Rat, rat
+from .rationals import Rat, rat
 from .semimodules import AbstractSemimodule, classify_four, elements_outside
 
 
@@ -142,6 +144,71 @@ def _lower(s: int, q: int, r: int) -> tuple:
     return num, q ** t
 
 
+def _gamma_pair(n: int, m: int, big_b: int) -> tuple:
+    """The numerators (r1, r2) of the Gamma arguments r1/m and r2/n that
+    every term of a residue with B = beta*nm lowers to (see ``residue``)."""
+    return (big_b * pow(n, -1, m) - 1) % m + 1, (big_b * pow(m, -1, n) - 1) % n + 1
+
+
+def _delta_entries(eq: CurveEquation, k: int) -> tuple:
+    """``eq.delta_table[k]``, built on the first use of k: (den, entries)
+    with entries ((num, o1, o2), ...), one per distinct offset pair
+    (o1, o2) = (sum d*p1, sum d*p2) over the delta sequences of k, whose
+    coefficients (-1)^{sum d} prod z^d / d! sum to num/den.  Every
+    coefficient is put over den, the lcm of the sequences' denominators,
+    from the numerators and denominators of the z_j; an entry whose
+    numerators cancel is dropped."""
+    table = eq.delta_table.get(k)
+    if table is not None:
+        return table
+    if eq.form != "nice":
+        raise ValueError("residues are defined against the nice form")
+    z = {j: c for j, c in eq.nice_coeffs.items() if c}
+    p_of = eq.sets.p_of
+    terms = []
+    for seq in delta_sequences(tuple(z), k):
+        num = den = 1
+        o1 = o2 = 0
+        for l, d in seq:
+            p1, p2 = p_of(l)
+            o1 += d * p1
+            o2 += d * p2
+            num *= z[l].numerator ** d
+            den *= z[l].denominator ** d * factorial(d)
+        terms.append((-num if sum(d for _, d in seq) % 2 else num, den, o1, o2))
+    common = lcm(*(den for _, den, _, _ in terms))
+    merged: dict = {}
+    for num, den, o1, o2 in terms:
+        merged[o1, o2] = merged.get((o1, o2), 0) + num * (common // den)
+    eq.delta_table[k] = table = (common, tuple((c, o1, o2) for (o1, o2), c in merged.items() if c))
+    return table
+
+
+def _residue_sum(eq: CurveEquation, a: int, b: int, big_b: int, pair) -> tuple:
+    """The coefficient c of the residue at test exponent (a, b) with
+    B = beta*nm, as integers (num, den) with den > 0; only the sign of num
+    decides.  Sums num_i * P1 * P2 * m^(T1-t1) * n^(T2-t2) over the
+    entries of k = B - n*a - m*b, where P1/m^t1 and P2/n^t2 lower the
+    entry's arguments (``_lower``) and T1, T2 are the largest t1, t2 so
+    far; every term is checked for a pole and against ``pair``."""
+    n, m = eq.sg.n, eq.sg.m
+    den, entries = _delta_entries(eq, big_b - n * a - m * b)
+    r1, r2 = pair
+    total = 0
+    top1 = top2 = 1  # m^T1, n^T2
+    for c, o1, o2 in entries:
+        num1, den1 = _lower(a + o1, m, r1)
+        num2, den2 = _lower(b + o2, n, r2)
+        if den1 > top1:
+            total *= den1 // top1
+            top1 = den1
+        if den2 > top2:
+            total *= den2 // top2
+            top2 = den2
+        total += c * num1 * num2 * (top1 // den1) * (top2 // den2)
+    return total, den * top1 * top2
+
+
 def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
     """The residue at test exponent (a, b) for the candidate beta, as a
     canonical GammaExpr; the positive scalar prefactor is dropped since only
@@ -173,14 +240,15 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
 
     The sequences of k depend on the curve and k alone, not on (a, b) or
     beta.  So the first call with a given k stores them in
-    ``eq.delta_table`` as coefficients with their offsets (sum d*p1,
-    sum d*p2), and every call adds its own (a, b) to the offsets.  Sequences
-    with the same offsets have the same arguments, so they are stored as
-    one entry, the sum of their coefficients; a sum that cancels is
-    dropped.
+    ``eq.delta_table`` as (den, entries): integer numerators, each with its
+    offsets (sum d*p1, sum d*p2), over one positive denominator.  Every call
+    adds its own (a, b) to the offsets.  Sequences with the same offsets
+    have the same arguments, so they are stored as one entry, the sum of
+    their numerators; a sum that cancels is dropped.  ``_residue_sum`` adds
+    the lowered entries up on integers, and this function only turns its
+    (num, den) into the GammaExpr; ``decide_root`` reads the same sum's
+    sign and builds no GammaExpr.
     """
-    if eq.form != "nice":
-        raise ValueError("residues are defined against the nice form")
     sg = eq.sg
     n, m = sg.n, sg.m
     a, b = ab
@@ -192,31 +260,11 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
     k = big_b - n * a - m * b
     if k < 0:
         raise NegativeK(f"residue target k = {k} is negative")
-    seqs = eq.delta_table.get(k)
-    if seqs is None:
-        z = {j: c for j, c in eq.nice_coeffs.items() if c}
-        p_of = eq.sets.p_of
-        merged: dict = {}
-        for seq in delta_sequences(tuple(z), k):
-            o1 = o2 = 0
-            coeff = ONE if sum(d for _, d in seq) % 2 == 0 else -ONE
-            for l, d in seq:
-                p1, p2 = p_of(l)
-                o1 += d * p1
-                o2 += d * p2
-                coeff = coeff * z[l] ** d / factorial(d)
-            merged[o1, o2] = merged.get((o1, o2), 0) + coeff
-        eq.delta_table[k] = seqs = tuple((c, o1, o2) for (o1, o2), c in merged.items() if c)
-    r1 = (big_b * pow(n, -1, m) - 1) % m + 1
-    r2 = (big_b * pow(m, -1, n) - 1) % n + 1
-    total = 0
-    for coeff, o1, o2 in seqs:
-        num1, den1 = _lower(a + o1, m, r1)
-        num2, den2 = _lower(b + o2, n, r2)
-        total += Rat(coeff.numerator * num1 * num2, coeff.denominator * den1 * den2)
-    if not total:
+    r1, r2 = _gamma_pair(n, m, big_b)
+    num, den = _residue_sum(eq, a, b, big_b, (r1, r2))
+    if not num:
         return GammaExpr(())
-    return GammaExpr(((tuple(sorted((Rat(r1, m), Rat(r2, n)))), total),))
+    return GammaExpr(((tuple(sorted((Rat(r1, m), Rat(r2, n)))), Rat(num, den)),))
 
 
 class ResidueDecision(enum.Enum):
@@ -297,7 +345,9 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     """-beta_j is a root iff some test exponent in M has nonzero residue;
     otherwise -alpha_j is.  Test exponents are scanned by increasing residue
     target k (then lexicographically), so the cheap decompositions -- and in
-    the certified families the theory's own witness -- come first.  The
+    the certified families the theory's own witness -- come first.  Each
+    residue is read as the sign of its integer sum (``_residue_sum``), with
+    the Gamma pair of beta_j computed once; no GammaExpr is built.  The
     first nonzero residue is the witness; ``residue(eq, witness, beta_j)``
     recomputes it."""
     sg = eq.sg
@@ -305,14 +355,14 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     sets = eq.sets
     if j not in sets.j_to_p:
         raise ValueError(f"{j} is not a cuspidal gap value of {(n, m)}")
-    cand = RootCandidate.for_gap(sg, j)
     big_b = j + n + m
+    pair = _gamma_pair(n, m, big_b)
     for a, b in sets.M_by_target:
         if n * a + m * b > big_b:  # k < 0
             continue
-        if not residue(eq, (a, b), cand.beta).is_zero:
-            return RootDecision("beta_root", -cand.beta, (a, b))
-    return RootDecision("alpha_root", -cand.alpha_val)
+        if _residue_sum(eq, a, b, big_b, pair)[0]:
+            return RootDecision("beta_root", Rat(-big_b, n * m), (a, b))
+    return RootDecision("alpha_root", Rat(-big_b - n * m, n * m))
 
 
 def certified_roots_from_semimodule(sm: AbstractSemimodule) -> frozenset:

@@ -264,8 +264,9 @@ class CurveEquation:
     @cached_property
     def delta_table(self) -> dict:
         """The residue memo of this curve: k -> the delta sequences of k over
-        the nonzero z_j, as entries (coefficient, offset1, offset2).
-        ``bernstein.residue`` fills it on the first use of each k."""
+        the nonzero z_j, as (den, ((num, offset1, offset2), ...)): integer
+        numerators over one positive denominator, one entry per offset pair.
+        ``bernstein`` fills it on the first use of each k."""
         return {}
 
 

@@ -89,21 +89,30 @@ def test_gamma_expr_refuses_two_argument_pairs():
 
 
 def test_residue_refuses_a_term_off_the_proven_pair():
-    """Every term of a residue must lower to the pair that beta fixes; a
-    table entry moved off the congruence is refused, not summed."""
+    """Every term of a residue must lower to the pair that beta fixes, and
+    sit off the poles; a table entry moved off the congruence, or onto a
+    pole, is refused, not summed, by ``residue`` and by ``decide_root``,
+    whose scan for j = 6 first reaches k = 2 at (2, 1)."""
     eq = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(1)})
     good = residue(eq, (2, 1), Rat(19, 36))
+    verdict = decide_root(eq, 6)
+    assert verdict == RootDecision("beta_root", Rat(-19, 36), (2, 1))
     table = eq.delta_table[2]
-    assert len(table) == 2
-    (c, o1, o2), rest = table[0], table[1:]
-    eq.delta_table[2] = ((c, o1 + 1, o2),) + rest
-    with pytest.raises(ValueError, match="not one Gamma group"):
-        residue(eq, (2, 1), Rat(19, 36))
-    eq.delta_table[2] = ((c, o1, o2 + 2),) + rest
-    with pytest.raises(ValueError, match="not one Gamma group"):
-        residue(eq, (2, 1), Rat(19, 36))
+    den, entries = table
+    assert den > 0 and len(entries) == 2
+    (c, o1, o2), rest = entries[0], entries[1:]
+    for moved, error in [((c, o1 + 1, o2), "not one Gamma group"),
+                         ((c, o1, o2 + 2), "not one Gamma group"),
+                         # the same class mod 9, at s1 = 2 + o1 % 9 - 9 <= 0
+                         ((c, o1 % 9 - 9, o2), "must be positive")]:
+        eq.delta_table[2] = (den, (moved,) + rest)
+        with pytest.raises(ValueError, match=error):
+            residue(eq, (2, 1), Rat(19, 36))
+        with pytest.raises(ValueError, match=error):
+            decide_root(eq, 6)
     eq.delta_table[2] = table
     assert residue(eq, (2, 1), Rat(19, 36)) == good
+    assert decide_root(eq, 6) == verdict
 
 
 def test_gamma_expr_rejects_nonpositive_argument():
@@ -295,6 +304,64 @@ def test_residue_table_equals_the_direct_sum():
             nonzero += not expr.is_zero
         assert set(eq.delta_table) == targets  # one entry per k, none other
     assert checked > 1500 and nonzero > 1000
+
+
+def _cancelling_curves():
+    """For every pair n <= 7, m <= 13 and every l in J with 2l in J, the
+    curve z_l = 1, z_2l = t whose residue at the first test exponent
+    (a, b) of target k = 2l (for the smallest j in J that has one) is 0:
+    its two delta sequences (l, 2) and (2l, 1) cancel.  t comes from the
+    two reference residues, each with one of the coefficients alone."""
+    for n, m in coprime_pairs(range(2, 8), 13):
+        sg = Semigroup(n, m)
+        sets = cuspidal_sets(sg)
+        for l in sets.J:
+            if 2 * l not in sets.J:
+                continue
+            query = next((((a, b), Rat(j + n + m, n * m)) for j in sets.J
+                          for a, b in sets.M_by_target
+                          if j + n + m - n * a - m * b == 2 * l), None)
+            if query is None:
+                continue
+            (c0,), (c1,) = ([coeff for _, coeff in _reference_residue(
+                CurveEquation.nice(sg, {part: Rat(1)}), *query).groups]
+                for part in (l, 2 * l))
+            yield CurveEquation.nice(sg, {l: Rat(1), 2 * l: -c0 / c1})
+
+
+def test_decide_root_matches_the_reference_residue():
+    """The integer verdict of ``decide_root`` equals a scan of M by
+    increasing target with the table-free ``_reference_residue``: the same
+    kind, root and witness for every j in J, on every pair n <= 7, m <= 13,
+    at supports of density 0.3 and 1, and on curves where a residue with
+    terms cancels, so that the scan must pass it by.  The verdicts hold
+    again on the filled tables with every entry list reversed: the integer
+    sum does not depend on the order of the entries."""
+    kinds = {"beta_root": 0, "alpha_root": 0}
+    cancelled = 0
+    curves = [*_nice_curves(seed=13, densities=(0.3, 1)), *_cancelling_curves()]
+    for eq in curves:
+        n, m = eq.sg.n, eq.sg.m
+        support = tuple(l for l, c in eq.nice_coeffs.items() if c)
+        expected = {}
+        for j in eq.sets.J:
+            big_b = j + n + m
+            beta = Rat(big_b, n * m)
+            expected[j] = RootDecision("alpha_root", -(beta + 1))
+            for a, b in eq.sets.M_by_target:
+                k = big_b - n * a - m * b
+                if k < 0:
+                    continue
+                if not _reference_residue(eq, (a, b), beta).is_zero:
+                    expected[j] = RootDecision("beta_root", -beta, (a, b))
+                    break
+                cancelled += bool(delta_sequences(support, k))
+            kinds[expected[j].kind] += 1
+        assert {j: decide_root(eq, j) for j in expected} == expected
+        for k, (den, entries) in eq.delta_table.items():
+            eq.delta_table[k] = (den, entries[::-1])
+        assert {j: decide_root(eq, j) for j in expected} == expected
+    assert kinds["beta_root"] > 300 and kinds["alpha_root"] > 50 and cancelled >= 5
 
 
 def test_residue_table_is_order_free_and_per_curve():

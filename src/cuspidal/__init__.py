@@ -15,9 +15,8 @@ curve spec into its ``CurveEquation``.
 from __future__ import annotations
 
 from .bernstein import (Certificate, FourReport, GammaExpr, NegativeK,
-                        PreconditionViolation, ResidueDecision, RootCandidate,
-                        RootDecision, ZariskiReport,
-                        certified_roots_from_semimodule, decide_root,
+                        PreconditionViolation, ResidueDecision, RootDecision,
+                        ZariskiReport, certified_roots_from_semimodule, decide_root,
                         delta_sequences, four_condition_check,
                         interval_certificate, residue, residue_is_zero,
                         zariski_condition_check)
@@ -49,7 +48,7 @@ __all__ = [
     "FourClassification", "FourReport", "GammaExpr", "HorizonExhausted",
     "InvalidPair", "NegativeK", "NoSolution", "NotAdapted", "OneForm",
     "Parametrization", "ParseError", "PreconditionViolation", "Rat",
-    "ResidueDecision", "RootCandidate", "RootDecision", "Semigroup",
+    "ResidueDecision", "RootDecision", "Semigroup",
     "SpecError", "StandardBasis", "Term", "TruncatedPoly", "Unclassifiable",
     "ValueMismatch", "WeightedOrder", "ZariskiReport",
     "apply_vector_field", "buchberger", "certified_roots_from_semimodule",

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from math import factorial, lcm
 
-from .curve import CurveEquation, Semigroup
+from .curve import CurveEquation
 from .rationals import Rat, rat
 from .semimodules import AbstractSemimodule, classify_four, elements_outside
 
@@ -35,26 +35,6 @@ class PreconditionViolation(ValueError):
 
 
 MAX_PRECISION_BITS = 1024
-
-
-@dataclass(frozen=True)
-class RootCandidate:
-    """The two rationals attached to j in J: beta = (j+n+m)/nm and alpha = beta+1."""
-
-    j: int
-    beta: Rat
-
-    def __post_init__(self) -> None:
-        if not 0 < self.beta < 1:
-            raise ValueError(f"beta must lie in (0,1), got {self.beta}")
-
-    @property
-    def alpha_val(self) -> Rat:
-        return self.beta + 1
-
-    @classmethod
-    def for_gap(cls, sg: Semigroup, j: int) -> "RootCandidate":
-        return cls(j, Rat(j + sg.n + sg.m, sg.n * sg.m))
 
 
 def delta_sequences(parts, k: int) -> frozenset:
@@ -161,10 +141,8 @@ def _delta_entries(eq: CurveEquation, k: int) -> tuple:
     table = eq.delta_table.get(k)
     if table is not None:
         return table
-    if eq.form != "nice":
-        raise ValueError("residues are defined against the nice form")
-    z = {j: c for j, c in eq.nice_coeffs.items() if c}
-    p_of = eq.sets.p_of
+    z = eq.nice_coeffs
+    p_of = eq.sg.sets.p_of
     terms = []
     for seq in delta_sequences(tuple(z), k):
         num = den = 1
@@ -352,7 +330,7 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     recomputes it."""
     sg = eq.sg
     n, m = sg.n, sg.m
-    sets = eq.sets
+    sets = sg.sets
     if j not in sets.j_to_p:
         raise ValueError(f"{j} is not a cuspidal gap value of {(n, m)}")
     big_b = j + n + m
@@ -396,8 +374,6 @@ class ZariskiReport:
 
 
 def _check_semimodule(eq: CurveEquation, values: AbstractSemimodule) -> None:
-    if eq.form != "nice":
-        raise ValueError("the coefficient pattern is read off the nice form")
     if values.sg != eq.sg:
         raise ValueError("semimodule belongs to a different semigroup")
 
@@ -410,7 +386,7 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> Za
     _check_semimodule(eq, values)
     sg = eq.sg
     n, m = sg.n, sg.m
-    z = {j: c for j, c in eq.nice_coeffs.items() if c}
+    z = eq.nice_coeffs
     j1 = min(z) if z else None
 
     basis = values.basis
@@ -418,9 +394,8 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> Za
 
     chain = []
     residue_j1 = None
-    for ell in sorted(eq.sets.J):
-        decision = residue_is_zero(
-            residue(eq, (1, 1), RootCandidate.for_gap(sg, ell).beta))
+    for ell in sg.sets.J:
+        decision = residue_is_zero(residue(eq, (1, 1), Rat(ell + n + m, n * m)))
         chain.append((ell, decision.value))
         if decision is not ResidueDecision.ZERO:
             residue_j1 = ell

@@ -20,7 +20,7 @@ import random
 import sys
 from math import gcd
 
-from .bernstein import (NegativeK, PreconditionViolation, RootCandidate,
+from .bernstein import (NegativeK, PreconditionViolation,
                         certified_roots_from_semimodule, decide_root,
                         four_condition_check, interval_certificate, residue,
                         residue_is_zero, zariski_condition_check)
@@ -78,7 +78,7 @@ def cmd_semigroup(eq: CurveEquation) -> dict:
 
 
 def cmd_cuspidal_sets(eq: CurveEquation) -> dict:
-    sets = eq.sets
+    sets = eq.sg.sets
     return {"J": list(sets.J),
             "P": [list(sets.p_of(j)) for j in sets.J],
             "M": [list(ab) for ab in sets.M]}
@@ -99,12 +99,12 @@ def cmd_delorme(eq: CurveEquation) -> dict:
 
 def cmd_bs_roots(eq: CurveEquation) -> dict:
     if eq.form != "nice":
-        raise SpecError("bs-roots needs a nice-form spec (z coefficients)")
+        raise SpecError("bs-roots needs a nice curve: mu = 1 and every other term on P")
     diff = delorme(eq)
     certified = sorted(certified_roots_from_semimodule(diff.values))
     data: dict = {"basis": list(diff.values.basis),
                   "roots": [str(r) for r in certified]}
-    for j in eq.sets.J:
+    for j in eq.sg.sets.J:
         dec = decide_root(eq, j)
         parts = [dec.kind, f"root={dec.root}"]
         if dec.witness is not None:
@@ -122,13 +122,14 @@ def cmd_bs_roots(eq: CurveEquation) -> dict:
 
 def cmd_residue(eq: CurveEquation, j: int, ab) -> dict:
     if eq.form != "nice":
-        raise SpecError("residues need a nice-form spec (z coefficients)")
+        raise SpecError("residue needs a nice curve: mu = 1 and every other term on P")
     sg = eq.sg
-    if j not in eq.sets.j_to_p:
-        raise SpecError(f"--j {j} is not a cuspidal gap value of ({sg.n}, {sg.m})")
-    beta = RootCandidate.for_gap(sg, j).beta
+    n, m = sg.n, sg.m
+    if j not in sg.sets.j_to_p:
+        raise SpecError(f"--j {j} is not a cuspidal gap value of ({n}, {m})")
+    beta = Rat(j + n + m, n * m)
     a, b = ab
-    k = j + sg.n + sg.m - sg.n * a - sg.m * b
+    k = j + n + m - n * a - m * b
     expr = residue(eq, ab, beta)
     data = {"j": j, "beta": str(beta), "ab": list(ab), "k": k,
             "expr": str(expr), "decision": residue_is_zero(expr).value}

@@ -1,5 +1,7 @@
 """Cusp branches: numerical semigroup, cuspidal exponent sets, implicit
-equations in adapted or nice form, and exact rational parametrizations.
+equations, and exact rational parametrizations.  An equation is f alone,
+checked adapted when it is built; whether it is nice, and its z_j, are
+read off f's terms.
 
 A cusp is a plane branch whose semigroup is generated by a coprime pair
 (n, m) with 2 <= n < m.  Everything here is exact: the parametrization solves
@@ -16,7 +18,7 @@ from math import gcd, lcm
 
 from . import _series
 from .poly import Exponent, TruncatedPoly, WeightedOrder
-from .rationals import ONE, Rat, ZERO, rat
+from .rationals import ONE, Rat, ZERO
 
 
 class NotAdapted(ValueError):
@@ -176,78 +178,81 @@ def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
 
 @dataclass(frozen=True)
 class CurveEquation:
-    """Implicit equation of a cusp in adapted or nice coordinates.
+    """Implicit equation of a cusp: f alone, checked on construction,
+    however it was built.
 
-    Adapted means f = mu*x^m + y^n + (terms of weighted degree > n*m); nice
-    additionally pins mu = 1 and restricts the extra monomials to the
-    cuspidal exponent set P, with coefficients indexed by J.
+    f is adapted: mu*x^m + y^n + (terms of weighted degree > n*m), with
+    mu != 0.  It is nice when, besides, mu = 1 and every other term lies on
+    the cuspidal exponent set P; its coefficients are then the z_j, with
+    z_j at P's monomial p_of(j).  mu, the form and the z_j are read off f.
     """
 
     sg: Semigroup
     f: TruncatedPoly
-    form: str
-    mu: Rat
-    coeffs: tuple | None = None
 
     @classmethod
-    def nice(cls, sg: Semigroup, coeffs=None, horizon: int | None = None) -> "CurveEquation":
-        """f = x^m + y^n + sum z_j x^{p1,j} y^{p2,j} with every j in J."""
+    def nice(cls, sg: Semigroup, coeffs=None) -> "CurveEquation":
+        """f = x^m + y^n + sum z_j x^{p1,j} y^{p2,j} with every j in J, cut
+        at the default horizon 4nm."""
         sets = sg.sets
-        n, m = sg.n, sg.m
-        omit = {(m, 0): ONE, (0, n): ONE}
-        z: dict[int, Rat] = {}
+        terms = {(sg.m, 0): ONE, (0, sg.n): ONE}
         for j, c in (coeffs or {}).items():
             j = int(j)
             if j not in sets.j_to_p:
                 raise ValueError(f"coefficient index {j} is outside J = {list(sets.J)}")
-            c = rat(c)
-            if c:
-                z[j] = c
-                omit[sets.j_to_p[j]] = c
-        h = sg.order.default_horizon if horizon is None else horizon
-        f = TruncatedPoly(sg.order, h, omit)
-        return cls(sg, f, "nice", ONE, tuple(sorted(z.items())))
+            terms[sets.j_to_p[j]] = c
+        return cls(sg, TruncatedPoly(sg.order, sg.order.default_horizon, terms))
 
-    @classmethod
-    def adapted(cls, sg: Semigroup, f: TruncatedPoly) -> "CurveEquation":
-        """Wrap an already-built adapted-form polynomial, validating its shape.
-
-        The horizon is checked first, by construction: a horizon that is
-        too low drops terms, and their absence is no fault of the shape."""
+    def __post_init__(self) -> None:
+        # The one check every equation passes, however it is built.  The
+        # horizon comes first: each layer cuts f at its own horizon, and the
+        # branch's 2nm is the largest (H_Delta, H_J <= 2nm), so below it a
+        # layer would read f without terms that decide its values; such a
+        # cut may also drop x^m, which is no fault of the shape.
+        sg, f = self.sg, self.f
         n, m = sg.n, sg.m
-        eq = cls(sg, f, "adapted", f.terms.get((m, 0)))
+        floor = sg.branch_horizon
+        if f.horizon < floor:
+            raise ValueError(f"truncation horizon must be at least 2*n*m = {floor}, "
+                             f"got {f.horizon}")
         if f.order != sg.order:
             raise NotAdapted("polynomial order does not match the semigroup")
-        if not eq.mu:
+        if (m, 0) not in f.terms:
             raise NotAdapted(f"missing x^{m} term")
         if f.terms.get((0, n)) != 1:
             raise NotAdapted(f"coefficient of y^{n} must be 1")
-        for (a, b), _ in f.terms.items():
-            if (a, b) in ((m, 0), (0, n)):
-                continue
-            if n * a + m * b <= n * m:
+        for a, b in f.terms:
+            if (a, b) not in ((m, 0), (0, n)) and n * a + m * b <= n * m:
                 raise NotAdapted(
                     f"term x^{a}*y^{b} has weighted degree {n * a + m * b} <= {n * m}")
-        return eq
 
-    def __post_init__(self) -> None:
-        if self.form not in ("nice", "adapted"):
-            raise ValueError(f"unknown form {self.form!r}")
-        # The one horizon check every equation passes, however it is built:
-        # each layer cuts f at its own horizon, and the branch's 2nm is the
-        # largest (H_Delta, H_J <= 2nm), so below it a layer would read f
-        # without terms that decide its values.
-        floor = self.sg.branch_horizon
-        if self.f.horizon < floor:
-            raise ValueError(f"truncation horizon must be at least 2*n*m = {floor}, "
-                             f"got {self.f.horizon}")
+    @property
+    def mu(self) -> Rat:
+        """The coefficient of x^m."""
+        return self.f.terms[(self.sg.m, 0)]
+
+    @cached_property
+    def form(self) -> str:
+        """The form of f: "nice" when mu = 1 and every other term lies on
+        P, else "adapted"."""
+        sg = self.sg
+        corners = ((sg.m, 0), (0, sg.n))
+        P = sg.sets.P
+        return ("nice" if self.mu == 1 and all(e in P for e in self.f.terms if e not in corners)
+                else "adapted")
+
+    @cached_property
+    def _z(self) -> tuple:
+        """((j, z_j), ...) over the nonzero z_j, j ascending."""
+        if self.form != "nice":
+            raise ValueError("coefficients by J-index exist only in nice form")
+        sets, terms = self.sg.sets, self.f.terms
+        return tuple((j, terms[p]) for j in sets.J if (p := sets.p_of(j)) in terms)
 
     @property
     def nice_coeffs(self) -> dict:
         """Mapping j -> z_j (nonzero entries only); nice form required."""
-        if self.form != "nice":
-            raise ValueError("coefficients by J-index exist only in nice form")
-        return dict(self.coeffs or ())
+        return dict(self._z)
 
     @cached_property
     def fx(self) -> TruncatedPoly:
@@ -256,10 +261,6 @@ class CurveEquation:
     @cached_property
     def fy(self) -> TruncatedPoly:
         return self.f.partial_y()
-
-    @property
-    def sets(self) -> CuspidalSets:
-        return self.sg.sets
 
     @cached_property
     def delta_table(self) -> dict:

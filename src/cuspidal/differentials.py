@@ -150,12 +150,12 @@ class DifferentialBasis:
     ``rounds`` holds, for each omega_i after dx and dy, the shift s of the
     lift x^s * omega_(i-1) and the tuning steps (j, mu, shift), each adding
     mu * x^shift * omega_j; ``ended`` is the record of the round that ended
-    the run, None if s = n - 2 was reached; ``horizon`` is that of the forms.
+    the run, None if s = n - 2 was reached.  The forms are replayed at the
+    horizon of the reductions, H_Delta.
     """
 
     values: AbstractSemimodule
     reductions: tuple
-    horizon: int
     rounds: tuple
     ended: tuple | None
 
@@ -176,7 +176,7 @@ class DifferentialBasis:
     def _replay(self) -> tuple:
         """(forms, trail), replayed from ``rounds`` and ``ended`` on the first
         read: the same operations in the same order as ``delorme`` would take."""
-        zero = TruncatedPoly.zero(self.values.sg.order, self.horizon)
+        zero = TruncatedPoly.zero(self.values.sg.order, self.reductions[0].horizon)
         forms = [OneForm.basic(zero, "dx"), OneForm.basic(zero, "dy")]
         trail = []
         for lift, steps in self.rounds + ((self.ended,) if self.ended else ()):
@@ -323,4 +323,4 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
         reductions.append(r.poly)
 
     return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)), tuple(reductions),
-                             h, tuple(rounds), ended)
+                             tuple(rounds), ended)

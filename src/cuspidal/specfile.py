@@ -1,12 +1,14 @@
 """Plain-text curve specifications for the command line.
 
 A spec names the semigroup pair and either nice-form coefficients (``z j =
-value`` with j in the cuspidal value set J) or an adapted form mu*x^m + y^n
-plus raw terms (``term coeff a b`` above the weight line; ``mu`` alone,
-with no terms, is adapted too).  It describes the curve and nothing else:
-f is cut at the default horizon 4nm, and the seed is an option of the
-subcommand that reads it.  Lines are independent, ``#`` starts a comment,
-and ``=`` may be written with or without spaces.
+value`` with j in the cuspidal value set J) or mu*x^m + y^n plus raw terms
+(``term coeff a b`` above the weight line), never both.  Either way the
+lines fill one table of f's terms, and ``CurveEquation`` checks it; whether
+the curve is nice is read off those terms, whichever lines gave them.  It
+describes the curve and nothing else: f is cut at the default horizon 4nm,
+and the seed is an option of the subcommand that reads it.  Lines are
+independent, ``#`` starts a comment, and ``=`` may be written with or
+without spaces.
 """
 from __future__ import annotations
 
@@ -75,7 +77,6 @@ def parse_spec(text: str) -> CurveEquation:
     fields: dict = {}
     coeffs: list = []
     terms: list = []
-    coeff_line: dict[int, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
@@ -95,10 +96,9 @@ def parse_spec(text: str) -> CurveEquation:
             fields["mu"] = mu
         elif len(tokens) == 4 and tokens[0] == "z" and tokens[2] == "=":
             j = _natural(tokens[1], line_no, "gap value")
-            if j in {k for k, _ in coeffs}:
+            if any(k == j for k, _, _ in coeffs):
                 raise ParseError(f"duplicate coefficient z {j}", line_no)
-            coeffs.append((j, _rational(tokens[3], line_no)))
-            coeff_line[j] = line_no
+            coeffs.append((j, _rational(tokens[3], line_no), line_no))
         elif len(tokens) == 4 and tokens[0] == "term":
             c = _rational(tokens[1], line_no)
             a = _natural(tokens[2], line_no, "x exponent")
@@ -130,14 +130,12 @@ def parse_spec(text: str) -> CurveEquation:
     if coeffs and mu != 1:
         raise ParseError("nice form fixes the x^m coefficient to 1; drop mu")
 
-    if coeffs:
-        valid = sg.sets.j_to_p
-        for j, _ in coeffs:
-            if j not in valid:
-                raise CoefficientOutsideJ(
-                    f"z {j} is not a cuspidal gap value of ({n}, {m})",
-                    coeff_line[j])
     table = {(m, 0): mu, (0, n): ONE}
+    for j, c, line_no in coeffs:
+        if j not in sg.sets.j_to_p:
+            raise CoefficientOutsideJ(
+                f"z {j} is not a cuspidal gap value of ({n}, {m})", line_no)
+        table[sg.sets.p_of(j)] = c
     for c, a, b, line_no in terms:
         if n * a + m * b <= n * m:
             raise ParseError(
@@ -146,9 +144,6 @@ def parse_spec(text: str) -> CurveEquation:
         table[(a, b)] = c
 
     try:
-        if terms or mu != 1:
-            return CurveEquation.adapted(
-                sg, TruncatedPoly(sg.order, sg.order.default_horizon, table))
-        return CurveEquation.nice(sg, dict(coeffs))
+        return CurveEquation(sg, TruncatedPoly(sg.order, sg.order.default_horizon, table))
     except ValueError as exc:    # CurveEquation's checks
         raise ParseError(str(exc)) from None

@@ -49,6 +49,18 @@ def curve_draws(sg: Semigroup, count: int, seed: int = 0):
             yield CurveEquation.nice(sg, random_nice_coeffs(rng, sg))
 
 
+def nice_curves(seed: int, densities=(0.25, 0.5, 0.75)):
+    """One seeded nice curve per coprime pair n <= 7, m <= 13 and per
+    support density: each z_j is drawn nonzero with that probability."""
+    for n, m in coprime_pairs(range(2, 8), 13):
+        sg = Semigroup(n, m)
+        rng = random.Random(f"{seed}:{n}:{m}")
+        for density in densities:
+            yield CurveEquation.nice(sg, {
+                j: Rat(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
+                for j in cuspidal_sets(sg).J if rng.random() < density})
+
+
 def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
     """A nonzero 1-form A dx + B dy with 0-2 monomials on each side, small
     integer coefficients, and weighted degrees at most nm."""
@@ -76,14 +88,10 @@ def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
 
 
 def at_horizon(eq: CurveEquation, k: int) -> CurveEquation:
-    """The curve of ``eq`` with f cut at k*n*m instead: a nice curve from its
-    coefficients, an adapted one from the terms of its f, which must not
-    have lost any to its own horizon."""
+    """The curve of ``eq`` with f cut at k*n*m instead, rebuilt from the
+    terms of its f, which must not have lost any to its own horizon."""
     sg = eq.sg
-    horizon = k * sg.n * sg.m
-    if eq.form == "nice":
-        return CurveEquation.nice(sg, eq.nice_coeffs, horizon)
-    return CurveEquation.adapted(sg, TruncatedPoly(sg.order, horizon, eq.f.terms))
+    return CurveEquation(sg, TruncatedPoly(sg.order, k * sg.n * sg.m, eq.f.terms))
 
 
 def coprime_pairs(n_values, m_bound: int):

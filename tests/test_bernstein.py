@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from math import factorial, gcd
+from math import factorial
 
 import mpmath
 import pytest
@@ -15,7 +15,6 @@ from cuspidal.bernstein import (
     NegativeK,
     PreconditionViolation,
     ResidueDecision,
-    RootCandidate,
     RootDecision,
     _lower,
     certified_roots_from_semimodule,
@@ -31,22 +30,11 @@ from cuspidal.differentials import delorme
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule
-from cusp_testkit import coprime_pairs, count_calls
+from cusp_testkit import coprime_pairs, count_calls, nice_curves
 
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
 EQ49_DEG = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(7, 18)})
 EQ45_QH = CurveEquation.nice(Semigroup(4, 5))
-
-
-def test_root_candidate_for_gap():
-    cand = RootCandidate.for_gap(Semigroup(4, 9), 1)
-    assert cand.beta == Rat(7, 18)
-    assert cand.alpha_val == Rat(25, 18)
-
-
-def test_root_candidate_validates_range():
-    with pytest.raises(ValueError):
-        RootCandidate(j=1, beta=Rat(3, 2))
 
 
 def test_delta_sequences_small():
@@ -191,7 +179,7 @@ def _reference_residue(eq, ab, beta) -> GammaExpr:
     for seq in delta_sequences(tuple(z), int(k)):
         s1, s2, coeff = a, b, Rat(-1) ** sum(d for _, d in seq)
         for part, d in seq:
-            p1, p2 = eq.sets.p_of(part)
+            p1, p2 = eq.sg.sets.p_of(part)
             s1 += d * p1
             s2 += d * p2
             coeff = coeff * z[part] ** d / factorial(d)
@@ -241,30 +229,15 @@ def test_residue_quadratic_cancellation():
         ((Rat(3, 4), Rat(7, 9)), Rat(-11, 18)),)
 
 
-def _nice_curves(seed: int, densities=(0.25, 0.5, 0.75)):
-    """One seeded nice curve per coprime pair n <= 7, m <= 13 and per
-    support density: each z_j is drawn nonzero with that probability."""
-    for n in range(2, 8):
-        for m in range(n + 1, 14):
-            if gcd(n, m) != 1:
-                continue
-            sg = Semigroup(n, m)
-            rng = random.Random(f"{seed}:{n}:{m}")
-            for density in densities:
-                yield CurveEquation.nice(sg, {
-                    j: Rat(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
-                    for j in cuspidal_sets(sg).J if rng.random() < density})
-
-
 def test_every_residue_is_one_group_at_the_predicted_arguments():
     """The theorem in `residue`'s docstring, checked on random curves: at
     every test exponent in M and every beta_j, the residue is zero or one
     group, at the arguments B/n mod m and B/m mod n lowered into (0, 1],
     where B = beta*nm."""
     nonzero = 0
-    for eq in _nice_curves(seed=10):
+    for eq in nice_curves(seed=10):
         n, m = eq.sg.n, eq.sg.m
-        sets = eq.sets
+        sets = eq.sg.sets
         for j in sets.J:
             big_b = j + n + m
             s1 = big_b * pow(n, -1, m) % m or m
@@ -284,7 +257,7 @@ def test_every_residue_is_one_group_at_the_predicted_arguments():
 def _queries(eq):
     """Every (j, (a, b)) with j in J, (a, b) in M and k >= 0, with beta_j."""
     n, m = eq.sg.n, eq.sg.m
-    return [((a, b), Rat(j + n + m, n * m)) for j in eq.sets.J for a, b in eq.sets.M
+    return [((a, b), Rat(j + n + m, n * m)) for j in eq.sg.sets.J for a, b in eq.sg.sets.M
             if j + n + m >= n * a + m * b]
 
 
@@ -293,7 +266,7 @@ def test_residue_table_equals_the_direct_sum():
     j in J and (a, b) in M with k >= 0, on every pair n <= 7, m <= 13, at
     supports of density 0.3 and 1."""
     checked = nonzero = 0
-    for eq in _nice_curves(seed=13, densities=(0.3, 1)):
+    for eq in nice_curves(seed=13, densities=(0.3, 1)):
         n, m = eq.sg.n, eq.sg.m
         targets = set()
         for (a, b), beta in _queries(eq):
@@ -339,16 +312,16 @@ def test_decide_root_matches_the_reference_residue():
     sum does not depend on the order of the entries."""
     kinds = {"beta_root": 0, "alpha_root": 0}
     cancelled = 0
-    curves = [*_nice_curves(seed=13, densities=(0.3, 1)), *_cancelling_curves()]
+    curves = [*nice_curves(seed=13, densities=(0.3, 1)), *_cancelling_curves()]
     for eq in curves:
         n, m = eq.sg.n, eq.sg.m
         support = tuple(l for l, c in eq.nice_coeffs.items() if c)
         expected = {}
-        for j in eq.sets.J:
+        for j in eq.sg.sets.J:
             big_b = j + n + m
             beta = Rat(big_b, n * m)
             expected[j] = RootDecision("alpha_root", -(beta + 1))
-            for a, b in eq.sets.M_by_target:
+            for a, b in eq.sg.sets.M_by_target:
                 k = big_b - n * a - m * b
                 if k < 0:
                     continue
@@ -391,7 +364,7 @@ def test_residue_error_taxonomy():
     with pytest.raises(ValueError):
         residue(EQ49, (1, 1), Rat(1, 7))  # k not an integer
     f = TruncatedPoly(WeightedOrder(4, 5), 80, {(0, 4): 1, (5, 0): 2})
-    adapted = CurveEquation.adapted(Semigroup(4, 5), f)
+    adapted = CurveEquation(Semigroup(4, 5), f)
     with pytest.raises(ValueError):
         residue(adapted, (1, 1), Rat(11, 20))
 
@@ -456,6 +429,16 @@ def test_checks_reject_semimodule_of_other_pair():
         four_condition_check(EQ49, other)
 
 
+def test_checks_reject_a_curve_that_is_not_nice():
+    """The batteries read the z_j, which only a nice curve has."""
+    sg = Semigroup(4, 9)
+    eq = CurveEquation(sg, TruncatedPoly(sg.order, 144, {(9, 0): 2, (0, 4): 1, (7, 1): 1}))
+    values = delorme(eq).values
+    for check in (zariski_condition_check, four_condition_check):
+        with pytest.raises(ValueError, match="only in nice form"):
+            check(eq, values)
+
+
 def test_decide_root_certifies_once(monkeypatch):
     """The witness residue is one group, nonzero exactly: the verdict
     computes no interval."""
@@ -482,7 +465,7 @@ def test_decide_root_alpha_case():
         assert delorme(eq).values.basis == (n, m)
         for j in sg.sets.J:
             dec = decide_root(eq, j)
-            beta = RootCandidate.for_gap(sg, j).beta
+            beta = Rat(j + n + m, n * m)
             assert (dec.kind, dec.root, dec.witness) == ("alpha_root", -(beta + 1), None)
 
 

@@ -17,7 +17,7 @@ from cuspidal.differentials import OneForm, delorme, monomial_value, oracle_diff
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.specfile import parse_spec
 from cuspidal.standard_basis import HorizonExhausted
-from cusp_testkit import at_horizon, count_calls
+from cusp_testkit import at_horizon, count_calls, nice_curves
 
 SPEC49 = "n = 4\nm = 9\nz 1 = 1\n"
 SPEC45 = "n = 4\nm = 5\nz 2 = 1\n"
@@ -248,6 +248,41 @@ def test_lone_mu_verifies_the_adapted_form(capsys, tmp_path):
     assert code == 0
     assert "form = adapted" in out
     assert "zariski_consistency = skipped (adapted form)" in out
+
+
+def _twin_specs(eq):
+    """The spec of a nice curve twice: as z lines, and as term lines on P."""
+    sg = eq.sg
+    head = f"n = {sg.n}\nm = {sg.m}\n"
+    z = eq.nice_coeffs
+    return (head + "".join(f"z {j} = {c}\n" for j, c in z.items()),
+            head + "".join("term {} {} {}\n".format(c, *sg.sets.p_of(j))
+                           for j, c in z.items()))
+
+
+def test_term_lines_on_p_give_the_nice_curve(capsys, tmp_path):
+    """Nice is a property of the curve, not of the lines that give it: the
+    seed-13 nice curves written as term lines on P report byte for byte as
+    their z lines do, in bs-roots, verify and a sample of residues."""
+    checked = 0
+    for i, eq in enumerate(nice_curves(seed=13, densities=(0.3, 1))):
+        paths = []
+        for kind, text in zip(("z", "term"), _twin_specs(eq)):
+            paths.append(tmp_path / f"{i}-{kind}.spec")
+            paths[-1].write_text(text)
+        sg = eq.sg
+        n, m = sg.n, sg.m
+        commands = [["bs-roots"], ["verify"]]
+        commands += [["residue", "--j", str(j), "--ab", f"{a},{b}"]
+                     for j in sg.sets.J[:2] for a, b in sg.sets.M_by_target[:2]
+                     if n * a + m * b <= j + n + m]
+        for command in commands:
+            nice, twin = (run(capsys, command[0], "--spec", str(p), *command[1:])
+                          for p in paths)
+            assert twin == nice
+            assert nice[0] == 0
+            checked += 1
+    assert checked > 150
 
 
 def test_negative_k_exits_two(capsys, spec49):

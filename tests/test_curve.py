@@ -1,6 +1,7 @@
 """Semigroups, cuspidal exponent sets, curve equations, branch parametrization."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,22 +102,55 @@ def test_adapted_requires_unit_times_corner():
     o = WeightedOrder(4, 5)
     # no x^m term at all: weighted initial part is not mu x^m + y^n
     f = TruncatedPoly(o, 80, {(0, 4): 1, (3, 2): 1})
-    with pytest.raises(NotAdapted):
-        CurveEquation.adapted(Semigroup(4, 5), f)
+    with pytest.raises(NotAdapted, match="missing x\\^5 term"):
+        CurveEquation(Semigroup(4, 5), f)
+
+
+@pytest.mark.parametrize("pair,horizon,terms,message", [
+    ((4, 5), 80, {(0, 4): 2, (5, 0): 1}, "coefficient of y^4 must be 1"),
+    ((4, 5), 80, {(0, 4): 1, (5, 0): 1, (2, 2): 1},
+     "term x^2*y^2 has weighted degree 18 <= 20"),
+    ((4, 5), 80, {(0, 4): 1, (5, 0): 1, (1, 3): 1},
+     "term x^1*y^3 has weighted degree 19 <= 20"),
+    # x^9 alone at 2nm: f is checked whatever it was meant to be, so no
+    # label can pass it off as a nice curve
+    ((4, 9), 72, {(9, 0): 1}, "coefficient of y^4 must be 1"),
+], ids=["y^n-coeff", "below-nm", "below-nm-2", "x^9-alone"])
+def test_constructor_refuses_a_non_adapted_shape(pair, horizon, terms, message):
+    """CurveEquation(sg, f) is the one shape check, however f was built."""
+    sg = Semigroup(*pair)
+    with pytest.raises(NotAdapted, match=re.escape(message)):
+        CurveEquation(sg, TruncatedPoly(sg.order, horizon, terms))
+
+
+def test_constructor_refuses_the_wrong_order():
+    f = TruncatedPoly(WeightedOrder(4, 7), 80, {(0, 4): 1, (5, 0): 1})
+    with pytest.raises(NotAdapted, match="polynomial order does not match the semigroup"):
+        CurveEquation(Semigroup(4, 5), f)
 
 
 def test_adapted_reads_off_mu():
     o = WeightedOrder(4, 5)
-    f = TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
-    eq = CurveEquation.adapted(Semigroup(4, 5), f)
+    eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1}))
     assert eq.mu == 2
+    assert eq.form == "adapted"
+    with pytest.raises(ValueError, match="only in nice form"):
+        eq.nice_coeffs
+    # mu = 1 and every other term on P (here (3, 2), the P monomial of j = 2)
+    # is the nice curve with z_2 = 1, however f was built.
+    eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 1, (3, 2): 1}))
+    assert eq.form == "nice"
+    assert eq.nice_coeffs == {2: 1}
+    assert eq.f.terms == CurveEquation.nice(Semigroup(4, 5), {2: 1}).f.terms
+    # a term off P, even above the weight line, makes the curve adapted
+    eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 1, (6, 0): 1}))
     assert eq.form == "adapted"
 
 
 def _adapted(n, m, terms: dict) -> CurveEquation:
     """y^n plus the given terms, x^m among them, at horizon 4nm."""
     f = TruncatedPoly(WeightedOrder(n, m), 4 * n * m, {(0, n): 1, **terms})
-    return CurveEquation.adapted(Semigroup(n, m), f)
+    return CurveEquation(Semigroup(n, m), f)
 
 
 def _adapted_45_mu2() -> CurveEquation:
@@ -268,7 +302,7 @@ def test_parametrization_pin_49():
 def test_parametrization_of_adapted_equation():
     o = WeightedOrder(4, 5)
     f = TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
-    eq = CurveEquation.adapted(Semigroup(4, 5), f)
+    eq = CurveEquation(Semigroup(4, 5), f)
     param = newton_puiseux(eq)
     assert all(c == 0 for c in _fraction_residual(eq, param))
     assert param.x_coeff == -8

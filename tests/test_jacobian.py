@@ -20,7 +20,7 @@ from cuspidal.rationals import Rat
 from cuspidal.semimodules import elements_outside
 from cuspidal.standard_basis import (HorizonExhausted, StandardBasis, buchberger,
                                      codimension)
-from cusp_testkit import CORPUS, curve_draws
+from cusp_testkit import CORPUS, at_horizon, curve_draws
 
 
 @pytest.mark.parametrize("eq,tau", [
@@ -38,15 +38,15 @@ def test_equation_horizon_below_2nm_is_rejected():
     every constructor now refuses a horizon below 2nm."""
     sg = Semigroup(4, 9)
     with pytest.raises(ValueError, match="at least 2\\*n\\*m = 72"):
-        CurveEquation.nice(sg, {1: Rat(1)}, horizon=36)
+        CurveEquation(sg, TruncatedPoly(sg.order, 36, {(0, 4): 1, (9, 0): 1, (7, 1): 1}))
     with pytest.raises(ValueError, match="at least 2\\*n\\*m = 72"):
-        CurveEquation.adapted(sg, TruncatedPoly(sg.order, 71, {(0, 4): 1, (9, 0): 1}))
+        CurveEquation(sg, TruncatedPoly(sg.order, 71, {(0, 4): 1, (9, 0): 1}))
     # The horizon is checked before the shape: at 20 the truncation drops
     # x^9, which is not a missing term of the curve.
     with pytest.raises(ValueError, match="at least 2\\*n\\*m = 72, got 20") as info:
-        CurveEquation.adapted(sg, TruncatedPoly(sg.order, 20, {(9, 0): 1, (0, 4): 1}))
+        CurveEquation(sg, TruncatedPoly(sg.order, 20, {(9, 0): 1, (0, 4): 1}))
     assert not isinstance(info.value, NotAdapted)
-    eq = CurveEquation.nice(sg, {1: Rat(1)}, horizon=72)
+    eq = at_horizon(CurveEquation.nice(sg, {1: Rat(1)}), 2)
     assert delorme(eq).values.basis == (4, 9, 14, 19)
     assert tjurina_number(jacobian_basis_direct(eq)) == 21
 
@@ -139,7 +139,7 @@ def _adapted_draws(sg: Semigroup, count: int, seed: int):
             a, b = rng.randint(0, 3 * m), rng.randint(0, 3 * n)
             if n * m < n * a + m * b <= 4 * n * m:
                 terms[(a, b)] = Rat(rng.randint(-5, 5) or 1, rng.randint(1, 3))
-        yield CurveEquation.adapted(sg, TruncatedPoly(sg.order, 4 * n * m, terms))
+        yield CurveEquation(sg, TruncatedPoly(sg.order, 4 * n * m, terms))
 
 
 @pytest.mark.parametrize("pair", CORPUS)

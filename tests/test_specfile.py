@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import pytest
 
-from cuspidal import CurveEquation
 from cuspidal.rationals import Rat
 from cuspidal.specfile import (
     CoefficientOutsideJ,
@@ -41,7 +40,7 @@ def test_build_nice_equation():
     assert eq.form == "nice"
     assert eq.f.horizon == 144
     assert eq.nice_coeffs == {1: Rat(1)}
-    assert CurveEquation.nice(eq.sg, eq.nice_coeffs, 6 * 36).f.horizon == 216
+    assert at_horizon(eq, 6).f.horizon == 216
 
 
 def test_build_adapted_equation_from_terms():
@@ -115,4 +114,4 @@ def test_term_weighted_degree_must_exceed_nm():
 def test_semigroup_and_sets_properties():
     eq = parse_spec("n=4\nm=9\nz 1 = 1")
     assert eq.sg.conductor == 24
-    assert eq.sets.J == (1, 2, 6, 10)
+    assert eq.sg.sets.J == (1, 2, 6, 10)

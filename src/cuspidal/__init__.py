@@ -9,8 +9,9 @@ certified subsets of Bernstein-Sato roots through an exact residue
 criterion.  Every residue is zero or a single Gamma group, so each decision
 is exact, and a root verdict is its kind, its root and the test exponent
 whose residue is nonzero; mpmath is loaded only to display a residue's
-value as an interval.  ``parse_spec`` turns the command line's plain-text
-curve spec into its ``CurveEquation``.
+value as an interval.  A ``CurveEquation`` holds f at 2nm, the largest
+horizon any layer reads, and ``parse_spec`` turns the command line's
+plain-text curve spec into one.
 """
 from __future__ import annotations
 

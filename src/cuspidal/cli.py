@@ -4,12 +4,12 @@ Every subcommand reads a curve spec (except conjecture-scan, which builds its
 own random curves), runs one pipeline, and prints a line-oriented ``key =
 value`` report -- or the same data as JSON with ``--json``.  The spec
 describes the curve alone, and a subcommand takes only its own inputs:
-the one run setting is ``--seed`` of conjecture-scan.  f is cut at the
-default horizon 4nm, and every layer cuts it again at a horizon of its
-own: ``delorme`` at H_Delta, the direct Jacobian basis at H_J, and the
-Newton-Puiseux branch at 2nm, which ``newton_puiseux`` solves once,
-through t = nm + n + m.  Exit codes: 0 success, 1 a verification found a
-mismatch or a computation failed its own check, 2 bad input.
+the one run setting is ``--seed`` of conjecture-scan.  f is held at 2nm,
+the horizon of the Newton-Puiseux branch, which ``newton_puiseux`` solves
+once, through t = nm + n + m; ``delorme`` cuts it again at H_Delta and the
+direct Jacobian basis at H_J, both below 2nm.  Exit codes: 0 success, 1 a
+verification found a mismatch or a computation failed its own check, 2 bad
+input.
 """
 from __future__ import annotations
 

@@ -1,12 +1,12 @@
 """Cusp branches: numerical semigroup, cuspidal exponent sets, implicit
 equations, and exact rational parametrizations.  An equation is f alone,
-checked adapted when it is built; whether it is nice, and its z_j, are
-read off f's terms.
+held at 2nm and checked adapted when it is built; whether it is nice, and
+its z_j, are read off f's terms.
 
 A cusp is a plane branch whose semigroup is generated by a coprime pair
 (n, m) with 2 <= n < m.  Everything here is exact: the parametrization solves
 the coefficient recursion n * v_k = -P_k on integers, one coefficient per
-step, once, on f cut at 2nm, and is held as one scaled integer power table
+step, once, on f at 2nm, and is held as one scaled integer power table
 through t^(nm + n + m); it is the independent oracle for the
 differential-value machinery.
 """
@@ -67,9 +67,21 @@ class Semigroup:
 
     @property
     def branch_horizon(self) -> int:
-        """2nm: the horizon at which ``newton_puiseux`` cuts f, the largest
-        of the layers' horizons, and so the least horizon of f that
-        ``CurveEquation`` accepts."""
+        """2nm: the one horizon of f.  ``CurveEquation`` holds f at it and
+        ``newton_puiseux`` solves the branch on it; the other layers cut f
+        lower, at H_Delta and H_J.
+
+        2nm is enough: no term of f above it changes an order that the
+        oracle reads, through t^(nm + n + m - 1).  A term of weight
+        w > 2nm moves y by some delta of t-order >= w - (n-1)m >= nm + m + 1,
+        since f_y has t-order (n-1)m.  The pullback A(x, y) x' + B(x, y) y'
+        of A dx + B dy then moves by B * delta', of t-order >= beta + nm + m
+        with beta = ord_t B(x, y) in Gamma, and by terms of t-order
+        >= nm + n + m.  Inside the window, orders <= nm + n + m - 1, that
+        leaves beta = 0, and then the pullback has order m - 1 on both
+        branches: its t^(m-1) coefficient is B(0, 0) * m * c0, as
+        A(x, y) x' has no t^(m-1) term (m - n is not in Gamma).  So no
+        layer needs a term of f above 2nm, and ``parse_spec`` refuses one."""
         return 2 * self.n * self.m
 
     @cached_property
@@ -178,8 +190,9 @@ def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
 
 @dataclass(frozen=True)
 class CurveEquation:
-    """Implicit equation of a cusp: f alone, checked on construction,
-    however it was built.
+    """Implicit equation of a cusp: f alone, at 2nm
+    (``Semigroup.branch_horizon``), checked on construction, however it was
+    built.
 
     f is adapted: mu*x^m + y^n + (terms of weighted degree > n*m), with
     mu != 0.  It is nice when, besides, mu = 1 and every other term lies on
@@ -192,8 +205,8 @@ class CurveEquation:
 
     @classmethod
     def nice(cls, sg: Semigroup, coeffs=None) -> "CurveEquation":
-        """f = x^m + y^n + sum z_j x^{p1,j} y^{p2,j} with every j in J, cut
-        at the default horizon 4nm."""
+        """f = x^m + y^n + sum z_j x^{p1,j} y^{p2,j} with every j in J, at
+        2nm."""
         sets = sg.sets
         terms = {(sg.m, 0): ONE, (0, sg.n): ONE}
         for j, c in (coeffs or {}).items():
@@ -201,19 +214,18 @@ class CurveEquation:
             if j not in sets.j_to_p:
                 raise ValueError(f"coefficient index {j} is outside J = {list(sets.J)}")
             terms[sets.j_to_p[j]] = c
-        return cls(sg, TruncatedPoly(sg.order, sg.order.default_horizon, terms))
+        return cls(sg, TruncatedPoly(sg.order, sg.branch_horizon, terms))
 
     def __post_init__(self) -> None:
         # The one check every equation passes, however it is built.  The
-        # horizon comes first: each layer cuts f at its own horizon, and the
-        # branch's 2nm is the largest (H_Delta, H_J <= 2nm), so below it a
-        # layer would read f without terms that decide its values; such a
-        # cut may also drop x^m, which is no fault of the shape.
+        # horizon comes first: f is held at exactly 2nm, the largest of the
+        # layers' horizons.  Below it a layer would read f without terms
+        # that decide its values, and the cut may drop x^m, which is no
+        # fault of the shape; above it f would carry terms no layer reads.
         sg, f = self.sg, self.f
         n, m = sg.n, sg.m
-        floor = sg.branch_horizon
-        if f.horizon < floor:
-            raise ValueError(f"truncation horizon must be at least 2*n*m = {floor}, "
+        if f.horizon != sg.branch_horizon:
+            raise ValueError(f"truncation horizon must be 2*n*m = {sg.branch_horizon}, "
                              f"got {f.horizon}")
         if f.order != sg.order:
             raise NotAdapted("polynomial order does not match the semigroup")
@@ -462,7 +474,7 @@ def _solve_branch(n: int, m: int, terms, window: int) -> list:
 
 def newton_puiseux(eq: CurveEquation) -> Parametrization:
     """Solve f(x(t), y(t)) = 0 for y as a truncated series, on integers.
-    f is cut at 2nm (``Semigroup.branch_horizon``), whatever its horizon,
+    f is held at 2nm, which ``Semigroup.branch_horizon`` proves enough,
     and the branch is solved once, here, through t^t_horizon with
     t_horizon = nm + n + m.  Every coefficient of the table that the
     ``Parametrization`` holds has passed the residual check below.
@@ -470,22 +482,10 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     The oracle reads a form at horizon H_w through
     min(t_horizon, H_w - nm + n + m) - 1 (``oracle_differential_value``),
     and ``differential_value`` sees the values
-    nu <= min(f.horizon, H_w) - nm + n + m.  For a form at a horizon
-    <= 2nm, every form Delorme builds among them, the two windows are one;
-    above 2nm, the oracle's None means "past nm + n + m".  The window is
+    nu <= min(2nm, H_w) - nm + n + m: one window for every form.  It is
     past the conductor, and so past every value in Lambda minus Gamma.  It
-    needs no check of its own: the branch of the cut f is exact through any
+    needs no check of its own: the branch of f is exact through any
     window >= m, by the recursion n * v_k = -P_k below.
-
-    The terms of f above 2nm change no order the oracle reads.  A term of
-    weight w > 2nm moves y by some delta of t-order >= w - (n-1)m >= nm + m + 1,
-    since f_y has t-order (n-1)m.  The pullback A(x, y) x' + B(x, y) y' of
-    A dx + B dy then moves by B * delta', of t-order >= beta + nm + m with
-    beta = ord_t B(x, y) in Gamma, and by terms of t-order >= nm + n + m.
-    Inside the window, orders <= nm + n + m - 1, that leaves beta = 0, and
-    then the pullback has order m - 1 on both branches: its t^(m-1)
-    coefficient is B(0, 0) * m * c0, as A(x, y) x' has no t^(m-1) term
-    (m - n is not in Gamma).
 
     Take x = xi * t^n and y = c0 * t^m + ... (``_leading_solution``).  Let L
     be the lcm of the denominators of c * xi^a * c0^(b-n) over the terms
@@ -510,7 +510,7 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     v_k = n^(2(k-m)) * v'_k is an integer.
 
     The solve (``_solve_branch``) runs that recursion, k = m+1..t_horizon,
-    on a table of v^0..v^top (top the largest y-degree in the cut f)
+    on a table of v^0..v^top (top the largest y-degree in f)
     through s^work, work = t_horizon + nm - m = 2nm + n.  Each v^b starts
     at s^(mb) <= 2nm, inside the table.  Since v starts with s^m, v_k first
     enters v^b at s^(k+m(b-1)), as b * v_k.  So step k fills that
@@ -527,6 +527,6 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     sg = eq.sg
     n, m = sg.n, sg.m
     xi, c0 = _leading_solution(n, m, eq.mu)
-    scale, terms = _scaled_equation(eq.f.truncated(sg.branch_horizon), xi, c0)
+    scale, terms = _scaled_equation(eq.f, xi, c0)
     powers = _solve_branch(n, m, terms, n * m + n + m)
     return Parametrization(n, m, xi, c0, scale, tuple(powers))

@@ -100,11 +100,10 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
 
     The pullback (A(phi) * xi * n * t^{n-1} + B(phi) * y'(t)) dt is read
     through power min(t_horizon, H - nm + n + m) - 1, with
-    t_horizon = nm + n + m and H the smaller horizon of A and B.  For
-    H <= 2nm, every form Delorme builds among them, that is the window of
-    ``differential_value`` at H and f's horizon; None marks an order past
-    the window, which for a form above 2nm means past nm + n + m - 1
-    (``newton_puiseux``).  Each
+    t_horizon = nm + n + m and H the smaller horizon of A and B.  That is,
+    for every form, the window of ``differential_value``, which reduces at
+    the smaller of H and f's 2nm (``newton_puiseux``); None marks an order
+    past it.  Each
     monomial is one part of ``param``'s integer table, the term c*x^a*y^b*dy
     by y^b * y' = t^-1 * t(y^(b+1))' / (b+1), and the coefficients of the
     pullback are read upward only to the first nonzero one.
@@ -236,10 +235,10 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     Ending the round at c instead is the case last = c - 1.
 
     f, f_x and f_y are cut once, at H_Delta = max(D, nm)
-    (``Semigroup.delorme_horizon``, D = 2nm - 2n - 2m the Hessian degree),
-    whatever the horizon of f; the values, the leading powers, the forms'
-    values and the h_i modulo the monomials of degree > H_Delta are those of
-    every horizon >= H_Delta, f's own (>= 2nm) included:
+    (``Semigroup.delorme_horizon``, D = 2nm - 2n - 2m the Hessian degree);
+    the values, the leading powers, the forms' values and the h_i modulo
+    the monomials of degree > H_Delta are those of every horizon
+    >= H_Delta, f's own 2nm included:
 
     - ``TruncatedPoly`` arithmetic at horizon H is exact in R/m_{>H}, where
       m_{>H} is spanned by the monomials of weighted degree > H, and a
@@ -262,7 +261,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
       H_Delta + n > c.  A basis value is below c, so every form keeps its
       value and its monomial value, and the oracle reads the same order
       from its pullback.  A form of the ending round may pass c; both routes
-      read it in the window of its horizon (``oracle_differential_value``).
+      read it in the one window of its horizon (``oracle_differential_value``).
     """
     sg = eq.sg
     c = sg.conductor

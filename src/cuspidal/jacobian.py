@@ -32,11 +32,10 @@ def jacobian_basis_via_differentials(eq: CurveEquation,
 
 def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
     """Buchberger over the generators {f, f_x, f_y}, cut at the proven
-    horizon H_J = 2nm - n - 2m (``Semigroup.jacobian_horizon``), whatever
-    the horizon of f.
+    horizon H_J = 2nm - n - 2m (``Semigroup.jacobian_horizon``).
 
     The leading powers, and so tau, are those of every horizon >= H_J, f's
-    own (>= 2nm) included:
+    own 2nm included:
 
     - ``TruncatedPoly`` arithmetic at horizon H is exact in R/m_{>H}, where
       m_{>H} is the ideal spanned by the monomials of weighted degree > H.

@@ -41,10 +41,6 @@ class WeightedOrder:
         """Sort key: ascending = from leading (smallest) upward."""
         return (self.n * e[0] + self.m * e[1], e[0])
 
-    @property
-    def default_horizon(self) -> int:
-        return 4 * self.n * self.m
-
 
 def divides(e1: Exponent, e2: Exponent) -> bool:
     """x^e1 divides x^e2 (componentwise <=)."""
@@ -95,14 +91,13 @@ class TruncatedPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, order: WeightedOrder, horizon: int | None = None) -> "TruncatedPoly":
-        return cls._raw(order, order.default_horizon if horizon is None else horizon, {})
+    def zero(cls, order: WeightedOrder, horizon: int) -> "TruncatedPoly":
+        return cls._raw(order, horizon, {})
 
     @classmethod
     def monomial(cls, order: WeightedOrder, coeff, exponent: Exponent,
-                 horizon: int | None = None) -> "TruncatedPoly":
-        h = order.default_horizon if horizon is None else horizon
-        return cls(order, h, {tuple(exponent): rat(coeff)})
+                 horizon: int) -> "TruncatedPoly":
+        return cls(order, horizon, {tuple(exponent): rat(coeff)})
 
     # -- basic queries ---------------------------------------------------
 

@@ -2,11 +2,12 @@
 
 A spec names the semigroup pair and either nice-form coefficients (``z j =
 value`` with j in the cuspidal value set J) or mu*x^m + y^n plus raw terms
-(``term coeff a b`` above the weight line), never both.  Either way the
-lines fill one table of f's terms, and ``CurveEquation`` checks it; whether
-the curve is nice is read off those terms, whichever lines gave them.  It
-describes the curve and nothing else: f is cut at the default horizon 4nm,
-and the seed is an option of the subcommand that reads it.  Lines are
+(``term coeff a b`` above the weight line and at most 2nm), never both.
+Either way the lines fill one table of f's terms, and ``CurveEquation``
+checks it; whether the curve is nice is read off those terms, whichever
+lines gave them.  It describes the curve and nothing else: f is held at
+2nm, where no layer reads a term above it, and the seed is an option of
+the subcommand that reads it.  Lines are
 independent, ``#`` starts a comment, and ``=`` may be written with or
 without spaces.
 """
@@ -65,15 +66,16 @@ _REMOVED_KEYS = {
     "precision": "every residue decision is exact, and residue's interval "
                  "always starts at 256 bits",
     "seed": "the seed is a run setting; pass --seed to conjecture-scan",
-    "horizon_mult": "f's truncation horizon is fixed, and every layer cuts f "
-                    "at its own proven horizon",
+    "horizon_mult": "f is held at 2nm, and every layer cuts f at its own "
+                    "proven horizon, at most 2nm",
 }
 
 
 def parse_spec(text: str) -> CurveEquation:
     """Parse and validate a spec and return the curve it describes, with f
-    truncated at the default horizon 4nm.  Diagnostics name the first
-    offending line; an equation the text cannot build is a ParseError."""
+    at 2nm.  Diagnostics name the first offending line; a term above 2nm,
+    which no layer reads, is refused there, and an equation the text
+    cannot build is a ParseError."""
     fields: dict = {}
     coeffs: list = []
     terms: list = []
@@ -137,13 +139,15 @@ def parse_spec(text: str) -> CurveEquation:
                 f"z {j} is not a cuspidal gap value of ({n}, {m})", line_no)
         table[sg.sets.p_of(j)] = c
     for c, a, b, line_no in terms:
-        if n * a + m * b <= n * m:
-            raise ParseError(
-                f"term x^{a} y^{b} has weighted degree {n * a + m * b} <= {n * m}",
-                line_no)
+        w = n * a + m * b
+        if w <= n * m:
+            raise ParseError(f"term x^{a} y^{b} has weighted degree {w} <= {n * m}", line_no)
+        if w > sg.branch_horizon:
+            raise ParseError(f"term x^{a} y^{b} has weighted degree {w} > 2*n*m = "
+                             f"{sg.branch_horizon}, where f is held", line_no)
         table[(a, b)] = c
 
     try:
-        return CurveEquation(sg, TruncatedPoly(sg.order, sg.order.default_horizon, table))
+        return CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, table))
     except ValueError as exc:    # CurveEquation's checks
         raise ParseError(str(exc)) from None

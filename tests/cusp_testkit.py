@@ -87,13 +87,6 @@ def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
             return form
 
 
-def at_horizon(eq: CurveEquation, k: int) -> CurveEquation:
-    """The curve of ``eq`` with f cut at k*n*m instead, rebuilt from the
-    terms of its f, which must not have lost any to its own horizon."""
-    sg = eq.sg
-    return CurveEquation(sg, TruncatedPoly(sg.order, k * sg.n * sg.m, eq.f.terms))
-
-
 def coprime_pairs(n_values, m_bound: int):
     """All (n, m) with n in n_values, n < m <= m_bound, gcd(n, m) = 1."""
     from math import gcd

@@ -363,7 +363,7 @@ def test_residue_error_taxonomy():
         residue(EQ49, (3, 1), Rat(7, 18))
     with pytest.raises(ValueError):
         residue(EQ49, (1, 1), Rat(1, 7))  # k not an integer
-    f = TruncatedPoly(WeightedOrder(4, 5), 80, {(0, 4): 1, (5, 0): 2})
+    f = TruncatedPoly(WeightedOrder(4, 5), 40, {(0, 4): 1, (5, 0): 2})
     adapted = CurveEquation(Semigroup(4, 5), f)
     with pytest.raises(ValueError):
         residue(adapted, (1, 1), Rat(11, 20))
@@ -432,7 +432,7 @@ def test_checks_reject_semimodule_of_other_pair():
 def test_checks_reject_a_curve_that_is_not_nice():
     """The batteries read the z_j, which only a nice curve has."""
     sg = Semigroup(4, 9)
-    eq = CurveEquation(sg, TruncatedPoly(sg.order, 144, {(9, 0): 2, (0, 4): 1, (7, 1): 1}))
+    eq = CurveEquation(sg, TruncatedPoly(sg.order, 72, {(9, 0): 2, (0, 4): 1, (7, 1): 1}))
     values = delorme(eq).values
     for check in (zariski_condition_check, four_condition_check):
         with pytest.raises(ValueError, match="only in nice form"):

@@ -17,12 +17,11 @@ from cuspidal.differentials import OneForm, delorme, monomial_value, oracle_diff
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.specfile import parse_spec
 from cuspidal.standard_basis import HorizonExhausted
-from cusp_testkit import at_horizon, count_calls, nice_curves
+from cusp_testkit import count_calls, nice_curves
 
 SPEC49 = "n = 4\nm = 9\nz 1 = 1\n"
 SPEC45 = "n = 4\nm = 5\nz 2 = 1\n"
-# Adapted, with y^9 at weight 81 > 2nm = 72: f loses that term at 2nm only.
-SPEC49_ADAPTED = "n = 4\nm = 9\nmu = 2\nterm 1 7 1\nterm 1 0 9\n"
+SPEC49_ADAPTED = "n = 4\nm = 9\nmu = 2\nterm 1 7 1\n"
 
 
 @pytest.fixture
@@ -285,6 +284,18 @@ def test_term_lines_on_p_give_the_nice_curve(capsys, tmp_path):
     assert checked > 150
 
 
+@pytest.mark.parametrize("command", ["bs-roots", "verify"])
+def test_term_above_2nm_exits_two(capsys, tmp_path, command):
+    """y^9, of weight 81 > 2nm = 72, is a term no layer reads: the spec is
+    refused on its line, rather than run as the curve without it."""
+    p = tmp_path / "y9.spec"
+    p.write_text("n = 4\nm = 9\nterm 1 7 1\nterm 1 0 9\n")
+    code, out, err = run(capsys, command, "--spec", str(p))
+    assert (code, out) == (2, "")
+    assert err == ("error: parse_error: line 4: term x^0 y^9 has weighted degree 81 > "
+                   "2*n*m = 72, where f is held\n")
+
+
 def test_negative_k_exits_two(capsys, spec49):
     code, _, err = run(capsys, "residue", "--spec", spec49, "--j", "1",
                        "--ab", "3,1")
@@ -307,8 +318,7 @@ def test_negative_ab_exits_two(capsys, spec49, j, ab):
     assert err.startswith("error: parse_error: --ab entries must be non-negative")
 
 
-@pytest.mark.parametrize("base", [SPEC49, "n = 4\nm = 9\nmu = 2\nterm 1 7 1\n"],
-                         ids=["nice", "adapted"])
+@pytest.mark.parametrize("base", [SPEC49, SPEC49_ADAPTED], ids=["nice", "adapted"])
 def test_unsound_horizon_exits_two(capsys, tmp_path, base):
     """t_horizon is no spec key: the branch window comes from f's horizon.
     The nice and the adapted form alike refuse it on its line."""
@@ -330,15 +340,13 @@ def test_direct_jacobian_basis_built_once(capsys, monkeypatch, spec49, command):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("k", [2, 4], ids=["2nm", "4nm"])
 @pytest.mark.parametrize("text", [SPEC49, "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n"],
                          ids=["4-9", "5-7"])
-def test_verify_solves_one_branch(monkeypatch, text, k):
-    """On f cut at 2nm, the least horizon, or at 4nm, the command line's,
-    verify compares every form of Delorme's run against one branch, solved
+def test_verify_solves_one_branch(monkeypatch, text):
+    """verify compares every form of Delorme's run against one branch, solved
     once, through t_horizon = nm + n + m; a read of its y afterwards, the
     one the traced benchmark makes, solves nothing more."""
-    eq = at_horizon(parse_spec(text), k)
+    eq = parse_spec(text)
     branches = count_calls(monkeypatch, newton_puiseux)
     solves = count_calls(monkeypatch, _solve_branch)
     oracle = count_calls(monkeypatch, oracle_differential_value)
@@ -462,8 +470,8 @@ def test_conjecture_scan_negative_precision_exits_two(capsys):
 # Why each removed run-setting key is refused, as the refusal says it.
 REMOVED_REASONS = {
     "seed": "the seed is a run setting; pass --seed to conjecture-scan",
-    "horizon_mult": "f's truncation horizon is fixed, and every layer cuts f at its "
-                    "own proven horizon",
+    "horizon_mult": "f is held at 2nm, and every layer cuts f at its own proven "
+                    "horizon, at most 2nm",
 }
 
 
@@ -562,26 +570,6 @@ def test_abbreviated_flag_is_refused(capsys, spec49, command, bad):
     assert code == 2
     assert out == ""
     assert err == f"error: parse_error: unrecognized arguments: {' '.join(bad)}\n"
-
-
-@pytest.mark.parametrize("command", ["delorme", "bs-roots", "jacobian", "verify"])
-def test_output_does_not_depend_on_the_horizon_key(command):
-    """delorme and the Jacobian basis run at horizons of their own, so f's
-    horizon (2nm, 3nm, 4nm or 6nm) changes none of these reports, on SPEC49,
-    on x^7 + y^4 (s = 0) or on an adapted curve whose f itself differs
-    between 2nm and 3nm.  verify's oracle reads each form of the run in
-    that form's own window, so its report does not change either.  Which
-    is why the command line cuts f at 4nm and takes no horizon."""
-    cmd = {"delorme": cli.cmd_delorme, "bs-roots": cli.cmd_bs_roots,
-           "jacobian": cli.cmd_jacobian, "verify": cli.cmd_verify}[command]
-    texts = [SPEC49, "n = 4\nm = 7\n", SPEC49_ADAPTED]
-    if command == "bs-roots":
-        texts.pop()    # bs-roots needs the nice form
-    for text in texts:
-        reports = [cmd(at_horizon(parse_spec(text), k)) for k in (2, 3, 4, 6)]
-        assert all(report == reports[0] for report in reports)
-    adapted = [at_horizon(parse_spec(SPEC49_ADAPTED), k).f for k in (2, 3)]
-    assert [len(f.terms) for f in adapted] == [3, 4]
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import CurveEquation, Semigroup, _series, cuspidal_sets
-from cuspidal.curve import NotAdapted, _solve_branch, newton_puiseux
-from cuspidal.differentials import OneForm, oracle_differential_value
+from cuspidal.curve import (NotAdapted, Parametrization, _leading_solution, _scaled_equation,
+                            _solve_branch, newton_puiseux)
+from cuspidal.differentials import OneForm, delorme, oracle_differential_value
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
-from cusp_testkit import CORPUS, at_horizon, coprime_pairs, count_calls
+from cusp_testkit import CORPUS, coprime_pairs, count_calls
 
 
 @pytest.mark.parametrize("n,m", [(4, 8), (6, 9), (1, 5), (5, 5), (7, 3)])
@@ -101,16 +102,16 @@ def test_nice_rejects_exponent_outside_j():
 def test_adapted_requires_unit_times_corner():
     o = WeightedOrder(4, 5)
     # no x^m term at all: weighted initial part is not mu x^m + y^n
-    f = TruncatedPoly(o, 80, {(0, 4): 1, (3, 2): 1})
+    f = TruncatedPoly(o, 40, {(0, 4): 1, (3, 2): 1})
     with pytest.raises(NotAdapted, match="missing x\\^5 term"):
         CurveEquation(Semigroup(4, 5), f)
 
 
 @pytest.mark.parametrize("pair,horizon,terms,message", [
-    ((4, 5), 80, {(0, 4): 2, (5, 0): 1}, "coefficient of y^4 must be 1"),
-    ((4, 5), 80, {(0, 4): 1, (5, 0): 1, (2, 2): 1},
+    ((4, 5), 40, {(0, 4): 2, (5, 0): 1}, "coefficient of y^4 must be 1"),
+    ((4, 5), 40, {(0, 4): 1, (5, 0): 1, (2, 2): 1},
      "term x^2*y^2 has weighted degree 18 <= 20"),
-    ((4, 5), 80, {(0, 4): 1, (5, 0): 1, (1, 3): 1},
+    ((4, 5), 40, {(0, 4): 1, (5, 0): 1, (1, 3): 1},
      "term x^1*y^3 has weighted degree 19 <= 20"),
     # x^9 alone at 2nm: f is checked whatever it was meant to be, so no
     # label can pass it off as a nice curve
@@ -124,32 +125,32 @@ def test_constructor_refuses_a_non_adapted_shape(pair, horizon, terms, message):
 
 
 def test_constructor_refuses_the_wrong_order():
-    f = TruncatedPoly(WeightedOrder(4, 7), 80, {(0, 4): 1, (5, 0): 1})
+    f = TruncatedPoly(WeightedOrder(4, 7), 40, {(0, 4): 1, (5, 0): 1})
     with pytest.raises(NotAdapted, match="polynomial order does not match the semigroup"):
         CurveEquation(Semigroup(4, 5), f)
 
 
 def test_adapted_reads_off_mu():
     o = WeightedOrder(4, 5)
-    eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1}))
+    eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 40, {(0, 4): 1, (5, 0): 2, (3, 2): 1}))
     assert eq.mu == 2
     assert eq.form == "adapted"
     with pytest.raises(ValueError, match="only in nice form"):
         eq.nice_coeffs
     # mu = 1 and every other term on P (here (3, 2), the P monomial of j = 2)
     # is the nice curve with z_2 = 1, however f was built.
-    eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 1, (3, 2): 1}))
+    eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 40, {(0, 4): 1, (5, 0): 1, (3, 2): 1}))
     assert eq.form == "nice"
     assert eq.nice_coeffs == {2: 1}
     assert eq.f.terms == CurveEquation.nice(Semigroup(4, 5), {2: 1}).f.terms
     # a term off P, even above the weight line, makes the curve adapted
-    eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 1, (6, 0): 1}))
+    eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 40, {(0, 4): 1, (5, 0): 1, (6, 0): 1}))
     assert eq.form == "adapted"
 
 
 def _adapted(n, m, terms: dict) -> CurveEquation:
-    """y^n plus the given terms, x^m among them, at horizon 4nm."""
-    f = TruncatedPoly(WeightedOrder(n, m), 4 * n * m, {(0, n): 1, **terms})
+    """y^n plus the given terms, x^m among them, at horizon 2nm."""
+    f = TruncatedPoly(WeightedOrder(n, m), 2 * n * m, {(0, n): 1, **terms})
     return CurveEquation(Semigroup(n, m), f)
 
 
@@ -162,17 +163,12 @@ def _all_ones(n, m) -> CurveEquation:
     return CurveEquation.nice(sg, {j: Rat(1) for j in cuspidal_sets(sg).J})
 
 
-def _adapted_45_x9y() -> CurveEquation:
-    """x^5 + y^4 + x^9*y: the last term, of weight 41, is just above the cut
-    at 2nm = 40, and a branch of f at 4nm would move from t^26 on."""
-    return _adapted(4, 5, {(5, 0): Rat(1), (9, 1): Rat(1)})
-
-
 # The adapted curves carry a power y^b with b > n and a pure power x^a with
 # a > m, so the branch's power table runs past v^n and H has terms free of v;
-# the y^5 term (n = 4) and the y^4 term (n = 2, on the cut at 2nm = 12) reach
-# the cut-offs of the recursion at s^work.  The y^7 and x*y^5 terms of the
-# other (2, 3) curve are above the cut, so its branch is that of y^2 - 2x^3.
+# the y^5 term (n = 4) and the y^4 term (n = 2, at 2nm = 12) reach the
+# cut-offs of the recursion at s^work.  The y^7 and x*y^5 terms of the other
+# (2, 3) curve are above 2nm, where f is held, so its f, and its branch, are
+# those of y^2 - 2x^3.
 BRANCH_CASES = [_all_ones(n, m) for n, m in CORPUS] + [
     _adapted_45_mu2(),
     _adapted(3, 5, {(5, 0): Rat(3), (0, 4): Rat(-2, 3), (6, 0): Rat(5, 2), (2, 2): Rat(1)}),
@@ -301,7 +297,7 @@ def test_parametrization_pin_49():
 
 def test_parametrization_of_adapted_equation():
     o = WeightedOrder(4, 5)
-    f = TruncatedPoly(o, 80, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
+    f = TruncatedPoly(o, 40, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
     eq = CurveEquation(Semigroup(4, 5), f)
     param = newton_puiseux(eq)
     assert all(c == 0 for c in _fraction_residual(eq, param))
@@ -331,17 +327,50 @@ def test_y_power_dy_is_the_product_with_y_prime(eq):
 HORIZON_PAIRS = coprime_pairs(range(2, 8), 14)
 
 
-@pytest.mark.parametrize("eq", [_all_ones(n, m) for n, m in HORIZON_PAIRS]
-                         + [_adapted_45_mu2(), _adapted_45_x9y()],
+def _above_2nm(n, m) -> dict:
+    """Every term x^a*y^b with 2nm < na + mb <= 3nm and b <= n, each with
+    its own small coefficient."""
+    return {(a, b): Rat((-1) ** a * (a + 1), b + 1)
+            for b in range(n + 1) for a in range(3 * m + 1)
+            if 2 * n * m < n * a + m * b <= 3 * n * m}
+
+
+def _branch_at(g: TruncatedPoly) -> Parametrization:
+    """The branch of g through t^(nm + n + m), solved by the steps of
+    ``newton_puiseux`` on g as it is: no CurveEquation holds a term above
+    2nm, so this is the only way to read one."""
+    n, m = g.order.n, g.order.m
+    xi, c0 = _leading_solution(n, m, g.terms[(m, 0)])
+    scale, terms = _scaled_equation(g, xi, c0)
+    return Parametrization(n, m, xi, c0, scale,
+                           tuple(_solve_branch(n, m, terms, n * m + n + m)))
+
+
+@pytest.mark.parametrize("eq,above",
+                         [(_all_ones(n, m), _above_2nm(n, m)) for n, m in HORIZON_PAIRS]
+                         + [(_adapted_45_mu2(), _above_2nm(4, 5)),
+                            (_adapted(4, 5, {(5, 0): Rat(1)}), {(9, 1): Rat(1)})],
                          ids=[f"{n}-{m}" for n, m in HORIZON_PAIRS]
                          + ["adapted-4-5-mu2", "adapted-4-5-x9y"])
-def test_newton_puiseux_horizons_agree_on_common_prefix(eq):
-    """One branch at every horizon: f cut at 2nm, 3nm or 4nm gives the same
-    branch, through t_horizon = nm + n + m, so the branches agree on all of
-    their common prefix."""
-    n, m = eq.sg.n, eq.sg.m
-    params = [newton_puiseux(at_horizon(eq, k)) for k in (2, 3, 4)]
-    for param in params:
-        assert param.t_horizon == n * m + n + m
-        assert ((param.x_coeff, param.c0, param.scale, param.y)
-                == (params[0].x_coeff, params[0].c0, params[0].scale, params[0].y))
+def test_newton_puiseux_horizons_agree_on_common_prefix(eq, above):
+    """Terms of f above 2nm change no order the oracle reads, the reason f is
+    held at 2nm (``Semigroup.branch_horizon``).  With such terms added, at
+    4nm, the branch agrees with that of f through t^(nm + m) and parts from
+    it later, inside the window; yet every form of Delorme's run, every
+    monomial form of degree <= nm and df read the same oracle value on
+    both branches."""
+    sg = eq.sg
+    n, m = sg.n, sg.m
+    param = newton_puiseux(eq)
+    wide = _branch_at(TruncatedPoly(sg.order, 4 * n * m, {**eq.f.terms, **above}))
+    assert wide.t_horizon == param.t_horizon == n * m + n + m
+    assert wide.y[:n * m + m + 1] == param.y[:n * m + m + 1]
+    assert wide.y != param.y
+    diff = delorme(eq)
+    forms = [*diff.forms, *diff.trail, OneForm.d(eq.f)]
+    for which in ("dx", "dy"):
+        basic = OneForm.basic(eq.f, which)
+        forms += [basic.mul_monomial(1, (a, b)) for a in range(m + 1) for b in range(n)
+                  if n * a + m * b <= n * m]
+    for form in forms:
+        assert oracle_differential_value(form, wide) == oracle_differential_value(form, param)

@@ -25,7 +25,7 @@ from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, _axis, covered
 from cuspidal.standard_basis import final_reduction
-from cusp_testkit import CORPUS, at_horizon, coprime_pairs, curve_draws, random_form
+from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
@@ -157,10 +157,10 @@ def test_delorme_structure_battery(pair):
 
 
 def test_aligned_horizon_formula():
-    """The branch window is that of f cut at 2nm, whatever f's horizon:
+    """The branch window is that of f at 2nm, the one horizon of f:
     t = 2nm - nm + n + m."""
     nm = 4 * 9
-    assert EQ49.f.horizon == 4 * nm
+    assert EQ49.f.horizon == 2 * nm
     assert newton_puiseux(EQ49).t_horizon == nm + 4 + 9
 
 
@@ -197,14 +197,29 @@ def test_oracle_window_edge(horizon, value):
     assert differential_value(form, EQ49) == value
 
 
-@pytest.mark.parametrize("mult", [2, 4, 6, 10])
-def test_oracle_reads_the_window_of_the_forms_horizon(mult):
+@pytest.mark.parametrize("mult", [2, 3, 4], ids=["2nm", "3nm", "4nm"])
+def test_both_routes_read_one_window(mult):
+    """x^12 dx has value 52 on EQ49, past nm + n + m = 49, the window of f at
+    2nm.  The implicit route reduces at the smaller of the form's horizon
+    and f's 2nm, and the oracle reads through the branch's window, so at
+    every horizon of the form the two routes read one window: both say
+    infinite."""
+    order = EQ49.sg.order
+    horizon = mult * 36
+    form = OneForm(TruncatedPoly.monomial(order, 1, (12, 0), horizon),
+                   TruncatedPoly.zero(order, horizon))
+    assert monomial_value(form) == 52
+    assert differential_value(form, EQ49) is None
+    assert oracle_differential_value(form, newton_puiseux(EQ49)) is None
+
+
+def test_oracle_reads_the_window_of_the_forms_horizon():
     """On the (4, 7) curve with z_2 = -2, Delorme's run ends with
     -7/4 y^2 dx + x y dy, built at H_Delta = 34.  The implicit route sees
     values up to 34 - 28 + 11 = 17 there, and the oracle reads the same
-    window, not f's: both say infinite, at every horizon of f, although
-    the pullback has order 19."""
-    eq = at_horizon(CurveEquation.nice(Semigroup(4, 7), {2: Rat(-2)}), mult)
+    window, not f's: both say infinite, although the pullback has order
+    19."""
+    eq = CurveEquation.nice(Semigroup(4, 7), {2: Rat(-2)})
     order = eq.sg.order
     form = OneForm(TruncatedPoly(order, 34, {(0, 2): Rat(-7, 4)}),
                    TruncatedPoly(order, 34, {(1, 1): Rat(1)}))
@@ -267,7 +282,8 @@ def test_oracle_rejects_a_branch_of_another_cusp(pair):
 def _horizon_draws():
     """Seeded curves for every coprime pair with n <= 9, m <= 15: the bare
     curve, one nonzero z_j, two nice draws at each support density 0.15, 0.4
-    and 1, and an adapted curve with mu != 1 and random terms above nm."""
+    and 1, and an adapted curve with mu != 1 and random terms above nm, of
+    which f at 2nm keeps those up to 2nm."""
     rng = random.Random(2026)
     for n, m in coprime_pairs(range(2, 10), 15):
         sg = Semigroup(n, m)
@@ -284,7 +300,7 @@ def _horizon_draws():
             a, b = rng.randint(0, 2 * m), rng.randint(0, n + 2)
             if n * a + m * b > n * m and (a, b) != (m, 0):
                 terms[(a, b)] = Rat(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 3))
-        yield CurveEquation(sg, TruncatedPoly(sg.order, sg.order.default_horizon, terms))
+        yield CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, terms))
 
 
 def _guard_fires(eq, diff) -> bool:
@@ -298,19 +314,19 @@ def _guard_fires(eq, diff) -> bool:
 def test_delorme_at_its_horizon_equals_the_full_horizon(monkeypatch):
     """At H_Delta = max(D, nm) Delorme gives the values, leading powers,
     monomial values, ending round, and forms and h_i cut at H_Delta, of a
-    run at f's own horizon 4nm: the proof in the ``delorme`` docstring,
+    run at f's own horizon 2nm: the proof in the ``delorme`` docstring,
     checked."""
     pairs, fired = set(), set()
     for eq in _horizon_draws():
         sg = eq.sg
         ours = delorme(eq)
         with monkeypatch.context() as patch:
-            patch.setattr(Semigroup, "delorme_horizon", property(lambda s: 4 * s.n * s.m))
+            patch.setattr(Semigroup, "delorme_horizon", property(lambda s: s.branch_horizon))
             full = delorme(eq)
         h = sg.delorme_horizon
         assert h == max(2 * sg.n * sg.m - 2 * sg.n - 2 * sg.m, sg.n * sg.m)
         assert {p.horizon for p in ours.reductions} == {h}
-        assert {p.horizon for p in full.reductions} == {4 * sg.n * sg.m}
+        assert {p.horizon for p in full.reductions} == {2 * sg.n * sg.m} != {h}
         assert ours.values == full.values
         assert ours.leading_powers == full.leading_powers
         assert ours.forms == tuple(OneForm(w.dx.truncated(h), w.dy.truncated(h))
@@ -328,15 +344,6 @@ def test_delorme_at_its_horizon_equals_the_full_horizon(monkeypatch):
     assert {(3, 4, "nice", ()), (4, 5, "nice", ((2, 1),))} <= fired
     assert any(form == "adapted" for _, _, form, _ in fired)
     assert any(n >= 5 for n, _, _, _ in fired)
-
-
-def test_delorme_does_not_read_the_horizon_key():
-    """delorme cuts f at its own horizon, so the output is the same object
-    for f cut at 2nm, 3nm, 4nm and 6nm."""
-    for text in ("n = 4\nm = 9\nz 1 = 1\n", "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n",
-                 "n = 2\nm = 7\n", "n = 7\nm = 10\nz 1 = 1\nz 5 = 2/3\nz 8 = -1\n"):
-        diffs = [delorme(at_horizon(parse_spec(text), k)) for k in (2, 3, 4, 6)]
-        assert all(d == diffs[0] for d in diffs[1:])
 
 
 def _bs_roots_draws():

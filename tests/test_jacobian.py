@@ -20,7 +20,7 @@ from cuspidal.rationals import Rat
 from cuspidal.semimodules import elements_outside
 from cuspidal.standard_basis import (HorizonExhausted, StandardBasis, buchberger,
                                      codimension)
-from cusp_testkit import CORPUS, at_horizon, curve_draws
+from cusp_testkit import CORPUS, curve_draws
 
 
 @pytest.mark.parametrize("eq,tau", [
@@ -35,18 +35,18 @@ def test_tjurina_pins(eq, tau):
 
 def test_equation_horizon_below_2nm_is_rejected():
     """At horizon n*m the (4, 9) curve would read basis (4, 9) and tau = 24;
-    every constructor now refuses a horizon below 2nm."""
+    every constructor refuses a horizon below 2nm."""
     sg = Semigroup(4, 9)
-    with pytest.raises(ValueError, match="at least 2\\*n\\*m = 72"):
+    with pytest.raises(ValueError, match="must be 2\\*n\\*m = 72"):
         CurveEquation(sg, TruncatedPoly(sg.order, 36, {(0, 4): 1, (9, 0): 1, (7, 1): 1}))
-    with pytest.raises(ValueError, match="at least 2\\*n\\*m = 72"):
+    with pytest.raises(ValueError, match="must be 2\\*n\\*m = 72"):
         CurveEquation(sg, TruncatedPoly(sg.order, 71, {(0, 4): 1, (9, 0): 1}))
     # The horizon is checked before the shape: at 20 the truncation drops
     # x^9, which is not a missing term of the curve.
-    with pytest.raises(ValueError, match="at least 2\\*n\\*m = 72, got 20") as info:
+    with pytest.raises(ValueError, match="must be 2\\*n\\*m = 72, got 20") as info:
         CurveEquation(sg, TruncatedPoly(sg.order, 20, {(9, 0): 1, (0, 4): 1}))
     assert not isinstance(info.value, NotAdapted)
-    eq = at_horizon(CurveEquation.nice(sg, {1: Rat(1)}), 2)
+    eq = CurveEquation.nice(sg, {1: Rat(1)})
     assert delorme(eq).values.basis == (4, 9, 14, 19)
     assert tjurina_number(jacobian_basis_direct(eq)) == 21
 
@@ -122,24 +122,25 @@ def test_jacobian_basis_requires_axis_leaders():
 
 
 def _buchberger_4nm(eq):
-    """The direct basis over (f, f_x, f_y) at the equation's own 4nm horizon."""
-    assert eq.f.horizon == 4 * eq.sg.n * eq.sg.m
-    return buchberger([eq.f, eq.fx, eq.fy])
+    """The direct basis over (f, f_x, f_y), with f's terms and the whole
+    arithmetic at 4nm, twice the horizon of the equation."""
+    f = TruncatedPoly(eq.sg.order, 4 * eq.sg.n * eq.sg.m, eq.f.terms)
+    return buchberger([f, f.partial_x(), f.partial_y()])
 
 
 def _adapted_draws(sg: Semigroup, count: int, seed: int):
-    """Adapted curves mu*x^m + y^n + random terms above the weight line,
-    with mu != 1."""
+    """Adapted curves mu*x^m + y^n + random terms between the weight line
+    and 2nm, with mu != 1."""
     rng = random.Random(f"{seed}:{sg.n}:{sg.m}")
     n, m = sg.n, sg.m
     for _ in range(count):
         terms = {(m, 0): Rat(rng.choice([-1, 1]) * rng.randint(2, 5), rng.randint(1, 3)),
                  (0, n): 1}
         while len(terms) < 7:
-            a, b = rng.randint(0, 3 * m), rng.randint(0, 3 * n)
-            if n * m < n * a + m * b <= 4 * n * m:
+            a, b = rng.randint(0, 2 * m), rng.randint(0, 2 * n)
+            if n * m < n * a + m * b <= 2 * n * m:
                 terms[(a, b)] = Rat(rng.randint(-5, 5) or 1, rng.randint(1, 3))
-        yield CurveEquation(sg, TruncatedPoly(sg.order, 4 * n * m, terms))
+        yield CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, terms))
 
 
 @pytest.mark.parametrize("pair", CORPUS)
@@ -172,7 +173,8 @@ def test_jacobian_horizon_is_tight():
 
 
 def _monomial_basis(sg: Semigroup, *lps) -> StandardBasis:
-    return StandardBasis(tuple(TruncatedPoly.monomial(sg.order, 1, e) for e in lps))
+    return StandardBasis(tuple(TruncatedPoly.monomial(sg.order, 1, e, sg.branch_horizon)
+                               for e in lps))
 
 
 def test_staircase_check_accepts_at_most_d_and_rejects_past_it():

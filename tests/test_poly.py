@@ -21,11 +21,6 @@ def test_weighted_degree_and_ties():
     assert O45.key((2, 1)) == (13, 2)
 
 
-def test_default_horizon_is_four_nm():
-    assert O45.default_horizon == 80
-    assert WeightedOrder(6, 7).default_horizon == 168
-
-
 def test_leading_term_is_minimal():
     p = TruncatedPoly(O45, 80, {(0, 4): 1, (5, 0): 1, (3, 2): Rat(1, 2)})
     assert p.leading_power == (0, 4)

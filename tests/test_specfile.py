@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import pytest
 
+from cuspidal.curve import CurveEquation
+from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.specfile import (
     CoefficientOutsideJ,
@@ -11,7 +13,6 @@ from cuspidal.specfile import (
     SpecError,
     parse_spec,
 )
-from cusp_testkit import at_horizon
 
 
 def test_minimal_spec():
@@ -20,7 +21,7 @@ def test_minimal_spec():
     assert eq.form == "nice"
     assert eq.nice_coeffs == {2: Rat(1)}
     assert eq.mu == 1
-    assert eq.f.horizon == eq.sg.order.default_horizon == 80
+    assert eq.f.horizon == eq.sg.branch_horizon == 40
 
 
 def test_spacing_and_comments_are_free():
@@ -35,12 +36,12 @@ z 2 = 7/18
 
 
 def test_build_nice_equation():
-    """The spec cuts f at 4nm; a library caller picks another horizon."""
+    """The spec holds f at 2nm, as every equation does."""
     eq = parse_spec("n=4\nm=9\nz 1 = 1")
     assert eq.form == "nice"
-    assert eq.f.horizon == 144
+    assert eq.f.horizon == 72
     assert eq.nice_coeffs == {1: Rat(1)}
-    assert at_horizon(eq, 6).f.horizon == 216
+    assert eq == CurveEquation.nice(eq.sg, {1: Rat(1)})
 
 
 def test_build_adapted_equation_from_terms():
@@ -64,14 +65,14 @@ def test_lone_mu_builds_the_adapted_form():
 @pytest.mark.parametrize("text", ["n=4\nm=9\nz 1 = 1", "n=4\nm=9\nmu = 2",
                                   "n=4\nm=9\nterm 1 9 1"])
 def test_horizon_argument_passes_the_equation_check(text):
-    """A spec's curve rebuilt below 2nm is refused by CurveEquation, the one
-    horizon check, on either form."""
+    """A spec's curve rebuilt at any horizon but 2nm, below or above, is
+    refused by CurveEquation, the one horizon check, on either form."""
     eq = parse_spec(text)
-    for mult in (1, 0, -1):
+    for horizon in (-36, 0, 36, 71, 73, 108, 144):
         with pytest.raises(ValueError) as info:
-            at_horizon(eq, mult)
-        assert str(info.value) == f"truncation horizon must be at least 2*n*m = 72, got {36 * mult}"
-    assert at_horizon(eq, 2).f.horizon == 72
+            CurveEquation(eq.sg, TruncatedPoly(eq.sg.order, horizon, eq.f.terms))
+        assert str(info.value) == f"truncation horizon must be 2*n*m = 72, got {horizon}"
+    assert CurveEquation(eq.sg, TruncatedPoly(eq.sg.order, 72, eq.f.terms)) == eq
 
 
 @pytest.mark.parametrize("text,exc,kind,line", [
@@ -99,9 +100,9 @@ def test_error_taxonomy(text, exc, kind, line):
     assert info.value.line == line
     assert isinstance(info.value, SpecError)
     if "horizon_mult" in text:
-        assert str(info.value) == (f"line {line}: the horizon_mult key was removed: f's "
-                                   "truncation horizon is fixed, and every layer cuts f "
-                                   "at its own proven horizon")
+        assert str(info.value) == (f"line {line}: the horizon_mult key was removed: f is "
+                                   "held at 2nm, and every layer cuts f at its own "
+                                   "proven horizon, at most 2nm")
 
 
 def test_term_weighted_degree_must_exceed_nm():
@@ -109,6 +110,24 @@ def test_term_weighted_degree_must_exceed_nm():
     with pytest.raises(ParseError):
         parse_spec("n=4\nm=5\nterm 2 5 0")
     parse_spec("n=4\nm=5\nterm 2 4 1")  # degree 21: fine
+
+
+def test_term_above_2nm_is_refused():
+    """f is held at 2nm, and no layer reads a term above it, so such a term
+    is refused on its line rather than dropped in silence.  Held at 4nm,
+    y^9 here changed no value of the nice curve z_1 = 1, yet labelled it
+    adapted."""
+    with pytest.raises(ParseError) as info:
+        parse_spec("n = 4\nm = 9\nterm 1 7 1\nterm 1 0 9")
+    assert (info.value.kind, info.value.line) == ("parse_error", 4)
+    assert str(info.value) == ("line 4: term x^0 y^9 has weighted degree 81 > "
+                               "2*n*m = 72, where f is held")
+    with pytest.raises(ParseError, match=r"line 3: term x\^19 y\^0 has weighted degree 76 >"):
+        parse_spec("n = 4\nm = 9\nterm 1 19 0\nmu = 2")
+    # A term at exactly 2nm is kept.
+    eq = parse_spec("n = 4\nm = 9\nterm 1 7 1\nterm 1 18 0")
+    assert eq.f.terms[(18, 0)] == 1
+    assert eq.form == "adapted"
 
 
 def test_semigroup_and_sets_properties():

@@ -20,7 +20,7 @@ O45 = WeightedOrder(4, 5)
 
 
 def _p(terms):
-    return TruncatedPoly(O45, O45.default_horizon, terms)
+    return TruncatedPoly(O45, 80, terms)
 
 
 def test_reduce_step_none_when_irreducible():

@@ -50,17 +50,18 @@ def add_shifted(acc: list, c, shift: int, scale: int) -> None:
 
 
 def mul(u, v, upto: int) -> list:
-    """Product truncated to powers 0..upto."""
+    """Product truncated to powers 0..upto; only the nonzero coefficients of
+    v are walked."""
     out = zeros(upto)
+    nonzero = [(j, b) for j, b in enumerate(v[: upto + 1]) if b]
     for i, a in enumerate(u):
         if i > upto:
             break
         if not a:
             continue
         top = upto - i
-        for j, b in enumerate(v):
+        for j, b in nonzero:
             if j > top:
                 break
-            if b:
-                out[i + j] += a * b
+            out[i + j] += a * b
     return out

@@ -18,10 +18,13 @@ alone imports mpmath); no decision reads it.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, lcm
+from types import MappingProxyType
 
-from .curve import CurveEquation
+from .curve import CurveEquation, Semigroup
 from .rationals import Rat, rat
 from .semimodules import AbstractSemimodule, classify_four, elements_outside
 
@@ -319,28 +322,44 @@ class RootDecision:
     witness: tuple | None = None
 
 
+@cache
+def _root_plans(sg: Semigroup) -> MappingProxyType:
+    """j -> (B, pair, tests, beta root, alpha root) for every j in J of the
+    pair, read-only and built on the pair's first ``decide_root``: B =
+    j + n + m = beta_j*nm, the Gamma pair of beta_j (``_gamma_pair``), the
+    test exponents of ``M_by_target`` whose target k = B - n*a - m*b is
+    >= 0, in scan order, and the candidate roots -B/nm and
+    -(B + nm)/nm.  Nothing in it depends on a curve."""
+    n, m = sg.n, sg.m
+    scan = sg.sets.M_by_target
+    plans = {}
+    for j in sg.sets.J:
+        big_b = j + n + m
+        # scan has decreasing weight n*a + m*b, so k >= 0 is a suffix of it
+        start = bisect_left(scan, -big_b, key=lambda ab: -(n * ab[0] + m * ab[1]))
+        plans[j] = (big_b, _gamma_pair(n, m, big_b), scan[start:],
+                    Rat(-big_b, n * m), Rat(-big_b - n * m, n * m))
+    return MappingProxyType(plans)
+
+
 def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     """-beta_j is a root iff some test exponent in M has nonzero residue;
     otherwise -alpha_j is.  Test exponents are scanned by increasing residue
     target k (then lexicographically), so the cheap decompositions -- and in
-    the certified families the theory's own witness -- come first.  Each
-    residue is read as the sign of its integer sum (``_residue_sum``), with
-    the Gamma pair of beta_j computed once; no GammaExpr is built.  The
-    first nonzero residue is the witness; ``residue(eq, witness, beta_j)``
-    recomputes it."""
-    sg = eq.sg
-    n, m = sg.n, sg.m
-    sets = sg.sets
-    if j not in sets.j_to_p:
-        raise ValueError(f"{j} is not a cuspidal gap value of {(n, m)}")
-    big_b = j + n + m
-    pair = _gamma_pair(n, m, big_b)
-    for a, b in sets.M_by_target:
-        if n * a + m * b > big_b:  # k < 0
-            continue
+    the certified families the theory's own witness -- come first.  The
+    pair's plan for j (``_root_plans``) holds B, the Gamma pair of beta_j,
+    the test exponents with k >= 0 in that order and both candidate roots,
+    so each call only reads the sign of each residue's integer sum
+    (``_residue_sum``); no GammaExpr is built.  The first nonzero residue
+    is the witness; ``residue(eq, witness, beta_j)`` recomputes it."""
+    plan = _root_plans(eq.sg).get(j)
+    if plan is None:
+        raise ValueError(f"{j} is not a cuspidal gap value of {(eq.sg.n, eq.sg.m)}")
+    big_b, pair, tests, beta_root, alpha_root = plan
+    for a, b in tests:
         if _residue_sum(eq, a, b, big_b, pair)[0]:
-            return RootDecision("beta_root", Rat(-big_b, n * m), (a, b))
-    return RootDecision("alpha_root", Rat(-big_b - n * m, n * m))
+            return RootDecision("beta_root", beta_root, (a, b))
+    return RootDecision("alpha_root", alpha_root)
 
 
 def certified_roots_from_semimodule(sm: AbstractSemimodule) -> frozenset:

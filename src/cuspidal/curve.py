@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
+from types import MappingProxyType
 
 from . import _series
 from .poly import Exponent, TruncatedPoly, WeightedOrder
@@ -29,9 +30,30 @@ class NoSolution(ValueError):
     """The parametrization recursion is inconsistent; f is not a cusp equation."""
 
 
+_SEMIGROUPS: dict = {}  # (n, m) -> the Semigroup of that pair
+
+
+class _OnePerPair(type):
+    """Makes ``Semigroup(n, m)`` return the one instance of its pair in this
+    process, so the cached tables of a pair are built on its first use and
+    read by every later one.  A pair enters ``_SEMIGROUPS`` only once
+    ``__post_init__``'s checks pass: an invalid pair raises on every call."""
+
+    def __call__(cls, n, m):
+        sg = _SEMIGROUPS.get((n, m))
+        if sg is None:
+            sg = _SEMIGROUPS[n, m] = super().__call__(n, m)
+        return sg
+
+
 @dataclass(frozen=True)
-class Semigroup:
-    """Numerical semigroup <n, m> of a cusp with Puiseux pair (n, m)."""
+class Semigroup(metaclass=_OnePerPair):
+    """Numerical semigroup <n, m> of a cusp with Puiseux pair (n, m).
+
+    There is one instance per pair (``_OnePerPair``), and its tables are
+    functions of (n, m) alone, built once and never written after: nothing
+    of one curve is kept here.
+    """
 
     n: int
     m: int
@@ -122,8 +144,8 @@ class Semigroup:
 
     @cached_property
     def sets(self) -> "CuspidalSets":
-        """P, J and M of this pair, built once for the semigroup: the spec
-        check, the equation and the residues of one request share them."""
+        """P, J and M of this pair, built on the pair's first use: every
+        later spec check, equation and residue of the pair reads them."""
         return cuspidal_sets(self)
 
     def decompose(self, k: int) -> Exponent | None:
@@ -155,8 +177,10 @@ class CuspidalSets:
     _j_to_p: tuple = field(repr=False)
 
     @cached_property
-    def j_to_p(self) -> dict:
-        return dict(self._j_to_p)
+    def j_to_p(self) -> MappingProxyType:
+        """j -> its exponent in P, read-only: every curve of the pair reads
+        the one mapping."""
+        return MappingProxyType(dict(self._j_to_p))
 
     def p_of(self, j: int) -> Exponent:
         return self.j_to_p[j]
@@ -164,8 +188,9 @@ class CuspidalSets:
     @cached_property
     def M_by_target(self) -> tuple:
         """M sorted by decreasing weight n*a + m*b, then by (a, b): for every
-        j the order of increasing residue target k = j + n + m - n*a - m*b,
-        in which ``decide_root`` scans."""
+        j the order of increasing residue target k = j + n + m - n*a - m*b.
+        The root plan of each j (``bernstein._root_plans``) keeps the part
+        of it with k >= 0, in which ``decide_root`` scans."""
         n, m = self.sg.n, self.sg.m
         return tuple(sorted(self.M, key=lambda ab: (-(n * ab[0] + m * ab[1]), ab)))
 
@@ -450,16 +475,19 @@ def _solve_branch(n: int, m: int, terms, window: int) -> list:
     for b, power in enumerate(table):
         power[m * b] = 1
     v = table[1]
+    support = [m]  # the j < k with v_j != 0, ascending
     for k in range(m + 1, window + 1):
         for b in range(2, top + 1):
             e = k + m * (b - 1)
             if e > work:
                 break
             lower = table[b - 1]
-            table[b][e] = sum(v[j] * lower[e - j] for j in range(m, k) if v[j])
+            table[b][e] = sum(v[j] * lower[e - j] for j in support)
         p_k = sum(h * table[b][k + nm - m - shift] for shift, b, h in terms
                   if shift <= k + nm - m)
         v_k = _series.exact_div(-p_k, n)
+        if v_k:
+            support.append(k)
         for b in range(1, top + 1):
             e = k + m * (b - 1)
             if e > work:

@@ -120,8 +120,9 @@ def parse_spec(text: str) -> CurveEquation:
         raise ParseError("missing m")
     n, m = fields["n"], fields["m"]
     try:
-        # One semigroup per request: the spec check, the equation and the
-        # residues share its cached sets.
+        # One semigroup per pair in the process: the spec check, the
+        # equation and the residues of every request of the pair read its
+        # cached sets, built on the pair's first request.
         sg = Semigroup(n, m)
     except ValueError as exc:
         raise InvalidPair(str(exc)) from None

@@ -16,7 +16,9 @@ from cuspidal.bernstein import (
     PreconditionViolation,
     ResidueDecision,
     RootDecision,
+    _gamma_pair,
     _lower,
+    _root_plans,
     certified_roots_from_semimodule,
     decide_root,
     delta_sequences,
@@ -467,6 +469,27 @@ def test_decide_root_alpha_case():
             dec = decide_root(eq, j)
             beta = Rat(j + n + m, n * m)
             assert (dec.kind, dec.root, dec.witness) == ("alpha_root", -(beta + 1), None)
+
+
+def test_root_plans_belong_to_the_pair():
+    """The plan of each j is built once per pair, from the pair alone: B,
+    the Gamma pair, the test exponents of M_by_target with k >= 0 in scan
+    order, and both candidate roots.  Every entry is a tuple, and the plans
+    cannot be written."""
+    for n, m in coprime_pairs(range(2, 10), 20):
+        sg = Semigroup(n, m)
+        plans = _root_plans(sg)
+        assert plans is _root_plans(Semigroup(n, m))
+        assert tuple(plans) == sg.sets.J
+        for j, plan in plans.items():
+            big_b = j + n + m
+            tests = tuple(ab for ab in sg.sets.M_by_target if n * ab[0] + m * ab[1] <= big_b)
+            assert plan == (big_b, _gamma_pair(n, m, big_b), tests,
+                            Rat(-big_b, n * m), Rat(-big_b - n * m, n * m))
+            assert all(type(part) is tuple for part in (plan, plan[1], plan[2]))
+    plans = _root_plans(Semigroup(4, 9))
+    with pytest.raises(TypeError):
+        plans[1] = plans[2]
 
 
 def test_decide_root_validates_j():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspidal import cli
+from cuspidal import cli, curve
 from cuspidal.bernstein import interval_certificate
 from cuspidal.cli import main
 from cuspidal.curve import _solve_branch, cuspidal_sets, newton_puiseux
@@ -366,14 +366,55 @@ def test_verify_solves_one_branch(monkeypatch, text):
 @pytest.mark.parametrize("text", [SPEC49, "n = 7\nm = 10\nz 1 = 1\nz 5 = 2/3\nz 8 = -1\n"],
                          ids=["4-9", "7-10"])
 def test_cuspidal_sets_built_once_per_request(capsys, monkeypatch, tmp_path, command, text):
-    """The spec check, the equation and the residues share one CuspidalSets,
-    cached on the semigroup that the spec hands to the equation."""
+    """The spec check, the equation and the residues read one CuspidalSets,
+    cached on the one Semigroup of the pair: two requests of a pair new to
+    the process build it once between them, and the second builds none."""
+    monkeypatch.setattr(curve, "_SEMIGROUPS", {})
     p = tmp_path / "c.spec"
     p.write_text(text)
     calls = count_calls(monkeypatch, cuspidal_sets)
     code, _, _ = run(capsys, command, "--spec", str(p))
     assert code == 0
     assert len(calls) == 1
+    code, _, _ = run(capsys, command, "--spec", str(p))
+    assert code == 0
+    assert len(calls) == 1
+
+
+# (command, spec) over three pairs: a z-line nice spec, a term-line nice
+# spec, an adapted spec, a second curve of a pair already seen, and a spec
+# that exits 2.
+WARM_COLD_REQUESTS = [
+    ("bs-roots", "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n"),
+    ("bs-roots", "n = 4\nm = 9\nterm 1 7 1\nterm -1/2 7 2\n"),
+    ("jacobian", SPEC49_ADAPTED),
+    ("bs-roots", "n = 7\nm = 10\nz 1 = 1\nz 5 = 2/3\nz 8 = -1\n"),
+    ("bs-roots", "n = 5\nm = 7\nz 1 = 3\nz 6 = 1\n"),
+    ("delorme", "n = 7\nm = 10\nz 3 = 1\n"),
+]
+
+
+def test_warm_tables_give_cold_answers(capsys, tmp_path):
+    """Requests that find their pair's tables built by earlier requests, in
+    either order, answer as a fresh process does: no state of one curve is
+    kept with its pair."""
+    paths = []
+    for i, (_, text) in enumerate(WARM_COLD_REQUESTS):
+        paths.append(tmp_path / f"c{i}.spec")
+        paths[-1].write_text(text)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cold = []
+    for (command, _), path in zip(WARM_COLD_REQUESTS, paths):
+        proc = subprocess.run([sys.executable, "-m", "cuspidal.cli", command,
+                               "--spec", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        cold.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in cold] == [0, 0, 0, 0, 0, 2]
+    order = list(range(len(paths)))
+    for i in order + order[::-1]:
+        assert run(capsys, WARM_COLD_REQUESTS[i][0], "--spec", str(paths[i])) == cold[i], i
 
 
 def test_verify_runs_delorme_once(capsys, monkeypatch, spec49):

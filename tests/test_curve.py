@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import CurveEquation, Semigroup, _series, cuspidal_sets
+from cuspidal import CurveEquation, Semigroup, _series, curve, cuspidal_sets
 from cuspidal.curve import (NotAdapted, Parametrization, _leading_solution, _scaled_equation,
                             _solve_branch, newton_puiseux)
 from cuspidal.differentials import OneForm, delorme, oracle_differential_value
@@ -20,6 +20,32 @@ from cusp_testkit import CORPUS, coprime_pairs, count_calls
 def test_semigroup_rejects_bad_pairs(n, m):
     with pytest.raises(ValueError):
         Semigroup(n, m)
+
+
+def test_one_semigroup_per_pair():
+    """Semigroup(n, m) is the one instance of its pair, so its tables are
+    built once per process."""
+    sg = Semigroup(4, 9)
+    assert Semigroup(4, 9) is sg
+    assert Semigroup(n=4, m=9) is sg
+    assert sg.sets is Semigroup(4, 9).sets
+
+
+@pytest.mark.parametrize("n,m", [(4, 6), (5, 3), (1, 4)])
+def test_invalid_pair_raises_every_time_and_is_never_kept(n, m):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            Semigroup(n, m)
+    assert (n, m) not in curve._SEMIGROUPS
+
+
+def test_shared_pair_tables_are_read_only():
+    """Every curve of a pair reads the pair's j -> p mapping, so no one may
+    write into it."""
+    j_to_p = Semigroup(4, 9).sets.j_to_p
+    with pytest.raises(TypeError):
+        j_to_p[3] = (0, 0)
+    assert 3 not in j_to_p
 
 
 @pytest.mark.parametrize("n,m,gaps", [

@@ -362,11 +362,14 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     return RootDecision("alpha_root", alpha_root)
 
 
+@cache
 def certified_roots_from_semimodule(sm: AbstractSemimodule) -> frozenset:
     """The root subset certified directly by the semimodule of differential
     values: all of -(Lambda \\ Gamma)/nm when n <= 4, and the -(lambda_1 +
     Gamma \\ Gamma)/nm tail for larger n (empty when the Zariski invariant
-    vanishes)."""
+    vanishes).  The set depends on the semimodule alone, (n, m) and its
+    basis, so the frozenset is cached per semimodule: every curve with the
+    same values reads the one set."""
     sg, basis = sm.sg, sm.basis
     nm = sg.n * sg.m
     if sg.n <= 4:

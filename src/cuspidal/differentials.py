@@ -11,13 +11,13 @@ provides an independent oracle for the same number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .curve import CurveEquation, Parametrization, Semigroup
 from .poly import Exponent, TruncatedPoly
 from .rationals import Rat
 from .semimodules import AbstractSemimodule, _axis, covered
-from .standard_basis import FinalReduction, final_reduction
+from .standard_basis import final_reduction
 
 
 class ValueMismatch(ValueError):
@@ -121,16 +121,18 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
     return None if o is None else o + 1
 
 
-def _tuning(r1: FinalReduction, r2: FinalReduction) -> Rat:
+def _tuning(r1: dict, r2: dict) -> Rat:
     """mu+ = -lc(r1)/lc(r2): the scalar that cancels the leading term of r1
-    against r2.  Both reductions must be nonzero with the same leading power."""
-    if r1.vanished or r2.vanished:
+    against r2.  Both are reduced term maps of ``delorme``, keyed by the
+    order's sort key (weighted degree, x-exponent), and must be nonzero with
+    the same leading power."""
+    if not r1 or not r2:
         raise ValueMismatch("tuning needs finite values on both sides")
-    lt1, lt2 = r1.poly.leading, r2.poly.leading
-    if lt1.exponent != lt2.exponent:
+    lead1, lead2 = min(r1), min(r2)
+    if lead1 != lead2:
         raise ValueMismatch(
-            f"values differ: leading powers {lt1.exponent} vs {lt2.exponent}")
-    return -lt1.coeff / lt2.coeff
+            f"values differ: leading keys (degree, x-exponent) {lead1} vs {lead2}")
+    return -r1[lead1] / r2[lead2]
 
 
 def _last_uncovered(sg: Semigroup, taken: set) -> int:
@@ -138,6 +140,53 @@ def _last_uncovered(sg: Semigroup, taken: set) -> int:
     values that the lambda_j + Gamma cover.  No lambda_j is below n, so
     n - 1 <= last < c."""
     return next(k for k in range(sg.conductor - 1, -1, -1) if k not in taken)
+
+
+@cache
+def _round_plan(sg: Semigroup, lambdas: tuple) -> tuple:
+    """(last, u, s) of the round that lifts the newest of ``lambdas``: last
+    for the values the lambda_j + Gamma cover (``_last_uncovered``), the
+    axis u of the round and the lift s = decompose(u - lambda_i).  It
+    depends on (n, m) and the lambda prefix alone, so each plan is built
+    once per process and read by every run that reaches it."""
+    i = len(lambdas) - 1
+    last = _last_uncovered(sg, covered(sg, lambdas, sg.conductor))
+    u = _axis(sg, lambdas, i)
+    return last, u, sg.decompose(u - lambdas[i])
+
+
+def _lifted(g: dict, shift: Exponent, degree: int, horizon: int) -> dict:
+    """x^shift * g cut at ``horizon``; ``degree`` is the weighted degree of
+    x^shift."""
+    da = shift[0]
+    return {(d + degree, a + da): c for (d, a), c in g.items() if d + degree <= horizon}
+
+
+def _reduce_by_f(g: dict, tail: tuple, n: int, nm: int, horizon: int):
+    """Reduce the term map g modulo f in place; return its leading key, or
+    None when it vanished to the horizon.  f leads at y^n with coefficient
+    1, and ``tail`` holds its other terms as ((degree, a), c), degree
+    ascending: a step pops the leading term c*x^a*y^b, b >= n, and adds
+    -c*x^a*y^(b-n)*tail(f) up to the horizon."""
+    while g:
+        lead = min(g)
+        d, a = lead
+        if d - n * a < nm:  # m*b < nm: y^n does not divide the leading power
+            return lead
+        c = g.pop(lead)
+        d -= nm
+        for (td, ta), tc in tail:
+            if d + td > horizon:
+                break
+            e = (d + td, a + ta)
+            s = g.get(e)
+            if s is None:
+                g[e] = -c * tc
+            elif s := s - c * tc:
+                g[e] = s
+            else:
+                del g[e]
+    return None
 
 
 @dataclass(frozen=True)
@@ -232,7 +281,21 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
       ``ended`` and breaks before it touches ``lambdas``, ``rounds`` or
       ``reductions``.
 
-    Ending the round at c instead is the case last = c - 1.
+    Ending the round at c instead is the case last = c - 1.  The plan of a
+    round, (last, u, s) (``_round_plan``), depends on (n, m) and the lambda
+    prefix alone, never on the curve, so it is built once per pair and
+    prefix and read by every later run that reaches it.
+
+    The run works on plain term maps, keyed by ``WeightedOrder.key``
+    (weighted degree, x-exponent), so min() of a map is its leading term;
+    the h_i become ``TruncatedPoly`` only in the returned basis.  It reduces
+    modulo f in place (``_reduce_by_f``), and each step is the step of
+    ``final_reduction(g, [f])``, term for term: f is the only divisor, and
+    it leads at y^n with coefficient 1 (``CurveEquation`` checks it).  So
+    while the leading term c*x^a*y^b of g has b >= n, both subtract
+    c*x^a*y^(b-n)*f: the leading term cancels and -c*x^a*y^(b-n)*tail(f) is
+    added, every term above H_Delta dropped as ``TruncatedPoly`` arithmetic
+    at H_Delta drops it; once b < n, f divides nothing and both stop.
 
     f, f_x and f_y are cut once, at H_Delta = max(D, nm)
     (``Semigroup.delorme_horizon``, D = 2nm - 2n - 2m the Hessian degree);
@@ -240,12 +303,12 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     the monomials of degree > H_Delta are those of every horizon
     >= H_Delta, f's own 2nm included:
 
-    - ``TruncatedPoly`` arithmetic at horizon H is exact in R/m_{>H}, where
-      m_{>H} is spanned by the monomials of weighted degree > H, and a
-      reduction step modulo f cancels the leading term and adds only terms
-      above the current leading degree.  So the run at H takes the steps of
-      the run at any larger horizon for as long as every leading term it
-      reads has degree <= H, with the same tuning constants.
+    - Arithmetic cut at horizon H is exact in R/m_{>H}, where m_{>H} is
+      spanned by the monomials of weighted degree > H, and a reduction step
+      modulo f cancels the leading term and adds only terms above the
+      current leading degree.  So the run at H takes the steps of the run
+      at any larger horizon for as long as every leading term it reads has
+      degree <= H, with the same tuning constants.
     - The values it reads are below the conductor c = nm - n - m + 1, since
       a value or axis > last ends the round, and last < c.  A value
       nu < c leads at (a, b) with n(a+1) + m(b+1) - nm = nu, so at weighted
@@ -264,28 +327,29 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
       read it in the one window of its horizon (``oracle_differential_value``).
     """
     sg = eq.sg
-    c = sg.conductor
+    n, m, nm = sg.n, sg.m, sg.n * sg.m
     h = sg.delorme_horizon
-    f, fx, fy = (p.truncated(h) for p in (eq.f, eq.fx, eq.fy))
+    terms = [(n * a + m * b, a, b, c) for (a, b), c in eq.f.terms.items()]
+    tail = tuple(sorted(((d, a), c) for d, a, b, c in terms if d <= h and (d, a) != (nm, 0)))
 
-    # The seeds X_dx(f) = -f_y and X_dy(f) = f_x lead at (0, n-1) and
-    # (m-1, 0), which the leading power (0, n) of f divides neither, so they
-    # are their own final reductions; DifferentialBasis checks the powers.
-    reductions = [-fy, fx]
-    lambdas = [sg.n, sg.m]
-    taken = covered(sg, lambdas, c)
+    # The seeds X_dx(f) = -f_y and X_dy(f) = f_x, cut at H_Delta, lead at
+    # (0, n-1) and (m-1, 0), which the leading power (0, n) of f divides
+    # neither, so they are their own final reductions; DifferentialBasis
+    # checks the powers.
+    reductions = [{(d - m, a): -c * b for d, a, b, c in terms if b and d - m <= h},
+                  {(d - n, a - 1): c * a for d, a, b, c in terms if a and d - n <= h}]
+    lambdas = [n, m]
     rounds = []
     ended = None
 
-    for i in range(1, sg.n - 1):
-        last = _last_uncovered(sg, taken)
-        u = _axis(sg, tuple(lambdas), i)
-        s = sg.decompose(u - lambdas[i])
+    for i in range(1, n - 1):
+        last, u, s = _round_plan(sg, tuple(lambdas))
         if u > last:
             ended = (s, ())
             break
         steps = []
-        r = final_reduction(reductions[i].mul_monomial(1, s), [f])
+        r = _lifted(reductions[i], s, u - lambdas[i], h)
+        _reduce_by_f(r, tail, n, nm, h)
         value, usable = u, i  # the axis step may use only the forms before omega_i
         while True:
             # decompose is the membership test of value - lambda_j in Gamma.
@@ -297,14 +361,23 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
                     raise AssertionError(f"no earlier basis form covers the axis {u}")
                 break
             j, shift = cover
-            part = final_reduction(reductions[j].mul_monomial(1, shift), [f])
+            part = _lifted(reductions[j], shift, value - lambdas[j], h)
+            _reduce_by_f(part, tail, n, nm, h)
             mu = _tuning(r, part)
             steps.append((j, mu, shift))
-            r = final_reduction(r.poly + part.poly.scale(mu), [f])
-            if r.vanished:
+            for k, c in part.items():  # r += mu * part, in place
+                t = r.get(k)
+                if t is None:
+                    r[k] = mu * c
+                elif t := t + mu * c:
+                    r[k] = t
+                else:
+                    del r[k]
+            lead = _reduce_by_f(r, tail, n, nm, h)
+            if lead is None:
                 value = None
                 break
-            raised = _value_of_power(sg, r.poly.leading_power)
+            raised = lead[0] + n + m - nm
             if raised <= value:
                 raise AssertionError("tuning failed to raise the value")
             value = raised
@@ -317,9 +390,11 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             ended = (s, tuple(steps))
             break
         lambdas.append(value)
-        taken |= covered(sg, (value,), c)
         rounds.append((s, tuple(steps)))
-        reductions.append(r.poly)
+        reductions.append(r)
 
-    return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)), tuple(reductions),
+    reductions = tuple(
+        TruncatedPoly(sg.order, h, {(a, (d - n * a) // m): c for (d, a), c in g.items()})
+        for g in reductions)
+    return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)), reductions,
                              tuple(rounds), ended)

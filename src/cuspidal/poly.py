@@ -7,8 +7,9 @@ its minimal term in this order (local convention), and the leading power of 0
 is treated as +infinity by returning ``None``.
 
 A :class:`TruncatedPoly` stores only terms of weighted degree <= ``horizon``;
-every arithmetic operation discards generated terms beyond the smaller of the
-operand horizons.  Instances are immutable once constructed.
+it refuses an input term above it (``truncated`` is the one way to drop
+terms), and every arithmetic operation discards generated terms beyond the
+smaller of the operand horizons.  Instances are immutable once constructed.
 """
 from __future__ import annotations
 
@@ -67,7 +68,8 @@ class TruncatedPoly:
                 if a < 0 or b < 0:
                     raise ValueError(f"negative exponent {e}")
                 if n * a + m * b > horizon:
-                    continue
+                    raise ValueError(f"term {e} has weighted degree {n * a + m * b} "
+                                     f"above the horizon {horizon}")
                 c = rat(c)
                 if c:
                     clean[(a, b)] = c

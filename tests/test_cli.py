@@ -1,13 +1,17 @@
 """End-to-end command-line behavior: reports, determinism, exit codes."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspidal import cli, curve
 from cuspidal.bernstein import interval_certificate
@@ -642,3 +646,49 @@ def test_horizon_exhausted_exits_one(capsys, monkeypatch, spec49, command):
     assert code == 1
     assert out == ""
     assert err == "error: HorizonExhausted: the Jacobian staircase is infinite\n"
+
+
+# Values a fuzzed spec line may carry: small integers (so that every pair is
+# cheap) and rationals, and, one time in three, zero, a zero denominator, a
+# non-number, a decimal, an exponent form or a negative integer.
+_fuzz_good = st.sampled_from(["1", "2", "3", "4", "5", "6", "-1", "1/2", "-2/3"])
+_fuzz_bad = st.sampled_from(["0", "1/0", "x", "2.5", "1e3", "-7"])
+_fuzz_value = st.one_of(_fuzz_good, _fuzz_good, _fuzz_bad)
+_fuzz_z = st.builds("z {} = {}".format, _fuzz_value, _fuzz_value)
+_fuzz_term = st.builds("term {} {} {}".format, _fuzz_value, _fuzz_value, _fuzz_value)
+_fuzz_line = st.one_of(
+    _fuzz_z, _fuzz_z, _fuzz_term, _fuzz_term,
+    st.builds("{} = {}".format, st.sampled_from(["n", "m", "mu"]), _fuzz_value),
+    st.sampled_from(["precision = 64", "seed = 3", "horizon_mult = 2", "# note", "",
+                     "z 1", "term 1 2", "n 4", "= 3", "n=4=5", "mu = 2 # two"]),
+)
+_fuzz_text = st.builds(
+    lambda head, lines: head + "".join(line + "\n" for line in lines),
+    st.sampled_from(["n = 4\nm = 9\n", "n = 3\nm = 5\n", "n = 5\nm = 7\n",
+                     "n = 2\nm = 7\n", "n = 4\n", ""]),
+    st.lists(_fuzz_line, max_size=4))
+
+
+def test_random_specs_exit_zero_or_two(tmp_path):
+    """Whatever a spec file holds, a spec subcommand exits 0 with a report,
+    or exits 2 with one ``error: <kind>: ...`` line on stderr; it never
+    raises.  The texts mix keys, z and term lines, removed keys and values
+    such as 1/0, x and 1e3."""
+    path = tmp_path / "fuzz.spec"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([c for c in DECLARED if "--spec" in DECLARED[c]]), _fuzz_text)
+    def check(command, text):
+        path.write_text(text, encoding="utf-8")
+        argv = ["--j", "1", "--ab", "1,1"] if command == "residue" else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--spec", str(path), *argv])
+        if code == 0:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert code == 2, (command, text, err.getvalue())
+            assert out.getvalue() == ""
+            assert re.fullmatch(r"error: [A-Za-z_]+: [^\n]+\n", err.getvalue()), err.getvalue()
+
+    check()

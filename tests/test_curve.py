@@ -192,18 +192,17 @@ def _all_ones(n, m) -> CurveEquation:
 # The adapted curves carry a power y^b with b > n and a pure power x^a with
 # a > m, so the branch's power table runs past v^n and H has terms free of v;
 # the y^5 term (n = 4) and the y^4 term (n = 2, at 2nm = 12) reach the
-# cut-offs of the recursion at s^work.  The y^7 and x*y^5 terms of the other
-# (2, 3) curve are above 2nm, where f is held, so its f, and its branch, are
-# those of y^2 - 2x^3.
+# cut-offs of the recursion at s^work.  The mu = -2 case, y^2 - 2x^3, is
+# adapted with no term above the weight line.
 BRANCH_CASES = [_all_ones(n, m) for n, m in CORPUS] + [
     _adapted_45_mu2(),
     _adapted(3, 5, {(5, 0): Rat(3), (0, 4): Rat(-2, 3), (6, 0): Rat(5, 2), (2, 2): Rat(1)}),
     _adapted(4, 5, {(5, 0): Rat(-1, 2), (0, 5): Rat(4), (6, 0): Rat(-3), (3, 2): Rat(1, 3)}),
-    _adapted(2, 3, {(3, 0): Rat(-2), (0, 7): Rat(3), (1, 5): Rat(1, 2)}),
+    _adapted(2, 3, {(3, 0): Rat(-2)}),
     _adapted(2, 3, {(3, 0): Rat(-2), (0, 4): Rat(3), (1, 3): Rat(1, 2)}),
 ]
 BRANCH_IDS = [f"{n}-{m}" for n, m in CORPUS] + [
-    "adapted-4-5-mu2", "adapted-3-5-y4-x6", "adapted-4-5-y5-x6", "adapted-2-3-y7",
+    "adapted-4-5-mu2", "adapted-3-5-y4-x6", "adapted-4-5-y5-x6", "adapted-2-3-mu-2",
     "adapted-2-3-y4"]
 
 

@@ -1,8 +1,10 @@
 """Differential values, the minimal basis algorithm, and the series oracle."""
 from __future__ import annotations
 
+import inspect
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -11,9 +13,11 @@ from cuspidal import CurveEquation, Semigroup, cuspidal_sets, parse_spec
 from cuspidal import differentials
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
+    DifferentialBasis,
     OneForm,
     ValueMismatch,
     _last_uncovered,
+    _round_plan,
     _tuning,
     apply_vector_field,
     delorme,
@@ -64,8 +68,11 @@ def test_monomial_forms_realize_their_value():
         assert monomial_value(w) == base + n * a + m * b
 
 
-def _reduced(w: OneForm, eq: CurveEquation):
-    return final_reduction(apply_vector_field(w, eq), [eq.f])
+def _reduced(w: OneForm, eq: CurveEquation) -> dict:
+    """The final reduction of X_w(f) modulo f, as ``delorme`` holds it: a
+    term map keyed by (weighted degree, x-exponent)."""
+    red = final_reduction(apply_vector_field(w, eq), [eq.f])
+    return {eq.sg.order.key(e): c for e, c in red.poly.terms.items()}
 
 
 def test_tuning_constant_45():
@@ -82,7 +89,7 @@ def test_tuning_constant_45():
 
 def test_tuning_constant_needs_equal_values():
     dx, dy = OneForm.basic(EQ45.f, "dx"), OneForm.basic(EQ45.f, "dy")
-    with pytest.raises(ValueMismatch):
+    with pytest.raises(ValueMismatch, match=r"values differ: .* \(15, 0\) vs \(16, 4\)"):
         _tuning(_reduced(dx, EQ45), _reduced(dy, EQ45))
     # df has infinite value: X_df(f) = 0, so its reduction vanishes
     with pytest.raises(ValueMismatch, match="finite values"):
@@ -300,7 +307,8 @@ def _horizon_draws():
             a, b = rng.randint(0, 2 * m), rng.randint(0, n + 2)
             if n * a + m * b > n * m and (a, b) != (m, 0):
                 terms[(a, b)] = Rat(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 3))
-        yield CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, terms))
+        drawn = TruncatedPoly(sg.order, n * 2 * m + m * (n + 2), terms)
+        yield CurveEquation(sg, drawn.truncated(sg.branch_horizon))
 
 
 def _guard_fires(eq, diff) -> bool:
@@ -358,30 +366,42 @@ def _bs_roots_draws():
                 for j in sg.sets.J if rng.random() < density})
 
 
+@contextmanager
+def _cut_at_the_conductor(patch):
+    """Round plans built with last = c - 1, the cut at the conductor, for the
+    length of the block; the plans built there are dropped on both ends."""
+    patch.setattr(differentials, "_last_uncovered", lambda sg, taken: sg.conductor - 1)
+    _round_plan.cache_clear()
+    try:
+        yield
+    finally:
+        _round_plan.cache_clear()
+
+
 def test_the_cut_at_last_is_invisible(monkeypatch):
     """Ending a round once its value or axis passes last changes no output:
-    with ``_last_uncovered`` patched to c - 1, the cut at the conductor,
+    with the round plans built with last = c - 1, the cut at the conductor,
     delorme gives the same values, horizon, rounds, reductions and forms on
     every ``_horizon_draws()`` curve and on the bs-roots pairs.  There the cut
-    saves final reductions, and on some curve with n >= 5 it ends a round
+    saves reductions modulo f, and on some curve with n >= 5 it ends a round
     below c, which is the only way it can save one."""
     calls = []
+    reduce_by_f = differentials._reduce_by_f
 
     def counted(*args):
         calls.append(args)
-        return final_reduction(*args)
+        return reduce_by_f(*args)
 
     def run(eq):
         calls.clear()
         diff = delorme(eq)
         return (diff.values, diff.rounds, diff.reductions, diff.forms), len(calls)
 
-    monkeypatch.setattr(differentials, "final_reduction", counted)
+    monkeypatch.setattr(differentials, "_reduce_by_f", counted)
     saved, below_c = Counter(), False
     for eq in [*_horizon_draws(), *_bs_roots_draws()]:
         ours, cut = run(eq)
-        with monkeypatch.context() as patch:
-            patch.setattr(differentials, "_last_uncovered", lambda sg, taken: sg.conductor - 1)
+        with monkeypatch.context() as patch, _cut_at_the_conductor(patch):
             old, full = run(eq)
         assert ours == old
         assert cut <= full
@@ -389,3 +409,136 @@ def test_the_cut_at_last_is_invisible(monkeypatch):
         below_c |= eq.sg.n >= 5 and cut < full
     assert all(saved[pair] > 0 for pair in ((7, 10), (9, 13), (11, 13)))
     assert below_c
+
+
+def _reference_tuning(r1, r2) -> Rat:
+    if r1.vanished or r2.vanished:
+        raise ValueMismatch("tuning needs finite values on both sides")
+    lt1, lt2 = r1.poly.leading, r2.poly.leading
+    if lt1.exponent != lt2.exponent:
+        raise ValueMismatch("values differ")
+    return -lt1.coeff / lt2.coeff
+
+
+def _reference_delorme(eq: CurveEquation) -> DifferentialBasis:
+    """Delorme's run on ``final_reduction(..., [f])`` and ``TruncatedPoly``
+    arithmetic, with last, the axis and the lift found afresh each round:
+    the independent route that ``delorme`` must match term for term."""
+    sg = eq.sg
+    c = sg.conductor
+    h = sg.delorme_horizon
+    f, fx, fy = (p.truncated(h) for p in (eq.f, eq.fx, eq.fy))
+    reductions = [-fy, fx]
+    lambdas = [sg.n, sg.m]
+    taken = covered(sg, lambdas, c)
+    rounds = []
+    ended = None
+    for i in range(1, sg.n - 1):
+        last = _last_uncovered(sg, taken)
+        u = _axis(sg, tuple(lambdas), i)
+        s = sg.decompose(u - lambdas[i])
+        if u > last:
+            ended = (s, ())
+            break
+        steps = []
+        r = final_reduction(reductions[i].mul_monomial(1, s), [f])
+        value, usable = u, i
+        while True:
+            cover = next(((j, shift) for j in range(usable - 1, -1, -1)
+                          if (shift := sg.decompose(value - lambdas[j])) is not None),
+                         None)
+            if cover is None:
+                assert usable != i
+                break
+            j, shift = cover
+            part = final_reduction(reductions[j].mul_monomial(1, shift), [f])
+            mu = _reference_tuning(r, part)
+            steps.append((j, mu, shift))
+            r = final_reduction(r.poly + part.poly.scale(mu), [f])
+            if r.vanished:
+                value = None
+                break
+            lp = r.poly.leading_power
+            raised = sg.n * (lp[0] + 1) + sg.m * (lp[1] + 1) - sg.n * sg.m
+            assert raised > value
+            value = raised
+            if value > last:
+                value = None
+                break
+            usable = len(lambdas)
+        if value is None:
+            ended = (s, tuple(steps))
+            break
+        lambdas.append(value)
+        taken |= covered(sg, (value,), c)
+        rounds.append((s, tuple(steps)))
+        reductions.append(r.poly)
+    return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)), tuple(reductions),
+                             tuple(rounds), ended)
+
+
+def _adapted_specs():
+    """Random adapted specs with mu != 1 and raw terms between nm and 2nm,
+    on pairs with 3 <= n <= 8."""
+    rng = random.Random(26)
+    pairs = [(n, m) for n, m in coprime_pairs(range(3, 9), 14)]
+    for _ in range(60):
+        n, m = rng.choice(pairs)
+        lines = [f"n = {n}", f"m = {m}",
+                 f"mu = {rng.choice([-3, -2, -1, 2, 5])}/{rng.choice([1, 3])}"]
+        seen = set()
+        for _ in range(rng.randint(1, 6)):
+            a, b = rng.randint(0, 2 * m), rng.randint(0, 2 * n)
+            if n * m < n * a + m * b <= 2 * n * m and (a, b) not in seen:
+                seen.add((a, b))
+                lines.append(f"term {rng.choice([-1, 1]) * rng.randint(1, 5)}/{rng.randint(1, 3)}"
+                             f" {a} {b}")
+        yield parse_spec("\n".join(lines) + "\n")
+
+
+def test_delorme_matches_the_reference_run(monkeypatch):
+    """The run on term maps, reduced modulo f in place and planned once per
+    pair and lambda prefix, gives the reference run's values, rounds, ending
+    round, reductions (terms and horizon) and trail, on every
+    ``_horizon_draws()`` and ``_bs_roots_draws()`` curve and on random
+    adapted specs with mu != 1.  After every reduction modulo f the map
+    holds no zero coefficient and no term above H_Delta, and the key
+    returned is its leading one."""
+    reduce_by_f = differentials._reduce_by_f
+
+    def checked(g, tail, n, nm, horizon):
+        lead = reduce_by_f(g, tail, n, nm, horizon)
+        assert lead == (min(g) if g else None)
+        assert all(g.values()) and all(d <= horizon for d, _ in g)
+        return lead
+
+    monkeypatch.setattr(differentials, "_reduce_by_f", checked)
+    adapted = list(_adapted_specs())
+    assert sum(eq.mu != 1 for eq in adapted) == len(adapted) >= 50
+    for eq in [*_horizon_draws(), *_bs_roots_draws(), *adapted]:
+        ours, ref = delorme(eq), _reference_delorme(eq)
+        assert ours.values == ref.values
+        assert (ours.rounds, ours.ended) == (ref.rounds, ref.ended)
+        assert ([(p.horizon, p.terms) for p in ours.reductions]
+                == [(p.horizon, p.terms) for p in ref.reductions])
+        assert ours.trail == ref.trail
+
+
+def test_round_plans_belong_to_the_pair_and_prefix():
+    """The plan cache is keyed by (semigroup, lambda prefix) alone: after a
+    cleared cache has served many curves, it holds one plan for each prefix
+    the runs reached, every such key is a hit, and no curve data is in it."""
+    assert list(inspect.signature(_round_plan.__wrapped__).parameters) == ["sg", "lambdas"]
+    _round_plan.cache_clear()
+    reached = set()
+    for eq in [*_horizon_draws(), *_bs_roots_draws()]:
+        diff = delorme(eq)
+        depth = 1 + len(diff.rounds) + (diff.ended is not None)
+        basis = diff.values.basis
+        reached |= {(eq.sg, basis[:k]) for k in range(2, depth + 1)}
+    info = _round_plan.cache_info()
+    assert info.currsize == len(reached) < info.hits
+    for key in reached:
+        plan = _round_plan(*key)
+        assert all(isinstance(x, (int, tuple)) for x in plan)
+    assert _round_plan.cache_info().misses == info.misses

@@ -37,14 +37,15 @@ def test_equation_horizon_below_2nm_is_rejected():
     """At horizon n*m the (4, 9) curve would read basis (4, 9) and tau = 24;
     every constructor refuses a horizon below 2nm."""
     sg = Semigroup(4, 9)
+    full = TruncatedPoly(sg.order, 72, {(0, 4): 1, (9, 0): 1, (7, 1): 1})
     with pytest.raises(ValueError, match="must be 2\\*n\\*m = 72"):
-        CurveEquation(sg, TruncatedPoly(sg.order, 36, {(0, 4): 1, (9, 0): 1, (7, 1): 1}))
+        CurveEquation(sg, full.truncated(36))
     with pytest.raises(ValueError, match="must be 2\\*n\\*m = 72"):
         CurveEquation(sg, TruncatedPoly(sg.order, 71, {(0, 4): 1, (9, 0): 1}))
     # The horizon is checked before the shape: at 20 the truncation drops
     # x^9, which is not a missing term of the curve.
     with pytest.raises(ValueError, match="must be 2\\*n\\*m = 72, got 20") as info:
-        CurveEquation(sg, TruncatedPoly(sg.order, 20, {(9, 0): 1, (0, 4): 1}))
+        CurveEquation(sg, full.truncated(20))
     assert not isinstance(info.value, NotAdapted)
     eq = CurveEquation.nice(sg, {1: Rat(1)})
     assert delorme(eq).values.basis == (4, 9, 14, 19)

@@ -32,8 +32,9 @@ def test_horizon_truncation_is_inclusive():
     p = TruncatedPoly(O45, 80, {(0, 0): 1, (20, 0): 1})
     # weighted degree exactly 80 must survive the cut
     assert (20, 0) in {t.exponent for t in p.sorted_terms()}
-    q = TruncatedPoly(O45, 80, {(0, 0): 1, (21, 0): 1})
-    assert {t.exponent for t in q.sorted_terms()} == {(0, 0)}
+    # one degree past it is refused, not dropped
+    with pytest.raises(ValueError, match="weighted degree 84 above the horizon 80"):
+        TruncatedPoly(O45, 80, {(0, 0): 1, (21, 0): 1})
 
 
 def test_truncated_cuts_at_a_lower_horizon_only():
@@ -128,3 +129,21 @@ def test_leading_multiplicative(seed):
         lead = prod.leading
         assert lead.exponent == joint
         assert lead.coeff == p.leading.coeff * q.leading.coeff
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 3), (3, 5), (4, 7)]), st.integers(-5, 60),
+       st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 9)),
+                       st.fractions(max_denominator=6), max_size=6))
+def test_construction_keeps_every_term_or_raises(pair, horizon, terms):
+    """A term map is stored whole, apart from its zero coefficients, or
+    refused with the first term above the horizon; no term is dropped in
+    silence: ``truncated`` is the one way to cut terms."""
+    order = WeightedOrder(*pair)
+    above = [e for e in terms if order.degree(e) > horizon]
+    if above:
+        with pytest.raises(ValueError, match="above the horizon"):
+            TruncatedPoly(order, horizon, terms)
+        return
+    p = TruncatedPoly(order, horizon, terms)
+    assert p.terms == {e: c for e, c in terms.items() if c}

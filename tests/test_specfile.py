@@ -65,12 +65,15 @@ def test_lone_mu_builds_the_adapted_form():
 @pytest.mark.parametrize("text", ["n=4\nm=9\nz 1 = 1", "n=4\nm=9\nmu = 2",
                                   "n=4\nm=9\nterm 1 9 1"])
 def test_horizon_argument_passes_the_equation_check(text):
-    """A spec's curve rebuilt at any horizon but 2nm, below or above, is
-    refused by CurveEquation, the one horizon check, on either form."""
+    """A spec's curve rebuilt at any horizon but 2nm, below (cut by
+    ``truncated``) or above, is refused by CurveEquation, the one horizon
+    check, on either form."""
     eq = parse_spec(text)
     for horizon in (-36, 0, 36, 71, 73, 108, 144):
+        f = (eq.f.truncated(horizon) if horizon < 72
+             else TruncatedPoly(eq.sg.order, horizon, eq.f.terms))
         with pytest.raises(ValueError) as info:
-            CurveEquation(eq.sg, TruncatedPoly(eq.sg.order, horizon, eq.f.terms))
+            CurveEquation(eq.sg, f)
         assert str(info.value) == f"truncation horizon must be 2*n*m = 72, got {horizon}"
     assert CurveEquation(eq.sg, TruncatedPoly(eq.sg.order, 72, eq.f.terms)) == eq
 

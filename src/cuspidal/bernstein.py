@@ -458,9 +458,9 @@ class FourReport:
 def four_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> FourReport:
     """For n = 4: predict the second extension value lambda_2 = 8 alpha +
     3 epsilon + 4 q' from the coefficient pattern (simple vanishing tests
-    below q, a quadratic combination at q), compare against the Delorme
-    basis ``values``, and verify the residue chain plus the guaranteed
-    nonzero residues above lambda_2."""
+    below q, a quadratic combination at q), compare against the q' that
+    ``classify_four`` reads off the Delorme basis ``values``, and verify the
+    residue chain plus the guaranteed nonzero residues above lambda_2."""
     _check_semimodule(eq, values)
     sg = eq.sg
     n, m = sg.n, sg.m
@@ -481,25 +481,11 @@ def four_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> FourR
         raise PreconditionViolation(f"q = {q} outside [0, alpha-2]")
 
     z = eq.nice_coeffs
-    q_prime_coeffs = None
-    for gamma in range(q + 1):
-        if gamma < q:
-            if rat(z.get(2 * epsilon + 4 * (q + gamma), 0)):
-                q_prime_coeffs = gamma
-                break
-        else:
-            quad = (2 * (4 * alpha + epsilon) * rat(z.get(2 * epsilon + 8 * q, 0))
-                    - (3 * alpha + epsilon + q) * rat(z.get(epsilon + 4 * q, 0)) ** 2)
-            if quad:
-                q_prime_coeffs = gamma
-
-    cls = classify_four(values)
-    if cls.case == 3:
-        if cls.q != q:
-            raise AssertionError("classification and lambda_1 disagree on q")
-        q_prime_delorme = cls.q_prime
-    else:
-        q_prime_delorme = None
+    quad = (2 * (4 * alpha + epsilon) * z.get(2 * epsilon + 8 * q, 0)
+            - (3 * alpha + epsilon + q) * z.get(epsilon + 4 * q, 0) ** 2)
+    q_prime_coeffs = next((gamma for gamma in range(q) if z.get(2 * epsilon + 4 * (q + gamma))),
+                          q if quad else None)
+    q_prime_delorme = classify_four(values).q_prime
 
     top = q_prime_delorme if q_prime_delorme is not None else q
     chain = []

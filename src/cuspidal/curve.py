@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 
 from . import _series
@@ -37,7 +37,8 @@ class _OnePerPair(type):
     """Makes ``Semigroup(n, m)`` return the one instance of its pair in this
     process, so the cached tables of a pair are built on its first use and
     read by every later one.  A pair enters ``_SEMIGROUPS`` only once
-    ``__post_init__``'s checks pass: an invalid pair raises on every call."""
+    ``__post_init__`` has built its ``WeightedOrder``, whose checks are the
+    pair check: an invalid pair raises on every call."""
 
     def __call__(cls, n, m):
         sg = _SEMIGROUPS.get((n, m))
@@ -57,12 +58,10 @@ class Semigroup(metaclass=_OnePerPair):
 
     n: int
     m: int
+    order: WeightedOrder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (2 <= self.n < self.m):
-            raise ValueError(f"need 2 <= n < m, got ({self.n}, {self.m})")
-        if gcd(self.n, self.m) != 1:
-            raise ValueError(f"generators must be coprime, got ({self.n}, {self.m})")
+        object.__setattr__(self, "order", WeightedOrder(self.n, self.m))
 
     @property
     def conductor(self) -> int:
@@ -107,19 +106,8 @@ class Semigroup(metaclass=_OnePerPair):
         return 2 * self.n * self.m
 
     @cached_property
-    def order(self) -> WeightedOrder:
-        return WeightedOrder(self.n, self.m)
-
-    @cached_property
     def _gap_set(self) -> frozenset:
-        present = [False] * self.conductor
-        for a in range(0, self.conductor // self.n + 1):
-            base = self.n * a
-            for b in range(0, (self.conductor - base) // self.m + 1):
-                k = base + self.m * b
-                if k < self.conductor:
-                    present[k] = True
-        return frozenset(k for k, ok in enumerate(present) if not ok)
+        return frozenset(k for k in range(self.conductor) if self.decompose(k) is None)
 
     @cached_property
     def _m_inverse(self) -> int:

@@ -13,11 +13,9 @@ without spaces.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .curve import CurveEquation, Semigroup
 from .poly import TruncatedPoly
-from .rationals import ONE, Rat, rat
+from .rationals import ONE, Rat
 
 
 class SpecError(ValueError):
@@ -45,7 +43,7 @@ class CoefficientOutsideJ(SpecError):
 
 def _rational(text: str, line: int) -> Rat:
     try:
-        return rat(Fraction(text))
+        return Rat(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational, got {text!r}", line) from None
 

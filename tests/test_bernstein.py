@@ -555,6 +555,23 @@ def test_four_report_pin():
     assert rep.consistent
 
 
+@pytest.mark.parametrize("m,coeffs,q_triple", [
+    (13, {5: Rat(1), 6: Rat(1)}, (1, 0, 0)),
+    (13, {5: Rat(1), 10: Rat(1)}, (1, 1, 1)),
+    (13, {5: Rat(1), 10: Rat(11, 26)}, (1, None, None)),
+    (17, {9: Rat(1), 10: Rat(1)}, (2, 0, 0)),
+    (17, {9: Rat(1), 14: Rat(1)}, (2, 1, 1)),
+    (17, {9: Rat(1), 18: Rat(1)}, (2, 2, 2)),
+])
+def test_four_report_with_positive_q(m, coeffs, q_triple):
+    """With q >= 1 the coefficient prediction of q' runs its vanishing tests
+    below q before the quadratic at q; both predictions agree."""
+    eq = CurveEquation.nice(Semigroup(4, m), coeffs)
+    rep = four_condition_check(eq, delorme(eq).values)
+    assert (rep.q, rep.q_prime_coeffs, rep.q_prime_delorme) == q_triple
+    assert rep.consistent
+
+
 def test_four_report_degenerate():
     """Coefficients sitting exactly on the quadratic locus drop lambda_2: the
     residue chain vanishes identically and both q' predictions agree on None."""

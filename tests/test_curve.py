@@ -31,7 +31,7 @@ def test_one_semigroup_per_pair():
     assert sg.sets is Semigroup(4, 9).sets
 
 
-@pytest.mark.parametrize("n,m", [(4, 6), (5, 3), (1, 4)])
+@pytest.mark.parametrize("n,m", [(4, 6), (5, 3), (1, 4), (3, 3)])
 def test_invalid_pair_raises_every_time_and_is_never_kept(n, m):
     for _ in range(3):
         with pytest.raises(ValueError):
@@ -65,6 +65,22 @@ def test_conductor_counts_gaps(n, m):
     assert len(sg.gaps()) == sg.conductor // 2
     assert all(g < sg.conductor for g in sg.gaps())
     assert sg.conductor - 1 not in sg
+
+
+@pytest.mark.parametrize("n,m", coprime_pairs(range(2, 10), 20))
+def test_membership_matches_brute_force(n, m):
+    """k is in Gamma = <n, m> iff k - m*b is a non-negative multiple of n for
+    some b < n; the membership test, the gaps, the elements and decompose
+    all give that answer."""
+    sg = Semigroup(n, m)
+    c, gaps = sg.conductor, set(sg.gaps())
+    for k in range(n + c + m):
+        want = any(k - m * b >= 0 and (k - m * b) % n == 0 for b in range(n))
+        assert (k in sg) is want
+        assert (k not in gaps) is want
+        if k < n + c:
+            assert (k in sg.elements) is want
+        assert (sg.decompose(k) is not None) is want
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import fractions
 from pathlib import Path
 
 import cuspidal
@@ -11,6 +12,10 @@ def test_public_names_resolve_once():
     names = cuspidal.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(cuspidal, n)] == []
+
+
+def test_rationals_are_fractions():
+    assert cuspidal.Rat is fractions.Fraction
 
 
 def _unused_imports(path: Path) -> list:

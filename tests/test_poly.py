@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
-from cuspidal.rationals import Rat
+from cuspidal.rationals import Rat, rat
 
 O45 = WeightedOrder(4, 5)
 
@@ -77,6 +77,22 @@ def test_mul_monomial_and_scale():
     assert {t.exponent for t in shifted.sorted_terms()} == {(1, 5), (6, 1)}
     assert all(t.coeff == 2 for t in shifted.sorted_terms())
     assert p.scale(Rat(0)).is_zero
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TruncatedPoly(O45, 80, {(0, 0): 0.5}),
+    lambda: TruncatedPoly.monomial(O45, 0.5, (0, 0), 80),
+    lambda: TruncatedPoly(O45, 80, {(0, 4): 1}) * 0.5,
+], ids=["constructor", "monomial", "scalar"])
+def test_float_coefficients_are_refused(build):
+    """No rounded value enters a computation: a float coefficient or scalar
+    is a TypeError, wherever it comes in."""
+    with pytest.raises(TypeError, match="exact rational"):
+        build()
+
+
+def test_rat_reads_a_rational_string():
+    assert rat(" -7/2 ") == Rat(-7, 2)
 
 
 @pytest.mark.parametrize("e1,e2,expected", [

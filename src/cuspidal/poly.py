@@ -234,7 +234,7 @@ class TruncatedPoly:
             raise ValueError(f"negative shift {shift}")
         n, m, h = self.order.n, self.order.m, self.horizon
         d = n * da + m * db
-        if c == 1:  # a plain shift, as in ``s_process_min`` and ``DifferentialBasis._replay``
+        if c == 1:  # a plain shift, as in ``DifferentialBasis._replay``
             out = {(a + da, b + db): v for (a, b), v in self.terms.items()
                    if n * a + m * b + d <= h}
         else:

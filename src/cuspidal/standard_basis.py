@@ -6,11 +6,18 @@ larger in the weighted order.  Because only finitely many exponents live below
 the horizon, iterated reduction terminates: either with a nonzero
 irreducible remainder or with every remaining term pushed beyond the horizon
 (``FinalReduction.vanished``, which callers treat as ideal membership).
+
+``reduce_step`` and ``final_reduction`` take that step over ``Fraction``
+coefficients.  ``buchberger`` takes it fraction-free on integer term maps:
+with gamma = gcd(lc(g), lc(b)) it sets
+r = (lc(b)/gamma) * g - (lc(g)/gamma) * x^(lp(g)-lp(b)) * b, a nonzero integer
+multiple of the step above, so the leading powers do not change.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Sequence
 
 from .poly import Exponent, TruncatedPoly, divides
@@ -35,7 +42,9 @@ def reduce_step(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> TruncatedPo
     element: the largest dividing leading power, ties to the earliest.
 
     Returns the reduced polynomial, or None when g is zero or no basis
-    leading power divides lp(g).
+    leading power divides lp(g).  ``final_reduction`` iterates it for
+    ``differential_value``; ``buchberger`` takes the same step on integer
+    term maps and does not call it.
     """
     lead = g.leading
     if lead is None:
@@ -61,7 +70,13 @@ def final_reduction(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> FinalRe
 
 
 def s_process_min(g1: TruncatedPoly, g2: TruncatedPoly) -> TruncatedPoly:
-    """Minimal S-process: cancel the leading terms over lcm(lp(g1), lp(g2))."""
+    """Minimal S-process: cancel the leading terms over lcm(lp(g1), lp(g2)).
+
+    No code of the package calls it: ``buchberger`` forms the same
+    S-process, scaled to integers, on its own term maps.  It stays as the
+    ``Fraction`` statement of that step, which the tests' reference
+    Buchberger runs and ``bench/layers.TARGETS`` traces.
+    """
     if g1.is_zero or g2.is_zero:
         raise ValueError("S-process needs nonzero polynomials")
     (a1, b1), c1 = g1.leading
@@ -108,6 +123,21 @@ def _as_standard_basis(polys: Sequence[TruncatedPoly]) -> StandardBasis:
     return StandardBasis(tuple(sorted(polys, key=lambda p: p.leading_power[0])))
 
 
+def _subtract_shifted(r: dict, q: int, tail: tuple, degree: int, da: int,
+                      horizon: int) -> None:
+    """r <- r - q * x^s * tail in place, cut at ``horizon``: x^s has weighted
+    degree ``degree`` and x-exponent ``da``, and ``tail`` is ascending."""
+    for (d, a), c in tail:
+        d += degree
+        if d > horizon:
+            break
+        e = (d, a + da)
+        if s := r.get(e, 0) - q * c:
+            r[e] = s
+        else:
+            del r[e]
+
+
 def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     """Standard basis of the ideal generated by ``gens``, valid below the horizon.
 
@@ -116,32 +146,102 @@ def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     by discarding generators whose leading power is divisible by another's.
     The generators must share one horizon: then every new generator, a
     remainder at that horizon, leads at or below it.
+
+    The run works fraction-free on plain term maps with integer
+    coefficients, keyed by ``WeightedOrder.key`` (weighted degree,
+    x-exponent), so min() of a map is its leading term; only the kept
+    entries become ``TruncatedPoly``.  Each generator is scaled by the lcm
+    of its denominators and divided by its content.  With leading
+    coefficients c1, c2 and g = gcd(c1, c2), the S-process of a pair is
+    (c2/g)*x^s1*g1 - (c1/g)*x^s2*g2.  A reduction step against the divisor
+    b of ``reduce_step`` (the largest dividing leading power, ties to the
+    earliest) pops the leading term c*x^e of r and, with
+    gamma = gcd(c, lc(b)), sets r <- (lc(b)/gamma)*r - (c/gamma)*x^s*tail(b),
+    cut at the horizon.  A remainder that survives is divided by its
+    content before it joins the basis.
+
+    The leading powers are those of the same run over ``Fraction``
+    coefficients (``s_process_min``, then ``final_reduction``), and each
+    returned polynomial is a primitive integer multiple of that run's:
+
+    - The S-process above is c2/g times ``s_process_min(g1, g2)``, and a
+      step is lc(b)/gamma times ``reduce_step``'s r - (c/lc(b))*x^s*b:
+      each a nonzero rational multiple of the ``Fraction`` step, applied to
+      nonzero rational multiples of the same polynomials.  Cutting at the
+      horizon commutes with scaling.
+    - The divisor choice, the vanishing test and the minimality pass read
+      only leading powers and whether a polynomial is zero, and a nonzero
+      scalar changes neither.
+    - So, by induction on the steps, both runs process the same pairs in
+      the same order, take the same divisors, vanish together and append
+      remainders with the same leading powers, each a rational multiple of
+      the other's; dividing by the content keeps it one.
     """
     horizons = {g.horizon for g in gens}
     if len(horizons) > 1:
         raise ValueError(f"generators must share one horizon, got {sorted(horizons)}")
-    basis = [g for g in gens if not g.is_zero]
-    if not basis:
+    nonzero = [g for g in gens if not g.is_zero]
+    if not nonzero:
         raise ValueError("no nonzero generators")
-    order = basis[0].order
+    order, h = nonzero[0].order, nonzero[0].horizon
+    n, m = order.n, order.m
+    basis = []  # (leading key, leading power, leading coefficient, tail)
+
+    def join(g: dict) -> None:
+        """Append the nonzero integer term map g divided by its content, its
+        tail in ascending order."""
+        content = gcd(*g.values())
+        lead = min(g)
+        d, a = lead
+        basis.append((lead, (a, (d - n * a) // m), g[lead] // content,
+                      tuple(sorted((k, c // content) for k, c in g.items() if k != lead))))
+
+    for p in nonzero:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        join({(n * a + m * b, a): c.numerator * (den // c.denominator)
+              for (a, b), c in p.terms.items()})
+
     queue: deque[tuple[int, int]] = deque(
         (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while queue:
         i, j = queue.popleft()
-        s = s_process_min(basis[i], basis[j])
-        red = final_reduction(s, basis)
-        if red.vanished:
-            continue
-        basis.append(red.poly)
-        new = len(basis) - 1
-        queue.extend((k, new) for k in range(new))
+        (d1, a1), (_, b1), c1, tail1 = basis[i]
+        (d2, a2), (_, b2), c2, tail2 = basis[j]
+        g = gcd(c1, c2)
+        la, lb = max(a1, a2), max(b1, b2)
+        ld = n * la + m * lb
+        r = {}
+        _subtract_shifted(r, -(c2 // g), tail1, ld - d1, la - a1, h)
+        _subtract_shifted(r, c1 // g, tail2, ld - d2, la - a2, h)
+        while r:
+            lead = min(r)
+            d, a = lead
+            b = (d - n * a) // m
+            divisor = None
+            for entry in basis:
+                _, (ea, eb), _, _ = entry
+                if ea <= a and eb <= b and (divisor is None or entry[0] > divisor[0]):
+                    divisor = entry
+            if divisor is None:
+                join(r)
+                new = len(basis) - 1
+                queue.extend((k, new) for k in range(new))
+                break
+            (bd, ba), _, bc, tail = divisor
+            c = r.pop(lead)
+            gam = gcd(c, bc)
+            if (scale := bc // gam) != 1:
+                for k in r:
+                    r[k] *= scale
+            _subtract_shifted(r, c // gam, tail, d - bd, a - ba, h)
     # minimality: keep only leading powers not divisible by a kept one
-    kept: list[TruncatedPoly] = []
-    for p in sorted(basis, key=lambda q: order.key(q.leading_power)):
-        lp = p.leading_power
-        if not any(divides(k.leading_power, lp) for k in kept):
-            kept.append(p)
-    return _as_standard_basis(kept)
+    kept = []
+    for entry in sorted(basis, key=lambda entry: entry[0]):
+        if not any(divides(k[1], entry[1]) for k in kept):
+            kept.append(entry)
+    return _as_standard_basis([
+        TruncatedPoly(order, h, {(a, (d - n * a) // m): c for (d, a), c in ((key, c), *tail)})
+        for key, _, c, tail in kept])
 
 
 def codimension(basis: StandardBasis) -> int | None:

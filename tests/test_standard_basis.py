@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cuspidal.poly import TruncatedPoly, WeightedOrder
+from cuspidal import CurveEquation, Semigroup
+from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
 from cuspidal.rationals import Rat
 from cuspidal.standard_basis import (
     StandardBasis,
@@ -15,6 +19,8 @@ from cuspidal.standard_basis import (
     reduce_step,
     s_process_min,
 )
+
+from cusp_testkit import coprime_pairs, nice_curves
 
 O45 = WeightedOrder(4, 5)
 
@@ -132,3 +138,92 @@ def test_codimension_matches_lattice_count(seed):
     order = WeightedOrder(4, 5)
     polys = tuple(TruncatedPoly.monomial(order, Rat(1), e, horizon=200) for e in lps)
     assert codimension(StandardBasis(polys)) == _brute_force_codim(lps)
+
+
+def _reference_buchberger(gens):
+    """Buchberger over ``Fraction`` coefficients: FIFO pairs, the minimal
+    S-process, ``final_reduction`` against the growing basis, and the same
+    minimality pass; the kept polynomials sorted by x-exponent."""
+    basis = [g for g in gens if not g.is_zero]
+    order = basis[0].order
+    queue = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
+    while queue:
+        i, j = queue.popleft()
+        red = final_reduction(s_process_min(basis[i], basis[j]), basis)
+        if red.vanished:
+            continue
+        basis.append(red.poly)
+        queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    kept = []
+    for p in sorted(basis, key=lambda q: order.key(q.leading_power)):
+        if not any(divides(k.leading_power, p.leading_power) for k in kept):
+            kept.append(p)
+    return sorted(kept, key=lambda p: p.leading_power[0])
+
+
+def _assert_matches_reference(gens):
+    """``buchberger`` has the reference's leading powers, and each of its
+    polynomials is a nonzero rational multiple of the reference's, with
+    integer coefficients of content 1."""
+    got = buchberger(gens)
+    want = _reference_buchberger(gens)
+    assert got.leading_powers == tuple(p.leading_power for p in want)
+    for p, q in zip(got, want):
+        coeffs = p.terms.values()
+        assert all(c.denominator == 1 for c in coeffs)
+        assert gcd(*(c.numerator for c in coeffs)) == 1
+        assert p == q.scale(p.leading.coeff / q.leading.coeff)
+
+
+def _jacobian_generators(eq):
+    h = eq.sg.jacobian_horizon
+    return [p.truncated(h) for p in (eq.f, eq.fx, eq.fy)]
+
+
+def _adapted_curves():
+    """Adapted curves on every coprime pair with n <= 7, m <= 13: mu != 1
+    and terms between nm and 2nm, with denominators up to 97."""
+    rng = random.Random(97)
+    for n, m in coprime_pairs(range(2, 8), 13):
+        sg = Semigroup(n, m)
+        terms = {(m, 0): Rat(rng.choice([-7, -2, 3, 5]), rng.choice([1, 9, 97])),
+                 (0, n): Rat(1)}
+        for _ in range(rng.randint(1, 6)):
+            a, b = rng.randint(0, 2 * m), rng.randint(0, 2 * n)
+            if n * m < n * a + m * b <= 2 * n * m:
+                terms[(a, b)] = Rat(rng.choice([-1, 1]) * rng.randint(1, 50),
+                                    rng.randint(1, 97))
+        yield CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, terms))
+
+
+def test_buchberger_matches_the_reference_on_jacobian_generators():
+    """(f, f_x, f_y) at H_J for every coprime pair with n <= 7, m <= 13: the
+    bare curve, nice curves at z-densities 0.3 and 1, and adapted curves
+    with mu != 1 and denominators up to 97."""
+    bare = [CurveEquation.nice(Semigroup(n, m)) for n, m in coprime_pairs(range(2, 8), 13)]
+    adapted = list(_adapted_curves())
+    assert all(eq.mu != 1 for eq in adapted)
+    assert max(c.denominator for eq in adapted for c in eq.f.terms.values()) == 97
+    for eq in [*bare, *nice_curves(28, densities=(0.3, 1)), *adapted]:
+        _assert_matches_reference(_jacobian_generators(eq))
+
+
+@st.composite
+def _rational_ideals(draw):
+    """Two or three generators in WeightedOrder(4, 5) at one horizon, each
+    with four to eight rational terms and no constant term, so that the
+    ideal is proper and reduction steps are common."""
+    horizon = draw(st.integers(24, 40))
+    monomials = [(a, b) for a in range(horizon // 4 + 1) for b in range(horizon // 5 + 1)
+                 if 0 < O45.degree((a, b)) <= horizon]
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+    gens = draw(st.lists(st.dictionaries(st.sampled_from(monomials), coeffs,
+                                         min_size=4, max_size=8),
+                         min_size=2, max_size=3))
+    return [TruncatedPoly(O45, horizon, terms) for terms in gens]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rational_ideals())
+def test_buchberger_matches_the_reference_on_random_ideals(gens):
+    _assert_matches_reference(gens)

@@ -17,7 +17,7 @@ from .curve import CurveEquation, Parametrization, Semigroup
 from .poly import Exponent, TruncatedPoly
 from .rationals import Rat
 from .semimodules import AbstractSemimodule, _axis, covered
-from .standard_basis import final_reduction
+from .standard_basis import IntPoly, final_reduction
 
 
 class ValueMismatch(ValueError):
@@ -73,10 +73,10 @@ def _value_of_power(sg: Semigroup, e: Exponent) -> int:
 
 def differential_value(omega: OneForm, eq: CurveEquation) -> int | None:
     """nu(omega) from the implicit equation; None = infinite to the horizon."""
-    red = final_reduction(apply_vector_field(omega, eq), [eq.f])
+    red = final_reduction(IntPoly.of(apply_vector_field(omega, eq)), [IntPoly.of(eq.f)])
     if red.vanished:
         return None
-    return _value_of_power(eq.sg, red.poly.leading_power)
+    return _value_of_power(eq.sg, red.remainder.leading_power)
 
 
 def monomial_value(omega: OneForm) -> int:
@@ -291,11 +291,12 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     the h_i become ``TruncatedPoly`` only in the returned basis.  It reduces
     modulo f in place (``_reduce_by_f``), and each step is the step of
     ``final_reduction(g, [f])``, term for term: f is the only divisor, and
-    it leads at y^n with coefficient 1 (``CurveEquation`` checks it).  So
-    while the leading term c*x^a*y^b of g has b >= n, both subtract
-    c*x^a*y^(b-n)*f: the leading term cancels and -c*x^a*y^(b-n)*tail(f) is
-    added, every term above H_Delta dropped as ``TruncatedPoly`` arithmetic
-    at H_Delta drops it; once b < n, f divides nothing and both stop.
+    it leads at y^n with coefficient 1 (``CurveEquation`` checks it), so
+    that step scales nothing.  So while the leading term c*x^a*y^b of g has
+    b >= n, both subtract c*x^a*y^(b-n)*f: the leading term cancels and
+    -c*x^a*y^(b-n)*tail(f) is added, every term above H_Delta dropped as
+    that step's cut at H_Delta drops it; once b < n, f divides nothing and
+    both stop.
 
     f, f_x and f_y are cut once, at H_Delta = max(D, nm)
     (``Semigroup.delorme_horizon``, D = 2nm - 2n - 2m the Hessian degree);

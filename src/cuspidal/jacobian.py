@@ -7,7 +7,7 @@ their leading powers encode the semimodule of differential values.  A direct
 Buchberger run over {f, f_x, f_y}, at its own proven horizon (see
 ``jacobian_basis_direct``), provides the independent cross-check, and the
 codimension formula turns the leading powers into the Tjurina number.
-That run is fraction-free, so its polynomials are primitive integer
+That run is fraction-free, so its polynomials are positive integer
 multiples of those of the same run over ``Fraction`` coefficients, with the
 same leading powers.
 """
@@ -70,8 +70,8 @@ def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
     its highest monomial of degree <= D, else ``HorizonExhausted``.
 
     The returned polynomials have integer coefficients of content 1: each
-    is a primitive integer multiple of the basis element that the same run
-    over ``Fraction`` coefficients returns (see ``buchberger``).
+    is a positive multiple of the basis element that the same run over
+    ``Fraction`` coefficients returns (see ``buchberger``).
     """
     h = eq.sg.jacobian_horizon
     basis = buchberger([p.truncated(h) for p in (eq.f, eq.fx, eq.fy)])

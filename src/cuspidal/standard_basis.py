@@ -7,84 +7,178 @@ the horizon, iterated reduction terminates: either with a nonzero
 irreducible remainder or with every remaining term pushed beyond the horizon
 (``FinalReduction.vanished``, which callers treat as ideal membership).
 
-``reduce_step`` and ``final_reduction`` take that step over ``Fraction``
-coefficients.  ``buchberger`` takes it fraction-free on integer term maps:
-with gamma = gcd(lc(g), lc(b)) it sets
-r = (lc(b)/gamma) * g - (lc(g)/gamma) * x^(lp(g)-lp(b)) * b, a nonzero integer
-multiple of the step above, so the leading powers do not change.
+The steps run fraction-free on ``IntPoly``: integer numerators over one
+positive denominator.  With c and c_b the leading numerators of g and b and
+gamma = gcd(c, c_b), the step sets the numerators to
+(|c_b|/gamma) * tail(g) - (+-c/gamma) * x^(lp(g)-lp(b)) * tail(b), the sign
+that of c_b, and multiplies the denominator by |c_b|/gamma: the step above,
+exactly.  ``buchberger`` drops the denominator and the content of each
+polynomial it keeps, so its basis polynomials are positive multiples of the
+same run's over ``Fraction`` coefficients, with the same leading powers.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .poly import Exponent, TruncatedPoly, divides
+from .poly import Exponent, TruncatedPoly, WeightedOrder, divides
+from .rationals import Rat
 
 
 class HorizonExhausted(RuntimeError):
     """A basis computation produced data that cannot be classified below the horizon."""
 
 
-@dataclass(frozen=True)
-class FinalReduction:
-    poly: TruncatedPoly
+class IntPoly:
+    """A truncated polynomial as fraction-free reduction holds it: the
+    polynomial is ``terms / den``, with integer numerators and a positive
+    integer ``den``.  ``terms`` is keyed by ``WeightedOrder.key``, (weighted
+    degree, x-exponent), so its min() is the leading key ``lead``.  Treated
+    as immutable: the steps below build new ones."""
+
+    __slots__ = ("order", "horizon", "terms", "den", "lead", "_tail")
+
+    def __init__(self, order: WeightedOrder, horizon: int,
+                 terms: dict[tuple[int, int], int], den: int = 1):
+        self.order = order
+        self.horizon = horizon
+        self.terms = terms
+        self.den = den
+        self.lead = min(terms) if terms else None
+        self._tail = None
+
+    @classmethod
+    def of(cls, p: TruncatedPoly) -> "IntPoly":
+        """p exactly, over the lcm of its denominators."""
+        n, m = p.order.n, p.order.m
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        return cls(p.order, p.horizon,
+                   {(n * a + m * b, a): c.numerator * (den // c.denominator)
+                    for (a, b), c in p.terms.items()}, den)
+
+    def poly(self) -> TruncatedPoly:
+        """The polynomial exactly, as a ``TruncatedPoly``."""
+        n, m, den = self.order.n, self.order.m, self.den
+        return TruncatedPoly(self.order, self.horizon,
+                             {(a, (d - n * a) // m): Rat(c, den) if den != 1 else c
+                              for (d, a), c in self.terms.items()})
+
+    def primitive(self) -> "IntPoly":
+        """The positive multiple with coprime integer coefficients, over 1."""
+        content = gcd(*self.terms.values())
+        return IntPoly(self.order, self.horizon, {k: c // content for k, c in self.terms.items()})
+
+    @property
+    def leading_power(self) -> Exponent | None:
+        if self.lead is None:
+            return None
+        d, a = self.lead
+        return (a, (d - self.order.n * a) // self.order.m)
+
+    @property
+    def tail(self) -> tuple:
+        """Every term but the leading one, as (key, numerator), ascending."""
+        if self._tail is None:
+            self._tail = tuple(sorted((k, c) for k, c in self.terms.items() if k != self.lead))
+        return self._tail
+
+
+class FinalReduction(NamedTuple):
+    remainder: IntPoly
 
     @property
     def vanished(self) -> bool:
         """Every term was pushed beyond the horizon: ideal membership."""
-        return self.poly.is_zero
+        return not self.remainder.terms
+
+    @property
+    def poly(self) -> TruncatedPoly:
+        """The remainder exactly, as a ``TruncatedPoly``."""
+        return self.remainder.poly()
 
 
-def reduce_step(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> TruncatedPoly | None:
+def _subtract_shifted(r: dict, q: int, tail: tuple, degree: int, da: int,
+                      horizon: int) -> None:
+    """r <- r - q * x^s * tail in place, cut at ``horizon``: x^s has weighted
+    degree ``degree`` and x-exponent ``da``, and ``tail`` is ascending."""
+    for (d, a), c in tail:
+        d += degree
+        if d > horizon:
+            break
+        e = (d, a + da)
+        if s := r.get(e, 0) - q * c:
+            r[e] = s
+        else:
+            del r[e]
+
+
+def reduce_step(g: IntPoly, basis: Sequence[IntPoly]) -> IntPoly | None:
     """One reduction step of g against the most specific applicable basis
     element: the largest dividing leading power, ties to the earliest.
 
-    Returns the reduced polynomial, or None when g is zero or no basis
-    leading power divides lp(g).  ``final_reduction`` iterates it for
-    ``differential_value``; ``buchberger`` takes the same step on integer
-    term maps and does not call it.
+    Returns the reduced polynomial, cut at the smaller horizon, or None when
+    g is zero or no basis leading power divides lp(g).  g is left as it is.
     """
-    lead = g.leading
+    lead = g.lead
     if lead is None:
         return None
-    lp, lc = lead
-    eligible = [b for b in basis if b.terms and divides(b.leading_power, lp)]
-    if not eligible:
+    d, a = lead
+    n = g.order.n
+    mb = d - n * a  # m times the y-exponent of lp(g)
+    divisor = top = None
+    for p in basis:
+        if (pl := p.lead) is not None and pl[1] <= a and pl[0] - n * pl[1] <= mb \
+                and (top is None or pl > top):
+            divisor, top = p, pl
+    if divisor is None:
         return None
-    b = max(eligible, key=lambda p: g.order.key(p.leading_power))
-    bp, bc = b.leading
-    shift = (lp[0] - bp[0], lp[1] - bp[1])
-    return g - b.mul_monomial(lc / bc, shift)
+    terms = g.terms
+    c, bc = terms[lead], divisor.terms[top]
+    gam = gcd(c, bc)
+    scale, q = (bc // gam, c // gam) if bc > 0 else (-bc // gam, -c // gam)
+    h = divisor.horizon
+    if h < g.horizon:
+        terms = {k: v for k, v in terms.items() if k[0] <= h}
+    else:
+        h = g.horizon
+    r = {k: v * scale for k, v in terms.items()} if scale != 1 else terms.copy()
+    r.pop(lead, None)
+    _subtract_shifted(r, q, divisor.tail, d - top[0], a - top[1], h)
+    return IntPoly(g.order, h, r, g.den * scale)
 
 
-def final_reduction(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> FinalReduction:
+def final_reduction(g: IntPoly, basis: Sequence[IntPoly]) -> FinalReduction:
     """Iterate reduce_step until irreducible or empty below the horizon."""
-    current = g
-    while True:
-        nxt = reduce_step(current, basis)
-        if nxt is None:
-            return FinalReduction(current)
-        current = nxt
+    while (nxt := reduce_step(g, basis)) is not None:
+        g = nxt
+    return FinalReduction(g)
 
 
-def s_process_min(g1: TruncatedPoly, g2: TruncatedPoly) -> TruncatedPoly:
+def s_process_min(g1: IntPoly, g2: IntPoly) -> IntPoly:
     """Minimal S-process: cancel the leading terms over lcm(lp(g1), lp(g2)).
 
-    No code of the package calls it: ``buchberger`` forms the same
-    S-process, scaled to integers, on its own term maps.  It stays as the
-    ``Fraction`` statement of that step, which the tests' reference
-    Buchberger runs and ``bench/layers.TARGETS`` traces.
+    That is g1 * x^s1 - (lc(g1)/lc(g2)) * g2 * x^s2, exactly: with
+    g = gcd(c1, c2) of the leading numerators, the numerators are
+    (|c2|/g) * x^s1 * tail(g1) - (+-c1/g) * x^s2 * tail(g2), the sign that
+    of c2, over the denominator den(g1) * |c2|/g, cut at the smaller
+    horizon.
     """
-    if g1.is_zero or g2.is_zero:
+    if g1.lead is None or g2.lead is None:
         raise ValueError("S-process needs nonzero polynomials")
-    (a1, b1), c1 = g1.leading
-    (a2, b2), c2 = g2.leading
-    lcm = (max(a1, a2), max(b1, b2))
-    left = g1.mul_monomial(1, (lcm[0] - a1, lcm[1] - b1))
-    right = g2.mul_monomial(c1 / c2, (lcm[0] - a2, lcm[1] - b2))
-    return left - right
+    n, m = g1.order.n, g1.order.m
+    (d1, a1), (d2, a2) = g1.lead, g2.lead
+    c1, c2 = g1.terms[g1.lead], g2.terms[g2.lead]
+    g = gcd(c1, c2)
+    p, q = (c2 // g, c1 // g) if c2 > 0 else (-c2 // g, -c1 // g)
+    la = max(a1, a2)
+    ld = n * la + m * max((d1 - n * a1) // m, (d2 - n * a2) // m)
+    h = min(g1.horizon, g2.horizon)
+    r = {}
+    _subtract_shifted(r, -p, g1.tail, ld - d1, la - a1, h)
+    _subtract_shifted(r, q, g2.tail, ld - d2, la - a2, h)
+    return IntPoly(g1.order, h, r, g1.den * p)
 
 
 @dataclass(frozen=True)
@@ -123,21 +217,6 @@ def _as_standard_basis(polys: Sequence[TruncatedPoly]) -> StandardBasis:
     return StandardBasis(tuple(sorted(polys, key=lambda p: p.leading_power[0])))
 
 
-def _subtract_shifted(r: dict, q: int, tail: tuple, degree: int, da: int,
-                      horizon: int) -> None:
-    """r <- r - q * x^s * tail in place, cut at ``horizon``: x^s has weighted
-    degree ``degree`` and x-exponent ``da``, and ``tail`` is ascending."""
-    for (d, a), c in tail:
-        d += degree
-        if d > horizon:
-            break
-        e = (d, a + da)
-        if s := r.get(e, 0) - q * c:
-            r[e] = s
-        else:
-            del r[e]
-
-
 def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     """Standard basis of the ideal generated by ``gens``, valid below the horizon.
 
@@ -147,101 +226,37 @@ def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     The generators must share one horizon: then every new generator, a
     remainder at that horizon, leads at or below it.
 
-    The run works fraction-free on plain term maps with integer
-    coefficients, keyed by ``WeightedOrder.key`` (weighted degree,
-    x-exponent), so min() of a map is its leading term; only the kept
-    entries become ``TruncatedPoly``.  Each generator is scaled by the lcm
-    of its denominators and divided by its content.  With leading
-    coefficients c1, c2 and g = gcd(c1, c2), the S-process of a pair is
-    (c2/g)*x^s1*g1 - (c1/g)*x^s2*g2.  A reduction step against the divisor
-    b of ``reduce_step`` (the largest dividing leading power, ties to the
-    earliest) pops the leading term c*x^e of r and, with
-    gamma = gcd(c, lc(b)), sets r <- (lc(b)/gamma)*r - (c/gamma)*x^s*tail(b),
-    cut at the horizon.  A remainder that survives is divided by its
-    content before it joins the basis.
-
-    The leading powers are those of the same run over ``Fraction``
-    coefficients (``s_process_min``, then ``final_reduction``), and each
-    returned polynomial is a primitive integer multiple of that run's:
-
-    - The S-process above is c2/g times ``s_process_min(g1, g2)``, and a
-      step is lc(b)/gamma times ``reduce_step``'s r - (c/lc(b))*x^s*b:
-      each a nonzero rational multiple of the ``Fraction`` step, applied to
-      nonzero rational multiples of the same polynomials.  Cutting at the
-      horizon commutes with scaling.
-    - The divisor choice, the vanishing test and the minimality pass read
-      only leading powers and whether a polynomial is zero, and a nonzero
-      scalar changes neither.
-    - So, by induction on the steps, both runs process the same pairs in
-      the same order, take the same divisors, vanish together and append
-      remainders with the same leading powers, each a rational multiple of
-      the other's; dividing by the content keeps it one.
+    The run is fraction-free: each generator and each remainder that joins
+    the basis is replaced by its ``primitive`` multiple, so the S-processes
+    and reduction steps work on integers of content 1.  A nonzero scalar
+    changes neither a leading power, nor the divisor a step takes, nor
+    whether a reduction vanishes, and the steps are exact.  So, step by
+    step, the run processes the pairs, takes the divisors and keeps the
+    leading powers of the same run over ``Fraction`` coefficients, and each
+    returned polynomial is a positive multiple of that run's, with integer
+    coefficients of content 1.
     """
     horizons = {g.horizon for g in gens}
     if len(horizons) > 1:
         raise ValueError(f"generators must share one horizon, got {sorted(horizons)}")
-    nonzero = [g for g in gens if not g.is_zero]
-    if not nonzero:
+    basis = [IntPoly.of(g).primitive() for g in gens if not g.is_zero]
+    if not basis:
         raise ValueError("no nonzero generators")
-    order, h = nonzero[0].order, nonzero[0].horizon
-    n, m = order.n, order.m
-    basis = []  # (leading key, leading power, leading coefficient, tail)
-
-    def join(g: dict) -> None:
-        """Append the nonzero integer term map g divided by its content, its
-        tail in ascending order."""
-        content = gcd(*g.values())
-        lead = min(g)
-        d, a = lead
-        basis.append((lead, (a, (d - n * a) // m), g[lead] // content,
-                      tuple(sorted((k, c // content) for k, c in g.items() if k != lead))))
-
-    for p in nonzero:
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        join({(n * a + m * b, a): c.numerator * (den // c.denominator)
-              for (a, b), c in p.terms.items()})
-
     queue: deque[tuple[int, int]] = deque(
         (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while queue:
         i, j = queue.popleft()
-        (d1, a1), (_, b1), c1, tail1 = basis[i]
-        (d2, a2), (_, b2), c2, tail2 = basis[j]
-        g = gcd(c1, c2)
-        la, lb = max(a1, a2), max(b1, b2)
-        ld = n * la + m * lb
-        r = {}
-        _subtract_shifted(r, -(c2 // g), tail1, ld - d1, la - a1, h)
-        _subtract_shifted(r, c1 // g, tail2, ld - d2, la - a2, h)
-        while r:
-            lead = min(r)
-            d, a = lead
-            b = (d - n * a) // m
-            divisor = None
-            for entry in basis:
-                _, (ea, eb), _, _ = entry
-                if ea <= a and eb <= b and (divisor is None or entry[0] > divisor[0]):
-                    divisor = entry
-            if divisor is None:
-                join(r)
-                new = len(basis) - 1
-                queue.extend((k, new) for k in range(new))
-                break
-            (bd, ba), _, bc, tail = divisor
-            c = r.pop(lead)
-            gam = gcd(c, bc)
-            if (scale := bc // gam) != 1:
-                for k in r:
-                    r[k] *= scale
-            _subtract_shifted(r, c // gam, tail, d - bd, a - ba, h)
+        red = final_reduction(s_process_min(basis[i], basis[j]), basis)
+        if red.vanished:
+            continue
+        basis.append(red.remainder.primitive())
+        queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     # minimality: keep only leading powers not divisible by a kept one
     kept = []
-    for entry in sorted(basis, key=lambda entry: entry[0]):
-        if not any(divides(k[1], entry[1]) for k in kept):
-            kept.append(entry)
-    return _as_standard_basis([
-        TruncatedPoly(order, h, {(a, (d - n * a) // m): c for (d, a), c in ((key, c), *tail)})
-        for key, _, c, tail in kept])
+    for p in sorted(basis, key=lambda p: p.lead):
+        if not any(divides(k.leading_power, p.leading_power) for k in kept):
+            kept.append(p)
+    return _as_standard_basis([p.poly() for p in kept])
 
 
 def codimension(basis: StandardBasis) -> int | None:

@@ -28,7 +28,7 @@ from cuspidal.differentials import (
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, _axis, covered
-from cuspidal.standard_basis import final_reduction
+from cuspidal.standard_basis import IntPoly, final_reduction
 from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
@@ -68,10 +68,15 @@ def test_monomial_forms_realize_their_value():
         assert monomial_value(w) == base + n * a + m * b
 
 
+def _reduce_mod(g: TruncatedPoly, f: TruncatedPoly):
+    """``final_reduction`` of g modulo f; ``.poly`` is the remainder, exactly."""
+    return final_reduction(IntPoly.of(g), [IntPoly.of(f)])
+
+
 def _reduced(w: OneForm, eq: CurveEquation) -> dict:
     """The final reduction of X_w(f) modulo f, as ``delorme`` holds it: a
     term map keyed by (weighted degree, x-exponent)."""
-    red = final_reduction(apply_vector_field(w, eq), [eq.f])
+    red = _reduce_mod(apply_vector_field(w, eq), eq.f)
     return {eq.sg.order.key(e): c for e, c in red.poly.terms.items()}
 
 
@@ -441,7 +446,7 @@ def _reference_delorme(eq: CurveEquation) -> DifferentialBasis:
             ended = (s, ())
             break
         steps = []
-        r = final_reduction(reductions[i].mul_monomial(1, s), [f])
+        r = _reduce_mod(reductions[i].mul_monomial(1, s), f)
         value, usable = u, i
         while True:
             cover = next(((j, shift) for j in range(usable - 1, -1, -1)
@@ -451,10 +456,10 @@ def _reference_delorme(eq: CurveEquation) -> DifferentialBasis:
                 assert usable != i
                 break
             j, shift = cover
-            part = final_reduction(reductions[j].mul_monomial(1, shift), [f])
+            part = _reduce_mod(reductions[j].mul_monomial(1, shift), f)
             mu = _reference_tuning(r, part)
             steps.append((j, mu, shift))
-            r = final_reduction(r.poly + part.poly.scale(mu), [f])
+            r = _reduce_mod(r.poly + part.poly.scale(mu), f)
             if r.vanished:
                 value = None
                 break

@@ -12,6 +12,7 @@ from cuspidal import CurveEquation, Semigroup
 from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
 from cuspidal.rationals import Rat
 from cuspidal.standard_basis import (
+    IntPoly,
     StandardBasis,
     buchberger,
     codimension,
@@ -29,30 +30,34 @@ def _p(terms):
     return TruncatedPoly(O45, 80, terms)
 
 
+def _i(terms):
+    return IntPoly.of(_p(terms))
+
+
 def test_reduce_step_none_when_irreducible():
-    g = _p({(1, 0): 1})
-    basis = [_p({(0, 4): 1, (5, 0): 1})]
+    g = _i({(1, 0): 1})
+    basis = [_i({(0, 4): 1, (5, 0): 1})]
     assert reduce_step(g, basis) is None
 
 
 def test_final_reduction_vanishes_on_member():
     f = _p({(0, 4): 1, (5, 0): 1})
-    red = final_reduction(f.mul_monomial(Rat(3), (1, 1)), [f])
+    red = final_reduction(IntPoly.of(f.mul_monomial(Rat(3), (1, 1))), [IntPoly.of(f)])
     assert red.vanished
     assert red.poly.is_zero
 
 
 def test_final_reduction_single_divisor():
     # y^4 = (y^4 + x^5) - x^5: one step, remainder -x^5
-    f = _p({(0, 4): 1, (5, 0): 1})
-    red = final_reduction(_p({(0, 4): 1}), [f])
+    f = _i({(0, 4): 1, (5, 0): 1})
+    red = final_reduction(_i({(0, 4): 1}), [f])
     assert not red.vanished
     assert red.poly == _p({(5, 0): -1})
 
 
 def test_final_reduction_remainder_not_divisible():
-    f = _p({(0, 4): 1, (5, 0): 1})
-    g = _p({(0, 5): 1, (2, 1): 1})
+    f = _i({(0, 4): 1, (5, 0): 1})
+    g = _i({(0, 5): 1, (2, 1): 1})
     red = final_reduction(g, [f])
     assert not red.vanished
     lp = red.poly.leading_power
@@ -62,10 +67,10 @@ def test_final_reduction_remainder_not_divisible():
 def test_s_process_cancels_leading_terms():
     g1 = _p({(0, 4): 1, (5, 0): 1})
     g2 = _p({(2, 1): 3, (4, 0): 1})
-    s = s_process_min(g1, g2)
+    s = s_process_min(IntPoly.of(g1), IntPoly.of(g2))
     # lcm of (0,4) and (2,1) is (2,4); both contributions cancel there
     assert s.leading_power != (2, 4)
-    assert s == g1.mul_monomial(Rat(1), (2, 0)) - g2.mul_monomial(Rat(1, 3), (0, 3))
+    assert s.poly() == g1.mul_monomial(Rat(1), (2, 0)) - g2.mul_monomial(Rat(1, 3), (0, 3))
 
 
 def test_buchberger_monomial_ideal_is_complete():
@@ -140,19 +145,52 @@ def test_codimension_matches_lattice_count(seed):
     assert codimension(StandardBasis(polys)) == _brute_force_codim(lps)
 
 
+def _fraction_step(g, basis):
+    """The reduction step over ``Fraction`` coefficients on ``TruncatedPoly``:
+    g - (lc(g)/lc(b)) * x^(lp(g)-lp(b)) * b for the largest dividing leading
+    power b, ties to the earliest; None when g is zero or irreducible."""
+    lead = g.leading
+    if lead is None:
+        return None
+    lp, lc = lead
+    eligible = [b for b in basis if b.terms and divides(b.leading_power, lp)]
+    if not eligible:
+        return None
+    b = max(eligible, key=lambda p: g.order.key(p.leading_power))
+    bp, bc = b.leading
+    return g - b.mul_monomial(lc / bc, (lp[0] - bp[0], lp[1] - bp[1]))
+
+
+def _fraction_reduction(g, basis):
+    """Iterate ``_fraction_step``: the remainder and the number of steps."""
+    steps = 0
+    while (nxt := _fraction_step(g, basis)) is not None:
+        g, steps = nxt, steps + 1
+    return g, steps
+
+
+def _fraction_s_process(g1, g2):
+    """g1 * x^s1 - (lc(g1)/lc(g2)) * g2 * x^s2 over lcm(lp(g1), lp(g2))."""
+    (a1, b1), c1 = g1.leading
+    (a2, b2), c2 = g2.leading
+    la, lb = max(a1, a2), max(b1, b2)
+    return g1.mul_monomial(1, (la - a1, lb - b1)) - g2.mul_monomial(c1 / c2, (la - a2, lb - b2))
+
+
 def _reference_buchberger(gens):
-    """Buchberger over ``Fraction`` coefficients: FIFO pairs, the minimal
-    S-process, ``final_reduction`` against the growing basis, and the same
-    minimality pass; the kept polynomials sorted by x-exponent."""
+    """Buchberger over ``Fraction`` coefficients on ``TruncatedPoly``: FIFO
+    pairs, the minimal S-process, final reduction against the growing
+    basis, and the same minimality pass; the kept polynomials sorted by
+    x-exponent."""
     basis = [g for g in gens if not g.is_zero]
     order = basis[0].order
     queue = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while queue:
         i, j = queue.popleft()
-        red = final_reduction(s_process_min(basis[i], basis[j]), basis)
-        if red.vanished:
+        remainder, _ = _fraction_reduction(_fraction_s_process(basis[i], basis[j]), basis)
+        if remainder.is_zero:
             continue
-        basis.append(red.poly)
+        basis.append(remainder)
         queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     kept = []
     for p in sorted(basis, key=lambda q: order.key(q.leading_power)):
@@ -163,7 +201,7 @@ def _reference_buchberger(gens):
 
 def _assert_matches_reference(gens):
     """``buchberger`` has the reference's leading powers, and each of its
-    polynomials is a nonzero rational multiple of the reference's, with
+    polynomials is a positive rational multiple of the reference's, with
     integer coefficients of content 1."""
     got = buchberger(gens)
     want = _reference_buchberger(gens)
@@ -172,7 +210,9 @@ def _assert_matches_reference(gens):
         coeffs = p.terms.values()
         assert all(c.denominator == 1 for c in coeffs)
         assert gcd(*(c.numerator for c in coeffs)) == 1
-        assert p == q.scale(p.leading.coeff / q.leading.coeff)
+        ratio = p.leading.coeff / q.leading.coeff
+        assert ratio > 0
+        assert p == q.scale(ratio)
 
 
 def _jacobian_generators(eq):
@@ -227,3 +267,48 @@ def _rational_ideals(draw):
 @given(_rational_ideals())
 def test_buchberger_matches_the_reference_on_random_ideals(gens):
     _assert_matches_reference(gens)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rational_ideals(), st.integers(0, 2), st.integers(0, 10))
+def test_steps_are_exact(gens, which, cut):
+    """``s_process_min``, ``reduce_step`` and ``final_reduction`` on
+    ``IntPoly`` give the ``Fraction`` run's polynomials exactly, in as many
+    steps, and leave their arguments as they were.  One divisor is cut
+    ``cut`` degrees below the others, so that a step also cuts at the
+    smaller horizon."""
+    g1, g2, *rest = gens
+    basis = [g1, g2, *rest]
+    which %= len(basis)
+    low = basis[which].horizon - cut
+    basis[which] = basis[which].truncated(low)
+    if basis[which].is_zero:
+        return
+    ints = [IntPoly.of(b) for b in basis]
+    before = [dict(b.terms) for b in ints]
+    s = s_process_min(ints[0], ints[1])
+    want_s = _fraction_s_process(basis[0], basis[1])
+    assert s.poly() == want_s
+    assert s.den > 0
+    remainder, steps = _fraction_reduction(want_s, basis)
+    seen, g = 0, s
+    while (nxt := reduce_step(g, ints)) is not None:
+        assert nxt.poly() == _fraction_step(g.poly(), basis)
+        g, seen = nxt, seen + 1
+    assert seen == steps
+    red = final_reduction(s, ints)
+    assert red.poly == remainder
+    assert red.vanished == remainder.is_zero
+    assert [b.terms for b in ints] == before
+
+
+def test_int_poly_round_trip():
+    p = _p({(0, 4): Rat(3, 4), (5, 0): Rat(-5, 6), (2, 3): 7})
+    q = IntPoly.of(p)
+    assert q.den == 12
+    assert q.terms == {(20, 0): 9, (20, 5): -10, (23, 2): 84}
+    assert q.poly() == p
+    assert q.leading_power == (0, 4)
+    assert q.tail == (((20, 5), -10), ((23, 2), 84))
+    r = IntPoly.of(_p({(0, 4): Rat(-3, 4), (5, 0): Rat(3, 2)})).primitive()
+    assert (r.terms, r.den) == ({(20, 0): -1, (20, 5): 2}, 1)

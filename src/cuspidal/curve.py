@@ -20,6 +20,7 @@ from types import MappingProxyType
 from . import _series
 from .poly import Exponent, TruncatedPoly, WeightedOrder
 from .rationals import ONE, Rat, ZERO
+from .standard_basis import IntPoly
 
 
 class NotAdapted(ValueError):
@@ -286,6 +287,13 @@ class CurveEquation:
     @cached_property
     def fy(self) -> TruncatedPoly:
         return self.f.partial_y()
+
+    @cached_property
+    def f_int(self) -> IntPoly:
+        """f exactly, as integer numerators over the lcm of its
+        denominators (``IntPoly.of``): the divisor of every reduction
+        modulo f."""
+        return IntPoly.of(self.f)
 
     @cached_property
     def delta_table(self) -> dict:

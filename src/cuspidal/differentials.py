@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from math import gcd
 
 from .curve import CurveEquation, Parametrization, Semigroup
 from .poly import Exponent, TruncatedPoly
 from .rationals import Rat
 from .semimodules import AbstractSemimodule, _axis, covered
-from .standard_basis import IntPoly, final_reduction
+from .standard_basis import IntPoly, _subtract_shifted, final_reduction
 
 
 class ValueMismatch(ValueError):
@@ -73,7 +74,7 @@ def _value_of_power(sg: Semigroup, e: Exponent) -> int:
 
 def differential_value(omega: OneForm, eq: CurveEquation) -> int | None:
     """nu(omega) from the implicit equation; None = infinite to the horizon."""
-    red = final_reduction(IntPoly.of(apply_vector_field(omega, eq)), [IntPoly.of(eq.f)])
+    red = final_reduction(IntPoly.of(apply_vector_field(omega, eq)), [eq.f_int])
     if red.vanished:
         return None
     return _value_of_power(eq.sg, red.remainder.leading_power)
@@ -121,18 +122,28 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
     return None if o is None else o + 1
 
 
-def _tuning(r1: dict, r2: dict) -> Rat:
-    """mu+ = -lc(r1)/lc(r2): the scalar that cancels the leading term of r1
-    against r2.  Both are reduced term maps of ``delorme``, keyed by the
-    order's sort key (weighted degree, x-exponent), and must be nonzero with
-    the same leading power."""
+def _tuning(r1: dict, den1: int, r2: dict, den2: int) -> tuple:
+    """(mu, p, q): mu+ = -lc(r1)/lc(r2), the scalar that cancels the leading
+    term of r1 against r2, and the integers with which ``delorme`` takes that
+    step fraction-free.  r1 and r2 are reduced term maps of ``delorme``:
+    integer numerators over the positive denominators den1 and den2, keyed
+    by the order's sort key (weighted degree, x-exponent).  Both must be
+    nonzero with the same leading power.
+
+    With r0 and p0 the leading numerators and g = gcd(r0, p0), p = +-p0/g
+    and q = +-r0/g, the sign making p positive.  Then
+    r1/den1 + mu * r2/den2 = (p*r1 - q*r2) / (den1*p), with
+    mu = -q*den2 / (den1*p)."""
     if not r1 or not r2:
         raise ValueMismatch("tuning needs finite values on both sides")
     lead1, lead2 = min(r1), min(r2)
     if lead1 != lead2:
         raise ValueMismatch(
             f"values differ: leading keys (degree, x-exponent) {lead1} vs {lead2}")
-    return -r1[lead1] / r2[lead2]
+    r0, p0 = r1[lead1], r2[lead2]
+    g = gcd(r0, p0)
+    p, q = (p0 // g, r0 // g) if p0 > 0 else (-p0 // g, -r0 // g)
+    return Rat(-q * den2, den1 * p), p, q
 
 
 def _last_uncovered(sg: Semigroup, taken: set) -> int:
@@ -162,31 +173,31 @@ def _lifted(g: dict, shift: Exponent, degree: int, horizon: int) -> dict:
     return {(d + degree, a + da): c for (d, a), c in g.items() if d + degree <= horizon}
 
 
-def _reduce_by_f(g: dict, tail: tuple, n: int, nm: int, horizon: int):
-    """Reduce the term map g modulo f in place; return its leading key, or
-    None when it vanished to the horizon.  f leads at y^n with coefficient
-    1, and ``tail`` holds its other terms as ((degree, a), c), degree
-    ascending: a step pops the leading term c*x^a*y^b, b >= n, and adds
-    -c*x^a*y^(b-n)*tail(f) up to the horizon."""
+def _reduce_by_f(g: dict, den: int, tail: tuple, fden: int, n: int, nm: int,
+                 horizon: int) -> tuple:
+    """Reduce g/den modulo f, the numerators g in place; return (lead, den):
+    the leading key, None when g vanished to the horizon, and the new
+    denominator.  f leads at y^n with coefficient 1, and ``tail`` holds its
+    other terms as ((degree, a), numerator) over ``fden``, degree ascending.
+    A step pops the leading numerator c at x^a*y^b, b >= n, and with
+    gamma = gcd(c, fden) sets the numerators to
+    (fden/gamma) * g - (c/gamma) * x^a*y^(b-n)*tail, cut at the horizon, over
+    den * fden/gamma: the ``Fraction`` step (see ``delorme``), which scales
+    nothing when fden = 1."""
     while g:
         lead = min(g)
         d, a = lead
         if d - n * a < nm:  # m*b < nm: y^n does not divide the leading power
-            return lead
+            return lead, den
         c = g.pop(lead)
-        d -= nm
-        for (td, ta), tc in tail:
-            if d + td > horizon:
-                break
-            e = (d + td, a + ta)
-            s = g.get(e)
-            if s is None:
-                g[e] = -c * tc
-            elif s := s - c * tc:
-                g[e] = s
-            else:
-                del g[e]
-    return None
+        gam = gcd(c, fden)
+        if gam != fden:
+            scale = fden // gam
+            for k in g:
+                g[k] *= scale
+            den *= scale
+        _subtract_shifted(g, c // gam, tail, d - nm, a, horizon)
+    return None, den
 
 
 @dataclass(frozen=True)
@@ -194,6 +205,9 @@ class DifferentialBasis:
     """Minimal standard basis: the semimodule of values, the final
     reductions h_i of X_{omega_i}(f) whose leading powers encode the values,
     and the record from which the 1-forms omega_i are built when first read.
+    The h_i are ``IntPoly``, integer numerators over one positive
+    denominator, as ``delorme`` computed them; ``.poly()`` gives each as a
+    ``TruncatedPoly``, exactly.
 
     ``rounds`` holds, for each omega_i after dx and dy, the shift s of the
     lift x^s * omega_(i-1) and the tuning steps (j, mu, shift), each adding
@@ -286,17 +300,40 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     prefix alone, never on the curve, so it is built once per pair and
     prefix and read by every later run that reaches it.
 
-    The run works on plain term maps, keyed by ``WeightedOrder.key``
-    (weighted degree, x-exponent), so min() of a map is its leading term;
-    the h_i become ``TruncatedPoly`` only in the returned basis.  It reduces
-    modulo f in place (``_reduce_by_f``), and each step is the step of
-    ``final_reduction(g, [f])``, term for term: f is the only divisor, and
-    it leads at y^n with coefficient 1 (``CurveEquation`` checks it), so
-    that step scales nothing.  So while the leading term c*x^a*y^b of g has
-    b >= n, both subtract c*x^a*y^(b-n)*f: the leading term cancels and
-    -c*x^a*y^(b-n)*tail(f) is added, every term above H_Delta dropped as
-    that step's cut at H_Delta drops it; once b < n, f divides nothing and
-    both stop.
+    The run is fraction-free.  It works on integer term maps keyed by
+    ``WeightedOrder.key`` (weighted degree, x-exponent), so min() of a map
+    is its leading term, each over one positive denominator; the h_i are
+    returned as ``IntPoly`` and become ``TruncatedPoly`` only when read
+    (``IntPoly.poly``).  Let L be the lcm of the denominators of f's
+    coefficients (``CurveEquation.f_int``).  f leads at y^n with
+    coefficient 1 (``CurveEquation`` checks it), so its numerators are L at
+    y^n and integers T on its tail.  Each step equals the step over
+    ``Fraction`` coefficients, term for term:
+
+    - Reduction modulo f (``_reduce_by_f``), in place.  f is the only
+      divisor, so the step is that of ``final_reduction(g, [f])``.  While
+      the leading term of g = G/den is (c/den)*x^a*y^b with b >= n, it
+      subtracts (c/den)*x^a*y^(b-n)*f: the leading term cancels and
+      -(c/(den*L))*x^a*y^(b-n)*T is added, every term above H_Delta
+      dropped.  With gamma = gcd(c, L) that is
+      ((L/gamma)*G' - (c/gamma)*x^a*y^(b-n)*T) / (den*L/gamma), G' being G
+      without its leading term: the integer step, which drops the same
+      terms.  Once b < n, f divides nothing and both stop.  For L = 1 the
+      step scales nothing.
+    - Tuning (``_tuning``).  Let r = R/den_r and part = P/den_p lead at the
+      same power with numerators r0 and p0, and g = gcd(r0, p0).  Then
+      mu = -(r0/den_r)/(p0/den_p) = -(r0/g)*den_p / (den_r*(p0/g)), and
+      r + mu*part = ((p0/g)*R - (r0/g)*P) / (den_r*(p0/g)).  Flipping the
+      sign of both quotients when p0 < 0 keeps the denominator positive.
+      The recorded mu is that ``Rat``: the number the ``Fraction`` run
+      records.
+    - A lift x^s * g shifts the keys and keeps the numerators and the
+      denominator.
+
+    By induction on the steps, each map over its denominator is the
+    ``Fraction`` run's polynomial.  So every leading key is the same, hence
+    every branch, value and check, and so are ``rounds``, ``ended`` and the
+    h_i.
 
     f, f_x and f_y are cut once, at H_Delta = max(D, nm)
     (``Semigroup.delorme_horizon``, D = 2nm - 2n - 2m the Hessian degree);
@@ -330,15 +367,17 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     sg = eq.sg
     n, m, nm = sg.n, sg.m, sg.n * sg.m
     h = sg.delorme_horizon
-    terms = [(n * a + m * b, a, b, c) for (a, b), c in eq.f.terms.items()]
-    tail = tuple(sorted(((d, a), c) for d, a, b, c in terms if d <= h and (d, a) != (nm, 0)))
+    f = eq.f_int  # leads at (nm, 0), y^n, with numerator f.den
+    fden = f.den
+    tail = tuple(t for t in f.tail if t[0][0] <= h)
+    terms = [(d, a, (d - n * a) // m, c) for (d, a), c in f.terms.items()]
 
     # The seeds X_dx(f) = -f_y and X_dy(f) = f_x, cut at H_Delta, lead at
     # (0, n-1) and (m-1, 0), which the leading power (0, n) of f divides
     # neither, so they are their own final reductions; DifferentialBasis
-    # checks the powers.
-    reductions = [{(d - m, a): -c * b for d, a, b, c in terms if b and d - m <= h},
-                  {(d - n, a - 1): c * a for d, a, b, c in terms if a and d - n <= h}]
+    # checks the powers.  Each h_i is held as (numerators, denominator).
+    reductions = [({(d - m, a): -c * b for d, a, b, c in terms if b and d - m <= h}, fden),
+                  ({(d - n, a - 1): c * a for d, a, b, c in terms if a and d - n <= h}, fden)]
     lambdas = [n, m]
     rounds = []
     ended = None
@@ -349,8 +388,9 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             ended = (s, ())
             break
         steps = []
-        r = _lifted(reductions[i], s, u - lambdas[i], h)
-        _reduce_by_f(r, tail, n, nm, h)
+        g, den = reductions[i]
+        r = _lifted(g, s, u - lambdas[i], h)
+        _, rden = _reduce_by_f(r, den, tail, fden, n, nm, h)
         value, usable = u, i  # the axis step may use only the forms before omega_i
         while True:
             # decompose is the membership test of value - lambda_j in Gamma.
@@ -362,19 +402,17 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
                     raise AssertionError(f"no earlier basis form covers the axis {u}")
                 break
             j, shift = cover
-            part = _lifted(reductions[j], shift, value - lambdas[j], h)
-            _reduce_by_f(part, tail, n, nm, h)
-            mu = _tuning(r, part)
+            g, den = reductions[j]
+            part = _lifted(g, shift, value - lambdas[j], h)
+            _, pden = _reduce_by_f(part, den, tail, fden, n, nm, h)
+            mu, p, q = _tuning(r, rden, part, pden)
             steps.append((j, mu, shift))
-            for k, c in part.items():  # r += mu * part, in place
-                t = r.get(k)
-                if t is None:
-                    r[k] = mu * c
-                elif t := t + mu * c:
-                    r[k] = t
-                else:
-                    del r[k]
-            lead = _reduce_by_f(r, tail, n, nm, h)
+            if p != 1:  # r <- p*r - q*part over rden*p: r + mu*part, in place
+                for k in r:
+                    r[k] *= p
+                rden *= p
+            _subtract_shifted(r, q, part.items(), 0, 0, h)  # all of part lies below h
+            lead, rden = _reduce_by_f(r, rden, tail, fden, n, nm, h)
             if lead is None:
                 value = None
                 break
@@ -392,10 +430,8 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             break
         lambdas.append(value)
         rounds.append((s, tuple(steps)))
-        reductions.append(r)
+        reductions.append((r, rden))
 
-    reductions = tuple(
-        TruncatedPoly(sg.order, h, {(a, (d - n * a) // m): c for (d, a), c in g.items()})
-        for g in reductions)
+    reductions = tuple(IntPoly(sg.order, h, g, den) for g, den in reductions)
     return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)), reductions,
                              tuple(rounds), ended)

@@ -25,12 +25,13 @@ def jacobian_basis_via_differentials(eq: CurveEquation,
 
     Reduction modulo the single element {f} is unique, so the h_i stored by
     the basis construction are the final reductions of X_{omega_i}(f)
-    themselves; ``StandardBasis`` re-checks that they are nonzero and that
-    their leading powers form an antichain.
+    themselves.  The basis holds them as ``IntPoly``; they become
+    ``TruncatedPoly`` here, exactly, and ``StandardBasis`` re-checks that
+    they are nonzero and that their leading powers form an antichain.
     """
     if diff.values.sg != eq.sg:
         raise ValueError("differential basis belongs to a different semigroup")
-    return _as_standard_basis(diff.reductions)
+    return _as_standard_basis([h.poly() for h in diff.reductions])
 
 
 def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:

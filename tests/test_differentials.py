@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
@@ -28,7 +29,7 @@ from cuspidal.differentials import (
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, _axis, covered
-from cuspidal.standard_basis import IntPoly, final_reduction
+from cuspidal.standard_basis import IntPoly, final_reduction, reduce_step
 from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
@@ -73,21 +74,29 @@ def _reduce_mod(g: TruncatedPoly, f: TruncatedPoly):
     return final_reduction(IntPoly.of(g), [IntPoly.of(f)])
 
 
-def _reduced(w: OneForm, eq: CurveEquation) -> dict:
-    """The final reduction of X_w(f) modulo f, as ``delorme`` holds it: a
-    term map keyed by (weighted degree, x-exponent)."""
-    red = _reduce_mod(apply_vector_field(w, eq), eq.f)
-    return {eq.sg.order.key(e): c for e, c in red.poly.terms.items()}
+def _reduced(w: OneForm, eq: CurveEquation) -> tuple:
+    """The final reduction of X_w(f) modulo f, as ``delorme`` holds it:
+    integer numerators keyed by (weighted degree, x-exponent), and their
+    denominator."""
+    red = _reduce_mod(apply_vector_field(w, eq), eq.f).remainder
+    return red.terms, red.den
 
 
 def test_tuning_constant_45():
     """mu+ = -mu1/mu2 from the leading terms of the final reductions of
-    X_eta1(f) and X_eta2(f) raises the value of eta1 + mu+ eta2."""
+    X_eta1(f) and X_eta2(f) raises the value of eta1 + mu+ eta2, and the
+    integers (p, q) take the same step fraction-free."""
     eq = EQ45
     x_dy = OneForm.basic(eq.f, "dy").mul_monomial(Rat(1), (1, 0))
     y_dx = OneForm.basic(eq.f, "dx").mul_monomial(Rat(1), (0, 1))
-    mu = _tuning(_reduced(x_dy, eq), _reduced(y_dx, eq))
+    (r1, den1), (r2, den2) = _reduced(x_dy, eq), _reduced(y_dx, eq)
+    mu, p, q = _tuning(r1, den1, r2, den2)
     assert mu == Rat(-5, 4)
+    assert p > 0
+    fraction_free = {k: Rat(p * r1.get(k, 0) - q * r2.get(k, 0), den1 * p)
+                     for k in r1.keys() | r2.keys()}
+    assert fraction_free == {k: Rat(r1.get(k, 0), den1) + mu * Rat(r2.get(k, 0), den2)
+                             for k in r1.keys() | r2.keys()}
     jumped = x_dy + y_dx.mul_monomial(mu, (0, 0))
     assert differential_value(jumped, eq) == 11
 
@@ -95,10 +104,10 @@ def test_tuning_constant_45():
 def test_tuning_constant_needs_equal_values():
     dx, dy = OneForm.basic(EQ45.f, "dx"), OneForm.basic(EQ45.f, "dy")
     with pytest.raises(ValueMismatch, match=r"values differ: .* \(15, 0\) vs \(16, 4\)"):
-        _tuning(_reduced(dx, EQ45), _reduced(dy, EQ45))
+        _tuning(*_reduced(dx, EQ45), *_reduced(dy, EQ45))
     # df has infinite value: X_df(f) = 0, so its reduction vanishes
     with pytest.raises(ValueMismatch, match="finite values"):
-        _tuning(_reduced(dx, EQ45), _reduced(OneForm.d(EQ45.f), EQ45))
+        _tuning(*_reduced(dx, EQ45), *_reduced(OneForm.d(EQ45.f), EQ45))
 
 
 @pytest.mark.parametrize("eq,lambdas,lps", [
@@ -125,10 +134,10 @@ def test_delorme_values_are_a_semimodule_with_readme_pins():
 def test_differential_basis_rejects_reductions_that_miss_the_values():
     diff = delorme(EQ49)
     h = diff.reductions
-    zero = TruncatedPoly.zero(EQ49.sg.order, EQ49.f.horizon)
+    zero = IntPoly(EQ49.sg.order, EQ49.f.horizon, {})
     for bad in (h[:-1],                    # one value without its h_i
                 (h[1], h[0]) + h[2:],      # seeds swapped
-                h[:-1] + (h[-1].mul_monomial(Rat(1), (1, 0)),),
+                h[:-1] + (IntPoly.of(h[-1].poly().mul_monomial(Rat(1), (1, 0))),),
                 h[:-1] + (zero,)):
         with pytest.raises(ValueError):
             replace(diff, reductions=bad)
@@ -345,7 +354,8 @@ def test_delorme_at_its_horizon_equals_the_full_horizon(monkeypatch):
         assert ours.forms == tuple(OneForm(w.dx.truncated(h), w.dy.truncated(h))
                                    for w in full.forms)
         assert ours.ended == full.ended
-        assert ours.reductions == tuple(p.truncated(h) for p in full.reductions)
+        assert (tuple(p.poly() for p in ours.reductions)
+                == tuple(p.poly().truncated(h) for p in full.reductions))
         assert [monomial_value(w) for w in ours.forms] == [monomial_value(w) for w in full.forms]
         pairs.add((sg.n, sg.m))
         if _guard_fires(eq, ours):
@@ -400,7 +410,8 @@ def test_the_cut_at_last_is_invisible(monkeypatch):
     def run(eq):
         calls.clear()
         diff = delorme(eq)
-        return (diff.values, diff.rounds, diff.reductions, diff.forms), len(calls)
+        reductions = tuple(p.poly() for p in diff.reductions)
+        return (diff.values, diff.rounds, reductions, diff.forms), len(calls)
 
     monkeypatch.setattr(differentials, "_reduce_by_f", counted)
     saved, below_c = Counter(), False
@@ -511,11 +522,12 @@ def test_delorme_matches_the_reference_run(monkeypatch):
     returned is its leading one."""
     reduce_by_f = differentials._reduce_by_f
 
-    def checked(g, tail, n, nm, horizon):
-        lead = reduce_by_f(g, tail, n, nm, horizon)
+    def checked(g, den, tail, fden, n, nm, horizon):
+        lead, den = reduce_by_f(g, den, tail, fden, n, nm, horizon)
         assert lead == (min(g) if g else None)
         assert all(g.values()) and all(d <= horizon for d, _ in g)
-        return lead
+        assert den > 0
+        return lead, den
 
     monkeypatch.setattr(differentials, "_reduce_by_f", checked)
     adapted = list(_adapted_specs())
@@ -524,9 +536,97 @@ def test_delorme_matches_the_reference_run(monkeypatch):
         ours, ref = delorme(eq), _reference_delorme(eq)
         assert ours.values == ref.values
         assert (ours.rounds, ours.ended) == (ref.rounds, ref.ended)
-        assert ([(p.horizon, p.terms) for p in ours.reductions]
+        assert ([(p.horizon, p.poly().terms) for p in ours.reductions]
                 == [(p.horizon, p.terms) for p in ref.reductions])
         assert ours.trail == ref.trail
+
+
+def _denominator_draws():
+    """Curves whose f has L = 2, 3, 6 or 12 as the lcm of its coefficients'
+    denominators: nice curves with one z_j = +-1/L and others over the
+    divisors of L, and adapted curves with mu = k/L, on pairs with
+    3 <= n <= 11 and m <= 20."""
+    rng = random.Random(29)
+    pairs = [(n, m) for n, m in coprime_pairs(range(3, 12), 20) if Semigroup(n, m).sets.J]
+    for L in (2, 3, 6, 12):
+        divisors = [d for d in range(1, L + 1) if L % d == 0]
+        for _ in range(8):
+            sg = Semigroup(*rng.choice(pairs))
+            J = sg.sets.J
+            z = {j: Rat(rng.choice([-1, 1]) * rng.randint(1, 7), rng.choice(divisors))
+                 for j in J if rng.random() < 0.9}
+            z[rng.choice(J)] = Rat(rng.choice([-1, 1]), L)
+            yield CurveEquation.nice(sg, z)
+        for _ in range(3):
+            n, m = rng.choice(pairs)
+            terms = {(m, 0): Rat(rng.choice([-5, -1, 1, 7]), L), (0, n): 1}
+            while len(terms) < 5:
+                a, b = rng.randint(0, 2 * m), rng.randint(0, 2 * n)
+                if n * m < n * a + m * b <= 2 * n * m - 2 * n - 2 * m:
+                    terms[(a, b)] = Rat(rng.choice([-1, 1]) * rng.randint(1, 7),
+                                        rng.choice(divisors))
+            sg = Semigroup(n, m)
+            yield CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, terms))
+
+
+def test_fraction_free_steps_are_the_fraction_steps(monkeypatch):
+    """On curves whose f has denominators of lcm L = 2, 3, 6 or 12, every
+    reduction modulo f that delorme makes is ``final_reduction(g, [f])`` on
+    ``IntPoly``, the same numerators over the same denominator, in as many
+    steps; that is the ``Fraction`` reduction exactly.  Every tuning takes
+    p > 0, every denominator stays positive, and the run's mu, values,
+    ending round and h_i equal those of the ``Fraction`` reference run.  The
+    draws reach steps where 1 < gcd(c, L) < L and where L divides c, and
+    tunings against a negative leading numerator p0."""
+    reduce_by_f, tuning = differentials._reduce_by_f, differentials._tuning
+    subtract = differentials._subtract_shifted
+    subtracted, seen = [], Counter()
+
+    def checked(g, den, tail, fden, n, nm, horizon):
+        assert fden == eq.f_int.den
+        ref, steps = IntPoly(eq.sg.order, horizon, dict(g), den), 0
+        while (nxt := reduce_step(ref, [eq.f_int])) is not None:
+            gam = gcd(ref.terms[ref.lead], fden)
+            seen["1 < gcd < L"] += 1 < gam < fden
+            seen["L | c"] += gam == fden > 1
+            ref, steps = nxt, steps + 1
+        before = len(subtracted)
+        lead, den = reduce_by_f(g, den, tail, fden, n, nm, horizon)
+        assert len(subtracted) - before == steps
+        assert (lead, g, den) == (ref.lead, ref.terms, ref.den)
+        assert den > 0
+        return lead, den
+
+    def tuned(r1, den1, r2, den2):
+        mu, p, q = tuning(r1, den1, r2, den2)
+        p0 = r2[min(r2)]
+        seen["p0 < 0"] += p0 < 0
+        assert p > 0 and mu == -Rat(r1[min(r1)], den1) / Rat(p0, den2)
+        return mu, p, q
+
+    monkeypatch.setattr(differentials, "_reduce_by_f", checked)
+    monkeypatch.setattr(differentials, "_tuning", tuned)
+    monkeypatch.setattr(differentials, "_subtract_shifted",
+                        lambda *args: subtracted.append(args) or subtract(*args))
+    draws = list(_denominator_draws())
+    assert {e.f_int.den for e in draws} == {2, 3, 6, 12}
+    rng = random.Random(30)
+    for eq in draws:
+        ours, ref = delorme(eq), _reference_delorme(eq)
+        assert ours.values == ref.values
+        assert (ours.rounds, ours.ended) == (ref.rounds, ref.ended)
+        assert all(p.den > 0 for p in ours.reductions)
+        assert [p.poly() for p in ours.reductions] == list(ref.reductions)
+        # Random g divisible by y^n: reductions of many more steps.
+        sg, h = eq.sg, eq.sg.delorme_horizon
+        tail = tuple(t for t in eq.f_int.tail if t[0][0] <= h)
+        for _ in range(4):
+            powers = ((rng.randint(0, sg.m), rng.randint(sg.n, 2 * sg.n)) for _ in range(8))
+            g = IntPoly.of(TruncatedPoly(sg.order, h, {
+                e: Rat(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 4))
+                for e in powers if sg.order.degree(e) <= h}))
+            checked(dict(g.terms), g.den, tail, eq.f_int.den, sg.n, sg.n * sg.m, h)
+    assert min(seen["1 < gcd < L"], seen["L | c"], seen["p0 < 0"]) > 0
 
 
 def test_round_plans_belong_to_the_pair_and_prefix():

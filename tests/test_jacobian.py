@@ -18,7 +18,7 @@ from cuspidal.jacobian import (
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import elements_outside
-from cuspidal.standard_basis import (HorizonExhausted, StandardBasis, buchberger,
+from cuspidal.standard_basis import (HorizonExhausted, IntPoly, StandardBasis, buchberger,
                                      codimension)
 from cusp_testkit import CORPUS, curve_draws
 
@@ -99,8 +99,8 @@ EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})  # values (4, 5, 11)
 
 def _via(*lps):
     """The (4,5) basis with monomial reductions h_i at the given leading powers."""
-    reductions = tuple(TruncatedPoly.monomial(EQ45.sg.order, Rat(1), e, horizon=200)
-                       for e in lps)
+    reductions = tuple(
+        IntPoly.of(TruncatedPoly.monomial(EQ45.sg.order, Rat(1), e, horizon=200)) for e in lps)
     return jacobian_basis_via_differentials(
         EQ45, replace(delorme(EQ45), reductions=reductions))
 

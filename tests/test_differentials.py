@@ -562,7 +562,7 @@ def _denominator_draws():
             terms = {(m, 0): Rat(rng.choice([-5, -1, 1, 7]), L), (0, n): 1}
             while len(terms) < 5:
                 a, b = rng.randint(0, 2 * m), rng.randint(0, 2 * n)
-                if n * m < n * a + m * b <= 2 * n * m - 2 * n - 2 * m:
+                if n * m < n * a + m * b <= 2 * n * m:
                     terms[(a, b)] = Rat(rng.choice([-1, 1]) * rng.randint(1, 7),
                                         rng.choice(divisors))
             sg = Semigroup(n, m)

@@ -363,22 +363,24 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
 
 
 @cache
-def certified_roots_from_semimodule(sm: AbstractSemimodule) -> frozenset:
+def certified_roots_from_semimodule(sm: AbstractSemimodule) -> tuple:
     """The root subset certified directly by the semimodule of differential
     values: all of -(Lambda \\ Gamma)/nm when n <= 4, and the -(lambda_1 +
     Gamma \\ Gamma)/nm tail for larger n (empty when the Zariski invariant
-    vanishes).  The set depends on the semimodule alone, (n, m) and its
-    basis, so the frozenset is cached per semimodule: every curve with the
-    same values reads the one set."""
+    vanishes), as a tuple sorted ascending.  The roots depend on the
+    semimodule alone, (n, m) and its basis, so the tuple is cached per
+    semimodule: every curve with the same values reads the one tuple, and
+    no caller sorts it again."""
     sg, basis = sm.sg, sm.basis
     nm = sg.n * sg.m
     if sg.n <= 4:
         lams = elements_outside(sm, 0)
     elif len(basis) < 3:
-        return frozenset()
+        return ()
     else:
         lams = elements_outside(AbstractSemimodule(sg, basis[:3]), 0)
-    return frozenset(-Rat(lam, nm) for lam in lams)
+    # lams ascends, so the roots -lam/nm ascend in reverse.
+    return tuple(Rat(-lam, nm) for lam in reversed(lams))
 
 
 @dataclass(frozen=True)

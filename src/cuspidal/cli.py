@@ -6,10 +6,11 @@ value`` report -- or the same data as JSON with ``--json``.  The spec
 describes the curve alone, and a subcommand takes only its own inputs:
 the one run setting is ``--seed`` of conjecture-scan.  f is held at 2nm,
 the horizon of the Newton-Puiseux branch, which ``newton_puiseux`` solves
-once, through t = nm + n + m; ``delorme`` cuts it again at H_Delta and the
-direct Jacobian basis at H_J, both below 2nm.  Exit codes: 0 success, 1 a
-verification found a mismatch or a computation failed its own check, 2 bad
-input.
+once, through t = nm + n + m; ``delorme`` cuts it again at
+H_Delta = max(D, nm) and the direct Jacobian basis at H_J = max(D, nm - n),
+both below 2nm, with D = 2nm - 2n - 2m; H_J is D for every n >= 3.  Exit
+codes: 0 success, 1 a verification found a mismatch or a computation failed
+its own check, 2 bad input.
 """
 from __future__ import annotations
 
@@ -101,9 +102,8 @@ def cmd_bs_roots(eq: CurveEquation) -> dict:
     if eq.form != "nice":
         raise SpecError("bs-roots needs a nice curve: mu = 1 and every other term on P")
     diff = delorme(eq)
-    certified = sorted(certified_roots_from_semimodule(diff.values))
     data: dict = {"basis": list(diff.values.basis),
-                  "roots": [str(r) for r in certified]}
+                  "roots": [str(r) for r in certified_roots_from_semimodule(diff.values)]}
     for j in eq.sg.sets.J:
         dec = decide_root(eq, j)
         parts = [dec.kind, f"root={dec.root}"]
@@ -227,11 +227,11 @@ def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
             ok &= four.consistent
         except PreconditionViolation as exc:  # n != 4 among the reasons
             data["four_consistency"] = f"skipped ({exc})"
-        lams = sorted(int(-r * (n * m)) for r in certified_roots_from_semimodule(vals))
-        bad = [lam for lam in lams
+        # Descending roots, so that their lambda = -root * nm ascend.
+        roots = certified_roots_from_semimodule(vals)[::-1]
+        bad = [lam for lam in (int(-r * (n * m)) for r in roots)
                if decide_root(eq, lam - n - m).kind != "beta_root"]
-        data["certified_roots"] = ("ok " + " ".join(str(-Rat(lam, n * m))
-                                                    for lam in lams)
+        data["certified_roots"] = ("ok " + " ".join(str(r) for r in roots)
                                    if not bad else
                                    "FAIL at " + " ".join(str(x) for x in bad))
         ok &= not bad

@@ -83,9 +83,9 @@ class Semigroup(metaclass=_OnePerPair):
 
     @property
     def jacobian_horizon(self) -> int:
-        """H_J = D + n = 2nm - n - 2m: the proven horizon of the direct
-        Jacobian standard basis (``jacobian_basis_direct``)."""
-        return self.hessian_degree + self.n
+        """H_J = max(D, nm - n): the proven horizon of the direct Jacobian
+        standard basis (``jacobian_basis_direct``); D for n >= 3."""
+        return max(self.hessian_degree, self.n * self.m - self.n)
 
     @property
     def branch_horizon(self) -> int:

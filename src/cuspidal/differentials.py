@@ -303,8 +303,8 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     The run is fraction-free.  It works on integer term maps keyed by
     ``WeightedOrder.key`` (weighted degree, x-exponent), so min() of a map
     is its leading term, each over one positive denominator; the h_i are
-    returned as ``IntPoly`` and become ``TruncatedPoly`` only when read
-    (``IntPoly.poly``).  Let L be the lcm of the denominators of f's
+    returned as ``IntPoly``, and no subcommand turns them into
+    ``TruncatedPoly``.  Let L be the lcm of the denominators of f's
     coefficients (``CurveEquation.f_int``).  f leads at y^n with
     coefficient 1 (``CurveEquation`` checks it), so its numerators are L at
     y^n and integers T on its tail.  Each step equals the step over
@@ -370,14 +370,13 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     f = eq.f_int  # leads at (nm, 0), y^n, with numerator f.den
     fden = f.den
     tail = tuple(t for t in f.tail if t[0][0] <= h)
-    terms = [(d, a, (d - n * a) // m, c) for (d, a), c in f.terms.items()]
 
     # The seeds X_dx(f) = -f_y and X_dy(f) = f_x, cut at H_Delta, lead at
     # (0, n-1) and (m-1, 0), which the leading power (0, n) of f divides
     # neither, so they are their own final reductions; DifferentialBasis
     # checks the powers.  Each h_i is held as (numerators, denominator).
-    reductions = [({(d - m, a): -c * b for d, a, b, c in terms if b and d - m <= h}, fden),
-                  ({(d - n, a - 1): c * a for d, a, b, c in terms if a and d - n <= h}, fden)]
+    fx, fy = f.partials(h)
+    reductions = [({k: -c for k, c in fy.terms.items()}, fden), (fx.terms, fden)]
     lambdas = [n, m]
     rounds = []
     ended = None

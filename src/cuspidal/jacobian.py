@@ -7,16 +7,17 @@ their leading powers encode the semimodule of differential values.  A direct
 Buchberger run over {f, f_x, f_y}, at its own proven horizon (see
 ``jacobian_basis_direct``), provides the independent cross-check, and the
 codimension formula turns the leading powers into the Tjurina number.
-That run is fraction-free, so its polynomials are positive integer
-multiples of those of the same run over ``Fraction`` coefficients, with the
-same leading powers.
+Both routes stay on ``IntPoly`` from f to the leading powers: the
+generators are differentiated exactly on f's integer numerators
+(``jacobian_generators``), and Buchberger's run is fraction-free, so its
+polynomials are positive integer multiples of those of the same run over
+``Fraction`` coefficients, with the same leading powers.
 """
 from __future__ import annotations
 
 from .curve import CurveEquation, Semigroup
 from .differentials import DifferentialBasis
-from .standard_basis import (HorizonExhausted, StandardBasis, _as_standard_basis,
-                             buchberger, codimension)
+from .standard_basis import HorizonExhausted, IntPoly, StandardBasis, buchberger, codimension
 
 
 def jacobian_basis_via_differentials(eq: CurveEquation,
@@ -25,18 +26,33 @@ def jacobian_basis_via_differentials(eq: CurveEquation,
 
     Reduction modulo the single element {f} is unique, so the h_i stored by
     the basis construction are the final reductions of X_{omega_i}(f)
-    themselves.  The basis holds them as ``IntPoly``; they become
-    ``TruncatedPoly`` here, exactly, and ``StandardBasis`` re-checks that
-    they are nonzero and that their leading powers form an antichain.
+    themselves.  They stay the ``IntPoly`` that ``delorme`` made, and
+    ``StandardBasis`` re-checks that they are nonzero and that their
+    leading powers form an antichain.
     """
     if diff.values.sg != eq.sg:
         raise ValueError("differential basis belongs to a different semigroup")
-    return _as_standard_basis([h.poly() for h in diff.reductions])
+    return StandardBasis(tuple(sorted(diff.reductions, key=lambda h: h.lead[1])))
+
+
+def jacobian_generators(eq: CurveEquation, horizon: int) -> list[IntPoly]:
+    """f, f_x and f_y cut at ``horizon``, as integer numerators over the
+    denominator of ``eq.f_int``, differentiated exactly (``IntPoly.partials``).
+    Each equals p.truncated(horizon) for p in ``eq.f``, ``eq.fx``, ``eq.fy``;
+    its numerators are a positive multiple of those of
+    ``IntPoly.of(p.truncated(horizon))``, so ``primitive`` gives the same
+    polynomial."""
+    f = eq.f_int
+    if horizon > f.horizon:
+        raise ValueError(f"cannot raise the horizon {f.horizon} to {horizon}")
+    cut = IntPoly(f.order, horizon, {k: c for k, c in f.terms.items() if k[0] <= horizon}, f.den)
+    return [cut, *f.partials(horizon)]
 
 
 def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
     """Buchberger over the generators {f, f_x, f_y}, cut at the proven
-    horizon H_J = 2nm - n - 2m (``Semigroup.jacobian_horizon``).
+    horizon H_J = max(D, nm - n) (``Semigroup.jacobian_horizon``), which
+    is D = 2nm - 2n - 2m for n >= 3 and 2m - 2 for n = 2.
 
     The leading powers, and so tau, are those of every horizon >= H_J, f's
     own 2nm included:
@@ -60,22 +76,26 @@ def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
     - So I + m_{>H} = I for every H >= D, and the basis at H has the
       corners of the leading ideal L(I) as leading powers once every corner
       has degree <= H (the highest-corner argument: Greuel & Pfister,
-      *A Singular Introduction to Commutative Algebra*, par. 1.7).  A
-      corner x^a*y^b with a >= 1 has x^(a-1)*y^b outside L(I), so of
-      degree <= D, and the corner has degree <= D + n.  The corner with
-      a = 0 divides y^(n-1), the leading power of f_y, of degree
-      nm - m <= D + n.  So H_J = D + n is enough.  As a formula in n and m
-      it is tight: for n = 2 the corner x^(m-1) has degree exactly H_J.
+      *A Singular Introduction to Commutative Algebra*, par. 1.7).  L(I)
+      holds x^(m-1) and y^(n-1), the leading powers of f_x and f_y.  So a
+      corner x^a*y^b with a >= m - 1 is x^(m-1), one with b >= n - 1 is
+      y^(n-1), and every other corner lies in the box a <= m - 2,
+      b <= n - 2, of degree <= D.  x^(m-1) has degree nm - n and y^(n-1)
+      degree nm - m < nm - n, so H_J = max(D, nm - n) is enough.  For
+      n >= 3, D >= nm - n, so H_J = D.  For n = 2, H_J = 2m - 2 = D + n,
+      and it is tight: the corner x^(m-1) has degree exactly H_J.
 
     The premise is checked on every call: the staircase must be finite and
     its highest monomial of degree <= D, else ``HorizonExhausted``.
 
-    The returned polynomials have integer coefficients of content 1: each
-    is a positive multiple of the basis element that the same run over
-    ``Fraction`` coefficients returns (see ``buchberger``).
+    The generators come from ``jacobian_generators``, so the whole run is
+    on integers.  The returned ``IntPoly`` have integer coefficients of
+    content 1 over the denominator 1: each is a positive multiple of the
+    basis element that the same run over ``Fraction`` coefficients returns
+    (see ``buchberger``).
     """
     h = eq.sg.jacobian_horizon
-    basis = buchberger([p.truncated(h) for p in (eq.f, eq.fx, eq.fy)])
+    basis = buchberger(jacobian_generators(eq, h))
     check_jacobian_staircase(basis, eq.sg)
     return basis
 

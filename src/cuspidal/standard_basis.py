@@ -70,6 +70,18 @@ class IntPoly:
         content = gcd(*self.terms.values())
         return IntPoly(self.order, self.horizon, {k: c // content for k, c in self.terms.items()})
 
+    def partials(self, horizon: int) -> tuple["IntPoly", "IntPoly"]:
+        """(d/dx, d/dy) exactly, over the same denominator, cut at
+        ``horizon``: the numerator c at key (d, a) becomes a*c at
+        (d - n, a - 1) and b*c at (d - m, a), with b = (d - n*a)/m."""
+        n, m = self.order.n, self.order.m
+        terms = self.terms.items()
+        return (IntPoly(self.order, horizon, {(d - n, a - 1): a * c for (d, a), c in terms
+                                              if a and d - n <= horizon}, self.den),
+                IntPoly(self.order, horizon, {(d - m, a): (d - n * a) // m * c
+                                              for (d, a), c in terms
+                                              if d > n * a and d - m <= horizon}, self.den))
+
     @property
     def leading_power(self) -> Exponent | None:
         if self.lead is None:
@@ -186,10 +198,12 @@ class StandardBasis:
     """Minimal standard basis, sorted by increasing x-exponent of leading powers.
 
     The leading powers form an antichain under componentwise divisibility, so
-    sorting by increasing a is the same as sorting by decreasing b.
+    sorting by increasing a is the same as sorting by decreasing b.  Only
+    ``leading_power`` is read, so the polynomials may be ``IntPoly``, as
+    ``buchberger`` and ``delorme`` make them, or ``TruncatedPoly``.
     """
 
-    polys: tuple[TruncatedPoly, ...]
+    polys: tuple[IntPoly | TruncatedPoly, ...]
 
     def __post_init__(self) -> None:
         lps = [p.leading_power for p in self.polys]
@@ -213,11 +227,7 @@ class StandardBasis:
         return iter(self.polys)
 
 
-def _as_standard_basis(polys: Sequence[TruncatedPoly]) -> StandardBasis:
-    return StandardBasis(tuple(sorted(polys, key=lambda p: p.leading_power[0])))
-
-
-def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
+def buchberger(gens: Sequence[IntPoly]) -> StandardBasis:
     """Standard basis of the ideal generated by ``gens``, valid below the horizon.
 
     FIFO processing of S-process pairs; a final reduction that vanishes to the
@@ -234,12 +244,13 @@ def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     step, the run processes the pairs, takes the divisors and keeps the
     leading powers of the same run over ``Fraction`` coefficients, and each
     returned polynomial is a positive multiple of that run's, with integer
-    coefficients of content 1.
+    coefficients of content 1.  It takes and returns ``IntPoly``: no
+    ``Fraction`` is built, and a caller that wants one reads ``.poly()``.
     """
     horizons = {g.horizon for g in gens}
     if len(horizons) > 1:
         raise ValueError(f"generators must share one horizon, got {sorted(horizons)}")
-    basis = [IntPoly.of(g).primitive() for g in gens if not g.is_zero]
+    basis = [g.primitive() for g in gens if g.terms]
     if not basis:
         raise ValueError("no nonzero generators")
     queue: deque[tuple[int, int]] = deque(
@@ -256,7 +267,7 @@ def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     for p in sorted(basis, key=lambda p: p.lead):
         if not any(divides(k.leading_power, p.leading_power) for k in kept):
             kept.append(p)
-    return _as_standard_basis([p.poly() for p in kept])
+    return StandardBasis(tuple(sorted(kept, key=lambda p: p.lead[1])))
 
 
 def codimension(basis: StandardBasis) -> int | None:

@@ -87,6 +87,28 @@ def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
             return form
 
 
+def adapted_curve(sg: Semigroup, rng: random.Random) -> CurveEquation:
+    """An adapted curve mu*x^m + y^n plus one to six terms between nm and
+    2nm: mu != 1, and denominators up to 97."""
+    n, m = sg.n, sg.m
+    terms = {(m, 0): Rat(rng.choice([-7, -2, 3, 5]), rng.choice([1, 9, 97])),
+             (0, n): Rat(1)}
+    for _ in range(rng.randint(1, 6)):
+        a, b = rng.randint(0, 2 * m), rng.randint(0, 2 * n)
+        if n * m < n * a + m * b <= 2 * n * m:
+            terms[(a, b)] = Rat(rng.choice([-1, 1]) * rng.randint(1, 50),
+                                rng.randint(1, 97))
+    return CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, terms))
+
+
+def adapted_curves():
+    """One adapted curve (``adapted_curve``) on every coprime pair with
+    n <= 7, m <= 13."""
+    rng = random.Random(97)
+    for n, m in coprime_pairs(range(2, 8), 13):
+        yield adapted_curve(Semigroup(n, m), rng)
+
+
 def coprime_pairs(n_values, m_bound: int):
     """All (n, m) with n in n_values, n < m <= m_bound, gcd(n, m) = 1."""
     from math import gcd

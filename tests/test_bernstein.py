@@ -499,12 +499,13 @@ def test_decide_root_validates_j():
 
 def test_certified_roots_small_multiplicity():
     diff = delorme(CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)}))
-    assert certified_roots_from_semimodule(diff.values) == {Rat(-11, 20)}
+    assert certified_roots_from_semimodule(diff.values) == (Rat(-11, 20),)
     sm = AbstractSemimodule(Semigroup(4, 9), (4, 9, 14, 19))
-    assert certified_roots_from_semimodule(sm) == {
-        Rat(-7, 18), Rat(-19, 36), Rat(-23, 36)}
+    # Sorted ascending, so callers print them without sorting.
+    assert certified_roots_from_semimodule(sm) == (
+        Rat(-23, 36), Rat(-19, 36), Rat(-7, 18))
     assert certified_roots_from_semimodule(
-        AbstractSemimodule(Semigroup(4, 9), (4, 9))) == frozenset()
+        AbstractSemimodule(Semigroup(4, 9), (4, 9))) == ()
 
 
 @pytest.mark.parametrize("pair,coeffs", [
@@ -524,8 +525,8 @@ def test_certified_roots_take_delorme_values(pair, coeffs):
 def test_certified_roots_large_multiplicity_uses_lambda1_cone():
     sm = AbstractSemimodule(Semigroup(5, 7), (5, 7, 13))
     # (13 + Gamma) \ Gamma = {13, 18, 20, 23, 25}∩gaps = {13, 18, 23}
-    assert certified_roots_from_semimodule(sm) == {
-        Rat(-13, 35), Rat(-18, 35), Rat(-23, 35)}
+    assert certified_roots_from_semimodule(sm) == (
+        Rat(-23, 35), Rat(-18, 35), Rat(-13, 35))
 
 
 def test_zariski_report_pin():

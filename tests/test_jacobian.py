@@ -9,18 +9,22 @@ import pytest
 from cuspidal import CurveEquation, Semigroup
 from cuspidal.curve import NotAdapted
 from cuspidal.differentials import delorme
+from cuspidal.cli import cmd_jacobian
 from cuspidal.jacobian import (
     check_jacobian_staircase,
     jacobian_basis_direct,
     jacobian_basis_via_differentials,
+    jacobian_generators,
     tjurina_number,
 )
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import elements_outside
+from cuspidal.specfile import parse_spec
 from cuspidal.standard_basis import (HorizonExhausted, IntPoly, StandardBasis, buchberger,
                                      codimension)
-from cusp_testkit import CORPUS, curve_draws
+from cusp_testkit import CORPUS, adapted_curves, curve_draws, nice_curves
+from jacobian_horizon_sweep import check_curve, sweep_curves
 
 
 @pytest.mark.parametrize("eq,tau", [
@@ -126,7 +130,7 @@ def _buchberger_4nm(eq):
     """The direct basis over (f, f_x, f_y), with f's terms and the whole
     arithmetic at 4nm, twice the horizon of the equation."""
     f = TruncatedPoly(eq.sg.order, 4 * eq.sg.n * eq.sg.m, eq.f.terms)
-    return buchberger([f, f.partial_x(), f.partial_y()])
+    return buchberger([IntPoly.of(p) for p in (f, f.partial_x(), f.partial_y())])
 
 
 def _adapted_draws(sg: Semigroup, count: int, seed: int):
@@ -146,7 +150,7 @@ def _adapted_draws(sg: Semigroup, count: int, seed: int):
 
 @pytest.mark.parametrize("pair", CORPUS)
 def test_direct_basis_at_the_jacobian_horizon_matches_4nm(pair):
-    """Cutting at H_J = 2nm - n - 2m keeps the leading powers and tau of 4nm."""
+    """Cutting at H_J = max(D, nm - n) keeps the leading powers and tau of 4nm."""
     sg = Semigroup(*pair)
     eqs = list(curve_draws(sg, 4, seed=41)) + list(_adapted_draws(sg, 2, seed=43))
     assert any(eq.mu != 1 for eq in eqs)
@@ -166,11 +170,74 @@ def test_jacobian_horizon_is_tight():
     h = sg.jacobian_horizon
     assert (sg.hessian_degree, h) == (6, 8)
     assert jacobian_basis_direct(eq).leading_powers == ((0, 1), (4, 0))
-    low = buchberger([eq.f.truncated(h - 1), eq.fx.truncated(h - 1),
-                      eq.fy.truncated(h - 1)])
+    low = buchberger([IntPoly.of(p.truncated(h - 1)) for p in (eq.f, eq.fx, eq.fy)])
     assert low.leading_powers == ((0, 1),)
     with pytest.raises(HorizonExhausted, match="infinite"):
         check_jacobian_staircase(low, sg)
+
+
+def test_jacobian_horizon_is_d_for_n_at_least_3():
+    """x^5 + y^4 + x^3*y^2: H_J = D = 22, the degree of the corner x^3*y^2.
+    One degree lower the corner is lost and the staircase reads tau = 12,
+    not 11.  That staircase is still finite and tops out at degree D, so
+    ``check_jacobian_staircase`` passes it: only the proof of H_J, and the
+    sweep below, guard against a horizon one too low."""
+    sg = Semigroup(4, 5)
+    h = sg.jacobian_horizon
+    assert h == sg.hessian_degree == 22 < sg.hessian_degree + sg.n
+    direct = jacobian_basis_direct(EQ45)
+    assert direct.leading_powers == ((0, 3), (3, 2), (4, 0))
+    assert tjurina_number(direct) == 11
+    low = buchberger(jacobian_generators(EQ45, h - 1))
+    assert low.leading_powers == ((0, 3), (4, 0))
+    check_jacobian_staircase(low, sg)
+    assert codimension(low) == 12
+
+
+def test_jacobian_horizon_sweep():
+    """Every coprime pair with 3 <= n <= 8, m <= 16, eight curves each (nice
+    at z-densities 0, 0.3 and 1, and adapted with mu != 1): at H_J the
+    leading powers are those at 2nm and tau = c - #(Lambda \\ Gamma).  One
+    degree lower, 13 of the 312 curves change their leading powers."""
+    outcomes = [check_curve(eq) for eq in sweep_curves(8, 16)]
+    assert len(outcomes) == 312
+    assert [o.mismatch for o in outcomes if o.mismatch] == []
+    assert sum(o.lower_differs for o in outcomes) == 13
+
+
+def test_integer_generators_are_the_truncated_derivatives():
+    """``jacobian_generators`` is exactly f, f_x and f_y cut at the horizon,
+    on nice curves and on adapted ones with mu != 1 and denominators up to
+    97, at H_J, one degree lower and at 2nm."""
+    curves = [*nice_curves(5, densities=(0.3, 1)), *adapted_curves()]
+    assert max(c.denominator for eq in curves for c in eq.f.terms.values()) == 97
+    for eq in curves:
+        sg = eq.sg
+        for h in (sg.jacobian_horizon, sg.jacobian_horizon - 1, sg.branch_horizon):
+            gens = jacobian_generators(eq, h)
+            assert [g.horizon for g in gens] == [h] * 3
+            assert [g.poly() for g in gens] == [
+                IntPoly.of(p.truncated(h)).poly() for p in (eq.f, eq.fx, eq.fy)]
+    with pytest.raises(ValueError, match="cannot raise"):
+        jacobian_generators(EQ45, EQ45.sg.branch_horizon + 1)
+
+
+@pytest.mark.parametrize("text", ["n = 4\nm = 9\nz 1 = 1\n",
+                                  "n = 4\nm = 9\nmu = 2/3\nterm 5/7 7 1\n"])
+def test_jacobian_stays_on_integers(monkeypatch, text):
+    """``cmd_jacobian`` builds neither a ``TruncatedPoly`` derivative nor a
+    ``TruncatedPoly`` from an ``IntPoly``: both bases stay integer."""
+    eq = parse_spec(text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("left the integer route")
+
+    for name in ("partial_x", "partial_y"):
+        monkeypatch.setattr(TruncatedPoly, name, refuse)
+    monkeypatch.setattr(IntPoly, "poly", refuse)
+    report = cmd_jacobian(eq)
+    assert report["match"] is True
+    assert report["tjurina"] == codimension(jacobian_basis_direct(eq))
 
 
 def _monomial_basis(sg: Semigroup, *lps) -> StandardBasis:

@@ -21,7 +21,7 @@ from cuspidal.standard_basis import (
     s_process_min,
 )
 
-from cusp_testkit import coprime_pairs, nice_curves
+from cusp_testkit import adapted_curves, coprime_pairs, nice_curves
 
 O45 = WeightedOrder(4, 5)
 
@@ -74,14 +74,14 @@ def test_s_process_cancels_leading_terms():
 
 
 def test_buchberger_monomial_ideal_is_complete():
-    gens = [_p({(0, 3): 1}), _p({(4, 0): 1})]
+    gens = [_i({(0, 3): 1}), _i({(4, 0): 1})]
     basis = buchberger(gens)
     assert set(basis.leading_powers) == {(0, 3), (4, 0)}
 
 
 def test_buchberger_drops_redundant_generator():
-    f = _p({(0, 4): 1, (5, 0): 1})
-    gens = [f, _p({(0, 3): 1}), _p({(4, 0): 5})]
+    f = _i({(0, 4): 1, (5, 0): 1})
+    gens = [f, _i({(0, 3): 1}), _i({(4, 0): 5})]
     basis = buchberger(gens)
     assert set(basis.leading_powers) == {(0, 3), (4, 0)}
 
@@ -89,7 +89,7 @@ def test_buchberger_drops_redundant_generator():
 def test_buchberger_rejects_mixed_horizons():
     """Over mixed horizons a remainder of two high-horizon generators could
     lead past the lowest horizon, where no generator is trustworthy."""
-    gens = [TruncatedPoly(O45, 12, {(0, 2): 1}), _p({(4, 0): 1, (1, 3): 1})]
+    gens = [IntPoly.of(TruncatedPoly(O45, 12, {(0, 2): 1})), _i({(4, 0): 1, (1, 3): 1})]
     with pytest.raises(ValueError, match=r"share one horizon, got \[12, 80\]"):
         buchberger(gens)
 
@@ -200,13 +200,13 @@ def _reference_buchberger(gens):
 
 
 def _assert_matches_reference(gens):
-    """``buchberger`` has the reference's leading powers, and each of its
-    polynomials is a positive rational multiple of the reference's, with
-    integer coefficients of content 1."""
-    got = buchberger(gens)
+    """``buchberger`` on the ``IntPoly`` of ``gens`` has the reference's
+    leading powers, and each of its polynomials is a positive rational
+    multiple of the reference's, with integer coefficients of content 1."""
+    got = buchberger([IntPoly.of(g) for g in gens])
     want = _reference_buchberger(gens)
     assert got.leading_powers == tuple(p.leading_power for p in want)
-    for p, q in zip(got, want):
+    for p, q in zip((p.poly() for p in got), want):
         coeffs = p.terms.values()
         assert all(c.denominator == 1 for c in coeffs)
         assert gcd(*(c.numerator for c in coeffs)) == 1
@@ -220,28 +220,12 @@ def _jacobian_generators(eq):
     return [p.truncated(h) for p in (eq.f, eq.fx, eq.fy)]
 
 
-def _adapted_curves():
-    """Adapted curves on every coprime pair with n <= 7, m <= 13: mu != 1
-    and terms between nm and 2nm, with denominators up to 97."""
-    rng = random.Random(97)
-    for n, m in coprime_pairs(range(2, 8), 13):
-        sg = Semigroup(n, m)
-        terms = {(m, 0): Rat(rng.choice([-7, -2, 3, 5]), rng.choice([1, 9, 97])),
-                 (0, n): Rat(1)}
-        for _ in range(rng.randint(1, 6)):
-            a, b = rng.randint(0, 2 * m), rng.randint(0, 2 * n)
-            if n * m < n * a + m * b <= 2 * n * m:
-                terms[(a, b)] = Rat(rng.choice([-1, 1]) * rng.randint(1, 50),
-                                    rng.randint(1, 97))
-        yield CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, terms))
-
-
 def test_buchberger_matches_the_reference_on_jacobian_generators():
     """(f, f_x, f_y) at H_J for every coprime pair with n <= 7, m <= 13: the
     bare curve, nice curves at z-densities 0.3 and 1, and adapted curves
     with mu != 1 and denominators up to 97."""
     bare = [CurveEquation.nice(Semigroup(n, m)) for n, m in coprime_pairs(range(2, 8), 13)]
-    adapted = list(_adapted_curves())
+    adapted = list(adapted_curves())
     assert all(eq.mu != 1 for eq in adapted)
     assert max(c.denominator for eq in adapted for c in eq.f.terms.values()) == 97
     for eq in [*bare, *nice_curves(28, densities=(0.3, 1)), *adapted]:

@@ -9,9 +9,11 @@ is a single Gamma group c*Gamma(r1)*Gamma(r2) or zero, with the pair
 once and checks every term against it).  So the vanishing decision is
 exact: c = 0 means zero, and otherwise the group is nonzero with the sign
 of c (``residue_is_zero``).  One integer core, ``_residue_sum``, computes c
-as (num, den) from the curve's table; ``residue`` wraps it as a GammaExpr,
-and ``decide_root`` reads only whether num is 0.  A root verdict is its
-kind, its root and the test exponent whose residue is nonzero.
+as (num, den) from the curve's table.  Every verdict reads only whether num
+is 0, on the B and Gamma pair of j's root plan: ``decide_root``, and both
+batteries through ``_verdict``; only ``residue`` wraps it as a GammaExpr.
+A root verdict is its kind, its root and the test exponent whose residue is
+nonzero.
 Interval arithmetic only displays a value (``interval_certificate``, which
 alone imports mpmath); no decision reads it.
 """
@@ -145,13 +147,13 @@ def _delta_entries(eq: CurveEquation, k: int) -> tuple:
     if table is not None:
         return table
     z = eq.nice_coeffs
-    p_of = eq.sg.sets.p_of
+    j_to_p = eq.sg.sets.j_to_p
     terms = []
     for seq in delta_sequences(tuple(z), k):
         num = den = 1
         o1 = o2 = 0
         for l, d in seq:
-            p1, p2 = p_of(l)
+            p1, p2 = j_to_p[l]
             o1 += d * p1
             o2 += d * p2
             num *= z[l].numerator ** d
@@ -227,8 +229,8 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
     have the same arguments, so they are stored as one entry, the sum of
     their numerators; a sum that cancels is dropped.  ``_residue_sum`` adds
     the lowered entries up on integers, and this function only turns its
-    (num, den) into the GammaExpr; ``decide_root`` reads the same sum's
-    sign and builds no GammaExpr.
+    (num, den) into the GammaExpr; ``decide_root`` and ``_verdict`` read
+    the same sum's sign and build no GammaExpr.
     """
     sg = eq.sg
     n, m = sg.n, sg.m
@@ -325,7 +327,7 @@ class RootDecision:
 @cache
 def _root_plans(sg: Semigroup) -> MappingProxyType:
     """j -> (B, pair, tests, beta root, alpha root) for every j in J of the
-    pair, read-only and built on the pair's first ``decide_root``: B =
+    pair, read-only and built on the pair's first verdict: B =
     j + n + m = beta_j*nm, the Gamma pair of beta_j (``_gamma_pair``), the
     test exponents of ``M_by_target`` whose target k = B - n*a - m*b is
     >= 0, in scan order, and the candidate roots -B/nm and
@@ -360,6 +362,19 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
         if _residue_sum(eq, a, b, big_b, pair)[0]:
             return RootDecision("beta_root", beta_root, (a, b))
     return RootDecision("alpha_root", alpha_root)
+
+
+def _verdict(eq: CurveEquation, j: int, a: int, b: int) -> str:
+    """"zero" or "nonzero": the sign of ``_residue_sum`` at test exponent
+    (a, b), on the B = j + n + m and Gamma pair of j's root plan, as
+    ``decide_root`` reads it.  The batteries ask only for j in J: every
+    lambda in Lambda \\ Gamma is a gap nm - n*a' - m*b' > n + m with
+    a', b' >= 1, so lambda - n - m = n*p1 + m*p2 - nm with p1 = m - 1 - a'
+    and p2 = n - 1 - b'.  The n = 4 chain's B = 8 alpha + 3 epsilon +
+    4 gamma gives p1 = 3 alpha + epsilon + gamma - 1 <= m - 2 and p2 = 2,
+    since gamma <= q <= alpha - 2.  An index outside J raises KeyError."""
+    big_b, pair = _root_plans(eq.sg)[j][:2]
+    return "nonzero" if _residue_sum(eq, a, b, big_b, pair)[0] else "zero"
 
 
 @cache
@@ -406,7 +421,8 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> Za
     """Verify on one curve that the smallest gap value with nonzero
     coefficient, the lambda_1 of its Delorme basis ``values``, and the residue
     chain at test exponent (1,1) all tell the same story, then confirm the
-    guaranteed nonzero residues across (lambda_1 + Gamma) \\ Gamma."""
+    guaranteed nonzero residues across (lambda_1 + Gamma) \\ Gamma, each
+    read by ``_verdict`` as ``decide_root`` reads it."""
     _check_semimodule(eq, values)
     sg = eq.sg
     n, m = sg.n, sg.m
@@ -419,9 +435,9 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> Za
     chain = []
     residue_j1 = None
     for ell in sg.sets.J:
-        decision = residue_is_zero(residue(eq, (1, 1), Rat(ell + n + m, n * m)))
-        chain.append((ell, decision.value))
-        if decision is not ResidueDecision.ZERO:
+        decision = _verdict(eq, ell, 1, 1)
+        chain.append((ell, decision))
+        if decision != "zero":
             residue_j1 = ell
             break
 
@@ -433,10 +449,9 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> Za
     if lambda1 is not None:
         for lam in elements_outside(AbstractSemimodule(sg, basis[:3]), 0):
             a, b = sg.decompose(lam - lambda1)
-            decision = residue_is_zero(
-                residue(eq, (a + 1, b + 1), Rat(lam, n * m)))
-            dagger.append((lam, (a + 1, b + 1), decision.value))
-            if decision is ResidueDecision.ZERO:
+            decision = _verdict(eq, lam - n - m, a + 1, b + 1)
+            dagger.append((lam, (a + 1, b + 1), decision))
+            if decision == "zero":
                 consistent = False
     return ZariskiReport(j1, lambda1, residue_j1, tuple(chain), tuple(dagger),
                          consistent)
@@ -462,7 +477,8 @@ def four_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> FourR
     3 epsilon + 4 q' from the coefficient pattern (simple vanishing tests
     below q, a quadratic combination at q), compare against the q' that
     ``classify_four`` reads off the Delorme basis ``values``, and verify the
-    residue chain plus the guaranteed nonzero residues above lambda_2."""
+    residue chain plus the guaranteed nonzero residues above lambda_2, each
+    read by ``_verdict`` as ``decide_root`` reads it."""
     _check_semimodule(eq, values)
     sg = eq.sg
     n, m = sg.n, sg.m
@@ -493,11 +509,10 @@ def four_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> FourR
     chain = []
     chain_ok = True
     for gamma in range(top + 1):
-        decision = residue_is_zero(
-            residue(eq, (alpha - q, 1), Rat(8 * alpha + 3 * epsilon + 4 * gamma, n * m)))
-        chain.append((gamma, decision.value))
+        decision = _verdict(eq, 8 * alpha + 3 * epsilon + 4 * gamma - n - m, alpha - q, 1)
+        chain.append((gamma, decision))
         expected_zero = q_prime_delorme is None or gamma < q_prime_delorme
-        if (decision is ResidueDecision.ZERO) != expected_zero:
+        if (decision == "zero") != expected_zero:
             chain_ok = False
 
     dagger = []
@@ -508,10 +523,9 @@ def four_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> FourR
             lam = lambda2 + 4 * a
             if values.contains(lam, 1):
                 raise AssertionError(f"{lam} unexpectedly lies in the sub-semimodule")
-            decision = residue_is_zero(
-                residue(eq, (alpha - q + a, 1), Rat(lam, n * m)))
-            dagger.append((lam, (alpha - q + a, 1), decision.value))
-            if decision is ResidueDecision.ZERO:
+            decision = _verdict(eq, lam - n - m, alpha - q + a, 1)
+            dagger.append((lam, (alpha - q + a, 1), decision))
+            if decision == "zero":
                 dagger_ok = False
 
     consistent = q_prime_coeffs == q_prime_delorme and chain_ok and dagger_ok

@@ -81,7 +81,7 @@ def cmd_semigroup(eq: CurveEquation) -> dict:
 def cmd_cuspidal_sets(eq: CurveEquation) -> dict:
     sets = eq.sg.sets
     return {"J": list(sets.J),
-            "P": [list(sets.p_of(j)) for j in sets.J],
+            "P": [list(sets.j_to_p[j]) for j in sets.J],
             "M": [list(ab) for ab in sets.M]}
 
 

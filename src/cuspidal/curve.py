@@ -171,9 +171,6 @@ class CuspidalSets:
         the one mapping."""
         return MappingProxyType(dict(self._j_to_p))
 
-    def p_of(self, j: int) -> Exponent:
-        return self.j_to_p[j]
-
     @cached_property
     def M_by_target(self) -> tuple:
         """M sorted by decreasing weight n*a + m*b, then by (a, b): for every
@@ -211,7 +208,7 @@ class CurveEquation:
     f is adapted: mu*x^m + y^n + (terms of weighted degree > n*m), with
     mu != 0.  It is nice when, besides, mu = 1 and every other term lies on
     the cuspidal exponent set P; its coefficients are then the z_j, with
-    z_j at P's monomial p_of(j).  mu, the form and the z_j are read off f.
+    z_j at P's monomial j_to_p[j].  mu, the form and the z_j are read off f.
     """
 
     sg: Semigroup
@@ -268,17 +265,13 @@ class CurveEquation:
                 else "adapted")
 
     @cached_property
-    def _z(self) -> tuple:
-        """((j, z_j), ...) over the nonzero z_j, j ascending."""
+    def nice_coeffs(self) -> MappingProxyType:
+        """j -> z_j over the nonzero z_j, j ascending; nice form required.
+        One read-only mapping, built on the first read."""
         if self.form != "nice":
             raise ValueError("coefficients by J-index exist only in nice form")
-        sets, terms = self.sg.sets, self.f.terms
-        return tuple((j, terms[p]) for j in sets.J if (p := sets.p_of(j)) in terms)
-
-    @property
-    def nice_coeffs(self) -> dict:
-        """Mapping j -> z_j (nonzero entries only); nice form required."""
-        return dict(self._z)
+        j_to_p, terms = self.sg.sets.j_to_p, self.f.terms
+        return MappingProxyType({j: terms[p] for j, p in j_to_p.items() if p in terms})
 
     @cached_property
     def fx(self) -> TruncatedPoly:

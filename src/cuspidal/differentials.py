@@ -33,11 +33,6 @@ class OneForm:
     dy: TruncatedPoly
 
     @classmethod
-    def d(cls, h: TruncatedPoly) -> "OneForm":
-        """The exact differential dh."""
-        return cls(h.partial_x(), h.partial_y())
-
-    @classmethod
     def basic(cls, f: TruncatedPoly, which: str) -> "OneForm":
         """dx or dy over the ground ring of f, at its truncation horizon, so
         products against f are not clamped."""

@@ -41,10 +41,8 @@ def jacobian_generators(eq: CurveEquation, horizon: int) -> list[IntPoly]:
     Each equals p.truncated(horizon) for p in ``eq.f``, ``eq.fx``, ``eq.fy``;
     its numerators are a positive multiple of those of
     ``IntPoly.of(p.truncated(horizon))``, so ``primitive`` gives the same
-    polynomial."""
+    polynomial.  ``IntPoly.partials`` refuses a horizon above f's."""
     f = eq.f_int
-    if horizon > f.horizon:
-        raise ValueError(f"cannot raise the horizon {f.horizon} to {horizon}")
     cut = IntPoly(f.order, horizon, {k: c for k, c in f.terms.items() if k[0] <= horizon}, f.den)
     return [cut, *f.partials(horizon)]
 

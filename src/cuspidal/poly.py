@@ -56,7 +56,7 @@ class Term(NamedTuple):
 class TruncatedPoly:
     """Immutable sparse polynomial, truncated at a weighted-degree horizon."""
 
-    __slots__ = ("order", "horizon", "terms", "_lead")
+    __slots__ = ("order", "horizon", "terms")
 
     def __init__(self, order: WeightedOrder, horizon: int,
                  terms: Mapping[Exponent, Rat] | None = None):
@@ -76,7 +76,6 @@ class TruncatedPoly:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):  # immutability by convention + guard
         raise AttributeError("TruncatedPoly is immutable")
@@ -87,7 +86,6 @@ class TruncatedPoly:
         object.__setattr__(p, "order", order)
         object.__setattr__(p, "horizon", horizon)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_lead", None)
         return p
 
     # -- constructors ---------------------------------------------------
@@ -112,12 +110,8 @@ class TruncatedPoly:
         """Minimal term in the weighted order; None for the zero polynomial."""
         if not self.terms:
             return None
-        cached = self._lead
-        if cached is None:
-            e = min(self.terms, key=self.order.key)
-            cached = Term(e, self.terms[e])
-            object.__setattr__(self, "_lead", cached)
-        return cached
+        e = min(self.terms, key=self.order.key)
+        return Term(e, self.terms[e])
 
     @property
     def leading_power(self) -> Exponent | None:

@@ -136,7 +136,7 @@ def parse_spec(text: str) -> CurveEquation:
         if j not in sg.sets.j_to_p:
             raise CoefficientOutsideJ(
                 f"z {j} is not a cuspidal gap value of ({n}, {m})", line_no)
-        table[sg.sets.p_of(j)] = c
+        table[sg.sets.j_to_p[j]] = c
     for c, a, b, line_no in terms:
         w = n * a + m * b
         if w <= n * m:

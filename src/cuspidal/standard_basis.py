@@ -73,7 +73,10 @@ class IntPoly:
     def partials(self, horizon: int) -> tuple["IntPoly", "IntPoly"]:
         """(d/dx, d/dy) exactly, over the same denominator, cut at
         ``horizon``: the numerator c at key (d, a) becomes a*c at
-        (d - n, a - 1) and b*c at (d - m, a), with b = (d - n*a)/m."""
+        (d - n, a - 1) and b*c at (d - m, a), with b = (d - n*a)/m.  A
+        horizon above this one raises: the terms above it are unknown."""
+        if horizon > self.horizon:
+            raise ValueError(f"cannot raise the horizon {self.horizon} to {horizon}")
         n, m = self.order.n, self.order.m
         terms = self.terms.items()
         return (IntPoly(self.order, horizon, {(d - n, a - 1): a * c for (d, a), c in terms
@@ -104,11 +107,6 @@ class FinalReduction(NamedTuple):
     def vanished(self) -> bool:
         """Every term was pushed beyond the horizon: ideal membership."""
         return not self.remainder.terms
-
-    @property
-    def poly(self) -> TruncatedPoly:
-        """The remainder exactly, as a ``TruncatedPoly``."""
-        return self.remainder.poly()
 
 
 def _subtract_shifted(r: dict, q: int, tail: tuple, degree: int, da: int,

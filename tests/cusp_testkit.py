@@ -49,10 +49,11 @@ def curve_draws(sg: Semigroup, count: int, seed: int = 0):
             yield CurveEquation.nice(sg, random_nice_coeffs(rng, sg))
 
 
-def nice_curves(seed: int, densities=(0.25, 0.5, 0.75)):
-    """One seeded nice curve per coprime pair n <= 7, m <= 13 and per
-    support density: each z_j is drawn nonzero with that probability."""
-    for n, m in coprime_pairs(range(2, 8), 13):
+def nice_curves(seed: int, densities=(0.25, 0.5, 0.75), n_values=range(2, 8), m_bound=13):
+    """One seeded nice curve per coprime pair n in n_values, m <= m_bound
+    (by default n <= 7, m <= 13) and per support density: each z_j is
+    drawn nonzero with that probability."""
+    for n, m in coprime_pairs(n_values, m_bound):
         sg = Semigroup(n, m)
         rng = random.Random(f"{seed}:{n}:{m}")
         for density in densities:

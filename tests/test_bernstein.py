@@ -19,6 +19,7 @@ from cuspidal.bernstein import (
     _gamma_pair,
     _lower,
     _root_plans,
+    _verdict,
     certified_roots_from_semimodule,
     decide_root,
     delta_sequences,
@@ -181,7 +182,7 @@ def _reference_residue(eq, ab, beta) -> GammaExpr:
     for seq in delta_sequences(tuple(z), int(k)):
         s1, s2, coeff = a, b, Rat(-1) ** sum(d for _, d in seq)
         for part, d in seq:
-            p1, p2 = eq.sg.sets.p_of(part)
+            p1, p2 = eq.sg.sets.j_to_p[part]
             s1 += d * p1
             s2 += d * p2
             coeff = coeff * z[part] ** d / factorial(d)
@@ -556,14 +557,17 @@ def test_four_report_pin():
     assert rep.consistent
 
 
-@pytest.mark.parametrize("m,coeffs,q_triple", [
+FOUR_Q_PINS = [
     (13, {5: Rat(1), 6: Rat(1)}, (1, 0, 0)),
     (13, {5: Rat(1), 10: Rat(1)}, (1, 1, 1)),
     (13, {5: Rat(1), 10: Rat(11, 26)}, (1, None, None)),
     (17, {9: Rat(1), 10: Rat(1)}, (2, 0, 0)),
     (17, {9: Rat(1), 14: Rat(1)}, (2, 1, 1)),
     (17, {9: Rat(1), 18: Rat(1)}, (2, 2, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("m,coeffs,q_triple", FOUR_Q_PINS)
 def test_four_report_with_positive_q(m, coeffs, q_triple):
     """With q >= 1 the coefficient prediction of q' runs its vanishing tests
     below q before the quadratic at q; both predictions agree."""
@@ -580,6 +584,49 @@ def test_four_report_degenerate():
     assert rep.q_prime_coeffs is None and rep.q_prime_delorme is None
     assert rep.chain == ((0, "zero"),)
     assert rep.consistent
+
+
+def _battery_entries(eq) -> list:
+    """(battery, B, (a, b), verdict) for every chain and dagger entry of both
+    batteries on one nice curve."""
+    n, m = eq.sg.n, eq.sg.m
+    values = delorme(eq).values
+    zar = zariski_condition_check(eq, values)
+    entries = [("zariski", ell + n + m, (1, 1), v) for ell, v in zar.chain]
+    entries += [("zariski", lam, ab, v) for lam, ab, v in zar.dagger]
+    try:
+        four = four_condition_check(eq, values)
+    except PreconditionViolation:
+        return entries
+    ab = (four.alpha - four.q, 1)
+    entries += [("four", 8 * four.alpha + 3 * four.epsilon + 4 * gamma, ab, v)
+                for gamma, v in four.chain]
+    entries += [("four", lam, ab, v) for lam, ab, v in four.dagger]
+    return entries
+
+
+def test_battery_verdicts_match_the_reference_residue():
+    """Every chain and dagger entry of both batteries, read on the root
+    plans, is the verdict of the table-free ``_reference_residue`` at the
+    same (a, b) and beta = B/nm: on nice curves of every pair
+    4 <= n <= 9, m <= 17 at z-densities 0.3 and 1, and on the q >= 1 pins
+    of the n = 4 battery."""
+    counts = {(battery, v): 0 for battery in ("zariski", "four") for v in ("zero", "nonzero")}
+    curves = [*nice_curves(seed=31, densities=(0.3, 1), n_values=range(4, 10), m_bound=17),
+              *(CurveEquation.nice(Semigroup(4, m), coeffs) for m, coeffs, _ in FOUR_Q_PINS)]
+    for eq in curves:
+        nm = eq.sg.n * eq.sg.m
+        for battery, big_b, ab, verdict in _battery_entries(eq):
+            reference = _reference_residue(eq, ab, Rat(big_b, nm))
+            assert verdict == ("zero" if reference.is_zero else "nonzero")
+            counts[battery, verdict] += 1
+    assert counts["zariski", "zero"] >= 80 and counts["zariski", "nonzero"] >= 600
+    assert counts["four", "zero"] >= 5 and counts["four", "nonzero"] >= 20
+
+
+def test_battery_verdict_needs_an_index_in_j():
+    with pytest.raises(KeyError):
+        _verdict(EQ49, 3, 1, 1)
 
 
 def test_four_requires_multiplicity_four():

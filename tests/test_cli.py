@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import cli, curve
+from cuspidal import bernstein, cli, curve
 from cuspidal.bernstein import interval_certificate
 from cuspidal.cli import main
 from cuspidal.curve import _solve_branch, cuspidal_sets, newton_puiseux
@@ -259,7 +259,7 @@ def _twin_specs(eq):
     head = f"n = {sg.n}\nm = {sg.m}\n"
     z = eq.nice_coeffs
     return (head + "".join(f"z {j} = {c}\n" for j, c in z.items()),
-            head + "".join("term {} {} {}\n".format(c, *sg.sets.p_of(j))
+            head + "".join("term {} {} {}\n".format(c, *sg.sets.j_to_p[j])
                            for j, c in z.items()))
 
 
@@ -364,6 +364,32 @@ def test_verify_solves_one_branch(monkeypatch, text):
     assert param.t_horizon == n * m + n + m
     assert len(param.y) == n * m + n + m + 1
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("text", [SPEC49, "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n"],
+                         ids=["4-9", "5-7"])
+def test_verify_batteries_read_the_root_plans(monkeypatch, text):
+    """verify's Zariski and n = 4 batteries read every residue as
+    ``decide_root`` does, on the root plans: with ``residue``,
+    ``residue_is_zero`` and ``GammaExpr`` made to raise, verify passes, and
+    the batteries run their daggers, the n = 4 one on (4, 9) and the
+    lambda_1 one on both curves."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a battery went around the root plans")
+
+    for name in ("residue", "residue_is_zero", "GammaExpr"):
+        monkeypatch.setattr(bernstein, name, refuse)
+    for name in ("residue", "residue_is_zero"):
+        monkeypatch.setattr(cli, name, refuse)
+    eq = parse_spec(text)
+    data, ok = cli.cmd_verify(eq)
+    assert ok
+    assert data["zariski_consistency"] == "ok"
+    values = delorme(eq).values
+    assert bernstein.zariski_condition_check(eq, values).dagger
+    if eq.sg.n == 4:
+        assert data["four_consistency"] == "ok"
+        assert bernstein.four_condition_check(eq, values).dagger
 
 
 @pytest.mark.parametrize("command", ["bs-roots", "delorme", "jacobian", "verify"])

@@ -112,11 +112,11 @@ def test_cuspidal_set_correspondences(n, m):
     sets = cuspidal_sets(sg)
     assert len(sets.P) == len(sets.J) == len(sets.M)
     for j in sets.J:
-        p = sets.p_of(j)
+        p = sets.j_to_p[j]
         assert p in sets.P
         assert n * p[0] + m * p[1] - n * m == j
         assert 1 <= p[1] <= n - 1
-    assert sets.M == tuple((m - 1 - sets.p_of(j)[0], n - 1 - sets.p_of(j)[1])
+    assert sets.M == tuple((m - 1 - sets.j_to_p[j][0], n - 1 - sets.j_to_p[j][1])
                            for j in sets.J)
 
 
@@ -134,6 +134,10 @@ def test_nice_equation_terms():
     assert eq.mu == 1
     assert eq.form == "nice"
     assert eq.nice_coeffs == {1: Rat(1), 2: Rat(7, 18)}
+    # one read-only mapping, built on the first read
+    assert eq.nice_coeffs is eq.nice_coeffs
+    with pytest.raises(TypeError):
+        eq.nice_coeffs[6] = Rat(1)
 
 
 def test_nice_rejects_exponent_outside_j():
@@ -263,7 +267,7 @@ def test_parametrization_solves_the_curve(n, m):
     assert all(c == 0 for c in _fraction_residual(eq, param))
     assert oracle_differential_value(OneForm.basic(eq.f, "dx"), param) == n
     assert oracle_differential_value(OneForm.basic(eq.f, "dy"), param) == m
-    assert oracle_differential_value(OneForm.d(eq.f), param) is None
+    assert oracle_differential_value(OneForm(eq.fx, eq.fy), param) is None
 
 
 @pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)
@@ -302,7 +306,7 @@ def test_infinite_value_solves_the_whole_branch(monkeypatch, eq):
     assert param.t_horizon == n * m + n + m
     solves = count_calls(monkeypatch, _solve_branch)
     param._table(len(param.powers), True)
-    assert oracle_differential_value(OneForm.d(eq.f), param) is None
+    assert oracle_differential_value(OneForm(eq.fx, eq.fy), param) is None
     assert not solves
     assert all(len(t) == param.t_horizon + 1 for t in param._tables.values())
 
@@ -408,7 +412,7 @@ def test_newton_puiseux_horizons_agree_on_common_prefix(eq, above):
     assert wide.y[:n * m + m + 1] == param.y[:n * m + m + 1]
     assert wide.y != param.y
     diff = delorme(eq)
-    forms = [*diff.forms, *diff.trail, OneForm.d(eq.f)]
+    forms = [*diff.forms, *diff.trail, OneForm(eq.fx, eq.fy)]
     for which in ("dx", "dy"):
         basic = OneForm.basic(eq.f, which)
         forms += [basic.mul_monomial(1, (a, b)) for a in range(m + 1) for b in range(n)

@@ -44,7 +44,7 @@ def test_final_reduction_vanishes_on_member():
     f = _p({(0, 4): 1, (5, 0): 1})
     red = final_reduction(IntPoly.of(f.mul_monomial(Rat(3), (1, 1))), [IntPoly.of(f)])
     assert red.vanished
-    assert red.poly.is_zero
+    assert red.remainder.poly().is_zero
 
 
 def test_final_reduction_single_divisor():
@@ -52,7 +52,7 @@ def test_final_reduction_single_divisor():
     f = _i({(0, 4): 1, (5, 0): 1})
     red = final_reduction(_i({(0, 4): 1}), [f])
     assert not red.vanished
-    assert red.poly == _p({(5, 0): -1})
+    assert red.remainder.poly() == _p({(5, 0): -1})
 
 
 def test_final_reduction_remainder_not_divisible():
@@ -60,7 +60,7 @@ def test_final_reduction_remainder_not_divisible():
     g = _i({(0, 5): 1, (2, 1): 1})
     red = final_reduction(g, [f])
     assert not red.vanished
-    lp = red.poly.leading_power
+    lp = red.remainder.poly().leading_power
     assert not (lp[0] >= 0 and lp[1] >= 4)
 
 
@@ -281,9 +281,19 @@ def test_steps_are_exact(gens, which, cut):
         g, seen = nxt, seen + 1
     assert seen == steps
     red = final_reduction(s, ints)
-    assert red.poly == remainder
+    assert red.remainder.poly() == remainder
     assert red.vanished == remainder.is_zero
     assert [b.terms for b in ints] == before
+
+
+def test_partials_refuse_a_higher_horizon():
+    """The horizon check lives in ``IntPoly.partials``, so every caller,
+    ``delorme`` and ``jacobian_generators`` alike, passes through it."""
+    eq = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
+    h = eq.sg.branch_horizon
+    with pytest.raises(ValueError, match=f"cannot raise the horizon {h} to {h + 1}"):
+        eq.f_int.partials(h + 1)
+    assert [p.horizon for p in eq.f_int.partials(h)] == [h, h]
 
 
 def test_int_poly_round_trip():

@@ -4,11 +4,14 @@ Every subcommand reads a curve spec (except conjecture-scan, which builds its
 own random curves), runs one pipeline, and prints a line-oriented ``key =
 value`` report -- or the same data as JSON with ``--json``.  The spec
 describes the curve alone, and a subcommand takes only its own inputs:
-the one run setting is ``--seed`` of conjecture-scan.  f is held at 2nm,
-the horizon of the Newton-Puiseux branch, which ``newton_puiseux`` solves
-once, through t = nm + n + m; ``delorme`` cuts it again at
-H_Delta = max(D, nm) and the direct Jacobian basis at H_J = max(D, nm - n),
-both below 2nm, with D = 2nm - 2n - 2m; H_J is D for every n >= 3.  Exit
+the one run setting is ``--seed`` of conjecture-scan.  f is held at 2nm;
+``delorme`` cuts it at H_Delta = max(D, nm) and the direct Jacobian basis
+at H_J = max(D, nm - n), both below 2nm, with D = 2nm - 2n - 2m; H_J is D
+for every n >= 3.  ``verify`` solves the Newton-Puiseux branch once, on f
+cut at H_Delta (``Semigroup.delorme_horizon``), the horizon at which
+``DifferentialBasis`` replays the forms it checks, so through
+t = H_Delta - nm + n + m: the oracle reads exactly the window of those
+forms, and would refuse one above H_Delta.  Exit
 codes: 0 success, 1 a verification found a mismatch or a computation failed
 its own check, 2 bad input.
 """
@@ -184,7 +187,9 @@ def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
     vals = diff.values
     data["basis"] = list(vals.basis)
 
-    param = newton_puiseux(eq)
+    # The oracle reads the forms of the run, replayed at H_Delta, and so
+    # the branch is solved at that horizon and no higher.
+    param = newton_puiseux(eq, sg.delorme_horizon)
 
     agree = all(oracle_differential_value(w, param) == lam
                 for w, lam in zip(diff.forms, vals.basis))

@@ -6,8 +6,9 @@ its z_j, are read off f's terms.
 A cusp is a plane branch whose semigroup is generated by a coprime pair
 (n, m) with 2 <= n < m.  Everything here is exact: the parametrization solves
 the coefficient recursion n * v_k = -P_k on integers, one coefficient per
-step, once, on f at 2nm, and is held as one scaled integer power table
-through t^(nm + n + m); it is the independent oracle for the
+step, once, on f cut at the horizon H of the forms it serves (2nm by
+default), and is held as one scaled integer power table through
+t^(H - nm + n + m); it is the independent oracle for the
 differential-value machinery.
 """
 from __future__ import annotations
@@ -89,21 +90,29 @@ class Semigroup(metaclass=_OnePerPair):
 
     @property
     def branch_horizon(self) -> int:
-        """2nm: the one horizon of f.  ``CurveEquation`` holds f at it and
-        ``newton_puiseux`` solves the branch on it; the other layers cut f
-        lower, at H_Delta and H_J.
+        """2nm: the one horizon of f.  ``CurveEquation`` holds f at it; the
+        other layers cut f lower: ``delorme`` at H_Delta, the direct
+        Jacobian basis at H_J, and ``newton_puiseux`` at the horizon of the
+        forms its branch serves (2nm by default, H_Delta in ``verify``).
 
-        2nm is enough: no term of f above it changes an order that the
-        oracle reads, through t^(nm + n + m - 1).  A term of weight
-        w > 2nm moves y by some delta of t-order >= w - (n-1)m >= nm + m + 1,
-        since f_y has t-order (n-1)m.  The pullback A(x, y) x' + B(x, y) y'
-        of A dx + B dy then moves by B * delta', of t-order >= beta + nm + m
-        with beta = ord_t B(x, y) in Gamma, and by terms of t-order
-        >= nm + n + m.  Inside the window, orders <= nm + n + m - 1, that
-        leaves beta = 0, and then the pullback has order m - 1 on both
-        branches: its t^(m-1) coefficient is B(0, 0) * m * c0, as
-        A(x, y) x' has no t^(m-1) term (m - n is not in Gamma).  So no
-        layer needs a term of f above 2nm, and ``parse_spec`` refuses one."""
+        A branch solved on f cut at any H >= nm is enough for every form at
+        a horizon <= H: no term of f above H changes an order that the
+        oracle reads for such a form, through t^(H - nm + n + m - 1).
+        Matching t^(k + nm - m) in f(x(t), y(t)) = 0 fixes y_k from
+        y_m..y_(k-1) (the recursion of ``newton_puiseux``), and a term of
+        weight w reaches only t-orders >= w.  So a term of weight w > H
+        moves y by some delta of t-order >= w - (n-1)m >= H - nm + m + 1,
+        and y agrees through t^(H - nm + m).  The pullback
+        A(x, y) x' + B(x, y) y' of A dx + B dy then moves by B * delta', of
+        t-order >= beta + H - nm + m with beta = ord_t B(x, y) in Gamma,
+        and by terms of t-order >= H - nm + n + m (A_y * delta * x' and
+        B_y * delta * y').  Inside the window, orders
+        <= H - nm + n + m - 1, that leaves beta = 0, and then the pullback
+        has order m - 1 on both branches: its t^(m-1) coefficient is
+        B(0, 0) * m * c0, as A(x, y) x' has no t^(m-1) term (m - n is not
+        in Gamma) and delta' has t-order >= H - nm + m >= m.
+        With H = 2nm: no layer needs a term of f above 2nm, and
+        ``parse_spec`` refuses one."""
         return 2 * self.n * self.m
 
     @cached_property
@@ -312,10 +321,14 @@ class Parametrization:
     not depend on it.
 
     ``powers`` is the table v^0, v^1, ..., v^top (top the largest y-degree
-    of H) through s^t_horizon, t_horizon = nm + n + m, solved once by
-    ``newton_puiseux``, where it passed the residual check; nothing here
-    solves.  The oracle reads every pullback off that table (higher powers
-    than H's are appended on first read).  A *part*
+    of H) through s^t_horizon, t_horizon = H_f - nm + n + m, solved once by
+    ``newton_puiseux`` on f cut at H_f, where it passed the residual check;
+    nothing here solves.  Only the orders the oracle reads are those of f's
+    own branch at 2nm: ``y`` agrees with that branch through
+    t^(H_f - nm + m), and past it holds the branch of f cut at H_f, which
+    reads the same order for every form at a horizon <= H_f
+    (``Semigroup.branch_horizon``).  The oracle reads every pullback off
+    that table (higher powers than H's are appended on first read).  A *part*
     (shift, b, theta, num, den) stands for (num/den) * t^shift * Y, with
     integers num and den > 0, where Y = y^b, or Y = t * (y^b)' when
     ``theta``.  The t^k coefficient of Y is
@@ -399,7 +412,8 @@ class Parametrization:
 
     @cached_property
     def y(self) -> tuple:
-        """The coefficients of t^0..t^t_horizon of y(t)."""
+        """The coefficients of t^0..t^t_horizon of y(t): those of f's branch
+        at 2nm through t^(H_f - nm + m) only (see the class)."""
         cn, cd, D = self.c0.numerator, self.c0.denominator, self.scale
         return tuple(Rat(cn * c, cd * D ** (k - self.m)) if c else ZERO
                      for k, c in enumerate(self.powers[1]))
@@ -489,16 +503,25 @@ def _solve_branch(n: int, m: int, terms, window: int) -> list:
     return [tuple(p[:window + 1]) for p in pows]
 
 
-def newton_puiseux(eq: CurveEquation) -> Parametrization:
-    """Solve f(x(t), y(t)) = 0 for y as a truncated series, on integers.
-    f is held at 2nm, which ``Semigroup.branch_horizon`` proves enough,
-    and the branch is solved once, here, through t^t_horizon with
-    t_horizon = nm + n + m.  Every coefficient of the table that the
-    ``Parametrization`` holds has passed the residual check below.
+def newton_puiseux(eq: CurveEquation, horizon: int | None = None) -> Parametrization:
+    """Solve f(x(t), y(t)) = 0 for y as a truncated series, on integers,
+    for the forms at horizons <= ``horizon`` (H_f; by default 2nm, f's
+    own, ``Semigroup.branch_horizon``).  f is cut at H_f, which
+    ``Semigroup.branch_horizon`` proves enough for those forms, and the
+    branch is solved once, here, through t^t_horizon with
+    t_horizon = H_f - nm + n + m.  Every coefficient of the table that the
+    ``Parametrization`` holds has passed the residual check below.  Only
+    the orders the oracle reads for those forms are guaranteed to be those
+    of f's branch at 2nm: past t^(H_f - nm + m) the coefficients of y are
+    the branch of f cut at H_f.  H_f must lie in [nm, 2nm]: above 2nm f
+    has no terms to give (``TruncatedPoly.truncated`` refuses to raise the
+    horizon), and below nm the cut drops x^m and y^n (and the window misses
+    s^m for H_f < nm - n).
 
     The oracle reads a form at horizon H_w through
-    min(t_horizon, H_w - nm + n + m) - 1 (``oracle_differential_value``),
-    and ``differential_value`` sees the values
+    min(2nm, H_w) - nm + n + m - 1 (``oracle_differential_value``), and
+    refuses a form whose window passes t^(t_horizon - 1), the last order
+    of the table; ``differential_value`` sees the values
     nu <= min(2nm, H_w) - nm + n + m: one window for every form.  It is
     past the conductor, and so past every value in Lambda minus Gamma.  It
     needs no check of its own: the branch of f is exact through any
@@ -527,10 +550,11 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     v_k = n^(2(k-m)) * v'_k is an integer.
 
     The solve (``_solve_branch``) runs that recursion, k = m+1..t_horizon,
-    on a table of v^0..v^top (top the largest y-degree in f)
-    through s^work, work = t_horizon + nm - m = 2nm + n.  Each v^b starts
-    at s^(mb) <= 2nm, inside the table.  Since v starts with s^m, v_k first
-    enters v^b at s^(k+m(b-1)), as b * v_k.  So step k fills that
+    on a table of v^0..v^top (top the largest y-degree in f cut at H_f)
+    through s^work, work = t_horizon + nm - m = H_f + n.  Each v^b starts
+    at s^(mb) <= H_f, inside the table: the cut is what keeps it there.
+    Since v starts with s^m, v_k first enters v^b at s^(k+m(b-1)), as
+    b * v_k.  So step k fills that
     entry of each v^b from v_m..v_(k-1), as one coefficient of
     v^(b-1) * v; reads P_k, the s^(k+nm-m) coefficient of H on the table,
     where every term but v^n reads only finished entries; sets
@@ -542,8 +566,13 @@ def newton_puiseux(eq: CurveEquation) -> Parametrization:
     parametrization holds.
     """
     sg = eq.sg
-    n, m = sg.n, sg.m
+    n, m, nm = sg.n, sg.m, sg.n * sg.m
+    h = sg.branch_horizon if horizon is None else horizon
+    if h < nm:
+        raise ValueError(f"branch horizon {h} is below nm = {nm}: the cut drops "
+                         f"x^{m} and y^{n}")
+    f = eq.f.truncated(h)
     xi, c0 = _leading_solution(n, m, eq.mu)
-    scale, terms = _scaled_equation(eq.f, xi, c0)
-    powers = _solve_branch(n, m, terms, n * m + n + m)
+    scale, terms = _scaled_equation(f, xi, c0)
+    powers = _solve_branch(n, m, terms, h - nm + n + m)
     return Parametrization(n, m, xi, c0, scale, tuple(powers))

@@ -95,24 +95,31 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
     """nu(omega) = ord_t(pullback) + 1 along x = xi t^n, y = y(t).
 
     The pullback (A(phi) * xi * n * t^{n-1} + B(phi) * y'(t)) dt is read
-    through power min(t_horizon, H - nm + n + m) - 1, with
-    t_horizon = nm + n + m and H the smaller horizon of A and B.  That is,
-    for every form, the window of ``differential_value``, which reduces at
-    the smaller of H and f's 2nm (``newton_puiseux``); None marks an order
-    past it.  Each
+    through power min(2nm, H) - nm + n + m - 1, H the smaller horizon of A
+    and B.  That is, for every form, the window of ``differential_value``,
+    which reduces at the smaller of H and f's 2nm (``newton_puiseux``);
+    None marks an order past it.  A branch solved at H_f reads that window
+    exactly for a form at H <= H_f (``Semigroup.branch_horizon``), and its
+    table ends at t^(H_f - nm + n + m): a form whose window passes
+    t^(t_horizon - 1) raises ``ValueError`` instead of reading an order
+    the branch does not hold.  Each
     monomial is one part of ``param``'s integer table, the term c*x^a*y^b*dy
     by y^b * y' = t^-1 * t(y^(b+1))' / (b+1), and the coefficients of the
     pullback are read upward only to the first nonzero one.
     """
     param.check_cusp(omega.dx.order)
-    n = param.n
+    n, m = param.n, param.m
+    nm = n * m
     xn, xd = param.x_coeff.numerator, param.x_coeff.denominator
     parts = [(n * a + n - 1, b, False, c.numerator * xn ** (a + 1) * n,
               c.denominator * xd ** (a + 1)) for (a, b), c in omega.dx.terms.items()]
     parts += [(n * a - 1, b + 1, True, c.numerator * xn ** a,
                c.denominator * xd ** a * (b + 1)) for (a, b), c in omega.dy.terms.items()]
-    horizon = min(omega.dx.horizon, omega.dy.horizon)
-    upto = min(param.t_horizon, horizon - n * param.m + n + param.m) - 1
+    horizon = min(2 * nm, omega.dx.horizon, omega.dy.horizon)
+    upto = horizon - nm + n + m - 1
+    if upto >= param.t_horizon:
+        raise ValueError(f"a form at horizon {horizon} is read through t^{upto}, past "
+                         f"the branch's window t^{param.t_horizon - 1}")
     o = param.order(parts, upto)
     return None if o is None else o + 1
 

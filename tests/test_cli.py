@@ -348,8 +348,9 @@ def test_direct_jacobian_basis_built_once(capsys, monkeypatch, spec49, command):
                          ids=["4-9", "5-7"])
 def test_verify_solves_one_branch(monkeypatch, text):
     """verify compares every form of Delorme's run against one branch, solved
-    once, through t_horizon = nm + n + m; a read of its y afterwards, the
-    one the traced benchmark makes, solves nothing more."""
+    once, at the forms' horizon H_Delta, so through
+    t_horizon = H_Delta - nm + n + m; a read of its y afterwards, the one
+    the traced benchmark makes, solves nothing more."""
     eq = parse_spec(text)
     branches = count_calls(monkeypatch, newton_puiseux)
     solves = count_calls(monkeypatch, _solve_branch)
@@ -361,9 +362,23 @@ def test_verify_solves_one_branch(monkeypatch, text):
     assert len(branches) == len(solves) == 1
     (param,) = {id(param): param for _, param in oracle}.values()
     n, m = eq.sg.n, eq.sg.m
-    assert param.t_horizon == n * m + n + m
-    assert len(param.y) == n * m + n + m + 1
+    t_horizon = eq.sg.delorme_horizon - n * m + n + m
+    assert param.t_horizon == t_horizon
+    assert len(param.y) == t_horizon + 1
     assert len(solves) == 1
+
+
+def test_verify_on_a_y_power_above_the_branch_horizon(monkeypatch):
+    """On n = 3 / m = 4 / term 1 0 4, y^4 (weight 16) lies above
+    H_Delta = 12, where verify solves the branch: f is cut there with the
+    window, so verify passes, and its report is the one it gives on the
+    2nm branch."""
+    eq = parse_spec("n = 3\nm = 4\nterm 1 0 4\n")
+    data, ok = cli.cmd_verify(eq)
+    assert ok
+    assert data["oracle_delorme_forms"] == "ok 1/1"
+    monkeypatch.setattr(cli, "newton_puiseux", lambda eq, horizon: newton_puiseux(eq))
+    assert cli.cmd_verify(eq) == (data, True)
 
 
 @pytest.mark.parametrize("text", [SPEC49, "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n"],

@@ -240,7 +240,7 @@ def _times(u, w, top: int) -> list:
     return out
 
 
-def _fraction_residual(eq: CurveEquation, param) -> list:
+def _fraction_residual(f: TruncatedPoly, param) -> list:
     """f(x_coeff * t^n, y(t)) through t^t_horizon, from ``param.y`` alone, by
     plain Fraction convolutions."""
     top = param.t_horizon
@@ -248,11 +248,11 @@ def _fraction_residual(eq: CurveEquation, param) -> list:
     x_coeff = _fraction(param.x_coeff)
     powers = [[Fraction(1)] + [Fraction(0)] * top]
     residual = [Fraction(0)] * (top + 1)
-    for (a, b), c in eq.f.terms.items():
+    for (a, b), c in f.terms.items():
         while len(powers) <= b:
             powers.append(_times(powers[-1], y, top))
         scale = _fraction(c) * x_coeff ** a
-        shift = eq.sg.n * a
+        shift = f.order.n * a
         for k in range(top + 1 - shift):
             residual[k + shift] += scale * powers[b][k]
     return residual
@@ -264,7 +264,7 @@ def test_parametrization_solves_the_curve(n, m):
     gives dx and dy the values n and m, and df an infinite one."""
     eq = _all_ones(n, m)
     param = newton_puiseux(eq)
-    assert all(c == 0 for c in _fraction_residual(eq, param))
+    assert all(c == 0 for c in _fraction_residual(eq.f, param))
     assert oracle_differential_value(OneForm.basic(eq.f, "dx"), param) == n
     assert oracle_differential_value(OneForm.basic(eq.f, "dy"), param) == m
     assert oracle_differential_value(OneForm(eq.fx, eq.fy), param) is None
@@ -275,7 +275,7 @@ def test_branch_is_exact_and_integral(eq):
     """The residual, computed without the integer table, vanishes; and
     v_k = y_k * D^(k-m) / c0 is the table's integer v_k."""
     param = newton_puiseux(eq)
-    assert all(c == 0 for c in _fraction_residual(eq, param))
+    assert all(c == 0 for c in _fraction_residual(eq.f, param))
     m, v = eq.sg.m, param._table(1, False)
     top = len(param.powers) - 1
     assert all(type(c) is int for b in range(top + 1) for c in param._table(b, False))
@@ -324,6 +324,51 @@ def test_reading_the_table_solves_the_whole_branch(monkeypatch, read):
     assert len(solves) == 1
 
 
+@pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)
+def test_branch_at_a_lower_horizon_solves_f_cut_there(eq):
+    """newton_puiseux(eq, H) for nm <= H <= 2nm solves the branch of f cut at
+    H through t_horizon = H - nm + n + m: its residual against that cut
+    vanishes, and its y is the 2nm branch's through t^(H - nm + m)
+    (``Semigroup.branch_horizon``)."""
+    sg = eq.sg
+    n, m, nm = sg.n, sg.m, sg.n * sg.m
+    full = newton_puiseux(eq)
+    for h in sorted({nm, sg.delorme_horizon, sg.branch_horizon}):
+        param = newton_puiseux(eq, h)
+        assert param.t_horizon == h - nm + n + m
+        assert all(c == 0 for c in _fraction_residual(eq.f.truncated(h), param))
+        assert param.y[:h - nm + m + 1] == full.y[:h - nm + m + 1]
+
+
+def test_branch_on_a_term_above_the_horizon():
+    """On x^4 + y^3 + y^4, y^4 (weight 16) lies above H_Delta = 12, and its
+    v^4 would start at s^16, past the table of the window at H_Delta
+    (through s^(7 + 12 - 4) = s^15): newton_puiseux cuts f at the horizon
+    with the window.  The y^4 term first moves y at t^(16 - 8) = t^8, one
+    past the window: the two branches agree on all of it."""
+    eq = _adapted(3, 4, {(4, 0): Rat(1), (0, 4): Rat(1)})
+    low, full = newton_puiseux(eq, 12), newton_puiseux(eq)
+    assert low.t_horizon == 7
+    assert low.y == full.y[:8]
+    assert full.y[8] != 0
+
+
+def test_branch_horizon_above_2nm_is_refused():
+    eq = BRANCH_CASES[BRANCH_IDS.index("4-9")]
+    with pytest.raises(ValueError, match="cannot raise the horizon 72 to 73"):
+        newton_puiseux(eq, 73)
+
+
+@pytest.mark.parametrize("h", [35, 32, 31], ids=["below-nm", "window-at-s^m", "window-misses-s^m"])
+def test_branch_horizon_below_nm_is_refused(h):
+    """On (4, 9) a horizon below nm = 36 drops x^9 and y^4, and below
+    nm - n = 32 its window t^(h - 36 + 13) misses s^9 too: each raises
+    before any solve."""
+    eq = BRANCH_CASES[BRANCH_IDS.index("4-9")]
+    with pytest.raises(ValueError, match=f"branch horizon {h} is below nm = 36"):
+        newton_puiseux(eq, h)
+
+
 def test_exact_division_raises_on_a_remainder():
     assert _series.exact_div(-12, 4) == -3
     with pytest.raises(ArithmeticError, match="inexact"):
@@ -345,7 +390,7 @@ def test_parametrization_of_adapted_equation():
     f = TruncatedPoly(o, 40, {(0, 4): 1, (5, 0): 2, (3, 2): 1})
     eq = CurveEquation(Semigroup(4, 5), f)
     param = newton_puiseux(eq)
-    assert all(c == 0 for c in _fraction_residual(eq, param))
+    assert all(c == 0 for c in _fraction_residual(eq.f, param))
     assert param.x_coeff == -8
     assert [(k, c) for k, c in enumerate(param.y) if c][:6] == [
         (5, 16), (7, 8), (9, 2), (11, -1), (13, Rat(-5, 8)), (15, Rat(7, 16))]

@@ -31,6 +31,7 @@ from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, _axis, covered
 from cuspidal.standard_basis import IntPoly, final_reduction, reduce_step
 from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
+from branch_window_sweep import check_curve, sweep_curves
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
@@ -247,6 +248,36 @@ def test_oracle_reads_the_window_of_the_forms_horizon():
     assert delorme(eq).trail[-1] == form
     assert differential_value(form, eq) is None
     assert oracle_differential_value(form, newton_puiseux(eq)) is None
+
+
+def test_oracle_refuses_a_form_past_the_branch_window():
+    """A branch solved at H_Delta = 46 holds t^0..t^(46 - 36 + 13) on EQ49.
+    dx at 2nm would be read through t^(nm + n + m - 1) = t^48, past it, so
+    the oracle raises instead of reading an order the branch does not hold;
+    dx at H_Delta reads its value there, as on the 2nm branch."""
+    sg = EQ49.sg
+    param = newton_puiseux(EQ49, sg.delorme_horizon)
+    assert param.t_horizon == 23
+    with pytest.raises(ValueError, match="read through t\\^48, past the branch's window t\\^22"):
+        oracle_differential_value(OneForm.basic(EQ49.f, "dx"), param)
+    dx = OneForm.basic(EQ49.f.truncated(sg.delorme_horizon), "dx")
+    assert oracle_differential_value(dx, param) == 4
+    assert oracle_differential_value(dx, newton_puiseux(EQ49)) == 4
+
+
+def test_branch_window_sweep():
+    """Every coprime pair with 2 <= n <= 6, m <= 13, seven curves each (three
+    for n = 2): nice at z-densities 0, 0.3 and 1, and adapted with mu != 1
+    and a term of y-degree > n.  The branch at H_Delta has the 2nm branch's
+    y through t^(H_Delta - nm + m), and on every basis and trail form both
+    oracles and the implicit route read one value.  On 11 of the 164
+    curves, y parts from the 2nm branch's later, inside the window: only
+    the orders the oracle reads are kept."""
+    outcomes = [check_curve(eq) for eq in sweep_curves(6, 13)]
+    assert len(outcomes) == 164
+    assert [o.mismatch for o in outcomes if o.mismatch] == []
+    assert sum(o.forms for o in outcomes) == 842
+    assert sum(o.y_parts for o in outcomes) == 11
 
 
 @pytest.mark.parametrize("text,lifts,steps", [

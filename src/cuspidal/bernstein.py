@@ -9,11 +9,16 @@ is a single Gamma group c*Gamma(r1)*Gamma(r2) or zero, with the pair
 once and checks every term against it).  So the vanishing decision is
 exact: c = 0 means zero, and otherwise the group is nonzero with the sign
 of c (``residue_is_zero``).  One integer core, ``_residue_sum``, computes c
-as (num, den) from the curve's table.  Every verdict reads only whether num
-is 0, on the B and Gamma pair of j's root plan: ``decide_root``, and both
-batteries through ``_verdict``; only ``residue`` wraps it as a GammaExpr.
-A root verdict is its kind, its root and the test exponent whose residue is
-nonzero.
+as (num, den) from the curve's table of the target k, the t^k coefficient
+of an exponential that the recurrence of ``_delta_entries`` builds from the
+tables of smaller targets, without listing delta sequences.  Every verdict
+reads only whether num is 0, on the B and Gamma pair of j's root plan,
+through one core, ``_first_nonzero``: ``decide_root``, and both batteries
+through ``_verdict``.  It passes by every test whose k no sum of the
+curve's support reaches (``CurveEquation.support_sums``): that residue is
+the empty sum, exactly 0.  Only ``residue`` wraps c as a GammaExpr.  A root
+verdict is its kind, its root and the test exponent whose residue is
+nonzero, one shared instance per pair, j and witness.
 Interval arithmetic only displays a value (``interval_certificate``, which
 alone imports mpmath); no decision reads it.
 """
@@ -23,10 +28,10 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from math import factorial, lcm
+from math import gcd, lcm, prod
 from types import MappingProxyType
 
-from .curve import CurveEquation, Semigroup
+from .curve import CurveEquation, Semigroup, sums_bitset
 from .rationals import Rat, rat
 from .semimodules import AbstractSemimodule, classify_four, elements_outside
 
@@ -48,7 +53,9 @@ def delta_sequences(parts, k: int) -> frozenset:
     and the parts increasing.
 
     DFS over the parts in decreasing order; k = 0 yields the empty (all-zero)
-    sequence.
+    sequence.  No residue lists them (``_delta_entries`` builds the tables
+    by a recurrence); the enumeration is the tests' reference for those
+    tables.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -123,10 +130,7 @@ def _lower(s: int, q: int, r: int) -> tuple:
     if off:
         raise ValueError(f"Gamma({Rat(s, q)}) does not lower to Gamma({Rat(r, q)}): "
                          "not one Gamma group")
-    num = 1
-    for i in range(1, t + 1):
-        num *= s - i * q
-    return num, q ** t
+    return prod(range(s - q, r - 1, -q)), q ** t
 
 
 def _gamma_pair(n: int, m: int, big_b: int) -> tuple:
@@ -137,45 +141,78 @@ def _gamma_pair(n: int, m: int, big_b: int) -> tuple:
 
 def _delta_entries(eq: CurveEquation, k: int) -> tuple:
     """``eq.delta_table[k]``, built on the first use of k: (den, entries)
-    with entries ((num, o1, o2), ...), one per distinct offset pair
-    (o1, o2) = (sum d*p1, sum d*p2) over the delta sequences of k, whose
-    coefficients (-1)^{sum d} prod z^d / d! sum to num/den.  Every
-    coefficient is put over den, the lcm of the sequences' denominators,
-    from the numerators and denominators of the z_j; an entry whose
-    numerators cancel is dropped."""
-    table = eq.delta_table.get(k)
+    with entries ((num, o1, o2), ...), one per offset pair
+    (o1, o2) = (sum d*p1, sum d*p2) of the delta sequences of k, whose
+    coefficients (-1)^{sum d} prod z^d / d! sum to num/den != 0.
+
+    The table of k is E_k, the t^k coefficient of
+    E = exp(-sum_l z_l u_l t^l) over the parts l with nonzero z_l, where
+    u_l = x^p1 y^p2 is the monomial of l, x and y kept as offsets:
+
+    - exp of a sum is the product of the exps, so
+      E = prod_l sum_d (-z_l u_l t^l)^d / d!, and its t^k coefficient sums
+      (-1)^{sum d} prod z_l^d u_l^d / d! over the multiplicities d_l >= 0
+      with sum d_l * l = k: the delta sequences of k, one term each.
+    - With A = -sum_l z_l u_l t^l, E' = A' E, so t E' = (t A') E, and
+      comparing t^k coefficients gives k E_k = -sum_{l <= k} l z_l u_l
+      E_{k-l} (Miller's power-series recurrence; Knuth, TAOCP vol. 2,
+      section 4.7), with E_0 = 1.
+
+    So the table of k is built from the tables of k - l, not by listing
+    sequences.  A target outside the support sums (``eq.support_sums``)
+    has no sequence: its table is empty and the recurrence skips it.  The
+    tables that E_k reads are those of the support sums k' <= k with
+    k - k' a support sum too, a set closed under the recurrence's own
+    reads; they are filled in increasing k' and kept.  Each table is put
+    over den = k * lcm(zd_l * den_{k-l}), the coefficients of equal
+    offsets merged, those that cancel dropped, and num and den divided by
+    their gcd."""
+    tables = eq.delta_table
+    table = tables.get(k)
     if table is not None:
         return table
-    z = eq.nice_coeffs
-    j_to_p = eq.sg.sets.j_to_p
-    terms = []
-    for seq in delta_sequences(tuple(z), k):
-        num = den = 1
-        o1 = o2 = 0
-        for l, d in seq:
-            p1, p2 = j_to_p[l]
-            o1 += d * p1
-            o2 += d * p2
-            num *= z[l].numerator ** d
-            den *= z[l].denominator ** d * factorial(d)
-        terms.append((-num if sum(d for _, d in seq) % 2 else num, den, o1, o2))
-    common = lcm(*(den for _, den, _, _ in terms))
-    merged: dict = {}
-    for num, den, o1, o2 in terms:
-        merged[o1, o2] = merged.get((o1, o2), 0) + num * (common // den)
-    eq.delta_table[k] = table = (common, tuple((c, o1, o2) for (o1, o2), c in merged.items() if c))
-    return table
+    sums = eq.support_sums if k <= eq.sg.branch_horizon else sums_bitset(eq.nice_coeffs, k)
+    if not sums >> k & 1:
+        tables[k] = table = (1, ())
+        return table
+    parts = eq.delta_parts
+    tables.setdefault(0, (1, ((1, 0, 0),)))
+    below = sums & ((2 << k) - 1)
+    while below:
+        low = below & -below
+        below ^= low
+        t = low.bit_length() - 1
+        if t in tables or not sums >> (k - t) & 1:
+            continue
+        reads = []
+        for l, lz, zd, p1, p2 in parts:
+            if l > t:
+                break
+            if sums >> (t - l) & 1:
+                den, entries = tables[t - l]
+                reads.append((lz, zd * den, p1, p2, entries))
+        common = lcm(*(d for _, d, _, _, _ in reads))
+        merged: dict = {}
+        for lz, d, p1, p2, entries in reads:
+            c = lz * (common // d)
+            for num, o1, o2 in entries:
+                key = (o1 + p1, o2 + p2)
+                merged[key] = merged.get(key, 0) - c * num
+        den = t * common
+        g = gcd(den, *merged.values())
+        tables[t] = (den // g, tuple((c // g, o1, o2) for (o1, o2), c in merged.items() if c))
+    return tables[k]
 
 
-def _residue_sum(eq: CurveEquation, a: int, b: int, big_b: int, pair) -> tuple:
-    """The coefficient c of the residue at test exponent (a, b) with
-    B = beta*nm, as integers (num, den) with den > 0; only the sign of num
-    decides.  Sums num_i * P1 * P2 * m^(T1-t1) * n^(T2-t2) over the
-    entries of k = B - n*a - m*b, where P1/m^t1 and P2/n^t2 lower the
+def _residue_sum(eq: CurveEquation, a: int, b: int, k: int, pair) -> tuple:
+    """The coefficient c of the residue at test exponent (a, b) with target
+    k = B - n*a - m*b, B = beta*nm, as integers (num, den) with den > 0;
+    only the sign of num decides.  Sums num_i * P1 * P2 * m^(T1-t1) *
+    n^(T2-t2) over the entries of k, where P1/m^t1 and P2/n^t2 lower the
     entry's arguments (``_lower``) and T1, T2 are the largest t1, t2 so
     far; every term is checked for a pole and against ``pair``."""
     n, m = eq.sg.n, eq.sg.m
-    den, entries = _delta_entries(eq, big_b - n * a - m * b)
+    den, entries = eq.delta_table.get(k) or _delta_entries(eq, k)
     r1, r2 = pair
     total = 0
     top1 = top2 = 1  # m^T1, n^T2
@@ -227,7 +264,11 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
     offsets (sum d*p1, sum d*p2), over one positive denominator.  Every call
     adds its own (a, b) to the offsets.  Sequences with the same offsets
     have the same arguments, so they are stored as one entry, the sum of
-    their numerators; a sum that cancels is dropped.  ``_residue_sum`` adds
+    their numerators; a sum that cancels is dropped.  No sequence is
+    listed: the table of k is the t^k coefficient of
+    exp(-sum z_l x^p1 y^p2 t^l), built from the tables of smaller targets
+    by Miller's recurrence (proved in ``_delta_entries``), and a k that no
+    sum of the support reaches has the empty table.  ``_residue_sum`` adds
     the lowered entries up on integers, and this function only turns its
     (num, den) into the GammaExpr; ``decide_root`` and ``_verdict`` read
     the same sum's sign and build no GammaExpr.
@@ -244,7 +285,7 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
     if k < 0:
         raise NegativeK(f"residue target k = {k} is negative")
     r1, r2 = _gamma_pair(n, m, big_b)
-    num, den = _residue_sum(eq, a, b, big_b, (r1, r2))
+    num, den = _residue_sum(eq, a, b, k, (r1, r2))
     if not num:
         return GammaExpr(())
     return GammaExpr(((tuple(sorted((Rat(r1, m), Rat(r2, n)))), Rat(num, den)),))
@@ -314,7 +355,7 @@ def residue_is_zero(expr: GammaExpr) -> ResidueDecision:
     return ResidueDecision.ZERO if expr.is_zero else ResidueDecision.NONZERO
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootDecision:
     """Outcome of the residue criterion for one j in J: the kind, the root,
     and for a beta root the test exponent (a, b) whose residue is nonzero."""
@@ -326,22 +367,41 @@ class RootDecision:
 
 @cache
 def _root_plans(sg: Semigroup) -> MappingProxyType:
-    """j -> (B, pair, tests, beta root, alpha root) for every j in J of the
-    pair, read-only and built on the pair's first verdict: B =
-    j + n + m = beta_j*nm, the Gamma pair of beta_j (``_gamma_pair``), the
-    test exponents of ``M_by_target`` whose target k = B - n*a - m*b is
-    >= 0, in scan order, and the candidate roots -B/nm and
-    -(B + nm)/nm.  Nothing in it depends on a curve."""
+    """j -> (B, pair, tests, targets, beta root, alpha root, verdicts) for
+    every j in J of the pair, read-only and built on the pair's first
+    verdict: B = j + n + m = beta_j*nm, the Gamma pair of beta_j
+    (``_gamma_pair``), the test exponents of ``M_by_target`` whose target
+    k = B - n*a - m*b is >= 0, in scan order, their targets k, the
+    candidate roots -B/nm and -(B + nm)/nm, and the pair's verdicts for j:
+    witness -> RootDecision, None for the alpha root, each made on its
+    first hit.  Nothing in it depends on a curve."""
     n, m = sg.n, sg.m
     scan = sg.sets.M_by_target
+    # scan has decreasing weight n*a + m*b, so k >= 0 is a suffix of it
+    neg_weights = [-n * a - m * b for a, b in scan]
     plans = {}
     for j in sg.sets.J:
         big_b = j + n + m
-        # scan has decreasing weight n*a + m*b, so k >= 0 is a suffix of it
-        start = bisect_left(scan, -big_b, key=lambda ab: -(n * ab[0] + m * ab[1]))
+        start = bisect_left(neg_weights, -big_b)
         plans[j] = (big_b, _gamma_pair(n, m, big_b), scan[start:],
-                    Rat(-big_b, n * m), Rat(-big_b - n * m, n * m))
+                    tuple(map(big_b.__add__, neg_weights[start:])),
+                    Rat(-big_b, n * m), Rat(-big_b - n * m, n * m), {})
     return MappingProxyType(plans)
+
+
+def _first_nonzero(eq: CurveEquation, pair, tests, targets):
+    """The first test exponent (a, b) of ``tests`` whose residue is
+    nonzero, else None: the one core of every verdict.  ``targets`` holds
+    the target k of each test.  A test whose k is not a support sum
+    (``eq.support_sums``) is passed by unread: its residue is the empty
+    sum, exactly 0.  Every other residue is ``_residue_sum``, each term
+    checked for a pole and against ``pair``, the Gamma pair of the tests'
+    B."""
+    sums = eq.support_sums
+    for ab, k in zip(tests, targets):
+        if sums >> k & 1 and _residue_sum(eq, *ab, k, pair)[0]:
+            return ab
+    return None
 
 
 def decide_root(eq: CurveEquation, j: int) -> RootDecision:
@@ -352,29 +412,34 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     pair's plan for j (``_root_plans``) holds B, the Gamma pair of beta_j,
     the test exponents with k >= 0 in that order and both candidate roots,
     so each call only reads the sign of each residue's integer sum
-    (``_residue_sum``); no GammaExpr is built.  The first nonzero residue
-    is the witness; ``residue(eq, witness, beta_j)`` recomputes it."""
+    (``_first_nonzero``); no GammaExpr is built.  The first nonzero residue
+    is the witness; ``residue(eq, witness, beta_j)`` recomputes it.  The
+    verdict returned is the pair's one instance for (j, witness)."""
     plan = _root_plans(eq.sg).get(j)
     if plan is None:
         raise ValueError(f"{j} is not a cuspidal gap value of {(eq.sg.n, eq.sg.m)}")
-    big_b, pair, tests, beta_root, alpha_root = plan
-    for a, b in tests:
-        if _residue_sum(eq, a, b, big_b, pair)[0]:
-            return RootDecision("beta_root", beta_root, (a, b))
-    return RootDecision("alpha_root", alpha_root)
+    _, pair, tests, targets, beta_root, alpha_root, verdicts = plan
+    witness = _first_nonzero(eq, pair, tests, targets)
+    verdict = verdicts.get(witness)
+    if verdict is None:
+        verdict = verdicts[witness] = (RootDecision("alpha_root", alpha_root) if witness is None
+                                       else RootDecision("beta_root", beta_root, witness))
+    return verdict
 
 
 def _verdict(eq: CurveEquation, j: int, a: int, b: int) -> str:
-    """"zero" or "nonzero": the sign of ``_residue_sum`` at test exponent
-    (a, b), on the B = j + n + m and Gamma pair of j's root plan, as
-    ``decide_root`` reads it.  The batteries ask only for j in J: every
-    lambda in Lambda \\ Gamma is a gap nm - n*a' - m*b' > n + m with
-    a', b' >= 1, so lambda - n - m = n*p1 + m*p2 - nm with p1 = m - 1 - a'
-    and p2 = n - 1 - b'.  The n = 4 chain's B = 8 alpha + 3 epsilon +
+    """"zero" or "nonzero": the residue at test exponent (a, b), on the
+    B = j + n + m and Gamma pair of j's root plan, read by
+    ``_first_nonzero`` as ``decide_root`` reads it.  The batteries ask only
+    for j in J: every lambda in Lambda \\ Gamma is a gap
+    nm - n*a' - m*b' > n + m with a', b' >= 1, so
+    lambda - n - m = n*p1 + m*p2 - nm with p1 = m - 1 - a' and
+    p2 = n - 1 - b'.  The n = 4 chain's B = 8 alpha + 3 epsilon +
     4 gamma gives p1 = 3 alpha + epsilon + gamma - 1 <= m - 2 and p2 = 2,
     since gamma <= q <= alpha - 2.  An index outside J raises KeyError."""
     big_b, pair = _root_plans(eq.sg)[j][:2]
-    return "nonzero" if _residue_sum(eq, a, b, big_b, pair)[0] else "zero"
+    k = big_b - eq.sg.n * a - eq.sg.m * b
+    return "zero" if _first_nonzero(eq, pair, ((a, b),), (k,)) is None else "nonzero"
 
 
 @cache

@@ -24,7 +24,7 @@ import random
 import sys
 from math import gcd
 
-from .bernstein import (NegativeK, PreconditionViolation,
+from .bernstein import (NegativeK, PreconditionViolation, RootDecision,
                         certified_roots_from_semimodule, decide_root,
                         four_condition_check, interval_certificate, residue,
                         residue_is_zero, zariski_condition_check)
@@ -56,8 +56,7 @@ def _print_report(data: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(data, indent=2))
         return
-    for key, value in data.items():
-        print(f"{key} = {_render_value(value)}")
+    sys.stdout.write("".join(f"{key} = {_render_value(value)}\n" for key, value in data.items()))
 
 
 def _load_curve(args) -> CurveEquation:
@@ -108,19 +107,34 @@ def cmd_bs_roots(eq: CurveEquation) -> dict:
     data: dict = {"basis": list(diff.values.basis),
                   "roots": [str(r) for r in certified_roots_from_semimodule(diff.values)]}
     for j in eq.sg.sets.J:
-        dec = decide_root(eq, j)
+        data[f"verdict j={j}"] = _verdict_line(decide_root(eq, j))
+    # Every residue is one Gamma group decided by its exact sign, so no
+    # verdict rests on an assumption.  The line stays for the readers of
+    # the report: the seed-0 digests in bench/reference pin every line.
+    data["independence_assumed"] = False
+    return data
+
+
+# id of a pair's RootDecision -> (that decision, its report line).  The
+# entry holds the decision, so no other object can take its id.
+_VERDICT_LINES: dict = {}
+
+
+def _verdict_line(dec: RootDecision) -> str:
+    """The report line of a verdict, rendered once per process: every
+    curve of a pair with the same (j, witness) gets the pair's one
+    ``RootDecision`` from ``decide_root``.  Looked up by identity, since
+    hashing a verdict hashes its root, a Fraction."""
+    hit = _VERDICT_LINES.get(id(dec))
+    if hit is None:
         parts = [dec.kind, f"root={dec.root}"]
         if dec.witness is not None:
             parts.append(f"witness={dec.witness[0]},{dec.witness[1]}")
             # A witness's residue is nonzero by definition; the seed-0
             # digests in bench/reference pin this field of the line.
             parts.append("decision=nonzero")
-        data[f"verdict j={j}"] = " ".join(parts)
-    # Every residue is one Gamma group decided by its exact sign, so no
-    # verdict rests on an assumption.  The line stays for the readers of
-    # the report: the seed-0 digests in bench/reference pin every line.
-    data["independence_assumed"] = False
-    return data
+        hit = _VERDICT_LINES[id(dec)] = (dec, " ".join(parts))
+    return hit[1]
 
 
 def cmd_residue(eq: CurveEquation, j: int, ab) -> dict:

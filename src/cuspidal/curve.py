@@ -298,12 +298,55 @@ class CurveEquation:
         return IntPoly.of(self.f)
 
     @cached_property
+    def support_sums(self) -> int:
+        """The targets k <= 2nm that the support reaches, as a bitset: bit k
+        is set iff k is a sum of parts j with nonzero z_j, repeats allowed
+        (bit 0, the empty sum, always).  A target outside this set has no
+        delta sequence.  The targets of every beta_j are below 2nm; a
+        larger one (``residue`` with a larger beta) gets a bitset of its
+        own in ``bernstein._delta_entries``."""
+        return sums_bitset(self.nice_coeffs, self.sg.branch_horizon)
+
+    @cached_property
+    def delta_parts(self) -> tuple:
+        """The parts of the residue recurrence (``bernstein._delta_entries``):
+        (l, l * numerator(z_l), denominator(z_l), p1, p2) for every nonzero
+        z_l, l ascending, with (p1, p2) the monomial of l."""
+        j_to_p = self.sg.sets.j_to_p
+        return tuple((l, l * c.numerator, c.denominator, *j_to_p[l])
+                     for l, c in self.nice_coeffs.items())
+
+    @cached_property
     def delta_table(self) -> dict:
-        """The residue memo of this curve: k -> the delta sequences of k over
-        the nonzero z_j, as (den, ((num, offset1, offset2), ...)): integer
-        numerators over one positive denominator, one entry per offset pair.
-        ``bernstein`` fills it on the first use of each k."""
+        """The residue memo of this curve: k -> the t^k coefficient of
+        exp(-sum z_j x^p1 y^p2 t^j), the delta sequences of k over the
+        nonzero z_j, as (den, ((num, offset1, offset2), ...)): integer
+        numerators over one positive denominator, one entry per offset pair
+        with a nonzero sum.  ``bernstein._delta_entries`` fills it on the
+        first use of each k, and with it the smaller support sums that the
+        recurrence for k reads."""
         return {}
+
+
+def sums_bitset(parts, limit: int) -> int:
+    """The bitset of the sums of ``parts`` (positive integers, repeats
+    allowed) up to ``limit``: bit k, 0 <= k <= limit, is set iff k is such a
+    sum.  Shifting by l, 2l, 4l, ... adds the multiples 0..(2^t - 1)*l of
+    the part l after t shifts, so each part takes about log2(limit/l)
+    shifts; a sum above the limit is dropped, as is each sum it extends.
+    The parts go in increasing order, and a part that is already a sum of
+    smaller ones is passed by: every sum it takes part in is one of those
+    already."""
+    mask = (1 << (limit + 1)) - 1
+    bits = 1
+    for part in sorted(parts):
+        if bits >> part & 1:
+            continue  # a sum of smaller parts: it adds no new sum
+        shift = part
+        while shift <= limit:
+            bits |= bits << shift & mask
+            shift *= 2
+    return bits
 
 
 @dataclass(frozen=True)

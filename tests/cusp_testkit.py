@@ -1,4 +1,5 @@
-"""Shared corpus, random generators and a call counter for the test suite.
+"""Shared corpus, random generators, the table-free residue references and a
+call counter for the test suite and its sweeps.
 
 A plain module rather than ``conftest.py``, so that ``from cusp_testkit
 import ...`` names this file even when pytest also collects another suite
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import random
 import sys
+from math import factorial
 
 from cuspidal import CurveEquation, OneForm, Semigroup, TruncatedPoly, cuspidal_sets
+from cuspidal.bernstein import GammaExpr, RootDecision, delta_sequences
 from cuspidal.rationals import Rat
 
 CORPUS = [
@@ -116,6 +119,92 @@ def coprime_pairs(n_values, m_bound: int):
 
     return [(n, m) for n in n_values for m in range(n + 1, m_bound + 1)
             if gcd(n, m) == 1]
+
+
+def lower_by_steps(r):
+    """Gamma(r) = mult * Gamma(low) with low in (0, 1], one step at a time in
+    rational arithmetic: Gamma(r) = (r-1) Gamma(r-1) while r > 1."""
+    mult = Rat(1)
+    while r > 1:
+        r -= 1
+        mult *= r
+    return r, mult
+
+
+def reference_from_terms(terms) -> GammaExpr:
+    """The sum of terms (coeff, (r1, r2, ...)) as one group, lowered with
+    rational step-by-step arithmetic; each distinct argument is lowered once
+    per call."""
+    key, total = None, Rat(0)
+    seen = {}
+    for c, args in terms:
+        lowered = []
+        for r in args:
+            if r not in seen:
+                seen[r] = lower_by_steps(r)
+            low, mult = seen[r]
+            c *= mult
+            lowered.append(low)
+        lowered = tuple(sorted(lowered))
+        assert key in (None, lowered)
+        key, total = lowered, total + c
+    return GammaExpr(((key, total),) if total else ())
+
+
+def _sequence_terms(eq, k: int):
+    """(coefficient, (sum d*p1, sum d*p2)) of every delta sequence of k over
+    the nonzero z_j: (-1)^{sum d} prod z^d / d!, in rationals."""
+    z = eq.nice_coeffs
+    for seq in delta_sequences(tuple(z), k):
+        o1 = o2 = 0
+        coeff = Rat(-1) ** sum(d for _, d in seq)
+        for part, d in seq:
+            p1, p2 = eq.sg.sets.j_to_p[part]
+            o1 += d * p1
+            o2 += d * p2
+            coeff = coeff * z[part] ** d / factorial(d)
+        yield coeff, (o1, o2)
+
+
+def reference_residue(eq, ab, beta) -> GammaExpr:
+    """``bernstein.residue`` without the curve's table: every call
+    enumerates the delta sequences of its k and lowers them step by step,
+    each sequence a term of its own."""
+    n, m = eq.sg.n, eq.sg.m
+    a, b = ab
+    k = beta * (n * m) - n * a - m * b
+    assert k.denominator == 1 and k >= 0
+    return reference_from_terms([(coeff, (Rat(a + o1, m), Rat(b + o2, n)))
+                                 for coeff, (o1, o2) in _sequence_terms(eq, int(k))])
+
+
+def reference_table(eq, k: int) -> dict:
+    """The delta table of k by enumeration: offsets (o1, o2) -> the sum of
+    the coefficients of the delta sequences with those offsets, the sums
+    that cancel dropped."""
+    table: dict = {}
+    for coeff, offsets in _sequence_terms(eq, k):
+        table[offsets] = table.get(offsets, 0) + coeff
+    return {offsets: c for offsets, c in table.items() if c}
+
+
+def table_values(table) -> dict:
+    """A ``CurveEquation.delta_table`` value (den, entries) as offsets ->
+    Rat, the form of ``reference_table``."""
+    den, entries = table
+    return {(o1, o2): Rat(num, den) for num, o1, o2 in entries}
+
+
+def reference_verdict(eq, j: int) -> RootDecision:
+    """``decide_root`` by ``reference_residue``: the first test exponent of
+    M by increasing target k >= 0 with a nonzero residue, else the alpha
+    root."""
+    n, m = eq.sg.n, eq.sg.m
+    beta = Rat(j + n + m, n * m)
+    for a, b in eq.sg.sets.M_by_target:
+        if j + n + m >= n * a + m * b and not reference_residue(eq, (a, b), beta).is_zero:
+            return RootDecision("beta_root", -beta, (a, b))
+    return RootDecision("alpha_root", -(beta + 1))
 
 
 def count_calls(monkeypatch, fn) -> list:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-from math import factorial
 
 import mpmath
 import pytest
@@ -16,6 +15,7 @@ from cuspidal.bernstein import (
     PreconditionViolation,
     ResidueDecision,
     RootDecision,
+    _delta_entries,
     _gamma_pair,
     _lower,
     _root_plans,
@@ -33,7 +33,9 @@ from cuspidal.differentials import delorme
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule
-from cusp_testkit import coprime_pairs, count_calls, nice_curves
+from cusp_testkit import (coprime_pairs, count_calls, nice_curves, reference_from_terms,
+                          reference_residue, reference_table, table_values)
+from delta_table_sweep import brute_force_sums, cancelling_curves, check_curve, sweep_curves
 
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
 EQ49_DEG = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(7, 18)})
@@ -128,16 +130,6 @@ def test_gamma_expr_refuses_non_canonical_groups(groups):
         GammaExpr(groups)
 
 
-def _lower_by_steps(r):
-    """Gamma(r) = mult * Gamma(low) with low in (0, 1], one step at a time in
-    rational arithmetic: Gamma(r) = (r-1) Gamma(r-1) while r > 1."""
-    mult = Rat(1)
-    while r > 1:
-        r -= 1
-        mult *= r
-    return r, mult
-
-
 def _lowered(coeff, args) -> GammaExpr:
     """coeff * prod Gamma(s/q) over args (s, q) as one group, each argument
     lowered into (0, 1] by ``_lower``, the integer lowering of ``residue``."""
@@ -148,46 +140,6 @@ def _lowered(coeff, args) -> GammaExpr:
         coeff *= Rat(num, den)
         lowered.append(Rat(r, q))
     return GammaExpr(((tuple(sorted(lowered)), coeff),) if coeff else ())
-
-
-def _reference_from_terms(terms) -> GammaExpr:
-    """The sum of terms (coeff, (r1, r2, ...)) as one group, lowered with
-    rational step-by-step arithmetic; each distinct argument is lowered once
-    per call."""
-    key, total = None, Rat(0)
-    seen = {}
-    for c, args in terms:
-        lowered = []
-        for r in args:
-            if r not in seen:
-                seen[r] = _lower_by_steps(r)
-            low, mult = seen[r]
-            c *= mult
-            lowered.append(low)
-        lowered = tuple(sorted(lowered))
-        assert key in (None, lowered)
-        key, total = lowered, total + c
-    return GammaExpr(((key, total),) if total else ())
-
-
-def _reference_residue(eq, ab, beta) -> GammaExpr:
-    """``residue`` without the curve's table: every call enumerates the
-    delta sequences of its k and lowers them step by step."""
-    n, m = eq.sg.n, eq.sg.m
-    a, b = ab
-    k = beta * (n * m) - n * a - m * b
-    assert k.denominator == 1 and k >= 0
-    z = eq.nice_coeffs
-    terms = []
-    for seq in delta_sequences(tuple(z), int(k)):
-        s1, s2, coeff = a, b, Rat(-1) ** sum(d for _, d in seq)
-        for part, d in seq:
-            p1, p2 = eq.sg.sets.j_to_p[part]
-            s1 += d * p1
-            s2 += d * p2
-            coeff = coeff * z[part] ** d / factorial(d)
-        terms.append((coeff, (Rat(s1, m), Rat(s2, n))))
-    return _reference_from_terms(terms)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -202,8 +154,8 @@ def test_gamma_functional_equation(whole, frac, den, cnum, cden, other):
     c = Rat(cnum if cnum else 1, cden)
     lhs = _lowered(c, [(s + den, den)])
     rhs = _lowered(c * r, [(s, den)])
-    assert lhs == rhs == _reference_from_terms([(c * r, (r,))])
-    assert _lowered(c, [(s + den, den), (other, den)]) == _reference_from_terms(
+    assert lhs == rhs == reference_from_terms([(c * r, (r,))])
+    assert _lowered(c, [(s + den, den), (other, den)]) == reference_from_terms(
         [(c, (r + 1, Rat(other, den)))])
 
 
@@ -274,40 +226,21 @@ def test_residue_table_equals_the_direct_sum():
         targets = set()
         for (a, b), beta in _queries(eq):
             expr = residue(eq, (a, b), beta)
-            assert expr == _reference_residue(eq, (a, b), beta)
+            assert expr == reference_residue(eq, (a, b), beta)
             targets.add(int(beta * n * m) - n * a - m * b)
             checked += 1
             nonzero += not expr.is_zero
-        assert set(eq.delta_table) == targets  # one entry per k, none other
+        # every queried k has its table, and the recurrence kept only the
+        # support sums below a queried k that it read on the way
+        assert targets <= eq.delta_table.keys()
+        assert all(eq.support_sums >> k & 1 and k < max(targets)
+                   for k in eq.delta_table.keys() - targets)
     assert checked > 1500 and nonzero > 1000
-
-
-def _cancelling_curves():
-    """For every pair n <= 7, m <= 13 and every l in J with 2l in J, the
-    curve z_l = 1, z_2l = t whose residue at the first test exponent
-    (a, b) of target k = 2l (for the smallest j in J that has one) is 0:
-    its two delta sequences (l, 2) and (2l, 1) cancel.  t comes from the
-    two reference residues, each with one of the coefficients alone."""
-    for n, m in coprime_pairs(range(2, 8), 13):
-        sg = Semigroup(n, m)
-        sets = cuspidal_sets(sg)
-        for l in sets.J:
-            if 2 * l not in sets.J:
-                continue
-            query = next((((a, b), Rat(j + n + m, n * m)) for j in sets.J
-                          for a, b in sets.M_by_target
-                          if j + n + m - n * a - m * b == 2 * l), None)
-            if query is None:
-                continue
-            (c0,), (c1,) = ([coeff for _, coeff in _reference_residue(
-                CurveEquation.nice(sg, {part: Rat(1)}), *query).groups]
-                for part in (l, 2 * l))
-            yield CurveEquation.nice(sg, {l: Rat(1), 2 * l: -c0 / c1})
 
 
 def test_decide_root_matches_the_reference_residue():
     """The integer verdict of ``decide_root`` equals a scan of M by
-    increasing target with the table-free ``_reference_residue``: the same
+    increasing target with the table-free ``reference_residue``: the same
     kind, root and witness for every j in J, on every pair n <= 7, m <= 13,
     at supports of density 0.3 and 1, and on curves where a residue with
     terms cancels, so that the scan must pass it by.  The verdicts hold
@@ -315,7 +248,7 @@ def test_decide_root_matches_the_reference_residue():
     sum does not depend on the order of the entries."""
     kinds = {"beta_root": 0, "alpha_root": 0}
     cancelled = 0
-    curves = [*nice_curves(seed=13, densities=(0.3, 1)), *_cancelling_curves()]
+    curves = [*nice_curves(seed=13, densities=(0.3, 1)), *cancelling_curves(7, 13)]
     for eq in curves:
         n, m = eq.sg.n, eq.sg.m
         support = tuple(l for l, c in eq.nice_coeffs.items() if c)
@@ -328,7 +261,7 @@ def test_decide_root_matches_the_reference_residue():
                 k = big_b - n * a - m * b
                 if k < 0:
                     continue
-                if not _reference_residue(eq, (a, b), beta).is_zero:
+                if not reference_residue(eq, (a, b), beta).is_zero:
                     expected[j] = RootDecision("beta_root", -beta, (a, b))
                     break
                 cancelled += bool(delta_sequences(support, k))
@@ -338,6 +271,46 @@ def test_decide_root_matches_the_reference_residue():
             eq.delta_table[k] = (den, entries[::-1])
         assert {j: decide_root(eq, j) for j in expected} == expected
     assert kinds["beta_root"] > 300 and kinds["alpha_root"] > 50 and cancelled >= 5
+
+
+def test_delta_tables_equal_the_enumeration(monkeypatch):
+    """The exponential recurrence builds the table of every k that the
+    enumeration of delta sequences does, as rationals: for every k up to
+    nm - n - m, the largest target ``residue`` can be asked, on every pair
+    n <= 6, m <= 11 at z-densities 0.3 and 1, and on the curves where a
+    residue cancels.  The support sums are the brute-force subset sums up
+    to 2nm, and ``decide_root`` on a fresh curve asks for no table and
+    keeps none outside them."""
+    curves = [*nice_curves(seed=17, densities=(0.3, 1), n_values=range(2, 7), m_bound=11),
+              *cancelling_curves(7, 13)]
+    asked = count_calls(monkeypatch, _delta_entries)
+    tables = skipped = 0
+    for eq in curves:
+        sg = eq.sg
+        n, m = sg.n, sg.m
+        sums = brute_force_sums(eq.nice_coeffs, sg.branch_horizon)
+        assert eq.support_sums == sum(1 << k for k in sums)
+        del asked[:]
+        for j in sg.sets.J:
+            decide_root(eq, j)
+        skipped += sum(k not in sums for j in sg.sets.J for k in _root_plans(sg)[j][3])
+        assert {k for _, k in asked} <= sums and eq.delta_table.keys() <= sums
+        for k in range(n * m - n - m + 1):
+            assert table_values(_delta_entries(eq, k)) == reference_table(eq, k)
+            tables += 1
+    assert tables > 2000 and skipped > 1000
+
+
+def test_delta_table_sweep():
+    """Every coprime pair with 3 <= n <= 5, m <= 9, five curves each (bare,
+    nice at z-densities 0.3 and 1), and the curves of those pairs where a
+    residue cancels: the support sums, the tables of every k up to
+    nm - n - m and the verdict of every j agree with the enumeration."""
+    outcomes = [check_curve(eq) for eq in sweep_curves(5, 9)]
+    assert len(outcomes) == 56
+    assert [o.mismatch for o in outcomes if o.mismatch] == []
+    assert sum(o.tables for o in outcomes) == 1014
+    assert [sum(o.kinds[i] for o in outcomes) for i in (0, 1)] == [84, 55]
 
 
 def test_residue_table_is_order_free_and_per_curve():
@@ -355,10 +328,24 @@ def test_residue_table_is_order_free_and_per_curve():
     queries = [(eq, q) for eq in eqs for q in _queries(eq)]
     rng.shuffle(queries)
     for eq, (ab, beta) in queries:
-        assert residue(eq, ab, beta) == _reference_residue(eq, ab, beta)
+        assert residue(eq, ab, beta) == reference_residue(eq, ab, beta)
     assert eqs[0].delta_table is not eqs[1].delta_table
-    assert eqs[0].delta_table.keys() == eqs[1].delta_table.keys()
+    # both curves were asked the same targets; the other keys of each are
+    # the support sums that its own recurrence read
+    targets = {int(beta * 66) - 6 * a - 11 * b for (a, b), beta in _queries(eqs[0])}
+    for eq in eqs:
+        assert targets <= eq.delta_table.keys()
+        assert all(eq.support_sums >> k & 1 for k in eq.delta_table.keys() - targets)
     assert eqs[0].delta_table != eqs[1].delta_table
+
+
+def test_residue_target_above_2nm():
+    """A beta whose target passes 2nm, where the curve's support sums
+    stop, still gets the residue of a fresh enumeration."""
+    eq = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(-1, 2)})
+    beta = Rat(13 + 73, 36)  # k = 73 at (1, 1), and 2nm = 72
+    expr = residue(eq, (1, 1), beta)
+    assert not expr.is_zero and expr == reference_residue(eq, (1, 1), beta)
 
 
 def test_residue_error_taxonomy():
@@ -475,8 +462,9 @@ def test_decide_root_alpha_case():
 def test_root_plans_belong_to_the_pair():
     """The plan of each j is built once per pair, from the pair alone: B,
     the Gamma pair, the test exponents of M_by_target with k >= 0 in scan
-    order, and both candidate roots.  Every entry is a tuple, and the plans
-    cannot be written."""
+    order and their targets k, both candidate roots, and the pair's
+    verdicts for j, each keyed by its witness.  Every other entry is a
+    tuple, and the plans cannot be written."""
     for n, m in coprime_pairs(range(2, 10), 20):
         sg = Semigroup(n, m)
         plans = _root_plans(sg)
@@ -485,17 +473,35 @@ def test_root_plans_belong_to_the_pair():
         for j, plan in plans.items():
             big_b = j + n + m
             tests = tuple(ab for ab in sg.sets.M_by_target if n * ab[0] + m * ab[1] <= big_b)
-            assert plan == (big_b, _gamma_pair(n, m, big_b), tests,
-                            Rat(-big_b, n * m), Rat(-big_b - n * m, n * m))
-            assert all(type(part) is tuple for part in (plan, plan[1], plan[2]))
+            targets = tuple(big_b - n * a - m * b for a, b in tests)
+            assert plan[:6] == (big_b, _gamma_pair(n, m, big_b), tests, targets,
+                                Rat(-big_b, n * m), Rat(-big_b - n * m, n * m))
+            assert all(type(part) is tuple for part in (plan, plan[1], plan[2], plan[3]))
+            assert type(plan[6]) is dict
+            assert all(verdict.witness == witness and verdict.root == plan[4 + (witness is None)]
+                       for witness, verdict in plan[6].items())
     plans = _root_plans(Semigroup(4, 9))
     with pytest.raises(TypeError):
         plans[1] = plans[2]
 
 
 def test_decide_root_validates_j():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^3 is not a cuspidal gap value of \(4, 9\)$"):
         decide_root(EQ49, 3)
+
+
+def test_verdicts_are_one_instance_per_pair_j_and_witness():
+    """Curves of one pair with the same verdict for j get the pair's one
+    RootDecision, kept in j's plan under its witness (None for the alpha
+    root) from its first hit on."""
+    sg = Semigroup(4, 9)
+    curves = [CurveEquation.nice(sg, {1: Rat(1)}), CurveEquation.nice(sg, {1: Rat(-3, 2)}),
+              CurveEquation.nice(sg, {2: Rat(5)}), EQ49_DEG, CurveEquation.nice(sg)]
+    for j in sg.sets.J:
+        made = [decide_root(eq, j) for eq in curves]
+        assert made[0] is made[1]  # z_1 = 1 and z_1 = -3/2 decide alike
+        assert all((a is b) == (a == b) for a in made for b in made)
+        assert all(_root_plans(sg)[j][6][verdict.witness] is verdict for verdict in made)
 
 
 def test_certified_roots_small_multiplicity():
@@ -607,7 +613,7 @@ def _battery_entries(eq) -> list:
 
 def test_battery_verdicts_match_the_reference_residue():
     """Every chain and dagger entry of both batteries, read on the root
-    plans, is the verdict of the table-free ``_reference_residue`` at the
+    plans, is the verdict of the table-free ``reference_residue`` at the
     same (a, b) and beta = B/nm: on nice curves of every pair
     4 <= n <= 9, m <= 17 at z-densities 0.3 and 1, and on the q >= 1 pins
     of the n = 4 battery."""
@@ -617,7 +623,7 @@ def test_battery_verdicts_match_the_reference_residue():
     for eq in curves:
         nm = eq.sg.n * eq.sg.m
         for battery, big_b, ab, verdict in _battery_entries(eq):
-            reference = _reference_residue(eq, ab, Rat(big_b, nm))
+            reference = reference_residue(eq, ab, Rat(big_b, nm))
             assert verdict == ("zero" if reference.is_zero else "nonzero")
             counts[battery, verdict] += 1
     assert counts["zariski", "zero"] >= 80 and counts["zariski", "nonzero"] >= 600

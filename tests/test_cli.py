@@ -80,6 +80,24 @@ def test_bs_roots_report(capsys, spec49):
     assert "verdict j=10 = beta_root root=-23/36 witness=1,2 decision=nonzero" in out
 
 
+def test_bs_roots_renders_each_verdict_line_once(capsys, tmp_path, spec49):
+    """Two curves of a pair with the same verdicts get the pair's one
+    RootDecision for each j, and its line is rendered on the first report
+    that reads it: the second report adds no line and prints the same
+    ones."""
+    other = tmp_path / "c49b.spec"
+    other.write_text("n = 4\nm = 9\nz 1 = -3/2\n")
+    _, first, _ = run(capsys, "bs-roots", "--spec", spec49)
+    rendered = dict(cli._VERDICT_LINES)
+    _, second, _ = run(capsys, "bs-roots", "--spec", str(other))
+    assert cli._VERDICT_LINES == rendered
+    verdicts = [line for line in first.splitlines() if line.startswith("verdict j=")]
+    assert len(verdicts) == 4
+    assert verdicts == [line for line in second.splitlines() if line.startswith("verdict j=")]
+    lines = {line for _, line in rendered.values()}
+    assert all(line.split(" = ", 1)[1] in lines for line in verdicts)
+
+
 def test_bs_roots_makes_no_interval_certificate(capsys, monkeypatch, spec49):
     """Every witness residue of demo.spec is one group, decided by its sign."""
     calls = count_calls(monkeypatch, interval_certificate)

@@ -18,7 +18,8 @@ through ``_verdict``.  It passes by every test whose k no sum of the
 curve's support reaches (``CurveEquation.support_sums``): that residue is
 the empty sum, exactly 0.  Only ``residue`` wraps c as a GammaExpr.  A root
 verdict is its kind, its root and the test exponent whose residue is
-nonzero, one shared instance per pair, j and witness.
+nonzero, one shared instance per pair, j and witness, which renders its
+own report line.
 Interval arithmetic only displays a value (``interval_certificate``, which
 alone imports mpmath); no decision reads it.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from math import gcd, lcm, prod
 from types import MappingProxyType
@@ -358,11 +359,22 @@ def residue_is_zero(expr: GammaExpr) -> ResidueDecision:
 @dataclass(frozen=True, slots=True)
 class RootDecision:
     """Outcome of the residue criterion for one j in J: the kind, the root,
-    and for a beta root the test exponent (a, b) whose residue is nonzero."""
+    and for a beta root the test exponent (a, b) whose residue is nonzero.
+    ``line`` is its report line, rendered once when it is made; neither
+    ``==`` nor ``repr`` reads it."""
 
     kind: str  # "beta_root" | "alpha_root"
     root: Rat
     witness: tuple | None = None
+    line: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        line = f"{self.kind} root={self.root}"
+        if self.witness is not None:
+            # A witness's residue is nonzero by definition; the seed-0
+            # digests in bench/reference pin this field of the line.
+            line += f" witness={self.witness[0]},{self.witness[1]} decision=nonzero"
+        object.__setattr__(self, "line", line)
 
 
 @cache
@@ -414,7 +426,8 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     so each call only reads the sign of each residue's integer sum
     (``_first_nonzero``); no GammaExpr is built.  The first nonzero residue
     is the witness; ``residue(eq, witness, beta_j)`` recomputes it.  The
-    verdict returned is the pair's one instance for (j, witness)."""
+    verdict returned is the pair's one instance for (j, witness), so its
+    report line is rendered once per process."""
     plan = _root_plans(eq.sg).get(j)
     if plan is None:
         raise ValueError(f"{j} is not a cuspidal gap value of {(eq.sg.n, eq.sg.m)}")

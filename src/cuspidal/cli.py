@@ -24,7 +24,7 @@ import random
 import sys
 from math import gcd
 
-from .bernstein import (NegativeK, PreconditionViolation, RootDecision,
+from .bernstein import (NegativeK, PreconditionViolation,
                         certified_roots_from_semimodule, decide_root,
                         four_condition_check, interval_certificate, residue,
                         residue_is_zero, zariski_condition_check)
@@ -107,34 +107,12 @@ def cmd_bs_roots(eq: CurveEquation) -> dict:
     data: dict = {"basis": list(diff.values.basis),
                   "roots": [str(r) for r in certified_roots_from_semimodule(diff.values)]}
     for j in eq.sg.sets.J:
-        data[f"verdict j={j}"] = _verdict_line(decide_root(eq, j))
+        data[f"verdict j={j}"] = decide_root(eq, j).line
     # Every residue is one Gamma group decided by its exact sign, so no
     # verdict rests on an assumption.  The line stays for the readers of
     # the report: the seed-0 digests in bench/reference pin every line.
     data["independence_assumed"] = False
     return data
-
-
-# id of a pair's RootDecision -> (that decision, its report line).  The
-# entry holds the decision, so no other object can take its id.
-_VERDICT_LINES: dict = {}
-
-
-def _verdict_line(dec: RootDecision) -> str:
-    """The report line of a verdict, rendered once per process: every
-    curve of a pair with the same (j, witness) gets the pair's one
-    ``RootDecision`` from ``decide_root``.  Looked up by identity, since
-    hashing a verdict hashes its root, a Fraction."""
-    hit = _VERDICT_LINES.get(id(dec))
-    if hit is None:
-        parts = [dec.kind, f"root={dec.root}"]
-        if dec.witness is not None:
-            parts.append(f"witness={dec.witness[0]},{dec.witness[1]}")
-            # A witness's residue is nonzero by definition; the seed-0
-            # digests in bench/reference pin this field of the line.
-            parts.append("decision=nonzero")
-        hit = _VERDICT_LINES[id(dec)] = (dec, " ".join(parts))
-    return hit[1]
 
 
 def cmd_residue(eq: CurveEquation, j: int, ab) -> dict:

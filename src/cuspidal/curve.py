@@ -40,7 +40,9 @@ class _OnePerPair(type):
     process, so the cached tables of a pair are built on its first use and
     read by every later one.  A pair enters ``_SEMIGROUPS`` only once
     ``__post_init__`` has built its ``WeightedOrder``, whose checks are the
-    pair check: an invalid pair raises on every call."""
+    pair check: an invalid pair raises on every call.  With one instance
+    per pair, two semigroups are equal exactly when they are the same
+    object, so ``Semigroup`` keeps ``object``'s ``==`` and hash."""
 
     def __call__(cls, n, m):
         sg = _SEMIGROUPS.get((n, m))
@@ -49,18 +51,21 @@ class _OnePerPair(type):
         return sg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Semigroup(metaclass=_OnePerPair):
     """Numerical semigroup <n, m> of a cusp with Puiseux pair (n, m).
 
     There is one instance per pair (``_OnePerPair``), and its tables are
     functions of (n, m) alone, built once and never written after: nothing
-    of one curve is kept here.
+    of one curve is kept here.  It is compared and hashed by identity, which
+    is value equality for one instance per pair, so every cache keyed by a
+    pair (``bernstein._root_plans``, ``differentials._round_plan``) hashes
+    it without a Python call.
     """
 
     n: int
     m: int
-    order: WeightedOrder = field(init=False, repr=False, compare=False)
+    order: WeightedOrder = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", WeightedOrder(self.n, self.m))
@@ -158,27 +163,25 @@ class Semigroup(metaclass=_OnePerPair):
         return (rest // self.n, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CuspidalSets:
     """The exponent set P, its value set J, and the reflected set M.
 
     P collects the exponents (p1, p2) inside the box [0, m-1) x [0, n-1)
     lying strictly above the (n, m)-weight line; J lists the corresponding
     shifted weights n*p1 + m*p2 - n*m, in bijection with P; M reflects P
-    through (m-1, n-1).  All three are empty when n = 2.
+    through (m-1, n-1).  All three are empty when n = 2.  j_to_p maps each
+    j to its exponent in P, read-only: every curve of the pair reads the
+    one mapping.  Every program path reads the pair's one
+    ``Semigroup.sets``, so the sets are compared and hashed by identity, as
+    the semigroup is.
     """
 
     sg: Semigroup
     P: frozenset
     J: tuple
     M: tuple
-    _j_to_p: tuple = field(repr=False)
-
-    @cached_property
-    def j_to_p(self) -> MappingProxyType:
-        """j -> its exponent in P, read-only: every curve of the pair reads
-        the one mapping."""
-        return MappingProxyType(dict(self._j_to_p))
+    j_to_p: MappingProxyType = field(repr=False)
 
     @cached_property
     def M_by_target(self) -> tuple:
@@ -205,7 +208,7 @@ def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
         raise AssertionError("cuspidal values collided below n*m")
     P = frozenset(p for _, p in pairs)
     M = tuple((m - p1 - 1, n - p2 - 1) for _, (p1, p2) in pairs)
-    return CuspidalSets(sg, P, J, M, tuple(pairs))
+    return CuspidalSets(sg, P, J, M, MappingProxyType(dict(pairs)))
 
 
 @dataclass(frozen=True)

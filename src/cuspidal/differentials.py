@@ -371,7 +371,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     h = sg.delorme_horizon
     f = eq.f_int  # leads at (nm, 0), y^n, with numerator f.den
     fden = f.den
-    tail = tuple(t for t in f.tail if t[0][0] <= h)
+    tail = f.tail  # ascending: each shift adds degree >= 0, so a step stops past h
 
     # The seeds X_dx(f) = -f_y and X_dy(f) = f_x, cut at H_Delta, lead at
     # (0, n-1) and (m-1, 0), which the leading power (0, n) of f divides

@@ -15,7 +15,9 @@ checks:
   asked), the table (``_delta_entries``) is the enumeration of the delta
   sequences of k (``cusp_testkit.reference_table``), as rationals;
 - the (kind, root, witness) of every j in J is that of the scan of M by
-  increasing target with the table-free ``reference_residue``.
+  increasing target with the table-free ``reference_residue``, and the
+  verdict's report line (``RootDecision.line``) is the line rendered here
+  from the reference's fields (``reference_line``).
 
 Tier-1 runs the sweep at a small size (tests/test_bernstein.py); CI runs it
 wider:
@@ -86,6 +88,16 @@ def brute_force_sums(parts, limit: int) -> set:
     return sums
 
 
+def reference_line(verdict) -> str:
+    """The ``bs-roots`` report line of a verdict, from its fields: the kind
+    and the root, and for a beta root the witness and its decision."""
+    parts = [verdict.kind, f"root={verdict.root}"]
+    if verdict.witness is not None:
+        parts.append(f"witness={verdict.witness[0]},{verdict.witness[1]}")
+        parts.append("decision=nonzero")
+    return " ".join(parts)
+
+
 class Outcome(NamedTuple):
     mismatch: str | None  # what disagreed, None when every check holds
     tables: int           # (k, table) pairs compared with the enumeration
@@ -111,6 +123,8 @@ def check_curve(eq: CurveEquation) -> Outcome:
         expected = reference_verdict(eq, j)
         if mismatch is None and verdict != expected:
             mismatch = f"j = {j}: {verdict} but the reference scan reads {expected}"
+        elif mismatch is None and verdict.line != reference_line(expected):
+            mismatch = f"j = {j}: line {verdict.line!r}, expected {reference_line(expected)!r}"
     beta = sum(v.kind == "beta_root" for v in verdicts.values())
     return Outcome(mismatch, top + 1, (beta, len(verdicts) - beta))
 

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import CurveEquation, Semigroup, cuspidal_sets
+from cuspidal import CurveEquation, Semigroup, curve, cuspidal_sets
 from cuspidal.bernstein import (
     Certificate,
     GammaExpr,
@@ -457,6 +457,33 @@ def test_decide_root_alpha_case():
             dec = decide_root(eq, j)
             beta = Rat(j + n + m, n * m)
             assert (dec.kind, dec.root, dec.witness) == ("alpha_root", -(beta + 1), None)
+
+
+def test_a_rebuilt_pair_gets_a_plan_of_its_own(monkeypatch):
+    """The root plans are keyed by the Semigroup's identity: a pair rebuilt
+    after the registry is cleared is a new object, unequal to the old one,
+    and ``_root_plans`` builds it a plan of its own with the same values."""
+    old = Semigroup(4, 9)
+    plans = _root_plans(old)
+    monkeypatch.setattr(curve, "_SEMIGROUPS", {})
+    new = Semigroup(4, 9)
+    assert new is not old and new != old
+    assert _root_plans(new) is not plans
+    assert ({j: plan[:6] for j, plan in _root_plans(new).items()}
+            == {j: plan[:6] for j, plan in plans.items()})
+
+
+def test_verdict_renders_its_report_line():
+    """A verdict carries the line that bs-roots prints for it; neither ==,
+    hash nor repr reads the line."""
+    beta = RootDecision("beta_root", Rat(-23, 36), (1, 2))
+    assert beta.line == "beta_root root=-23/36 witness=1,2 decision=nonzero"
+    assert RootDecision("alpha_root", Rat(-25, 18)).line == "alpha_root root=-25/18"
+    twin = RootDecision("beta_root", Rat(-23, 36), (1, 2))
+    object.__setattr__(twin, "line", "another line")
+    assert twin == beta and hash(twin) == hash(beta)
+    assert repr(twin) == repr(beta) == ("RootDecision(kind='beta_root', "
+                                        "root=Fraction(-23, 36), witness=(1, 2))")
 
 
 def test_root_plans_belong_to_the_pair():

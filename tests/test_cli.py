@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import bernstein, cli, curve
-from cuspidal.bernstein import interval_certificate
+from cuspidal.bernstein import RootDecision, decide_root, interval_certificate
 from cuspidal.cli import main
 from cuspidal.curve import _solve_branch, cuspidal_sets, newton_puiseux
 from cuspidal.differentials import OneForm, delorme, monomial_value, oracle_differential_value
@@ -80,22 +80,30 @@ def test_bs_roots_report(capsys, spec49):
     assert "verdict j=10 = beta_root root=-23/36 witness=1,2 decision=nonzero" in out
 
 
-def test_bs_roots_renders_each_verdict_line_once(capsys, tmp_path, spec49):
+def test_bs_roots_renders_each_verdict_line_once(capsys, monkeypatch, tmp_path, spec49):
     """Two curves of a pair with the same verdicts get the pair's one
-    RootDecision for each j, and its line is rendered on the first report
-    that reads it: the second report adds no line and prints the same
-    ones."""
+    RootDecision for each j, whose line is rendered when it is made: the
+    second report makes no verdict and prints the same lines, each the
+    line of ``decide_root``'s verdict."""
     other = tmp_path / "c49b.spec"
     other.write_text("n = 4\nm = 9\nz 1 = -3/2\n")
     _, first, _ = run(capsys, "bs-roots", "--spec", spec49)
-    rendered = dict(cli._VERDICT_LINES)
+    made = []
+    post_init = RootDecision.__post_init__
+
+    def counted(dec):
+        made.append(dec)
+        post_init(dec)
+
+    monkeypatch.setattr(RootDecision, "__post_init__", counted)
     _, second, _ = run(capsys, "bs-roots", "--spec", str(other))
-    assert cli._VERDICT_LINES == rendered
+    assert made == []
     verdicts = [line for line in first.splitlines() if line.startswith("verdict j=")]
     assert len(verdicts) == 4
     assert verdicts == [line for line in second.splitlines() if line.startswith("verdict j=")]
-    lines = {line for _, line in rendered.values()}
-    assert all(line.split(" = ", 1)[1] in lines for line in verdicts)
+    for text in (SPEC49, other.read_text()):
+        eq = parse_spec(text)
+        assert verdicts == [f"verdict j={j} = {decide_root(eq, j).line}" for j in eq.sg.sets.J]
 
 
 def test_bs_roots_makes_no_interval_certificate(capsys, monkeypatch, spec49):

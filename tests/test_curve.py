@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import CurveEquation, Semigroup, _series, curve, cuspidal_sets
-from cuspidal.curve import (NotAdapted, Parametrization, _leading_solution, _scaled_equation,
+from cuspidal.curve import (CuspidalSets, NotAdapted, Parametrization, _leading_solution, _scaled_equation,
                             _solve_branch, newton_puiseux)
 from cuspidal.differentials import OneForm, delorme, oracle_differential_value
 from cuspidal.poly import TruncatedPoly, WeightedOrder
@@ -29,6 +29,22 @@ def test_one_semigroup_per_pair():
     assert Semigroup(4, 9) is sg
     assert Semigroup(n=4, m=9) is sg
     assert sg.sets is Semigroup(4, 9).sets
+
+
+def test_pair_objects_compare_by_identity():
+    """With one instance per pair, identity is value equality, so Semigroup
+    and CuspidalSets keep object's == and hash, which make no Python call.
+    ``cuspidal_sets`` still builds a fresh, unequal CuspidalSets of the same
+    values, with its own read-only j -> p mapping."""
+    for cls in (Semigroup, CuspidalSets):
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
+    sg = Semigroup(4, 9)
+    fresh = cuspidal_sets(sg)
+    assert fresh != sg.sets
+    assert (fresh.J, fresh.M, dict(fresh.j_to_p)) == (sg.sets.J, sg.sets.M, dict(sg.sets.j_to_p))
+    with pytest.raises(TypeError):
+        fresh.j_to_p[3] = (0, 0)
 
 
 @pytest.mark.parametrize("n,m", [(4, 6), (5, 3), (1, 4), (3, 3)])

@@ -36,9 +36,9 @@ from .semimodules import (AbstractSemimodule, FourClassification, Unclassifiable
                           validate_basis)
 from .specfile import (CoefficientOutsideJ, InvalidPair, ParseError, SpecError,
                        parse_spec)
-from .standard_basis import (FinalReduction, HorizonExhausted, IntPoly,
-                             StandardBasis, buchberger, codimension,
-                             final_reduction, reduce_step, s_process_min)
+from .standard_basis import (FinalReduction, HorizonExhausted, StandardBasis,
+                             buchberger, codimension, final_reduction, reduce_step,
+                             s_process_min)
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "CurveEquation", "CuspidalSets",
     "DifferentialBasis", "Exponent", "FinalReduction",
     "FourClassification", "FourReport", "GammaExpr", "HorizonExhausted",
-    "IntPoly", "InvalidPair", "NegativeK", "NoSolution", "NotAdapted", "OneForm",
+    "InvalidPair", "NegativeK", "NoSolution", "NotAdapted", "OneForm",
     "Parametrization", "ParseError", "PreconditionViolation", "Rat",
     "ResidueDecision", "RootDecision", "Semigroup",
     "SpecError", "StandardBasis", "Term", "TruncatedPoly", "Unclassifiable",

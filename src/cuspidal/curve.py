@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from . import _series
 from .poly import Exponent, TruncatedPoly, WeightedOrder
 from .rationals import ONE, Rat, ZERO
-from .standard_basis import IntPoly
 
 
 class NotAdapted(ValueError):
@@ -220,7 +219,10 @@ class CurveEquation:
     f is adapted: mu*x^m + y^n + (terms of weighted degree > n*m), with
     mu != 0.  It is nice when, besides, mu = 1 and every other term lies on
     the cuspidal exponent set P; its coefficients are then the z_j, with
-    z_j at P's monomial j_to_p[j].  mu, the form and the z_j are read off f.
+    z_j at P's monomial j_to_p[j].  mu, the form and the z_j are read off
+    f's integer numerators over ``f.den``, the lcm of its denominators,
+    which is f's numerator at y^n; f is the one divisor of every reduction
+    modulo f.
     """
 
     sg: Semigroup
@@ -246,59 +248,48 @@ class CurveEquation:
         # that decide its values, and the cut may drop x^m, which is no
         # fault of the shape; above it f would carry terms no layer reads.
         sg, f = self.sg, self.f
-        n, m = sg.n, sg.m
+        n, m, nm = sg.n, sg.m, sg.n * sg.m
         if f.horizon != sg.branch_horizon:
             raise ValueError(f"truncation horizon must be 2*n*m = {sg.branch_horizon}, "
                              f"got {f.horizon}")
         if f.order != sg.order:
             raise NotAdapted("polynomial order does not match the semigroup")
-        if (m, 0) not in f.terms:
+        if (nm, m) not in f.terms:
             raise NotAdapted(f"missing x^{m} term")
-        if f.terms.get((0, n)) != 1:
+        if f.terms.get((nm, 0)) != f.den:
             raise NotAdapted(f"coefficient of y^{n} must be 1")
-        for a, b in f.terms:
-            if (a, b) not in ((m, 0), (0, n)) and n * a + m * b <= n * m:
-                raise NotAdapted(
-                    f"term x^{a}*y^{b} has weighted degree {n * a + m * b} <= {n * m}")
+        for d, a in f.terms:
+            if d <= nm and (d, a) not in ((nm, m), (nm, 0)):
+                raise NotAdapted(f"term x^{a}*y^{(d - n * a) // m} has weighted degree "
+                                 f"{d} <= {nm}")
 
     @property
     def mu(self) -> Rat:
         """The coefficient of x^m."""
-        return self.f.terms[(self.sg.m, 0)]
+        return Rat(self.f.terms[(self.sg.n * self.sg.m, self.sg.m)], self.f.den)
 
     @cached_property
     def form(self) -> str:
         """The form of f: "nice" when mu = 1 and every other term lies on
         P, else "adapted"."""
-        sg = self.sg
-        corners = ((sg.m, 0), (0, sg.n))
-        P = sg.sets.P
-        return ("nice" if self.mu == 1 and all(e in P for e in self.f.terms if e not in corners)
-                else "adapted")
+        sg, terms = self.sg, self.f.terms
+        corners = ((sg.n * sg.m, sg.m), (sg.n * sg.m, 0))
+        P, exponent = sg.sets.P, sg.order.exponent
+        return ("nice" if terms[corners[0]] == self.f.den
+                and all(exponent(k) in P for k in terms if k not in corners) else "adapted")
 
     @cached_property
     def nice_coeffs(self) -> MappingProxyType:
         """j -> z_j over the nonzero z_j, j ascending; nice form required.
-        One read-only mapping, built on the first read."""
-        if self.form != "nice":
-            raise ValueError("coefficients by J-index exist only in nice form")
-        j_to_p, terms = self.sg.sets.j_to_p, self.f.terms
-        return MappingProxyType({j: terms[p] for j, p in j_to_p.items() if p in terms})
+        One read-only mapping, built on the first read from
+        ``delta_parts``."""
+        return MappingProxyType({l: Rat(lz // l, zd) for l, lz, zd, _, _ in self.delta_parts})
 
     @cached_property
-    def fx(self) -> TruncatedPoly:
-        return self.f.partial_x()
-
-    @cached_property
-    def fy(self) -> TruncatedPoly:
-        return self.f.partial_y()
-
-    @cached_property
-    def f_int(self) -> IntPoly:
-        """f exactly, as integer numerators over the lcm of its
-        denominators (``IntPoly.of``): the divisor of every reduction
-        modulo f."""
-        return IntPoly.of(self.f)
+    def partials(self) -> tuple:
+        """(f_x, f_y) at 2nm, exactly, over ``f.den``: the vector fields of
+        the 1-forms apply them (``differentials.apply_vector_field``)."""
+        return self.f.partials(self.sg.branch_horizon)
 
     @cached_property
     def support_sums(self) -> int:
@@ -308,16 +299,23 @@ class CurveEquation:
         delta sequence.  The targets of every beta_j are below 2nm; a
         larger one (``residue`` with a larger beta) gets a bitset of its
         own in ``bernstein._delta_entries``."""
-        return sums_bitset(self.nice_coeffs, self.sg.branch_horizon)
+        return sums_bitset([part[0] for part in self.delta_parts], self.sg.branch_horizon)
 
     @cached_property
     def delta_parts(self) -> tuple:
         """The parts of the residue recurrence (``bernstein._delta_entries``):
         (l, l * numerator(z_l), denominator(z_l), p1, p2) for every nonzero
-        z_l, l ascending, with (p1, p2) the monomial of l."""
-        j_to_p = self.sg.sets.j_to_p
-        return tuple((l, l * c.numerator, c.denominator, *j_to_p[l])
-                     for l, c in self.nice_coeffs.items())
+        z_l, l ascending, with (p1, p2) the monomial of l, read off f's
+        numerators; nice form required."""
+        if self.form != "nice":
+            raise ValueError("coefficients by J-index exist only in nice form")
+        nm, f = self.sg.n * self.sg.m, self.f
+        parts = []
+        for l, p in self.sg.sets.j_to_p.items():
+            if c := f.terms.get((l + nm, p[0])):
+                g = gcd(c, f.den)
+                parts.append((l, l * (c // g), f.den // g, *p))
+        return tuple(parts)
 
     @cached_property
     def delta_table(self) -> dict:
@@ -486,7 +484,7 @@ def _scaled_equation(f: TruncatedPoly, xi: Rat, c0: Rat) -> tuple:
     H(s, v) = f(xi * (D*s)^n, c0 * D^m * v) / (c0^n * D^(nm)), whose term
     h * s^(n*a) * v^b comes from the term c * x^a * y^b of f."""
     n, m = f.order.n, f.order.m
-    units = {(a, b): c * xi ** a * c0 ** (b - n) for (a, b), c in f.terms.items()}
+    units = {(a, b): c * xi ** a * c0 ** (b - n) for (a, b), c in f.coeffs.items()}
     # x^m and y^n give -1 and 1, so taking them into L changes nothing.
     scale = n * n * lcm(*(u.denominator for u in units.values()))
     terms = [(n * a, b, _series.exact_div(u.numerator * scale ** (n * a + m * b - n * m),

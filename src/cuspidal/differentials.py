@@ -18,7 +18,7 @@ from .curve import CurveEquation, Parametrization, Semigroup
 from .poly import Exponent, TruncatedPoly
 from .rationals import Rat
 from .semimodules import AbstractSemimodule, _axis, covered
-from .standard_basis import IntPoly, _subtract_shifted, final_reduction
+from .standard_basis import _subtract_shifted, final_reduction
 
 
 class ValueMismatch(ValueError):
@@ -60,7 +60,8 @@ class OneForm:
 def apply_vector_field(omega: OneForm, eq: CurveEquation) -> TruncatedPoly:
     """X_omega(f) = dy_coeff * f_x - dx_coeff * f_y, from the equation's cached
     partials."""
-    return omega.dy * eq.fx - omega.dx * eq.fy
+    fx, fy = eq.partials
+    return omega.dy * fx - omega.dx * fy
 
 
 def _value_of_power(sg: Semigroup, e: Exponent) -> int:
@@ -69,26 +70,19 @@ def _value_of_power(sg: Semigroup, e: Exponent) -> int:
 
 def differential_value(omega: OneForm, eq: CurveEquation) -> int | None:
     """nu(omega) from the implicit equation; None = infinite to the horizon."""
-    red = final_reduction(IntPoly.of(apply_vector_field(omega, eq)), [eq.f_int])
+    red = final_reduction(apply_vector_field(omega, eq), [eq.f])
     if red.vanished:
         return None
     return _value_of_power(eq.sg, red.remainder.leading_power)
 
 
 def monomial_value(omega: OneForm) -> int:
-    """min of the weighted degrees of x * dx_coeff and y * dy_coeff."""
+    """min of the weighted degrees of x * dx_coeff and y * dy_coeff: n and m
+    plus the leading degree of each nonzero coefficient."""
     if omega.is_zero:
         raise ValueError("monomial value of the zero form")
-    order = omega.dx.order if omega.dx.terms or not omega.dy.terms else omega.dy.order
-    n, m = order.n, order.m
-    best = None
-    da = omega.dx.min_degree()
-    if da is not None:
-        best = n + da
-    db = omega.dy.min_degree()
-    if db is not None:
-        best = m + db if best is None else min(best, m + db)
-    return best
+    order = (omega.dx if omega.dx.terms else omega.dy).order
+    return min(w + p.lead[0] for w, p in ((order.n, omega.dx), (order.m, omega.dy)) if p.terms)
 
 
 def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | None:
@@ -111,11 +105,13 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
     n, m = param.n, param.m
     nm = n * m
     xn, xd = param.x_coeff.numerator, param.x_coeff.denominator
-    parts = [(n * a + n - 1, b, False, c.numerator * xn ** (a + 1) * n,
-              c.denominator * xd ** (a + 1)) for (a, b), c in omega.dx.terms.items()]
-    parts += [(n * a - 1, b + 1, True, c.numerator * xn ** a,
-               c.denominator * xd ** a * (b + 1)) for (a, b), c in omega.dy.terms.items()]
-    horizon = min(2 * nm, omega.dx.horizon, omega.dy.horizon)
+    dx, dy = omega.dx, omega.dy
+    parts = [(n * a + n - 1, (d - n * a) // m, False, c * xn ** (a + 1) * n,
+              dx.den * xd ** (a + 1)) for (d, a), c in dx.terms.items()]
+    for (d, a), c in dy.terms.items():
+        b1 = (d - n * a) // m + 1
+        parts.append((n * a - 1, b1, True, c * xn ** a, dy.den * xd ** a * b1))
+    horizon = min(2 * nm, dx.horizon, dy.horizon)
     upto = horizon - nm + n + m - 1
     if upto >= param.t_horizon:
         raise ValueError(f"a form at horizon {horizon} is read through t^{upto}, past "
@@ -168,11 +164,11 @@ def _round_plan(sg: Semigroup, lambdas: tuple) -> tuple:
     return last, u, sg.decompose(u - lambdas[i])
 
 
-def _lifted(g: dict, shift: Exponent, degree: int, horizon: int) -> dict:
-    """x^shift * g cut at ``horizon``; ``degree`` is the weighted degree of
-    x^shift."""
+def _lifted(g: TruncatedPoly, shift: Exponent, degree: int, horizon: int) -> dict:
+    """The numerators of x^shift * g, over ``g.den``, cut at ``horizon``;
+    ``degree`` is the weighted degree of x^shift."""
     da = shift[0]
-    return {(d + degree, a + da): c for (d, a), c in g.items() if d + degree <= horizon}
+    return {(d + degree, a + da): c for (d, a), c in g.terms.items() if d + degree <= horizon}
 
 
 def _reduce_by_f(g: dict, den: int, tail: tuple, fden: int, n: int, nm: int,
@@ -184,7 +180,7 @@ def _reduce_by_f(g: dict, den: int, tail: tuple, fden: int, n: int, nm: int,
     A step pops the leading numerator c at x^a*y^b, b >= n, and with
     gamma = gcd(c, fden) sets the numerators to
     (fden/gamma) * g - (c/gamma) * x^a*y^(b-n)*tail, cut at the horizon, over
-    den * fden/gamma: the ``Fraction`` step (see ``delorme``), which scales
+    den * fden/gamma: the rational step (see ``delorme``), which scales
     nothing when fden = 1."""
     while g:
         lead = min(g)
@@ -207,9 +203,8 @@ class DifferentialBasis:
     """Minimal standard basis: the semimodule of values, the final
     reductions h_i of X_{omega_i}(f) whose leading powers encode the values,
     and the record from which the 1-forms omega_i are built when first read.
-    The h_i are ``IntPoly``, integer numerators over one positive
-    denominator, as ``delorme`` computed them; ``.poly()`` gives each as a
-    ``TruncatedPoly``, exactly.
+    The h_i are ``TruncatedPoly``, integer numerators over the one
+    positive denominator that ``delorme`` reached for each.
 
     ``rounds`` holds, for each omega_i after dx and dy, the shift s of the
     lift x^s * omega_(i-1) and the tuning steps (j, mu, shift), each adding
@@ -304,13 +299,12 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
 
     The run is fraction-free.  It works on integer term maps keyed by
     ``WeightedOrder.key`` (weighted degree, x-exponent), so min() of a map
-    is its leading term, each over one positive denominator; the h_i are
-    returned as ``IntPoly``, and no subcommand turns them into
-    ``TruncatedPoly``.  Let L be the lcm of the denominators of f's
-    coefficients (``CurveEquation.f_int``).  f leads at y^n with
-    coefficient 1 (``CurveEquation`` checks it), so its numerators are L at
-    y^n and integers T on its tail.  Each step equals the step over
-    ``Fraction`` coefficients, term for term:
+    is its leading term, each over one positive denominator, and the h_i
+    are returned as the ``TruncatedPoly`` of their maps.  Let L be
+    ``f.den``, the lcm of the denominators of f's coefficients.  f leads at
+    y^n with coefficient 1 (``CurveEquation`` checks it), so its numerators
+    are L at y^n and integers T on its tail.  Each step equals the step
+    with rational coefficients, term for term:
 
     - Reduction modulo f (``_reduce_by_f``), in place.  f is the only
       divisor, so the step is that of ``final_reduction(g, [f])``.  While
@@ -327,13 +321,13 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
       mu = -(r0/den_r)/(p0/den_p) = -(r0/g)*den_p / (den_r*(p0/g)), and
       r + mu*part = ((p0/g)*R - (r0/g)*P) / (den_r*(p0/g)).  Flipping the
       sign of both quotients when p0 < 0 keeps the denominator positive.
-      The recorded mu is that ``Rat``: the number the ``Fraction`` run
+      The recorded mu is that ``Rat``: the number the rational run
       records.
     - A lift x^s * g shifts the keys and keeps the numerators and the
       denominator.
 
     By induction on the steps, each map over its denominator is the
-    ``Fraction`` run's polynomial.  So every leading key is the same, hence
+    rational run's polynomial.  So every leading key is the same, hence
     every branch, value and check, and so are ``rounds``, ``ended`` and the
     h_i.
 
@@ -369,16 +363,17 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     sg = eq.sg
     n, m, nm = sg.n, sg.m, sg.n * sg.m
     h = sg.delorme_horizon
-    f = eq.f_int  # leads at (nm, 0), y^n, with numerator f.den
+    f = eq.f  # leads at (nm, 0), y^n, with numerator f.den
     fden = f.den
     tail = f.tail  # ascending: each shift adds degree >= 0, so a step stops past h
 
     # The seeds X_dx(f) = -f_y and X_dy(f) = f_x, cut at H_Delta, lead at
     # (0, n-1) and (m-1, 0), which the leading power (0, n) of f divides
     # neither, so they are their own final reductions; DifferentialBasis
-    # checks the powers.  Each h_i is held as (numerators, denominator).
+    # checks the powers.
     fx, fy = f.partials(h)
-    reductions = [({k: -c for k, c in fy.terms.items()}, fden), (fx.terms, fden)]
+    reductions = [TruncatedPoly._raw(sg.order, h, {k: -c for k, c in fy.terms.items()}, fden),
+                  fx]
     lambdas = [n, m]
     rounds = []
     ended = None
@@ -389,9 +384,8 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             ended = (s, ())
             break
         steps = []
-        g, den = reductions[i]
-        r = _lifted(g, s, u - lambdas[i], h)
-        _, rden = _reduce_by_f(r, den, tail, fden, n, nm, h)
+        r = _lifted(reductions[i], s, u - lambdas[i], h)
+        _, rden = _reduce_by_f(r, reductions[i].den, tail, fden, n, nm, h)
         value, usable = u, i  # the axis step may use only the forms before omega_i
         while True:
             # decompose is the membership test of value - lambda_j in Gamma.
@@ -403,9 +397,8 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
                     raise AssertionError(f"no earlier basis form covers the axis {u}")
                 break
             j, shift = cover
-            g, den = reductions[j]
-            part = _lifted(g, shift, value - lambdas[j], h)
-            _, pden = _reduce_by_f(part, den, tail, fden, n, nm, h)
+            part = _lifted(reductions[j], shift, value - lambdas[j], h)
+            _, pden = _reduce_by_f(part, reductions[j].den, tail, fden, n, nm, h)
             mu, p, q = _tuning(r, rden, part, pden)
             steps.append((j, mu, shift))
             if p != 1:  # r <- p*r - q*part over rden*p: r + mu*part, in place
@@ -431,8 +424,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             break
         lambdas.append(value)
         rounds.append((s, tuple(steps)))
-        reductions.append((r, rden))
+        reductions.append(TruncatedPoly._raw(sg.order, h, r, rden))
 
-    reductions = tuple(IntPoly(sg.order, h, g, den) for g, den in reductions)
-    return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)), reductions,
+    return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)), tuple(reductions),
                              tuple(rounds), ended)

@@ -7,17 +7,18 @@ their leading powers encode the semimodule of differential values.  A direct
 Buchberger run over {f, f_x, f_y}, at its own proven horizon (see
 ``jacobian_basis_direct``), provides the independent cross-check, and the
 codimension formula turns the leading powers into the Tjurina number.
-Both routes stay on ``IntPoly`` from f to the leading powers: the
-generators are differentiated exactly on f's integer numerators
+Both routes stay on integers from f to the leading powers: the generators
+are differentiated exactly on f's integer numerators
 (``jacobian_generators``), and Buchberger's run is fraction-free, so its
-polynomials are positive integer multiples of those of the same run over
-``Fraction`` coefficients, with the same leading powers.
+polynomials are positive integer multiples of those of the same run with
+rational steps, with the same leading powers.
 """
 from __future__ import annotations
 
 from .curve import CurveEquation, Semigroup
 from .differentials import DifferentialBasis
-from .standard_basis import HorizonExhausted, IntPoly, StandardBasis, buchberger, codimension
+from .poly import TruncatedPoly
+from .standard_basis import HorizonExhausted, StandardBasis, buchberger, codimension
 
 
 def jacobian_basis_via_differentials(eq: CurveEquation,
@@ -26,7 +27,7 @@ def jacobian_basis_via_differentials(eq: CurveEquation,
 
     Reduction modulo the single element {f} is unique, so the h_i stored by
     the basis construction are the final reductions of X_{omega_i}(f)
-    themselves.  They stay the ``IntPoly`` that ``delorme`` made, and
+    themselves.  They stay as ``delorme`` made them, and
     ``StandardBasis`` re-checks that they are nonzero and that their
     leading powers form an antichain.
     """
@@ -35,16 +36,11 @@ def jacobian_basis_via_differentials(eq: CurveEquation,
     return StandardBasis(tuple(sorted(diff.reductions, key=lambda h: h.lead[1])))
 
 
-def jacobian_generators(eq: CurveEquation, horizon: int) -> list[IntPoly]:
-    """f, f_x and f_y cut at ``horizon``, as integer numerators over the
-    denominator of ``eq.f_int``, differentiated exactly (``IntPoly.partials``).
-    Each equals p.truncated(horizon) for p in ``eq.f``, ``eq.fx``, ``eq.fy``;
-    its numerators are a positive multiple of those of
-    ``IntPoly.of(p.truncated(horizon))``, so ``primitive`` gives the same
-    polynomial.  ``IntPoly.partials`` refuses a horizon above f's."""
-    f = eq.f_int
-    cut = IntPoly(f.order, horizon, {k: c for k, c in f.terms.items() if k[0] <= horizon}, f.den)
-    return [cut, *f.partials(horizon)]
+def jacobian_generators(eq: CurveEquation, horizon: int) -> list[TruncatedPoly]:
+    """f, f_x and f_y cut at ``horizon``, integer numerators over ``f.den``,
+    differentiated exactly (``TruncatedPoly.partials``).  ``truncated`` and
+    ``partials`` refuse a horizon above f's."""
+    return [eq.f.truncated(horizon), *eq.f.partials(horizon)]
 
 
 def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
@@ -87,10 +83,10 @@ def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
     its highest monomial of degree <= D, else ``HorizonExhausted``.
 
     The generators come from ``jacobian_generators``, so the whole run is
-    on integers.  The returned ``IntPoly`` have integer coefficients of
+    on integers.  The returned polynomials have integer coefficients of
     content 1 over the denominator 1: each is a positive multiple of the
-    basis element that the same run over ``Fraction`` coefficients returns
-    (see ``buchberger``).
+    basis element that the same run with rational steps returns (see
+    ``buchberger``).
     """
     h = eq.sg.jacobian_horizon
     basis = buchberger(jacobian_generators(eq, h))

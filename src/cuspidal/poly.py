@@ -6,20 +6,26 @@ break ties by the smaller x-exponent.  The *leading* term of a polynomial is
 its minimal term in this order (local convention), and the leading power of 0
 is treated as +infinity by returning ``None``.
 
-A :class:`TruncatedPoly` stores only terms of weighted degree <= ``horizon``;
-it refuses an input term above it (``truncated`` is the one way to drop
-terms), and every arithmetic operation discards generated terms beyond the
-smaller of the operand horizons.  Instances are immutable once constructed.
+A :class:`TruncatedPoly` is exact on integers: numerators over one positive
+denominator, each keyed by ``WeightedOrder.key`` of its monomial, (weighted
+degree, x-exponent), so the least key is the leading term.  The arithmetic
+works on the numerators and builds no ``Rat``; ``coeffs`` reads the
+polynomial as exponent -> ``Rat``.  It stores only terms of weighted degree
+<= ``horizon``; it refuses an input term above it (``truncated`` is the one
+way to drop terms), and every arithmetic operation discards generated terms
+beyond the smaller of the operand horizons.  Instances are treated as
+immutable: no method changes one, and the kernels build new ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
 from .rationals import Rat, rat
 
 Exponent = tuple[int, int]
+Key = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -38,9 +44,14 @@ class WeightedOrder:
     def degree(self, e: Exponent) -> int:
         return self.n * e[0] + self.m * e[1]
 
-    def key(self, e: Exponent):
+    def key(self, e: Exponent) -> Key:
         """Sort key: ascending = from leading (smallest) upward."""
         return (self.n * e[0] + self.m * e[1], e[0])
+
+    def exponent(self, k: Key) -> Exponent:
+        """The monomial of a sort key: the inverse of ``key``."""
+        d, a = k
+        return (a, (d - self.n * a) // self.m)
 
 
 def divides(e1: Exponent, e2: Exponent) -> bool:
@@ -54,38 +65,46 @@ class Term(NamedTuple):
 
 
 class TruncatedPoly:
-    """Immutable sparse polynomial, truncated at a weighted-degree horizon."""
+    """Sparse polynomial, truncated at a weighted-degree horizon.
 
-    __slots__ = ("order", "horizon", "terms")
+    The polynomial is ``terms / den``: ``terms`` maps the key (weighted
+    degree, x-exponent) of each monomial to its nonzero integer numerator,
+    and ``den`` is a positive integer, not always the least one, so ``==``
+    compares values.  ``lead`` is the least key, None for 0.
+    """
+
+    __slots__ = ("order", "horizon", "terms", "den", "lead", "_tail")
 
     def __init__(self, order: WeightedOrder, horizon: int,
                  terms: Mapping[Exponent, Rat] | None = None):
-        clean: dict[Exponent, Rat] = {}
+        """The polynomial of ``terms``, exponent -> exact rational, over the
+        lcm of their denominators."""
+        clean: dict[Key, Rat] = {}
         if terms:
             n, m = order.n, order.m
             for e, c in terms.items():
                 a, b = e
                 if a < 0 or b < 0:
                     raise ValueError(f"negative exponent {e}")
-                if n * a + m * b > horizon:
-                    raise ValueError(f"term {e} has weighted degree {n * a + m * b} "
+                d = n * a + m * b
+                if d > horizon:
+                    raise ValueError(f"term {e} has weighted degree {d} "
                                      f"above the horizon {horizon}")
                 c = rat(c)
                 if c:
-                    clean[(a, b)] = c
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # immutability by convention + guard
-        raise AttributeError("TruncatedPoly is immutable")
+                    clean[(d, a)] = c
+        den = lcm(*(c.denominator for c in clean.values()))
+        _fill(self, order, horizon,
+              {k: c.numerator * (den // c.denominator) for k, c in clean.items()}, den)
 
     @staticmethod
-    def _raw(order: WeightedOrder, horizon: int, terms: dict[Exponent, Rat]) -> "TruncatedPoly":
+    def _raw(order: WeightedOrder, horizon: int, terms: dict[Key, int],
+             den: int = 1) -> "TruncatedPoly":
+        """``terms / den`` as given, unchecked: the kernels' constructor.  The
+        caller keeps every key at or below the horizon, drops zero
+        numerators, and hands over ``terms``, which nothing may change after."""
         p = object.__new__(TruncatedPoly)
-        object.__setattr__(p, "order", order)
-        object.__setattr__(p, "horizon", horizon)
-        object.__setattr__(p, "terms", terms)
+        _fill(p, order, horizon, terms, den)
         return p
 
     # -- constructors ---------------------------------------------------
@@ -106,27 +125,35 @@ class TruncatedPoly:
         return not self.terms
 
     @property
+    def coeffs(self) -> dict[Exponent, Rat]:
+        """The polynomial as exponent -> nonzero ``Rat``, built on each read."""
+        exponent, den = self.order.exponent, self.den
+        return {exponent(k): Rat(c, den) for k, c in self.terms.items()}
+
+    @property
     def leading(self) -> Term | None:
         """Minimal term in the weighted order; None for the zero polynomial."""
-        if not self.terms:
+        if self.lead is None:
             return None
-        e = min(self.terms, key=self.order.key)
-        return Term(e, self.terms[e])
+        return Term(self.order.exponent(self.lead), Rat(self.terms[self.lead], self.den))
 
     @property
     def leading_power(self) -> Exponent | None:
-        lead = self.leading
-        return None if lead is None else lead.exponent
-
-    def min_degree(self) -> int | None:
-        """Smallest weighted degree among stored terms (the order valuation)."""
-        if not self.terms:
+        if self.lead is None:
             return None
-        n, m = self.order.n, self.order.m
-        return min(n * a + m * b for (a, b) in self.terms)
+        d, a = self.lead
+        return (a, (d - self.order.n * a) // self.order.m)
+
+    @property
+    def tail(self) -> tuple:
+        """Every term but the leading one, as (key, numerator), ascending."""
+        if self._tail is None:
+            self._tail = tuple(sorted((k, c) for k, c in self.terms.items() if k != self.lead))
+        return self._tail
 
     def sorted_terms(self) -> list[Term]:
-        return [Term(e, self.terms[e]) for e in sorted(self.terms, key=self.order.key)]
+        coeffs, key = self.coeffs, self.order.key
+        return [Term(e, coeffs[e]) for e in sorted(coeffs, key=key)]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -138,36 +165,29 @@ class TruncatedPoly:
             raise ValueError("operands use different weighted orders")
         return min(self.horizon, other.horizon)
 
-    def _shrunk(self, horizon: int) -> dict[Exponent, Rat]:
-        if horizon >= self.horizon:
-            return dict(self.terms)
-        n, m = self.order.n, self.order.m
-        return {e: c for e, c in self.terms.items() if n * e[0] + m * e[1] <= horizon}
-
     def truncated(self, horizon: int) -> "TruncatedPoly":
         """The same polynomial cut at a horizon no larger than this one."""
         if horizon > self.horizon:
             raise ValueError(f"cannot raise the horizon {self.horizon} to {horizon}")
-        return TruncatedPoly._raw(self.order, horizon, self._shrunk(horizon))
+        return TruncatedPoly._raw(self.order, horizon, {
+            k: c for k, c in self.terms.items() if k[0] <= horizon}, self.den)
 
     def _merge(self, other: "TruncatedPoly", negate: bool) -> "TruncatedPoly":
-        """self + other, or self - other in the same single pass."""
+        """self + other, or self - other in the same single pass, over the
+        lcm of the two denominators."""
         h = self._join(other)
-        out = self._shrunk(h)
-        n, m = self.order.n, self.order.m
-        for e, c in other.terms.items():
-            if n * e[0] + m * e[1] > h:
-                continue
-            s = out.get(e)
-            if s is None:
-                out[e] = -c if negate else c
-            else:
-                s = s - c if negate else s + c
-                if s:
-                    out[e] = s
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        if negate:
+            t = -t
+        out = {k: c * s for k, c in self.terms.items() if k[0] <= h}
+        for k, c in other.terms.items():
+            if k[0] <= h:
+                if v := out.get(k, 0) + t * c:
+                    out[k] = v
                 else:
-                    del out[e]
-        return TruncatedPoly._raw(self.order, h, out)
+                    del out[k]
+        return TruncatedPoly._raw(self.order, h, out, den)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedPoly):
@@ -181,31 +201,22 @@ class TruncatedPoly:
 
     def __neg__(self):
         return TruncatedPoly._raw(self.order, self.horizon,
-                                  {e: -c for e, c in self.terms.items()})
+                                  {k: -c for k, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedPoly):
-            h = self._join(other)
-            n, m = self.order.n, self.order.m
-            out: dict[Exponent, Rat] = {}
-            for (a1, b1), c1 in self.terms.items():
-                d1 = n * a1 + m * b1
-                for (a2, b2), c2 in other.terms.items():
-                    if d1 + n * a2 + m * b2 > h:
-                        continue
-                    e = (a1 + a2, b1 + b2)
-                    s = out.get(e)
-                    if s is None:
-                        out[e] = c1 * c2
+        if not isinstance(other, TruncatedPoly):
+            return self.scale(rat(other))
+        h = self._join(other)
+        out: dict[Key, int] = {}
+        for (d1, a1), c1 in self.terms.items():
+            for (d2, a2), c2 in other.terms.items():
+                if d1 + d2 <= h:
+                    k = (d1 + d2, a1 + a2)
+                    if v := out.get(k, 0) + c1 * c2:
+                        out[k] = v
                     else:
-                        s = s + c1 * c2
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-            return TruncatedPoly._raw(self.order, h, out)
-        c = rat(other)
-        return self.scale(c)
+                        del out[k]
+        return TruncatedPoly._raw(self.order, h, out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, TruncatedPoly):
@@ -215,8 +226,10 @@ class TruncatedPoly:
     def scale(self, c: Rat) -> "TruncatedPoly":
         if not c:
             return TruncatedPoly._raw(self.order, self.horizon, {})
+        num = c.numerator
         return TruncatedPoly._raw(self.order, self.horizon,
-                                  {e: c * v for e, v in self.terms.items()})
+                                  {k: num * v for k, v in self.terms.items()},
+                                  self.den * c.denominator)
 
     def mul_monomial(self, coeff, shift: Exponent) -> "TruncatedPoly":
         """Multiply by coeff * x^shift, truncating at this horizon."""
@@ -226,27 +239,36 @@ class TruncatedPoly:
         da, db = shift
         if da < 0 or db < 0:
             raise ValueError(f"negative shift {shift}")
-        n, m, h = self.order.n, self.order.m, self.horizon
-        d = n * da + m * db
-        if c == 1:  # a plain shift, as in ``DifferentialBasis._replay``
-            out = {(a + da, b + db): v for (a, b), v in self.terms.items()
-                   if n * a + m * b + d <= h}
-        else:
-            out = {(a + da, b + db): c * v for (a, b), v in self.terms.items()
-                   if n * a + m * b + d <= h}
-        return TruncatedPoly._raw(self.order, h, out)
+        h, num = self.horizon, c.numerator
+        d = self.order.n * da + self.order.m * db
+        return TruncatedPoly._raw(self.order, h, {
+            (k + d, a + da): num * v for (k, a), v in self.terms.items() if k + d <= h},
+            self.den * c.denominator)
 
     # -- calculus --------------------------------------------------------
 
-    def partial_x(self) -> "TruncatedPoly":
-        """Exact formal derivative of the stored terms with respect to x."""
-        out = {(a - 1, b): c * a for (a, b), c in self.terms.items() if a}
-        return TruncatedPoly._raw(self.order, self.horizon, out)
+    def partials(self, horizon: int) -> tuple["TruncatedPoly", "TruncatedPoly"]:
+        """(d/dx, d/dy) exactly, over the same denominator, cut at
+        ``horizon``: the numerator c at key (d, a) becomes a*c at
+        (d - n, a - 1) and b*c at (d - m, a), with b = (d - n*a)/m.  A
+        horizon above this one raises: the terms above it are unknown."""
+        if horizon > self.horizon:
+            raise ValueError(f"cannot raise the horizon {self.horizon} to {horizon}")
+        n, m = self.order.n, self.order.m
+        terms = self.terms.items()
+        return (TruncatedPoly._raw(self.order, horizon, {
+                    (d - n, a - 1): a * c for (d, a), c in terms
+                    if a and d - n <= horizon}, self.den),
+                TruncatedPoly._raw(self.order, horizon, {
+                    (d - m, a): (d - n * a) // m * c for (d, a), c in terms
+                    if d > n * a and d - m <= horizon}, self.den))
 
-    def partial_y(self) -> "TruncatedPoly":
-        """Exact formal derivative of the stored terms with respect to y."""
-        out = {(a, b - 1): c * b for (a, b), c in self.terms.items() if b}
-        return TruncatedPoly._raw(self.order, self.horizon, out)
+    def primitive(self) -> "TruncatedPoly":
+        """The positive multiple with coprime integer coefficients, over 1;
+        nonzero polynomials only."""
+        content = gcd(*self.terms.values())
+        return TruncatedPoly._raw(self.order, self.horizon,
+                                  {k: c // content for k, c in self.terms.items()})
 
     # -- comparisons / display ------------------------------------------
 
@@ -254,7 +276,8 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         return (self.order == other.order and self.horizon == other.horizon
-                and self.terms == other.terms)
+                and {k: c * other.den for k, c in self.terms.items()}
+                == {k: c * self.den for k, c in other.terms.items()})
 
     __hash__ = None
 
@@ -281,3 +304,12 @@ class TruncatedPoly:
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 
+
+def _fill(p: TruncatedPoly, order: WeightedOrder, horizon: int, terms: dict,
+          den: int) -> None:
+    p.order = order
+    p.horizon = horizon
+    p.terms = terms
+    p.den = den
+    p.lead = min(terms) if terms else None
+    p._tail = None

@@ -1,8 +1,11 @@
 """Exact rational arithmetic used throughout the package.
 
-``Rat`` is ``fractions.Fraction``, the coefficient type for every
-polynomial, series and residue computation.  ``rat`` coerces exact input to
-it and refuses floats, so no rounded value enters a computation.
+``Rat`` is ``fractions.Fraction``, the one rational type: the coefficients
+a polynomial is built from and read back as (``TruncatedPoly.coeffs``), the
+scalars of the 1-forms, the series y(t) and every root.  A polynomial holds
+them as integer numerators over one denominator, and the series and residue
+kernels work on integers too.  ``rat`` coerces exact input to ``Rat`` and
+refuses floats, so no rounded value enters a computation.
 """
 from __future__ import annotations
 

@@ -7,101 +7,31 @@ the horizon, iterated reduction terminates: either with a nonzero
 irreducible remainder or with every remaining term pushed beyond the horizon
 (``FinalReduction.vanished``, which callers treat as ideal membership).
 
-The steps run fraction-free on ``IntPoly``: integer numerators over one
-positive denominator.  With c and c_b the leading numerators of g and b and
-gamma = gcd(c, c_b), the step sets the numerators to
+The steps run fraction-free on the integer numerators of ``TruncatedPoly``,
+over its one positive denominator.  With c and c_b the leading numerators of
+g and b and gamma = gcd(c, c_b), the step sets the numerators to
 (|c_b|/gamma) * tail(g) - (+-c/gamma) * x^(lp(g)-lp(b)) * tail(b), the sign
 that of c_b, and multiplies the denominator by |c_b|/gamma: the step above,
 exactly.  ``buchberger`` drops the denominator and the content of each
-polynomial it keeps, so its basis polynomials are positive multiples of the
-same run's over ``Fraction`` coefficients, with the same leading powers.
+polynomial it keeps, so its basis polynomials are positive multiples of
+those of the same run with rational steps, with the same leading powers.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
-from .poly import Exponent, TruncatedPoly, WeightedOrder, divides
-from .rationals import Rat
+from .poly import Exponent, TruncatedPoly, divides
 
 
 class HorizonExhausted(RuntimeError):
     """A basis computation produced data that cannot be classified below the horizon."""
 
 
-class IntPoly:
-    """A truncated polynomial as fraction-free reduction holds it: the
-    polynomial is ``terms / den``, with integer numerators and a positive
-    integer ``den``.  ``terms`` is keyed by ``WeightedOrder.key``, (weighted
-    degree, x-exponent), so its min() is the leading key ``lead``.  Treated
-    as immutable: the steps below build new ones."""
-
-    __slots__ = ("order", "horizon", "terms", "den", "lead", "_tail")
-
-    def __init__(self, order: WeightedOrder, horizon: int,
-                 terms: dict[tuple[int, int], int], den: int = 1):
-        self.order = order
-        self.horizon = horizon
-        self.terms = terms
-        self.den = den
-        self.lead = min(terms) if terms else None
-        self._tail = None
-
-    @classmethod
-    def of(cls, p: TruncatedPoly) -> "IntPoly":
-        """p exactly, over the lcm of its denominators."""
-        n, m = p.order.n, p.order.m
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        return cls(p.order, p.horizon,
-                   {(n * a + m * b, a): c.numerator * (den // c.denominator)
-                    for (a, b), c in p.terms.items()}, den)
-
-    def poly(self) -> TruncatedPoly:
-        """The polynomial exactly, as a ``TruncatedPoly``."""
-        n, m, den = self.order.n, self.order.m, self.den
-        return TruncatedPoly(self.order, self.horizon,
-                             {(a, (d - n * a) // m): Rat(c, den) if den != 1 else c
-                              for (d, a), c in self.terms.items()})
-
-    def primitive(self) -> "IntPoly":
-        """The positive multiple with coprime integer coefficients, over 1."""
-        content = gcd(*self.terms.values())
-        return IntPoly(self.order, self.horizon, {k: c // content for k, c in self.terms.items()})
-
-    def partials(self, horizon: int) -> tuple["IntPoly", "IntPoly"]:
-        """(d/dx, d/dy) exactly, over the same denominator, cut at
-        ``horizon``: the numerator c at key (d, a) becomes a*c at
-        (d - n, a - 1) and b*c at (d - m, a), with b = (d - n*a)/m.  A
-        horizon above this one raises: the terms above it are unknown."""
-        if horizon > self.horizon:
-            raise ValueError(f"cannot raise the horizon {self.horizon} to {horizon}")
-        n, m = self.order.n, self.order.m
-        terms = self.terms.items()
-        return (IntPoly(self.order, horizon, {(d - n, a - 1): a * c for (d, a), c in terms
-                                              if a and d - n <= horizon}, self.den),
-                IntPoly(self.order, horizon, {(d - m, a): (d - n * a) // m * c
-                                              for (d, a), c in terms
-                                              if d > n * a and d - m <= horizon}, self.den))
-
-    @property
-    def leading_power(self) -> Exponent | None:
-        if self.lead is None:
-            return None
-        d, a = self.lead
-        return (a, (d - self.order.n * a) // self.order.m)
-
-    @property
-    def tail(self) -> tuple:
-        """Every term but the leading one, as (key, numerator), ascending."""
-        if self._tail is None:
-            self._tail = tuple(sorted((k, c) for k, c in self.terms.items() if k != self.lead))
-        return self._tail
-
-
 class FinalReduction(NamedTuple):
-    remainder: IntPoly
+    remainder: TruncatedPoly
 
     @property
     def vanished(self) -> bool:
@@ -124,7 +54,7 @@ def _subtract_shifted(r: dict, q: int, tail: tuple, degree: int, da: int,
             del r[e]
 
 
-def reduce_step(g: IntPoly, basis: Sequence[IntPoly]) -> IntPoly | None:
+def reduce_step(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> TruncatedPoly | None:
     """One reduction step of g against the most specific applicable basis
     element: the largest dividing leading power, ties to the earliest.
 
@@ -156,17 +86,17 @@ def reduce_step(g: IntPoly, basis: Sequence[IntPoly]) -> IntPoly | None:
     r = {k: v * scale for k, v in terms.items()} if scale != 1 else terms.copy()
     r.pop(lead, None)
     _subtract_shifted(r, q, divisor.tail, d - top[0], a - top[1], h)
-    return IntPoly(g.order, h, r, g.den * scale)
+    return TruncatedPoly._raw(g.order, h, r, g.den * scale)
 
 
-def final_reduction(g: IntPoly, basis: Sequence[IntPoly]) -> FinalReduction:
+def final_reduction(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> FinalReduction:
     """Iterate reduce_step until irreducible or empty below the horizon."""
     while (nxt := reduce_step(g, basis)) is not None:
         g = nxt
     return FinalReduction(g)
 
 
-def s_process_min(g1: IntPoly, g2: IntPoly) -> IntPoly:
+def s_process_min(g1: TruncatedPoly, g2: TruncatedPoly) -> TruncatedPoly:
     """Minimal S-process: cancel the leading terms over lcm(lp(g1), lp(g2)).
 
     That is g1 * x^s1 - (lc(g1)/lc(g2)) * g2 * x^s2, exactly: with
@@ -188,7 +118,7 @@ def s_process_min(g1: IntPoly, g2: IntPoly) -> IntPoly:
     r = {}
     _subtract_shifted(r, -p, g1.tail, ld - d1, la - a1, h)
     _subtract_shifted(r, q, g2.tail, ld - d2, la - a2, h)
-    return IntPoly(g1.order, h, r, g1.den * p)
+    return TruncatedPoly._raw(g1.order, h, r, g1.den * p)
 
 
 @dataclass(frozen=True)
@@ -197,11 +127,11 @@ class StandardBasis:
 
     The leading powers form an antichain under componentwise divisibility, so
     sorting by increasing a is the same as sorting by decreasing b.  Only
-    ``leading_power`` is read, so the polynomials may be ``IntPoly``, as
-    ``buchberger`` and ``delorme`` make them, or ``TruncatedPoly``.
+    ``leading_power`` is read: ``buchberger`` keeps primitive integer
+    polynomials, and ``delorme``'s reductions keep their denominators.
     """
 
-    polys: tuple[IntPoly | TruncatedPoly, ...]
+    polys: tuple[TruncatedPoly, ...]
 
     def __post_init__(self) -> None:
         lps = [p.leading_power for p in self.polys]
@@ -225,7 +155,7 @@ class StandardBasis:
         return iter(self.polys)
 
 
-def buchberger(gens: Sequence[IntPoly]) -> StandardBasis:
+def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     """Standard basis of the ideal generated by ``gens``, valid below the horizon.
 
     FIFO processing of S-process pairs; a final reduction that vanishes to the
@@ -240,10 +170,9 @@ def buchberger(gens: Sequence[IntPoly]) -> StandardBasis:
     changes neither a leading power, nor the divisor a step takes, nor
     whether a reduction vanishes, and the steps are exact.  So, step by
     step, the run processes the pairs, takes the divisors and keeps the
-    leading powers of the same run over ``Fraction`` coefficients, and each
-    returned polynomial is a positive multiple of that run's, with integer
-    coefficients of content 1.  It takes and returns ``IntPoly``: no
-    ``Fraction`` is built, and a caller that wants one reads ``.poly()``.
+    leading powers of the same run with rational steps, and each returned
+    polynomial is a positive multiple of that run's, with integer
+    coefficients of content 1 over the denominator 1.  No ``Rat`` is built.
     """
     horizons = {g.horizon for g in gens}
     if len(horizons) > 1:

@@ -42,7 +42,7 @@ def high_y_curve(sg: Semigroup, rng: random.Random) -> CurveEquation:
     n, m = sg.n, sg.m
     b = rng.randint(n + 1, 2 * n)
     a = rng.randint(0, (2 * n * m - m * b) // n)
-    terms = {**adapted_curve(sg, rng).f.terms,
+    terms = {**adapted_curve(sg, rng).f.coeffs,
              (a, b): Rat(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 97))}
     return CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, terms))
 
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         forms += out.forms
         parted += out.y_parts
         if out.mismatch:
-            failures.append(f"({eq.sg.n}, {eq.sg.m}) f = {dict(eq.f.terms)}: {out.mismatch}")
+            failures.append(f"({eq.sg.n}, {eq.sg.m}) f = {eq.f.coeffs}: {out.mismatch}")
     print(f"curves = {curves}")
     print(f"forms checked = {forms}")
     print(f"y parts from 2nm inside the window = {parted}")

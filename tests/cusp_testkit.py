@@ -1,5 +1,6 @@
-"""Shared corpus, random generators, the table-free residue references and a
-call counter for the test suite and its sweeps.
+"""Shared corpus, random generators, the ``Fraction`` reduction reference,
+the table-free residue references and a call counter for the test suite and
+its sweeps.
 
 A plain module rather than ``conftest.py``, so that ``from cusp_testkit
 import ...`` names this file even when pytest also collects another suite
@@ -14,9 +15,12 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from cuspidal import CurveEquation, OneForm, Semigroup, TruncatedPoly, cuspidal_sets
+from cuspidal.poly import WeightedOrder, divides
 from cuspidal.bernstein import GammaExpr, RootDecision, delta_sequences
 from cuspidal.rationals import Rat
 
@@ -119,6 +123,66 @@ def coprime_pairs(n_values, m_bound: int):
 
     return [(n, m) for n in n_values for m in range(n + 1, m_bound + 1)
             if gcd(n, m) == 1]
+
+
+class FractionPoly(NamedTuple):
+    """A polynomial as the reduction references hold it: ``coeffs`` maps each
+    exponent to a nonzero ``Fraction``, cut at ``horizon`` in ``order``.
+    Its arithmetic is plain dict arithmetic over ``Fraction``, and shares
+    no code with ``TruncatedPoly`` or the reduction kernels."""
+
+    order: WeightedOrder
+    horizon: int
+    coeffs: dict
+
+    @classmethod
+    def of(cls, p: TruncatedPoly) -> "FractionPoly":
+        return cls(p.order, p.horizon, {e: Fraction(c) for e, c in p.coeffs.items()})
+
+    @property
+    def leading(self):
+        """(exponent, coefficient) of the least term in the order; None for 0."""
+        if not self.coeffs:
+            return None
+        e = min(self.coeffs, key=self.order.key)
+        return e, self.coeffs[e]
+
+    def minus_shifted(self, q, shift, other: "FractionPoly") -> "FractionPoly":
+        """self - q * x^shift * other, cut at the smaller horizon."""
+        h = min(self.horizon, other.horizon)
+        out = {e: c for e, c in self.coeffs.items() if self.order.degree(e) <= h}
+        for (a, b), c in other.coeffs.items():
+            e = (a + shift[0], b + shift[1])
+            if self.order.degree(e) <= h:
+                out[e] = out.get(e, 0) - q * c
+        return FractionPoly(self.order, h, {e: c for e, c in out.items() if c})
+
+    def shifted(self, q, shift) -> "FractionPoly":
+        """q * x^shift * self, cut at this horizon."""
+        return FractionPoly(self.order, self.horizon, {}).minus_shifted(-q, shift, self)
+
+
+def fraction_step(g: FractionPoly, basis) -> FractionPoly | None:
+    """The reduction step over ``Fraction`` coefficients:
+    g - (lc(g)/lc(b)) * x^(lp(g)-lp(b)) * b for the largest dividing leading
+    power b, ties to the earliest; None when g is zero or irreducible."""
+    if g.leading is None:
+        return None
+    lp, lc = g.leading
+    eligible = [b for b in basis if b.coeffs and divides(b.leading[0], lp)]
+    if not eligible:
+        return None
+    b = max(eligible, key=lambda p: g.order.key(p.leading[0]))
+    bp, bc = b.leading
+    return g.minus_shifted(lc / bc, (lp[0] - bp[0], lp[1] - bp[1]), b)
+
+
+def fraction_reduction(g: FractionPoly, basis) -> tuple:
+    """Iterate ``fraction_step``: the remainder and the number of steps."""
+    steps = 0
+    while (nxt := fraction_step(g, basis)) is not None:
+        g, steps = nxt, steps + 1
+    return g, steps
 
 
 def lower_by_steps(r):

@@ -82,7 +82,7 @@ def main(argv=None) -> int:
         out = check_curve(eq)
         lower += out.lower_differs
         if out.mismatch:
-            failures.append(f"({eq.sg.n}, {eq.sg.m}) f = {dict(eq.f.terms)}: {out.mismatch}")
+            failures.append(f"({eq.sg.n}, {eq.sg.m}) f = {eq.f.coeffs}: {out.mismatch}")
     print(f"curves = {curves}")
     print(f"changed at H_J - 1 = {lower}")
     print(f"mismatches = {len(failures)}")

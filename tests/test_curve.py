@@ -204,7 +204,7 @@ def test_adapted_reads_off_mu():
     eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 40, {(0, 4): 1, (5, 0): 1, (3, 2): 1}))
     assert eq.form == "nice"
     assert eq.nice_coeffs == {2: 1}
-    assert eq.f.terms == CurveEquation.nice(Semigroup(4, 5), {2: 1}).f.terms
+    assert eq.f == CurveEquation.nice(Semigroup(4, 5), {2: 1}).f
     # a term off P, even above the weight line, makes the curve adapted
     eq = CurveEquation(Semigroup(4, 5), TruncatedPoly(o, 40, {(0, 4): 1, (5, 0): 1, (6, 0): 1}))
     assert eq.form == "adapted"
@@ -258,13 +258,13 @@ def _times(u, w, top: int) -> list:
 
 def _fraction_residual(f: TruncatedPoly, param) -> list:
     """f(x_coeff * t^n, y(t)) through t^t_horizon, from ``param.y`` alone, by
-    plain Fraction convolutions."""
+    plain Fraction convolutions on f's ``coeffs``."""
     top = param.t_horizon
     y = [_fraction(c) for c in param.y]
     x_coeff = _fraction(param.x_coeff)
     powers = [[Fraction(1)] + [Fraction(0)] * top]
     residual = [Fraction(0)] * (top + 1)
-    for (a, b), c in f.terms.items():
+    for (a, b), c in f.coeffs.items():
         while len(powers) <= b:
             powers.append(_times(powers[-1], y, top))
         scale = _fraction(c) * x_coeff ** a
@@ -283,7 +283,7 @@ def test_parametrization_solves_the_curve(n, m):
     assert all(c == 0 for c in _fraction_residual(eq.f, param))
     assert oracle_differential_value(OneForm.basic(eq.f, "dx"), param) == n
     assert oracle_differential_value(OneForm.basic(eq.f, "dy"), param) == m
-    assert oracle_differential_value(OneForm(eq.fx, eq.fy), param) is None
+    assert oracle_differential_value(OneForm(*eq.partials), param) is None
 
 
 @pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)
@@ -308,7 +308,7 @@ def test_branch_builds_one_power_table(monkeypatch, eq):
     (top the largest y-degree in f) is the only one built by series products."""
     calls = count_calls(monkeypatch, _series.mul)
     newton_puiseux(eq)
-    top = max(b for _, b in eq.f.terms)
+    top = max(b for _, b in eq.f.coeffs)
     assert len(calls) <= top - 1
 
 
@@ -322,7 +322,7 @@ def test_infinite_value_solves_the_whole_branch(monkeypatch, eq):
     assert param.t_horizon == n * m + n + m
     solves = count_calls(monkeypatch, _solve_branch)
     param._table(len(param.powers), True)
-    assert oracle_differential_value(OneForm(eq.fx, eq.fy), param) is None
+    assert oracle_differential_value(OneForm(*eq.partials), param) is None
     assert not solves
     assert all(len(t) == param.t_horizon + 1 for t in param._tables.values())
 
@@ -446,7 +446,7 @@ def _branch_at(g: TruncatedPoly) -> Parametrization:
     ``newton_puiseux`` on g as it is: no CurveEquation holds a term above
     2nm, so this is the only way to read one."""
     n, m = g.order.n, g.order.m
-    xi, c0 = _leading_solution(n, m, g.terms[(m, 0)])
+    xi, c0 = _leading_solution(n, m, g.coeffs[(m, 0)])
     scale, terms = _scaled_equation(g, xi, c0)
     return Parametrization(n, m, xi, c0, scale,
                            tuple(_solve_branch(n, m, terms, n * m + n + m)))
@@ -468,12 +468,12 @@ def test_newton_puiseux_horizons_agree_on_common_prefix(eq, above):
     sg = eq.sg
     n, m = sg.n, sg.m
     param = newton_puiseux(eq)
-    wide = _branch_at(TruncatedPoly(sg.order, 4 * n * m, {**eq.f.terms, **above}))
+    wide = _branch_at(TruncatedPoly(sg.order, 4 * n * m, {**eq.f.coeffs, **above}))
     assert wide.t_horizon == param.t_horizon == n * m + n + m
     assert wide.y[:n * m + m + 1] == param.y[:n * m + m + 1]
     assert wide.y != param.y
     diff = delorme(eq)
-    forms = [*diff.forms, *diff.trail, OneForm(eq.fx, eq.fy)]
+    forms = [*diff.forms, *diff.trail, OneForm(*eq.partials)]
     for which in ("dx", "dy"):
         basic = OneForm.basic(eq.f, which)
         forms += [basic.mul_monomial(1, (a, b)) for a in range(m + 1) for b in range(n)

@@ -29,8 +29,9 @@ from cuspidal.differentials import (
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, _axis, covered
-from cuspidal.standard_basis import IntPoly, final_reduction, reduce_step
-from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
+from cuspidal.standard_basis import final_reduction, reduce_step
+from cusp_testkit import (CORPUS, FractionPoly, coprime_pairs, curve_draws, fraction_reduction,
+                          random_form)
 from branch_window_sweep import check_curve, sweep_curves
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
@@ -45,7 +46,7 @@ def test_basic_forms_have_axis_values():
 
 def test_vector_field_of_the_equation_vanishes():
     # X_df(f) = f_y f_x - f_x f_y = 0, so df carries no finite value
-    df = OneForm(EQ45.fx, EQ45.fy)
+    df = OneForm(*EQ45.partials)
     assert apply_vector_field(df, EQ45).is_zero
     assert differential_value(df, EQ45) is None
 
@@ -70,16 +71,11 @@ def test_monomial_forms_realize_their_value():
         assert monomial_value(w) == base + n * a + m * b
 
 
-def _reduce_mod(g: TruncatedPoly, f: TruncatedPoly):
-    """``final_reduction`` of g modulo f; ``.remainder.poly()`` is the remainder, exactly."""
-    return final_reduction(IntPoly.of(g), [IntPoly.of(f)])
-
-
 def _reduced(w: OneForm, eq: CurveEquation) -> tuple:
     """The final reduction of X_w(f) modulo f, as ``delorme`` holds it:
     integer numerators keyed by (weighted degree, x-exponent), and their
     denominator."""
-    red = _reduce_mod(apply_vector_field(w, eq), eq.f).remainder
+    red = final_reduction(apply_vector_field(w, eq), [eq.f]).remainder
     return red.terms, red.den
 
 
@@ -108,7 +104,7 @@ def test_tuning_constant_needs_equal_values():
         _tuning(*_reduced(dx, EQ45), *_reduced(dy, EQ45))
     # df has infinite value: X_df(f) = 0, so its reduction vanishes
     with pytest.raises(ValueMismatch, match="finite values"):
-        _tuning(*_reduced(dx, EQ45), *_reduced(OneForm(EQ45.fx, EQ45.fy), EQ45))
+        _tuning(*_reduced(dx, EQ45), *_reduced(OneForm(*EQ45.partials), EQ45))
 
 
 @pytest.mark.parametrize("eq,lambdas,lps", [
@@ -135,10 +131,10 @@ def test_delorme_values_are_a_semimodule_with_readme_pins():
 def test_differential_basis_rejects_reductions_that_miss_the_values():
     diff = delorme(EQ49)
     h = diff.reductions
-    zero = IntPoly(EQ49.sg.order, EQ49.f.horizon, {})
+    zero = TruncatedPoly.zero(EQ49.sg.order, EQ49.f.horizon)
     for bad in (h[:-1],                    # one value without its h_i
                 (h[1], h[0]) + h[2:],      # seeds swapped
-                h[:-1] + (IntPoly.of(h[-1].poly().mul_monomial(Rat(1), (1, 0))),),
+                h[:-1] + (h[-1].mul_monomial(Rat(1), (1, 0)),),
                 h[:-1] + (zero,)):
         with pytest.raises(ValueError):
             replace(diff, reductions=bad)
@@ -192,7 +188,7 @@ def test_oracle_matches_on_basis_forms():
         diff = delorme(eq)
         for form, lam in zip(diff.forms, diff.values.basis):
             assert oracle_differential_value(form, param) == lam
-        assert oracle_differential_value(OneForm(eq.fx, eq.fy), param) is None
+        assert oracle_differential_value(OneForm(*eq.partials), param) is None
 
 
 @pytest.mark.parametrize("pair", [(3, 5), (4, 9), (5, 6)])
@@ -312,7 +308,7 @@ def test_trail_values_agree_on_both_routes():
         param = newton_puiseux(eq)
         values = [differential_value(w, eq) for w in diff.trail]
         assert values == [oracle_differential_value(w, param) for w in diff.trail]
-        multiples = [OneForm(eq.fx, eq.fy).mul_monomial(3, g) for g in ((0, 0), (1, 0), (0, 1))]
+        multiples = [OneForm(*eq.partials).mul_monomial(3, g) for g in ((0, 0), (1, 0), (0, 1))]
         for w, value in zip(diff.trail, values):
             for g_df in multiples:
                 moved = w + g_df
@@ -385,8 +381,7 @@ def test_delorme_at_its_horizon_equals_the_full_horizon(monkeypatch):
         assert ours.forms == tuple(OneForm(w.dx.truncated(h), w.dy.truncated(h))
                                    for w in full.forms)
         assert ours.ended == full.ended
-        assert (tuple(p.poly() for p in ours.reductions)
-                == tuple(p.poly().truncated(h) for p in full.reductions))
+        assert ours.reductions == tuple(p.truncated(h) for p in full.reductions)
         assert [monomial_value(w) for w in ours.forms] == [monomial_value(w) for w in full.forms]
         pairs.add((sg.n, sg.m))
         if _guard_fires(eq, ours):
@@ -441,7 +436,7 @@ def test_the_cut_at_last_is_invisible(monkeypatch):
     def run(eq):
         calls.clear()
         diff = delorme(eq)
-        reductions = tuple(p.poly() for p in diff.reductions)
+        reductions = diff.reductions
         return (diff.values, diff.rounds, reductions, diff.forms), len(calls)
 
     monkeypatch.setattr(differentials, "_reduce_by_f", counted)
@@ -458,24 +453,31 @@ def test_the_cut_at_last_is_invisible(monkeypatch):
     assert below_c
 
 
-def _reference_tuning(r1, r2) -> Rat:
-    if r1.vanished or r2.vanished:
+def _reference_tuning(r1: FractionPoly, r2: FractionPoly) -> Rat:
+    if not r1.coeffs or not r2.coeffs:
         raise ValueMismatch("tuning needs finite values on both sides")
-    lt1, lt2 = r1.remainder.poly().leading, r2.remainder.poly().leading
-    if lt1.exponent != lt2.exponent:
+    (e1, c1), (e2, c2) = r1.leading, r2.leading
+    if e1 != e2:
         raise ValueMismatch("values differ")
-    return -lt1.coeff / lt2.coeff
+    return -c1 / c2
 
 
 def _reference_delorme(eq: CurveEquation) -> DifferentialBasis:
-    """Delorme's run on ``final_reduction(..., [f])`` and ``TruncatedPoly``
-    arithmetic, with last, the axis and the lift found afresh each round:
-    the independent route that ``delorme`` must match term for term."""
+    """Delorme's run over ``Fraction`` coefficients on the ``coeffs`` of f,
+    f_x and f_y (``FractionPoly``, reduced by ``fraction_reduction``), with
+    last, the axis and the lift found afresh each round: the independent
+    route that ``delorme`` must match term for term.  f_x and f_y are
+    differentiated here, on f's ``coeffs``."""
     sg = eq.sg
     c = sg.conductor
     h = sg.delorme_horizon
-    f, fx, fy = (p.truncated(h) for p in (eq.f, eq.fx, eq.fy))
-    reductions = [-fy, fx]
+    f = FractionPoly.of(eq.f.truncated(h))
+    terms = FractionPoly.of(eq.f).coeffs
+    fx = FractionPoly(sg.order, h, {(a - 1, b): a * v for (a, b), v in terms.items()
+                                    if a and sg.order.degree((a - 1, b)) <= h})
+    fy = FractionPoly(sg.order, h, {(a, b - 1): b * v for (a, b), v in terms.items()
+                                    if b and sg.order.degree((a, b - 1)) <= h})
+    reductions = [fy.shifted(-1, (0, 0)), fx]
     lambdas = [sg.n, sg.m]
     taken = covered(sg, lambdas, c)
     rounds = []
@@ -488,7 +490,7 @@ def _reference_delorme(eq: CurveEquation) -> DifferentialBasis:
             ended = (s, ())
             break
         steps = []
-        r = _reduce_mod(reductions[i].mul_monomial(1, s), f)
+        r, _ = fraction_reduction(reductions[i].shifted(1, s), [f])
         value, usable = u, i
         while True:
             cover = next(((j, shift) for j in range(usable - 1, -1, -1)
@@ -498,14 +500,14 @@ def _reference_delorme(eq: CurveEquation) -> DifferentialBasis:
                 assert usable != i
                 break
             j, shift = cover
-            part = _reduce_mod(reductions[j].mul_monomial(1, shift), f)
+            part, _ = fraction_reduction(reductions[j].shifted(1, shift), [f])
             mu = _reference_tuning(r, part)
             steps.append((j, mu, shift))
-            r = _reduce_mod(r.remainder.poly() + part.remainder.poly().scale(mu), f)
-            if r.vanished:
+            r, _ = fraction_reduction(r.minus_shifted(-mu, (0, 0), part), [f])
+            if not r.coeffs:
                 value = None
                 break
-            lp = r.remainder.poly().leading_power
+            lp = r.leading[0]
             raised = sg.n * (lp[0] + 1) + sg.m * (lp[1] + 1) - sg.n * sg.m
             assert raised > value
             value = raised
@@ -519,8 +521,9 @@ def _reference_delorme(eq: CurveEquation) -> DifferentialBasis:
         lambdas.append(value)
         taken |= covered(sg, (value,), c)
         rounds.append((s, tuple(steps)))
-        reductions.append(r.remainder.poly())
-    return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)), tuple(reductions),
+        reductions.append(r)
+    return DifferentialBasis(AbstractSemimodule(sg, tuple(lambdas)),
+                             tuple(TruncatedPoly(p.order, p.horizon, p.coeffs) for p in reductions),
                              tuple(rounds), ended)
 
 
@@ -567,8 +570,8 @@ def test_delorme_matches_the_reference_run(monkeypatch):
         ours, ref = delorme(eq), _reference_delorme(eq)
         assert ours.values == ref.values
         assert (ours.rounds, ours.ended) == (ref.rounds, ref.ended)
-        assert ([(p.horizon, p.poly().terms) for p in ours.reductions]
-                == [(p.horizon, p.terms) for p in ref.reductions])
+        assert ([FractionPoly.of(p) for p in ours.reductions]
+                == [FractionPoly.of(p) for p in ref.reductions])
         assert ours.trail == ref.trail
 
 
@@ -602,9 +605,9 @@ def _denominator_draws():
 
 def test_fraction_free_steps_are_the_fraction_steps(monkeypatch):
     """On curves whose f has denominators of lcm L = 2, 3, 6 or 12, every
-    reduction modulo f that delorme makes is ``final_reduction(g, [f])`` on
-    ``IntPoly``, the same numerators over the same denominator, in as many
-    steps; that is the ``Fraction`` reduction exactly.  Every tuning takes
+    reduction modulo f that delorme makes is ``final_reduction(g, [f])``, the
+    same numerators over the same denominator, in as many steps; that is
+    the ``Fraction`` reduction exactly (``test_steps_are_exact``).  Every tuning takes
     p > 0, every denominator stays positive, and the run's mu, values,
     ending round and h_i equal those of the ``Fraction`` reference run.  The
     draws reach steps where 1 < gcd(c, L) < L and where L divides c, and
@@ -614,9 +617,9 @@ def test_fraction_free_steps_are_the_fraction_steps(monkeypatch):
     subtracted, seen = [], Counter()
 
     def checked(g, den, tail, fden, n, nm, horizon):
-        assert fden == eq.f_int.den
-        ref, steps = IntPoly(eq.sg.order, horizon, dict(g), den), 0
-        while (nxt := reduce_step(ref, [eq.f_int])) is not None:
+        assert fden == eq.f.den
+        ref, steps = TruncatedPoly._raw(eq.sg.order, horizon, dict(g), den), 0
+        while (nxt := reduce_step(ref, [eq.f])) is not None:
             gam = gcd(ref.terms[ref.lead], fden)
             seen["1 < gcd < L"] += 1 < gam < fden
             seen["L | c"] += gam == fden > 1
@@ -640,23 +643,23 @@ def test_fraction_free_steps_are_the_fraction_steps(monkeypatch):
     monkeypatch.setattr(differentials, "_subtract_shifted",
                         lambda *args: subtracted.append(args) or subtract(*args))
     draws = list(_denominator_draws())
-    assert {e.f_int.den for e in draws} == {2, 3, 6, 12}
+    assert {e.f.den for e in draws} == {2, 3, 6, 12}
     rng = random.Random(30)
     for eq in draws:
         ours, ref = delorme(eq), _reference_delorme(eq)
         assert ours.values == ref.values
         assert (ours.rounds, ours.ended) == (ref.rounds, ref.ended)
         assert all(p.den > 0 for p in ours.reductions)
-        assert [p.poly() for p in ours.reductions] == list(ref.reductions)
+        assert ours.reductions == ref.reductions
         # Random g divisible by y^n: reductions of many more steps.
         sg, h = eq.sg, eq.sg.delorme_horizon
-        tail = tuple(t for t in eq.f_int.tail if t[0][0] <= h)
+        tail = tuple(t for t in eq.f.tail if t[0][0] <= h)
         for _ in range(4):
             powers = ((rng.randint(0, sg.m), rng.randint(sg.n, 2 * sg.n)) for _ in range(8))
-            g = IntPoly.of(TruncatedPoly(sg.order, h, {
+            g = TruncatedPoly(sg.order, h, {
                 e: Rat(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 4))
-                for e in powers if sg.order.degree(e) <= h}))
-            checked(dict(g.terms), g.den, tail, eq.f_int.den, sg.n, sg.n * sg.m, h)
+                for e in powers if sg.order.degree(e) <= h})
+            checked(dict(g.terms), g.den, tail, eq.f.den, sg.n, sg.n * sg.m, h)
     assert min(seen["1 < gcd < L"], seen["L | c"], seen["p0 < 0"]) > 0
 
 

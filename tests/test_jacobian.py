@@ -9,7 +9,7 @@ import pytest
 from cuspidal import CurveEquation, Semigroup
 from cuspidal.curve import NotAdapted
 from cuspidal.differentials import delorme
-from cuspidal.cli import cmd_jacobian
+from cuspidal.cli import main
 from cuspidal.jacobian import (
     check_jacobian_staircase,
     jacobian_basis_direct,
@@ -21,8 +21,7 @@ from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import elements_outside
 from cuspidal.specfile import parse_spec
-from cuspidal.standard_basis import (HorizonExhausted, IntPoly, StandardBasis, buchberger,
-                                     codimension)
+from cuspidal.standard_basis import HorizonExhausted, StandardBasis, buchberger, codimension
 from cusp_testkit import CORPUS, adapted_curves, curve_draws, nice_curves
 from jacobian_horizon_sweep import check_curve, sweep_curves
 
@@ -103,8 +102,8 @@ EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})  # values (4, 5, 11)
 
 def _via(*lps):
     """The (4,5) basis with monomial reductions h_i at the given leading powers."""
-    reductions = tuple(
-        IntPoly.of(TruncatedPoly.monomial(EQ45.sg.order, Rat(1), e, horizon=200)) for e in lps)
+    reductions = tuple(TruncatedPoly.monomial(EQ45.sg.order, Rat(1), e, horizon=200)
+                       for e in lps)
     return jacobian_basis_via_differentials(
         EQ45, replace(delorme(EQ45), reductions=reductions))
 
@@ -129,8 +128,8 @@ def test_jacobian_basis_requires_axis_leaders():
 def _buchberger_4nm(eq):
     """The direct basis over (f, f_x, f_y), with f's terms and the whole
     arithmetic at 4nm, twice the horizon of the equation."""
-    f = TruncatedPoly(eq.sg.order, 4 * eq.sg.n * eq.sg.m, eq.f.terms)
-    return buchberger([IntPoly.of(p) for p in (f, f.partial_x(), f.partial_y())])
+    f = TruncatedPoly(eq.sg.order, 4 * eq.sg.n * eq.sg.m, eq.f.coeffs)
+    return buchberger([f, *f.partials(f.horizon)])
 
 
 def _adapted_draws(sg: Semigroup, count: int, seed: int):
@@ -170,7 +169,7 @@ def test_jacobian_horizon_is_tight():
     h = sg.jacobian_horizon
     assert (sg.hessian_degree, h) == (6, 8)
     assert jacobian_basis_direct(eq).leading_powers == ((0, 1), (4, 0))
-    low = buchberger([IntPoly.of(p.truncated(h - 1)) for p in (eq.f, eq.fx, eq.fy)])
+    low = buchberger([p.truncated(h - 1) for p in (eq.f, *eq.partials)])
     assert low.leading_powers == ((0, 1),)
     with pytest.raises(HorizonExhausted, match="infinite"):
         check_jacobian_staircase(low, sg)
@@ -208,36 +207,53 @@ def test_jacobian_horizon_sweep():
 def test_integer_generators_are_the_truncated_derivatives():
     """``jacobian_generators`` is exactly f, f_x and f_y cut at the horizon,
     on nice curves and on adapted ones with mu != 1 and denominators up to
-    97, at H_J, one degree lower and at 2nm."""
+    97, at H_J, one degree lower and at 2nm; the derivatives are taken here
+    on f's ``coeffs``."""
     curves = [*nice_curves(5, densities=(0.3, 1)), *adapted_curves()]
-    assert max(c.denominator for eq in curves for c in eq.f.terms.values()) == 97
+    assert max(c.denominator for eq in curves for c in eq.f.coeffs.values()) == 97
     for eq in curves:
-        sg = eq.sg
+        sg, f = eq.sg, eq.f.coeffs
         for h in (sg.jacobian_horizon, sg.jacobian_horizon - 1, sg.branch_horizon):
+            want = [{e: c for e, c in f.items() if sg.order.degree(e) <= h},
+                    {(a - 1, b): a * c for (a, b), c in f.items()
+                     if a and sg.order.degree((a - 1, b)) <= h},
+                    {(a, b - 1): b * c for (a, b), c in f.items()
+                     if b and sg.order.degree((a, b - 1)) <= h}]
             gens = jacobian_generators(eq, h)
             assert [g.horizon for g in gens] == [h] * 3
-            assert [g.poly() for g in gens] == [
-                IntPoly.of(p.truncated(h)).poly() for p in (eq.f, eq.fx, eq.fy)]
+            assert [g.coeffs for g in gens] == want
     with pytest.raises(ValueError, match="cannot raise"):
         jacobian_generators(EQ45, EQ45.sg.branch_horizon + 1)
 
 
 @pytest.mark.parametrize("text", ["n = 4\nm = 9\nz 1 = 1\n",
                                   "n = 4\nm = 9\nmu = 2/3\nterm 5/7 7 1\n"])
-def test_jacobian_stays_on_integers(monkeypatch, text):
-    """``cmd_jacobian`` builds neither a ``TruncatedPoly`` derivative nor a
-    ``TruncatedPoly`` from an ``IntPoly``: both bases stay integer."""
-    eq = parse_spec(text)
+def test_jacobian_stays_on_integers(monkeypatch, capsys, tmp_path, text):
+    """A ``jacobian`` or ``bs-roots`` request reads f and every polynomial
+    of its run as integer numerators: with ``coeffs``, ``leading`` and
+    ``sorted_terms``, the views that build ``Rat`` coefficients, made to
+    raise, each prints what it prints without them (bs-roots refuses the
+    adapted curve)."""
+    spec = tmp_path / "curve.spec"
+    spec.write_text(text)
 
     def refuse(*args, **kwargs):
         raise AssertionError("left the integer route")
 
-    for name in ("partial_x", "partial_y"):
-        monkeypatch.setattr(TruncatedPoly, name, refuse)
-    monkeypatch.setattr(IntPoly, "poly", refuse)
-    report = cmd_jacobian(eq)
-    assert report["match"] is True
-    assert report["tjurina"] == codimension(jacobian_basis_direct(eq))
+    def run(command):
+        code = main([command, "--spec", str(spec)])
+        return code, capsys.readouterr()
+
+    expected = {command: run(command) for command in ("jacobian", "bs-roots")}
+    with monkeypatch.context() as patch:
+        for name in ("coeffs", "leading"):
+            patch.setattr(TruncatedPoly, name, property(refuse))
+        patch.setattr(TruncatedPoly, "sorted_terms", refuse)
+        assert {command: run(command) for command in expected} == expected
+    tau = codimension(jacobian_basis_direct(parse_spec(text)))
+    assert expected["jacobian"][0] == 0
+    assert "match = yes" in expected["jacobian"][1].out
+    assert f"tjurina = {tau}\n" in expected["jacobian"][1].out
 
 
 def _monomial_basis(sg: Semigroup, *lps) -> StandardBasis:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ def test_leading_term_is_minimal():
     p = TruncatedPoly(O45, 80, {(0, 4): 1, (5, 0): 1, (3, 2): Rat(1, 2)})
     assert p.leading_power == (0, 4)
     assert p.leading.coeff == 1
-    assert p.min_degree() == 20
+    assert p.lead[0] == 20   # the order valuation: the leading key's degree
 
 
 def test_horizon_truncation_is_inclusive():
@@ -41,7 +42,7 @@ def test_truncated_cuts_at_a_lower_horizon_only():
     p = TruncatedPoly(O45, 80, {(0, 0): 1, (5, 0): 2, (10, 0): 3})
     q = p.truncated(20)
     assert q.horizon == 20
-    assert q.terms == {(0, 0): 1, (5, 0): 2}   # degree 20 survives, 40 does not
+    assert q.coeffs == {(0, 0): 1, (5, 0): 2}   # degree 20 survives, 40 does not
     assert p.truncated(80) == p
     with pytest.raises(ValueError, match="cannot raise"):
         p.truncated(81)
@@ -63,8 +64,7 @@ def test_product_of_leading_terms():
 
 def test_partial_derivatives():
     p = TruncatedPoly(O45, 80, {(5, 0): 1, (0, 4): 1, (3, 2): Rat(1, 2)})
-    px = p.partial_x()
-    py = p.partial_y()
+    px, py = p.partials(80)
     assert {(t.exponent, t.coeff) for t in px.sorted_terms()} == {
         ((4, 0), Rat(5)), ((2, 2), Rat(3, 2))}
     assert {(t.exponent, t.coeff) for t in py.sorted_terms()} == {
@@ -162,4 +162,63 @@ def test_construction_keeps_every_term_or_raises(pair, horizon, terms):
             TruncatedPoly(order, horizon, terms)
         return
     p = TruncatedPoly(order, horizon, terms)
-    assert p.terms == {e: c for e, c in terms.items() if c}
+    assert p.coeffs == {e: c for e, c in terms.items() if c}
+
+
+def _random_rational_poly(rng: random.Random, order: WeightedOrder,
+                          horizon: int) -> dict:
+    """exponent -> nonzero Fraction, every term at or below ``horizon``."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        e = (rng.randint(0, 7), rng.randint(0, 5))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+        if order.degree(e) <= horizon and c:
+            terms[e] = c
+    return terms
+
+
+def _cut(order: WeightedOrder, terms: dict, horizon: int) -> dict:
+    return {e: c for e, c in terms.items() if c and order.degree(e) <= horizon}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_integer_arithmetic_is_the_fraction_arithmetic(seed):
+    """The numerators over one denominator give, through ``coeffs``, exactly
+    the coefficients of plain dict-of-``Fraction`` arithmetic, cut at the
+    smaller horizon; and a scale that comes back to 1 gives an equal
+    polynomial over a different denominator."""
+    rng = random.Random(seed)
+    order = WeightedOrder(*rng.choice([(2, 3), (3, 5), (4, 7)]))
+    hp, hq = rng.randint(10, 60), rng.randint(10, 60)
+    tp, tq = _random_rational_poly(rng, order, hp), _random_rational_poly(rng, order, hq)
+    p, q = TruncatedPoly(order, hp, tp), TruncatedPoly(order, hq, tq)
+    h = min(hp, hq)
+
+    total, diff, prod = dict(_cut(order, tp, h)), dict(_cut(order, tp, h)), {}
+    for e, c in _cut(order, tq, h).items():
+        total[e] = total.get(e, 0) + c
+        diff[e] = diff.get(e, 0) - c
+    for (a1, b1), c1 in tp.items():
+        for (a2, b2), c2 in tq.items():
+            e = (a1 + a2, b1 + b2)
+            prod[e] = prod.get(e, 0) + c1 * c2
+    assert (p + q).coeffs == _cut(order, total, h)
+    assert (p - q).coeffs == _cut(order, diff, h)
+    assert (p * q).coeffs == _cut(order, prod, h)
+
+    c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+    da, db = rng.randint(0, 3), rng.randint(0, 2)
+    shifted = {(a + da, b + db): c * v for (a, b), v in tp.items()}
+    assert p.mul_monomial(c, (da, db)).coeffs == _cut(order, shifted, hp)
+
+    cut = rng.randint(0, hp)
+    px, py = p.partials(cut)
+    assert px.coeffs == _cut(order, {(a - 1, b): a * v for (a, b), v in tp.items() if a}, cut)
+    assert py.coeffs == _cut(order, {(a, b - 1): b * v for (a, b), v in tp.items() if b}, cut)
+    assert (px.horizon, py.horizon) == (cut, cut)
+
+    back = p.scale(Rat(2, 3)).scale(Rat(3, 2))
+    assert back == p and back.coeffs == p.coeffs
+    if p.terms:
+        assert back.den == 6 * p.den

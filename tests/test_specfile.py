@@ -71,11 +71,11 @@ def test_horizon_argument_passes_the_equation_check(text):
     eq = parse_spec(text)
     for horizon in (-36, 0, 36, 71, 73, 108, 144):
         f = (eq.f.truncated(horizon) if horizon < 72
-             else TruncatedPoly(eq.sg.order, horizon, eq.f.terms))
+             else TruncatedPoly(eq.sg.order, horizon, eq.f.coeffs))
         with pytest.raises(ValueError) as info:
             CurveEquation(eq.sg, f)
         assert str(info.value) == f"truncation horizon must be 2*n*m = 72, got {horizon}"
-    assert CurveEquation(eq.sg, TruncatedPoly(eq.sg.order, 72, eq.f.terms)) == eq
+    assert CurveEquation(eq.sg, TruncatedPoly(eq.sg.order, 72, eq.f.coeffs)) == eq
 
 
 @pytest.mark.parametrize("text,exc,kind,line", [
@@ -129,7 +129,7 @@ def test_term_above_2nm_is_refused():
         parse_spec("n = 4\nm = 9\nterm 1 19 0\nmu = 2")
     # A term at exactly 2nm is kept.
     eq = parse_spec("n = 4\nm = 9\nterm 1 7 1\nterm 1 18 0")
-    assert eq.f.terms[(18, 0)] == 1
+    assert eq.f.coeffs[(18, 0)] == 1
     assert eq.form == "adapted"
 
 

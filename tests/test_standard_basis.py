@@ -12,7 +12,6 @@ from cuspidal import CurveEquation, Semigroup
 from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
 from cuspidal.rationals import Rat
 from cuspidal.standard_basis import (
-    IntPoly,
     StandardBasis,
     buchberger,
     codimension,
@@ -21,7 +20,8 @@ from cuspidal.standard_basis import (
     s_process_min,
 )
 
-from cusp_testkit import adapted_curves, coprime_pairs, nice_curves
+from cusp_testkit import (FractionPoly, adapted_curves, coprime_pairs, fraction_reduction,
+                          fraction_step, nice_curves)
 
 O45 = WeightedOrder(4, 5)
 
@@ -30,58 +30,54 @@ def _p(terms):
     return TruncatedPoly(O45, 80, terms)
 
 
-def _i(terms):
-    return IntPoly.of(_p(terms))
-
-
 def test_reduce_step_none_when_irreducible():
-    g = _i({(1, 0): 1})
-    basis = [_i({(0, 4): 1, (5, 0): 1})]
+    g = _p({(1, 0): 1})
+    basis = [_p({(0, 4): 1, (5, 0): 1})]
     assert reduce_step(g, basis) is None
 
 
 def test_final_reduction_vanishes_on_member():
     f = _p({(0, 4): 1, (5, 0): 1})
-    red = final_reduction(IntPoly.of(f.mul_monomial(Rat(3), (1, 1))), [IntPoly.of(f)])
+    red = final_reduction(f.mul_monomial(Rat(3), (1, 1)), [f])
     assert red.vanished
-    assert red.remainder.poly().is_zero
+    assert red.remainder.is_zero
 
 
 def test_final_reduction_single_divisor():
     # y^4 = (y^4 + x^5) - x^5: one step, remainder -x^5
-    f = _i({(0, 4): 1, (5, 0): 1})
-    red = final_reduction(_i({(0, 4): 1}), [f])
+    f = _p({(0, 4): 1, (5, 0): 1})
+    red = final_reduction(_p({(0, 4): 1}), [f])
     assert not red.vanished
-    assert red.remainder.poly() == _p({(5, 0): -1})
+    assert red.remainder == _p({(5, 0): -1})
 
 
 def test_final_reduction_remainder_not_divisible():
-    f = _i({(0, 4): 1, (5, 0): 1})
-    g = _i({(0, 5): 1, (2, 1): 1})
+    f = _p({(0, 4): 1, (5, 0): 1})
+    g = _p({(0, 5): 1, (2, 1): 1})
     red = final_reduction(g, [f])
     assert not red.vanished
-    lp = red.remainder.poly().leading_power
+    lp = red.remainder.leading_power
     assert not (lp[0] >= 0 and lp[1] >= 4)
 
 
 def test_s_process_cancels_leading_terms():
     g1 = _p({(0, 4): 1, (5, 0): 1})
     g2 = _p({(2, 1): 3, (4, 0): 1})
-    s = s_process_min(IntPoly.of(g1), IntPoly.of(g2))
+    s = s_process_min(g1, g2)
     # lcm of (0,4) and (2,1) is (2,4); both contributions cancel there
     assert s.leading_power != (2, 4)
-    assert s.poly() == g1.mul_monomial(Rat(1), (2, 0)) - g2.mul_monomial(Rat(1, 3), (0, 3))
+    assert s == g1.mul_monomial(Rat(1), (2, 0)) - g2.mul_monomial(Rat(1, 3), (0, 3))
 
 
 def test_buchberger_monomial_ideal_is_complete():
-    gens = [_i({(0, 3): 1}), _i({(4, 0): 1})]
+    gens = [_p({(0, 3): 1}), _p({(4, 0): 1})]
     basis = buchberger(gens)
     assert set(basis.leading_powers) == {(0, 3), (4, 0)}
 
 
 def test_buchberger_drops_redundant_generator():
-    f = _i({(0, 4): 1, (5, 0): 1})
-    gens = [f, _i({(0, 3): 1}), _i({(4, 0): 5})]
+    f = _p({(0, 4): 1, (5, 0): 1})
+    gens = [f, _p({(0, 3): 1}), _p({(4, 0): 5})]
     basis = buchberger(gens)
     assert set(basis.leading_powers) == {(0, 3), (4, 0)}
 
@@ -89,7 +85,7 @@ def test_buchberger_drops_redundant_generator():
 def test_buchberger_rejects_mixed_horizons():
     """Over mixed horizons a remainder of two high-horizon generators could
     lead past the lowest horizon, where no generator is trustworthy."""
-    gens = [IntPoly.of(TruncatedPoly(O45, 12, {(0, 2): 1})), _i({(4, 0): 1, (1, 3): 1})]
+    gens = [TruncatedPoly(O45, 12, {(0, 2): 1}), _p({(4, 0): 1, (1, 3): 1})]
     with pytest.raises(ValueError, match=r"share one horizon, got \[12, 80\]"):
         buchberger(gens)
 
@@ -145,79 +141,57 @@ def test_codimension_matches_lattice_count(seed):
     assert codimension(StandardBasis(polys)) == _brute_force_codim(lps)
 
 
-def _fraction_step(g, basis):
-    """The reduction step over ``Fraction`` coefficients on ``TruncatedPoly``:
-    g - (lc(g)/lc(b)) * x^(lp(g)-lp(b)) * b for the largest dividing leading
-    power b, ties to the earliest; None when g is zero or irreducible."""
-    lead = g.leading
-    if lead is None:
-        return None
-    lp, lc = lead
-    eligible = [b for b in basis if b.terms and divides(b.leading_power, lp)]
-    if not eligible:
-        return None
-    b = max(eligible, key=lambda p: g.order.key(p.leading_power))
-    bp, bc = b.leading
-    return g - b.mul_monomial(lc / bc, (lp[0] - bp[0], lp[1] - bp[1]))
-
-
-def _fraction_reduction(g, basis):
-    """Iterate ``_fraction_step``: the remainder and the number of steps."""
-    steps = 0
-    while (nxt := _fraction_step(g, basis)) is not None:
-        g, steps = nxt, steps + 1
-    return g, steps
-
-
-def _fraction_s_process(g1, g2):
-    """g1 * x^s1 - (lc(g1)/lc(g2)) * g2 * x^s2 over lcm(lp(g1), lp(g2))."""
+def _fraction_s_process(g1: FractionPoly, g2: FractionPoly) -> FractionPoly:
+    """g1 * x^s1 - (lc(g1)/lc(g2)) * g2 * x^s2 over lcm(lp(g1), lp(g2)), over
+    ``Fraction`` coefficients."""
     (a1, b1), c1 = g1.leading
     (a2, b2), c2 = g2.leading
     la, lb = max(a1, a2), max(b1, b2)
-    return g1.mul_monomial(1, (la - a1, lb - b1)) - g2.mul_monomial(c1 / c2, (la - a2, lb - b2))
+    return g1.shifted(1, (la - a1, lb - b1)).minus_shifted(c1 / c2, (la - a2, lb - b2), g2)
 
 
 def _reference_buchberger(gens):
-    """Buchberger over ``Fraction`` coefficients on ``TruncatedPoly``: FIFO
-    pairs, the minimal S-process, final reduction against the growing
-    basis, and the same minimality pass; the kept polynomials sorted by
-    x-exponent."""
-    basis = [g for g in gens if not g.is_zero]
+    """Buchberger over ``Fraction`` coefficients on the ``FractionPoly`` of
+    ``gens``: FIFO pairs, the minimal S-process, final reduction against the
+    growing basis, and the same minimality pass; the kept polynomials
+    sorted by x-exponent."""
+    basis = [FractionPoly.of(g) for g in gens if not g.is_zero]
     order = basis[0].order
     queue = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while queue:
         i, j = queue.popleft()
-        remainder, _ = _fraction_reduction(_fraction_s_process(basis[i], basis[j]), basis)
-        if remainder.is_zero:
+        remainder, _ = fraction_reduction(_fraction_s_process(basis[i], basis[j]), basis)
+        if not remainder.coeffs:
             continue
         basis.append(remainder)
         queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     kept = []
-    for p in sorted(basis, key=lambda q: order.key(q.leading_power)):
-        if not any(divides(k.leading_power, p.leading_power) for k in kept):
+    for p in sorted(basis, key=lambda q: order.key(q.leading[0])):
+        if not any(divides(k.leading[0], p.leading[0]) for k in kept):
             kept.append(p)
-    return sorted(kept, key=lambda p: p.leading_power[0])
+    return sorted(kept, key=lambda p: p.leading[0][0])
 
 
 def _assert_matches_reference(gens):
-    """``buchberger`` on the ``IntPoly`` of ``gens`` has the reference's
-    leading powers, and each of its polynomials is a positive rational
-    multiple of the reference's, with integer coefficients of content 1."""
-    got = buchberger([IntPoly.of(g) for g in gens])
+    """``buchberger`` on ``gens`` has the reference's leading powers, and
+    each of its polynomials is a positive rational multiple of the
+    reference's, at the same horizon, with integer coefficients of content
+    1."""
+    got = buchberger(gens)
     want = _reference_buchberger(gens)
-    assert got.leading_powers == tuple(p.leading_power for p in want)
-    for p, q in zip((p.poly() for p in got), want):
-        coeffs = p.terms.values()
-        assert all(c.denominator == 1 for c in coeffs)
-        assert gcd(*(c.numerator for c in coeffs)) == 1
-        ratio = p.leading.coeff / q.leading.coeff
+    assert got.leading_powers == tuple(p.leading[0] for p in want)
+    for p, q in zip(got, want):
+        coeffs = p.coeffs
+        assert p.den == 1 and all(c.denominator == 1 for c in coeffs.values())
+        assert gcd(*(c.numerator for c in coeffs.values())) == 1
+        ratio = p.leading.coeff / q.leading[1]
         assert ratio > 0
-        assert p == q.scale(ratio)
+        assert (p.horizon, coeffs) == (q.horizon, {e: ratio * c for e, c in q.coeffs.items()})
 
 
 def _jacobian_generators(eq):
     h = eq.sg.jacobian_horizon
-    return [p.truncated(h) for p in (eq.f, eq.fx, eq.fy)]
+    return [p.truncated(h) for p in (eq.f, *eq.partials)]
 
 
 def test_buchberger_matches_the_reference_on_jacobian_generators():
@@ -227,7 +201,7 @@ def test_buchberger_matches_the_reference_on_jacobian_generators():
     bare = [CurveEquation.nice(Semigroup(n, m)) for n, m in coprime_pairs(range(2, 8), 13)]
     adapted = list(adapted_curves())
     assert all(eq.mu != 1 for eq in adapted)
-    assert max(c.denominator for eq in adapted for c in eq.f.terms.values()) == 97
+    assert max(c.denominator for eq in adapted for c in eq.f.coeffs.values()) == 97
     for eq in [*bare, *nice_curves(28, densities=(0.3, 1)), *adapted]:
         _assert_matches_reference(_jacobian_generators(eq))
 
@@ -256,53 +230,55 @@ def test_buchberger_matches_the_reference_on_random_ideals(gens):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_rational_ideals(), st.integers(0, 2), st.integers(0, 10))
 def test_steps_are_exact(gens, which, cut):
-    """``s_process_min``, ``reduce_step`` and ``final_reduction`` on
-    ``IntPoly`` give the ``Fraction`` run's polynomials exactly, in as many
-    steps, and leave their arguments as they were.  One divisor is cut
+    """``s_process_min``, ``reduce_step`` and ``final_reduction`` give the
+    polynomials of the ``Fraction`` steps on the ``coeffs`` exactly, in as
+    many steps, and leave their arguments as they were.  One divisor is cut
     ``cut`` degrees below the others, so that a step also cuts at the
     smaller horizon."""
-    g1, g2, *rest = gens
-    basis = [g1, g2, *rest]
+    basis = list(gens)
     which %= len(basis)
     low = basis[which].horizon - cut
     basis[which] = basis[which].truncated(low)
     if basis[which].is_zero:
         return
-    ints = [IntPoly.of(b) for b in basis]
-    before = [dict(b.terms) for b in ints]
-    s = s_process_min(ints[0], ints[1])
-    want_s = _fraction_s_process(basis[0], basis[1])
-    assert s.poly() == want_s
+    refs = [FractionPoly.of(b) for b in basis]
+    before = [(dict(b.terms), b.den) for b in basis]
+    s = s_process_min(basis[0], basis[1])
+    want_s = _fraction_s_process(refs[0], refs[1])
+    assert FractionPoly.of(s) == want_s
     assert s.den > 0
-    remainder, steps = _fraction_reduction(want_s, basis)
+    remainder, steps = fraction_reduction(want_s, refs)
     seen, g = 0, s
-    while (nxt := reduce_step(g, ints)) is not None:
-        assert nxt.poly() == _fraction_step(g.poly(), basis)
+    while (nxt := reduce_step(g, basis)) is not None:
+        assert FractionPoly.of(nxt) == fraction_step(FractionPoly.of(g), refs)
         g, seen = nxt, seen + 1
     assert seen == steps
-    red = final_reduction(s, ints)
-    assert red.remainder.poly() == remainder
-    assert red.vanished == remainder.is_zero
-    assert [b.terms for b in ints] == before
+    red = final_reduction(s, basis)
+    assert FractionPoly.of(red.remainder) == remainder
+    assert red.vanished == (not remainder.coeffs)
+    assert [(b.terms, b.den) for b in basis] == before
 
 
 def test_partials_refuse_a_higher_horizon():
-    """The horizon check lives in ``IntPoly.partials``, so every caller,
-    ``delorme`` and ``jacobian_generators`` alike, passes through it."""
+    """The horizon check lives in ``TruncatedPoly.partials``, so every
+    caller, ``delorme`` and ``jacobian_generators`` alike, passes through
+    it."""
     eq = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
     h = eq.sg.branch_horizon
     with pytest.raises(ValueError, match=f"cannot raise the horizon {h} to {h + 1}"):
-        eq.f_int.partials(h + 1)
-    assert [p.horizon for p in eq.f_int.partials(h)] == [h, h]
+        eq.f.partials(h + 1)
+    assert [p.horizon for p in eq.f.partials(h)] == [h, h]
 
 
-def test_int_poly_round_trip():
+def test_numerators_over_one_denominator():
+    """A polynomial is integer numerators keyed by (weighted degree,
+    x-exponent) over the lcm of its denominators; ``coeffs`` reads it back,
+    and ``primitive`` is the positive multiple of content 1 over 1."""
     p = _p({(0, 4): Rat(3, 4), (5, 0): Rat(-5, 6), (2, 3): 7})
-    q = IntPoly.of(p)
-    assert q.den == 12
-    assert q.terms == {(20, 0): 9, (20, 5): -10, (23, 2): 84}
-    assert q.poly() == p
-    assert q.leading_power == (0, 4)
-    assert q.tail == (((20, 5), -10), ((23, 2), 84))
-    r = IntPoly.of(_p({(0, 4): Rat(-3, 4), (5, 0): Rat(3, 2)})).primitive()
+    assert p.den == 12
+    assert p.terms == {(20, 0): 9, (20, 5): -10, (23, 2): 84}
+    assert p.coeffs == {(0, 4): Rat(3, 4), (5, 0): Rat(-5, 6), (2, 3): 7}
+    assert p.leading_power == (0, 4) and p.lead == (20, 0)
+    assert p.tail == (((20, 5), -10), ((23, 2), 84))
+    r = _p({(0, 4): Rat(-3, 4), (5, 0): Rat(3, 2)}).primitive()
     assert (r.terms, r.den) == ({(20, 0): -1, (20, 5): 2}, 1)

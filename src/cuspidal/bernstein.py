@@ -16,10 +16,15 @@ reads only whether num is 0, on the B and Gamma pair of j's root plan,
 through one core, ``_first_nonzero``: ``decide_root``, and both batteries
 through ``_verdict``.  It passes by every test whose k no sum of the
 curve's support reaches (``CurveEquation.support_sums``): that residue is
-the empty sum, exactly 0.  Only ``residue`` wraps c as a GammaExpr.  A root
-verdict is its kind, its root and the test exponent whose residue is
-nonzero, one shared instance per pair, j and witness, which renders its
-own report line.
+the empty sum, exactly 0.  A one-term residue is decided by its sign: when
+the table of k has one entry (c, o1, o2), num is c * P1 * P2, where P1
+and P2 are ``_lower``'s products of integers >= 1, and the table holds no
+zero numerator, so num != 0 with the sign of c.  Such a test is decided
+after the pole and Gamma-pair checks of its two arguments (``_steps``),
+with no product; every other residue is summed.  Only ``residue`` wraps c
+as a GammaExpr.  A root verdict is its kind, its root and the test
+exponent whose residue is nonzero, one shared instance per pair, j and
+witness, which renders its own report line.
 Interval arithmetic only displays a value (``interval_certificate``, which
 alone imports mpmath); no decision reads it.
 """
@@ -120,17 +125,25 @@ def _group_str(args, coeff) -> str:
     return f"({coeff})*{gammas}" if gammas else f"({coeff})"
 
 
-def _lower(s: int, q: int, r: int) -> tuple:
-    """Gamma(s/q) = (num/den) * Gamma(r/q) for s = r (mod q) and
-    0 < r <= q: the (s - r)/q steps of Gamma(x) = (x-1) Gamma(x-1) give
-    num = (s - q)(s - 2q)...r and den = q^((s - r)/q).  Refuses a pole
-    (s <= 0) and an s that does not lower to r."""
+def _steps(s: int, q: int, r: int) -> int:
+    """The number t = (s - r)/q of steps that lower Gamma(s/q) to
+    Gamma(r/q), 0 < r <= q.  Refuses a pole (s <= 0) and an s that does
+    not lower to r: the checks of every residue term, summed or not."""
     if s <= 0:
         raise ValueError(f"gamma argument must be positive, got {Rat(s, q)}")
     t, off = divmod(s - r, q)
     if off:
         raise ValueError(f"Gamma({Rat(s, q)}) does not lower to Gamma({Rat(r, q)}): "
                          "not one Gamma group")
+    return t
+
+
+def _lower(s: int, q: int, r: int) -> tuple:
+    """Gamma(s/q) = (num/den) * Gamma(r/q) for s = r (mod q) and
+    0 < r <= q: the (s - r)/q steps of Gamma(x) = (x-1) Gamma(x-1) give
+    num = (s - q)(s - 2q)...r and den = q^((s - r)/q), after ``_steps``'
+    checks."""
+    t = _steps(s, q, r)
     return prod(range(s - q, r - 1, -q)), q ** t
 
 
@@ -404,14 +417,33 @@ def _root_plans(sg: Semigroup) -> MappingProxyType:
 def _first_nonzero(eq: CurveEquation, pair, tests, targets):
     """The first test exponent (a, b) of ``tests`` whose residue is
     nonzero, else None: the one core of every verdict.  ``targets`` holds
-    the target k of each test.  A test whose k is not a support sum
-    (``eq.support_sums``) is passed by unread: its residue is the empty
-    sum, exactly 0.  Every other residue is ``_residue_sum``, each term
-    checked for a pole and against ``pair``, the Gamma pair of the tests'
-    B."""
-    sums = eq.support_sums
+    the target k of each test, and ``pair`` the Gamma pair of the tests'
+    B.
+
+    - A test whose k is not a support sum (``eq.support_sums``) is passed
+      by unread: its residue is the empty sum, exactly 0.
+    - A one-term residue is decided by its sign.  When the table of k has
+      one entry (c, o1, o2), ``_residue_sum`` returns c * P1 * P2 over a
+      positive denominator, where P1 and P2 are ``_lower``'s products of
+      integers >= r >= 1 (or 1), and the table drops zero numerators, so
+      c != 0: the residue is nonzero with the sign of c.  The test is
+      decided without the products, after ``_steps``' pole and Gamma-pair
+      checks on both arguments, in ``_lower``'s order.
+    - Every other residue is ``_residue_sum``, each term checked the same
+      way."""
+    n, m = eq.sg.n, eq.sg.m
+    r1, r2 = pair
+    sums, tables = eq.support_sums, eq.delta_table
     for ab, k in zip(tests, targets):
-        if sums >> k & 1 and _residue_sum(eq, *ab, k, pair)[0]:
+        if not sums >> k & 1:
+            continue
+        entries = (tables.get(k) or _delta_entries(eq, k))[1]
+        if len(entries) == 1:
+            _, o1, o2 = entries[0]
+            _steps(ab[0] + o1, m, r1)
+            _steps(ab[1] + o2, n, r2)
+            return ab
+        if _residue_sum(eq, *ab, k, pair)[0]:
             return ab
     return None
 
@@ -424,10 +456,13 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     pair's plan for j (``_root_plans``) holds B, the Gamma pair of beta_j,
     the test exponents with k >= 0 in that order and both candidate roots,
     so each call only reads the sign of each residue's integer sum
-    (``_first_nonzero``); no GammaExpr is built.  The first nonzero residue
-    is the witness; ``residue(eq, witness, beta_j)`` recomputes it.  The
-    verdict returned is the pair's one instance for (j, witness), so its
-    report line is rendered once per process."""
+    (``_first_nonzero``); no GammaExpr is built.  A residue whose table has
+    one entry (c, o1, o2) is not summed: it is c times positive lowering
+    products over a positive denominator, and c != 0, so it is nonzero with
+    the sign of c.  The first nonzero residue is the witness;
+    ``residue(eq, witness, beta_j)`` recomputes it.  The verdict returned
+    is the pair's one instance for (j, witness), so its report line is
+    rendered once per process."""
     plan = _root_plans(eq.sg).get(j)
     if plan is None:
         raise ValueError(f"{j} is not a cuspidal gap value of {(eq.sg.n, eq.sg.m)}")

@@ -56,16 +56,20 @@ def _print_report(data: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(data, indent=2))
         return
-    sys.stdout.write("".join(f"{key} = {_render_value(value)}\n" for key, value in data.items()))
+    sys.stdout.write("".join(
+        f"{key} = {value if type(value) is str else _render_value(value)}\n"
+        for key, value in data.items()))
 
 
 def _load_curve(args) -> CurveEquation:
-    """The curve of ``--spec``."""
+    """The curve of ``--spec``.  The file is read as bytes and decoded as
+    UTF-8 at once; ``parse_spec``'s ``splitlines`` ends a line at ``\r\n``
+    and ``\r`` where universal newlines would."""
     if not args.spec:
         raise SpecError("--spec <path> is required for this subcommand")
     try:
-        with open(args.spec, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.spec, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {args.spec}: {exc}") from None
     return parse_spec(text)
@@ -284,7 +288,11 @@ def _coeff_str(coeffs: dict) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as a ParseError, so that ``main`` reports it on
-    one line like any other bad input; the subparsers inherit the class."""
+    one line like any other bad input; the subparsers inherit the class.
+    ``subcommands`` maps each subcommand's name to its parser on the
+    top-level parser, and is empty on the others."""
+
+    subcommands: dict = {}
 
     def error(self, message: str):
         raise ParseError(message)
@@ -336,6 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0, help="random seed for the curves")
     p.add_argument("--max-m", type=int, dest="max_m", default=9,
                    help="largest m (and bound for n) in the scan")
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -368,9 +377,25 @@ _HANDLERS = {
 }
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The arguments of ``argv``.  When argv[0] names a subcommand, the rest
+    goes straight to that subcommand's own parser, the one that reads its
+    flags under the top-level parser too; anything else (no argv, an
+    unknown word, a top-level flag) goes through the top-level parser, so
+    usage errors read as they always have."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         data, ok = _HANDLERS[args.command](args)
     except SpecError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .curve import Semigroup
 
@@ -25,8 +25,16 @@ def validate_basis(sg: Semigroup, basis) -> tuple:
     Required: the sequence starts (n, m), is strictly increasing, has at most
     n elements (s <= n - 2), every later element is a gap of the semigroup,
     and no element lies in the semimodule spanned by its predecessors.
+    Validity depends on (sg, basis) alone, so a basis that passes is checked
+    once per process (``_checked_basis``); one that fails raises on every
+    call.
     """
-    basis = tuple(int(b) for b in basis)
+    return _checked_basis(sg, tuple(basis))
+
+
+@cache
+def _checked_basis(sg: Semigroup, basis: tuple) -> tuple:
+    basis = tuple(map(int, basis))
     if len(basis) < 2 or basis[0] != sg.n or basis[1] != sg.m:
         raise ValueError(f"basis must start with ({sg.n}, {sg.m}), got {basis}")
     if len(basis) > sg.n:

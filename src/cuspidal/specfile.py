@@ -3,19 +3,23 @@
 A spec names the semigroup pair and either nice-form coefficients (``z j =
 value`` with j in the cuspidal value set J) or mu*x^m + y^n plus raw terms
 (``term coeff a b`` above the weight line and at most 2nm), never both.
-Either way the lines fill one table of f's terms, and ``CurveEquation``
-checks it; whether the curve is nice is read off those terms, whichever
-lines gave them.  It describes the curve and nothing else: f is held at
-2nm, where no layer reads a term above it, and the seed is an option of
-the subcommand that reads it.  Lines are
-independent, ``#`` starts a comment, and ``=`` may be written with or
-without spaces.
+Either way the lines give f's integer numerators straight away, keyed by
+(weighted degree, x-exponent) over the lcm of the denominators, as
+``TruncatedPoly`` holds them; a value of decimal digits is read as an
+``int``, any other as ``Rat``.  ``CurveEquation`` checks the result, and
+whether the curve is nice is read off its terms, whichever lines gave them.
+It describes the curve and nothing else: f is held at 2nm, where no layer
+reads a term above it, and the seed is an option of the subcommand that
+reads it.  Lines are independent, ``#`` starts a comment, and ``=`` may be
+written with or without spaces.
 """
 from __future__ import annotations
 
+from math import lcm
+
 from .curve import CurveEquation, Semigroup
 from .poly import TruncatedPoly
-from .rationals import ONE, Rat
+from .rationals import Rat
 
 
 class SpecError(ValueError):
@@ -41,7 +45,14 @@ class CoefficientOutsideJ(SpecError):
     kind = "coefficient_outside_J"
 
 
-def _rational(text: str, line: int) -> Rat:
+def _rational(text: str, line: int) -> int | Rat:
+    """The exact value of a token: an ``int`` for decimal digits with an
+    optional leading ``-``, which ``int`` reads as ``Rat`` would, else
+    ``Rat(text)``, so that ``2.5``, ``1e3`` and ``+3`` are read as exact
+    rationals too."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isdecimal() and digits.isascii():
+        return int(text)
     try:
         return Rat(text)
     except (ValueError, ZeroDivisionError):
@@ -73,10 +84,13 @@ def parse_spec(text: str) -> CurveEquation:
     """Parse and validate a spec and return the curve it describes, with f
     at 2nm.  Diagnostics name the first offending line; a term above 2nm,
     which no layer reads, is refused there, and an equation the text
-    cannot build is a ParseError."""
+    cannot build is a ParseError.  f's integer numerators, keyed by
+    (weighted degree, x-exponent) over the lcm of the denominators, are
+    built here in one pass over the values, with no exponent table."""
     fields: dict = {}
     coeffs: list = []
     terms: list = []
+    seen: set = set()   # the j of every z line and the (a, b) of every term line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
@@ -96,15 +110,17 @@ def parse_spec(text: str) -> CurveEquation:
             fields["mu"] = mu
         elif len(tokens) == 4 and tokens[0] == "z" and tokens[2] == "=":
             j = _natural(tokens[1], line_no, "gap value")
-            if any(k == j for k, _, _ in coeffs):
+            if j in seen:
                 raise ParseError(f"duplicate coefficient z {j}", line_no)
+            seen.add(j)
             coeffs.append((j, _rational(tokens[3], line_no), line_no))
         elif len(tokens) == 4 and tokens[0] == "term":
             c = _rational(tokens[1], line_no)
             a = _natural(tokens[2], line_no, "x exponent")
             b = _natural(tokens[3], line_no, "y exponent")
-            if any(t[1] == a and t[2] == b for t in terms):
+            if (a, b) in seen:
                 raise ParseError(f"duplicate term x^{a} y^{b}", line_no)
+            seen.add((a, b))
             terms.append((c, a, b, line_no))
         elif tokens[0] in _REMOVED_KEYS:
             raise ParseError(f"the {tokens[0]} key was removed: {_REMOVED_KEYS[tokens[0]]}",
@@ -124,29 +140,37 @@ def parse_spec(text: str) -> CurveEquation:
         sg = Semigroup(n, m)
     except ValueError as exc:
         raise InvalidPair(str(exc)) from None
-    mu = fields.get("mu", ONE)
+    mu = fields.get("mu", 1)
 
     if coeffs and terms:
         raise ParseError("cannot mix z coefficients (nice form) with raw terms")
     if coeffs and mu != 1:
         raise ParseError("nice form fixes the x^m coefficient to 1; drop mu")
 
-    table = {(m, 0): mu, (0, n): ONE}
+    nm = n * m
+    # (key, value) of every term of f, keyed by (weighted degree, x-exponent)
+    values = [((nm, m), mu), ((nm, 0), 1)]
+    j_to_p = sg.sets.j_to_p
     for j, c, line_no in coeffs:
-        if j not in sg.sets.j_to_p:
+        p = j_to_p.get(j)
+        if p is None:
             raise CoefficientOutsideJ(
                 f"z {j} is not a cuspidal gap value of ({n}, {m})", line_no)
-        table[sg.sets.j_to_p[j]] = c
+        values.append(((n * p[0] + m * p[1], p[0]), c))
     for c, a, b, line_no in terms:
         w = n * a + m * b
-        if w <= n * m:
-            raise ParseError(f"term x^{a} y^{b} has weighted degree {w} <= {n * m}", line_no)
+        if w <= nm:
+            raise ParseError(f"term x^{a} y^{b} has weighted degree {w} <= {nm}", line_no)
         if w > sg.branch_horizon:
             raise ParseError(f"term x^{a} y^{b} has weighted degree {w} > 2*n*m = "
                              f"{sg.branch_horizon}, where f is held", line_no)
-        table[(a, b)] = c
+        values.append(((w, a), c))
 
+    den = lcm(*(c.denominator for _, c in values))
+    f = TruncatedPoly._raw(sg.order, sg.branch_horizon,
+                           {key: c.numerator * (den // c.denominator) for key, c in values if c},
+                           den)
     try:
-        return CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, table))
+        return CurveEquation(sg, f)
     except ValueError as exc:    # CurveEquation's checks
         raise ParseError(str(exc)) from None

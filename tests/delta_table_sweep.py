@@ -17,7 +17,10 @@ checks:
 - the (kind, root, witness) of every j in J is that of the scan of M by
   increasing target with the table-free ``reference_residue``, and the
   verdict's report line (``RootDecision.line``) is the line rendered here
-  from the reference's fields (``reference_line``).
+  from the reference's fields (``reference_line``);
+- at every test of every j whose target's table has one entry, where
+  ``decide_root`` reads the residue's sign off the entry without summing
+  it, ``_residue_sum``'s numerator is nonzero with the entry's sign.
 
 Tier-1 runs the sweep at a small size (tests/test_bernstein.py); CI runs it
 wider:
@@ -34,7 +37,7 @@ import sys
 from typing import NamedTuple
 
 from cuspidal import CurveEquation, Semigroup
-from cuspidal.bernstein import _delta_entries, decide_root
+from cuspidal.bernstein import _delta_entries, _residue_sum, _root_plans, decide_root
 from cuspidal.rationals import Rat
 
 from cusp_testkit import (coprime_pairs, reference_residue, reference_table,
@@ -102,6 +105,7 @@ class Outcome(NamedTuple):
     mismatch: str | None  # what disagreed, None when every check holds
     tables: int           # (k, table) pairs compared with the enumeration
     kinds: tuple          # (beta roots, alpha roots) among the verdicts
+    one_term: tuple       # (one-entry residues signed, verdicts they witness)
 
 
 def check_curve(eq: CurveEquation) -> Outcome:
@@ -125,8 +129,20 @@ def check_curve(eq: CurveEquation) -> Outcome:
             mismatch = f"j = {j}: {verdict} but the reference scan reads {expected}"
         elif mismatch is None and verdict.line != reference_line(expected):
             mismatch = f"j = {j}: line {verdict.line!r}, expected {reference_line(expected)!r}"
+    signed = witnessed = 0
+    for j, verdict in verdicts.items():
+        _, pair, tests, targets, *_ = _root_plans(sg)[j]
+        for ab, k in zip(tests, targets):
+            entries = _delta_entries(eq, k)[1]
+            if len(entries) != 1:
+                continue
+            signed += 1
+            witnessed += ab == verdict.witness
+            num = _residue_sum(eq, *ab, k, pair)[0]
+            if mismatch is None and (not num or (num > 0) != (entries[0][0] > 0)):
+                mismatch = f"j = {j}: the one-term residue at {ab} sums to {num}"
     beta = sum(v.kind == "beta_root" for v in verdicts.values())
-    return Outcome(mismatch, top + 1, (beta, len(verdicts) - beta))
+    return Outcome(mismatch, top + 1, (beta, len(verdicts) - beta), (signed, witnessed))
 
 
 def main(argv=None) -> int:
@@ -134,7 +150,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-n", type=int, default=5)
     parser.add_argument("--max-m", type=int, default=9)
     args = parser.parse_args(argv)
-    curves = tables = beta = alpha = 0
+    curves = tables = beta = alpha = signed = witnessed = 0
     failures = []
     for eq in sweep_curves(args.max_n, args.max_m):
         curves += 1
@@ -142,11 +158,14 @@ def main(argv=None) -> int:
         tables += out.tables
         beta += out.kinds[0]
         alpha += out.kinds[1]
+        signed += out.one_term[0]
+        witnessed += out.one_term[1]
         if out.mismatch:
             failures.append(f"({eq.sg.n}, {eq.sg.m}) z = {dict(eq.nice_coeffs)}: {out.mismatch}")
     print(f"curves = {curves}")
     print(f"tables checked = {tables}")
     print(f"verdicts = {beta} beta roots, {alpha} alpha roots")
+    print(f"one-term residues signed = {signed}, the witness of {witnessed} verdicts")
     print(f"mismatches = {len(failures)}")
     for line in failures:
         print(line)

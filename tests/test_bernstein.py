@@ -18,6 +18,7 @@ from cuspidal.bernstein import (
     _delta_entries,
     _gamma_pair,
     _lower,
+    _residue_sum,
     _root_plans,
     _verdict,
     certified_roots_from_semimodule,
@@ -273,6 +274,71 @@ def test_decide_root_matches_the_reference_residue():
     assert kinds["beta_root"] > 300 and kinds["alpha_root"] > 50 and cancelled >= 5
 
 
+def _summed_verdict(eq, j) -> RootDecision:
+    """``decide_root``'s verdict from a scan of j's root plan that sums
+    every residue with ``_residue_sum``, one-term tables included."""
+    _, pair, tests, targets, beta_root, alpha_root, _ = _root_plans(eq.sg)[j]
+    for ab, k in zip(tests, targets):
+        if _residue_sum(eq, *ab, k, pair)[0]:
+            return RootDecision("beta_root", beta_root, ab)
+    return RootDecision("alpha_root", alpha_root)
+
+
+def test_one_term_residues_are_decided_by_their_sign():
+    """A residue whose table has one entry (c, o1, o2) is nonzero with the
+    sign of c, so ``_first_nonzero`` decides it without the lowering
+    products: on every coprime pair n <= 9, m <= 15 at z-densities 0.3 and
+    1, ``_residue_sum``'s numerator at every test of every j whose table
+    has one entry is nonzero with the entry's sign, and every verdict is
+    that of a scan that sums every residue."""
+    one_term = verdicts = 0
+    for eq in nice_curves(seed=37, densities=(0.3, 1), n_values=range(2, 10), m_bound=15):
+        decided = {j: decide_root(eq, j) for j in eq.sg.sets.J}
+        for j, verdict in decided.items():
+            assert verdict == _summed_verdict(eq, j)
+            verdicts += 1
+            _, pair, tests, targets, *_ = _root_plans(eq.sg)[j]
+            for ab, k in zip(tests, targets):
+                entries = _delta_entries(eq, k)[1]
+                if len(entries) == 1:
+                    num, den = _residue_sum(eq, *ab, k, pair)
+                    assert den > 0 and num and (num > 0) == (entries[0][0] > 0)
+                    one_term += 1
+    assert verdicts > 800 and one_term > 800
+
+
+@pytest.mark.parametrize("move", ["pole", "off the pair in x", "off the pair in y", "both"])
+def test_one_term_rule_keeps_the_lowering_checks(move):
+    """A one-entry table whose offset lands on a pole or off the Gamma pair
+    is refused by ``decide_root`` and ``_verdict`` with the ValueError text
+    of ``_lower``, which ``residue`` raises; the first argument is checked
+    first, as ``_residue_sum`` checks it.  On a fresh copy of EQ49 (its
+    table is edited here) the scan for j = 10 first reads the one-entry
+    table of k = 1, at (1, 2)."""
+    eq = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
+    n, m = 4, 9
+    big_b, (r1, r2), tests, targets = _root_plans(eq.sg)[10][:4]
+    ab, k = next((ab, k) for ab, k in zip(tests, targets) if eq.support_sums >> k & 1)
+    assert (ab, k) == ((1, 2), 1)
+    den, ((c, o1, o2),) = _delta_entries(eq, k)
+    a, b = ab
+    if move == "pole":        # s1 = (a + o1) mod m - m <= 0, in the same class mod m
+        o1 = (a + o1) % m - m - a
+    if move in ("off the pair in x", "both"):
+        o1 += 1
+    if move in ("off the pair in y", "both"):
+        o2 += 1
+    eq.delta_table[k] = (den, ((c, o1, o2),))
+    with pytest.raises(ValueError) as lowered:
+        _lower(a + o1, m, r1)
+        _lower(b + o2, n, r2)
+    for decide in (lambda: decide_root(eq, 10), lambda: _verdict(eq, 10, *ab),
+                   lambda: residue(eq, ab, Rat(big_b, n * m))):
+        with pytest.raises(ValueError) as refused:
+            decide()
+        assert str(refused.value) == str(lowered.value)
+
+
 def test_delta_tables_equal_the_enumeration(monkeypatch):
     """The exponential recurrence builds the table of every k that the
     enumeration of delta sequences does, as rationals: for every k up to
@@ -305,12 +371,14 @@ def test_delta_table_sweep():
     """Every coprime pair with 3 <= n <= 5, m <= 9, five curves each (bare,
     nice at z-densities 0.3 and 1), and the curves of those pairs where a
     residue cancels: the support sums, the tables of every k up to
-    nm - n - m and the verdict of every j agree with the enumeration."""
+    nm - n - m and the verdict of every j agree with the enumeration, and
+    every one-term residue that a verdict reads has its entry's sign."""
     outcomes = [check_curve(eq) for eq in sweep_curves(5, 9)]
     assert len(outcomes) == 56
     assert [o.mismatch for o in outcomes if o.mismatch] == []
     assert sum(o.tables for o in outcomes) == 1014
     assert [sum(o.kinds[i] for o in outcomes) for i in (0, 1)] == [84, 55]
+    assert [sum(o.one_term[i] for o in outcomes) for i in (0, 1)] == [90, 75]
 
 
 def test_residue_table_is_order_free_and_per_curve():

@@ -651,6 +651,32 @@ def test_declared_flags_are_parsed(command):
         assert str(getattr(args, flag[2:].replace("-", "_"))) == SETTINGS[flag]
 
 
+@pytest.mark.parametrize("command", DECLARED)
+def test_subcommand_argv_goes_to_its_own_parser(monkeypatch, command):
+    """``main`` parses a subcommand's argv with that subcommand's parser,
+    and gets the namespace the top-level parser gives for it."""
+    argv = [command, "--json"]
+    for flag in sorted(DECLARED[command]):
+        argv += [flag, SETTINGS[flag]]
+    seen = []
+    monkeypatch.setitem(cli._HANDLERS, command, lambda args: (seen.append(args), ({}, True))[1])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert seen == [cli._build_parser().parse_args(argv)]
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["--json"], ["-h"], ["verify", "stray"],
+                                  ["bs-roots", "--spec", "c.spec", "stray"]])
+def test_argv_outside_a_subcommand_reads_as_the_top_level_parser(capsys, monkeypatch, argv):
+    """No argv, an unknown word, a top-level flag or a stray word after a
+    subcommand: stdout, stderr and the exit code are those of ``main``
+    parsing with the top-level parser alone."""
+    routed = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+    assert routed == run(capsys, *argv)
+    assert routed[0] in (0, 2)
+
+
 @pytest.mark.parametrize("command,flag", [(command, flag) for command in DECLARED
                                           for flag in SETTINGS
                                           if flag not in DECLARED[command]])

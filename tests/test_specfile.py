@@ -1,9 +1,12 @@
 """The text format for describing a cusp to the command-line tool."""
 from __future__ import annotations
 
-import pytest
+from math import gcd
 
-from cuspidal.curve import CurveEquation
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cuspidal.curve import CurveEquation, Semigroup
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.specfile import (
@@ -137,3 +140,135 @@ def test_semigroup_and_sets_properties():
     eq = parse_spec("n=4\nm=9\nz 1 = 1")
     assert eq.sg.conductor == 24
     assert eq.sg.sets.J == (1, 2, 6, 10)
+
+
+def _reference_parse(text: str):
+    """The spec as the text-to-table route reads it: every value through
+    ``Rat``, f's terms in an exponent table, each refusal in the order of
+    ``parse_spec``.  Returns (sg, table), or raises the refusal that
+    ``parse_spec`` must raise.  Reads only the n, m, mu, z and term lines
+    that ``_spec_texts`` writes."""
+    def natural(token, line, what):
+        try:
+            value = int(token)
+        except ValueError:
+            raise ParseError(f"expected an integer {what}, got {token!r}", line) from None
+        if value < 0:
+            raise ParseError(f"{what} must be non-negative, got {value}", line)
+        return value
+
+    def rational(token, line):
+        try:
+            return Rat(token)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"expected a rational, got {token!r}", line) from None
+
+    fields, coeffs, terms = {}, [], []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.replace("=", " = ").split()
+        if tokens[0] in ("n", "m"):
+            if tokens[0] in fields:
+                raise ParseError(f"duplicate {tokens[0]}", line_no)
+            fields[tokens[0]] = natural(tokens[2], line_no, tokens[0])
+        elif tokens[0] == "mu":
+            if "mu" in fields:
+                raise ParseError("duplicate mu", line_no)
+            fields["mu"] = rational(tokens[2], line_no)
+            if not fields["mu"]:
+                raise ParseError("mu must be nonzero", line_no)
+        elif tokens[0] == "z":
+            j = natural(tokens[1], line_no, "gap value")
+            if any(k == j for k, _, _ in coeffs):
+                raise ParseError(f"duplicate coefficient z {j}", line_no)
+            coeffs.append((j, rational(tokens[3], line_no), line_no))
+        else:
+            c = rational(tokens[1], line_no)
+            a = natural(tokens[2], line_no, "x exponent")
+            b = natural(tokens[3], line_no, "y exponent")
+            if any((t[1], t[2]) == (a, b) for t in terms):
+                raise ParseError(f"duplicate term x^{a} y^{b}", line_no)
+            terms.append((c, a, b, line_no))
+    if "n" not in fields:
+        raise ParseError("missing n")
+    if "m" not in fields:
+        raise ParseError("missing m")
+    n, m = fields["n"], fields["m"]
+    try:
+        sg = Semigroup(n, m)
+    except ValueError as exc:
+        raise InvalidPair(str(exc)) from None
+    mu = fields.get("mu", Rat(1))
+    if coeffs and terms:
+        raise ParseError("cannot mix z coefficients (nice form) with raw terms")
+    if coeffs and mu != 1:
+        raise ParseError("nice form fixes the x^m coefficient to 1; drop mu")
+    table = {(m, 0): mu, (0, n): Rat(1)}
+    for j, c, line_no in coeffs:
+        if j not in sg.sets.j_to_p:
+            raise CoefficientOutsideJ(f"z {j} is not a cuspidal gap value of ({n}, {m})",
+                                      line_no)
+        table[sg.sets.j_to_p[j]] = c
+    for c, a, b, line_no in terms:
+        w = n * a + m * b
+        if w <= n * m:
+            raise ParseError(f"term x^{a} y^{b} has weighted degree {w} <= {n * m}", line_no)
+        if w > 2 * n * m:
+            raise ParseError(f"term x^{a} y^{b} has weighted degree {w} > 2*n*m = "
+                             f"{2 * n * m}, where f is held", line_no)
+        table[(a, b)] = c
+    return sg, table
+
+
+# The values of the command-line fuzz guard (tests/test_cli.py), plus the
+# tokens that only Rat reads (a decimal, an exponent form, a plus sign) and
+# -0.  The guard's good values are listed three times: ``sampled_from``
+# draws list entries evenly, while ``one_of`` draws its distinct branches
+# evenly, whatever their repeats.
+_GOOD = ["1", "2", "3", "4", "5", "6", "-1", "1/2", "-2/3"]
+_VALUES = _GOOD * 3 + ["0", "1/0", "x", "2.5", "1e3", "-7", "+3", "-0"]
+_value = st.sampled_from(_VALUES)
+
+
+@st.composite
+def _spec_texts(draw):
+    """A spec text with z, term and mu lines.  The head names a pair, or
+    leaves n or m out; an index or a pair of exponents is mostly one that
+    the pair takes (a j in J, a monomial above the weight line and at most
+    2nm), else any value, so that about half the texts are accepted."""
+    n, m = draw(st.sampled_from([(4, 9), (3, 5), (5, 7), (2, 7), (4, 8)]))
+    head = draw(st.sampled_from([("n", "m")] * 4 + [("m", "n"), ("n",), ()]))
+    lines = [f"{key} = {n if key == 'n' else m}" for key in head]
+    taken = [str(j) for j in Semigroup(n, m).sets.J] if gcd(n, m) == 1 else ["1"]
+    window = [f"{a} {b}" for a in range(2 * m + 1) for b in range(2 * n + 1)
+              if n * m < n * a + m * b <= 2 * n * m]
+    z = st.builds("z {} = {}".format, st.sampled_from(taken * 12 + _VALUES), _value)
+    term = st.builds("term {} {}".format, _value, st.sampled_from(
+        window * 6 + [f"{a} {b}" for a in _VALUES[-8:] + ["0", "1"] for b in ("0", "1")]))
+    mu = st.builds("mu = {}".format, _value)
+    body = draw(st.sampled_from([z, z, term, term, st.one_of(z, term, mu)]))
+    lines += draw(st.lists(body, max_size=5))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(mu))
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_spec_texts())
+def test_spec_goes_straight_to_numerators(text):
+    """``parse_spec`` builds f's integer numerators from the text in one
+    pass.  On an accepted text they are those of the validating
+    constructor on the exponent table that ``Rat`` reads, with the same
+    denominator and in the same order; a refused text raises the same
+    class with the same message and line."""
+    try:
+        sg, table = _reference_parse(text)
+    except SpecError as expected:
+        with pytest.raises(SpecError) as info:
+            parse_spec(text)
+        assert type(info.value) is type(expected)
+        assert (str(info.value), info.value.line) == (str(expected), expected.line)
+        return
+    f = parse_spec(text).f
+    want = TruncatedPoly(sg.order, sg.branch_horizon, table)
+    assert list(f.terms.items()) == list(want.terms.items())
+    assert f.den == want.den

@@ -5,21 +5,22 @@ and -alpha_j = -(beta_j + 1).  Which one is realized is decided by an exact
 residue: a Gamma-weighted polynomial in the nice-form coefficients z_j whose
 non-vanishing at some test exponent in M certifies -beta_j.  Every residue
 is a single Gamma group c*Gamma(r1)*Gamma(r2) or zero, with the pair
-(r1, r2) fixed by beta alone (proved in ``residue``, which computes the pair
-once and checks every term against it).  So the vanishing decision is
-exact: c = 0 means zero, and otherwise the group is nonzero with the sign
-of c (``residue_is_zero``).  One integer core, ``_residue_sum``, computes c
-as (num, den) from the curve's table of the target k, the t^k coefficient
-of an exponential that the recurrence of ``_delta_entries`` builds from the
-tables of smaller targets, without listing delta sequences.  Every verdict
-reads only whether num is 0, on the B and Gamma pair of j's root plan,
-through one core, ``_first_nonzero``: ``decide_root``, and both batteries
-through ``_verdict``.  It passes by every test whose k no sum of the
-curve's support reaches (``CurveEquation.support_sums``): that residue is
-the empty sum, exactly 0.  A one-term residue is decided by its sign: when
-the table of k has one entry (c, o1, o2), num is c * P1 * P2, where P1
-and P2 are ``_lower``'s products of integers >= 1, and the table holds no
-zero numerator, so num != 0 with the sign of c.  Such a test is decided
+(r1, r2) fixed by B = beta_j*nm = j + n + m alone (proved in ``residue``);
+j's root plan holds B and the pair, and every term is checked against it.
+So the vanishing decision is exact: c = 0 means zero, and otherwise the
+group is nonzero with the sign of c (``residue_is_zero``).  One integer
+core, ``_residue_sum``, computes c as (num, den) from the curve's table of
+the target k, the t^k coefficient of an exponential that the recurrence of
+``_delta_entries`` builds from the tables of smaller targets, without
+listing delta sequences.  Every verdict reads only whether num is 0, on the
+B and Gamma pair of j's root plan, through one core, ``_first_nonzero``:
+``decide_root``, and both batteries through ``_verdict``.  It passes by
+every test whose k no sum of the curve's support reaches
+(``CurveEquation.support_sums``): that residue is the empty sum, exactly 0.
+A one-term residue is decided by its sign: when the table of k has one
+entry (c, o1, o2), num is c * P1 * P2, where P1 and P2 are ``_lower``'s
+products of integers >= 1, and the table holds no zero numerator, so
+num != 0 with the sign of c.  Such a test is decided
 after the pole and Gamma-pair checks of its two arguments (``_steps``),
 with no product; every other residue is summed.  Only ``residue`` wraps c
 as a GammaExpr.  A root verdict is its kind, its root and the test
@@ -37,13 +38,14 @@ from functools import cache
 from math import gcd, lcm, prod
 from types import MappingProxyType
 
-from .curve import CurveEquation, Semigroup, sums_bitset
-from .rationals import Rat, rat
+from .curve import CurveEquation, Semigroup
+from .rationals import Rat
 from .semimodules import AbstractSemimodule, classify_four, elements_outside
 
 
 class NegativeK(ValueError):
-    """The residue target k = beta*nm - n*a - m*b came out negative."""
+    """The residue target k = B - n*a - m*b, B = j + n + m, came out
+    negative."""
 
 
 class PreconditionViolation(ValueError):
@@ -149,7 +151,7 @@ def _lower(s: int, q: int, r: int) -> tuple:
 
 def _gamma_pair(n: int, m: int, big_b: int) -> tuple:
     """The numerators (r1, r2) of the Gamma arguments r1/m and r2/n that
-    every term of a residue with B = beta*nm lowers to (see ``residue``)."""
+    every term of a residue with B = j + n + m lowers to (see ``residue``)."""
     return (big_b * pow(n, -1, m) - 1) % m + 1, (big_b * pow(m, -1, n) - 1) % n + 1
 
 
@@ -175,17 +177,18 @@ def _delta_entries(eq: CurveEquation, k: int) -> tuple:
     So the table of k is built from the tables of k - l, not by listing
     sequences.  A target outside the support sums (``eq.support_sums``)
     has no sequence: its table is empty and the recurrence skips it.  The
-    tables that E_k reads are those of the support sums k' <= k with
-    k - k' a support sum too, a set closed under the recurrence's own
-    reads; they are filled in increasing k' and kept.  Each table is put
-    over den = k * lcm(zd_l * den_{k-l}), the coefficients of equal
-    offsets merged, those that cancel dropped, and num and den divided by
-    their gcd."""
+    bitset reaches 2nm, and every target asked for is at most
+    B <= nm - n - m (see ``residue``).  The tables that E_k reads are those
+    of the support sums k' <= k with k - k' a support sum too, a set closed
+    under the recurrence's own reads; they are filled in increasing k' and
+    kept.  Each table is put over den = k * lcm(zd_l * den_{k-l}), the
+    coefficients of equal offsets merged, those that cancel dropped, and
+    num and den divided by their gcd."""
     tables = eq.delta_table
     table = tables.get(k)
     if table is not None:
         return table
-    sums = eq.support_sums if k <= eq.sg.branch_horizon else sums_bitset(eq.nice_coeffs, k)
+    sums = eq.support_sums
     if not sums >> k & 1:
         tables[k] = table = (1, ())
         return table
@@ -220,7 +223,7 @@ def _delta_entries(eq: CurveEquation, k: int) -> tuple:
 
 def _residue_sum(eq: CurveEquation, a: int, b: int, k: int, pair) -> tuple:
     """The coefficient c of the residue at test exponent (a, b) with target
-    k = B - n*a - m*b, B = beta*nm, as integers (num, den) with den > 0;
+    k = B - n*a - m*b, B = j + n + m, as integers (num, den) with den > 0;
     only the sign of num decides.  Sums num_i * P1 * P2 * m^(T1-t1) *
     n^(T2-t2) over the entries of k, where P1/m^t1 and P2/n^t2 lower the
     entry's arguments (``_lower``) and T1, T2 are the largest t1, t2 so
@@ -243,13 +246,15 @@ def _residue_sum(eq: CurveEquation, a: int, b: int, k: int, pair) -> tuple:
     return total, den * top1 * top2
 
 
-def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
-    """The residue at test exponent (a, b) for the candidate beta, as a
-    canonical GammaExpr; the positive scalar prefactor is dropped since only
-    vanishing matters.
+def residue(eq: CurveEquation, ab, j: int) -> GammaExpr:
+    """The residue at test exponent (a, b) for the gap value j in J, whose
+    candidate is beta_j = B/nm with B = j + n + m, as a canonical
+    GammaExpr; the positive scalar prefactor is dropped since only
+    vanishing matters.  A j outside J raises ``decide_root``'s ValueError,
+    and a negative target k NegativeK.
 
-    Sums over all part-decompositions of k = beta*nm - n*a - m*b drawn from
-    the gap values with nonzero coefficient (others cannot contribute):
+    Sums over all part-decompositions of k = B - n*a - m*b drawn from the
+    gap values with nonzero coefficient (others cannot contribute):
     (-1)^{sum delta} Gamma((sum delta*p1 + a)/m) Gamma((sum delta*p2 + b)/n)
     prod z^delta / delta!.
 
@@ -259,21 +264,34 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
     - A term has arguments s1/m and s2/n, with s1 = a + sum d*p1 and
       s2 = b + sum d*p2.
     - Each part is l = n*p1 + m*p2 - nm, and the parts' weights sum to
-      k = B - n*a - m*b, where B = beta*nm is an integer (checked below).
+      k = B - n*a - m*b.
     - So n*s1 + m*s2 = B + nm*sum d, which gives s1 = B*n^-1 (mod m) and
       s2 = B*m^-1 (mod n); the inverses exist since gcd(n, m) = 1.
     - Lowering s1/m into (0, 1] depends only on s1 mod m, and s2/n only on
       s2 mod n, so every term lands on the same pair.
 
-    So the pair is computed once, from beta alone: r1 = ((B*n^-1 - 1) mod m)
-    + 1 and r2 = ((B*m^-1 - 1) mod n) + 1, the arguments r1/m and r2/n.
-    Each term then costs only its integer multiplier (``_lower``), and is
-    checked against the pair: a term off it raises ValueError, so a slip in
-    the proof or the table cannot go unnoticed.  A term at a pole (s1 <= 0
-    or s2 <= 0) raises ValueError too.
+    So the pair depends on B alone: r1 = ((B*n^-1 - 1) mod m) + 1 and
+    r2 = ((B*m^-1 - 1) mod n) + 1, the arguments r1/m and r2/n.  Both B and
+    the pair are read from j's root plan (``_root_plans``), as ``_verdict``
+    reads them.  Each term then costs only its integer multiplier
+    (``_lower``), and is checked against the pair: a term off it raises
+    ValueError, so a slip in the proof or the table cannot go unnoticed.
+
+    No term is at a pole (s1 <= 0 or s2 <= 0):
+
+    - Every part has p1, p2 >= 1, since P lies in the box p1 <= m - 2,
+      p2 <= n - 2 strictly above the weight line n*p1 + m*p2 = nm.
+    - So, with a, b >= 0, s1 <= 0 needs a = 0 and no part, k = 0.  Then
+      B = m*b, so m divides B = j + n + m, that is n*(p1 + 1) for j's own
+      monomial (p1, p2), and so p1 + 1, which lies in [2, m - 1]:
+      impossible.
+    - The y side is the same, with p2 + 1 in [2, n - 1].
+
+    ``_steps`` still refuses a pole, so a table entry moved onto one is
+    caught.  Every target is below 2nm: k <= B = j + n + m <= nm - n - m.
 
     The sequences of k depend on the curve and k alone, not on (a, b) or
-    beta.  So the first call with a given k stores them in
+    j.  So the first call with a given k stores them in
     ``eq.delta_table`` as (den, entries): integer numerators, each with its
     offsets (sum d*p1, sum d*p2), over one positive denominator.  Every call
     adds its own (a, b) to the offsets.  Sequences with the same offsets
@@ -290,15 +308,10 @@ def residue(eq: CurveEquation, ab, beta) -> GammaExpr:
     sg = eq.sg
     n, m = sg.n, sg.m
     a, b = ab
-    beta = rat(beta)
-    if beta.numerator * n * m % beta.denominator:
-        raise ValueError("beta*nm - n*a - m*b must be an integer, got "
-                         f"{beta * (n * m) - n * a - m * b}")
-    big_b = beta.numerator * n * m // beta.denominator
+    big_b, (r1, r2) = _plan(sg, j)[:2]
     k = big_b - n * a - m * b
     if k < 0:
         raise NegativeK(f"residue target k = {k} is negative")
-    r1, r2 = _gamma_pair(n, m, big_b)
     num, den = _residue_sum(eq, a, b, k, (r1, r2))
     if not num:
         return GammaExpr(())
@@ -414,6 +427,14 @@ def _root_plans(sg: Semigroup) -> MappingProxyType:
     return MappingProxyType(plans)
 
 
+def _plan(sg: Semigroup, j: int) -> tuple:
+    """j's root plan (``_root_plans``); a j outside J raises ValueError."""
+    plan = _root_plans(sg).get(j)
+    if plan is None:
+        raise ValueError(f"{j} is not a cuspidal gap value of {(sg.n, sg.m)}")
+    return plan
+
+
 def _first_nonzero(eq: CurveEquation, pair, tests, targets):
     """The first test exponent (a, b) of ``tests`` whose residue is
     nonzero, else None: the one core of every verdict.  ``targets`` holds
@@ -456,17 +477,14 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     pair's plan for j (``_root_plans``) holds B, the Gamma pair of beta_j,
     the test exponents with k >= 0 in that order and both candidate roots,
     so each call only reads the sign of each residue's integer sum
-    (``_first_nonzero``); no GammaExpr is built.  A residue whose table has
-    one entry (c, o1, o2) is not summed: it is c times positive lowering
-    products over a positive denominator, and c != 0, so it is nonzero with
-    the sign of c.  The first nonzero residue is the witness;
-    ``residue(eq, witness, beta_j)`` recomputes it.  The verdict returned
-    is the pair's one instance for (j, witness), so its report line is
-    rendered once per process."""
-    plan = _root_plans(eq.sg).get(j)
-    if plan is None:
-        raise ValueError(f"{j} is not a cuspidal gap value of {(eq.sg.n, eq.sg.m)}")
-    _, pair, tests, targets, beta_root, alpha_root, verdicts = plan
+    (``_first_nonzero``); no GammaExpr is built.  A j outside J raises
+    ValueError.  A residue whose table has one entry (c, o1, o2) is not
+    summed: it is c times positive lowering products over a positive
+    denominator, and c != 0, so it is nonzero with the sign of c.  The
+    first nonzero residue is the witness; ``residue(eq, witness, j)``
+    recomputes it.  The verdict returned is the pair's one instance for
+    (j, witness), so its report line is rendered once per process."""
+    _, pair, tests, targets, beta_root, alpha_root, verdicts = _plan(eq.sg, j)
     witness = _first_nonzero(eq, pair, tests, targets)
     verdict = verdicts.get(witness)
     if verdict is None:
@@ -502,11 +520,11 @@ def certified_roots_from_semimodule(sm: AbstractSemimodule) -> tuple:
     sg, basis = sm.sg, sm.basis
     nm = sg.n * sg.m
     if sg.n <= 4:
-        lams = elements_outside(sm, 0)
+        lams = elements_outside(sm)
     elif len(basis) < 3:
         return ()
     else:
-        lams = elements_outside(AbstractSemimodule(sg, basis[:3]), 0)
+        lams = elements_outside(AbstractSemimodule(sg, basis[:3]))
     # lams ascends, so the roots -lam/nm ascend in reverse.
     return tuple(Rat(-lam, nm) for lam in reversed(lams))
 
@@ -560,7 +578,7 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> Za
 
     dagger = []
     if lambda1 is not None:
-        for lam in elements_outside(AbstractSemimodule(sg, basis[:3]), 0):
+        for lam in elements_outside(AbstractSemimodule(sg, basis[:3])):
             a, b = sg.decompose(lam - lambda1)
             decision = _verdict(eq, lam - n - m, a + 1, b + 1)
             dagger.append((lam, (a + 1, b + 1), decision))
@@ -631,10 +649,10 @@ def four_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> FourR
     dagger = []
     dagger_ok = True
     if q_prime_delorme is not None:
-        lambda2 = basis[3]
+        lambda2, sub = basis[3], AbstractSemimodule(sg, basis[:3])
         for a in range(q - q_prime_delorme + 1):
             lam = lambda2 + 4 * a
-            if values.contains(lam, 1):
+            if lam in sub:
                 raise AssertionError(f"{lam} unexpectedly lies in the sub-semimodule")
             decision = _verdict(eq, lam - n - m, alpha - q + a, 1)
             dagger.append((lam, (alpha - q + a, 1), decision))

@@ -94,7 +94,7 @@ def cmd_cuspidal_sets(eq: CurveEquation) -> dict:
 def cmd_delorme(eq: CurveEquation) -> dict:
     diff = delorme(eq)
     vals = diff.values
-    outside = elements_outside(vals, 0)
+    outside = elements_outside(vals)
     return {"basis": list(vals.basis),
             "s": vals.s,
             "axes": list(vals.axes),
@@ -129,7 +129,7 @@ def cmd_residue(eq: CurveEquation, j: int, ab) -> dict:
     beta = Rat(j + n + m, n * m)
     a, b = ab
     k = j + n + m - n * a - m * b
-    expr = residue(eq, ab, beta)
+    expr = residue(eq, ab, j)
     data = {"j": j, "beta": str(beta), "ab": list(ab), "k": k,
             "expr": str(expr), "decision": residue_is_zero(expr).value}
     if not expr.is_zero:
@@ -214,7 +214,7 @@ def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
     # A plane branch has mu = c and mu - tau = #(Lambda \ Gamma)
     # (Hefez-Hernandes): Buchberger's staircase at H_J against Delorme's
     # values at H_Delta.
-    tau_ok = sg.conductor - tau == len(elements_outside(vals, 0))
+    tau_ok = sg.conductor - tau == len(elements_outside(vals))
     data["tjurina_semimodule"] = "ok" if tau_ok else "FAIL"
     ok &= tau_ok
 
@@ -265,7 +265,7 @@ def cmd_conjecture_scan(seed: int, max_m: int) -> tuple[dict, bool]:
                 eq = CurveEquation.nice(sg, coeffs)
                 curves += 1
                 vals = delorme(eq).values
-                for lam in elements_outside(vals, 0):
+                for lam in elements_outside(vals):
                     checked += 1
                     dec = decide_root(eq, lam - n - m)
                     if dec.kind != "beta_root":
@@ -319,28 +319,39 @@ def _build_parser() -> argparse.ArgumentParser:
                     "data, differential values, and certified Bernstein-Sato roots.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, spec: bool = True) -> argparse.ArgumentParser:
-        """A subcommand with --json and only the options its pipeline reads."""
+    def add(name: str, help_text: str, handler, spec: bool = True) -> argparse.ArgumentParser:
+        """A subcommand with --json and only the options its pipeline reads;
+        ``handler`` maps its parsed arguments to (report, ok)."""
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(handler=handler)
         if spec:
             p.add_argument("--spec", help="path to a curve spec file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of key=value lines")
         return p
 
-    add("semigroup", "semigroup facts: conductor and gaps")
-    add("cuspidal-sets", "the exponent sets P, J, M")
-    add("delorme", "minimal standard basis of differential values")
-    add("bs-roots", "certified Bernstein-Sato roots and per-gap verdicts")
-    p = add("residue", "one residue as an exact Gamma expression")
+    add("semigroup", "semigroup facts: conductor and gaps",
+        lambda args: (cmd_semigroup(_load_curve(args)), True))
+    add("cuspidal-sets", "the exponent sets P, J, M",
+        lambda args: (cmd_cuspidal_sets(_load_curve(args)), True))
+    add("delorme", "minimal standard basis of differential values",
+        lambda args: (cmd_delorme(_load_curve(args)), True))
+    add("bs-roots", "certified Bernstein-Sato roots and per-gap verdicts",
+        lambda args: (cmd_bs_roots(_load_curve(args)), True))
+    p = add("residue", "one residue as an exact Gamma expression",
+            lambda args: (cmd_residue(_load_curve(args), args.j, _parse_ab(args.ab)), True))
     p.add_argument("--j", type=int, required=True, help="gap value in J")
     p.add_argument("--ab", required=True, help="test exponent a,b (non-negative)")
-    add("jacobian", "Jacobian ideal standard basis and Tjurina number")
-    p = add("enumerate", "all increasing semimodules of the pair")
+    add("jacobian", "Jacobian ideal standard basis and Tjurina number",
+        lambda args: (cmd_jacobian(_load_curve(args)), True))
+    p = add("enumerate", "all increasing semimodules of the pair",
+            lambda args: (cmd_enumerate(_load_curve(args), args.max_m), True))
     p.add_argument("--max-m", type=int, dest="max_m",
                    help="summarize counts for every coprime m up to this bound")
-    add("verify", "full consistency battery for one curve")
+    add("verify", "full consistency battery for one curve",
+        lambda args: cmd_verify(_load_curve(args)))
     p = add("conjecture-scan", "random curves with n >= 5: check every semimodule value "
-            "certifies a root", spec=False)
+            "certifies a root", lambda args: cmd_conjecture_scan(args.seed, args.max_m),
+            spec=False)
     p.add_argument("--seed", type=_seed, default=0, help="random seed for the curves")
     p.add_argument("--max-m", type=int, dest="max_m", default=9,
                    help="largest m (and bound for n) in the scan")
@@ -356,25 +367,6 @@ def _parse_ab(text: str) -> tuple[int, int]:
     if a < 0 or b < 0:
         raise SpecError(f"--ab entries must be non-negative, got {text!r}")
     return a, b
-
-
-def _report(cmd):
-    """Handler for a spec subcommand whose report is never a failure."""
-    return lambda args: (cmd(_load_curve(args)), True)
-
-
-# Each handler maps the parsed arguments to (report, ok).
-_HANDLERS = {
-    "semigroup": _report(cmd_semigroup),
-    "cuspidal-sets": _report(cmd_cuspidal_sets),
-    "delorme": _report(cmd_delorme),
-    "bs-roots": _report(cmd_bs_roots),
-    "residue": lambda args: (cmd_residue(_load_curve(args), args.j, _parse_ab(args.ab)), True),
-    "jacobian": _report(cmd_jacobian),
-    "enumerate": lambda args: (cmd_enumerate(_load_curve(args), args.max_m), True),
-    "verify": lambda args: cmd_verify(_load_curve(args)),
-    "conjecture-scan": lambda args: cmd_conjecture_scan(args.seed, args.max_m),
-}
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -396,7 +388,7 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        data, ok = _HANDLERS[args.command](args)
+        data, ok = args.handler(args)
     except SpecError as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return 2

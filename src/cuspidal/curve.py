@@ -296,9 +296,7 @@ class CurveEquation:
         """The targets k <= 2nm that the support reaches, as a bitset: bit k
         is set iff k is a sum of parts j with nonzero z_j, repeats allowed
         (bit 0, the empty sum, always).  A target outside this set has no
-        delta sequence.  The targets of every beta_j are below 2nm; a
-        larger one (``residue`` with a larger beta) gets a bitset of its
-        own in ``bernstein._delta_entries``."""
+        delta sequence.  The targets of every beta_j are below 2nm."""
         return sums_bitset([part[0] for part in self.delta_parts], self.sg.branch_horizon)
 
     @cached_property

@@ -68,11 +68,6 @@ class AbstractSemimodule:
     def __contains__(self, k: int) -> bool:
         return any((k - lam) in self.sg for lam in self.basis)
 
-    def contains(self, k: int, level: int) -> bool:
-        """Membership in Lambda_level (level = index i, -1-based); level s is
-        the full semimodule."""
-        return any((k - lam) in self.sg for lam in self.basis[:level + 2])
-
     @cached_property
     def axes(self) -> tuple:
         """The axes (u_1, ..., u_{s+1}), by direct search."""
@@ -170,15 +165,12 @@ def covered(sg: Semigroup, lambdas, bound: int) -> set:
     return {lam + g for lam in lambdas for g in elements[:bisect_left(elements, bound - lam)]}
 
 
-def elements_outside(sm: AbstractSemimodule, sub_level: int) -> tuple:
-    """Sorted finite set Lambda \\ Lambda_{sub_level}; sub_level ranges over
-    -1..s.  (Lambda \\ Gamma is the sub_level = 0 instance, since Lambda_0 is
-    the semigroup minus 0.)  Every element is below n + conductor, since
-    Lambda_{-1} = n + Gamma holds every k >= n + c: the set is the sieve of
-    the basis elements past the level minus that of the ones up to it."""
-    if not (-1 <= sub_level <= sm.s):
-        raise ValueError(f"sub_level {sub_level} outside -1..{sm.s}")
-    sg, cut = sm.sg, sub_level + 2
+def elements_outside(sm: AbstractSemimodule) -> tuple:
+    """The sorted finite set Lambda \\ Gamma.  Every element of Lambda is
+    positive, and the positive part of Gamma is Lambda_0 = (n + Gamma) u
+    (m + Gamma), so the set is the sieve of the basis elements past (n, m)
+    minus that of (n, m).  Every element is below n + conductor, since
+    n + Gamma holds every k >= n + c."""
+    sg = sm.sg
     bound = sg.n + sg.conductor
-    return tuple(sorted(covered(sg, sm.basis[cut:], bound)
-                        - covered(sg, sm.basis[:cut], bound)))
+    return tuple(sorted(covered(sg, sm.basis[2:], bound) - covered(sg, sm.basis[:2], bound)))

@@ -148,12 +148,6 @@ class StandardBasis:
     def leading_powers(self) -> tuple[Exponent, ...]:
         return tuple(p.leading_power for p in self.polys)
 
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __iter__(self):
-        return iter(self.polys)
-
 
 def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     """Standard basis of the ideal generated by ``gens``, valid below the horizon.

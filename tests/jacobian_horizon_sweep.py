@@ -64,7 +64,7 @@ def check_curve(eq: CurveEquation) -> Outcome:
     if direct.leading_powers != wide.leading_powers:
         mismatch = f"leading powers {direct.leading_powers} at H_J, {wide.leading_powers} at 2nm"
     elif (tau := tjurina_number(direct)) != sg.conductor - len(
-            elements_outside(delorme(eq).values, 0)):
+            elements_outside(delorme(eq).values)):
         mismatch = f"tau = {tau} against c - #(Lambda \\ Gamma)"
     low = buchberger(jacobian_generators(eq, h - 1))
     return Outcome(mismatch, low.leading_powers != direct.leading_powers)

@@ -60,7 +60,7 @@ def test_delta_sequence_statistics():
 def test_gamma_expr_canonical_form():
     """The (2, 1) residue on EQ49 is (1/2) z_1^2 Gamma(16/9) Gamma(3/4):
     lowered to 7/9, sorted, and printed."""
-    e = residue(EQ49, (2, 1), Rat(19, 36))
+    e = residue(EQ49, (2, 1), 6)
     assert e.groups == (((Rat(3, 4), Rat(7, 9)), Rat(7, 18)),)
     assert str(e) == "(7/18)*Gamma(3/4)*Gamma(7/9)"
     assert _lowered(Rat(1, 2), [(16, 9), (3, 4)]) == e
@@ -71,7 +71,7 @@ def test_gamma_expr_cancellation():
     expression, whether given directly or summed by residue."""
     e = GammaExpr(())
     assert e.is_zero
-    assert e.groups == () == residue(EQ49_DEG, (2, 1), Rat(19, 36)).groups
+    assert e.groups == () == residue(EQ49_DEG, (2, 1), 6).groups
     assert str(e) == "0"
 
 
@@ -83,12 +83,12 @@ def test_gamma_expr_refuses_two_argument_pairs():
 
 
 def test_residue_refuses_a_term_off_the_proven_pair():
-    """Every term of a residue must lower to the pair that beta fixes, and
-    sit off the poles; a table entry moved off the congruence, or onto a
-    pole, is refused, not summed, by ``residue`` and by ``decide_root``,
-    whose scan for j = 6 first reaches k = 2 at (2, 1)."""
+    """Every term of a residue must lower to the pair that B = j + n + m
+    fixes, and sit off the poles; a table entry moved off the congruence,
+    or onto a pole, is refused, not summed, by ``residue`` and by
+    ``decide_root``, whose scan for j = 6 first reaches k = 2 at (2, 1)."""
     eq = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(1)})
-    good = residue(eq, (2, 1), Rat(19, 36))
+    good = residue(eq, (2, 1), 6)
     verdict = decide_root(eq, 6)
     assert verdict == RootDecision("beta_root", Rat(-19, 36), (2, 1))
     table = eq.delta_table[2]
@@ -101,22 +101,41 @@ def test_residue_refuses_a_term_off_the_proven_pair():
                          ((c, o1 % 9 - 9, o2), "must be positive")]:
         eq.delta_table[2] = (den, (moved,) + rest)
         with pytest.raises(ValueError, match=error):
-            residue(eq, (2, 1), Rat(19, 36))
+            residue(eq, (2, 1), 6)
         with pytest.raises(ValueError, match=error):
             decide_root(eq, 6)
     eq.delta_table[2] = table
-    assert residue(eq, (2, 1), Rat(19, 36)) == good
+    assert residue(eq, (2, 1), 6) == good
     assert decide_root(eq, 6) == verdict
 
 
 def test_gamma_expr_rejects_nonpositive_argument():
-    """A Gamma argument at or below 0 is refused by the constructor and,
-    as a pole, by residue: at (0, 2) and beta = 1/2 on EQ49, k = 0 and the
-    one term has s1 = 0."""
+    """A Gamma argument at or below 0 is refused by the constructor.  No
+    residue of a gap value reaches a pole
+    (``test_no_residue_of_a_gap_value_reaches_a_pole``); a table entry
+    moved onto one is refused (``test_residue_refuses_a_term_off_the_proven_pair``)."""
     with pytest.raises(ValueError, match="not a canonical group"):
         GammaExpr((((Rat(0), Rat(1, 2)), Rat(1)),))
-    with pytest.raises(ValueError, match="must be positive"):
-        residue(EQ49, (0, 2), Rat(1, 2))
+
+
+def test_no_residue_of_a_gap_value_reaches_a_pole():
+    """The pole-freedom proved in ``residue``'s docstring: on every coprime
+    pair 2 <= n <= 8, m <= 15, on the bare curve and on a nice curve with
+    every z_j nonzero, every j in J and every (a, b) >= 0 with
+    n*a + m*b <= B = j + n + m give a GammaExpr, and B < 2nm."""
+    checked = 0
+    for n, m in coprime_pairs(range(2, 9), 15):
+        sg = Semigroup(n, m)
+        J = sg.sets.J
+        for eq in (CurveEquation.nice(sg), CurveEquation.nice(sg, {j: Rat(1) for j in J})):
+            for j in J:
+                big_b = j + n + m
+                assert big_b < 2 * n * m
+                for a in range(big_b // n + 1):
+                    for b in range((big_b - n * a) // m + 1):
+                        assert isinstance(residue(eq, (a, b), j), GammaExpr)
+                        checked += 1
+    assert checked == 8942
 
 
 @pytest.mark.parametrize("groups", [
@@ -162,26 +181,26 @@ def test_gamma_functional_equation(whole, frac, den, cnum, cden, other):
 
 def test_residue_pin_45():
     eq = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
-    expr = residue(eq, (1, 1), Rat(11, 20))
+    expr = residue(eq, (1, 1), 2)
     assert expr.groups == (((Rat(3, 4), Rat(4, 5)), Rat(-1)),)
 
 
 def test_residue_support_pruning_pin():
     # only z_1 is nonzero, so k = 1 admits a single delta-sequence
-    expr = residue(EQ49, (1, 1), Rat(7, 18))
+    expr = residue(EQ49, (1, 1), 1)
     assert expr.groups == (((Rat(1, 2), Rat(8, 9)), Rat(-1)),)
 
 
 def test_residue_quadratic_cancellation():
     """The two k = 2 sequences at (2, 1) merge into one group whose
     coefficient vanishes exactly on the constructed degenerate curve."""
-    expr = residue(EQ49_DEG, (2, 1), Rat(19, 36))
+    expr = residue(EQ49_DEG, (2, 1), 6)
     assert expr.is_zero
     # with z_2 = 0 only the z_1^2 sequence survives: (7/18) z_1^2
-    assert residue(EQ49, (2, 1), Rat(19, 36)).groups == (
+    assert residue(EQ49, (2, 1), 6).groups == (
         ((Rat(3, 4), Rat(7, 9)), Rat(7, 18)),)
     both = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(1)})
-    assert residue(both, (2, 1), Rat(19, 36)).groups == (
+    assert residue(both, (2, 1), 6).groups == (
         ((Rat(3, 4), Rat(7, 9)), Rat(-11, 18)),)
 
 
@@ -202,7 +221,7 @@ def test_every_residue_is_one_group_at_the_predicted_arguments():
             for a, b in sets.M:
                 if big_b < n * a + m * b:
                     continue
-                expr = residue(eq, (a, b), Rat(big_b, n * m))
+                expr = residue(eq, (a, b), j)
                 assert len(expr.groups) <= 1
                 if expr.groups:
                     nonzero += 1
@@ -211,9 +230,9 @@ def test_every_residue_is_one_group_at_the_predicted_arguments():
 
 
 def _queries(eq):
-    """Every (j, (a, b)) with j in J, (a, b) in M and k >= 0, with beta_j."""
+    """Every ((a, b), j, beta_j) with j in J, (a, b) in M and k >= 0."""
     n, m = eq.sg.n, eq.sg.m
-    return [((a, b), Rat(j + n + m, n * m)) for j in eq.sg.sets.J for a, b in eq.sg.sets.M
+    return [((a, b), j, Rat(j + n + m, n * m)) for j in eq.sg.sets.J for a, b in eq.sg.sets.M
             if j + n + m >= n * a + m * b]
 
 
@@ -225,10 +244,10 @@ def test_residue_table_equals_the_direct_sum():
     for eq in nice_curves(seed=13, densities=(0.3, 1)):
         n, m = eq.sg.n, eq.sg.m
         targets = set()
-        for (a, b), beta in _queries(eq):
-            expr = residue(eq, (a, b), beta)
+        for (a, b), j, beta in _queries(eq):
+            expr = residue(eq, (a, b), j)
             assert expr == reference_residue(eq, (a, b), beta)
-            targets.add(int(beta * n * m) - n * a - m * b)
+            targets.add(j + n + m - n * a - m * b)
             checked += 1
             nonzero += not expr.is_zero
         # every queried k has its table, and the recurrence kept only the
@@ -333,7 +352,7 @@ def test_one_term_rule_keeps_the_lowering_checks(move):
         _lower(a + o1, m, r1)
         _lower(b + o2, n, r2)
     for decide in (lambda: decide_root(eq, 10), lambda: _verdict(eq, 10, *ab),
-                   lambda: residue(eq, ab, Rat(big_b, n * m))):
+                   lambda: residue(eq, ab, big_b - n - m)):
         with pytest.raises(ValueError) as refused:
             decide()
         assert str(refused.value) == str(lowered.value)
@@ -395,36 +414,27 @@ def test_residue_table_is_order_free_and_per_curve():
     assert eqs[0].nice_coeffs != eqs[1].nice_coeffs
     queries = [(eq, q) for eq in eqs for q in _queries(eq)]
     rng.shuffle(queries)
-    for eq, (ab, beta) in queries:
-        assert residue(eq, ab, beta) == reference_residue(eq, ab, beta)
+    for eq, (ab, j, beta) in queries:
+        assert residue(eq, ab, j) == reference_residue(eq, ab, beta)
     assert eqs[0].delta_table is not eqs[1].delta_table
     # both curves were asked the same targets; the other keys of each are
     # the support sums that its own recurrence read
-    targets = {int(beta * 66) - 6 * a - 11 * b for (a, b), beta in _queries(eqs[0])}
+    targets = {j + 17 - 6 * a - 11 * b for (a, b), j, _ in _queries(eqs[0])}
     for eq in eqs:
         assert targets <= eq.delta_table.keys()
         assert all(eq.support_sums >> k & 1 for k in eq.delta_table.keys() - targets)
     assert eqs[0].delta_table != eqs[1].delta_table
 
 
-def test_residue_target_above_2nm():
-    """A beta whose target passes 2nm, where the curve's support sums
-    stop, still gets the residue of a fresh enumeration."""
-    eq = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(-1, 2)})
-    beta = Rat(13 + 73, 36)  # k = 73 at (1, 1), and 2nm = 72
-    expr = residue(eq, (1, 1), beta)
-    assert not expr.is_zero and expr == reference_residue(eq, (1, 1), beta)
-
-
 def test_residue_error_taxonomy():
     with pytest.raises(NegativeK):
-        residue(EQ49, (3, 1), Rat(7, 18))
-    with pytest.raises(ValueError):
-        residue(EQ49, (1, 1), Rat(1, 7))  # k not an integer
+        residue(EQ49, (3, 1), 1)
+    with pytest.raises(ValueError, match="is not a cuspidal gap value"):
+        residue(EQ49, (1, 1), 5)  # J = (1, 2, 6, 10)
     f = TruncatedPoly(WeightedOrder(4, 5), 40, {(0, 4): 1, (5, 0): 2})
     adapted = CurveEquation(Semigroup(4, 5), f)
     with pytest.raises(ValueError):
-        residue(adapted, (1, 1), Rat(11, 20))
+        residue(adapted, (1, 1), 2)
 
 
 def test_residue_is_zero_two_values():
@@ -453,7 +463,7 @@ def test_decide_root_49(j, kind, root, witness):
     assert dec.root == root
     if witness is not None:
         assert dec.witness == witness
-    assert residue_is_zero(residue(EQ49, dec.witness, -root)) is ResidueDecision.NONZERO
+    assert residue_is_zero(residue(EQ49, dec.witness, j)) is ResidueDecision.NONZERO
 
 
 def test_root_decision_is_kind_root_and_witness():
@@ -461,7 +471,7 @@ def test_root_decision_is_kind_root_and_witness():
     recomputed from it."""
     dec = decide_root(EQ49, 10)
     assert dec == RootDecision("beta_root", Rat(-23, 36), (1, 2))
-    expr = residue(EQ49, dec.witness, -dec.root)
+    expr = residue(EQ49, dec.witness, 10)
     assert str(expr) == "(-1)*Gamma(3/4)*Gamma(8/9)"
     assert residue_is_zero(expr) is ResidueDecision.NONZERO
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: reports, determinism, exit codes."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -21,6 +22,7 @@ from cuspidal.differentials import OneForm, delorme, monomial_value, oracle_diff
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.specfile import parse_spec
 from cuspidal.standard_basis import HorizonExhausted
+import cli_identity
 from cusp_testkit import count_calls, nice_curves
 
 SPEC49 = "n = 4\nm = 9\nz 1 = 1\n"
@@ -659,7 +661,14 @@ def test_subcommand_argv_goes_to_its_own_parser(monkeypatch, command):
     for flag in sorted(DECLARED[command]):
         argv += [flag, SETTINGS[flag]]
     seen = []
-    monkeypatch.setitem(cli._HANDLERS, command, lambda args: (seen.append(args), ({}, True))[1])
+    parse_args = cli._parse_args
+
+    def routed(argv):
+        args = parse_args(argv)
+        seen.append(args)
+        return argparse.Namespace(**{**vars(args), "handler": lambda args: ({}, True)})
+
+    monkeypatch.setattr(cli, "_parse_args", routed)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert seen == [cli._build_parser().parse_args(argv)]
@@ -785,3 +794,15 @@ def test_random_specs_exit_zero_or_two(tmp_path):
             assert re.fullmatch(r"error: [A-Za-z_]+: [^\n]+\n", err.getvalue()), err.getvalue()
 
     check()
+
+
+def test_output_identity_harness_is_reproducible(monkeypatch):
+    """``tests/cli_identity.py`` at a tiny size: two runs in one process
+    give one digest, so caches the program keeps do not move its output,
+    and a changed report moves the digest."""
+    tiny = dict(seeds=(0,), seconds=0, grid_specs=2, max_m=6)
+    first = cli_identity.run(**tiny)
+    assert first == cli_identity.run(**tiny)
+    assert first[0] > 1000
+    monkeypatch.setattr(cli, "cmd_semigroup", lambda eq: {"n": eq.sg.n})
+    assert cli_identity.run(**tiny) != first

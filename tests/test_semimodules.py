@@ -37,9 +37,9 @@ def test_membership_levels():
     sm = AbstractSemimodule(SG49, (4, 9, 14, 19))
     assert sm.s == 2
     # 23 = 14 + 9 enters at level 1, 19 only at level 2
-    assert sm.contains(23, level=1)
-    assert not sm.contains(19, level=1)
-    assert sm.contains(19, level=2)
+    first = AbstractSemimodule(SG49, sm.basis[:3])
+    assert 23 in first
+    assert 19 not in first
     assert 19 in sm
     assert 10 not in sm
     assert 3 not in sm
@@ -67,27 +67,26 @@ def test_first_axis_is_n_plus_m():
 
 def test_elements_outside():
     sm = AbstractSemimodule(SG49, (4, 9, 14, 19))
-    assert elements_outside(sm, 0) == (14, 19, 23)
-    assert elements_outside(sm, 1) == (19,)
-    assert elements_outside(AbstractSemimodule(SG49, (4, 9)), 0) == ()
+    assert elements_outside(sm) == (14, 19, 23)
+    assert elements_outside(AbstractSemimodule(SG49, (4, 9, 14))) == (14, 23)
+    assert elements_outside(AbstractSemimodule(SG49, (4, 9))) == ()
 
 
-def _outside_by_membership(sm, level) -> tuple:
-    """Lambda \\ Lambda_level by its definition: every k below n + c that
-    lies in Lambda and not in Lambda_level."""
+def _outside_by_membership(sm) -> tuple:
+    """Lambda \\ Gamma by its definition: every k below n + c that lies in
+    Lambda and not in Gamma."""
     bound = sm.sg.n + sm.sg.conductor
-    return tuple(k for k in range(bound) if k in sm and not sm.contains(k, level))
+    return tuple(k for k in range(bound) if k in sm and k not in sm.sg)
 
 
 def test_elements_outside_is_the_membership_definition():
     """The sieve equals the definition on all 543 increasing semimodules of
-    the 31 pairs with 3 <= n <= 8, m <= 13, at every level -1..s."""
+    the 31 pairs with 3 <= n <= 8, m <= 13."""
     sms = [sm for n, m in coprime_pairs(range(3, 9), 13)
            for sm in enumerate_increasing(Semigroup(n, m))]
     assert len(sms) == 543
     for sm in sms:
-        for level in range(-1, sm.s + 1):
-            assert elements_outside(sm, level) == _outside_by_membership(sm, level)
+        assert elements_outside(sm) == _outside_by_membership(sm)
 
 
 def test_covered_refuses_a_bound_past_n_plus_c():

@@ -180,7 +180,7 @@ def _assert_matches_reference(gens):
     got = buchberger(gens)
     want = _reference_buchberger(gens)
     assert got.leading_powers == tuple(p.leading[0] for p in want)
-    for p, q in zip(got, want):
+    for p, q in zip(got.polys, want):
         coeffs = p.coeffs
         assert p.den == 1 and all(c.denominator == 1 for c in coeffs.values())
         assert gcd(*(c.numerator for c in coeffs.values())) == 1

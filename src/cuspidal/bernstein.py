@@ -502,8 +502,9 @@ def _verdict(eq: CurveEquation, j: int, a: int, b: int) -> str:
     lambda - n - m = n*p1 + m*p2 - nm with p1 = m - 1 - a' and
     p2 = n - 1 - b'.  The n = 4 chain's B = 8 alpha + 3 epsilon +
     4 gamma gives p1 = 3 alpha + epsilon + gamma - 1 <= m - 2 and p2 = 2,
-    since gamma <= q <= alpha - 2.  An index outside J raises KeyError."""
-    big_b, pair = _root_plans(eq.sg)[j][:2]
+    since gamma <= q <= alpha - 2.  An index outside J raises ValueError
+    (``_plan``)."""
+    big_b, pair = _plan(eq.sg, j)[:2]
     k = big_b - eq.sg.n * a - eq.sg.m * b
     return "zero" if _first_nonzero(eq, pair, ((a, b),), (k,)) is None else "nonzero"
 

@@ -380,9 +380,7 @@ def _parse_args(argv) -> argparse.Namespace:
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
-    args = sub.parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+    return sub.parse_args(argv[1:])
 
 
 def main(argv=None) -> int:

@@ -296,8 +296,25 @@ class CurveEquation:
         """The targets k <= 2nm that the support reaches, as a bitset: bit k
         is set iff k is a sum of parts j with nonzero z_j, repeats allowed
         (bit 0, the empty sum, always).  A target outside this set has no
-        delta sequence.  The targets of every beta_j are below 2nm."""
-        return sums_bitset([part[0] for part in self.delta_parts], self.sg.branch_horizon)
+        delta sequence.  The targets of every beta_j are below 2nm.
+
+        Shifting by l, 2l, 4l, ... adds the multiples 0..(2^t - 1)*l of the
+        part l after t shifts, so each part takes about log2(2nm/l) shifts;
+        a sum above 2nm is dropped, as is each sum it extends.  The parts go
+        in increasing order (``delta_parts``), and a part that is already a
+        sum of smaller ones is passed by: every sum it takes part in is one
+        of those already."""
+        limit = self.sg.branch_horizon
+        mask = (1 << (limit + 1)) - 1
+        bits = 1
+        for part, *_ in self.delta_parts:
+            if bits >> part & 1:
+                continue  # a sum of smaller parts: it adds no new sum
+            shift = part
+            while shift <= limit:
+                bits |= bits << shift & mask
+                shift *= 2
+        return bits
 
     @cached_property
     def delta_parts(self) -> tuple:
@@ -325,27 +342,6 @@ class CurveEquation:
         first use of each k, and with it the smaller support sums that the
         recurrence for k reads."""
         return {}
-
-
-def sums_bitset(parts, limit: int) -> int:
-    """The bitset of the sums of ``parts`` (positive integers, repeats
-    allowed) up to ``limit``: bit k, 0 <= k <= limit, is set iff k is such a
-    sum.  Shifting by l, 2l, 4l, ... adds the multiples 0..(2^t - 1)*l of
-    the part l after t shifts, so each part takes about log2(limit/l)
-    shifts; a sum above the limit is dropped, as is each sum it extends.
-    The parts go in increasing order, and a part that is already a sum of
-    smaller ones is passed by: every sum it takes part in is one of those
-    already."""
-    mask = (1 << (limit + 1)) - 1
-    bits = 1
-    for part in sorted(parts):
-        if bits >> part & 1:
-            continue  # a sum of smaller parts: it adds no new sum
-        shift = part
-        while shift <= limit:
-            bits |= bits << shift & mask
-            shift *= 2
-    return bits
 
 
 @dataclass(frozen=True)

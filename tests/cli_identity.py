@@ -13,10 +13,10 @@ same on these runs:
 The runs are:
 
 - every request of the benchmark's workloads (``bench/workloads.py``,
-  loaded from its file and only read) for each seed at ``--seconds``, as
-  its own subcommand, plain and with ``--json``;
-- on ``--grid-specs`` of those specs, drawn in turn from the three
-  workloads: ``residue`` for every j in [-1, 39] at seven test exponents,
+  loaded from its file and only read) for each seed at the benchmark's
+  12 seconds, as its own subcommand, plain and with ``--json``;
+- on 40 of those specs, drawn in turn from the three workloads:
+  ``residue`` for every j in [-1, 39] at seven test exponents,
   and ``semigroup``, ``cuspidal-sets``, ``delorme`` and ``enumerate``,
   plain and with ``--json``;
 - every ``cuspidal ...`` command of the README on its demo.spec, plain and
@@ -63,10 +63,10 @@ def _workloads():
     return module
 
 
-def _readme(path: Path) -> tuple[str, list]:
+def _readme() -> tuple[str, list]:
     """The README's demo.spec text and the argv of its ``cuspidal ...``
     lines, read as the CI's README quick start reads them."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("# demo.spec"))
     end = next(i for i in range(start, len(lines)) if lines[i].startswith("```"))
     commands = [m.group(1).split() for line in lines
@@ -74,8 +74,7 @@ def _readme(path: Path) -> tuple[str, list]:
     return "\n".join(lines[start:end]) + "\n", commands
 
 
-def _argv_lists(directory: Path, seeds, seconds: float, grid_specs: int, max_m: int,
-                readme: Path):
+def _argv_lists(directory: Path, seeds, seconds: float, grid_specs: int, max_m: int):
     """Every argv of the run, in order; spec files are written on the way."""
     workloads = _workloads()
     per_workload = []
@@ -97,7 +96,7 @@ def _argv_lists(directory: Path, seeds, seconds: float, grid_specs: int, max_m: 
         for command in SPEC_COMMANDS:
             yield [command, "--spec", path]
             yield [command, "--spec", path, "--json"]
-    demo_text, commands = _readme(readme)
+    demo_text, commands = _readme()
     demo = directory / "demo.spec"
     demo.write_text(demo_text, encoding="utf-8")
     for args in commands:
@@ -136,15 +135,15 @@ def _invoke(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def run(seeds=(0, 3), seconds: float = 12, grid_specs: int = 40, max_m: int = 14,
-        readme: Path = ROOT / "README.md") -> tuple[int, str]:
+def run(seeds=(0, 3), seconds: float = 12, grid_specs: int = 40,
+        max_m: int = 14) -> tuple[int, str]:
     """(invocations, sha256 hex digest) of one run."""
     digest = hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
         directory = Path(tmp)
         prefix = str(directory) + "/"
-        for argv in _argv_lists(directory, seeds, seconds, grid_specs, max_m, readme):
+        for argv in _argv_lists(directory, seeds, seconds, grid_specs, max_m):
             code, out, err = _invoke(argv)
             record = [[arg.replace(prefix, "") for arg in argv], code,
                       out.replace(prefix, ""), err.replace(prefix, "")]
@@ -156,14 +155,9 @@ def run(seeds=(0, 3), seconds: float = 12, grid_specs: int = 40, max_m: int = 14
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
-    parser.add_argument("--seconds", type=float, default=12,
-                        help="the benchmark's --seconds, which sets the rounds drawn")
-    parser.add_argument("--grid-specs", type=int, default=40,
-                        help="specs that the residue grid and the other subcommands read")
     parser.add_argument("--max-m", type=int, default=14, help="conjecture-scan's --max-m")
-    parser.add_argument("--readme", type=Path, default=ROOT / "README.md")
     args = parser.parse_args(argv)
-    count, digest = run(args.seeds, args.seconds, args.grid_specs, args.max_m, args.readme)
+    count, digest = run(args.seeds, max_m=args.max_m)
     print(f"invocations {count}")
     print(f"sha256 {digest}")
     return 0

@@ -736,7 +736,7 @@ def test_battery_verdicts_match_the_reference_residue():
 
 
 def test_battery_verdict_needs_an_index_in_j():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="is not a cuspidal gap value"):
         _verdict(EQ49, 3, 1, 1)
 
 

@@ -656,7 +656,8 @@ def test_declared_flags_are_parsed(command):
 @pytest.mark.parametrize("command", DECLARED)
 def test_subcommand_argv_goes_to_its_own_parser(monkeypatch, command):
     """``main`` parses a subcommand's argv with that subcommand's parser,
-    and gets the namespace the top-level parser gives for it."""
+    and gets the namespace the top-level parser gives for it, but for the
+    ``command`` name that only the top-level parser records."""
     argv = [command, "--json"]
     for flag in sorted(DECLARED[command]):
         argv += [flag, SETTINGS[flag]]
@@ -671,7 +672,9 @@ def test_subcommand_argv_goes_to_its_own_parser(monkeypatch, command):
     monkeypatch.setattr(cli, "_parse_args", routed)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert seen == [cli._build_parser().parse_args(argv)]
+    top = vars(cli._build_parser().parse_args(argv))
+    assert top.pop("command") == command
+    assert [vars(args) for args in seen] == [top]
 
 
 @pytest.mark.parametrize("argv", [[], ["nope"], ["--json"], ["-h"], ["verify", "stray"],

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from . import _series
@@ -295,26 +296,9 @@ class CurveEquation:
     def support_sums(self) -> int:
         """The targets k <= 2nm that the support reaches, as a bitset: bit k
         is set iff k is a sum of parts j with nonzero z_j, repeats allowed
-        (bit 0, the empty sum, always).  A target outside this set has no
-        delta sequence.  The targets of every beta_j are below 2nm.
-
-        Shifting by l, 2l, 4l, ... adds the multiples 0..(2^t - 1)*l of the
-        part l after t shifts, so each part takes about log2(2nm/l) shifts;
-        a sum above 2nm is dropped, as is each sum it extends.  The parts go
-        in increasing order (``delta_parts``), and a part that is already a
-        sum of smaller ones is passed by: every sum it takes part in is one
-        of those already."""
-        limit = self.sg.branch_horizon
-        mask = (1 << (limit + 1)) - 1
-        bits = 1
-        for part, *_ in self.delta_parts:
-            if bits >> part & 1:
-                continue  # a sum of smaller parts: it adds no new sum
-            shift = part
-            while shift <= limit:
-                bits |= bits << shift & mask
-                shift *= 2
-        return bits
+        (``sums_bitset``).  A target outside this set has no delta
+        sequence.  The targets of every beta_j are below 2nm."""
+        return sums_bitset([l for l, *_ in self.delta_parts], self.sg.branch_horizon)
 
     @cached_property
     def delta_parts(self) -> tuple:
@@ -344,6 +328,28 @@ class CurveEquation:
         return {}
 
 
+def sums_bitset(parts, limit: int) -> int:
+    """The sums <= limit of the parts, non-negative integers, repeats
+    allowed, as a bitset: bit k is set iff k is such a sum (bit 0, the
+    empty sum, always).
+
+    Shifting by l, 2l, 4l, ... adds the multiples 0..(2^t - 1)*l of the
+    part l after t shifts, so each part takes about log2(limit/l) shifts;
+    a sum above the limit is dropped, as is each sum it extends.  A part
+    that is already a sum of the parts before it is passed by: every sum
+    it takes part in is one of those already."""
+    mask = (1 << (limit + 1)) - 1
+    bits = 1
+    for part in parts:
+        if bits >> part & 1:
+            continue  # a sum of earlier parts: it adds no new sum
+        shift = part
+        while shift <= limit:
+            bits |= bits << shift & mask
+            shift *= 2
+    return bits
+
+
 @dataclass(frozen=True)
 class Parametrization:
     """Primitive rational parametrization x = x_coeff * t^n, y = y(t), held
@@ -368,7 +374,7 @@ class Parametrization:
     (``Semigroup.branch_horizon``).  The oracle reads every pullback off
     that table (higher powers than H's are appended on first read).  A *part*
     (shift, b, theta, num, den) stands for (num/den) * t^shift * Y, with
-    integers num and den > 0, where Y = y^b, or Y = t * (y^b)' when
+    integers num != 0 and den > 0, where Y = y^b, or Y = t * (y^b)' when
     ``theta``.  The t^k coefficient of Y is
     c0^b * T[k] / D^(k - m*b), with T = v^b, or T[k] = k * v^b[k] when
     ``theta``.  So the t^K coefficient of a sum of parts, scaled by D^K and
@@ -412,7 +418,8 @@ class Parametrization:
         got = tables.get((b, theta))
         if got is None:
             if theta:
-                got = tuple(k * c for k, c in enumerate(self._table(b, False)))
+                plain = self._table(b, False)
+                got = tuple(map(mul, range(len(plain)), plain))
             else:
                 got = tuple(_series.mul(self._table(b - 1, False), self.powers[1],
                                         self.t_horizon))
@@ -422,28 +429,43 @@ class Parametrization:
     def order(self, parts, upto: int) -> int | None:
         """The least K <= upto whose t^K coefficient in the sum of parts is
         nonzero, walking K upward; None when all of t^0..t^upto vanish.
-        Parts that start past upto are dropped."""
-        cn, cd = self.c0.numerator, self.c0.denominator
-        scaled = [(shift + self.m * b, shift, b, theta, num * cn ** b, den * cd ** b)
-                  for shift, b, theta, num, den in parts if shift + self.m * b <= upto]
-        if not scaled:
-            return None
-        # Row (start, shift, T, k): the t^K coefficient of the sum, times
-        # den * D^(K - e0), is the sum of k * T[K - shift] over the rows with
-        # start <= K (T vanishes below start - shift).
-        e0 = min(start for start, *_ in scaled)
-        den = lcm(*(d for *_, d in scaled))
-        D = self.scale
-        rows = sorted(((start, shift, self._table(b, theta),
-                        num * (den // d) * D ** (start - e0))
-                       for start, shift, b, theta, num, d in scaled),
-                      key=lambda row: row[0])
+
+        One pass scales each part by c0^b and finds the least start e0 of
+        the parts, how many start there, and the lcm of the denominators.
+        A part that starts past upto is dropped, and so is a part
+        t * (y^0)', which is 0.  Every other part starts with a nonzero
+        coefficient: num * c0^b / den times T[mb] = 1, or mb when theta,
+        as v^b starts with s^(mb).  So a part alone at e0 makes e0 the
+        order, and no table is read."""
+        cn, cd, m = self.c0.numerator, self.c0.denominator, self.m
+        scaled = []
+        e0, den, ties = upto + 1, 1, 0
+        for shift, b, theta, num, d in parts:
+            start = shift + m * b
+            if start <= upto and (b or not theta):
+                d *= cd ** b
+                scaled.append((start, shift, b, theta, num * cn ** b, d))
+                den = lcm(den, d)
+                if start < e0:
+                    e0, ties = start, 1
+                elif start == e0:
+                    ties += 1
+        if ties < 2:
+            return e0 if ties else None
+        # Row (shift, T, k): the t^K coefficient of the sum, times
+        # den * D^(K - e0), is the sum of k * T[K - shift] over the rows of
+        # the parts with start <= K (T vanishes below start - shift); a
+        # part's row is built when K reaches its start.
+        D, table = self.scale, self._table
+        scaled.sort(reverse=True)
+        rows = []
         for K in range(e0, upto + 1):
+            while scaled and scaled[-1][0] <= K:
+                start, shift, b, theta, num, d = scaled.pop()
+                rows.append((shift, table(b, theta), num * (den // d) * D ** (start - e0)))
             total = 0
-            for start, shift, table, k in rows:
-                if start > K:
-                    break
-                total += k * table[K - shift]
+            for shift, row, k in rows:
+                total += k * row[K - shift]
             if total:
                 return K
         return None
@@ -462,12 +484,14 @@ def _leading_solution(n: int, m: int, mu: Rat) -> tuple:
 
     Writing xi and c0 as signed powers of mu reduces the constraint to the
     Bezout relation 1 + m*u = n*v; the sign pattern splits on the parity of n
-    (m is odd whenever n is even, since the pair is coprime).
+    (m is odd whenever n is even, since the pair is coprime).  The powers
+    are taken on mu's numerator and denominator, which are coprime, and so
+    are their powers.
     """
     u = (-pow(m % n, -1, n)) % n
     v = (1 + m * u) // n
-    mu_u = mu ** u
-    mu_v = mu ** v
+    p, q = mu.numerator, mu.denominator
+    mu_u, mu_v = Rat(p ** u, q ** u), Rat(p ** v, q ** v)
     if n % 2:
         return mu_u, -mu_v
     return -mu_u, mu_v
@@ -476,69 +500,116 @@ def _leading_solution(n: int, m: int, mu: Rat) -> tuple:
 def _scaled_equation(f: TruncatedPoly, xi: Rat, c0: Rat) -> tuple:
     """(D, H): the scale D = n^2 * L and the integer terms (n*a, b, h) of
     H(s, v) = f(xi * (D*s)^n, c0 * D^m * v) / (c0^n * D^(nm)), whose term
-    h * s^(n*a) * v^b comes from the term c * x^a * y^b of f."""
-    n, m = f.order.n, f.order.m
-    units = {(a, b): c * xi ** a * c0 ** (b - n) for (a, b), c in f.coeffs.items()}
+    h * s^(n*a) * v^b comes from the term c * x^a * y^b of f.
+
+    Each unit c * xi^a * c0^(b-n) is read off f's numerator over ``f.den``
+    as a reduced p/q, from integer powers of the numerators and
+    denominators of xi and c0, and L is the lcm of the q's."""
+    order = f.order
+    n, m, nm = order.n, order.m, order.n * order.m
+    xn, xd, cn, cd = xi.numerator, xi.denominator, c0.numerator, c0.denominator
+    units = []
+    for (d, a), c in f.terms.items():
+        b = (d - n * a) // m
+        p, q = c * xn ** a, f.den * xd ** a
+        if b >= n:
+            p, q = p * cn ** (b - n), q * cd ** (b - n)
+        else:
+            p, q = p * cd ** (n - b), q * cn ** (n - b)
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        units.append((n * a, b, d - nm, p // g, q // g))
     # x^m and y^n give -1 and 1, so taking them into L changes nothing.
-    scale = n * n * lcm(*(u.denominator for u in units.values()))
-    terms = [(n * a, b, _series.exact_div(u.numerator * scale ** (n * a + m * b - n * m),
-                                          u.denominator))
-             for (a, b), u in units.items()]
-    return scale, terms
-
-
-def _powers(v: list, top: int, upto: int) -> list:
-    """The table v^0..v^top through s^upto."""
-    pows = [_series.trimmed([1], upto), v]
-    while len(pows) <= top:
-        pows.append(_series.mul(pows[-1], v, upto))
-    return pows
-
-
-def _evaluate(terms, pows: list, upto: int) -> list:
-    """sum of h * s^shift * v^b over the terms (shift, b, h), through s^upto."""
-    out = _series.zeros(upto)
-    for shift, b, h in terms:
-        _series.add_shifted(out, pows[b], shift, h)
-    return out
+    scale = n * n * lcm(*(q for *_, q in units))
+    return scale, [(shift, b, _series.exact_div(p * scale ** e, q))
+                   for shift, b, e, p, q in units]
 
 
 def _solve_branch(n: int, m: int, terms, window: int) -> list:
     """The table v^0..v^top of the branch through s^window, top the largest
     b among the terms (shift, b, h) of H: the recursion n * v_k = -P_k for
-    k = m+1..window, then the residual check (see ``newton_puiseux``)."""
+    k = m+1..window, then the residual check (see ``newton_puiseux``).
+
+    Both run on w = v / s^m, which starts with 1: the coefficient of
+    s^(mb + i) in v^b is that of s^i in w^b, so each row of the table is
+    held from its leading term on, and step k is step i = k - m,
+    i = 1..span with span = window - m.  A term (shift, b, h) of weight
+    nm + eps reads w^b at i - eps, from step i = eps on; the y^n term
+    (eps = 0) reads the entry of w^n that step i is filling.
+
+    The recursion holds w's support as the parallel lists js, ws (the j < i
+    with w_j != 0, and w_j), so each entry of w^b is one dot product of ws
+    with w^(b-1) read at i - js.  It takes only the steps i in S, the sums
+    of the terms' eps (``sums_bitset``): at every other step w_i and each
+    entry of each w^b are 0, so the step would leave the table as it is.
+    By induction on i not in S: a read at i - eps >= 0 of a term with
+    eps >= 1, and a product w_j * w^(b-1)[i - j] with 1 <= j < i and
+    w_j != 0, so j in S, both fall on an index outside S (else
+    i = eps + (i - eps) or j + (i - j) would be in S), which holds 0; the
+    product with w_0 = 1 reads w^(b-1) at i itself, 0 by induction on b.
+    So P_i = 0, w_i = 0, and every w^b is 0 at i.
+
+    The check rebuilds each v^b from v alone by ``_series.mul``, and only
+    through L_b = min(work, window + m(b - 1)), work = window + nm - m,
+    which is all that it reads: as s^(mb) * w^b, with w^b through
+    L_b - mb = min(span, work - mb).  A term (shift, b) = (na, b) of H has
+    na + mb >= nm, so the residual through s^work reads v^b only through
+    work - na <= work - nm + mb = window + m(b - 1), and no further than
+    work.  v^b = v^(b-1) * v through s^L_b reads v^(b-1) only through
+    L_b - m <= L_(b-1), since v_j = 0 for j < m, and v only through
+    L_b - m(b - 1) <= window, where v ends.  The table's s^window is at
+    most L_b for b >= 1; v^0 = 1 is written through s^window.  The
+    residual vanishes through s^work exactly when H(s, v(s)) does."""
     nm = n * m
     top = max(b for _, b, _ in terms)
     work = window + nm - m
+    span = window - m
 
-    # Each v^b starts in the table with its leading 1 at s^(mb).
-    table = [_series.zeros(work) for _ in range(top + 1)]
-    for b, power in enumerate(table):
-        power[m * b] = 1
-    v = table[1]
-    support = [m]  # the j < k with v_j != 0, ascending
-    for k in range(m + 1, window + 1):
-        for b in range(2, top + 1):
-            e = k + m * (b - 1)
-            if e > work:
-                break
-            lower = table[b - 1]
-            table[b][e] = sum(v[j] * lower[e - j] for j in support)
-        p_k = sum(h * table[b][k + nm - m - shift] for shift, b, h in terms
-                  if shift <= k + nm - m)
-        v_k = _series.exact_div(-p_k, n)
-        if v_k:
-            support.append(k)
-        for b in range(1, top + 1):
-            e = k + m * (b - 1)
-            if e > work:
-                break
-            table[b][e] += b * v_k
+    # rows[b][i] is the s^i coefficient of w^b for i = 0..span, and a row
+    # b > n is filled only through work - mb, where s^(mb + i) reaches
+    # work.  Each (b, w^b, w^(b-1), last index) of the chain is filled from
+    # the row before it.
+    rows = [[1] + [0] * span for _ in range(top + 1)]
+    chain = [(b, rows[b], rows[b - 1], min(span, work - m * b)) for b in range(2, top + 1)]
+    # (eps, h, w^b) of each term, in the order in which they start to read.
+    pending = sorted(((shift + m * b - nm, h, rows[b]) for shift, b, h in terms),
+                     key=itemgetter(0), reverse=True)
+    active = []
+    js, ws = [0], [1]  # the j < i with w_j != 0, ascending, and w_j
+    reach = sums_bitset([eps for eps, _, _ in pending], span)
+    for i in range(1, span + 1):
+        if not reach >> i & 1:
+            continue
+        while pending and pending[-1][0] <= i:
+            eps, h, row = pending.pop()
+            active.append((h, row, eps))
+        # While w = 1 + O(s^i), every w^b is too, and its entry at i is 0.
+        if len(js) > 1:
+            read = itemgetter(*[i - j for j in js])
+            for b, power, lower, last in chain:
+                if i > last:
+                    break
+                power[i] = sum(map(mul, ws, read(lower)))
+        w_i = _series.exact_div(-sum(h * row[i - eps] for h, row, eps in active), n)
+        if w_i:
+            js.append(i)
+            ws.append(w_i)
+            rows[1][i] = w_i
+            for b, power, _, last in chain:
+                if i > last:
+                    break
+                power[i] += b * w_i
 
-    pows = _powers(_series.trimmed(v, work), top, work)
-    if _series.ord_of(_evaluate(terms, pows, work)) is not None:
+    # The check: each w^b rebuilt from w alone through L_b - mb.
+    w = rows[1]
+    pows = [_series.trimmed([1], window), w]
+    for b in range(2, top + 1):
+        pows.append(_series.mul(pows[-1], w, min(span, work - m * b)))
+    residual = _series.zeros(span)
+    for shift, b, h in terms:
+        _series.add_shifted(residual, pows[b], shift + m * b - nm, h)
+    if _series.ord_of(residual) is not None:
         raise NoSolution("residual does not vanish to the horizon")
-    return [tuple(p[:window + 1]) for p in pows]
+    return [tuple(([0] * (m * b) + p)[:window + 1]) for b, p in enumerate(pows)]
 
 
 def newton_puiseux(eq: CurveEquation, horizon: int | None = None) -> Parametrization:
@@ -597,11 +668,13 @@ def newton_puiseux(eq: CurveEquation, horizon: int | None = None) -> Parametriza
     v^(b-1) * v; reads P_k, the s^(k+nm-m) coefficient of H on the table,
     where every term but v^n reads only finished entries; sets
     v_k = -P_k / n, an exact division (``_series.exact_div`` raises on a
-    remainder); and adds b * v_k to the entries it filled.  Postcondition
-    (checked): the residual H(s, v(s)) vanishes through s^work on a table
-    rebuilt from v alone by ``_series.mul``, not the recursion's own.  That
-    table v^0, v^1, ..., trimmed to s^t_horizon, is the one the
-    parametrization holds.
+    remainder); and adds b * v_k to the entries it filled.  A step whose
+    k - m is no sum of the w - nm, w the weights of H's terms, is passed
+    by: it would set v_k = 0 and leave every entry 0.  Postcondition (checked):
+    the residual H(s, v(s)) vanishes through s^work on a table rebuilt
+    from v alone by ``_series.mul``, not the recursion's own, each v^b
+    only as far as the residual reads it.  That table v^0, v^1, ...,
+    trimmed to s^t_horizon, is the one the parametrization holds.
     """
     sg = eq.sg
     n, m, nm = sg.n, sg.m, sg.n * sg.m

@@ -99,7 +99,8 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
     the branch does not hold.  Each
     monomial is one part of ``param``'s integer table, the term c*x^a*y^b*dy
     by y^b * y' = t^-1 * t(y^(b+1))' / (b+1), and the coefficients of the
-    pullback are read upward only to the first nonzero one.
+    pullback are read upward only to the first nonzero one, and not at all
+    when one part alone starts lowest (``Parametrization.order``).
     """
     param.check_cusp(omega.dx.order)
     n, m = param.n, param.m

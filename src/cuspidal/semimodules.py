@@ -165,12 +165,15 @@ def covered(sg: Semigroup, lambdas, bound: int) -> set:
     return {lam + g for lam in lambdas for g in elements[:bisect_left(elements, bound - lam)]}
 
 
+@cache
 def elements_outside(sm: AbstractSemimodule) -> tuple:
     """The sorted finite set Lambda \\ Gamma.  Every element of Lambda is
     positive, and the positive part of Gamma is Lambda_0 = (n + Gamma) u
     (m + Gamma), so the set is the sieve of the basis elements past (n, m)
     minus that of (n, m).  Every element is below n + conductor, since
-    n + Gamma holds every k >= n + c."""
+    n + Gamma holds every k >= n + c.  The set depends on the semimodule
+    alone, (n, m) and its basis, so the tuple is cached per semimodule, as
+    ``bernstein.certified_roots_from_semimodule`` is."""
     sg = sm.sg
     bound = sg.n + sg.conductor
     return tuple(sorted(covered(sg, sm.basis[2:], bound) - covered(sg, sm.basis[:2], bound)))

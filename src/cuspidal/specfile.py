@@ -6,8 +6,9 @@ value`` with j in the cuspidal value set J) or mu*x^m + y^n plus raw terms
 Either way the lines give f's integer numerators straight away, keyed by
 (weighted degree, x-exponent) over the lcm of the denominators, as
 ``TruncatedPoly`` holds them; a value of decimal digits is read as an
-``int``, any other as ``Rat``.  ``CurveEquation`` checks the result, and
-whether the curve is nice is read off its terms, whichever lines gave them.
+``int``, p/q of decimal digits as two, any other by ``Rat``.
+``CurveEquation`` checks the result, and whether the curve is nice is read
+off its terms, whichever lines gave them.
 It describes the curve and nothing else: f is held at 2nm, where no layer
 reads a term above it, and the seed is an option of the subcommand that
 reads it.  Lines are independent, ``#`` starts a comment, and ``=`` may be
@@ -47,12 +48,19 @@ class CoefficientOutsideJ(SpecError):
 
 def _rational(text: str, line: int) -> int | Rat:
     """The exact value of a token: an ``int`` for decimal digits with an
-    optional leading ``-``, which ``int`` reads as ``Rat`` would, else
-    ``Rat(text)``, so that ``2.5``, ``1e3`` and ``+3`` are read as exact
-    rationals too."""
-    digits = text[1:] if text[:1] == "-" else text
-    if digits.isdecimal() and digits.isascii():
-        return int(text)
+    optional leading ``-``, which ``int`` reads as ``Rat`` would; for
+    p/q with such a p and ASCII decimal digits q != 0, ``Rat(p, q)``;
+    else ``Rat(text)``, so that ``2.5``, ``1e3`` and ``+3`` are read as
+    exact rationals too.  ``Rat`` reads p/q as those two integers, so the
+    route changes no value; a token with ``_`` or other digits keeps
+    ``Rat``'s own reading, which differs between Python versions."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isdecimal() and text.isascii():
+        if not slash:
+            return int(num)
+        if den.isdecimal() and (q := int(den)):
+            return Rat(int(num), q)
     try:
         return Rat(text)
     except (ValueError, ZeroDivisionError):

@@ -1,6 +1,6 @@
 """Shared corpus, random generators, the ``Fraction`` reduction reference,
-the table-free residue references and a call counter for the test suite and
-its sweeps.
+the table-free residue references, the Newton-Puiseux references and a call
+counter for the test suite and its sweeps.
 
 A plain module rather than ``conftest.py``, so that ``from cusp_testkit
 import ...`` names this file even when pytest also collects another suite
@@ -16,12 +16,13 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
-from cuspidal import CurveEquation, OneForm, Semigroup, TruncatedPoly, cuspidal_sets
+from cuspidal import CurveEquation, OneForm, Semigroup, TruncatedPoly, _series, cuspidal_sets
 from cuspidal.poly import WeightedOrder, divides
 from cuspidal.bernstein import GammaExpr, RootDecision, delta_sequences
+from cuspidal.curve import NoSolution
 from cuspidal.rationals import Rat
 
 CORPUS = [
@@ -269,6 +270,81 @@ def reference_verdict(eq, j: int) -> RootDecision:
         if j + n + m >= n * a + m * b and not reference_residue(eq, (a, b), beta).is_zero:
             return RootDecision("beta_root", -beta, (a, b))
     return RootDecision("alpha_root", -(beta + 1))
+
+
+# The Newton-Puiseux references: the scaled equation by ``Fraction`` on
+# f's coefficients, and the solve on a table of v^0..v^top through s^work at
+# every step k = m+1..window, checked on powers rebuilt through s^work.  The
+# library's ``_scaled_equation`` and ``_solve_branch`` must give the same
+# scale, terms and table.
+
+
+def reference_scaled_equation(f: TruncatedPoly, xi: Rat, c0: Rat) -> tuple:
+    """(D, H): the scale D = n^2 * L and the integer terms (n*a, b, h) of
+    H(s, v) = f(xi * (D*s)^n, c0 * D^m * v) / (c0^n * D^(nm)), whose term
+    h * s^(n*a) * v^b comes from the term c * x^a * y^b of f."""
+    n, m = f.order.n, f.order.m
+    units = {(a, b): c * xi ** a * c0 ** (b - n) for (a, b), c in f.coeffs.items()}
+    # x^m and y^n give -1 and 1, so taking them into L changes nothing.
+    scale = n * n * lcm(*(u.denominator for u in units.values()))
+    terms = [(n * a, b, _series.exact_div(u.numerator * scale ** (n * a + m * b - n * m),
+                                          u.denominator))
+             for (a, b), u in units.items()]
+    return scale, terms
+
+
+def _reference_powers(v: list, top: int, upto: int) -> list:
+    """The table v^0..v^top through s^upto."""
+    pows = [_series.trimmed([1], upto), v]
+    while len(pows) <= top:
+        pows.append(_series.mul(pows[-1], v, upto))
+    return pows
+
+
+def _reference_evaluate(terms, pows: list, upto: int) -> list:
+    """sum of h * s^shift * v^b over the terms (shift, b, h), through s^upto."""
+    out = _series.zeros(upto)
+    for shift, b, h in terms:
+        _series.add_shifted(out, pows[b], shift, h)
+    return out
+
+
+def reference_solve_branch(n: int, m: int, terms, window: int) -> list:
+    """The table v^0..v^top of the branch through s^window, top the largest
+    b among the terms (shift, b, h) of H: the recursion n * v_k = -P_k for
+    k = m+1..window, then the residual check (see ``newton_puiseux``)."""
+    nm = n * m
+    top = max(b for _, b, _ in terms)
+    work = window + nm - m
+
+    # Each v^b starts in the table with its leading 1 at s^(mb).
+    table = [_series.zeros(work) for _ in range(top + 1)]
+    for b, power in enumerate(table):
+        power[m * b] = 1
+    v = table[1]
+    support = [m]  # the j < k with v_j != 0, ascending
+    for k in range(m + 1, window + 1):
+        for b in range(2, top + 1):
+            e = k + m * (b - 1)
+            if e > work:
+                break
+            lower = table[b - 1]
+            table[b][e] = sum(v[j] * lower[e - j] for j in support)
+        p_k = sum(h * table[b][k + nm - m - shift] for shift, b, h in terms
+                  if shift <= k + nm - m)
+        v_k = _series.exact_div(-p_k, n)
+        if v_k:
+            support.append(k)
+        for b in range(1, top + 1):
+            e = k + m * (b - 1)
+            if e > work:
+                break
+            table[b][e] += b * v_k
+
+    pows = _reference_powers(_series.trimmed(v, work), top, work)
+    if _series.ord_of(_reference_evaluate(terms, pows, work)) is not None:
+        raise NoSolution("residual does not vanish to the horizon")
+    return [tuple(p[:window + 1]) for p in pows]
 
 
 def count_calls(monkeypatch, fn) -> list:

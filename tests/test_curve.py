@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import CurveEquation, Semigroup, _series, curve, cuspidal_sets
-from cuspidal.curve import (CuspidalSets, NotAdapted, Parametrization, _leading_solution, _scaled_equation,
-                            _solve_branch, newton_puiseux)
+from cuspidal.curve import (CuspidalSets, NoSolution, NotAdapted, Parametrization, _leading_solution,
+                            _scaled_equation, _solve_branch, newton_puiseux)
 from cuspidal.differentials import OneForm, delorme, oracle_differential_value
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
-from cusp_testkit import CORPUS, coprime_pairs, count_calls
+from cusp_testkit import (CORPUS, coprime_pairs, count_calls, reference_scaled_equation,
+                          reference_solve_branch)
 
 
 @pytest.mark.parametrize("n,m", [(4, 8), (6, 9), (1, 5), (5, 5), (7, 3)])
@@ -300,6 +301,74 @@ def test_branch_is_exact_and_integral(eq):
         vk = param.y[k] * param.scale ** (k - m) / param.c0
         assert vk.denominator == 1
         assert vk == v[k]
+
+
+_COEFF = st.builds(Rat, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def _branch_curves(draw):
+    """A nice curve with a random support, or an adapted one: mu in
+    {2, -3, 2/3, -5/7}, up to five terms between nm and 2nm, and one of
+    y-degree above n, as in adapted-4-5-y5-x6."""
+    n, m = draw(st.sampled_from(coprime_pairs(range(2, 7), 11)))
+    sg = Semigroup(n, m)
+    if draw(st.booleans()):
+        J = sg.sets.J
+        return CurveEquation.nice(sg, draw(st.dictionaries(st.sampled_from(J), _COEFF))
+                                  if J else {})
+    window = [(a, b) for a in range(2 * m + 1) for b in range(2 * n + 1)
+              if n * m < n * a + m * b <= 2 * n * m]
+    terms = {(m, 0): draw(st.sampled_from([Rat(2), Rat(-3), Rat(2, 3), Rat(-5, 7)])),
+             (0, n): Rat(1)}
+    terms.update(draw(st.dictionaries(st.sampled_from(window), _COEFF, max_size=5)))
+    terms[draw(st.sampled_from([(a, b) for a, b in window if b > n]))] = draw(_COEFF)
+    return CurveEquation(sg, TruncatedPoly(sg.order, sg.branch_horizon, terms))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_branch_curves())
+def test_branch_equals_the_reference_solve(eq):
+    """At nm, H_Delta and 2nm, the scaled equation and the branch equal
+    those of the references (``cusp_testkit``), which take every step
+    k = m+1..window on a table through s^work and check the residual on
+    powers rebuilt through s^work: the scale, H's terms, the power table
+    and y, bit for bit.  (xi, c0) solves mu * xi^m + c0^n = 0."""
+    sg = eq.sg
+    n, m, nm = sg.n, sg.m, sg.n * sg.m
+    xi, c0 = _leading_solution(n, m, eq.mu)
+    assert eq.mu * xi ** m + c0 ** n == 0
+    for h in sorted({nm, sg.delorme_horizon, sg.branch_horizon}):
+        f = eq.f.truncated(h)
+        scale, terms = reference_scaled_equation(f, xi, c0)
+        assert _scaled_equation(f, xi, c0) == (scale, terms)
+        powers = tuple(reference_solve_branch(n, m, terms, h - nm + n + m))
+        param = newton_puiseux(eq, h)
+        assert (param.x_coeff, param.c0, param.scale, param.powers) == (xi, c0, scale, powers)
+        assert param.y == Parametrization(n, m, xi, c0, scale, powers).y
+
+
+@pytest.mark.parametrize("case", ["4-9", "5-7", "6-7", "adapted-4-5-mu2"])
+def test_branch_check_does_not_trust_the_recursion(monkeypatch, case):
+    """The residual check rebuilds the powers from v alone.  The last
+    product the recursion takes is one of the entry of v^n that its last
+    step reads; off by n, it moves P_k by n, and v's last coefficient by
+    one, and the solve raises NoSolution.  A check on the recursion's own
+    table would pass, since each step zeroes a coefficient of H against
+    that table."""
+    eq = BRANCH_CASES[BRANCH_IDS.index(case)]
+    products = []
+
+    def product(a, b):
+        products.append(None)
+        return a * b
+
+    monkeypatch.setattr(curve, "mul", product)
+    newton_puiseux(eq)
+    last, products[:] = len(products), []
+    monkeypatch.setattr(curve, "mul", lambda a, b: product(a, b) + eq.sg.n * (len(products) == last))
+    with pytest.raises(NoSolution, match="residual does not vanish"):
+        newton_puiseux(eq)
 
 
 @pytest.mark.parametrize("eq", BRANCH_CASES, ids=BRANCH_IDS)

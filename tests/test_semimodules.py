@@ -72,6 +72,16 @@ def test_elements_outside():
     assert elements_outside(AbstractSemimodule(SG49, (4, 9))) == ()
 
 
+def test_equal_semimodules_share_one_outside_tuple():
+    """Lambda \\ Gamma is computed once per semimodule: two equal
+    semimodules built apart, as verify builds Lambda and its first three
+    basis elements, read the same tuple."""
+    basis = (4, 9, 14, 19)
+    first = elements_outside(AbstractSemimodule(SG49, basis))
+    assert elements_outside(AbstractSemimodule(SG49, list(basis))) is first
+    assert elements_outside(AbstractSemimodule(SG49, basis[:3])) is not first
+
+
 def _outside_by_membership(sm) -> tuple:
     """Lambda \\ Gamma by its definition: every k below n + c that lies in
     Lambda and not in Gamma."""

@@ -1,6 +1,8 @@
 """The text format for describing a cusp to the command-line tool."""
 from __future__ import annotations
 
+import re
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -14,6 +16,7 @@ from cuspidal.specfile import (
     InvalidPair,
     ParseError,
     SpecError,
+    _rational,
     parse_spec,
 )
 
@@ -272,3 +275,27 @@ def test_spec_goes_straight_to_numerators(text):
     want = TruncatedPoly(sg.order, sg.branch_horizon, table)
     assert list(f.terms.items()) == list(want.terms.items())
     assert f.den == want.den
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 6)),
+    st.text(alphabet="0123456789-+/_.e\uff11", max_size=7)))
+def test_rational_reads_a_token_as_fraction_does(text):
+    """``_rational`` reads a token of ASCII decimal digits (with an
+    optional ``-``) by ``int``, and p/q of such digits by ``int`` on each
+    side; every token has the value of ``Fraction(text)``, and one that
+    ``Fraction`` refuses, ``1/0`` among them, raises ``ParseError`` naming
+    it.  A token with ``_`` or non-ASCII digits goes to ``Fraction``, whose
+    reading of it differs between Python versions."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError) as info:
+            _rational(text, 7)
+        assert str(info.value) == f"line 7: expected a rational, got {text!r}"
+        return
+    got = _rational(text, 7)
+    assert got == want
+    assert (type(got) is int) == bool(re.fullmatch("-?[0-9]+", text))
+    assert type(got) in (int, Fraction)

@@ -558,8 +558,8 @@ def zariski_condition_check(eq: CurveEquation, values: AbstractSemimodule) -> Za
     _check_semimodule(eq, values)
     sg = eq.sg
     n, m = sg.n, sg.m
-    z = eq.nice_coeffs
-    j1 = min(z) if z else None
+    parts = eq.delta_parts  # the nonzero z_l, l ascending
+    j1 = parts[0][0] if parts else None
 
     basis = values.basis
     lambda1 = basis[2] if len(basis) > 2 else None

@@ -187,8 +187,15 @@ def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
     # the branch is solved at that horizon and no higher.
     param = newton_puiseux(eq, sg.delorme_horizon)
 
-    agree = all(oracle_differential_value(w, param) == lam
-                for w, lam in zip(diff.forms, vals.basis))
+    # One oracle read per form: dx, dy and the trail, whose last form of
+    # each completed round is that round's basis form.
+    trail = diff.trail
+    read = [oracle_differential_value(w, param) for w in (*diff.forms[:2], *trail)]
+    at, basis_read = 1, read[:2]
+    for _, steps in diff.rounds:
+        at += 1 + len(steps)
+        basis_read.append(read[at])
+    agree = basis_read == list(vals.basis)
     data["oracle_basis_forms"] = "ok" if agree else "FAIL"
     ok &= agree
 
@@ -196,9 +203,8 @@ def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
     if n == 2:
         data["oracle_delorme_forms"] = "skipped (n = 2: Delorme runs no round)"
     else:
-        trail = diff.trail
-        mismatches = sum(differential_value(w, eq) != oracle_differential_value(w, param)
-                         for w in trail)
+        mismatches = sum(differential_value(w, eq) != value
+                         for w, value in zip(trail, read[2:]))
         data["oracle_delorme_forms"] = (f"ok {len(trail)}/{len(trail)}" if not mismatches
                                         else f"FAIL {mismatches}/{len(trail)}")
         ok &= not mismatches

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .curve import CurveEquation, Parametrization, Semigroup
 from .poly import Exponent, TruncatedPoly
@@ -27,7 +27,11 @@ class ValueMismatch(ValueError):
 
 @dataclass(frozen=True)
 class OneForm:
-    """omega = dx_coeff * dx + dy_coeff * dy with polynomial coefficients."""
+    """omega = dx_coeff * dx + dy_coeff * dy with polynomial coefficients.
+
+    ``basic``, ``mul_monomial`` and ``__add__`` are the plain
+    ``TruncatedPoly`` route, against which the tests compare the one-pass
+    forms of ``DifferentialBasis``."""
 
     dx: TruncatedPoly
     dy: TruncatedPoly
@@ -57,11 +61,43 @@ class OneForm:
                        self.dy.mul_monomial(coeff, shift))
 
 
+def _ascending(p: TruncatedPoly) -> tuple:
+    """Every term of p as (key, numerator), ascending: the leading term and
+    ``tail``, which ``p`` caches."""
+    return p.tail if p.lead is None else ((p.lead, p.terms[p.lead]),) + p.tail
+
+
 def apply_vector_field(omega: OneForm, eq: CurveEquation) -> TruncatedPoly:
-    """X_omega(f) = dy_coeff * f_x - dx_coeff * f_y, from the equation's cached
-    partials."""
+    """X_omega(f) = B * f_x - A * f_y for omega = A dx + B dy, from the
+    equation's cached partials, in one pass: the numerators over
+    lcm(A.den, B.den) * f.den, cut at the smallest horizon of A, B and the
+    partials.  That is the ``TruncatedPoly`` of the two products and the
+    difference (``__mul__``, ``__sub__``), term for term, with the same
+    denominator."""
     fx, fy = eq.partials
-    return omega.dy * fx - omega.dx * fy
+    a_side, b_side = omega.dx, omega.dy
+    order = fx.order
+    if a_side.order != order or b_side.order != order:
+        raise ValueError("operands use different weighted orders")
+    h = min(a_side.horizon, b_side.horizon, fx.horizon, fy.horizon)
+    den = lcm(a_side.den, b_side.den)
+    out: dict = {}
+    get = out.get
+    for side, partial, scale in ((b_side, fx, den // b_side.den),
+                                 (a_side, fy, -(den // a_side.den))):
+        terms = _ascending(partial)
+        for (d1, a1), c1 in side.terms.items():
+            c1 *= scale
+            room = h - d1
+            for (d2, a2), c2 in terms:
+                if d2 > room:
+                    break
+                k = (d1 + d2, a1 + a2)
+                if v := get(k, 0) + c1 * c2:
+                    out[k] = v
+                else:
+                    del out[k]
+    return TruncatedPoly._raw(order, h, out, den * fx.den)
 
 
 def _value_of_power(sg: Semigroup, e: Exponent) -> int:
@@ -172,6 +208,28 @@ def _lifted(g: TruncatedPoly, shift: Exponent, degree: int, horizon: int) -> dic
     return {(d + degree, a + da): c for (d, a), c in g.terms.items() if d + degree <= horizon}
 
 
+def _add_shifted(p: TruncatedPoly, mu: Rat, q: TruncatedPoly, da: int, degree: int,
+                 horizon: int) -> tuple:
+    """(numerators, denominator) of p + mu * x^s * q cut at ``horizon``, x^s
+    of x-exponent ``da`` and weighted degree ``degree``, over
+    lcm(p.den, den(mu) * q.den); mu is nonzero.  p's terms come first, in
+    their order, as in ``TruncatedPoly.__add__``."""
+    qden = mu.denominator * q.den
+    den = lcm(p.den, qden)
+    sp, sq = den // p.den, mu.numerator * (den // qden)
+    out = {k: c * sp for k, c in p.terms.items()} if sp != 1 else dict(p.terms)
+    get = out.get
+    for (d, a), c in q.terms.items():
+        d += degree
+        if d <= horizon:
+            k = (d, a + da)
+            if v := get(k, 0) + sq * c:
+                out[k] = v
+            else:
+                del out[k]
+    return out, den
+
+
 def _reduce_by_f(g: dict, den: int, tail: tuple, fden: int, n: int, nm: int,
                  horizon: int) -> tuple:
     """Reduce g/den modulo f, the numerators g in place; return (lead, den):
@@ -235,15 +293,32 @@ class DifferentialBasis:
     @cached_property
     def _replay(self) -> tuple:
         """(forms, trail), replayed from ``rounds`` and ``ended`` on the first
-        read: the same operations in the same order as ``delorme`` would take."""
-        zero = TruncatedPoly.zero(self.values.sg.order, self.reductions[0].horizon)
-        forms = [OneForm.basic(zero, "dx"), OneForm.basic(zero, "dy")]
+        read: the same operations in the same order as ``delorme`` would
+        take.  Each form is built in one pass per component, straight to
+        its numerators: a lift x^s * eta keeps eta's denominator
+        (``_lifted``), and a step eta + mu * x^s * omega_j sets each
+        component over lcm(den_eta, den(mu) * den_omega).  That is the form
+        of ``OneForm.mul_monomial`` and ``OneForm.__add__``, term for term,
+        with the same denominators.  The last form of each completed round
+        is its basis form, the one object in both tuples."""
+        order = self.values.sg.order
+        h = self.reductions[0].horizon
+
+        def form(dx: dict, dx_den: int, dy: dict, dy_den: int) -> OneForm:
+            return OneForm(TruncatedPoly._raw(order, h, dx, dx_den),
+                           TruncatedPoly._raw(order, h, dy, dy_den))
+
+        forms = [form({(0, 0): 1}, 1, {}, 1), form({}, 1, {(0, 0): 1}, 1)]
         trail = []
         for lift, steps in self.rounds + ((self.ended,) if self.ended else ()):
-            eta = forms[-1].mul_monomial(1, lift)
+            w, degree = forms[-1], order.degree(lift)
+            eta = form(_lifted(w.dx, lift, degree, h), w.dx.den,
+                       _lifted(w.dy, lift, degree, h), w.dy.den)
             trail.append(eta)
             for j, mu, shift in steps:
-                eta = eta + forms[j].mul_monomial(mu, shift)
+                w, degree = forms[j], order.degree(shift)
+                eta = form(*_add_shifted(eta.dx, mu, w.dx, shift[0], degree, h),
+                           *_add_shifted(eta.dy, mu, w.dy, shift[0], degree, h))
                 trail.append(eta)
             forms.append(eta)
         return tuple(forms[:2 + len(self.rounds)]), tuple(trail)

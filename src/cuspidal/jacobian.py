@@ -4,14 +4,15 @@ The minimal standard basis comes for free from the differential machinery:
 the final reductions h_i attached to the minimal basis 1-forms are exactly a
 minimal standard basis of the ideal, and ``DifferentialBasis`` checks that
 their leading powers encode the semimodule of differential values.  A direct
-Buchberger run over {f, f_x, f_y}, at its own proven horizon (see
-``jacobian_basis_direct``), provides the independent cross-check, and the
-codimension formula turns the leading powers into the Tjurina number.
-Both routes stay on integers from f to the leading powers: the generators
-are differentiated exactly on f's integer numerators
-(``jacobian_generators``), and Buchberger's run is fraction-free, so its
-polynomials are positive integer multiples of those of the same run with
-rational steps, with the same leading powers.
+Buchberger run over {g, f_x, f_y}, where g = nm*f - n*x*f_x - m*y*f_y is
+Euler's combination (the same ideal, see ``jacobian_generators``), at its
+own proven horizon (see ``jacobian_basis_direct``), provides the
+independent cross-check, and the codimension formula turns the leading
+powers into the Tjurina number.  Both routes stay on integers from f to
+the leading powers: the generators are read exactly off f's integer
+numerators, and Buchberger's run is fraction-free, so its polynomials are
+positive integer multiples of those of the same run with rational steps,
+with the same leading powers.
 """
 from __future__ import annotations
 
@@ -37,14 +38,29 @@ def jacobian_basis_via_differentials(eq: CurveEquation,
 
 
 def jacobian_generators(eq: CurveEquation, horizon: int) -> list[TruncatedPoly]:
-    """f, f_x and f_y cut at ``horizon``, integer numerators over ``f.den``,
-    differentiated exactly (``TruncatedPoly.partials``).  ``truncated`` and
-    ``partials`` refuse a horizon above f's."""
-    return [eq.f.truncated(horizon), *eq.f.partials(horizon)]
+    """g, f_x and f_y cut at ``horizon``, integer numerators over ``f.den``,
+    with f_x and f_y differentiated exactly (``TruncatedPoly.partials``,
+    which refuses a horizon above f's).
+
+    g = nm*f - n*x*f_x - m*y*f_y is Euler's relation for the
+    quasi-homogeneous part mu*x^m + y^n: a term c*x^a*y^b of weighted
+    degree d = na + mb becomes (nm - d)*c*x^a*y^b, so the terms of degree
+    nm cancel, and g = 0 on the bare curve.  g measures how far f is from
+    quasi-homogeneous (Saito, "Quasihomogene isolierte Singularitaeten von
+    Hyperflaechen", Invent. Math. 14, 1971).  Since nm != 0, f = (g + n*x*f_x
+    + m*y*f_y)/nm, so (g, f_x, f_y) = (f, f_x, f_y).
+    """
+    f = eq.f
+    fx, fy = f.partials(horizon)
+    nm = eq.sg.n * eq.sg.m
+    g = TruncatedPoly._raw(f.order, horizon, {
+        (d, a): (nm - d) * c for (d, a), c in f.terms.items() if d != nm and d <= horizon}, f.den)
+    return [g, fx, fy]
 
 
 def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
-    """Buchberger over the generators {f, f_x, f_y}, cut at the proven
+    """Buchberger over the generators {g, f_x, f_y} of ``jacobian_generators``,
+    which span I = (f, f_x, f_y), cut at the proven
     horizon H_J = max(D, nm - n) (``Semigroup.jacobian_horizon``), which
     is D = 2nm - 2n - 2m for n >= 3 and 2m - 2 for n = 2.
 
@@ -57,6 +73,11 @@ def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
       I = (f, f_x, f_y).  f is the stored polynomial and f_x, f_y are its
       exact derivatives, so cutting them at H <= 2nm changes only terms
       that m_{>H} absorbs.
+    - g = nm*f - n*x*f_x - m*y*f_y spans I with f_x and f_y, since nm != 0.
+      Each term of g keeps the weighted degree of the term of f it comes
+      from, so cutting at H commutes with forming g: g cut at H is g
+      modulo m_{>H}, and the run returns a standard basis of the same
+      I + m_{>H}.  Everything below holds as for (f, f_x, f_y).
     - Every ``CurveEquation`` is mu*x^m + y^n plus terms of weight > nm, so
       the lowest weighted parts of f_x and f_y are m*mu*x^(m-1) and
       n*y^(n-1), a regular sequence.  By Arnold's theorem on
@@ -83,10 +104,10 @@ def jacobian_basis_direct(eq: CurveEquation) -> StandardBasis:
     its highest monomial of degree <= D, else ``HorizonExhausted``.
 
     The generators come from ``jacobian_generators``, so the whole run is
-    on integers.  The returned polynomials have integer coefficients of
-    content 1 over the denominator 1: each is a positive multiple of the
-    basis element that the same run with rational steps returns (see
-    ``buchberger``).
+    on integers; on the bare curve g = 0, and ``buchberger`` drops it.  The
+    returned polynomials have integer coefficients of content 1 over the
+    denominator 1: each is a positive multiple of the basis element that
+    the same run with rational steps returns (see ``buchberger``).
     """
     h = eq.sg.jacobian_horizon
     basis = buchberger(jacobian_generators(eq, h))
@@ -99,11 +120,13 @@ def check_jacobian_staircase(basis: StandardBasis, sg: Semigroup) -> None:
     and its highest monomial has weighted degree <= D = ``sg.hessian_degree``.
 
     With leading powers (a_i, b_i) sorted by increasing a, the outer
-    corners of the staircase are (a_i - 1, b_{i-1} - 1).
+    corners of the staircase are (a_i - 1, b_{i-1} - 1).  It is finite iff
+    a_1 = 0 and b_j = 0 (``codimension``), which ``tjurina_number`` then
+    counts.
     """
-    if codimension(basis) is None:
-        raise HorizonExhausted("the Jacobian staircase is infinite")
     lps = basis.leading_powers
+    if lps[0][0] or lps[-1][1]:
+        raise HorizonExhausted("the Jacobian staircase is infinite")
     top = max((sg.order.degree((a - 1, b - 1)) for (_, b), (a, _) in zip(lps, lps[1:])),
               default=-1)
     if top > sg.hessian_degree:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -96,6 +97,14 @@ def final_reduction(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> FinalRe
     return FinalReduction(g)
 
 
+def _lcm_key(k1: tuple, k2: tuple, n: int, m: int) -> tuple:
+    """The key (weighted degree, x-exponent) of the lcm of the monomials
+    of the keys k1 and k2 in the order of weights (n, m)."""
+    (d1, a1), (d2, a2) = k1, k2
+    la = max(a1, a2)
+    return n * la + m * max((d1 - n * a1) // m, (d2 - n * a2) // m), la
+
+
 def s_process_min(g1: TruncatedPoly, g2: TruncatedPoly) -> TruncatedPoly:
     """Minimal S-process: cancel the leading terms over lcm(lp(g1), lp(g2)).
 
@@ -107,13 +116,11 @@ def s_process_min(g1: TruncatedPoly, g2: TruncatedPoly) -> TruncatedPoly:
     """
     if g1.lead is None or g2.lead is None:
         raise ValueError("S-process needs nonzero polynomials")
-    n, m = g1.order.n, g1.order.m
     (d1, a1), (d2, a2) = g1.lead, g2.lead
     c1, c2 = g1.terms[g1.lead], g2.terms[g2.lead]
     g = gcd(c1, c2)
     p, q = (c2 // g, c1 // g) if c2 > 0 else (-c2 // g, -c1 // g)
-    la = max(a1, a2)
-    ld = n * la + m * max((d1 - n * a1) // m, (d2 - n * a2) // m)
+    ld, la = _lcm_key(g1.lead, g2.lead, g1.order.n, g1.order.m)
     h = min(g1.horizon, g2.horizon)
     r = {}
     _subtract_shifted(r, -p, g1.tail, ld - d1, la - a1, h)
@@ -134,8 +141,8 @@ class StandardBasis:
     polys: tuple[TruncatedPoly, ...]
 
     def __post_init__(self) -> None:
-        lps = [p.leading_power for p in self.polys]
-        if any(lp is None for lp in lps):
+        lps = self.leading_powers
+        if None in lps:
             raise ValueError("zero polynomial in a standard basis")
         for i, e1 in enumerate(lps):
             for j, e2 in enumerate(lps):
@@ -144,8 +151,9 @@ class StandardBasis:
         if [lp[0] for lp in lps] != sorted(lp[0] for lp in lps):
             raise ValueError("basis not sorted by increasing x-exponent")
 
-    @property
+    @cached_property
     def leading_powers(self) -> tuple[Exponent, ...]:
+        """Built on the first read, which ``__post_init__`` makes."""
         return tuple(p.leading_power for p in self.polys)
 
 
@@ -153,8 +161,12 @@ def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     """Standard basis of the ideal generated by ``gens``, valid below the horizon.
 
     FIFO processing of S-process pairs; a final reduction that vanishes to the
-    horizon counts as membership.  The result is post-processed to minimality
-    by discarding generators whose leading power is divisible by another's.
+    horizon counts as membership.  A pair whose leading powers have their
+    lcm above the horizon is passed by: every term of a tail has at least
+    its leading degree, so every term of the S-process has at least the
+    lcm's degree, and the S-process is 0 at the horizon.  The result is
+    post-processed to minimality by discarding generators whose leading
+    power is divisible by another's.
     The generators must share one horizon: then every new generator, a
     remainder at that horizon, leads at or below it.
 
@@ -174,10 +186,14 @@ def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     basis = [g.primitive() for g in gens if g.terms]
     if not basis:
         raise ValueError("no nonzero generators")
+    (h,) = horizons
+    n, m = basis[0].order.n, basis[0].order.m
     queue: deque[tuple[int, int]] = deque(
         (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while queue:
         i, j = queue.popleft()
+        if _lcm_key(basis[i].lead, basis[j].lead, n, m)[0] > h:
+            continue
         red = final_reduction(s_process_min(basis[i], basis[j]), basis)
         if red.vanished:
             continue

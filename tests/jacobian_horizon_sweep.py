@@ -5,8 +5,10 @@ For every coprime pair with 3 <= n <= max_n and m <= max_m it draws the
 bare curve x^m + y^n, two nice curves at z-density 0.3, two at density 1
 and three adapted curves with mu != 1, and checks on each:
 
-- ``jacobian_basis_direct`` (Buchberger at H_J) has the leading powers of
-  Buchberger at f's own horizon 2nm;
+- ``jacobian_basis_direct`` (Buchberger on the Euler generators
+  (g, f_x, f_y) at H_J) has the leading powers of Buchberger on the plain
+  (f, f_x, f_y) at f's own horizon 2nm, so the sweep checks the generator
+  g as well as H_J;
 - its Tjurina number is c - #(Lambda \\ Gamma), with Lambda from ``delorme``
   (Hefez-Hernandes).
 
@@ -59,7 +61,7 @@ def check_curve(eq: CurveEquation) -> Outcome:
     sg = eq.sg
     h = sg.jacobian_horizon
     direct = jacobian_basis_direct(eq)
-    wide = buchberger(jacobian_generators(eq, sg.branch_horizon))
+    wide = buchberger([eq.f, *eq.f.partials(sg.branch_horizon)])
     mismatch = None
     if direct.leading_powers != wide.leading_powers:
         mismatch = f"leading powers {direct.leading_powers} at H_J, {wide.leading_powers} at 2nm"

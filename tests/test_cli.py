@@ -14,14 +14,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import bernstein, cli, curve
+from cuspidal import bernstein, cli, curve, differentials
 from cuspidal.bernstein import RootDecision, decide_root, interval_certificate
 from cuspidal.cli import main
 from cuspidal.curve import _solve_branch, cuspidal_sets, newton_puiseux
-from cuspidal.differentials import OneForm, delorme, monomial_value, oracle_differential_value
+from cuspidal.differentials import delorme, monomial_value, oracle_differential_value
 from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.specfile import parse_spec
-from cuspidal.standard_basis import HorizonExhausted
+from cuspidal.standard_basis import HorizonExhausted, StandardBasis, codimension
 import cli_identity
 from cusp_testkit import count_calls, nice_curves
 
@@ -372,6 +372,51 @@ def test_direct_jacobian_basis_built_once(capsys, monkeypatch, spec49, command):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["jacobian", "verify"])
+def test_tjurina_and_leading_powers_once_per_basis(capsys, monkeypatch, spec49, command):
+    """tau is counted once per request (``codimension``), and each
+    ``StandardBasis`` builds its leading powers once, on construction; the
+    tuple read is that of a fresh build, and the report, tau = 21 included,
+    is unchanged."""
+    expected = run(capsys, command, "--spec", spec49)
+    codims = count_calls(monkeypatch, codimension)
+    built = []
+    real = StandardBasis.leading_powers.func
+    monkeypatch.setattr(StandardBasis.leading_powers, "func",
+                        lambda basis: built.append(basis) or real(basis))
+    assert run(capsys, command, "--spec", spec49) == expected
+    assert len(codims) == 1
+    assert len(built) == len({id(basis) for basis in built}) >= 2
+    for basis in built:
+        assert basis.leading_powers == tuple(p.leading_power for p in basis.polys)
+        assert basis.leading_powers is basis.leading_powers
+    assert "tjurina = 21\n" in expected[1]
+
+
+@pytest.mark.parametrize("text", [SPEC49, SPEC45, SPEC49_ADAPTED, "n = 2\nm = 7\n",
+                                  "n = 3\nm = 5\n", "n = 4\nm = 7\n",
+                                  "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n"],
+                         ids=["4-9", "4-5", "4-9-adapted", "2-7", "3-5", "4-7", "5-7"])
+def test_verify_reads_the_oracle_once_per_form(monkeypatch, tmp_path, text):
+    """verify reads the oracle 2 + len(trail) times, on dx, dy and each form
+    of the trail in order: a basis form past dx and dy is the last trail
+    form of its round, and its value is read there."""
+    made = []
+    real = cli.delorme
+    monkeypatch.setattr(cli, "delorme", lambda eq: made.append(real(eq)) or made[-1])
+    reads = count_calls(monkeypatch, oracle_differential_value)
+    spec = tmp_path / "curve.spec"
+    spec.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["verify", "--spec", str(spec)]) == 0
+    assert "oracle_basis_forms = ok" in out.getvalue()
+    (diff,) = made
+    forms = (*diff.forms[:2], *diff.trail)
+    assert len(reads) == len(forms) == 2 + len(diff.trail)
+    assert all(args[0] is w for args, w in zip(reads, forms))
+    assert all(any(w is t for t in diff.trail) for w in diff.forms[2:])
+
+
 @pytest.mark.parametrize("text", [SPEC49, "n = 5\nm = 7\nz 4 = 1\nz 11 = -2/3\n"],
                          ids=["4-9", "5-7"])
 def test_verify_solves_one_branch(monkeypatch, text):
@@ -521,20 +566,25 @@ def test_verify_checks_basis_forms_against_their_values(capsys, monkeypatch, spe
 @pytest.mark.parametrize("command", ["bs-roots", "jacobian"])
 def test_forms_are_built_only_when_read(capsys, monkeypatch, spec49, command):
     """bs-roots and jacobian read Delorme's values and h_i but no 1-form, so
-    they do no form arithmetic; delorme prints the forms and does."""
-    calls = []
-    for name in ("mul_monomial", "__add__"):
-        def counted(self, *args, _real=getattr(OneForm, name), _name=name):
-            calls.append(_name)
-            return _real(self, *args)
-        monkeypatch.setattr(OneForm, name, counted)
+    they never replay the run; delorme prints the forms and does, with one
+    ``_add_shifted`` per component of each tuning step."""
+    made, steps = [], []
+    real = cli.delorme
+    monkeypatch.setattr(cli, "delorme", lambda eq: made.append(real(eq)) or made[-1])
+    real_step = differentials._add_shifted
+    monkeypatch.setattr(differentials, "_add_shifted",
+                        lambda *args: steps.append(args) or real_step(*args))
     code, _, _ = run(capsys, command, "--spec", spec49)
     assert code == 0
-    assert calls == []
+    assert len(made) == 1 and "_replay" not in vars(made[0])
+    assert steps == []
     code, out, _ = run(capsys, "delorme", "--spec", spec49)
     assert code == 0
     assert "form_monomial_values = 4 9 13 17" in out
-    assert {"mul_monomial", "__add__"} <= set(calls)
+    diff = made[-1]
+    assert "_replay" in vars(diff)
+    tuned = sum(len(record[1]) for record in diff.rounds + ((diff.ended,) if diff.ended else ()))
+    assert tuned > 0 and len(steps) == 2 * tuned
 
 
 # The options each subcommand declares besides --json, and a value for each

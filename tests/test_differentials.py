@@ -30,8 +30,8 @@ from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, _axis, covered
 from cuspidal.standard_basis import final_reduction, reduce_step
-from cusp_testkit import (CORPUS, FractionPoly, coprime_pairs, curve_draws, fraction_reduction,
-                          random_form)
+from cusp_testkit import (CORPUS, FractionPoly, adapted_curves, coprime_pairs, curve_draws,
+                          fraction_reduction, nice_curves, random_form)
 from branch_window_sweep import check_curve, sweep_curves
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
@@ -318,6 +318,62 @@ def test_trail_values_agree_on_both_routes():
             sg = eq.sg
             last = _last_uncovered(sg, covered(sg, diff.values.basis, sg.conductor))
             assert values[-1] is None or values[-1] > last
+
+
+def _reference_replay(diff: DifferentialBasis) -> tuple:
+    """(forms, trail) by ``OneForm``'s own arithmetic, ``basic``,
+    ``mul_monomial`` and ``__add__``, in the order of the run's record."""
+    zero = TruncatedPoly.zero(diff.values.sg.order, diff.reductions[0].horizon)
+    forms = [OneForm.basic(zero, "dx"), OneForm.basic(zero, "dy")]
+    trail = []
+    for lift, steps in diff.rounds + ((diff.ended,) if diff.ended else ()):
+        eta = forms[-1].mul_monomial(1, lift)
+        trail.append(eta)
+        for j, mu, shift in steps:
+            eta = eta + forms[j].mul_monomial(mu, shift)
+            trail.append(eta)
+        forms.append(eta)
+    return tuple(forms[:2 + len(diff.rounds)]), tuple(trail)
+
+
+def _raw_parts(p: TruncatedPoly) -> tuple:
+    """p term for term: its order, horizon, numerators and denominator."""
+    return p.order, p.horizon, p.terms, p.den
+
+
+def test_replay_and_vector_fields_equal_the_reference_route():
+    """On the bare curve, nice curves at z-densities 0.3 and 1 and an
+    adapted curve of every coprime pair with n <= 7, m <= 13, the replayed
+    forms and trail, and X_omega(f) of each, equal those of ``OneForm``'s
+    arithmetic and ``TruncatedPoly``'s products and difference, term for
+    term and denominator for denominator; each basis form past dx and dy is
+    the last trail form of its round.  So are X_omega(f) of random forms
+    whose two sides are cut at different horizons."""
+    bare = [CurveEquation.nice(Semigroup(n, m)) for n, m in coprime_pairs(range(2, 8), 13)]
+    curves = [*bare, *nice_curves(17, densities=(0.3, 1)), *adapted_curves()]
+    rng = random.Random(17)
+    dens = Counter()
+    for eq in curves:
+        diff = delorme(eq)
+        want_forms, want_trail = _reference_replay(diff)
+        assert (len(diff.forms), len(diff.trail)) == (len(want_forms), len(want_trail))
+        fx, fy = eq.partials
+        for got, want in zip((*diff.forms, *diff.trail), (*want_forms, *want_trail)):
+            for side in ("dx", "dy"):
+                assert _raw_parts(getattr(got, side)) == _raw_parts(getattr(want, side))
+                dens[getattr(got, side).den > 1] += 1
+            assert (_raw_parts(apply_vector_field(got, eq))
+                    == _raw_parts(want.dy * fx - want.dx * fy))
+        at = -1
+        for i, (_, steps) in enumerate(diff.rounds):
+            at += 1 + len(steps)
+            assert diff.forms[2 + i] is diff.trail[at]
+        w = random_form(rng, eq)
+        cut = OneForm(w.dx.truncated(eq.sg.delorme_horizon), w.dy)
+        for form in (w, cut, OneForm(cut.dy, cut.dx)):
+            assert (_raw_parts(apply_vector_field(form, eq))
+                    == _raw_parts(form.dy * fx - form.dx * fy))
+    assert dens[True] > 0 and dens[False] > 0
 
 
 @pytest.mark.parametrize("pair", [(5, 7), (4, 11)])

@@ -204,24 +204,33 @@ def test_jacobian_horizon_sweep():
     assert sum(o.lower_differs for o in outcomes) == 13
 
 
-def test_integer_generators_are_the_truncated_derivatives():
-    """``jacobian_generators`` is exactly f, f_x and f_y cut at the horizon,
-    on nice curves and on adapted ones with mu != 1 and denominators up to
-    97, at H_J, one degree lower and at 2nm; the derivatives are taken here
-    on f's ``coeffs``."""
-    curves = [*nice_curves(5, densities=(0.3, 1)), *adapted_curves()]
+def test_integer_generators_are_euler_and_the_truncated_derivatives():
+    """``jacobian_generators`` is exactly g = nm*f - n*x*f_x - m*y*f_y, f_x
+    and f_y cut at the horizon, on the bare curves, on nice curves and on
+    adapted ones with mu != 1 and denominators up to 97, at H_J, one degree
+    lower and at 2nm; the derivatives and g are formed here on f's
+    ``coeffs``, and g is 0 exactly on the quasi-homogeneous curves."""
+    bare = [CurveEquation.nice(Semigroup(n, m)) for n, m in ((2, 5), (3, 7), (4, 5), (5, 8))]
+    curves = [*bare, *nice_curves(5, densities=(0.3, 1)), *adapted_curves()]
     assert max(c.denominator for eq in curves for c in eq.f.coeffs.values()) == 97
     for eq in curves:
         sg, f = eq.sg, eq.f.coeffs
+        nm = sg.n * sg.m
+        fx = {(a - 1, b): a * c for (a, b), c in f.items() if a}
+        fy = {(a, b - 1): b * c for (a, b), c in f.items() if b}
+        g = {e: nm * c for e, c in f.items()}
+        for (a, b), c in fx.items():
+            g[(a + 1, b)] -= sg.n * c
+        for (a, b), c in fy.items():
+            g[(a, b + 1)] -= sg.m * c
+        g = {e: c for e, c in g.items() if c}
+        assert (g == {}) == (len(f) == 2)
         for h in (sg.jacobian_horizon, sg.jacobian_horizon - 1, sg.branch_horizon):
-            want = [{e: c for e, c in f.items() if sg.order.degree(e) <= h},
-                    {(a - 1, b): a * c for (a, b), c in f.items()
-                     if a and sg.order.degree((a - 1, b)) <= h},
-                    {(a, b - 1): b * c for (a, b), c in f.items()
-                     if b and sg.order.degree((a, b - 1)) <= h}]
+            want = [{e: c for e, c in p.items() if sg.order.degree(e) <= h} for p in (g, fx, fy)]
             gens = jacobian_generators(eq, h)
-            assert [g.horizon for g in gens] == [h] * 3
-            assert [g.coeffs for g in gens] == want
+            assert [p.horizon for p in gens] == [h] * 3
+            assert {p.den for p in gens} == {eq.f.den}
+            assert [p.coeffs for p in gens] == want
     with pytest.raises(ValueError, match="cannot raise"):
         jacobian_generators(EQ45, EQ45.sg.branch_horizon + 1)
 

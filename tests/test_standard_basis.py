@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import CurveEquation, Semigroup
+from cuspidal.jacobian import jacobian_generators
 from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
 from cuspidal.rationals import Rat
 from cuspidal.standard_basis import (
     StandardBasis,
+    _lcm_key,
     buchberger,
     codimension,
     final_reduction,
@@ -195,15 +197,43 @@ def _jacobian_generators(eq):
 
 
 def test_buchberger_matches_the_reference_on_jacobian_generators():
-    """(f, f_x, f_y) at H_J for every coprime pair with n <= 7, m <= 13: the
-    bare curve, nice curves at z-densities 0.3 and 1, and adapted curves
-    with mu != 1 and denominators up to 97."""
+    """(f, f_x, f_y) and the Euler generators (g, f_x, f_y) of
+    ``jacobian_generators`` at H_J for every coprime pair with n <= 7,
+    m <= 13: the bare curve, nice curves at z-densities 0.3 and 1, and
+    adapted curves with mu != 1 and denominators up to 97.  Both runs match
+    the reference, and both have the same leading powers; g vanishes at H_J
+    exactly when f has no term of degree in (nm, H_J], as on the bare
+    curves."""
     bare = [CurveEquation.nice(Semigroup(n, m)) for n, m in coprime_pairs(range(2, 8), 13)]
     adapted = list(adapted_curves())
     assert all(eq.mu != 1 for eq in adapted)
     assert max(c.denominator for eq in adapted for c in eq.f.coeffs.values()) == 97
     for eq in [*bare, *nice_curves(28, densities=(0.3, 1)), *adapted]:
-        _assert_matches_reference(_jacobian_generators(eq))
+        plain = _jacobian_generators(eq)
+        euler = jacobian_generators(eq, eq.sg.jacobian_horizon)
+        _assert_matches_reference(plain)
+        _assert_matches_reference(euler)
+        assert buchberger(euler).leading_powers == buchberger(plain).leading_powers
+        h, nm = eq.sg.jacobian_horizon, eq.sg.n * eq.sg.m
+        assert euler[0].is_zero == all(d == nm or d > h for d, _ in eq.f.terms)
+
+
+def test_pairs_with_lcm_above_the_horizon_have_a_zero_s_process():
+    """``buchberger`` passes by a pair whose leading powers have their lcm
+    above the horizon; on the Euler generators of the curves above, the
+    S-process of every such pair is 0, and most pairs are such pairs."""
+    skipped = kept = 0
+    for eq in [*nice_curves(28, densities=(0.3, 1)), *adapted_curves()]:
+        gens = [g.primitive() for g in jacobian_generators(eq, eq.sg.jacobian_horizon) if g.terms]
+        n, m, h = eq.sg.n, eq.sg.m, eq.sg.jacobian_horizon
+        for i, g1 in enumerate(gens):
+            for g2 in gens[i + 1:]:
+                if _lcm_key(g1.lead, g2.lead, n, m)[0] > h:
+                    skipped += 1
+                    assert s_process_min(g1, g2).is_zero
+                else:
+                    kept += 1
+    assert skipped > kept > 0
 
 
 @st.composite

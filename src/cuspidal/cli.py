@@ -294,11 +294,7 @@ def _coeff_str(coeffs: dict) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as a ParseError, so that ``main`` reports it on
-    one line like any other bad input; the subparsers inherit the class.
-    ``subcommands`` maps each subcommand's name to its parser on the
-    top-level parser, and is empty on the others."""
-
-    subcommands: dict = {}
+    one line like any other bad input; the subparsers inherit the class."""
 
     def error(self, message: str):
         raise ParseError(message)
@@ -315,6 +311,51 @@ def _seed(text: str) -> int:
     return value
 
 
+# name -> (help line, handler), in the order of the top-level help; a
+# handler maps the parsed arguments to (report, ok).
+_SUBCOMMANDS = {
+    "semigroup": ("semigroup facts: conductor and gaps",
+                  lambda args: (cmd_semigroup(_load_curve(args)), True)),
+    "cuspidal-sets": ("the exponent sets P, J, M",
+                      lambda args: (cmd_cuspidal_sets(_load_curve(args)), True)),
+    "delorme": ("minimal standard basis of differential values",
+                lambda args: (cmd_delorme(_load_curve(args)), True)),
+    "bs-roots": ("certified Bernstein-Sato roots and per-gap verdicts",
+                 lambda args: (cmd_bs_roots(_load_curve(args)), True)),
+    "residue": ("one residue as an exact Gamma expression",
+                lambda args: (cmd_residue(_load_curve(args), args.j, _parse_ab(args.ab)), True)),
+    "jacobian": ("Jacobian ideal standard basis and Tjurina number",
+                 lambda args: (cmd_jacobian(_load_curve(args)), True)),
+    "enumerate": ("all increasing semimodules of the pair",
+                  lambda args: (cmd_enumerate(_load_curve(args), args.max_m), True)),
+    "verify": ("full consistency battery for one curve",
+               lambda args: cmd_verify(_load_curve(args))),
+    "conjecture-scan": ("random curves with n >= 5: check every semimodule value "
+                        "certifies a root",
+                        lambda args: cmd_conjecture_scan(args.seed, args.max_m)),
+}
+
+
+def _declare(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give p, the parser of subcommand ``name``, its handler, --json and
+    only the options its pipeline reads."""
+    p.set_defaults(handler=_SUBCOMMANDS[name][1])
+    if name != "conjecture-scan":
+        p.add_argument("--spec", help="path to a curve spec file")
+    p.add_argument("--json", action="store_true", help="emit JSON instead of key=value lines")
+    if name == "residue":
+        p.add_argument("--j", type=int, required=True, help="gap value in J")
+        p.add_argument("--ab", required=True, help="test exponent a,b (non-negative)")
+    elif name == "enumerate":
+        p.add_argument("--max-m", type=int, dest="max_m",
+                       help="summarize counts for every coprime m up to this bound")
+    elif name == "conjecture-scan":
+        p.add_argument("--seed", type=_seed, default=0, help="random seed for the curves")
+        p.add_argument("--max-m", type=int, dest="max_m", default=9,
+                       help="largest m (and bound for n) in the scan")
+    return p
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # No prefix matching: an abbreviation such as --j for --json would read
@@ -324,45 +365,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of plane cusp singularities: semigroup "
                     "data, differential values, and certified Bernstein-Sato roots.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, handler, spec: bool = True) -> argparse.ArgumentParser:
-        """A subcommand with --json and only the options its pipeline reads;
-        ``handler`` maps its parsed arguments to (report, ok)."""
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(handler=handler)
-        if spec:
-            p.add_argument("--spec", help="path to a curve spec file")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of key=value lines")
-        return p
-
-    add("semigroup", "semigroup facts: conductor and gaps",
-        lambda args: (cmd_semigroup(_load_curve(args)), True))
-    add("cuspidal-sets", "the exponent sets P, J, M",
-        lambda args: (cmd_cuspidal_sets(_load_curve(args)), True))
-    add("delorme", "minimal standard basis of differential values",
-        lambda args: (cmd_delorme(_load_curve(args)), True))
-    add("bs-roots", "certified Bernstein-Sato roots and per-gap verdicts",
-        lambda args: (cmd_bs_roots(_load_curve(args)), True))
-    p = add("residue", "one residue as an exact Gamma expression",
-            lambda args: (cmd_residue(_load_curve(args), args.j, _parse_ab(args.ab)), True))
-    p.add_argument("--j", type=int, required=True, help="gap value in J")
-    p.add_argument("--ab", required=True, help="test exponent a,b (non-negative)")
-    add("jacobian", "Jacobian ideal standard basis and Tjurina number",
-        lambda args: (cmd_jacobian(_load_curve(args)), True))
-    p = add("enumerate", "all increasing semimodules of the pair",
-            lambda args: (cmd_enumerate(_load_curve(args), args.max_m), True))
-    p.add_argument("--max-m", type=int, dest="max_m",
-                   help="summarize counts for every coprime m up to this bound")
-    add("verify", "full consistency battery for one curve",
-        lambda args: cmd_verify(_load_curve(args)))
-    p = add("conjecture-scan", "random curves with n >= 5: check every semimodule value "
-            "certifies a root", lambda args: cmd_conjecture_scan(args.seed, args.max_m),
-            spec=False)
-    p.add_argument("--seed", type=_seed, default=0, help="random seed for the curves")
-    p.add_argument("--max-m", type=int, dest="max_m", default=9,
-                   help="largest m (and bound for n) in the scan")
-    parser.subcommands = sub.choices
+    for name, (help_text, _) in _SUBCOMMANDS.items():
+        _declare(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
     return parser
+
+
+@functools.cache
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name`` alone: the one that
+    ``_build_parser`` adds under the top-level parser, with the same prog,
+    so the same usage, help and messages."""
+    return _declare(_Parser(prog=f"cuspidal {name}", allow_abbrev=False), name)
 
 
 def _parse_ab(text: str) -> tuple[int, int]:
@@ -377,16 +390,14 @@ def _parse_ab(text: str) -> tuple[int, int]:
 
 def _parse_args(argv) -> argparse.Namespace:
     """The arguments of ``argv``.  When argv[0] names a subcommand, the rest
-    goes straight to that subcommand's own parser, the one that reads its
-    flags under the top-level parser too; anything else (no argv, an
-    unknown word, a top-level flag) goes through the top-level parser, so
-    usage errors read as they always have."""
-    parser = _build_parser()
+    goes straight to that subcommand's own parser, and only that parser is
+    built (``_subcommand_parser``); anything else (no argv, an unknown
+    word, a top-level flag) goes through the top-level parser, so usage
+    errors read as they always have."""
     argv = sys.argv[1:] if argv is None else argv
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    return sub.parse_args(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _subcommand_parser(argv[0]).parse_args(argv[1:])
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -61,6 +61,11 @@ class Semigroup(metaclass=_OnePerPair):
     is value equality for one instance per pair, so every cache keyed by a
     pair (``bernstein._root_plans``, ``differentials._round_plan``) hashes
     it without a Python call.
+
+    Gamma is held one way, as the bitset ``mask`` of its elements below
+    n + c: membership and the gaps read its bits, and every lambda + Gamma
+    of ``semimodules`` is a shift of it.  ``decompose`` gives the exponent
+    (a, b) of an element, where a caller needs more than membership.
     """
 
     n: int
@@ -121,29 +126,23 @@ class Semigroup(metaclass=_OnePerPair):
         return 2 * self.n * self.m
 
     @cached_property
-    def _gap_set(self) -> frozenset:
-        return frozenset(k for k in range(self.conductor) if self.decompose(k) is None)
+    def mask(self) -> int:
+        """Gamma below n + c as a bitset (``sums_bitset``): bit k is set iff
+        k is in Gamma, for 0 <= k < n + c.  Every k >= c is in Gamma, so
+        this is enough for each lambda + Gamma below n + c
+        (``semimodules.covered``)."""
+        return sums_bitset((self.n, self.m), self.n + self.conductor - 1)
 
     @cached_property
     def _m_inverse(self) -> int:
         return pow(self.m, -1, self.n)
 
     def __contains__(self, k: int) -> bool:
-        if k < 0:
-            return False
-        if k >= self.conductor:
-            return True
-        return k not in self._gap_set
+        return k >= self.conductor or k >= 0 and self.mask >> k & 1 == 1
 
     def gaps(self) -> tuple:
         """All naturals below the conductor that are not in the semigroup."""
-        return tuple(sorted(self._gap_set))
-
-    @cached_property
-    def elements(self) -> tuple:
-        """The elements below n + c, ascending: enough for every sieve of
-        lambda + Gamma below n + c (``semimodules.covered``)."""
-        return tuple(k for k in range(self.n + self.conductor) if k not in self._gap_set)
+        return tuple(k for k in range(self.conductor) if not self.mask >> k & 1)
 
     @cached_property
     def sets(self) -> "CuspidalSets":

@@ -181,20 +181,24 @@ def _tuning(r1: dict, den1: int, r2: dict, den2: int) -> tuple:
     return Rat(-q * den2, den1 * p), p, q
 
 
-def _last_uncovered(sg: Semigroup, taken: set) -> int:
-    """last: the largest value below the conductor outside ``taken``, the
-    values that the lambda_j + Gamma cover.  No lambda_j is below n, so
+def _last_uncovered(sg: Semigroup, taken: int) -> int:
+    """last: the highest clear bit below the conductor of ``taken``, the
+    bitset of the values that the lambda_j + Gamma cover
+    (``semimodules.covered``).  No lambda_j is below n, so
     n - 1 <= last < c."""
-    return next(k for k in range(sg.conductor - 1, -1, -1) if k not in taken)
+    return (~taken & (1 << sg.conductor) - 1).bit_length() - 1
 
 
 @cache
 def _round_plan(sg: Semigroup, lambdas: tuple) -> tuple:
-    """(last, u, s) of the round that lifts the newest of ``lambdas``: last
-    for the values the lambda_j + Gamma cover (``_last_uncovered``), the
-    axis u of the round and the lift s = decompose(u - lambda_i).  It
-    depends on (n, m) and the lambda prefix alone, so each plan is built
-    once per process and read by every run that reaches it."""
+    """(last, u, s) of the round that lifts the newest of ``lambdas``: last,
+    the highest clear bit of the cover of the lambda_j + Gamma
+    (``covered``, ``_last_uncovered``), the axis u of the round, the lowest
+    common bit of two such covers (``_axis``), both shifts of
+    ``Semigroup.mask``, and the lift s = decompose(u - lambda_i), the one
+    read that needs an exponent.  It depends on (n, m) and the lambda
+    prefix alone, so each plan is built once per process and read by every
+    run that reaches it."""
     i = len(lambdas) - 1
     last = _last_uncovered(sg, covered(sg, lambdas, sg.conductor))
     u = _axis(sg, lambdas, i)
@@ -213,20 +217,15 @@ def _add_shifted(p: TruncatedPoly, mu: Rat, q: TruncatedPoly, da: int, degree: i
     """(numerators, denominator) of p + mu * x^s * q cut at ``horizon``, x^s
     of x-exponent ``da`` and weighted degree ``degree``, over
     lcm(p.den, den(mu) * q.den); mu is nonzero.  p's terms come first, in
-    their order, as in ``TruncatedPoly.__add__``."""
+    their order, as in ``TruncatedPoly.__add__``, and q's are subtracted
+    with the scale -mu * (lcm / (den(mu) * q.den)) by the kernel of the
+    reductions and Delorme's steps (``_subtract_shifted``), over q's
+    ascending terms (``_ascending``)."""
     qden = mu.denominator * q.den
     den = lcm(p.den, qden)
     sp, sq = den // p.den, mu.numerator * (den // qden)
     out = {k: c * sp for k, c in p.terms.items()} if sp != 1 else dict(p.terms)
-    get = out.get
-    for (d, a), c in q.terms.items():
-        d += degree
-        if d <= horizon:
-            k = (d, a + da)
-            if v := get(k, 0) + sq * c:
-                out[k] = v
-            else:
-                del out[k]
+    _subtract_shifted(out, -sq, _ascending(q), degree, da, horizon)
     return out, den
 
 

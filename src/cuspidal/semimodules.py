@@ -8,7 +8,6 @@ increasing semimodule of a given semigroup, and classifies the n = 4 family.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -46,7 +45,7 @@ def _checked_basis(sg: Semigroup, basis: tuple) -> tuple:
         lam = basis[i]
         if lam in sg:
             raise ValueError(f"basis element {lam} lies in the semigroup")
-        if any((lam - prev) in sg for prev in basis[:i]):
+        if _shifts(sg.mask, basis[:i]) >> lam & 1:  # lam < c: a gap
             raise ValueError(f"basis element {lam} is spanned by earlier elements")
     return basis
 
@@ -85,15 +84,25 @@ class AbstractSemimodule:
         return tuple(crit)
 
 
+def _shifts(bits: int, lambdas) -> int:
+    """The union of the shifts bits << lambda over ``lambdas``."""
+    out = 0
+    for lam in lambdas:
+        out |= bits << lam
+    return out
+
+
 def _axis(sg: Semigroup, basis, i: int) -> int:
-    """u_i = min((lambda_{i-1} + Gamma) intersect Lambda_{i-2}) for i >= 1."""
-    lam_prev = basis[i]          # lambda_{i-1} sits at list index i
-    lower = basis[:i]            # the basis of Lambda_{i-2}
-    bound = lam_prev + sg.conductor + sg.n + 1
-    for k in range(lam_prev, bound + 1):
-        if (k - lam_prev) in sg and any((k - lam) in sg for lam in lower):
-            return k
-    raise AssertionError(f"axis u_{i} not found below {bound}")
+    """u_i = min((lambda_{i-1} + Gamma) intersect Lambda_{i-2}) for i >= 1:
+    the lowest common bit of ``mask`` << lambda_{i-1} and the cover of
+    basis[:i], the basis of Lambda_{i-2}.  Both sets hold every value
+    >= lambda_{i-1} + c (Lambda_{i-2} holds n + Gamma, and n <= lambda_{i-1}),
+    so Gamma's ones are extended through lambda_{i-1} + c, where the lowest
+    common bit lies at the latest."""
+    lam_prev, c = basis[i], sg.conductor   # lambda_{i-1} sits at list index i
+    gamma = sg.mask | (1 << (lam_prev + c + 1)) - (1 << c)
+    common = gamma << lam_prev & _shifts(gamma, basis[:i])
+    return (common & -common).bit_length() - 1
 
 
 def enumerate_increasing(sg: Semigroup):
@@ -109,12 +118,10 @@ def enumerate_increasing(sg: Semigroup):
         if len(basis) >= sg.n:  # s = n - 2 reached
             return
         u_next = _axis(sg, basis, len(basis) - 1)
+        spanned = _shifts(sg.mask, basis)
         for lam in gaps:
-            if lam <= u_next:
-                continue
-            if any((lam - prev) in sg for prev in basis):
-                continue
-            extend(basis + (lam,))
+            if lam > u_next and not spanned >> lam & 1:
+                extend(basis + (lam,))
 
     extend((sg.n, sg.m))
     return found
@@ -155,25 +162,27 @@ def classify_four(sm: AbstractSemimodule) -> FourClassification:
     raise Unclassifiable(f"basis {sm.basis} has s = {sm.s} > 2 with n = 4")
 
 
-def covered(sg: Semigroup, lambdas, bound: int) -> set:
+def covered(sg: Semigroup, lambdas, bound: int) -> int:
     """The values below ``bound`` in the union of the lambda + Gamma over
-    ``lambdas`` (each lambda >= 0), sieved from ``sg.elements``; the bound
-    is at most n + c."""
+    ``lambdas`` (each lambda >= 0), as a bitset: the OR of the shifts
+    ``sg.mask`` << lambda, cut at the bound.  ``mask`` holds Gamma below
+    n + c, so the bound is at most n + c."""
     if bound > sg.n + sg.conductor:
         raise ValueError(f"bound {bound} exceeds n + c = {sg.n + sg.conductor}")
-    elements = sg.elements
-    return {lam + g for lam in lambdas for g in elements[:bisect_left(elements, bound - lam)]}
+    return _shifts(sg.mask, lambdas) & (1 << bound) - 1
 
 
 @cache
 def elements_outside(sm: AbstractSemimodule) -> tuple:
     """The sorted finite set Lambda \\ Gamma.  Every element of Lambda is
     positive, and the positive part of Gamma is Lambda_0 = (n + Gamma) u
-    (m + Gamma), so the set is the sieve of the basis elements past (n, m)
-    minus that of (n, m).  Every element is below n + conductor, since
-    n + Gamma holds every k >= n + c.  The set depends on the semimodule
-    alone, (n, m) and its basis, so the tuple is cached per semimodule, as
+    (m + Gamma), so the set is the bits of the cover of the basis elements
+    past (n, m) that the cover of (n, m) lacks (``covered``).  Every
+    element is below n + conductor, since n + Gamma holds every k >= n + c.
+    The set depends on the semimodule alone, (n, m) and its basis, so the
+    tuple is cached per semimodule, as
     ``bernstein.certified_roots_from_semimodule`` is."""
     sg = sm.sg
     bound = sg.n + sg.conductor
-    return tuple(sorted(covered(sg, sm.basis[2:], bound) - covered(sg, sm.basis[:2], bound)))
+    bits = covered(sg, sm.basis[2:], bound) & ~covered(sg, sm.basis[:2], bound)
+    return tuple(k for k in range(bound) if bits >> k & 1)

@@ -739,6 +739,26 @@ def test_argv_outside_a_subcommand_reads_as_the_top_level_parser(capsys, monkeyp
     assert routed[0] in (0, 2)
 
 
+@pytest.mark.parametrize("command", DECLARED)
+@pytest.mark.parametrize("tail", [["-h"], ["--help"], ["--bogus"], ["--json", "stray"],
+                                  ["--spec"], ["--j", "x"], ["--max-m", "x"],
+                                  ["--seed", "-1"], ["--seed", "x"]])
+def test_a_subcommand_alone_reads_as_the_top_level_parser(capsys, monkeypatch, command, tail):
+    """A subcommand's argv builds that subcommand's parser alone, never the
+    top-level one, and its usage errors, help text and exit codes are those
+    of the top-level parser byte for byte: help, an unknown flag, a stray
+    word, a missing or bad value, and residue's missing --j and --ab."""
+    cli._build_parser.cache_clear()
+    cli._subcommand_parser.cache_clear()
+    argv = [command, *tail]
+    routed = run(capsys, *argv)
+    assert cli._build_parser.cache_info().currsize == 0
+    assert cli._subcommand_parser.cache_info().currsize == 1
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+    assert routed == run(capsys, *argv)
+    assert routed[0] in (0, 2)
+
+
 @pytest.mark.parametrize("command,flag", [(command, flag) for command in DECLARED
                                           for flag in SETTINGS
                                           if flag not in DECLARED[command]])

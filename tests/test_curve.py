@@ -87,8 +87,8 @@ def test_conductor_counts_gaps(n, m):
 @pytest.mark.parametrize("n,m", coprime_pairs(range(2, 10), 20))
 def test_membership_matches_brute_force(n, m):
     """k is in Gamma = <n, m> iff k - m*b is a non-negative multiple of n for
-    some b < n; the membership test, the gaps, the elements and decompose
-    all give that answer."""
+    some b < n; the membership test, the gaps, the bits of ``mask`` and
+    decompose all give that answer."""
     sg = Semigroup(n, m)
     c, gaps = sg.conductor, set(sg.gaps())
     for k in range(n + c + m):
@@ -96,8 +96,9 @@ def test_membership_matches_brute_force(n, m):
         assert (k in sg) is want
         assert (k not in gaps) is want
         if k < n + c:
-            assert (k in sg.elements) is want
+            assert (sg.mask >> k & 1 == 1) is want
         assert (sg.decompose(k) is not None) is want
+    assert sg.mask >> (n + c) == 0
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

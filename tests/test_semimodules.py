@@ -4,9 +4,11 @@ from __future__ import annotations
 import pytest
 
 from cuspidal import Semigroup
+from cuspidal.differentials import _last_uncovered
 from cuspidal.semimodules import (
     AbstractSemimodule,
     Unclassifiable,
+    _axis,
     classify_four,
     covered,
     elements_outside,
@@ -90,8 +92,8 @@ def _outside_by_membership(sm) -> tuple:
 
 
 def test_elements_outside_is_the_membership_definition():
-    """The sieve equals the definition on all 543 increasing semimodules of
-    the 31 pairs with 3 <= n <= 8, m <= 13."""
+    """The bitset route equals the definition on all 543 increasing
+    semimodules of the 31 pairs with 3 <= n <= 8, m <= 13."""
     sms = [sm for n, m in coprime_pairs(range(3, 9), 13)
            for sm in enumerate_increasing(Semigroup(n, m))]
     assert len(sms) == 543
@@ -99,10 +101,48 @@ def test_elements_outside_is_the_membership_definition():
         assert elements_outside(sm) == _outside_by_membership(sm)
 
 
+def _gamma_by_definition(sg) -> frozenset:
+    """The elements n*a + m*b (a, b >= 0) of Gamma below 3(n + c), from the
+    generators alone."""
+    top = 3 * (sg.n + sg.conductor)
+    return frozenset(sg.n * a + sg.m * b for a in range(top // sg.n + 1)
+                     for b in range(top // sg.m + 1) if sg.n * a + sg.m * b < top)
+
+
+def test_bitsets_are_their_set_definitions():
+    """On the 543 increasing semimodules of
+    ``test_elements_outside_is_the_membership_definition``, with Gamma built
+    from its generators: ``covered`` of every basis prefix is the set of
+    values below its bound in some lambda + Gamma, ``_last_uncovered`` is
+    the largest value below c outside it, and each axis u_i is the least
+    value in both lambda_{i-1} + Gamma and Lambda_{i-2}."""
+    sms = [sm for n, m in coprime_pairs(range(3, 9), 13)
+           for sm in enumerate_increasing(Semigroup(n, m))]
+    assert len(sms) == 543
+    for sm in sms:
+        sg, basis, c = sm.sg, sm.basis, sm.sg.conductor
+        gamma = _gamma_by_definition(sg)
+
+        def spanned(k, lambdas):
+            return any(k - lam in gamma for lam in lambdas)
+
+        for k in range(2, len(basis) + 1):
+            prefix = basis[:k]
+            for bound in (c, sg.n + c):
+                assert covered(sg, prefix, bound) == sum(
+                    1 << v for v in range(bound) if spanned(v, prefix))
+            assert _last_uncovered(sg, covered(sg, prefix, c)) == max(
+                v for v in range(c) if not spanned(v, prefix))
+        for i in range(1, len(basis)):
+            assert _axis(sg, basis, i) == min(
+                k for k in range(basis[i], basis[i] + 2 * c)
+                if k - basis[i] in gamma and spanned(k, basis[:i]))
+
+
 def test_covered_refuses_a_bound_past_n_plus_c():
     sg = SG49
-    assert covered(sg, (4, 9), sg.n + sg.conductor) == {
-        k for k in range(sg.n + sg.conductor) if (k - 4) in sg or (k - 9) in sg}
+    assert covered(sg, (4, 9), sg.n + sg.conductor) == sum(
+        1 << k for k in range(sg.n + sg.conductor) if (k - 4) in sg or (k - 9) in sg)
     with pytest.raises(ValueError, match="exceeds n \\+ c"):
         covered(sg, (4,), sg.n + sg.conductor + 1)
 

@@ -408,14 +408,15 @@ def _root_plans(sg: Semigroup) -> MappingProxyType:
     """j -> (B, pair, tests, targets, beta root, alpha root, verdicts) for
     every j in J of the pair, read-only and built on the pair's first
     verdict: B = j + n + m = beta_j*nm, the Gamma pair of beta_j
-    (``_gamma_pair``), the test exponents of ``M_by_target`` whose target
+    (``_gamma_pair``), the test exponents of M whose target
     k = B - n*a - m*b is >= 0, in scan order, their targets k, the
     candidate roots -B/nm and -(B + nm)/nm, and the pair's verdicts for j:
     witness -> RootDecision, None for the alpha root, each made on its
     first hit.  Nothing in it depends on a curve."""
     n, m = sg.n, sg.m
-    scan = sg.sets.M_by_target
-    # scan has decreasing weight n*a + m*b, so k >= 0 is a suffix of it
+    # The scan order: decreasing weight n*a + m*b, then (a, b), which is
+    # increasing k for every j, so k >= 0 is a suffix of it.
+    scan = tuple(sorted(sg.sets.M, key=lambda ab: (-n * ab[0] - m * ab[1], ab)))
     neg_weights = [-n * a - m * b for a, b in scan]
     plans = {}
     for j in sg.sets.J:

@@ -182,15 +182,6 @@ class CuspidalSets:
     M: tuple
     j_to_p: MappingProxyType = field(repr=False)
 
-    @cached_property
-    def M_by_target(self) -> tuple:
-        """M sorted by decreasing weight n*a + m*b, then by (a, b): for every
-        j the order of increasing residue target k = j + n + m - n*a - m*b.
-        The root plan of each j (``bernstein._root_plans``) keeps the part
-        of it with k >= 0, in which ``decide_root`` scans."""
-        n, m = self.sg.n, self.sg.m
-        return tuple(sorted(self.M, key=lambda ab: (-(n * ab[0] + m * ab[1]), ab)))
-
 
 def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
     """Build P, J, M by scanning the defining box; sanity-checks the P <-> J

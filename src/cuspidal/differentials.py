@@ -2,8 +2,9 @@
 standard basis computed by Delorme's algorithm.
 
 The differential value of omega = A dx + B dy is read off the implicit
-equation through the associated vector field X_omega = B d/dx - A d/dy: a
-final reduction h of X_omega(f) modulo {f} with leading power (a, b) gives
+equation through the associated vector field X_omega = B d/dx - A d/dy: the
+reduction h of X_omega(f) modulo f (``_reduce_by_f``, the kernel of
+Delorme's run) with leading power (a, b) gives
 nu(omega) = n(a+1) + m(b+1) - n*m, and a reduction that vanishes to the
 horizon means the value is infinite.  The Newton-Puiseux parametrization
 provides an independent oracle for the same number.
@@ -15,10 +16,9 @@ from functools import cache, cached_property
 from math import gcd, lcm
 
 from .curve import CurveEquation, Parametrization, Semigroup
-from .poly import Exponent, TruncatedPoly
+from .poly import Exponent, TruncatedPoly, _add_products, _add_shifted, _subtract_shifted
 from .rationals import Rat
 from .semimodules import AbstractSemimodule, _axis, covered
-from .standard_basis import _subtract_shifted, final_reduction
 
 
 class ValueMismatch(ValueError):
@@ -29,9 +29,11 @@ class ValueMismatch(ValueError):
 class OneForm:
     """omega = dx_coeff * dx + dy_coeff * dy with polynomial coefficients.
 
-    ``basic``, ``mul_monomial`` and ``__add__`` are the plain
-    ``TruncatedPoly`` route, against which the tests compare the one-pass
-    forms of ``DifferentialBasis``."""
+    ``basic``, ``mul_monomial`` and ``__add__`` are the ``TruncatedPoly``
+    operators' route, against which the tests compare the one-pass forms
+    of ``DifferentialBasis``.  ``__add__`` runs the replay's kernel
+    (``poly._add_shifted``), so that comparison checks the replay's
+    wiring; ``mul_monomial`` keeps a loop of its own."""
 
     dx: TruncatedPoly
     dy: TruncatedPoly
@@ -61,19 +63,13 @@ class OneForm:
                        self.dy.mul_monomial(coeff, shift))
 
 
-def _ascending(p: TruncatedPoly) -> tuple:
-    """Every term of p as (key, numerator), ascending: the leading term and
-    ``tail``, which ``p`` caches."""
-    return p.tail if p.lead is None else ((p.lead, p.terms[p.lead]),) + p.tail
-
-
 def apply_vector_field(omega: OneForm, eq: CurveEquation) -> TruncatedPoly:
     """X_omega(f) = B * f_x - A * f_y for omega = A dx + B dy, from the
-    equation's cached partials, in one pass: the numerators over
-    lcm(A.den, B.den) * f.den, cut at the smallest horizon of A, B and the
-    partials.  That is the ``TruncatedPoly`` of the two products and the
-    difference (``__mul__``, ``__sub__``), term for term, with the same
-    denominator."""
+    equation's cached partials: both products run in one map by the
+    product kernel (``poly._add_products``), B's scaled by
+    lcm(A.den, B.den)/B.den and A's by -lcm/A.den, so the numerators lie
+    over lcm(A.den, B.den) * f.den, cut at the smallest horizon of A, B
+    and the partials."""
     fx, fy = eq.partials
     a_side, b_side = omega.dx, omega.dy
     order = fx.order
@@ -82,21 +78,8 @@ def apply_vector_field(omega: OneForm, eq: CurveEquation) -> TruncatedPoly:
     h = min(a_side.horizon, b_side.horizon, fx.horizon, fy.horizon)
     den = lcm(a_side.den, b_side.den)
     out: dict = {}
-    get = out.get
-    for side, partial, scale in ((b_side, fx, den // b_side.den),
-                                 (a_side, fy, -(den // a_side.den))):
-        terms = _ascending(partial)
-        for (d1, a1), c1 in side.terms.items():
-            c1 *= scale
-            room = h - d1
-            for (d2, a2), c2 in terms:
-                if d2 > room:
-                    break
-                k = (d1 + d2, a1 + a2)
-                if v := get(k, 0) + c1 * c2:
-                    out[k] = v
-                else:
-                    del out[k]
+    _add_products(out, b_side, fx, den // b_side.den, h)
+    _add_products(out, a_side, fy, -(den // a_side.den), h)
     return TruncatedPoly._raw(order, h, out, den * fx.den)
 
 
@@ -105,11 +88,17 @@ def _value_of_power(sg: Semigroup, e: Exponent) -> int:
 
 
 def differential_value(omega: OneForm, eq: CurveEquation) -> int | None:
-    """nu(omega) from the implicit equation; None = infinite to the horizon."""
-    red = final_reduction(apply_vector_field(omega, eq), [eq.f])
-    if red.vanished:
-        return None
-    return _value_of_power(eq.sg, red.remainder.leading_power)
+    """nu(omega) from the implicit equation; None = infinite to the horizon.
+
+    X_omega(f), whose horizon is at most f's 2nm, is reduced modulo f by
+    ``delorme``'s kernel (``_reduce_by_f``), and nu = n(a+1) + m(b+1) - nm
+    of the leading power (a, b) is d + n + m - nm, read off the leading
+    key (d, a)."""
+    g = apply_vector_field(omega, eq)
+    sg, f = eq.sg, eq.f
+    nm = sg.n * sg.m
+    lead, _ = _reduce_by_f(dict(g.terms), g.den, f.tail, f.den, sg.n, nm, g.horizon)
+    return None if lead is None else lead[0] + sg.n + sg.m - nm
 
 
 def monomial_value(omega: OneForm) -> int:
@@ -212,23 +201,6 @@ def _lifted(g: TruncatedPoly, shift: Exponent, degree: int, horizon: int) -> dic
     return {(d + degree, a + da): c for (d, a), c in g.terms.items() if d + degree <= horizon}
 
 
-def _add_shifted(p: TruncatedPoly, mu: Rat, q: TruncatedPoly, da: int, degree: int,
-                 horizon: int) -> tuple:
-    """(numerators, denominator) of p + mu * x^s * q cut at ``horizon``, x^s
-    of x-exponent ``da`` and weighted degree ``degree``, over
-    lcm(p.den, den(mu) * q.den); mu is nonzero.  p's terms come first, in
-    their order, as in ``TruncatedPoly.__add__``, and q's are subtracted
-    with the scale -mu * (lcm / (den(mu) * q.den)) by the kernel of the
-    reductions and Delorme's steps (``_subtract_shifted``), over q's
-    ascending terms (``_ascending``)."""
-    qden = mu.denominator * q.den
-    den = lcm(p.den, qden)
-    sp, sq = den // p.den, mu.numerator * (den // qden)
-    out = {k: c * sp for k, c in p.terms.items()} if sp != 1 else dict(p.terms)
-    _subtract_shifted(out, -sq, _ascending(q), degree, da, horizon)
-    return out, den
-
-
 def _reduce_by_f(g: dict, den: int, tail: tuple, fden: int, n: int, nm: int,
                  horizon: int) -> tuple:
     """Reduce g/den modulo f, the numerators g in place; return (lead, den):
@@ -239,7 +211,9 @@ def _reduce_by_f(g: dict, den: int, tail: tuple, fden: int, n: int, nm: int,
     gamma = gcd(c, fden) sets the numerators to
     (fden/gamma) * g - (c/gamma) * x^a*y^(b-n)*tail, cut at the horizon, over
     den * fden/gamma: the rational step (see ``delorme``), which scales
-    nothing when fden = 1."""
+    nothing when fden = 1.  It is the step of ``final_reduction(g, [f])``,
+    and the one reduction modulo f of the program: ``delorme`` and
+    ``differential_value`` run it."""
     while g:
         lead = min(g)
         d, a = lead
@@ -296,9 +270,10 @@ class DifferentialBasis:
         take.  Each form is built in one pass per component, straight to
         its numerators: a lift x^s * eta keeps eta's denominator
         (``_lifted``), and a step eta + mu * x^s * omega_j sets each
-        component over lcm(den_eta, den(mu) * den_omega).  That is the form
-        of ``OneForm.mul_monomial`` and ``OneForm.__add__``, term for term,
-        with the same denominators.  The last form of each completed round
+        component over lcm(den_eta, den(mu) * den_omega) by ``_add_shifted``,
+        the kernel of ``TruncatedPoly``'s sum.  That is the form of
+        ``OneForm.mul_monomial`` and ``OneForm.__add__``, term for term, with
+        the same denominators.  The last form of each completed round
         is its basis form, the one object in both tuples."""
         order = self.values.sg.order
         h = self.reductions[0].horizon

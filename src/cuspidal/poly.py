@@ -15,6 +15,13 @@ polynomial as exponent -> ``Rat``.  It stores only terms of weighted degree
 way to drop terms), and every arithmetic operation discards generated terms
 beyond the smaller of the operand horizons.  Instances are treated as
 immutable: no method changes one, and the kernels build new ones.
+
+Each operation on numerator maps has one kernel, kept at the end of this
+module: ``_subtract_shifted`` adds a scaled, shifted map into another in
+place (``_add_shifted`` sets up the scales of a sum), and ``_add_products``
+adds a scaled product.  ``TruncatedPoly``'s sum, difference and product run
+them, and so do the reductions of ``standard_basis`` and Delorme's run,
+replay and vector fields in ``differentials``.
 """
 from __future__ import annotations
 
@@ -173,21 +180,13 @@ class TruncatedPoly:
             k: c for k, c in self.terms.items() if k[0] <= horizon}, self.den)
 
     def _merge(self, other: "TruncatedPoly", negate: bool) -> "TruncatedPoly":
-        """self + other, or self - other in the same single pass, over the
-        lcm of the two denominators."""
+        """self + other, or self - other: ``_add_shifted`` with mu = +-1 and
+        no shift, on self cut at the smaller horizon, over the lcm of the
+        two denominators."""
         h = self._join(other)
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        if negate:
-            t = -t
-        out = {k: c * s for k, c in self.terms.items() if k[0] <= h}
-        for k, c in other.terms.items():
-            if k[0] <= h:
-                if v := out.get(k, 0) + t * c:
-                    out[k] = v
-                else:
-                    del out[k]
-        return TruncatedPoly._raw(self.order, h, out, den)
+        p = self if h == self.horizon else self.truncated(h)
+        terms, den = _add_shifted(p, Rat(-1 if negate else 1), other, 0, 0, h)
+        return TruncatedPoly._raw(self.order, h, terms, den)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedPoly):
@@ -204,18 +203,14 @@ class TruncatedPoly:
                                   {k: -c for k, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
+        """self * other by the product kernel (``_add_products``), cut at
+        the smaller horizon, over the product of the denominators; a
+        scalar other is ``scale``."""
         if not isinstance(other, TruncatedPoly):
             return self.scale(rat(other))
         h = self._join(other)
         out: dict[Key, int] = {}
-        for (d1, a1), c1 in self.terms.items():
-            for (d2, a2), c2 in other.terms.items():
-                if d1 + d2 <= h:
-                    k = (d1 + d2, a1 + a2)
-                    if v := out.get(k, 0) + c1 * c2:
-                        out[k] = v
-                    else:
-                        del out[k]
+        _add_products(out, self, other, 1, h)
         return TruncatedPoly._raw(self.order, h, out, self.den * other.den)
 
     def __rmul__(self, other):
@@ -313,3 +308,65 @@ def _fill(p: TruncatedPoly, order: WeightedOrder, horizon: int, terms: dict,
     p.den = den
     p.lead = min(terms) if terms else None
     p._tail = None
+
+
+# -- kernels on numerator maps (see the module docstring) ------------------
+
+
+def _ascending(p: TruncatedPoly) -> tuple:
+    """Every term of p as (key, numerator), ascending: the leading term and
+    ``tail``, which ``p`` caches."""
+    return p.tail if p.lead is None else ((p.lead, p.terms[p.lead]),) + p.tail
+
+
+def _subtract_shifted(r: dict, q: int, tail: tuple, degree: int, da: int,
+                      horizon: int) -> None:
+    """r <- r - q * x^s * tail in place, cut at ``horizon``: x^s has weighted
+    degree ``degree`` and x-exponent ``da``, and ``tail`` is ascending."""
+    for (d, a), c in tail:
+        d += degree
+        if d > horizon:
+            break
+        e = (d, a + da)
+        if s := r.get(e, 0) - q * c:
+            r[e] = s
+        else:
+            del r[e]
+
+
+def _add_shifted(p: TruncatedPoly, mu: Rat, q: TruncatedPoly, da: int, degree: int,
+                 horizon: int) -> tuple:
+    """(numerators, denominator) of p + mu * x^s * q cut at ``horizon``, x^s
+    of x-exponent ``da`` and weighted degree ``degree``, over
+    lcm(p.den, den(mu) * q.den); mu is nonzero and p lies at or below the
+    horizon.  p's terms come first, in their order, and q's are subtracted
+    with the scale -mu * (lcm / (den(mu) * q.den)) by ``_subtract_shifted``
+    over q's ascending terms.  ``TruncatedPoly``'s sum and difference are
+    the case mu = +-1 with no shift."""
+    qden = mu.denominator * q.den
+    den = lcm(p.den, qden)
+    sp, sq = den // p.den, mu.numerator * (den // qden)
+    out = {k: c * sp for k, c in p.terms.items()} if sp != 1 else dict(p.terms)
+    _subtract_shifted(out, -sq, _ascending(q), degree, da, horizon)
+    return out, den
+
+
+def _add_products(out: dict, p: TruncatedPoly, q: TruncatedPoly, scale: int,
+                  horizon: int) -> None:
+    """out <- out + scale * P * Q in place, cut at ``horizon``, P and Q the
+    numerators of p and q: for each term of p, q's terms ascending until
+    the product passes the horizon.  ``TruncatedPoly.__mul__`` and both
+    products of ``differentials.apply_vector_field`` run it."""
+    terms = _ascending(q)
+    get = out.get
+    for (d1, a1), c1 in p.terms.items():
+        c1 *= scale
+        room = horizon - d1
+        for (d2, a2), c2 in terms:
+            if d2 > room:
+                break
+            k = (d1 + d2, a1 + a2)
+            if v := get(k, 0) + c1 * c2:
+                out[k] = v
+            else:
+                del out[k]

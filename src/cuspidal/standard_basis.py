@@ -12,9 +12,13 @@ over its one positive denominator.  With c and c_b the leading numerators of
 g and b and gamma = gcd(c, c_b), the step sets the numerators to
 (|c_b|/gamma) * tail(g) - (+-c/gamma) * x^(lp(g)-lp(b)) * tail(b), the sign
 that of c_b, and multiplies the denominator by |c_b|/gamma: the step above,
-exactly.  ``buchberger`` drops the denominator and the content of each
-polynomial it keeps, so its basis polynomials are positive multiples of
-those of the same run with rational steps, with the same leading powers.
+exactly.  The subtraction is ``poly._subtract_shifted``, the program's one
+kernel for adding a scaled, shifted map into another.  ``reduce_step`` and
+``final_reduction`` serve ``buchberger``; reduction modulo f alone runs
+``differentials._reduce_by_f`` on the same kernel.  ``buchberger`` drops
+the denominator and the content of each polynomial it keeps, so its basis
+polynomials are positive multiples of those of the same run with rational
+steps, with the same leading powers.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .poly import Exponent, TruncatedPoly, divides
+from .poly import Exponent, TruncatedPoly, _subtract_shifted, divides
 
 
 class HorizonExhausted(RuntimeError):
@@ -38,21 +42,6 @@ class FinalReduction(NamedTuple):
     def vanished(self) -> bool:
         """Every term was pushed beyond the horizon: ideal membership."""
         return not self.remainder.terms
-
-
-def _subtract_shifted(r: dict, q: int, tail: tuple, degree: int, da: int,
-                      horizon: int) -> None:
-    """r <- r - q * x^s * tail in place, cut at ``horizon``: x^s has weighted
-    degree ``degree`` and x-exponent ``da``, and ``tail`` is ascending."""
-    for (d, a), c in tail:
-        d += degree
-        if d > horizon:
-            break
-        e = (d, a + da)
-        if s := r.get(e, 0) - q * c:
-            r[e] = s
-        else:
-            del r[e]
 
 
 def reduce_step(g: TruncatedPoly, basis: Sequence[TruncatedPoly]) -> TruncatedPoly | None:

@@ -260,13 +260,21 @@ def table_values(table) -> dict:
     return {(o1, o2): Rat(num, den) for num, o1, o2 in entries}
 
 
+def scan_order(sg: Semigroup) -> tuple:
+    """M by decreasing weight n*a + m*b, then by (a, b): the documented
+    order in which ``decide_root`` tries the test exponents, stated here so
+    that the references do not read it off the code they check."""
+    n, m = sg.n, sg.m
+    return tuple(sorted(sg.sets.M, key=lambda ab: (-(n * ab[0] + m * ab[1]), ab)))
+
+
 def reference_verdict(eq, j: int) -> RootDecision:
     """``decide_root`` by ``reference_residue``: the first test exponent of
     M by increasing target k >= 0 with a nonzero residue, else the alpha
     root."""
     n, m = eq.sg.n, eq.sg.m
     beta = Rat(j + n + m, n * m)
-    for a, b in eq.sg.sets.M_by_target:
+    for a, b in scan_order(eq.sg):
         if j + n + m >= n * a + m * b and not reference_residue(eq, (a, b), beta).is_zero:
             return RootDecision("beta_root", -beta, (a, b))
     return RootDecision("alpha_root", -(beta + 1))

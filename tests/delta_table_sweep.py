@@ -41,7 +41,7 @@ from cuspidal.bernstein import _delta_entries, _residue_sum, _root_plans, decide
 from cuspidal.rationals import Rat
 
 from cusp_testkit import (coprime_pairs, reference_residue, reference_table,
-                          reference_verdict, table_values)
+                          reference_verdict, scan_order, table_values)
 
 
 def cancelling_curves(max_n: int, max_m: int):
@@ -57,7 +57,7 @@ def cancelling_curves(max_n: int, max_m: int):
             if 2 * l not in sets.J:
                 continue
             query = next((((a, b), Rat(j + n + m, n * m)) for j in sets.J
-                          for a, b in sets.M_by_target
+                          for a, b in scan_order(sg)
                           if j + n + m - n * a - m * b == 2 * l), None)
             if query is None:
                 continue

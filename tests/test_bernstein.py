@@ -35,7 +35,7 @@ from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule
 from cusp_testkit import (coprime_pairs, count_calls, nice_curves, reference_from_terms,
-                          reference_residue, reference_table, table_values)
+                          reference_residue, reference_table, scan_order, table_values)
 from delta_table_sweep import brute_force_sums, cancelling_curves, check_curve, sweep_curves
 
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
@@ -277,7 +277,7 @@ def test_decide_root_matches_the_reference_residue():
             big_b = j + n + m
             beta = Rat(big_b, n * m)
             expected[j] = RootDecision("alpha_root", -(beta + 1))
-            for a, b in eq.sg.sets.M_by_target:
+            for a, b in scan_order(eq.sg):
                 k = big_b - n * a - m * b
                 if k < 0:
                     continue
@@ -566,9 +566,9 @@ def test_verdict_renders_its_report_line():
 
 def test_root_plans_belong_to_the_pair():
     """The plan of each j is built once per pair, from the pair alone: B,
-    the Gamma pair, the test exponents of M_by_target with k >= 0 in scan
-    order and their targets k, both candidate roots, and the pair's
-    verdicts for j, each keyed by its witness.  Every other entry is a
+    the Gamma pair, the test exponents of M with k >= 0 in scan order
+    (``scan_order``) and their targets k, both candidate roots, and the
+    pair's verdicts for j, each keyed by its witness.  Every other entry is a
     tuple, and the plans cannot be written."""
     for n, m in coprime_pairs(range(2, 10), 20):
         sg = Semigroup(n, m)
@@ -577,7 +577,7 @@ def test_root_plans_belong_to_the_pair():
         assert tuple(plans) == sg.sets.J
         for j, plan in plans.items():
             big_b = j + n + m
-            tests = tuple(ab for ab in sg.sets.M_by_target if n * ab[0] + m * ab[1] <= big_b)
+            tests = tuple(ab for ab in scan_order(sg) if n * ab[0] + m * ab[1] <= big_b)
             targets = tuple(big_b - n * a - m * b for a, b in tests)
             assert plan[:6] == (big_b, _gamma_pair(n, m, big_b), tests, targets,
                                 Rat(-big_b, n * m), Rat(-big_b - n * m, n * m))

@@ -23,7 +23,7 @@ from cuspidal.jacobian import jacobian_basis_direct
 from cuspidal.specfile import parse_spec
 from cuspidal.standard_basis import HorizonExhausted, StandardBasis, codimension
 import cli_identity
-from cusp_testkit import count_calls, nice_curves
+from cusp_testkit import count_calls, nice_curves, scan_order
 
 SPEC49 = "n = 4\nm = 9\nz 1 = 1\n"
 SPEC45 = "n = 4\nm = 5\nz 2 = 1\n"
@@ -305,7 +305,7 @@ def test_term_lines_on_p_give_the_nice_curve(capsys, tmp_path):
         n, m = sg.n, sg.m
         commands = [["bs-roots"], ["verify"]]
         commands += [["residue", "--j", str(j), "--ab", f"{a},{b}"]
-                     for j in sg.sets.J[:2] for a, b in sg.sets.M_by_target[:2]
+                     for j in sg.sets.J[:2] for a, b in scan_order(sg)[:2]
                      if n * a + m * b <= j + n + m]
         for command in commands:
             nice, twin = (run(capsys, command[0], "--spec", str(p), *command[1:])

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -348,7 +349,13 @@ def test_replay_and_vector_fields_equal_the_reference_route():
     arithmetic and ``TruncatedPoly``'s products and difference, term for
     term and denominator for denominator; each basis form past dx and dy is
     the last trail form of its round.  So are X_omega(f) of random forms
-    whose two sides are cut at different horizons."""
+    whose two sides are cut at different horizons.
+
+    Both sides run the same kernels (``poly._add_shifted`` and
+    ``poly._add_products``), so this checks the wiring of the replay and
+    of the vector fields, not the kernels: the ``Fraction`` checks of
+    ``test_vector_fields_and_values_are_the_fraction_arithmetic`` and
+    ``test_poly`` do that."""
     bare = [CurveEquation.nice(Semigroup(n, m)) for n, m in coprime_pairs(range(2, 8), 13)]
     curves = [*bare, *nice_curves(17, densities=(0.3, 1)), *adapted_curves()]
     rng = random.Random(17)
@@ -374,6 +381,91 @@ def test_replay_and_vector_fields_equal_the_reference_route():
             assert (_raw_parts(apply_vector_field(form, eq))
                     == _raw_parts(form.dy * fx - form.dx * fy))
     assert dens[True] > 0 and dens[False] > 0
+
+
+def _fraction_form(rng: random.Random, eq: CurveEquation, horizons) -> OneForm:
+    """A 1-form with 0-3 monomials of degree <= nm on each side, coefficients
+    +-(1..5)/(1..4), and each side at its own horizon of ``horizons``."""
+    sg = eq.sg
+    sides = []
+    for h in horizons:
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.randint(0, sg.m), rng.randint(0, sg.n - 1)
+            if sg.order.degree((a, b)) <= min(h, sg.n * sg.m):
+                terms[(a, b)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5),
+                                         rng.randint(1, 4))
+        sides.append(TruncatedPoly(sg.order, h, terms))
+    return OneForm(*sides)
+
+
+def _fraction_vector_field(omega: OneForm, eq: CurveEquation) -> FractionPoly:
+    """B*f_x - A*f_y by plain dict arithmetic over ``Fraction``: f_x and f_y
+    differentiated on f's ``coeffs``, every product of two terms summed,
+    and the sum cut at the smallest horizon of A, B and f."""
+    order, f = eq.sg.order, eq.f.coeffs
+    h = min(omega.dx.horizon, omega.dy.horizon, eq.f.horizon)
+    fx = {(a - 1, b): a * Fraction(c) for (a, b), c in f.items() if a}
+    fy = {(a, b - 1): b * Fraction(c) for (a, b), c in f.items() if b}
+    out = {}
+    for side, partial, sign in ((omega.dy, fx, 1), (omega.dx, fy, -1)):
+        for (a1, b1), c1 in side.coeffs.items():
+            for (a2, b2), c2 in partial.items():
+                e = (a1 + a2, b1 + b2)
+                out[e] = out.get(e, 0) + sign * c1 * c2
+    return FractionPoly(order, h, {e: c for e, c in out.items()
+                                   if c and order.degree(e) <= h})
+
+
+def test_vector_fields_and_values_are_the_fraction_arithmetic():
+    """On the bare curve, nice curves at z-densities 0.3 and 1 and an
+    adapted curve of every coprime pair with n <= 7, m <= 13, and random
+    forms whose two sides lie at different horizons:
+
+    - X_omega(f) of ``apply_vector_field`` is B*f_x - A*f_y computed as
+      dicts of ``Fraction``, cut at the smaller horizon, the product
+      kernel's independent check;
+    - ``differential_value``, which reduces modulo f by ``_reduce_by_f``,
+      equals the value read off ``final_reduction(X_omega(f), [f])`` and off
+      the ``Fraction`` reduction (``fraction_reduction``), infinite values
+      included: df times a monomial has none, and so, at H_Delta, do some
+      forms cut there.  The Euler form x^k * (n*x dy - m*y dx) sends f to
+      x^k * (nm*f - g), g = 0 on the bare curve (``jacobian_generators``),
+      so its reduction cancels the whole leading degree nm of f, and its
+      value is infinite on the bare curve."""
+    bare = [CurveEquation.nice(Semigroup(n, m)) for n, m in coprime_pairs(range(2, 8), 13)]
+    curves = [*bare, *nice_curves(17, densities=(0.3, 1)), *adapted_curves()]
+    rng = random.Random(43)
+    values = Counter()
+    for eq in curves:
+        sg, nm = eq.sg, eq.sg.n * eq.sg.m
+        f = FractionPoly.of(eq.f)
+
+        def value_of(power):
+            """n(a+1) + m(b+1) - nm of the leading power (a, b); None for 0."""
+            return power and sg.n * (power[0] + 1) + sg.m * (power[1] + 1) - nm
+
+        low = sg.delorme_horizon
+        forms = [_fraction_form(rng, eq, hs) for hs in
+                 ((2 * nm, 2 * nm), (low, 2 * nm), (2 * nm, low), (rng.randint(nm, 2 * nm), low))]
+        fx, fy = eq.partials
+        x = TruncatedPoly.monomial(sg.order, Rat(rng.randint(1, 3), 2), (rng.randint(0, 2), 0),
+                                   2 * nm)
+        forms.append(OneForm(x * fx, x * fy))
+        k = rng.randint(0, 2)  # x^k * (n*x dy - m*y dx): X(f) = x^k * (nm*f - g), Euler's g
+        forms.append(OneForm(TruncatedPoly(sg.order, 2 * nm, {(k, 1): -sg.m}),
+                             TruncatedPoly(sg.order, 2 * nm, {(k + 1, 0): sg.n})))
+        for omega in forms:
+            field = apply_vector_field(omega, eq)
+            want = _fraction_vector_field(omega, eq)
+            assert (field.horizon, field.coeffs) == (want.horizon, want.coeffs)
+            by_steps = final_reduction(field, [eq.f]).remainder.leading_power
+            rem, _ = fraction_reduction(want, [f])
+            by_fractions = rem.leading and rem.leading[0]
+            value = differential_value(omega, eq)
+            assert value == value_of(by_steps) == value_of(by_fractions)
+            values[value is None] += 1
+    assert values[True] >= len(curves) and values[False] > 2 * len(curves)
 
 
 @pytest.mark.parametrize("pair", [(5, 7), (4, 11)])

@@ -140,11 +140,14 @@ def _steps(s: int, q: int, r: int) -> int:
     return t
 
 
+@cache
 def _lower(s: int, q: int, r: int) -> tuple:
     """Gamma(s/q) = (num/den) * Gamma(r/q) for s = r (mod q) and
     0 < r <= q: the (s - r)/q steps of Gamma(x) = (x-1) Gamma(x-1) give
     num = (s - q)(s - 2q)...r and den = q^((s - r)/q), after ``_steps``'
-    checks."""
+    checks.  The pair depends on (s, q, r) alone, so it is computed once
+    per process for each; an argument that fails a check raises on every
+    call, since nothing is cached for it."""
     t = _steps(s, q, r)
     return prod(range(s - q, r - 1, -q)), q ** t
 
@@ -202,13 +205,15 @@ def _delta_entries(eq: CurveEquation, k: int) -> tuple:
         if t in tables or not sums >> (k - t) & 1:
             continue
         reads = []
+        common = 1
         for l, lz, zd, p1, p2 in parts:
             if l > t:
                 break
             if sums >> (t - l) & 1:
                 den, entries = tables[t - l]
-                reads.append((lz, zd * den, p1, p2, entries))
-        common = lcm(*(d for _, d, _, _, _ in reads))
+                den *= zd
+                common = lcm(common, den)
+                reads.append((lz, den, p1, p2, entries))
         merged: dict = {}
         for lz, d, p1, p2, entries in reads:
             c = lz * (common // d)
@@ -217,7 +222,7 @@ def _delta_entries(eq: CurveEquation, k: int) -> tuple:
                 merged[key] = merged.get(key, 0) - c * num
         den = t * common
         g = gcd(den, *merged.values())
-        tables[t] = (den // g, tuple((c // g, o1, o2) for (o1, o2), c in merged.items() if c))
+        tables[t] = (den // g, tuple([(c // g, o1, o2) for (o1, o2), c in merged.items() if c]))
     return tables[k]
 
 
@@ -405,14 +410,15 @@ class RootDecision:
 
 @cache
 def _root_plans(sg: Semigroup) -> MappingProxyType:
-    """j -> (B, pair, tests, targets, beta root, alpha root, verdicts) for
-    every j in J of the pair, read-only and built on the pair's first
-    verdict: B = j + n + m = beta_j*nm, the Gamma pair of beta_j
+    """j -> (B, pair, tests, targets, beta root, alpha root, verdicts,
+    reach) for every j in J of the pair, read-only and built on the pair's
+    first verdict: B = j + n + m = beta_j*nm, the Gamma pair of beta_j
     (``_gamma_pair``), the test exponents of M whose target
-    k = B - n*a - m*b is >= 0, in scan order, their targets k, the
-    candidate roots -B/nm and -(B + nm)/nm, and the pair's verdicts for j:
-    witness -> RootDecision, None for the alpha root, each made on its
-    first hit.  Nothing in it depends on a curve."""
+    k = B - n*a - m*b is >= 0, in scan order, their targets k, which
+    ascend, the candidate roots -B/nm and -(B + nm)/nm, the pair's
+    verdicts for j: witness -> RootDecision, None for the alpha root, each
+    made on its first hit, and the targets as a bitset.  Nothing in it
+    depends on a curve."""
     n, m = sg.n, sg.m
     # The scan order: decreasing weight n*a + m*b, then (a, b), which is
     # increasing k for every j, so k >= 0 is a suffix of it.
@@ -422,9 +428,10 @@ def _root_plans(sg: Semigroup) -> MappingProxyType:
     for j in sg.sets.J:
         big_b = j + n + m
         start = bisect_left(neg_weights, -big_b)
-        plans[j] = (big_b, _gamma_pair(n, m, big_b), scan[start:],
-                    tuple(map(big_b.__add__, neg_weights[start:])),
-                    Rat(-big_b, n * m), Rat(-big_b - n * m, n * m), {})
+        targets = tuple(map(big_b.__add__, neg_weights[start:]))
+        plans[j] = (big_b, _gamma_pair(n, m, big_b), scan[start:], targets,
+                    Rat(-big_b, n * m), Rat(-big_b - n * m, n * m), {},
+                    sum(1 << k for k in targets))
     return MappingProxyType(plans)
 
 
@@ -436,14 +443,16 @@ def _plan(sg: Semigroup, j: int) -> tuple:
     return plan
 
 
-def _first_nonzero(eq: CurveEquation, pair, tests, targets):
+def _first_nonzero(eq: CurveEquation, pair, tests, targets, reach: int):
     """The first test exponent (a, b) of ``tests`` whose residue is
     nonzero, else None: the one core of every verdict.  ``targets`` holds
-    the target k of each test, and ``pair`` the Gamma pair of the tests'
-    B.
+    the target k of each test, ascending, ``reach`` the same targets as a
+    bitset, and ``pair`` the Gamma pair of the tests' B.
 
     - A test whose k is not a support sum (``eq.support_sums``) is passed
-      by unread: its residue is the empty sum, exactly 0.
+      by unread: its residue is the empty sum, exactly 0.  So only the bits
+      of ``reach`` that the support sums share are read, lowest first, each
+      k's test found among the targets by bisection.
     - A one-term residue is decided by its sign.  When the table of k has
       one entry (c, o1, o2), ``_residue_sum`` returns c * P1 * P2 over a
       positive denominator, where P1 and P2 are ``_lower``'s products of
@@ -455,10 +464,12 @@ def _first_nonzero(eq: CurveEquation, pair, tests, targets):
       way."""
     n, m = eq.sg.n, eq.sg.m
     r1, r2 = pair
-    sums, tables = eq.support_sums, eq.delta_table
-    for ab, k in zip(tests, targets):
-        if not sums >> k & 1:
-            continue
+    tables = eq.delta_table
+    hits = reach & eq.support_sums
+    while hits:
+        k = (hits & -hits).bit_length() - 1
+        hits &= hits - 1
+        ab = tests[bisect_left(targets, k)]
         entries = (tables.get(k) or _delta_entries(eq, k))[1]
         if len(entries) == 1:
             _, o1, o2 = entries[0]
@@ -485,8 +496,8 @@ def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     first nonzero residue is the witness; ``residue(eq, witness, j)``
     recomputes it.  The verdict returned is the pair's one instance for
     (j, witness), so its report line is rendered once per process."""
-    _, pair, tests, targets, beta_root, alpha_root, verdicts = _plan(eq.sg, j)
-    witness = _first_nonzero(eq, pair, tests, targets)
+    _, pair, tests, targets, beta_root, alpha_root, verdicts, reach = _plan(eq.sg, j)
+    witness = _first_nonzero(eq, pair, tests, targets, reach)
     verdict = verdicts.get(witness)
     if verdict is None:
         verdict = verdicts[witness] = (RootDecision("alpha_root", alpha_root) if witness is None
@@ -507,7 +518,7 @@ def _verdict(eq: CurveEquation, j: int, a: int, b: int) -> str:
     (``_plan``)."""
     big_b, pair = _plan(eq.sg, j)[:2]
     k = big_b - eq.sg.n * a - eq.sg.m * b
-    return "zero" if _first_nonzero(eq, pair, ((a, b),), (k,)) is None else "nonzero"
+    return "zero" if _first_nonzero(eq, pair, ((a, b),), (k,), 1 << k) is None else "nonzero"
 
 
 @cache
@@ -529,6 +540,13 @@ def certified_roots_from_semimodule(sm: AbstractSemimodule) -> tuple:
         lams = elements_outside(AbstractSemimodule(sg, basis[:3]))
     # lams ascends, so the roots -lam/nm ascend in reverse.
     return tuple(Rat(-lam, nm) for lam in reversed(lams))
+
+
+@cache
+def certified_root_strings(sm: AbstractSemimodule) -> tuple:
+    """``str`` of each root of ``certified_roots_from_semimodule(sm)``, in
+    its order: the report's roots, rendered once per semimodule."""
+    return tuple(map(str, certified_roots_from_semimodule(sm)))
 
 
 @dataclass(frozen=True)

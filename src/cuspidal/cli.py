@@ -14,6 +14,18 @@ t = H_Delta - nm + n + m: the oracle reads exactly the window of those
 forms, and would refuse one above H_Delta.  Exit
 codes: 0 success, 1 a verification found a mismatch or a computation failed
 its own check, 2 bad input.
+
+A request of a curve pays only for that curve's arithmetic; what depends on
+the pair (n, m) or on Lambda alone is built once per process.  The argv
+[command, "--spec", PATH] of a command that reads nothing but --spec gets
+its namespace without argparse (``_parse_args``), and every other argv is
+argparse's, so usage errors, help and exit codes are argparse's.  The spec
+is read unbuffered and parsed to f's numerators with no ``Fraction`` for
+decimal values (``parse_spec``); form, z_j and the residue parts are read
+off f's few terms through the pair's key table (``CuspidalSets``); and
+``bs-roots`` takes its report keys per pair (``_verdict_keys``), its root
+strings per Lambda (``certified_root_strings``) and each verdict's line
+from the pair's one verdict (``decide_root``).
 """
 from __future__ import annotations
 
@@ -24,7 +36,7 @@ import random
 import sys
 from math import gcd
 
-from .bernstein import (NegativeK, PreconditionViolation,
+from .bernstein import (NegativeK, PreconditionViolation, certified_root_strings,
                         certified_roots_from_semimodule, decide_root,
                         four_condition_check, interval_certificate, residue,
                         residue_is_zero, zariski_condition_check)
@@ -38,17 +50,12 @@ from .specfile import ParseError, SpecError, parse_spec
 from .standard_basis import HorizonExhausted
 
 
-def _render_item(x) -> str:
-    if isinstance(x, (list, tuple)):
-        return ",".join(str(i) for i in x)
-    return str(x)
-
-
 def _render_value(v) -> str:
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, (list, tuple)):
-        return " ".join(_render_item(x) for x in v)
+        return " ".join([",".join(map(str, x)) if isinstance(x, (list, tuple)) else str(x)
+                         for x in v])
     return str(v)
 
 
@@ -56,19 +63,20 @@ def _print_report(data: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(data, indent=2))
         return
-    sys.stdout.write("".join(
+    sys.stdout.write("".join([
         f"{key} = {value if type(value) is str else _render_value(value)}\n"
-        for key, value in data.items()))
+        for key, value in data.items()]))
 
 
 def _load_curve(args) -> CurveEquation:
-    """The curve of ``--spec``.  The file is read as bytes and decoded as
-    UTF-8 at once; ``parse_spec``'s ``splitlines`` ends a line at ``\r\n``
-    and ``\r`` where universal newlines would."""
+    """The curve of ``--spec``.  The file is read unbuffered, in one read
+    sized by its length, and decoded as UTF-8 at once; ``parse_spec``'s
+    ``splitlines`` ends a line at ``\r\n`` and ``\r`` where universal
+    newlines would."""
     if not args.spec:
         raise SpecError("--spec <path> is required for this subcommand")
     try:
-        with open(args.spec, "rb") as fh:
+        with open(args.spec, "rb", buffering=0) as fh:
             text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {args.spec}: {exc}") from None
@@ -104,14 +112,21 @@ def cmd_delorme(eq: CurveEquation) -> dict:
             "h_leading": [list(e) for e in diff.leading_powers]}
 
 
+@functools.cache
+def _verdict_keys(sg: Semigroup) -> tuple:
+    """(j, "verdict j=<j>") for every j in J of the pair, ascending: the
+    report keys of ``bs-roots``, built on the pair's first request."""
+    return tuple((j, f"verdict j={j}") for j in sg.sets.J)
+
+
 def cmd_bs_roots(eq: CurveEquation) -> dict:
     if eq.form != "nice":
         raise SpecError("bs-roots needs a nice curve: mu = 1 and every other term on P")
     diff = delorme(eq)
     data: dict = {"basis": list(diff.values.basis),
-                  "roots": [str(r) for r in certified_roots_from_semimodule(diff.values)]}
-    for j in eq.sg.sets.J:
-        data[f"verdict j={j}"] = decide_root(eq, j).line
+                  "roots": list(certified_root_strings(diff.values))}
+    for j, key in _verdict_keys(eq.sg):
+        data[key] = decide_root(eq, j).line
     # Every residue is one Gamma group decided by its exact sign, so no
     # verdict rests on an assumption.  The line stays for the readers of
     # the report: the seed-0 digests in bench/reference pin every line.
@@ -311,35 +326,45 @@ def _seed(text: str) -> int:
     return value
 
 
-# name -> (help line, handler), in the order of the top-level help; a
-# handler maps the parsed arguments to (report, ok).
+# What [name, "--spec", PATH] parses to, but for handler and spec, for a
+# subcommand whose every option other than --spec has a default.
+_SPEC_DEFAULTS = {"json": False}
+
+# name -> (help line, handler, defaults), in the order of the top-level help; a
+# handler maps the parsed arguments to (report, ok).  ``defaults`` are set on the
+# subcommand's parser (``_declare``) and make up the namespace that
+# ``_parse_args`` builds for [name, "--spec", PATH] without one; None for
+# residue, which requires --j and --ab, and conjecture-scan, which reads no spec.
 _SUBCOMMANDS = {
     "semigroup": ("semigroup facts: conductor and gaps",
-                  lambda args: (cmd_semigroup(_load_curve(args)), True)),
+                  lambda args: (cmd_semigroup(_load_curve(args)), True), _SPEC_DEFAULTS),
     "cuspidal-sets": ("the exponent sets P, J, M",
-                      lambda args: (cmd_cuspidal_sets(_load_curve(args)), True)),
+                      lambda args: (cmd_cuspidal_sets(_load_curve(args)), True), _SPEC_DEFAULTS),
     "delorme": ("minimal standard basis of differential values",
-                lambda args: (cmd_delorme(_load_curve(args)), True)),
+                lambda args: (cmd_delorme(_load_curve(args)), True), _SPEC_DEFAULTS),
     "bs-roots": ("certified Bernstein-Sato roots and per-gap verdicts",
-                 lambda args: (cmd_bs_roots(_load_curve(args)), True)),
+                 lambda args: (cmd_bs_roots(_load_curve(args)), True), _SPEC_DEFAULTS),
     "residue": ("one residue as an exact Gamma expression",
-                lambda args: (cmd_residue(_load_curve(args), args.j, _parse_ab(args.ab)), True)),
+                lambda args: (cmd_residue(_load_curve(args), args.j, _parse_ab(args.ab)), True),
+                None),
     "jacobian": ("Jacobian ideal standard basis and Tjurina number",
-                 lambda args: (cmd_jacobian(_load_curve(args)), True)),
+                 lambda args: (cmd_jacobian(_load_curve(args)), True), _SPEC_DEFAULTS),
     "enumerate": ("all increasing semimodules of the pair",
-                  lambda args: (cmd_enumerate(_load_curve(args), args.max_m), True)),
+                  lambda args: (cmd_enumerate(_load_curve(args), args.max_m), True),
+                  {**_SPEC_DEFAULTS, "max_m": None}),
     "verify": ("full consistency battery for one curve",
-               lambda args: cmd_verify(_load_curve(args))),
+               lambda args: cmd_verify(_load_curve(args)), _SPEC_DEFAULTS),
     "conjecture-scan": ("random curves with n >= 5: check every semimodule value "
                         "certifies a root",
-                        lambda args: cmd_conjecture_scan(args.seed, args.max_m)),
+                        lambda args: cmd_conjecture_scan(args.seed, args.max_m), None),
 }
 
 
 def _declare(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give p, the parser of subcommand ``name``, its handler, --json and
     only the options its pipeline reads."""
-    p.set_defaults(handler=_SUBCOMMANDS[name][1])
+    _, handler, defaults = _SUBCOMMANDS[name]
+    p.set_defaults(handler=handler, **(defaults or {}))
     if name != "conjecture-scan":
         p.add_argument("--spec", help="path to a curve spec file")
     p.add_argument("--json", action="store_true", help="emit JSON instead of key=value lines")
@@ -365,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of plane cusp singularities: semigroup "
                     "data, differential values, and certified Bernstein-Sato roots.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _SUBCOMMANDS.items():
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
         _declare(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
     return parser
 
@@ -389,12 +414,21 @@ def _parse_ab(text: str) -> tuple[int, int]:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """The arguments of ``argv``.  When argv[0] names a subcommand, the rest
-    goes straight to that subcommand's own parser, and only that parser is
-    built (``_subcommand_parser``); anything else (no argv, an unknown
-    word, a top-level flag) goes through the top-level parser, so usage
-    errors read as they always have."""
+    """The arguments of ``argv``.  The one shape that every request of a
+    curve takes, [command, "--spec", PATH] with a command that needs only
+    --spec and a PATH that is no flag, gets its namespace directly, and no
+    parser is built or run for it: the handler, spec = PATH and the
+    command's defaults in ``_SUBCOMMANDS``, which its parser sets too.
+    When argv[0] names a subcommand, any other rest goes straight to that
+    subcommand's own parser, and only that parser is built
+    (``_subcommand_parser``); anything else (no argv, an unknown word, a
+    top-level flag) goes through the top-level parser, so usage errors
+    read as they always have."""
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[1] == "--spec" and argv[2][:1] != "-":
+        _, handler, defaults = _SUBCOMMANDS.get(argv[0], (None, None, None))
+        if defaults is not None:
+            return argparse.Namespace(handler=handler, spec=argv[2], **defaults)
     if argv and argv[0] in _SUBCOMMANDS:
         return _subcommand_parser(argv[0]).parse_args(argv[1:])
     return _build_parser().parse_args(argv)

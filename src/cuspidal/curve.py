@@ -170,10 +170,13 @@ class CuspidalSets:
     lying strictly above the (n, m)-weight line; J lists the corresponding
     shifted weights n*p1 + m*p2 - n*m, in bijection with P; M reflects P
     through (m-1, n-1).  All three are empty when n = 2.  j_to_p maps each
-    j to its exponent in P, read-only: every curve of the pair reads the
-    one mapping.  Every program path reads the pair's one
-    ``Semigroup.sets``, so the sets are compared and hashed by identity, as
-    the semigroup is.
+    j to its exponent in P; j_to_key maps it to the key (j + nm, p1) of its
+    monomial in f's numerators (``TruncatedPoly``), which ``parse_spec``
+    writes z_j at; and key_to_part maps that key back to (j, p1, p2), which
+    ``CurveEquation`` reads f's form and z_j through.  All three are
+    read-only: every curve of the pair reads the one mapping.  Every program
+    path reads the pair's one ``Semigroup.sets``, so the sets are compared
+    and hashed by identity, as the semigroup is.
     """
 
     sg: Semigroup
@@ -181,6 +184,8 @@ class CuspidalSets:
     J: tuple
     M: tuple
     j_to_p: MappingProxyType = field(repr=False)
+    j_to_key: MappingProxyType = field(repr=False)
+    key_to_part: MappingProxyType = field(repr=False)
 
 
 def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
@@ -198,7 +203,10 @@ def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
         raise AssertionError("cuspidal values collided below n*m")
     P = frozenset(p for _, p in pairs)
     M = tuple((m - p1 - 1, n - p2 - 1) for _, (p1, p2) in pairs)
-    return CuspidalSets(sg, P, J, M, MappingProxyType(dict(pairs)))
+    keys = [(j, (j + n * m, p1), p2) for j, (p1, p2) in pairs]
+    return CuspidalSets(sg, P, J, M, MappingProxyType(dict(pairs)),
+                        MappingProxyType({j: key for j, key, _ in keys}),
+                        MappingProxyType({key: (j, key[1], p2) for j, key, p2 in keys}))
 
 
 @dataclass(frozen=True)
@@ -262,12 +270,13 @@ class CurveEquation:
     @cached_property
     def form(self) -> str:
         """The form of f: "nice" when mu = 1 and every other term lies on
-        P, else "adapted"."""
-        sg, terms = self.sg, self.f.terms
-        corners = ((sg.n * sg.m, sg.m), (sg.n * sg.m, 0))
-        P, exponent = sg.sets.P, sg.order.exponent
-        return ("nice" if terms[corners[0]] == self.f.den
-                and all(exponent(k) in P for k in terms if k not in corners) else "adapted")
+        P, else "adapted".  f's terms past y^n (``TruncatedPoly.tail``)
+        start at x^m, the one other term of degree nm, and each later key is
+        looked up in the pair's table ``CuspidalSets.key_to_part``."""
+        (_, mu), *rest = self.f.tail
+        parts = self.sg.sets.key_to_part
+        return ("nice" if mu == self.f.den and all(key in parts for key, _ in rest)
+                else "adapted")
 
     @cached_property
     def nice_coeffs(self) -> MappingProxyType:
@@ -295,16 +304,19 @@ class CurveEquation:
         """The parts of the residue recurrence (``bernstein._delta_entries``):
         (l, l * numerator(z_l), denominator(z_l), p1, p2) for every nonzero
         z_l, l ascending, with (p1, p2) the monomial of l, read off f's
-        numerators; nice form required."""
+        numerators; nice form required.  f's terms past x^m, ascending
+        (``TruncatedPoly.tail``), are the z_l in that order, and the pair's
+        table ``CuspidalSets.key_to_part`` gives each key's (l, p1, p2)."""
         if self.form != "nice":
             raise ValueError("coefficients by J-index exist only in nice form")
-        nm, f = self.sg.n * self.sg.m, self.f
-        parts = []
-        for l, p in self.sg.sets.j_to_p.items():
-            if c := f.terms.get((l + nm, p[0])):
-                g = gcd(c, f.den)
-                parts.append((l, l * (c // g), f.den // g, *p))
-        return tuple(parts)
+        f, parts = self.f, self.sg.sets.key_to_part
+        den = f.den
+        out = []
+        for key, c in f.tail[1:]:
+            l, p1, p2 = parts[key]
+            g = gcd(c, den)
+            out.append((l, l * (c // g), den // g, p1, p2))
+        return tuple(out)
 
     @cached_property
     def delta_table(self) -> dict:

@@ -83,10 +83,6 @@ def apply_vector_field(omega: OneForm, eq: CurveEquation) -> TruncatedPoly:
     return TruncatedPoly._raw(order, h, out, den * fx.den)
 
 
-def _value_of_power(sg: Semigroup, e: Exponent) -> int:
-    return sg.n * (e[0] + 1) + sg.m * (e[1] + 1) - sg.n * sg.m
-
-
 def differential_value(omega: OneForm, eq: CurveEquation) -> int | None:
     """nu(omega) from the implicit equation; None = infinite to the horizon.
 
@@ -194,6 +190,21 @@ def _round_plan(sg: Semigroup, lambdas: tuple) -> tuple:
     return last, u, sg.decompose(u - lambdas[i])
 
 
+@cache
+def _cover(sg: Semigroup, lambdas: tuple, value: int) -> tuple | None:
+    """(j, shift) for the largest j with value - lambda_j in Gamma, shift
+    its exponent (``decompose``, the membership test), or None when no
+    lambda_j + Gamma covers ``value``: the form that a tuning step at
+    ``value`` takes among the ``lambdas`` it may use.  It depends on (n, m),
+    those lambdas and the value alone, so each is found once per process
+    and read by every run that reaches it."""
+    for j in range(len(lambdas) - 1, -1, -1):
+        shift = sg.decompose(value - lambdas[j])
+        if shift is not None:
+            return j, shift
+    return None
+
+
 def _lifted(g: TruncatedPoly, shift: Exponent, degree: int, horizon: int) -> dict:
     """The numerators of x^shift * g, over ``g.den``, cut at ``horizon``;
     ``degree`` is the weighted degree of x^shift."""
@@ -253,11 +264,13 @@ class DifferentialBasis:
     def __post_init__(self) -> None:
         # The inversion nu = n(a+1) + m(b+1) - n*m must give back the basis;
         # this also rules out a zero h_i and fixes the seeds (0, n-1), (m-1, 0).
-        lps = self.leading_powers
-        if (None in lps or tuple(_value_of_power(self.values.sg, e) for e in lps)
-                != self.values.basis):
-            raise ValueError(f"leading powers {lps} do not encode the values "
-                             f"{self.values.basis}")
+        # nu is d + n + m - nm, d = na + mb the degree of the leading key.
+        sg = self.values.sg
+        shift = sg.n + sg.m - sg.n * sg.m
+        leads = [h.lead for h in self.reductions]
+        if None in leads or tuple(d + shift for d, _ in leads) != self.values.basis:
+            raise ValueError(f"leading powers {self.leading_powers} do not encode the "
+                             f"values {self.values.basis}")
 
     @property
     def leading_powers(self) -> tuple:
@@ -345,7 +358,8 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     Ending the round at c instead is the case last = c - 1.  The plan of a
     round, (last, u, s) (``_round_plan``), depends on (n, m) and the lambda
     prefix alone, never on the curve, so it is built once per pair and
-    prefix and read by every later run that reaches it.
+    prefix and read by every later run that reaches it; so is the form that
+    covers each value a step reaches (``_cover``).
 
     The run is fraction-free.  It works on integer term maps keyed by
     ``WeightedOrder.key`` (weighted degree, x-exponent), so min() of a map
@@ -429,21 +443,19 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     ended = None
 
     for i in range(1, n - 1):
-        last, u, s = _round_plan(sg, tuple(lambdas))
+        prefix = tuple(lambdas)
+        last, u, s = _round_plan(sg, prefix)
         if u > last:
             ended = (s, ())
             break
         steps = []
         r = _lifted(reductions[i], s, u - lambdas[i], h)
         _, rden = _reduce_by_f(r, reductions[i].den, tail, fden, n, nm, h)
-        value, usable = u, i  # the axis step may use only the forms before omega_i
+        value, usable = u, prefix[:i]  # the axis step may use only the forms before omega_i
         while True:
-            # decompose is the membership test of value - lambda_j in Gamma.
-            cover = next(((j, shift) for j in range(usable - 1, -1, -1)
-                          if (shift := sg.decompose(value - lambdas[j])) is not None),
-                         None)
+            cover = _cover(sg, usable, value)
             if cover is None:
-                if usable == i:
+                if len(usable) == i:
                     raise AssertionError(f"no earlier basis form covers the axis {u}")
                 break
             j, shift = cover
@@ -467,7 +479,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             if value > last:
                 value = None
                 break
-            usable = len(lambdas)
+            usable = prefix
 
         if value is None:
             ended = (s, tuple(steps))

@@ -155,7 +155,7 @@ class TruncatedPoly:
     def tail(self) -> tuple:
         """Every term but the leading one, as (key, numerator), ascending."""
         if self._tail is None:
-            self._tail = tuple(sorted((k, c) for k, c in self.terms.items() if k != self.lead))
+            self._tail = tuple(sorted(self.terms.items())[1:])
         return self._tail
 
     def sorted_terms(self) -> list[Term]:
@@ -249,14 +249,16 @@ class TruncatedPoly:
         horizon above this one raises: the terms above it are unknown."""
         if horizon > self.horizon:
             raise ValueError(f"cannot raise the horizon {self.horizon} to {horizon}")
-        n, m = self.order.n, self.order.m
-        terms = self.terms.items()
-        return (TruncatedPoly._raw(self.order, horizon, {
-                    (d - n, a - 1): a * c for (d, a), c in terms
-                    if a and d - n <= horizon}, self.den),
-                TruncatedPoly._raw(self.order, horizon, {
-                    (d - m, a): (d - n * a) // m * c for (d, a), c in terms
-                    if d > n * a and d - m <= horizon}, self.den))
+        order = self.order
+        n, m = order.n, order.m
+        fx, fy = {}, {}
+        for (d, a), c in self.terms.items():
+            if a and d - n <= horizon:
+                fx[(d - n, a - 1)] = a * c
+            if d > n * a and d - m <= horizon:
+                fy[(d - m, a)] = (d - n * a) // m * c
+        return (TruncatedPoly._raw(order, horizon, fx, self.den),
+                TruncatedPoly._raw(order, horizon, fy, self.den))
 
     def primitive(self) -> "TruncatedPoly":
         """The positive multiple with coprime integer coefficients, over 1;

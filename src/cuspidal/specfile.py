@@ -5,8 +5,11 @@ value`` with j in the cuspidal value set J) or mu*x^m + y^n plus raw terms
 (``term coeff a b`` above the weight line and at most 2nm), never both.
 Either way the lines give f's integer numerators straight away, keyed by
 (weighted degree, x-exponent) over the lcm of the denominators, as
-``TruncatedPoly`` holds them; a value of decimal digits is read as an
-``int``, p/q of decimal digits as two, any other by ``Rat``.
+``TruncatedPoly`` holds them.  Each value is a reduced pair of integers
+(p, q): decimal digits are read as (int, 1) and p/q of decimal digits as
+two ints over their gcd, so the z lines of a spec build no ``Fraction``;
+any other shape is read by ``Rat``.  A z line's key is read from the
+pair's table ``CuspidalSets.j_to_key``.
 ``CurveEquation`` checks the result, and whether the curve is nice is read
 off its terms, whichever lines gave them.
 It describes the curve and nothing else: f is held at 2nm, where no layer
@@ -16,7 +19,7 @@ written with or without spaces.
 """
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .curve import CurveEquation, Semigroup
 from .poly import TruncatedPoly
@@ -46,25 +49,30 @@ class CoefficientOutsideJ(SpecError):
     kind = "coefficient_outside_J"
 
 
-def _rational(text: str, line: int) -> int | Rat:
-    """The exact value of a token: an ``int`` for decimal digits with an
-    optional leading ``-``, which ``int`` reads as ``Rat`` would; for
-    p/q with such a p and ASCII decimal digits q != 0, ``Rat(p, q)``;
-    else ``Rat(text)``, so that ``2.5``, ``1e3`` and ``+3`` are read as
-    exact rationals too.  ``Rat`` reads p/q as those two integers, so the
-    route changes no value; a token with ``_`` or other digits keeps
-    ``Rat``'s own reading, which differs between Python versions."""
+def _rational(text: str, line: int) -> tuple[int, int]:
+    """The exact value of a token as a reduced pair (p, q) of integers,
+    q > 0, with no ``Rat`` built for the shapes a spec mostly holds:
+    decimal digits with an optional leading ``-`` are read by ``int``, as
+    (p, 1), and p/q of such a p and ASCII decimal digits q != 0 by ``int``
+    on each side, divided by their gcd.  ``Rat`` reads such tokens as those
+    same integers, so the route changes no value.  Every other token is
+    ``Rat(text)``, so that ``2.5``, ``1e3`` and ``+3`` are read as exact
+    rationals too; a token with ``_`` or other digits keeps ``Rat``'s own
+    reading, which differs between Python versions."""
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if digits.isdecimal() and text.isascii():
         if not slash:
-            return int(num)
+            return int(num), 1
         if den.isdecimal() and (q := int(den)):
-            return Rat(int(num), q)
+            p = int(num)
+            g = gcd(p, q)
+            return p // g, q // g
     try:
-        return Rat(text)
+        value = Rat(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational, got {text!r}", line) from None
+    return value.numerator, value.denominator
 
 
 def _natural(text: str, line: int, what: str) -> int:
@@ -94,35 +102,36 @@ def parse_spec(text: str) -> CurveEquation:
     which no layer reads, is refused there, and an equation the text
     cannot build is a ParseError.  f's integer numerators, keyed by
     (weighted degree, x-exponent) over the lcm of the denominators, are
-    built here in one pass over the values, with no exponent table."""
+    built here in one pass over the values, each a reduced (p, q) pair
+    (``_rational``); a z line's key is read from the pair's table
+    ``CuspidalSets.j_to_key``."""
     fields: dict = {}
     coeffs: list = []
     terms: list = []
     seen: set = set()   # the j of every z line and the (a, b) of every term line
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].replace("=", " = ").split()
+        if not tokens:
             continue
-        tokens = line.replace("=", " = ").split()
-        if len(tokens) == 3 and tokens[1] == "=" and tokens[0] in ("n", "m"):
-            key = tokens[0]
-            if key in fields:
-                raise ParseError(f"duplicate {key}", line_no)
-            fields[key] = _natural(tokens[2], line_no, key)
-        elif len(tokens) == 3 and tokens[1] == "=" and tokens[0] == "mu":
-            if "mu" in fields:
-                raise ParseError("duplicate mu", line_no)
-            mu = _rational(tokens[2], line_no)
-            if not mu:
-                raise ParseError("mu must be nonzero", line_no)
-            fields["mu"] = mu
-        elif len(tokens) == 4 and tokens[0] == "z" and tokens[2] == "=":
+        key = tokens[0]
+        if key == "z" and len(tokens) == 4 and tokens[2] == "=":
             j = _natural(tokens[1], line_no, "gap value")
             if j in seen:
                 raise ParseError(f"duplicate coefficient z {j}", line_no)
             seen.add(j)
-            coeffs.append((j, _rational(tokens[3], line_no), line_no))
-        elif len(tokens) == 4 and tokens[0] == "term":
+            coeffs.append((j, *_rational(tokens[3], line_no), line_no))
+        elif len(tokens) == 3 and tokens[1] == "=" and key in ("n", "m"):
+            if key in fields:
+                raise ParseError(f"duplicate {key}", line_no)
+            fields[key] = _natural(tokens[2], line_no, key)
+        elif len(tokens) == 3 and tokens[1] == "=" and key == "mu":
+            if "mu" in fields:
+                raise ParseError("duplicate mu", line_no)
+            mu = _rational(tokens[2], line_no)
+            if not mu[0]:
+                raise ParseError("mu must be nonzero", line_no)
+            fields["mu"] = mu
+        elif len(tokens) == 4 and key == "term":
             c = _rational(tokens[1], line_no)
             a = _natural(tokens[2], line_no, "x exponent")
             b = _natural(tokens[3], line_no, "y exponent")
@@ -130,9 +139,8 @@ def parse_spec(text: str) -> CurveEquation:
                 raise ParseError(f"duplicate term x^{a} y^{b}", line_no)
             seen.add((a, b))
             terms.append((c, a, b, line_no))
-        elif tokens[0] in _REMOVED_KEYS:
-            raise ParseError(f"the {tokens[0]} key was removed: {_REMOVED_KEYS[tokens[0]]}",
-                             line_no)
+        elif key in _REMOVED_KEYS:
+            raise ParseError(f"the {key} key was removed: {_REMOVED_KEYS[key]}", line_no)
         else:
             raise ParseError(f"unrecognized line {raw.strip()!r}", line_no)
 
@@ -148,36 +156,35 @@ def parse_spec(text: str) -> CurveEquation:
         sg = Semigroup(n, m)
     except ValueError as exc:
         raise InvalidPair(str(exc)) from None
-    mu = fields.get("mu", 1)
+    mu = fields.get("mu", (1, 1))
 
     if coeffs and terms:
         raise ParseError("cannot mix z coefficients (nice form) with raw terms")
-    if coeffs and mu != 1:
+    if coeffs and mu != (1, 1):
         raise ParseError("nice form fixes the x^m coefficient to 1; drop mu")
 
     nm = n * m
-    # (key, value) of every term of f, keyed by (weighted degree, x-exponent)
-    values = [((nm, m), mu), ((nm, 0), 1)]
-    j_to_p = sg.sets.j_to_p
-    for j, c, line_no in coeffs:
-        p = j_to_p.get(j)
-        if p is None:
+    # (key, p, q) of every term p/q of f, keyed by (weighted degree, x-exponent)
+    values = [((nm, m), *mu), ((nm, 0), 1, 1)]
+    j_to_key = sg.sets.j_to_key
+    for j, p, q, line_no in coeffs:
+        key = j_to_key.get(j)
+        if key is None:
             raise CoefficientOutsideJ(
                 f"z {j} is not a cuspidal gap value of ({n}, {m})", line_no)
-        values.append(((n * p[0] + m * p[1], p[0]), c))
-    for c, a, b, line_no in terms:
+        values.append((key, p, q))
+    for (p, q), a, b, line_no in terms:
         w = n * a + m * b
         if w <= nm:
             raise ParseError(f"term x^{a} y^{b} has weighted degree {w} <= {nm}", line_no)
         if w > sg.branch_horizon:
             raise ParseError(f"term x^{a} y^{b} has weighted degree {w} > 2*n*m = "
                              f"{sg.branch_horizon}, where f is held", line_no)
-        values.append(((w, a), c))
+        values.append(((w, a), p, q))
 
-    den = lcm(*(c.denominator for _, c in values))
+    den = lcm(*(q for _, _, q in values))
     f = TruncatedPoly._raw(sg.order, sg.branch_horizon,
-                           {key: c.numerator * (den // c.denominator) for key, c in values if c},
-                           den)
+                           {key: p * (den // q) for key, p, q in values if p}, den)
     try:
         return CurveEquation(sg, f)
     except ValueError as exc:    # CurveEquation's checks

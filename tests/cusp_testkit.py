@@ -71,8 +71,10 @@ def nice_curves(seed: int, densities=(0.25, 0.5, 0.75), n_values=range(2, 8), m_
 
 
 def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
-    """A nonzero 1-form A dx + B dy with 0-2 monomials on each side, small
-    integer coefficients, and weighted degrees at most nm."""
+    """A nonzero 1-form A dx + B dy with 0-2 monomials on each side,
+    coefficients +-(1..3)/q with q drawn from 1, 1, 2, 3, and weighted
+    degrees at most nm: about half the forms have a side whose denominator
+    is not 1, and the two sides' denominators often differ."""
     sg = eq.sg
     nm = sg.n * sg.m
     order = eq.f.order
@@ -88,7 +90,7 @@ def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
                     b = rng.randint(0, sg.n - 1)
                     if sg.n * a + sg.m * b <= nm:
                         break
-                coeff = Rat(rng.choice([-1, 1]) * rng.randint(1, 3))
+                coeff = Rat(rng.choice([-1, 1]) * rng.randint(1, 3), rng.choice([1, 1, 2, 3]))
                 terms[(a, b)] = terms[(a, b)] + coeff if (a, b) in terms else coeff
             sides.append(TruncatedPoly(order, horizon, terms))
         form = OneForm(sides[0], sides[1])

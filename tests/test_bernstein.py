@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import CurveEquation, Semigroup, curve, cuspidal_sets
+from cuspidal import CurveEquation, Semigroup, bernstein, curve, cuspidal_sets
 from cuspidal.bernstein import (
     Certificate,
     GammaExpr,
@@ -296,7 +296,7 @@ def test_decide_root_matches_the_reference_residue():
 def _summed_verdict(eq, j) -> RootDecision:
     """``decide_root``'s verdict from a scan of j's root plan that sums
     every residue with ``_residue_sum``, one-term tables included."""
-    _, pair, tests, targets, beta_root, alpha_root, _ = _root_plans(eq.sg)[j]
+    _, pair, tests, targets, beta_root, alpha_root, *_ = _root_plans(eq.sg)[j]
     for ab, k in zip(tests, targets):
         if _residue_sum(eq, *ab, k, pair)[0]:
             return RootDecision("beta_root", beta_root, ab)
@@ -567,9 +567,10 @@ def test_verdict_renders_its_report_line():
 def test_root_plans_belong_to_the_pair():
     """The plan of each j is built once per pair, from the pair alone: B,
     the Gamma pair, the test exponents of M with k >= 0 in scan order
-    (``scan_order``) and their targets k, both candidate roots, and the
-    pair's verdicts for j, each keyed by its witness.  Every other entry is a
-    tuple, and the plans cannot be written."""
+    (``scan_order``) and their targets k, both candidate roots, the
+    pair's verdicts for j, each keyed by its witness, and the targets as a
+    bitset.  Every other entry is a tuple, and the plans cannot be
+    written."""
     for n, m in coprime_pairs(range(2, 10), 20):
         sg = Semigroup(n, m)
         plans = _root_plans(sg)
@@ -583,6 +584,7 @@ def test_root_plans_belong_to_the_pair():
                                 Rat(-big_b, n * m), Rat(-big_b - n * m, n * m))
             assert all(type(part) is tuple for part in (plan, plan[1], plan[2], plan[3]))
             assert type(plan[6]) is dict
+            assert plan[7] == sum(1 << k for k in targets) and len(plan) == 8
             assert all(verdict.witness == witness and verdict.root == plan[4 + (witness is None)]
                        for witness, verdict in plan[6].items())
     plans = _root_plans(Semigroup(4, 9))
@@ -695,6 +697,57 @@ def test_four_report_degenerate():
     assert rep.q_prime_coeffs is None and rep.q_prime_delorme is None
     assert rep.chain == ((0, "zero"),)
     assert rep.consistent
+
+
+@pytest.mark.parametrize("m,coeffs,shifted", [
+    (9, {1: Rat(1)}, (4, 9, 15)),                         # lambda_1 = 14 moved to 15
+    (17, {9: Rat(1), 18: Rat(1)}, (4, 17, 26)),           # lambda_1 = 30 moved to 26
+])
+def test_zariski_check_fails_on_a_shifted_lambda_1(m, coeffs, shifted):
+    """Fed a semimodule whose lambda_1 is not the curve's, the Zariski
+    battery reads inconsistent; fed the curve's own, consistent."""
+    eq = CurveEquation.nice(Semigroup(4, m), coeffs)
+    assert zariski_condition_check(eq, delorme(eq).values).consistent
+    assert not zariski_condition_check(eq, AbstractSemimodule(eq.sg, shifted)).consistent
+
+
+@pytest.mark.parametrize("m,coeffs,shifted", [
+    (13, {5: Rat(1), 10: Rat(1)}, (4, 13, 22, 27)),       # q' = 1 moved to 0
+    (17, {9: Rat(1), 18: Rat(1)}, (4, 17, 30, 39)),       # q' = 2 moved to 1
+    (17, {9: Rat(1), 18: Rat(1)}, (4, 17, 30, 35)),       # q' = 2 moved to 0
+])
+def test_four_check_fails_on_a_shifted_q_prime(m, coeffs, shifted):
+    """Fed a semimodule whose lambda_2, so q', is not the curve's, the
+    n = 4 battery reads inconsistent; fed the curve's own, consistent."""
+    eq = CurveEquation.nice(Semigroup(4, m), coeffs)
+    assert four_condition_check(eq, delorme(eq).values).consistent
+    assert not four_condition_check(eq, AbstractSemimodule(eq.sg, shifted)).consistent
+
+
+@pytest.mark.parametrize("check", [zariski_condition_check, four_condition_check])
+@pytest.mark.parametrize("m,coeffs", [(9, {1: Rat(1)}), (13, {5: Rat(1), 10: Rat(1)}),
+                                      (17, {9: Rat(1), 18: Rat(1)})])
+def test_one_wrong_verdict_makes_a_battery_inconsistent(monkeypatch, check, m, coeffs):
+    """Each verdict that a battery reads decides it: with ``_verdict``
+    turned to the wrong decision at any one of its calls, the battery
+    reads inconsistent."""
+    eq = CurveEquation.nice(Semigroup(4, m), coeffs)
+    values = delorme(eq).values
+    verdict = bernstein._verdict
+    calls = count_calls(monkeypatch, verdict)
+    assert check(eq, values).consistent
+    reads = len(calls)
+    assert reads >= 2
+    for wrong in range(reads):
+        seen = []
+
+        def flipped(*args):
+            seen.append(args)
+            got = verdict(*args)
+            return ("zero" if got == "nonzero" else "nonzero") if len(seen) == wrong + 1 else got
+
+        monkeypatch.setattr(bernstein, "_verdict", flipped)
+        assert not check(eq, values).consistent
 
 
 def _battery_entries(eq) -> list:

@@ -9,7 +9,9 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +221,46 @@ def test_tjurina_off_the_semimodule_fails_verify(capsys, monkeypatch, spec49):
     assert "jacobian_cross_check = ok" in out
     assert "tjurina_semimodule = FAIL" in out
     assert out.endswith("verify = FAIL\n")
+
+
+def test_a_moved_leading_power_fails_the_jacobian_cross_check(capsys, monkeypatch, spec49):
+    """The direct Jacobian basis with one leading power moved, its last
+    generator times x, no longer matches Delorme's route: verify reads
+    FAIL on the cross-check and exits 1."""
+    code, out, _ = run(capsys, "verify", "--spec", spec49)
+    assert (code, "jacobian_cross_check = ok" in out) == (0, True)
+    direct = cli.jacobian_basis_direct
+
+    def moved(eq):
+        *rest, last = direct(eq).polys
+        return StandardBasis((*rest, last.mul_monomial(1, (1, 0))))
+
+    monkeypatch.setattr(cli, "jacobian_basis_direct", moved)
+    code, out, _ = run(capsys, "verify", "--spec", spec49)
+    assert code == 1
+    assert "\njacobian_cross_check = FAIL\n" in out
+    assert out.endswith("verify = FAIL\n")
+
+
+def test_an_alpha_verdict_at_a_certified_value_fails_verify(capsys, monkeypatch, spec49):
+    """For each lambda of the certified roots, a ``decide_root`` that reads
+    an alpha root there, and only there, makes verify read FAIL at that
+    lambda and exit 1."""
+    code, out, _ = run(capsys, "verify", "--spec", spec49)
+    assert code == 0
+    roots = next(line for line in out.splitlines() if line.startswith("certified_roots = ok "))
+    lams = [int(-Fraction(r) * 36) for r in roots.split()[3:]]
+    assert lams == [14, 19, 23]
+    for lam in lams:
+        def alpha_at(eq, j, lam=lam):
+            verdict = decide_root(eq, j)
+            return RootDecision("alpha_root", verdict.root - 1) if j == lam - 13 else verdict
+
+        monkeypatch.setattr(cli, "decide_root", alpha_at)
+        code, out, _ = run(capsys, "verify", "--spec", spec49)
+        assert code == 1
+        assert f"\ncertified_roots = FAIL at {lam}\n" in out
+        assert out.endswith("verify = FAIL\n")
 
 
 def test_conjecture_scan_small(capsys):
@@ -757,6 +799,61 @@ def test_a_subcommand_alone_reads_as_the_top_level_parser(capsys, monkeypatch, c
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
     assert routed == run(capsys, *argv)
     assert routed[0] in (0, 2)
+
+
+def _spy_parsers(monkeypatch) -> list:
+    """The prog of every parser that parses from now on, in order."""
+    parsed = []
+    parse_known_args = cli._Parser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
+    return parsed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([name for name, (_, _, defaults) in cli._SUBCOMMANDS.items()
+                         if defaults is not None]),
+       st.text(max_size=12).filter(lambda path: not path.startswith("-")))
+def test_a_spec_argv_gets_argparses_namespace_without_argparse(command, path):
+    """[command, "--spec", PATH], for a command that needs only --spec and
+    a PATH that is no flag, gets the namespace that the subcommand's parser
+    and the top-level parser give, but the top-level's command name, and
+    no parser is built or run for it."""
+    argv = [command, "--spec", path]
+    want = vars(cli._subcommand_parser(command).parse_args(argv[1:]))
+    top = vars(cli._build_parser().parse_args(argv))
+    assert top.pop("command") == command
+    assert want == top
+    with mock.patch.object(cli._Parser, "parse_known_args", side_effect=AssertionError), \
+            mock.patch.object(cli, "_Parser", side_effect=AssertionError):
+        got = cli._parse_args(argv)
+    assert type(got) is argparse.Namespace and vars(got) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["bs-roots", "--spec=c.spec"],                          # one word
+    ["bs-roots", "--spec", "-x"],                           # a flag for a path
+    ["verify", "--spec", "a.spec", "--spec", "b.spec"],     # --spec twice
+    ["jacobian", "--spec", "c.spec", "stray"],              # an extra word
+    ["delorme", "--json", "--spec", "c.spec"],              # --json first
+    ["residue", "--spec", "c.spec"],                        # needs --j and --ab
+    ["conjecture-scan", "--spec", "c.spec"],                # reads no spec
+    ["enumerate", "--spec", "c.spec", "--max-m", "9"],      # a second option
+])
+def test_every_other_argv_reaches_argparse(capsys, monkeypatch, argv):
+    """An argv off the one shape that ``_parse_args`` builds directly is
+    parsed by the subcommand's own parser, and stdout, stderr and the exit
+    code are those of the top-level parser byte for byte."""
+    parsed = _spy_parsers(monkeypatch)
+    routed = run(capsys, *argv)
+    assert parsed[:1] == [f"cuspidal {argv[0]}"]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+    assert routed == run(capsys, *argv)
+    assert routed[0] == 2
 
 
 @pytest.mark.parametrize("command,flag", [(command, flag) for command in DECLARED

@@ -4,12 +4,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal.curve import CurveEquation, Semigroup
 from cuspidal.poly import TruncatedPoly
+from cuspidal import specfile
 from cuspidal.rationals import Rat
 from cuspidal.specfile import (
     CoefficientOutsideJ,
@@ -149,8 +151,8 @@ def _reference_parse(text: str):
     """The spec as the text-to-table route reads it: every value through
     ``Rat``, f's terms in an exponent table, each refusal in the order of
     ``parse_spec``.  Returns (sg, table), or raises the refusal that
-    ``parse_spec`` must raise.  Reads only the n, m, mu, z and term lines
-    that ``_spec_texts`` writes."""
+    ``parse_spec`` must raise.  Reads only n, m, mu, z and term lines,
+    blank lines and ``#`` comments."""
     def natural(token, line, what):
         try:
             value = int(token)
@@ -168,7 +170,9 @@ def _reference_parse(text: str):
 
     fields, coeffs, terms = {}, [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.replace("=", " = ").split()
+        tokens = line.partition("#")[0].replace("=", " = ").split()
+        if not tokens:
+            continue
         if tokens[0] in ("n", "m"):
             if tokens[0] in fields:
                 raise ParseError(f"duplicate {tokens[0]}", line_no)
@@ -263,6 +267,12 @@ def test_spec_goes_straight_to_numerators(text):
     constructor on the exponent table that ``Rat`` reads, with the same
     denominator and in the same order; a refused text raises the same
     class with the same message and line."""
+    _assert_reads_as_the_reference(text)
+
+
+def _assert_reads_as_the_reference(text: str) -> None:
+    """``parse_spec`` gives the f of ``_reference_parse``, terms in order
+    and denominator, or raises its refusal: class, message and line."""
     try:
         sg, table = _reference_parse(text)
     except SpecError as expected:
@@ -277,6 +287,34 @@ def test_spec_goes_straight_to_numerators(text):
     assert f.den == want.den
 
 
+# Decimal digits and p/q of them are split into integers with no Rat built;
+# every other shape, and every refusal, is Rat's.
+_TOKENS = ["3", "-3", "6/4", "-0", "0/5", "-6/4", "+3", "2.5", "1e3", "1_0",
+           "\uff13", "\u0663/4", "3/0", "3/-4", "3/", "/4", "--3"]
+
+
+@pytest.mark.parametrize("line", ["z 1 = {}", "z 1 = 1\nz 2 = {}", "mu = {}",
+                                  "term {} 7 1", "mu = 2\nterm {} 7 1"])
+@pytest.mark.parametrize("token", _TOKENS)
+def test_every_token_shape_reads_as_fraction_does(line, token):
+    """A value of each shape, on a z, mu or term line, gives the f of the
+    ``Fraction`` reference, terms and denominator, or its refusal."""
+    _assert_reads_as_the_reference(f"n = 4\nm = 9\n{line.format(token)}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "n = 4\nm = 9\nz 1 = 6/4   # a trailing comment\nz 2 = -1/3#another\n",
+    "n\t=\t4\nm = 9\nz\t1\t=\t-6/4\n\tz 2 = 5\t\n",
+    "n = 4\r\nm = 9\r\nz 1 = 2/3\r\n\r\nz 2 = 5\r\n",
+    "n = 4\nm = 9\nz 1 = 1\nz 2 = 1/2\nz 1 = 2\n",     # a duplicate z, line 5
+    "# head\n\nn = 4\nm = 9\nz 10 = 4/6\nz 6 = 3\n",
+])
+def test_comments_tabs_and_line_ends_read_as_fraction_does(text):
+    """Trailing comments, tabs, blank lines, ``\\r\\n`` line ends and a
+    duplicate z: the f or the refusal, with its line, of the reference."""
+    _assert_reads_as_the_reference(text)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.one_of(
     st.builds("{}/{}".format, st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 6)),
@@ -284,10 +322,11 @@ def test_spec_goes_straight_to_numerators(text):
 def test_rational_reads_a_token_as_fraction_does(text):
     """``_rational`` reads a token of ASCII decimal digits (with an
     optional ``-``) by ``int``, and p/q of such digits by ``int`` on each
-    side; every token has the value of ``Fraction(text)``, and one that
-    ``Fraction`` refuses, ``1/0`` among them, raises ``ParseError`` naming
-    it.  A token with ``_`` or non-ASCII digits goes to ``Fraction``, whose
-    reading of it differs between Python versions."""
+    side, building no ``Rat``; every token gives the numerator and
+    denominator of ``Fraction(text)``, and one that ``Fraction`` refuses,
+    ``1/0`` among them, raises ``ParseError`` naming it.  A token with
+    ``_`` or non-ASCII digits goes to ``Fraction``, whose reading of it
+    differs between Python versions."""
     try:
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -295,7 +334,8 @@ def test_rational_reads_a_token_as_fraction_does(text):
             _rational(text, 7)
         assert str(info.value) == f"line 7: expected a rational, got {text!r}"
         return
-    got = _rational(text, 7)
-    assert got == want
-    assert (type(got) is int) == bool(re.fullmatch("-?[0-9]+", text))
-    assert type(got) in (int, Fraction)
+    with mock.patch.object(specfile, "Rat", wraps=Fraction) as built:
+        got = _rational(text, 7)
+    assert got == (want.numerator, want.denominator)
+    assert type(got[0]) is type(got[1]) is int
+    assert built.called != bool(re.fullmatch("-?[0-9]+(/[0-9]+)?", text))

@@ -188,11 +188,18 @@ def cmd_enumerate(eq: CurveEquation, max_m: int | None) -> dict:
     return data
 
 
+def _check(passed: bool, detail: str | None = None) -> str:
+    """The line of one ``verify`` check: ok or FAIL, then its detail."""
+    word = "ok" if passed else "FAIL"
+    return word if detail is None else f"{word} {detail}"
+
+
 def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
+    """The report of every check, each on its one line; ``verify`` is ok,
+    and so is the exit, exactly when no line reads FAIL."""
     sg = eq.sg
     n, m = sg.n, sg.m
     data: dict = {"n": n, "m": m, "form": eq.form}
-    ok = True
 
     diff = delorme(eq)
     vals = diff.values
@@ -210,9 +217,7 @@ def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
     for _, steps in diff.rounds:
         at += 1 + len(steps)
         basis_read.append(read[at])
-    agree = basis_read == list(vals.basis)
-    data["oracle_basis_forms"] = "ok" if agree else "FAIL"
-    ok &= agree
+    data["oracle_basis_forms"] = _check(basis_read == list(vals.basis))
 
     # The forms of Delorme's run: the tuning moves their values.
     if n == 2:
@@ -220,48 +225,38 @@ def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
     else:
         mismatches = sum(differential_value(w, eq) != value
                          for w, value in zip(trail, read[2:]))
-        data["oracle_delorme_forms"] = (f"ok {len(trail)}/{len(trail)}" if not mismatches
-                                        else f"FAIL {mismatches}/{len(trail)}")
-        ok &= not mismatches
+        # ok K/K, or FAIL with the number of forms whose values differ
+        data["oracle_delorme_forms"] = _check(not mismatches,
+                                              f"{mismatches or len(trail)}/{len(trail)}")
 
     via = jacobian_basis_via_differentials(eq, diff)
     direct_basis = jacobian_basis_direct(eq)
-    jac_ok = via.leading_powers == direct_basis.leading_powers
-    data["jacobian_cross_check"] = "ok" if jac_ok else "FAIL"
-    tau = tjurina_number(direct_basis)
-    data["tjurina"] = tau
-    ok &= jac_ok
+    data["jacobian_cross_check"] = _check(via.leading_powers == direct_basis.leading_powers)
+    tau = data["tjurina"] = tjurina_number(direct_basis)
 
     # A plane branch has mu = c and mu - tau = #(Lambda \ Gamma)
     # (Hefez-Hernandes): Buchberger's staircase at H_J against Delorme's
     # values at H_Delta.
-    tau_ok = sg.conductor - tau == len(elements_outside(vals))
-    data["tjurina_semimodule"] = "ok" if tau_ok else "FAIL"
-    ok &= tau_ok
+    data["tjurina_semimodule"] = _check(sg.conductor - tau == len(elements_outside(vals)))
 
     if eq.form == "nice":
-        zar = zariski_condition_check(eq, vals)
-        data["zariski_consistency"] = "ok" if zar.consistent else "FAIL"
-        ok &= zar.consistent
+        data["zariski_consistency"] = _check(zariski_condition_check(eq, vals).consistent)
         try:
-            four = four_condition_check(eq, vals)
-            data["four_consistency"] = "ok" if four.consistent else "FAIL"
-            ok &= four.consistent
+            data["four_consistency"] = _check(four_condition_check(eq, vals).consistent)
         except PreconditionViolation as exc:  # n != 4 among the reasons
             data["four_consistency"] = f"skipped ({exc})"
         # Descending roots, so that their lambda = -root * nm ascend.
         roots = certified_roots_from_semimodule(vals)[::-1]
         bad = [lam for lam in (int(-r * (n * m)) for r in roots)
                if decide_root(eq, lam - n - m).kind != "beta_root"]
-        data["certified_roots"] = ("ok " + " ".join(str(r) for r in roots)
-                                   if not bad else
-                                   "FAIL at " + " ".join(str(x) for x in bad))
-        ok &= not bad
+        data["certified_roots"] = _check(not bad, "at " + " ".join(map(str, bad)) if bad
+                                         else " ".join(map(str, roots)))
     else:
         for key in ("zariski_consistency", "four_consistency", "certified_roots"):
             data[key] = "skipped (adapted form)"
 
-    data["verify"] = "ok" if ok else "FAIL"
+    ok = not any(type(line) is str and line.startswith("FAIL") for line in data.values())
+    data["verify"] = _check(ok)
     return data, ok
 
 
@@ -395,14 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of subcommand ``name`` alone: the one that
-    ``_build_parser`` adds under the top-level parser, with the same prog,
-    so the same usage, help and messages."""
-    return _declare(_Parser(prog=f"cuspidal {name}", allow_abbrev=False), name)
-
-
 def _parse_ab(text: str) -> tuple[int, int]:
     try:
         a, b = (int(x) for x in text.split(","))
@@ -414,23 +401,19 @@ def _parse_ab(text: str) -> tuple[int, int]:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """The arguments of ``argv``.  The one shape that every request of a
-    curve takes, [command, "--spec", PATH] with a command that needs only
-    --spec and a PATH that is no flag, gets its namespace directly, and no
-    parser is built or run for it: the handler, spec = PATH and the
-    command's defaults in ``_SUBCOMMANDS``, which its parser sets too.
-    When argv[0] names a subcommand, any other rest goes straight to that
-    subcommand's own parser, and only that parser is built
-    (``_subcommand_parser``); anything else (no argv, an unknown word, a
-    top-level flag) goes through the top-level parser, so usage errors
-    read as they always have."""
+    """The arguments of ``argv``, by one of two routes.  The one shape
+    that every request of a curve takes, [command, "--spec", PATH] with a
+    command that needs only --spec and a PATH that is no flag, gets its
+    namespace directly, and no parser is built or run for it: the handler,
+    spec = PATH and the command's defaults in ``_SUBCOMMANDS``, which its
+    parser sets too.  Every other argv goes to the top-level parser
+    (``_build_parser``), so usage errors, help and exit codes are
+    argparse's."""
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[1] == "--spec" and argv[2][:1] != "-":
         _, handler, defaults = _SUBCOMMANDS.get(argv[0], (None, None, None))
         if defaults is not None:
             return argparse.Namespace(handler=handler, spec=argv[2], **defaults)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _subcommand_parser(argv[0]).parse_args(argv[1:])
     return _build_parser().parse_args(argv)
 
 

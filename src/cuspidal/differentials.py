@@ -142,25 +142,26 @@ def oracle_differential_value(omega: OneForm, param: Parametrization) -> int | N
     return None if o is None else o + 1
 
 
-def _tuning(r1: dict, den1: int, r2: dict, den2: int) -> tuple:
+def _tuning(r1: dict, den1: int, lead1: tuple | None, r2: dict, den2: int,
+            lead2: tuple | None) -> tuple:
     """(mu, p, q): mu+ = -lc(r1)/lc(r2), the scalar that cancels the leading
     term of r1 against r2, and the integers with which ``delorme`` takes that
     step fraction-free.  r1 and r2 are reduced term maps of ``delorme``:
     integer numerators over the positive denominators den1 and den2, keyed
-    by the order's sort key (weighted degree, x-exponent).  Both must be
-    nonzero with the same leading power.
+    by the order's sort key (weighted degree, x-exponent), and lead1 and
+    lead2 their leading keys as ``_reduce_by_f`` returns them, None for a
+    map that vanished.  Both must be nonzero with the same leading power.
 
     With r0 and p0 the leading numerators and g = gcd(r0, p0), p = +-p0/g
     and q = +-r0/g, the sign making p positive.  Then
     r1/den1 + mu * r2/den2 = (p*r1 - q*r2) / (den1*p), with
     mu = -q*den2 / (den1*p)."""
-    if not r1 or not r2:
+    if lead1 is None or lead2 is None:
         raise ValueMismatch("tuning needs finite values on both sides")
-    lead1, lead2 = min(r1), min(r2)
     if lead1 != lead2:
         raise ValueMismatch(
             f"values differ: leading keys (degree, x-exponent) {lead1} vs {lead2}")
-    r0, p0 = r1[lead1], r2[lead2]
+    r0, p0 = r1[lead1], r2[lead1]
     g = gcd(r0, p0)
     p, q = (p0 // g, r0 // g) if p0 > 0 else (-p0 // g, -r0 // g)
     return Rat(-q * den2, den1 * p), p, q
@@ -450,7 +451,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             break
         steps = []
         r = _lifted(reductions[i], s, u - lambdas[i], h)
-        _, rden = _reduce_by_f(r, reductions[i].den, tail, fden, n, nm, h)
+        lead, rden = _reduce_by_f(r, reductions[i].den, tail, fden, n, nm, h)
         value, usable = u, prefix[:i]  # the axis step may use only the forms before omega_i
         while True:
             cover = _cover(sg, usable, value)
@@ -460,8 +461,8 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
                 break
             j, shift = cover
             part = _lifted(reductions[j], shift, value - lambdas[j], h)
-            _, pden = _reduce_by_f(part, reductions[j].den, tail, fden, n, nm, h)
-            mu, p, q = _tuning(r, rden, part, pden)
+            plead, pden = _reduce_by_f(part, reductions[j].den, tail, fden, n, nm, h)
+            mu, p, q = _tuning(r, rden, lead, part, pden, plead)
             steps.append((j, mu, shift))
             if p != 1:  # r <- p*r - q*part over rden*p: r + mu*part, in place
                 for k in r:

@@ -1,10 +1,12 @@
 """One digest over what the command line prints, to compare two trees.
 
 Runs ``cuspidal.cli.main`` in process on a fixed set of argv lists and
-prints the number of invocations and one sha256 over (argv, exit code,
-stdout, stderr) of each, in order.  Spec paths in the argv, and the
-temporary directory wherever the output names it, are written relative to
-that directory, so the digest depends on the program alone.  Two trees
+prints the number of invocations, the number of them that raised an
+exception out of ``main`` (a traceback, which bad input must never give),
+and one sha256 over (argv, exit code, stdout, stderr) of each, in order.
+Spec paths in the argv, and the temporary directory wherever the output
+names it, are written relative to that directory, so the digest depends
+on the program alone.  Two trees
 print the same digest when their command lines behave byte for byte the
 same on these runs:
 
@@ -136,10 +138,10 @@ def _invoke(argv) -> tuple:
 
 
 def run(seeds=(0, 3), seconds: float = 12, grid_specs: int = 40,
-        max_m: int = 14) -> tuple[int, str]:
-    """(invocations, sha256 hex digest) of one run."""
+        max_m: int = 14) -> tuple[int, int, str]:
+    """(invocations, those that raised, sha256 hex digest) of one run."""
     digest = hashlib.sha256()
-    count = 0
+    count = raised = 0
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
         directory = Path(tmp)
         prefix = str(directory) + "/"
@@ -149,7 +151,8 @@ def run(seeds=(0, 3), seconds: float = 12, grid_specs: int = 40,
                       out.replace(prefix, ""), err.replace(prefix, "")]
             digest.update(json.dumps(record).encode() + b"\n")
             count += 1
-    return count, digest.hexdigest()
+            raised += type(code) is str and code.startswith("raised ")
+    return count, raised, digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -157,8 +160,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     parser.add_argument("--max-m", type=int, default=14, help="conjecture-scan's --max-m")
     args = parser.parse_args(argv)
-    count, digest = run(args.seeds, max_m=args.max_m)
+    count, raised, digest = run(args.seeds, max_m=args.max_m)
     print(f"invocations {count}")
+    print(f"raised {raised}")
     print(f"sha256 {digest}")
     return 0
 

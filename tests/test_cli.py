@@ -263,6 +263,28 @@ def test_an_alpha_verdict_at_a_certified_value_fails_verify(capsys, monkeypatch,
         assert out.endswith("verify = FAIL\n")
 
 
+@pytest.mark.parametrize("battery,other", [("zariski", "four"), ("four", "zariski")])
+def test_wrong_verdicts_in_one_battery_fail_verify(capsys, monkeypatch, spec49, battery, other):
+    """With ``_verdict`` turned to the wrong decision while one battery
+    runs, and only then, that battery's line reads FAIL, the other's ok,
+    and verify reads FAIL and exits 1."""
+    verdict = bernstein._verdict
+    check = getattr(cli, f"{battery}_condition_check")
+
+    def wrong(eq, values):
+        with monkeypatch.context() as patch:
+            patch.setattr(bernstein, "_verdict", lambda *args: (
+                "zero" if verdict(*args) == "nonzero" else "nonzero"))
+            return check(eq, values)
+
+    monkeypatch.setattr(cli, f"{battery}_condition_check", wrong)
+    code, out, _ = run(capsys, "verify", "--spec", spec49)
+    assert code == 1
+    assert f"\n{battery}_consistency = FAIL\n" in out
+    assert f"\n{other}_consistency = ok\n" in out
+    assert out.endswith("verify = FAIL\n")
+
+
 def test_conjecture_scan_small(capsys):
     code, out, _ = run(capsys, "conjecture-scan", "--max-m", "7", "--seed", "3")
     assert code == 0
@@ -745,30 +767,6 @@ def test_declared_flags_are_parsed(command):
         assert str(getattr(args, flag[2:].replace("-", "_"))) == SETTINGS[flag]
 
 
-@pytest.mark.parametrize("command", DECLARED)
-def test_subcommand_argv_goes_to_its_own_parser(monkeypatch, command):
-    """``main`` parses a subcommand's argv with that subcommand's parser,
-    and gets the namespace the top-level parser gives for it, but for the
-    ``command`` name that only the top-level parser records."""
-    argv = [command, "--json"]
-    for flag in sorted(DECLARED[command]):
-        argv += [flag, SETTINGS[flag]]
-    seen = []
-    parse_args = cli._parse_args
-
-    def routed(argv):
-        args = parse_args(argv)
-        seen.append(args)
-        return argparse.Namespace(**{**vars(args), "handler": lambda args: ({}, True)})
-
-    monkeypatch.setattr(cli, "_parse_args", routed)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-    top = vars(cli._build_parser().parse_args(argv))
-    assert top.pop("command") == command
-    assert [vars(args) for args in seen] == [top]
-
-
 @pytest.mark.parametrize("argv", [[], ["nope"], ["--json"], ["-h"], ["verify", "stray"],
                                   ["bs-roots", "--spec", "c.spec", "stray"]])
 def test_argv_outside_a_subcommand_reads_as_the_top_level_parser(capsys, monkeypatch, argv):
@@ -776,26 +774,6 @@ def test_argv_outside_a_subcommand_reads_as_the_top_level_parser(capsys, monkeyp
     subcommand: stdout, stderr and the exit code are those of ``main``
     parsing with the top-level parser alone."""
     routed = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
-    assert routed == run(capsys, *argv)
-    assert routed[0] in (0, 2)
-
-
-@pytest.mark.parametrize("command", DECLARED)
-@pytest.mark.parametrize("tail", [["-h"], ["--help"], ["--bogus"], ["--json", "stray"],
-                                  ["--spec"], ["--j", "x"], ["--max-m", "x"],
-                                  ["--seed", "-1"], ["--seed", "x"]])
-def test_a_subcommand_alone_reads_as_the_top_level_parser(capsys, monkeypatch, command, tail):
-    """A subcommand's argv builds that subcommand's parser alone, never the
-    top-level one, and its usage errors, help text and exit codes are those
-    of the top-level parser byte for byte: help, an unknown flag, a stray
-    word, a missing or bad value, and residue's missing --j and --ab."""
-    cli._build_parser.cache_clear()
-    cli._subcommand_parser.cache_clear()
-    argv = [command, *tail]
-    routed = run(capsys, *argv)
-    assert cli._build_parser.cache_info().currsize == 0
-    assert cli._subcommand_parser.cache_info().currsize == 1
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
     assert routed == run(capsys, *argv)
     assert routed[0] in (0, 2)
@@ -820,14 +798,12 @@ def _spy_parsers(monkeypatch) -> list:
        st.text(max_size=12).filter(lambda path: not path.startswith("-")))
 def test_a_spec_argv_gets_argparses_namespace_without_argparse(command, path):
     """[command, "--spec", PATH], for a command that needs only --spec and
-    a PATH that is no flag, gets the namespace that the subcommand's parser
-    and the top-level parser give, but the top-level's command name, and
+    a PATH that is no flag, gets the namespace that the top-level parser
+    gives, but for the ``command`` name that only the parser records, and
     no parser is built or run for it."""
     argv = [command, "--spec", path]
-    want = vars(cli._subcommand_parser(command).parse_args(argv[1:]))
-    top = vars(cli._build_parser().parse_args(argv))
-    assert top.pop("command") == command
-    assert want == top
+    want = vars(cli._build_parser().parse_args(argv))
+    assert want.pop("command") == command
     with mock.patch.object(cli._Parser, "parse_known_args", side_effect=AssertionError), \
             mock.patch.object(cli, "_Parser", side_effect=AssertionError):
         got = cli._parse_args(argv)
@@ -846,11 +822,11 @@ def test_a_spec_argv_gets_argparses_namespace_without_argparse(command, path):
 ])
 def test_every_other_argv_reaches_argparse(capsys, monkeypatch, argv):
     """An argv off the one shape that ``_parse_args`` builds directly is
-    parsed by the subcommand's own parser, and stdout, stderr and the exit
+    parsed by the top-level parser first, and stdout, stderr and the exit
     code are those of the top-level parser byte for byte."""
     parsed = _spy_parsers(monkeypatch)
     routed = run(capsys, *argv)
-    assert parsed[:1] == [f"cuspidal {argv[0]}"]
+    assert parsed[:1] == ["cuspidal"]
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
     assert routed == run(capsys, *argv)
     assert routed[0] == 2
@@ -969,10 +945,11 @@ def test_random_specs_exit_zero_or_two(tmp_path):
 def test_output_identity_harness_is_reproducible(monkeypatch):
     """``tests/cli_identity.py`` at a tiny size: two runs in one process
     give one digest, so caches the program keeps do not move its output,
-    and a changed report moves the digest."""
+    no invocation raises out of ``main``, and a changed report moves the
+    digest."""
     tiny = dict(seeds=(0,), seconds=0, grid_specs=2, max_m=6)
     first = cli_identity.run(**tiny)
     assert first == cli_identity.run(**tiny)
-    assert first[0] > 1000
+    assert first[0] > 1000 and first[1] == 0
     monkeypatch.setattr(cli, "cmd_semigroup", lambda eq: {"n": eq.sg.n})
     assert cli_identity.run(**tiny) != first

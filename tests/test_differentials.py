@@ -74,10 +74,10 @@ def test_monomial_forms_realize_their_value():
 
 def _reduced(w: OneForm, eq: CurveEquation) -> tuple:
     """The final reduction of X_w(f) modulo f, as ``delorme`` holds it:
-    integer numerators keyed by (weighted degree, x-exponent), and their
-    denominator."""
+    integer numerators keyed by (weighted degree, x-exponent), their
+    denominator and the leading key, None when it vanished."""
     red = final_reduction(apply_vector_field(w, eq), [eq.f]).remainder
-    return red.terms, red.den
+    return red.terms, red.den, red.lead
 
 
 def test_tuning_constant_45():
@@ -87,8 +87,8 @@ def test_tuning_constant_45():
     eq = EQ45
     x_dy = OneForm.basic(eq.f, "dy").mul_monomial(Rat(1), (1, 0))
     y_dx = OneForm.basic(eq.f, "dx").mul_monomial(Rat(1), (0, 1))
-    (r1, den1), (r2, den2) = _reduced(x_dy, eq), _reduced(y_dx, eq)
-    mu, p, q = _tuning(r1, den1, r2, den2)
+    (r1, den1, lead1), (r2, den2, lead2) = _reduced(x_dy, eq), _reduced(y_dx, eq)
+    mu, p, q = _tuning(r1, den1, lead1, r2, den2, lead2)
     assert mu == Rat(-5, 4)
     assert p > 0
     fraction_free = {k: Rat(p * r1.get(k, 0) - q * r2.get(k, 0), den1 * p)
@@ -779,11 +779,12 @@ def test_fraction_free_steps_are_the_fraction_steps(monkeypatch):
         assert den > 0
         return lead, den
 
-    def tuned(r1, den1, r2, den2):
-        mu, p, q = tuning(r1, den1, r2, den2)
-        p0 = r2[min(r2)]
+    def tuned(r1, den1, lead1, r2, den2, lead2):
+        assert (lead1, lead2) == (min(r1), min(r2))
+        mu, p, q = tuning(r1, den1, lead1, r2, den2, lead2)
+        p0 = r2[lead2]
         seen["p0 < 0"] += p0 < 0
-        assert p > 0 and mu == -Rat(r1[min(r1)], den1) / Rat(p0, den2)
+        assert p > 0 and mu == -Rat(r1[lead1], den1) / Rat(p0, den2)
         return mu, p, q
 
     monkeypatch.setattr(differentials, "_reduce_by_f", checked)

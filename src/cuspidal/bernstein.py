@@ -6,15 +6,17 @@ residue: a Gamma-weighted polynomial in the nice-form coefficients z_j whose
 non-vanishing at some test exponent in M certifies -beta_j.  Every residue
 is a single Gamma group c*Gamma(r1)*Gamma(r2) or zero, with the pair
 (r1, r2) fixed by B = beta_j*nm = j + n + m alone (proved in ``residue``);
-j's root plan holds B and the pair, and every term is checked against it.
+j's root plan holds B and the pair, and every term is checked against it,
+and it maps each target k >= 0 to its one test exponent.
 So the vanishing decision is exact: c = 0 means zero, and otherwise the
 group is nonzero with the sign of c (``residue_is_zero``).  One integer
 core, ``_residue_sum``, computes c as (num, den) from the curve's table of
 the target k, the t^k coefficient of an exponential that the recurrence of
-``_delta_entries`` builds from the tables of smaller targets, without
-listing delta sequences.  Every verdict reads only whether num is 0, on the
-B and Gamma pair of j's root plan, through one core, ``_first_nonzero``:
-``decide_root``, and both batteries through ``_verdict``.  It passes by
+``_delta_entries``, the table's one reader, builds from the tables of
+smaller targets, without listing delta sequences.  Every verdict reads
+only whether num is 0, on the B and Gamma pair of j's root plan, through
+one core, ``_first_nonzero``: ``decide_root``, and both batteries through
+``_verdict``.  It passes by
 every test whose k no sum of the curve's support reaches
 (``CurveEquation.support_sums``): that residue is the empty sum, exactly 0.
 A one-term residue is decided by its sign: when the table of k has one
@@ -32,7 +34,6 @@ alone imports mpmath); no decision reads it.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
 from math import gcd, lcm, prod
@@ -140,14 +141,11 @@ def _steps(s: int, q: int, r: int) -> int:
     return t
 
 
-@cache
 def _lower(s: int, q: int, r: int) -> tuple:
     """Gamma(s/q) = (num/den) * Gamma(r/q) for s = r (mod q) and
     0 < r <= q: the (s - r)/q steps of Gamma(x) = (x-1) Gamma(x-1) give
     num = (s - q)(s - 2q)...r and den = q^((s - r)/q), after ``_steps``'
-    checks.  The pair depends on (s, q, r) alone, so it is computed once
-    per process for each; an argument that fails a check raises on every
-    call, since nothing is cached for it."""
+    checks, which every call runs."""
     t = _steps(s, q, r)
     return prod(range(s - q, r - 1, -q)), q ** t
 
@@ -159,10 +157,11 @@ def _gamma_pair(n: int, m: int, big_b: int) -> tuple:
 
 
 def _delta_entries(eq: CurveEquation, k: int) -> tuple:
-    """``eq.delta_table[k]``, built on the first use of k: (den, entries)
-    with entries ((num, o1, o2), ...), one per offset pair
-    (o1, o2) = (sum d*p1, sum d*p2) of the delta sequences of k, whose
-    coefficients (-1)^{sum d} prod z^d / d! sum to num/den != 0.
+    """``eq.delta_table[k]``, built on the first use of k, and the one
+    read of the table: (den, entries) with entries ((num, o1, o2), ...),
+    one per offset pair (o1, o2) = (sum d*p1, sum d*p2) of the delta
+    sequences of k, whose coefficients (-1)^{sum d} prod z^d / d! sum to
+    num/den != 0.
 
     The table of k is E_k, the t^k coefficient of
     E = exp(-sum_l z_l u_l t^l) over the parts l with nonzero z_l, where
@@ -234,7 +233,7 @@ def _residue_sum(eq: CurveEquation, a: int, b: int, k: int, pair) -> tuple:
     entry's arguments (``_lower``) and T1, T2 are the largest t1, t2 so
     far; every term is checked for a pole and against ``pair``."""
     n, m = eq.sg.n, eq.sg.m
-    den, entries = eq.delta_table.get(k) or _delta_entries(eq, k)
+    den, entries = _delta_entries(eq, k)
     r1, r2 = pair
     total = 0
     top1 = top2 = 1  # m^T1, n^T2
@@ -410,28 +409,28 @@ class RootDecision:
 
 @cache
 def _root_plans(sg: Semigroup) -> MappingProxyType:
-    """j -> (B, pair, tests, targets, beta root, alpha root, verdicts,
-    reach) for every j in J of the pair, read-only and built on the pair's
-    first verdict: B = j + n + m = beta_j*nm, the Gamma pair of beta_j
-    (``_gamma_pair``), the test exponents of M whose target
-    k = B - n*a - m*b is >= 0, in scan order, their targets k, which
-    ascend, the candidate roots -B/nm and -(B + nm)/nm, the pair's
-    verdicts for j: witness -> RootDecision, None for the alpha root, each
-    made on its first hit, and the targets as a bitset.  Nothing in it
-    depends on a curve."""
+    """j -> (B, pair, tests, reach, beta root, alpha root, verdicts) for
+    every j in J of the pair, built on the pair's first verdict:
+    B = j + n + m = beta_j*nm, the Gamma pair of beta_j (``_gamma_pair``),
+    the read-only map from the target k = B - n*a - m*b of each test
+    exponent (a, b) of M with k >= 0 to that exponent, in scan order, so
+    its keys ascend, those keys as a bitset, the candidate roots -B/nm and
+    -(B + nm)/nm, and the pair's verdicts for j: witness -> RootDecision,
+    None for the alpha root, each made on its first hit.  That verdict
+    memo is the one part written after a plan is built; the rest, and the
+    mapping of plans, are read-only.  Nothing in it depends on a curve."""
     n, m = sg.n, sg.m
     # The scan order: decreasing weight n*a + m*b, then (a, b), which is
-    # increasing k for every j, so k >= 0 is a suffix of it.
-    scan = tuple(sorted(sg.sets.M, key=lambda ab: (-n * ab[0] - m * ab[1], ab)))
-    neg_weights = [-n * a - m * b for a, b in scan]
+    # increasing k for every j; the weights below nm are distinct, so each
+    # k has one test.  scan holds (-weight, (a, b)).
+    scan = sorted((-n * a - m * b, (a, b)) for a, b in sg.sets.M)
     plans = {}
     for j in sg.sets.J:
         big_b = j + n + m
-        start = bisect_left(neg_weights, -big_b)
-        targets = tuple(map(big_b.__add__, neg_weights[start:]))
-        plans[j] = (big_b, _gamma_pair(n, m, big_b), scan[start:], targets,
-                    Rat(-big_b, n * m), Rat(-big_b - n * m, n * m), {},
-                    sum(1 << k for k in targets))
+        tests = {big_b + w: ab for w, ab in scan if w >= -big_b}
+        plans[j] = (big_b, _gamma_pair(n, m, big_b), MappingProxyType(tests),
+                    sum(1 << k for k in tests), Rat(-big_b, n * m),
+                    Rat(-big_b - n * m, n * m), {})
     return MappingProxyType(plans)
 
 
@@ -443,16 +442,17 @@ def _plan(sg: Semigroup, j: int) -> tuple:
     return plan
 
 
-def _first_nonzero(eq: CurveEquation, pair, tests, targets, reach: int):
+def _first_nonzero(eq: CurveEquation, pair, tests, reach: int):
     """The first test exponent (a, b) of ``tests`` whose residue is
-    nonzero, else None: the one core of every verdict.  ``targets`` holds
-    the target k of each test, ascending, ``reach`` the same targets as a
-    bitset, and ``pair`` the Gamma pair of the tests' B.
+    nonzero, else None: the one core of every verdict.  ``tests`` maps the
+    target k of each test to its exponent, k ascending, ``reach`` holds
+    the same targets as a bitset, and ``pair`` is the Gamma pair of the
+    tests' B.
 
     - A test whose k is not a support sum (``eq.support_sums``) is passed
       by unread: its residue is the empty sum, exactly 0.  So only the bits
       of ``reach`` that the support sums share are read, lowest first, each
-      k's test found among the targets by bisection.
+      k's test read off the map.
     - A one-term residue is decided by its sign.  When the table of k has
       one entry (c, o1, o2), ``_residue_sum`` returns c * P1 * P2 over a
       positive denominator, where P1 and P2 are ``_lower``'s products of
@@ -464,13 +464,12 @@ def _first_nonzero(eq: CurveEquation, pair, tests, targets, reach: int):
       way."""
     n, m = eq.sg.n, eq.sg.m
     r1, r2 = pair
-    tables = eq.delta_table
     hits = reach & eq.support_sums
     while hits:
         k = (hits & -hits).bit_length() - 1
         hits &= hits - 1
-        ab = tests[bisect_left(targets, k)]
-        entries = (tables.get(k) or _delta_entries(eq, k))[1]
+        ab = tests[k]
+        entries = _delta_entries(eq, k)[1]
         if len(entries) == 1:
             _, o1, o2 = entries[0]
             _steps(ab[0] + o1, m, r1)
@@ -484,20 +483,20 @@ def _first_nonzero(eq: CurveEquation, pair, tests, targets, reach: int):
 def decide_root(eq: CurveEquation, j: int) -> RootDecision:
     """-beta_j is a root iff some test exponent in M has nonzero residue;
     otherwise -alpha_j is.  Test exponents are scanned by increasing residue
-    target k (then lexicographically), so the cheap decompositions -- and in
-    the certified families the theory's own witness -- come first.  The
-    pair's plan for j (``_root_plans``) holds B, the Gamma pair of beta_j,
-    the test exponents with k >= 0 in that order and both candidate roots,
-    so each call only reads the sign of each residue's integer sum
-    (``_first_nonzero``); no GammaExpr is built.  A j outside J raises
-    ValueError.  A residue whose table has one entry (c, o1, o2) is not
-    summed: it is c times positive lowering products over a positive
-    denominator, and c != 0, so it is nonzero with the sign of c.  The
-    first nonzero residue is the witness; ``residue(eq, witness, j)``
+    target k, one test per k, so the cheap decompositions -- and in the
+    certified families the theory's own witness -- come first.  The pair's
+    plan for j (``_root_plans``) holds B, the Gamma pair of beta_j, the map
+    from each target k >= 0 to its test exponent, in that order, and both
+    candidate roots, so each call only reads the sign of each residue's
+    integer sum (``_first_nonzero``); no GammaExpr is built.  A j outside
+    J raises ValueError.  A residue whose table has one entry (c, o1, o2)
+    is not summed: it is c times positive lowering products over a
+    positive denominator, and c != 0, so it is nonzero with the sign of c.
+    The first nonzero residue is the witness; ``residue(eq, witness, j)``
     recomputes it.  The verdict returned is the pair's one instance for
     (j, witness), so its report line is rendered once per process."""
-    _, pair, tests, targets, beta_root, alpha_root, verdicts, reach = _plan(eq.sg, j)
-    witness = _first_nonzero(eq, pair, tests, targets, reach)
+    _, pair, tests, reach, beta_root, alpha_root, verdicts = _plan(eq.sg, j)
+    witness = _first_nonzero(eq, pair, tests, reach)
     verdict = verdicts.get(witness)
     if verdict is None:
         verdict = verdicts[witness] = (RootDecision("alpha_root", alpha_root) if witness is None
@@ -518,7 +517,7 @@ def _verdict(eq: CurveEquation, j: int, a: int, b: int) -> str:
     (``_plan``)."""
     big_b, pair = _plan(eq.sg, j)[:2]
     k = big_b - eq.sg.n * a - eq.sg.m * b
-    return "zero" if _first_nonzero(eq, pair, ((a, b),), (k,), 1 << k) is None else "nonzero"
+    return "zero" if _first_nonzero(eq, pair, {k: (a, b)}, 1 << k) is None else "nonzero"
 
 
 @cache

@@ -164,23 +164,24 @@ class Semigroup(metaclass=_OnePerPair):
 
 @dataclass(frozen=True, eq=False)
 class CuspidalSets:
-    """The exponent set P, its value set J, and the reflected set M.
+    """The value set J, the reflected set M, and the exponent set P as
+    the values of j_to_p.
 
     P collects the exponents (p1, p2) inside the box [0, m-1) x [0, n-1)
     lying strictly above the (n, m)-weight line; J lists the corresponding
     shifted weights n*p1 + m*p2 - n*m, in bijection with P; M reflects P
     through (m-1, n-1).  All three are empty when n = 2.  j_to_p maps each
-    j to its exponent in P; j_to_key maps it to the key (j + nm, p1) of its
-    monomial in f's numerators (``TruncatedPoly``), which ``parse_spec``
-    writes z_j at; and key_to_part maps that key back to (j, p1, p2), which
-    ``CurveEquation`` reads f's form and z_j through.  All three are
+    j to its exponent in P, so P is ``j_to_p.values()``, in J's order;
+    j_to_key maps j to the key (j + nm, p1) of its monomial in f's
+    numerators (``TruncatedPoly``), which ``parse_spec`` writes z_j at;
+    and key_to_part maps that key back to (j, p1, p2), which
+    ``CurveEquation`` reads f's form and z_j through.  All three maps are
     read-only: every curve of the pair reads the one mapping.  Every program
     path reads the pair's one ``Semigroup.sets``, so the sets are compared
     and hashed by identity, as the semigroup is.
     """
 
     sg: Semigroup
-    P: frozenset
     J: tuple
     M: tuple
     j_to_p: MappingProxyType = field(repr=False)
@@ -189,8 +190,9 @@ class CuspidalSets:
 
 
 def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
-    """Build P, J, M by scanning the defining box; sanity-checks the P <-> J
-    bijection (weights below n*m determine their exponent uniquely)."""
+    """Build J, M and P (as j_to_p) by scanning the defining box;
+    sanity-checks the P <-> J bijection (weights below n*m determine their
+    exponent uniquely)."""
     n, m = sg.n, sg.m
     pairs: list[tuple[int, Exponent]] = []
     for p1 in range(m - 1):
@@ -201,10 +203,9 @@ def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
     J = tuple(j for j, _ in pairs)
     if len(set(J)) != len(pairs):
         raise AssertionError("cuspidal values collided below n*m")
-    P = frozenset(p for _, p in pairs)
     M = tuple((m - p1 - 1, n - p2 - 1) for _, (p1, p2) in pairs)
     keys = [(j, (j + n * m, p1), p2) for j, (p1, p2) in pairs]
-    return CuspidalSets(sg, P, J, M, MappingProxyType(dict(pairs)),
+    return CuspidalSets(sg, J, M, MappingProxyType(dict(pairs)),
                         MappingProxyType({j: key for j, key, _ in keys}),
                         MappingProxyType({key: (j, key[1], p2) for j, key, p2 in keys}))
 

@@ -206,10 +206,10 @@ def _cover(sg: Semigroup, lambdas: tuple, value: int) -> tuple | None:
     return None
 
 
-def _lifted(g: TruncatedPoly, shift: Exponent, degree: int, horizon: int) -> dict:
-    """The numerators of x^shift * g, over ``g.den``, cut at ``horizon``;
-    ``degree`` is the weighted degree of x^shift."""
-    da = shift[0]
+def _lifted(g: TruncatedPoly, degree: int, da: int, horizon: int) -> dict:
+    """The numerators of x^s * g, over ``g.den``, cut at ``horizon``: x^s
+    has weighted degree ``degree`` and x-exponent ``da``, as in
+    ``poly._subtract_shifted``."""
     return {(d + degree, a + da): c for (d, a), c in g.terms.items() if d + degree <= horizon}
 
 
@@ -300,13 +300,13 @@ class DifferentialBasis:
         trail = []
         for lift, steps in self.rounds + ((self.ended,) if self.ended else ()):
             w, degree = forms[-1], order.degree(lift)
-            eta = form(_lifted(w.dx, lift, degree, h), w.dx.den,
-                       _lifted(w.dy, lift, degree, h), w.dy.den)
+            eta = form(_lifted(w.dx, degree, lift[0], h), w.dx.den,
+                       _lifted(w.dy, degree, lift[0], h), w.dy.den)
             trail.append(eta)
             for j, mu, shift in steps:
                 w, degree = forms[j], order.degree(shift)
-                eta = form(*_add_shifted(eta.dx, mu, w.dx, shift[0], degree, h),
-                           *_add_shifted(eta.dy, mu, w.dy, shift[0], degree, h))
+                eta = form(*_add_shifted(eta.dx, mu, w.dx, degree, shift[0], h),
+                           *_add_shifted(eta.dy, mu, w.dy, degree, shift[0], h))
                 trail.append(eta)
             forms.append(eta)
         return tuple(forms[:2 + len(self.rounds)]), tuple(trail)
@@ -450,7 +450,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
             ended = (s, ())
             break
         steps = []
-        r = _lifted(reductions[i], s, u - lambdas[i], h)
+        r = _lifted(reductions[i], u - lambdas[i], s[0], h)
         lead, rden = _reduce_by_f(r, reductions[i].den, tail, fden, n, nm, h)
         value, usable = u, prefix[:i]  # the axis step may use only the forms before omega_i
         while True:
@@ -460,7 +460,7 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
                     raise AssertionError(f"no earlier basis form covers the axis {u}")
                 break
             j, shift = cover
-            part = _lifted(reductions[j], shift, value - lambdas[j], h)
+            part = _lifted(reductions[j], value - lambdas[j], shift[0], h)
             plead, pden = _reduce_by_f(part, reductions[j].den, tail, fden, n, nm, h)
             mu, p, q = _tuning(r, rden, lead, part, pden, plead)
             steps.append((j, mu, shift))

@@ -336,10 +336,10 @@ def _subtract_shifted(r: dict, q: int, tail: tuple, degree: int, da: int,
             del r[e]
 
 
-def _add_shifted(p: TruncatedPoly, mu: Rat, q: TruncatedPoly, da: int, degree: int,
+def _add_shifted(p: TruncatedPoly, mu: Rat, q: TruncatedPoly, degree: int, da: int,
                  horizon: int) -> tuple:
     """(numerators, denominator) of p + mu * x^s * q cut at ``horizon``, x^s
-    of x-exponent ``da`` and weighted degree ``degree``, over
+    of weighted degree ``degree`` and x-exponent ``da``, over
     lcm(p.den, den(mu) * q.den); mu is nonzero and p lies at or below the
     horizon.  p's terms come first, in their order, and q's are subtracted
     with the scale -mu * (lcm / (den(mu) * q.den)) by ``_subtract_shifted``

@@ -1,0 +1,50 @@
+"""Code lines of each module of ``src/cuspidal``, and their total.
+
+A code line is a line of a module that holds code: blank lines, comment
+lines and the lines of docstrings (the string that opens a module, class or
+function body) are not counted, and a statement or string spread over
+several lines counts each of them.  This is the count of ROADMAP's Baseline.
+Run it from anywhere:
+
+    python tests/code_lines.py
+"""
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cuspidal"
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def code_lines(text: str) -> int:
+    """The number of code lines of the module source ``text``."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, _SCOPES) and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def main() -> int:
+    total = 0
+    for path in sorted(SRC.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{path.name:20} {count:5}")
+    print(f"{'total':20} {total:5}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

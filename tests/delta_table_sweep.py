@@ -131,8 +131,8 @@ def check_curve(eq: CurveEquation) -> Outcome:
             mismatch = f"j = {j}: line {verdict.line!r}, expected {reference_line(expected)!r}"
     signed = witnessed = 0
     for j, verdict in verdicts.items():
-        _, pair, tests, targets, *_ = _root_plans(sg)[j]
-        for ab, k in zip(tests, targets):
+        _, pair, tests, *_ = _root_plans(sg)[j]
+        for k, ab in tests.items():
             entries = _delta_entries(eq, k)[1]
             if len(entries) != 1:
                 continue

@@ -11,9 +11,12 @@ anywhere:
 
     python tests/mutants.py
 
-The table starts with ``verify``'s report: one mutant per check line that
-makes the check always pass, and one that reads ``verify = ok`` off any
-lines.
+The table holds ``verify``'s report: one mutant per check line that makes
+the check always pass, and one that reads ``verify = ok`` off any lines.
+Then the kernels on numerator maps and their callers: each kernel broken
+at its cut, its rescaling or its stop, and the form replay with the shift
+arguments swapped.  Then the residue verdicts: the wrong test read for a
+target, and a lowering product one factor short.
 """
 from __future__ import annotations
 
@@ -27,7 +30,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI = "src/cuspidal/cli.py"
+POLY = "src/cuspidal/poly.py"
+DIFFERENTIALS = "src/cuspidal/differentials.py"
+BERNSTEIN = "src/cuspidal/bernstein.py"
 TEST_CLI = "tests/test_cli.py::"
+TEST_POLY = "tests/test_poly.py::"
+TEST_DIFFERENTIALS = "tests/test_differentials.py::"
+TEST_BERNSTEIN = "tests/test_bernstein.py::"
+FRACTION_ARITHMETIC = [TEST_POLY + "test_integer_arithmetic_is_the_fraction_arithmetic"]
+VECTOR_FIELDS = [TEST_DIFFERENTIALS + "test_vector_fields_and_values_are_the_fraction_arithmetic"]
+REPLAY = [TEST_DIFFERENTIALS + "test_replay_and_vector_fields_equal_the_reference_route"]
 
 MUTANTS = [
     ("oracle_basis_forms always ok", CLI,
@@ -54,6 +66,30 @@ MUTANTS = [
     ("verify ok whatever the lines", CLI,
      'line.startswith("FAIL")', "False",
      [TEST_CLI + "test_verify_checks_basis_forms_against_their_values"]),
+    ("_add_products without its early break", POLY,
+     "            if d2 > room:\n                break\n", "",
+     [*VECTOR_FIELDS, TEST_POLY + "test_ring_laws", *FRACTION_ARITHMETIC, *REPLAY]),
+    ("_reduce_by_f one step early", DIFFERENTIALS,
+     "if d - n * a < nm:", "if d - n * a <= nm:",
+     [*VECTOR_FIELDS, *REPLAY]),
+    ("_subtract_shifted drops the horizon's terms", POLY,
+     "d += degree\n        if d > horizon:", "d += degree\n        if d >= horizon:",
+     [*VECTOR_FIELDS, TEST_POLY + "test_ring_laws", *FRACTION_ARITHMETIC, *REPLAY]),
+    ("_add_shifted does not rescale p", POLY,
+     "out = {k: c * sp for k, c in p.terms.items()} if sp != 1 else dict(p.terms)",
+     "out = dict(p.terms)",
+     FRACTION_ARITHMETIC),
+    ("_replay swaps the shift arguments", DIFFERENTIALS,
+     "_add_shifted(eta.dx, mu, w.dx, degree, shift[0], h)",
+     "_add_shifted(eta.dx, mu, w.dx, shift[0], degree, h)",
+     REPLAY),
+    ("_first_nonzero reads the first test for every target", BERNSTEIN,
+     "ab = tests[k]", "ab = tests[min(tests)]",
+     [TEST_BERNSTEIN + "test_decide_root_matches_the_reference_residue"]),
+    ("_lower's product one factor short", BERNSTEIN,
+     "prod(range(s - q, r - 1, -q))", "prod(range(s - q, r, -q))",
+     [TEST_BERNSTEIN + "test_residue_quadratic_cancellation",
+      TEST_BERNSTEIN + "test_decide_root_matches_the_reference_residue"]),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".benchmarks",

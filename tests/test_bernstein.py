@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 
 import mpmath
 import pytest
@@ -296,8 +297,8 @@ def test_decide_root_matches_the_reference_residue():
 def _summed_verdict(eq, j) -> RootDecision:
     """``decide_root``'s verdict from a scan of j's root plan that sums
     every residue with ``_residue_sum``, one-term tables included."""
-    _, pair, tests, targets, beta_root, alpha_root, *_ = _root_plans(eq.sg)[j]
-    for ab, k in zip(tests, targets):
+    _, pair, tests, _, beta_root, alpha_root, _ = _root_plans(eq.sg)[j]
+    for k, ab in tests.items():
         if _residue_sum(eq, *ab, k, pair)[0]:
             return RootDecision("beta_root", beta_root, ab)
     return RootDecision("alpha_root", alpha_root)
@@ -316,8 +317,8 @@ def test_one_term_residues_are_decided_by_their_sign():
         for j, verdict in decided.items():
             assert verdict == _summed_verdict(eq, j)
             verdicts += 1
-            _, pair, tests, targets, *_ = _root_plans(eq.sg)[j]
-            for ab, k in zip(tests, targets):
+            _, pair, tests, *_ = _root_plans(eq.sg)[j]
+            for k, ab in tests.items():
                 entries = _delta_entries(eq, k)[1]
                 if len(entries) == 1:
                     num, den = _residue_sum(eq, *ab, k, pair)
@@ -336,8 +337,8 @@ def test_one_term_rule_keeps_the_lowering_checks(move):
     table of k = 1, at (1, 2)."""
     eq = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
     n, m = 4, 9
-    big_b, (r1, r2), tests, targets = _root_plans(eq.sg)[10][:4]
-    ab, k = next((ab, k) for ab, k in zip(tests, targets) if eq.support_sums >> k & 1)
+    big_b, (r1, r2), tests = _root_plans(eq.sg)[10][:3]
+    ab, k = next((ab, k) for k, ab in tests.items() if eq.support_sums >> k & 1)
     assert (ab, k) == ((1, 2), 1)
     den, ((c, o1, o2),) = _delta_entries(eq, k)
     a, b = ab
@@ -378,7 +379,7 @@ def test_delta_tables_equal_the_enumeration(monkeypatch):
         del asked[:]
         for j in sg.sets.J:
             decide_root(eq, j)
-        skipped += sum(k not in sums for j in sg.sets.J for k in _root_plans(sg)[j][3])
+        skipped += sum(k not in sums for j in sg.sets.J for k in _root_plans(sg)[j][2])
         assert {k for _, k in asked} <= sums and eq.delta_table.keys() <= sums
         for k in range(n * m - n - m + 1):
             assert table_values(_delta_entries(eq, k)) == reference_table(eq, k)
@@ -566,11 +567,11 @@ def test_verdict_renders_its_report_line():
 
 def test_root_plans_belong_to_the_pair():
     """The plan of each j is built once per pair, from the pair alone: B,
-    the Gamma pair, the test exponents of M with k >= 0 in scan order
-    (``scan_order``) and their targets k, both candidate roots, the
-    pair's verdicts for j, each keyed by its witness, and the targets as a
-    bitset.  Every other entry is a tuple, and the plans cannot be
-    written."""
+    the Gamma pair, the read-only map from the target k of each test
+    exponent of M with k >= 0 to that exponent, in scan order
+    (``scan_order``), so its keys ascend, those keys as a bitset, both
+    candidate roots, and the pair's verdicts for j, each keyed by its
+    witness.  The verdict memo is the one part that can be written."""
     for n, m in coprime_pairs(range(2, 10), 20):
         sg = Semigroup(n, m)
         plans = _root_plans(sg)
@@ -578,13 +579,17 @@ def test_root_plans_belong_to_the_pair():
         assert tuple(plans) == sg.sets.J
         for j, plan in plans.items():
             big_b = j + n + m
-            tests = tuple(ab for ab in scan_order(sg) if n * ab[0] + m * ab[1] <= big_b)
-            targets = tuple(big_b - n * a - m * b for a, b in tests)
-            assert plan[:6] == (big_b, _gamma_pair(n, m, big_b), tests, targets,
-                                Rat(-big_b, n * m), Rat(-big_b - n * m, n * m))
-            assert all(type(part) is tuple for part in (plan, plan[1], plan[2], plan[3]))
-            assert type(plan[6]) is dict
-            assert plan[7] == sum(1 << k for k in targets) and len(plan) == 8
+            scan = [ab for ab in scan_order(sg) if n * ab[0] + m * ab[1] <= big_b]
+            tests = plan[2]
+            assert plan[:2] == (big_b, _gamma_pair(n, m, big_b))
+            assert list(tests.items()) == [(big_b - n * a - m * b, (a, b)) for a, b in scan]
+            assert list(tests) == sorted(tests)
+            assert plan[3] == sum(1 << k for k in tests)
+            assert plan[4:6] == (Rat(-big_b, n * m), Rat(-big_b - n * m, n * m))
+            assert type(plan) is tuple and type(plan[1]) is tuple and len(plan) == 7
+            assert type(tests) is MappingProxyType and type(plan[6]) is dict
+            with pytest.raises(TypeError):
+                tests[-1] = (0, 0)
             assert all(verdict.witness == witness and verdict.root == plan[4 + (witness is None)]
                        for witness, verdict in plan[6].items())
     plans = _root_plans(Semigroup(4, 9))

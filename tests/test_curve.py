@@ -128,10 +128,9 @@ def test_j_set_identity(n, m):
 def test_cuspidal_set_correspondences(n, m):
     sg = Semigroup(n, m)
     sets = cuspidal_sets(sg)
-    assert len(sets.P) == len(sets.J) == len(sets.M)
+    assert len(set(sets.j_to_p.values())) == len(sets.J) == len(sets.M)
     for j in sets.J:
         p = sets.j_to_p[j]
-        assert p in sets.P
         assert n * p[0] + m * p[1] - n * m == j
         assert 1 <= p[1] <= n - 1
     assert sets.M == tuple((m - 1 - sets.j_to_p[j][0], n - 1 - sets.j_to_p[j][1])
@@ -141,8 +140,23 @@ def test_cuspidal_set_correspondences(n, m):
 def test_cuspidal_sets_49_pin():
     sets = cuspidal_sets(Semigroup(4, 9))
     assert sets.J == (1, 2, 6, 10)
-    assert sets.P == {(7, 1), (5, 2), (6, 2), (7, 2)}
+    assert tuple(sets.j_to_p.values()) == ((7, 1), (5, 2), (6, 2), (7, 2))
     assert sets.M == ((1, 2), (3, 1), (2, 1), (1, 1))
+
+
+def test_key_tables_match_the_exponents():
+    """On every coprime pair with n <= 9, m <= 21, each j in J has the key
+    of its monomial in P under the pair's order (``j_to_key``, which
+    ``parse_spec`` writes z_j at), and that key maps back to j and its
+    exponent (``key_to_part``, which ``CurveEquation`` reads f through)."""
+    for n, m in coprime_pairs(range(2, 10), 21):
+        sg = Semigroup(n, m)
+        sets = sg.sets
+        assert len(sets.j_to_key) == len(sets.key_to_part) == len(sets.J)
+        for j in sets.J:
+            p = sets.j_to_p[j]
+            assert sets.j_to_key[j] == sg.order.key(p)
+            assert sets.key_to_part[sets.j_to_key[j]] == (j, *p)
 
 
 def test_nice_equation_terms():

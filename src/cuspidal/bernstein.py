@@ -46,7 +46,9 @@ from .semimodules import AbstractSemimodule, classify_four, elements_outside
 
 class NegativeK(ValueError):
     """The residue target k = B - n*a - m*b, B = j + n + m, came out
-    negative."""
+    negative; ``kind`` is machine-readable, as ``SpecError``'s is."""
+
+    kind = "negative_k"
 
 
 class PreconditionViolation(ValueError):

@@ -209,22 +209,18 @@ def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
     # the branch is solved at that horizon and no higher.
     param = newton_puiseux(eq, sg.delorme_horizon)
 
-    # One oracle read per form: dx, dy and the trail, whose last form of
-    # each completed round is that round's basis form.
+    # One oracle read per form object: dx, dy and the trail.  A round's
+    # basis form is its last trail form, the same object, so every form in
+    # ``diff.forms`` is read, and read once.
     trail = diff.trail
-    read = [oracle_differential_value(w, param) for w in (*diff.forms[:2], *trail)]
-    at, basis_read = 1, read[:2]
-    for _, steps in diff.rounds:
-        at += 1 + len(steps)
-        basis_read.append(read[at])
-    data["oracle_basis_forms"] = _check(basis_read == list(vals.basis))
+    read = {id(w): oracle_differential_value(w, param) for w in (*diff.forms[:2], *trail)}
+    data["oracle_basis_forms"] = _check([read[id(w)] for w in diff.forms] == list(vals.basis))
 
     # The forms of Delorme's run: the tuning moves their values.
     if n == 2:
         data["oracle_delorme_forms"] = "skipped (n = 2: Delorme runs no round)"
     else:
-        mismatches = sum(differential_value(w, eq) != value
-                         for w, value in zip(trail, read[2:]))
+        mismatches = sum(differential_value(w, eq) != read[id(w)] for w in trail)
         # ok K/K, or FAIL with the number of forms whose values differ
         data["oracle_delorme_forms"] = _check(not mismatches,
                                               f"{mismatches or len(trail)}/{len(trail)}")
@@ -421,11 +417,8 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         data, ok = args.handler(args)
-    except SpecError as exc:
+    except (SpecError, NegativeK) as exc:
         print(f"error: {exc.kind}: {exc}", file=sys.stderr)
-        return 2
-    except NegativeK as exc:
-        print(f"error: negative_k: {exc}", file=sys.stderr)
         return 2
     except (NoSolution, HorizonExhausted) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

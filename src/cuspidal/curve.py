@@ -133,10 +133,6 @@ class Semigroup(metaclass=_OnePerPair):
         (``semimodules.covered``)."""
         return sums_bitset((self.n, self.m), self.n + self.conductor - 1)
 
-    @cached_property
-    def _m_inverse(self) -> int:
-        return pow(self.m, -1, self.n)
-
     def __contains__(self, k: int) -> bool:
         return k >= self.conductor or k >= 0 and self.mask >> k & 1 == 1
 
@@ -155,7 +151,7 @@ class Semigroup(metaclass=_OnePerPair):
         outside the semigroup.  Below n*m this is the only representation."""
         if k < 0:
             return None
-        b = (k * self._m_inverse) % self.n
+        b = k * pow(self.m, -1, self.n) % self.n
         rest = k - self.m * b
         if rest < 0 or rest % self.n:
             return None
@@ -176,12 +172,12 @@ class CuspidalSets:
     numerators (``TruncatedPoly``), which ``parse_spec`` writes z_j at;
     and key_to_part maps that key back to (j, p1, p2), which
     ``CurveEquation`` reads f's form and z_j through.  All three maps are
-    read-only: every curve of the pair reads the one mapping.  Every program
-    path reads the pair's one ``Semigroup.sets``, so the sets are compared
-    and hashed by identity, as the semigroup is.
+    read-only: every curve of the pair reads the one mapping.  The sets
+    hold no reference back to their pair: every program path reaches them
+    through the pair's one ``Semigroup.sets``, so they are compared and
+    hashed by identity, as the semigroup is.
     """
 
-    sg: Semigroup
     J: tuple
     M: tuple
     j_to_p: MappingProxyType = field(repr=False)
@@ -205,7 +201,7 @@ def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
         raise AssertionError("cuspidal values collided below n*m")
     M = tuple((m - p1 - 1, n - p2 - 1) for _, (p1, p2) in pairs)
     keys = [(j, (j + n * m, p1), p2) for j, (p1, p2) in pairs]
-    return CuspidalSets(sg, J, M, MappingProxyType(dict(pairs)),
+    return CuspidalSets(J, M, MappingProxyType(dict(pairs)),
                         MappingProxyType({j: key for j, key, _ in keys}),
                         MappingProxyType({key: (j, key[1], p2) for j, key, p2 in keys}))
 

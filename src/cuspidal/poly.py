@@ -146,10 +146,7 @@ class TruncatedPoly:
 
     @property
     def leading_power(self) -> Exponent | None:
-        if self.lead is None:
-            return None
-        d, a = self.lead
-        return (a, (d - self.order.n * a) // self.order.m)
+        return None if self.lead is None else self.order.exponent(self.lead)
 
     @property
     def tail(self) -> tuple:

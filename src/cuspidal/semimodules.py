@@ -21,19 +21,23 @@ class Unclassifiable(ValueError):
 def validate_basis(sg: Semigroup, basis) -> tuple:
     """Check the cuspidal-basis invariants and return the basis as a tuple.
 
-    Required: the sequence starts (n, m), is strictly increasing, has at most
-    n elements (s <= n - 2), every later element is a gap of the semigroup,
-    and no element lies in the semimodule spanned by its predecessors.
-    Validity depends on (sg, basis) alone, so a basis that passes is checked
-    once per process (``_checked_basis``); one that fails raises on every
-    call.
+    Required: every element is an ``int``, the sequence starts (n, m), is
+    strictly increasing, has at most n elements (s <= n - 2), every later
+    element is a gap of the semigroup, and no element lies in the semimodule
+    spanned by its predecessors.  Validity depends on (sg, basis) alone, so
+    a basis that passes is checked once per process (``_checked_basis``);
+    one that fails raises on every call.  The type is checked here, before
+    the cache: 14.0 == 14 hash alike, so (4, 9, 14.0) would find
+    (4, 9, 14)'s entry.
     """
-    return _checked_basis(sg, tuple(basis))
+    basis = tuple(basis)
+    if any(type(lam) is not int for lam in basis):
+        raise ValueError(f"basis elements must be int, got {basis}")
+    return _checked_basis(sg, basis)
 
 
 @cache
 def _checked_basis(sg: Semigroup, basis: tuple) -> tuple:
-    basis = tuple(map(int, basis))
     if len(basis) < 2 or basis[0] != sg.n or basis[1] != sg.m:
         raise ValueError(f"basis must start with ({sg.n}, {sg.m}), got {basis}")
     if len(basis) > sg.n:
@@ -142,6 +146,9 @@ class FourClassification:
 
 
 def classify_four(sm: AbstractSemimodule) -> FourClassification:
+    """The n = 4 shape of ``sm``'s basis.  ``validate_basis`` caps a basis
+    at n elements, so s <= 2 here, and a basis with s = 2 is case 3 or fits
+    no shape."""
     sg = sm.sg
     if sg.n != 4:
         raise Unclassifiable(f"classification requires n = 4, got n = {sg.n}")
@@ -150,16 +157,14 @@ def classify_four(sm: AbstractSemimodule) -> FourClassification:
         return FourClassification(1, alpha, epsilon)
     if sm.s == 1:
         return FourClassification(2, alpha, epsilon)
-    if sm.s == 2:
-        lam1, lam2 = sm.basis[2], sm.basis[3]
-        q4 = lam1 - 4 * (alpha + 1) - 2 * epsilon
-        qp4 = lam2 - 8 * alpha - 3 * epsilon
-        if q4 >= 0 and q4 % 4 == 0 and qp4 >= 0 and qp4 % 4 == 0:
-            q, q_prime = q4 // 4, qp4 // 4
-            if alpha >= 2 and q <= alpha - 2 and q_prime <= q:
-                return FourClassification(3, alpha, epsilon, q, q_prime)
-        raise Unclassifiable(f"basis {sm.basis} fits no n = 4 shape")
-    raise Unclassifiable(f"basis {sm.basis} has s = {sm.s} > 2 with n = 4")
+    lam1, lam2 = sm.basis[2], sm.basis[3]  # s = 2
+    q4 = lam1 - 4 * (alpha + 1) - 2 * epsilon
+    qp4 = lam2 - 8 * alpha - 3 * epsilon
+    if q4 >= 0 and q4 % 4 == 0 and qp4 >= 0 and qp4 % 4 == 0:
+        q, q_prime = q4 // 4, qp4 // 4
+        if alpha >= 2 and q <= alpha - 2 and q_prime <= q:
+            return FourClassification(3, alpha, epsilon, q, q_prime)
+    raise Unclassifiable(f"basis {sm.basis} fits no n = 4 shape")
 
 
 def covered(sg: Semigroup, lambdas, bound: int) -> int:

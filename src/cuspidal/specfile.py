@@ -57,8 +57,10 @@ def _rational(text: str, line: int) -> tuple[int, int]:
     on each side, divided by their gcd.  ``Rat`` reads such tokens as those
     same integers, so the route changes no value.  Every other token is
     ``Rat(text)``, so that ``2.5``, ``1e3`` and ``+3`` are read as exact
-    rationals too; a token with ``_`` or other digits keeps ``Rat``'s own
-    reading, which differs between Python versions."""
+    rationals too, and a token with other digits keeps ``Rat``'s reading.
+    A token with ``_`` is refused: ``Fraction`` reads ``1_0`` as 10 from
+    Python 3.11 on and refuses it on 3.10, so a spec would read differently
+    on the two."""
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if digits.isdecimal() and text.isascii():
@@ -69,6 +71,8 @@ def _rational(text: str, line: int) -> tuple[int, int]:
             g = gcd(p, q)
             return p // g, q // g
     try:
+        if "_" in text:
+            raise ValueError(text)
         value = Rat(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"expected a rational, got {text!r}", line) from None

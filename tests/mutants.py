@@ -12,11 +12,16 @@ anywhere:
     python tests/mutants.py
 
 The table holds ``verify``'s report: one mutant per check line that makes
-the check always pass, and one that reads ``verify = ok`` off any lines.
-Then the kernels on numerator maps and their callers: each kernel broken
-at its cut, its rescaling or its stop, and the form replay with the shift
-arguments swapped.  Then the residue verdicts: the wrong test read for a
-target, and a lowering product one factor short.
+the check always pass, one that reads ``verify = ok`` off any lines, and
+two oracle reads that check the wrong forms (only dx and dy of the basis,
+or every trail form against one form's value).  Then the kernels on
+numerator maps and their callers: each kernel broken at its cut, its
+rescaling or its stop, and the form replay with the shift arguments
+swapped.  Then the residue verdicts: the wrong test read for a target, a
+lowering product one factor short, and residues read as 0 always, never,
+unless k = 0 or unless (a, b) = (1, 1).  Last, the numbers that every
+verdict rests on: tau one short, and each of the horizons H_Delta, H_J
+and D one degree low.
 """
 from __future__ import annotations
 
@@ -33,21 +38,33 @@ CLI = "src/cuspidal/cli.py"
 POLY = "src/cuspidal/poly.py"
 DIFFERENTIALS = "src/cuspidal/differentials.py"
 BERNSTEIN = "src/cuspidal/bernstein.py"
+JACOBIAN = "src/cuspidal/jacobian.py"
+CURVE = "src/cuspidal/curve.py"
 TEST_CLI = "tests/test_cli.py::"
 TEST_POLY = "tests/test_poly.py::"
 TEST_DIFFERENTIALS = "tests/test_differentials.py::"
 TEST_BERNSTEIN = "tests/test_bernstein.py::"
+TEST_ACCEPTANCE = "tests/test_acceptance.py::"
+CRITERION_06 = TEST_ACCEPTANCE + "test_criterion_06_small_multiplicity_roots"
+CRITERION_08 = TEST_ACCEPTANCE + "test_criterion_08_equivalence_batteries"
 FRACTION_ARITHMETIC = [TEST_POLY + "test_integer_arithmetic_is_the_fraction_arithmetic"]
 VECTOR_FIELDS = [TEST_DIFFERENTIALS + "test_vector_fields_and_values_are_the_fraction_arithmetic"]
 REPLAY = [TEST_DIFFERENTIALS + "test_replay_and_vector_fields_equal_the_reference_route"]
 
 MUTANTS = [
     ("oracle_basis_forms always ok", CLI,
-     "_check(basis_read == list(vals.basis))", "_check(True)",
+     "_check([read[id(w)] for w in diff.forms] == list(vals.basis))", "_check(True)",
      [TEST_CLI + "test_verify_checks_basis_forms_against_their_values"]),
+    ("oracle_basis_forms reads only dx and dy", CLI,
+     "[read[id(w)] for w in diff.forms]",
+     "[read[id(w)] for w in diff.forms[:2]] + list(vals.basis[2:])",
+     [TEST_CLI + "test_verify_reads_the_basis_forms_not_the_trail_layout"]),
     ("oracle_delorme_forms always ok", CLI,
      "_check(not mismatches,", "_check(True,",
      [TEST_CLI + "test_monomial_value_oracle_fails_verify"]),
+    ("oracle_delorme_forms compares every trail form with one form's read", CLI,
+     "!= read[id(w)] for w in trail", "!= read[id(trail[0])] for w in trail",
+     [TEST_CLI + "test_verify_passes"]),
     ("jacobian_cross_check always ok", CLI,
      "_check(via.leading_powers == direct_basis.leading_powers)", "_check(True)",
      [TEST_CLI + "test_a_moved_leading_power_fails_the_jacobian_cross_check"]),
@@ -90,6 +107,33 @@ MUTANTS = [
      "prod(range(s - q, r - 1, -q))", "prod(range(s - q, r, -q))",
      [TEST_BERNSTEIN + "test_residue_quadratic_cancellation",
       TEST_BERNSTEIN + "test_decide_root_matches_the_reference_residue"]),
+    ("residue always 0: _first_nonzero reads no test", BERNSTEIN,
+     "hits = reach & eq.support_sums", "hits = 0",
+     [CRITERION_06]),
+    ("residue never 0: _first_nonzero returns the lowest target's test", BERNSTEIN,
+     "hits = reach & eq.support_sums", "return tests[min(tests)] if tests else None",
+     [CRITERION_06]),
+    ("residue 0 unless k = 0", BERNSTEIN,
+     "hits = reach & eq.support_sums", "hits = reach & eq.support_sums & 1",
+     [CRITERION_06]),
+    ("residue 0 unless (a, b) = (1, 1)", BERNSTEIN,
+     "ab = tests[k]\n", "ab = tests[k]\n        if ab != (1, 1):\n            continue\n",
+     [CRITERION_06]),
+    ("tau - 1", JACOBIAN,
+     "    return tau\n", "    return tau - 1\n",
+     [TEST_ACCEPTANCE + "test_criterion_10_worked_pins"]),
+    ("delorme_horizon - 1", CURVE,
+     "return max(self.hessian_degree, self.n * self.m)\n",
+     "return max(self.hessian_degree, self.n * self.m) - 1\n",
+     [CRITERION_08]),
+    ("jacobian_horizon - 1", CURVE,
+     "return max(self.hessian_degree, self.n * self.m - self.n)\n",
+     "return max(self.hessian_degree, self.n * self.m - self.n) - 1\n",
+     [TEST_ACCEPTANCE + "test_criterion_09_jacobian_routes_agree"]),
+    ("hessian_degree - 1", CURVE,
+     "return 2 * self.n * self.m - 2 * self.n - 2 * self.m\n",
+     "return 2 * self.n * self.m - 2 * self.n - 2 * self.m - 1\n",
+     [CRITERION_08]),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".benchmarks",

@@ -627,6 +627,27 @@ def test_verify_checks_basis_forms_against_their_values(capsys, monkeypatch, spe
     assert "verify = FAIL" in out
 
 
+def test_verify_reads_the_basis_forms_not_the_trail_layout(capsys, monkeypatch, spec49):
+    """Round 1's basis form replaced by that round's lift, which is also
+    read, as a trail form: ``oracle_basis_forms`` checks the forms that
+    ``DifferentialBasis.forms`` hands out, so it fails, while the trail,
+    and so ``oracle_delorme_forms``, is unchanged."""
+    real = cli.delorme
+
+    def lifted(eq):
+        diff = real(eq)
+        f = diff.forms
+        vars(diff)["forms"] = f[:2] + (diff.trail[0],) + f[3:]
+        return diff
+
+    monkeypatch.setattr(cli, "delorme", lifted)
+    code, out, _ = run(capsys, "verify", "--spec", spec49)
+    assert code == 1
+    assert "oracle_basis_forms = FAIL" in out
+    assert "oracle_delorme_forms = ok 4/4" in out
+    assert "verify = FAIL" in out
+
+
 @pytest.mark.parametrize("command", ["bs-roots", "jacobian"])
 def test_forms_are_built_only_when_read(capsys, monkeypatch, spec49, command):
     """bs-roots and jacobian read Delorme's values and h_i but no 1-form, so

@@ -1,6 +1,8 @@
 """Gamma-semimodules: bases, axes, critical values, and the n = 4 taxonomy."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from cuspidal import Semigroup
@@ -29,8 +31,13 @@ def test_validate_basis_accepts_minimal_increasing():
     (9, 4),              # wrong order
     (4, 9, 13),          # 13 = 4 + 9 lies in the semigroup
     (4, 9, 14, 18),      # 18 = 14 + 4 is already covered by level 1
+    (4, 9, 14.9),        # not an int, though int() reads it as 14
+    (4, 9, 14.0),        # equal to 14 and hashed alike, so it would hit the cache
+    (4, 9, Fraction(14)),
+    ("4", "9"),          # strings, though int() reads them as (4, 9)
 ])
 def test_validate_basis_rejects(basis):
+    validate_basis(SG49, (4, 9, 14))  # cached, as every valid basis is
     with pytest.raises(ValueError):
         validate_basis(SG49, basis)
 

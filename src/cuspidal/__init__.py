@@ -29,7 +29,7 @@ from .differentials import (DifferentialBasis, OneForm, ValueMismatch,
                             oracle_differential_value)
 from .jacobian import (jacobian_basis_direct, jacobian_basis_via_differentials,
                        tjurina_number)
-from .poly import Exponent, Term, TruncatedPoly, WeightedOrder, divides
+from .poly import Exponent, TruncatedPoly, WeightedOrder, divides
 from .rationals import Rat, rat
 from .semimodules import (AbstractSemimodule, FourClassification, Unclassifiable,
                           classify_four, elements_outside, enumerate_increasing,
@@ -50,7 +50,7 @@ __all__ = [
     "InvalidPair", "NegativeK", "NoSolution", "NotAdapted", "OneForm",
     "Parametrization", "ParseError", "PreconditionViolation", "Rat",
     "ResidueDecision", "RootDecision", "Semigroup",
-    "SpecError", "StandardBasis", "Term", "TruncatedPoly", "Unclassifiable",
+    "SpecError", "StandardBasis", "TruncatedPoly", "Unclassifiable",
     "ValueMismatch", "WeightedOrder", "ZariskiReport",
     "apply_vector_field", "buchberger", "certified_roots_from_semimodule",
     "classify_four", "codimension", "cuspidal_sets", "decide_root", "delorme",

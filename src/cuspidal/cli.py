@@ -281,18 +281,14 @@ def cmd_conjecture_scan(seed: int, max_m: int) -> tuple[dict, bool]:
                     checked += 1
                     dec = decide_root(eq, lam - n - m)
                     if dec.kind != "beta_root":
-                        failures.append(f"{n},{m} lambda={lam} "
-                                        f"coeffs={_coeff_str(coeffs)}")
+                        zs = ";".join(f"z{j}={c}" for j, c in sorted(coeffs.items()))
+                        failures.append(f"{n},{m} lambda={lam} coeffs={zs}")
     data["curves"] = curves
     data["values_checked"] = checked
     data["failures"] = len(failures)
     for i, text in enumerate(failures, start=1):
         data[f"failure {i}"] = text
     return data, not failures
-
-
-def _coeff_str(coeffs: dict) -> str:
-    return ";".join(f"z{j}={c}" for j, c in sorted(coeffs.items()))
 
 
 # -- entry point ---------------------------------------------------------

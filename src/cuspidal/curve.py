@@ -227,11 +227,12 @@ class CurveEquation:
     @classmethod
     def nice(cls, sg: Semigroup, coeffs=None) -> "CurveEquation":
         """f = x^m + y^n + sum z_j x^{p1,j} y^{p2,j} with every j in J, at
-        2nm."""
+        2nm; each index j is an ``int``."""
         sets = sg.sets
         terms = {(sg.m, 0): ONE, (0, sg.n): ONE}
         for j, c in (coeffs or {}).items():
-            j = int(j)
+            if type(j) is not int:
+                raise ValueError(f"coefficient index {j!r} is not an int")
             if j not in sets.j_to_p:
                 raise ValueError(f"coefficient index {j} is outside J = {list(sets.J)}")
             terms[sets.j_to_p[j]] = c

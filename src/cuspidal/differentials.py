@@ -16,7 +16,7 @@ from functools import cache, cached_property
 from math import gcd, lcm
 
 from .curve import CurveEquation, Parametrization, Semigroup
-from .poly import Exponent, TruncatedPoly, _add_products, _add_shifted, _subtract_shifted
+from .poly import TruncatedPoly, _add_products, _add_shifted, _subtract_shifted
 from .rationals import Rat
 from .semimodules import AbstractSemimodule, _axis, covered
 
@@ -29,38 +29,17 @@ class ValueMismatch(ValueError):
 class OneForm:
     """omega = dx_coeff * dx + dy_coeff * dy with polynomial coefficients.
 
-    ``basic``, ``mul_monomial`` and ``__add__`` are the ``TruncatedPoly``
-    operators' route, against which the tests compare the one-pass forms
-    of ``DifferentialBasis``.  ``__add__`` runs the replay's kernel
-    (``poly._add_shifted``), so that comparison checks the replay's
-    wiring; ``mul_monomial`` keeps a loop of its own."""
+    The forms of ``DifferentialBasis`` are built in one pass per component
+    (``DifferentialBasis._replay``); the tests compare them with the
+    ``TruncatedPoly`` operators' route, ``basic_form``, ``form_add`` and
+    ``form_mul_monomial`` of ``tests/cusp_testkit.py``."""
 
     dx: TruncatedPoly
     dy: TruncatedPoly
 
-    @classmethod
-    def basic(cls, f: TruncatedPoly, which: str) -> "OneForm":
-        """dx or dy over the ground ring of f, at its truncation horizon, so
-        products against f are not clamped."""
-        order, horizon = f.order, f.horizon
-        one = TruncatedPoly.monomial(order, 1, (0, 0), horizon)
-        zero = TruncatedPoly.zero(order, horizon)
-        if which == "dx":
-            return cls(one, zero)
-        if which == "dy":
-            return cls(zero, one)
-        raise ValueError("which must be 'dx' or 'dy'")
-
     @property
     def is_zero(self) -> bool:
-        return self.dx.is_zero and self.dy.is_zero
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.dx + other.dx, self.dy + other.dy)
-
-    def mul_monomial(self, coeff, shift: Exponent) -> "OneForm":
-        return OneForm(self.dx.mul_monomial(coeff, shift),
-                       self.dy.mul_monomial(coeff, shift))
+        return not (self.dx or self.dy)
 
 
 def apply_vector_field(omega: OneForm, eq: CurveEquation) -> TruncatedPoly:
@@ -285,10 +264,11 @@ class DifferentialBasis:
         its numerators: a lift x^s * eta keeps eta's denominator
         (``_lifted``), and a step eta + mu * x^s * omega_j sets each
         component over lcm(den_eta, den(mu) * den_omega) by ``_add_shifted``,
-        the kernel of ``TruncatedPoly``'s sum.  That is the form of
-        ``OneForm.mul_monomial`` and ``OneForm.__add__``, term for term, with
-        the same denominators.  The last form of each completed round
-        is its basis form, the one object in both tuples."""
+        the kernel of ``TruncatedPoly``'s sum.  That is the form of the
+        operators' route (``form_mul_monomial`` and ``form_add`` in
+        ``tests/cusp_testkit.py``), term for term, with the same
+        denominators.  The last form of each completed round is its basis
+        form, the one object in both tuples."""
         order = self.values.sg.order
         h = self.reductions[0].horizon
 
@@ -363,9 +343,9 @@ def delorme(eq: CurveEquation) -> DifferentialBasis:
     covers each value a step reaches (``_cover``).
 
     The run is fraction-free.  It works on integer term maps keyed by
-    ``WeightedOrder.key`` (weighted degree, x-exponent), so min() of a map
-    is its leading term, each over one positive denominator, and the h_i
-    are returned as the ``TruncatedPoly`` of their maps.  Let L be
+    (weighted degree, x-exponent), as ``TruncatedPoly.terms`` is, so min()
+    of a map is its leading term, each over one positive denominator, and
+    the h_i are returned as the ``TruncatedPoly`` of their maps.  Let L be
     ``f.den``, the lcm of the denominators of f's coefficients.  f leads at
     y^n with coefficient 1 (``CurveEquation`` checks it), so its numerators
     are L at y^n and integers T on its tail.  Each step equals the step

@@ -7,14 +7,15 @@ its minimal term in this order (local convention), and the leading power of 0
 is treated as +infinity by returning ``None``.
 
 A :class:`TruncatedPoly` is exact on integers: numerators over one positive
-denominator, each keyed by ``WeightedOrder.key`` of its monomial, (weighted
-degree, x-exponent), so the least key is the leading term.  The arithmetic
-works on the numerators and builds no ``Rat``; ``coeffs`` reads the
-polynomial as exponent -> ``Rat``.  It stores only terms of weighted degree
-<= ``horizon``; it refuses an input term above it (``truncated`` is the one
-way to drop terms), and every arithmetic operation discards generated terms
-beyond the smaller of the operand horizons.  Instances are treated as
-immutable: no method changes one, and the kernels build new ones.
+denominator, each keyed by its monomial's (weighted degree, x-exponent), so
+the least key is the leading term; ``WeightedOrder.exponent`` reads a key
+back as its monomial.  The arithmetic works on the numerators and builds no
+``Rat``; ``coeffs`` reads the polynomial as exponent -> ``Rat``.  It stores
+only terms of weighted degree <= ``horizon``; it refuses an input term above
+it (``truncated`` is the one way to drop terms), and every arithmetic
+operation discards generated terms beyond the smaller of the operand
+horizons.  Instances are treated as immutable: no method changes one, and
+the kernels build new ones.
 
 Each operation on numerator maps has one kernel, kept at the end of this
 module: ``_subtract_shifted`` adds a scaled, shifted map into another in
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .rationals import Rat, rat
 
@@ -51,12 +52,10 @@ class WeightedOrder:
     def degree(self, e: Exponent) -> int:
         return self.n * e[0] + self.m * e[1]
 
-    def key(self, e: Exponent) -> Key:
-        """Sort key: ascending = from leading (smallest) upward."""
-        return (self.n * e[0] + self.m * e[1], e[0])
-
     def exponent(self, k: Key) -> Exponent:
-        """The monomial of a sort key: the inverse of ``key``."""
+        """The monomial x^a y^b of the key k = (na + mb, a), its weighted
+        degree and x-exponent; keys ascend from the leading (least)
+        monomial upward."""
         d, a = k
         return (a, (d - self.n * a) // self.m)
 
@@ -66,18 +65,14 @@ def divides(e1: Exponent, e2: Exponent) -> bool:
     return e1[0] <= e2[0] and e1[1] <= e2[1]
 
 
-class Term(NamedTuple):
-    exponent: Exponent
-    coeff: Rat
-
-
 class TruncatedPoly:
     """Sparse polynomial, truncated at a weighted-degree horizon.
 
     The polynomial is ``terms / den``: ``terms`` maps the key (weighted
     degree, x-exponent) of each monomial to its nonzero integer numerator,
     and ``den`` is a positive integer, not always the least one, so ``==``
-    compares values.  ``lead`` is the least key, None for 0.
+    compares values.  ``lead`` is the least key, None for 0, and ``not p``
+    is the zero test.
     """
 
     __slots__ = ("order", "horizon", "terms", "den", "lead", "_tail")
@@ -85,12 +80,14 @@ class TruncatedPoly:
     def __init__(self, order: WeightedOrder, horizon: int,
                  terms: Mapping[Exponent, Rat] | None = None):
         """The polynomial of ``terms``, exponent -> exact rational, over the
-        lcm of their denominators."""
+        lcm of their denominators; an exponent is a pair of ints >= 0."""
         clean: dict[Key, Rat] = {}
         if terms:
             n, m = order.n, order.m
             for e, c in terms.items():
                 a, b = e
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError(f"exponent {e} is not a pair of ints")
                 if a < 0 or b < 0:
                     raise ValueError(f"negative exponent {e}")
                 d = n * a + m * b
@@ -117,10 +114,6 @@ class TruncatedPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, order: WeightedOrder, horizon: int) -> "TruncatedPoly":
-        return cls._raw(order, horizon, {})
-
-    @classmethod
     def monomial(cls, order: WeightedOrder, coeff, exponent: Exponent,
                  horizon: int) -> "TruncatedPoly":
         return cls(order, horizon, {tuple(exponent): rat(coeff)})
@@ -128,21 +121,10 @@ class TruncatedPoly:
     # -- basic queries ---------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def coeffs(self) -> dict[Exponent, Rat]:
         """The polynomial as exponent -> nonzero ``Rat``, built on each read."""
         exponent, den = self.order.exponent, self.den
         return {exponent(k): Rat(c, den) for k, c in self.terms.items()}
-
-    @property
-    def leading(self) -> Term | None:
-        """Minimal term in the weighted order; None for the zero polynomial."""
-        if self.lead is None:
-            return None
-        return Term(self.order.exponent(self.lead), Rat(self.terms[self.lead], self.den))
 
     @property
     def leading_power(self) -> Exponent | None:
@@ -154,10 +136,6 @@ class TruncatedPoly:
         if self._tail is None:
             self._tail = tuple(sorted(self.terms.items())[1:])
         return self._tail
-
-    def sorted_terms(self) -> list[Term]:
-        coeffs, key = self.coeffs, self.order.key
-        return [Term(e, coeffs[e]) for e in sorted(coeffs, key=key)]
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -282,7 +260,9 @@ class TruncatedPoly:
         if not self.terms:
             return "0"
         parts = []
-        for (a, b), c in self.sorted_terms():
+        exponent, den = self.order.exponent, self.den
+        for k, num in sorted(self.terms.items()):
+            (a, b), c = exponent(k), Rat(num, den)
             mono = "*".join(
                 ([] if a == 0 else ["x" if a == 1 else f"x^{a}"])
                 + ([] if b == 0 else ["y" if b == 1 else f"y^{b}"]))

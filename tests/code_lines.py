@@ -22,8 +22,8 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, t
              tokenize.ENDMARKER, tokenize.ENCODING}
 
 
-def code_lines(text: str) -> int:
-    """The number of code lines of the module source ``text``."""
+def code_line_numbers(text: str) -> set:
+    """The numbers of the code lines of the module source ``text``."""
     docstrings = set()
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, _SCOPES) and ast.get_docstring(node, clean=False) is not None:
@@ -33,7 +33,12 @@ def code_lines(text: str) -> int:
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type not in _NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstrings)
+    return lines - docstrings
+
+
+def code_lines(text: str) -> int:
+    """The number of code lines of the module source ``text``."""
+    return len(code_line_numbers(text))
 
 
 def main() -> int:

@@ -1,6 +1,7 @@
-"""Shared corpus, random generators, the ``Fraction`` reduction reference,
-the table-free residue references, the Newton-Puiseux references and a call
-counter for the test suite and its sweeps.
+"""Shared corpus, random generators, the operators' route to the 1-forms,
+the ``Fraction`` reduction reference, the table-free residue references,
+the Newton-Puiseux references and a call counter for the test suite and its
+sweeps.
 
 A plain module rather than ``conftest.py``, so that ``from cusp_testkit
 import ...`` names this file even when pytest also collects another suite
@@ -120,6 +121,35 @@ def adapted_curves():
         yield adapted_curve(Semigroup(n, m), rng)
 
 
+# The ``TruncatedPoly`` operators' route to the 1-forms of a Delorme run,
+# against which the tests compare the one-pass forms of ``DifferentialBasis``
+# (``DifferentialBasis._replay``).  ``form_add`` runs the replay's kernel
+# (``poly._add_shifted``) through ``TruncatedPoly``'s sum, so that comparison
+# checks the replay's wiring; ``form_mul_monomial`` keeps a loop of its own.
+
+
+def basic_form(f: TruncatedPoly, which: str) -> OneForm:
+    """dx or dy over the ground ring of f, at its truncation horizon, so
+    products against f are not clamped."""
+    order, horizon = f.order, f.horizon
+    one = TruncatedPoly.monomial(order, 1, (0, 0), horizon)
+    zero = TruncatedPoly(order, horizon)
+    if which == "dx":
+        return OneForm(one, zero)
+    if which == "dy":
+        return OneForm(zero, one)
+    raise ValueError("which must be 'dx' or 'dy'")
+
+
+def form_add(omega: OneForm, other: OneForm) -> OneForm:
+    return OneForm(omega.dx + other.dx, omega.dy + other.dy)
+
+
+def form_mul_monomial(omega: OneForm, coeff, shift) -> OneForm:
+    return OneForm(omega.dx.mul_monomial(coeff, shift),
+                   omega.dy.mul_monomial(coeff, shift))
+
+
 def coprime_pairs(n_values, m_bound: int):
     """All (n, m) with n in n_values, n < m <= m_bound, gcd(n, m) = 1."""
     from math import gcd
@@ -147,7 +177,7 @@ class FractionPoly(NamedTuple):
         """(exponent, coefficient) of the least term in the order; None for 0."""
         if not self.coeffs:
             return None
-        e = min(self.coeffs, key=self.order.key)
+        e = min(self.coeffs, key=lambda e: (self.order.degree(e), e[0]))
         return e, self.coeffs[e]
 
     def minus_shifted(self, q, shift, other: "FractionPoly") -> "FractionPoly":
@@ -175,7 +205,7 @@ def fraction_step(g: FractionPoly, basis) -> FractionPoly | None:
     eligible = [b for b in basis if b.coeffs and divides(b.leading[0], lp)]
     if not eligible:
         return None
-    b = max(eligible, key=lambda p: g.order.key(p.leading[0]))
+    b = max(eligible, key=lambda p: (g.order.degree(p.leading[0]), p.leading[0][0]))
     bp, bc = b.leading
     return g.minus_shifted(lc / bc, (lp[0] - bp[0], lp[1] - bp[1]), b)
 

@@ -14,14 +14,19 @@ anywhere:
 The table holds ``verify``'s report: one mutant per check line that makes
 the check always pass, one that reads ``verify = ok`` off any lines, and
 two oracle reads that check the wrong forms (only dx and dy of the basis,
-or every trail form against one form's value).  Then the kernels on
-numerator maps and their callers: each kernel broken at its cut, its
-rescaling or its stop, and the form replay with the shift arguments
-swapped.  Then the residue verdicts: the wrong test read for a target, a
-lowering product one factor short, and residues read as 0 always, never,
-unless k = 0 or unless (a, b) = (1, 1).  Last, the numbers that every
-verdict rests on: tau one short, and each of the horizons H_Delta, H_J
-and D one degree low.
+or every trail form against one form's value); and ``conjecture-scan``
+exiting 0 on a failure.  Then the run-time checks that guard a result
+inside the library, each turned off: ``DifferentialBasis``'s encoding of
+the values, the branch's residual and the Jacobian staircase's degree
+test.  Then the kernels on numerator maps and their callers: each kernel
+broken at its cut, its rescaling or its stop, and the form replay with the
+shift arguments swapped.  Then the residue verdicts: the wrong test read
+for a target, a lowering product one factor short, residues read as 0
+always, never, unless k = 0 or unless (a, b) = (1, 1), and the certified
+roots without their largest.  Last, the numbers that every verdict rests
+on: tau one short, each of the horizons H_Delta, H_J and D one degree low,
+the covered values without their cut at the bound, and Delorme's last
+uncovered value one too high.
 """
 from __future__ import annotations
 
@@ -40,8 +45,12 @@ DIFFERENTIALS = "src/cuspidal/differentials.py"
 BERNSTEIN = "src/cuspidal/bernstein.py"
 JACOBIAN = "src/cuspidal/jacobian.py"
 CURVE = "src/cuspidal/curve.py"
+SEMIMODULES = "src/cuspidal/semimodules.py"
 TEST_CLI = "tests/test_cli.py::"
 TEST_POLY = "tests/test_poly.py::"
+TEST_CURVE = "tests/test_curve.py::"
+TEST_JACOBIAN = "tests/test_jacobian.py::"
+TEST_SEMIMODULES = "tests/test_semimodules.py::"
 TEST_DIFFERENTIALS = "tests/test_differentials.py::"
 TEST_BERNSTEIN = "tests/test_bernstein.py::"
 TEST_ACCEPTANCE = "tests/test_acceptance.py::"
@@ -83,6 +92,19 @@ MUTANTS = [
     ("verify ok whatever the lines", CLI,
      'line.startswith("FAIL")', "False",
      [TEST_CLI + "test_verify_checks_basis_forms_against_their_values"]),
+    ("conjecture-scan exits 0 on a failure", CLI,
+     "return data, not failures", "return data, True",
+     [TEST_CLI + "test_conjecture_scan_fails_on_an_alpha_verdict"]),
+    ("DifferentialBasis without its encoding check", DIFFERENTIALS,
+     "if None in leads or tuple(d + shift for d, _ in leads) != self.values.basis:",
+     "if False:",
+     [TEST_DIFFERENTIALS + "test_differential_basis_rejects_reductions_that_miss_the_values"]),
+    ("the branch without its residual check", CURVE,
+     "if _series.ord_of(residual) is not None:", "if False:",
+     [TEST_CURVE + "test_branch_check_does_not_trust_the_recursion"]),
+    ("check_jacobian_staircase without its degree test", JACOBIAN,
+     "if top > sg.hessian_degree:", "if False:",
+     [TEST_JACOBIAN + "test_staircase_check_accepts_at_most_d_and_rejects_past_it"]),
     ("_add_products without its early break", POLY,
      "            if d2 > room:\n                break\n", "",
      [*VECTOR_FIELDS, TEST_POLY + "test_ring_laws", *FRACTION_ARITHMETIC, *REPLAY]),
@@ -119,6 +141,9 @@ MUTANTS = [
     ("residue 0 unless (a, b) = (1, 1)", BERNSTEIN,
      "ab = tests[k]\n", "ab = tests[k]\n        if ab != (1, 1):\n            continue\n",
      [CRITERION_06]),
+    ("certified_roots_from_semimodule drops its largest root", BERNSTEIN,
+     "reversed(lams)", "reversed(lams[1:])",
+     [TEST_ACCEPTANCE + "test_criterion_10_worked_pins"]),
     ("tau - 1", JACOBIAN,
      "    return tau\n", "    return tau - 1\n",
      [TEST_ACCEPTANCE + "test_criterion_10_worked_pins"]),
@@ -134,6 +159,14 @@ MUTANTS = [
      "return 2 * self.n * self.m - 2 * self.n - 2 * self.m\n",
      "return 2 * self.n * self.m - 2 * self.n - 2 * self.m - 1\n",
      [CRITERION_08]),
+    ("covered without its cut at the bound", SEMIMODULES,
+     "return _shifts(sg.mask, lambdas) & (1 << bound) - 1",
+     "return _shifts(sg.mask, lambdas)",
+     [TEST_SEMIMODULES + "test_bitsets_are_their_set_definitions"]),
+    ("_last_uncovered one too high", DIFFERENTIALS,
+     "(~taken & (1 << sg.conductor) - 1).bit_length() - 1",
+     "(~taken & (1 << sg.conductor) - 1).bit_length()",
+     [TEST_DIFFERENTIALS + "test_branch_window_sweep"]),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".benchmarks",

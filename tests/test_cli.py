@@ -292,6 +292,27 @@ def test_conjecture_scan_small(capsys):
     assert "curves = 15" in out
 
 
+def test_conjecture_scan_fails_on_an_alpha_verdict(capsys, monkeypatch):
+    """A ``decide_root`` that reads an alpha root at the first value the scan
+    decides, and only there, makes conjecture-scan count one failure, name
+    its pair, lambda and coefficients, and exit 1."""
+    decided = []
+
+    def alpha_first(eq, j):
+        verdict = decide_root(eq, j)
+        decided.append((eq, j))
+        return RootDecision("alpha_root", verdict.root - 1) if len(decided) == 1 else verdict
+
+    monkeypatch.setattr(cli, "decide_root", alpha_first)
+    code, out, _ = run(capsys, "conjecture-scan", "--max-m", "7", "--seed", "3")
+    eq, j = decided[0]
+    zs = ";".join(f"z{l}={z}" for l, z in eq.nice_coeffs.items())
+    assert code == 1
+    assert "\nfailures = 1\n" in out
+    assert out.endswith(f"\nfailure 1 = 5,6 lambda={j + 11} coeffs={zs}\n")
+    assert zs.startswith("z")
+
+
 def test_output_is_deterministic(capsys, spec49):
     _, first, _ = run(capsys, "bs-roots", "--spec", spec49)
     _, second, _ = run(capsys, "bs-roots", "--spec", spec49)

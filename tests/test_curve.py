@@ -13,8 +13,8 @@ from cuspidal.curve import (CuspidalSets, NoSolution, NotAdapted, Parametrizatio
 from cuspidal.differentials import OneForm, delorme, oracle_differential_value
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
-from cusp_testkit import (CORPUS, coprime_pairs, count_calls, reference_scaled_equation,
-                          reference_solve_branch)
+from cusp_testkit import (CORPUS, basic_form, coprime_pairs, count_calls, form_mul_monomial,
+                          reference_scaled_equation, reference_solve_branch)
 
 
 @pytest.mark.parametrize("n,m", [(4, 8), (6, 9), (1, 5), (5, 5), (7, 3)])
@@ -155,14 +155,13 @@ def test_key_tables_match_the_exponents():
         assert len(sets.j_to_key) == len(sets.key_to_part) == len(sets.J)
         for j in sets.J:
             p = sets.j_to_p[j]
-            assert sets.j_to_key[j] == sg.order.key(p)
+            assert sets.j_to_key[j] == (sg.order.degree(p), p[0])
             assert sets.key_to_part[sets.j_to_key[j]] == (j, *p)
 
 
 def test_nice_equation_terms():
     eq = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(7, 18)})
-    got = {t.exponent: t.coeff for t in eq.f.sorted_terms()}
-    assert got == {(0, 4): 1, (9, 0): 1, (7, 1): Rat(1), (5, 2): Rat(7, 18)}
+    assert eq.f.coeffs == {(0, 4): 1, (9, 0): 1, (7, 1): Rat(1), (5, 2): Rat(7, 18)}
     assert eq.mu == 1
     assert eq.form == "nice"
     assert eq.nice_coeffs == {1: Rat(1), 2: Rat(7, 18)}
@@ -175,6 +174,14 @@ def test_nice_equation_terms():
 def test_nice_rejects_exponent_outside_j():
     with pytest.raises(ValueError):
         CurveEquation.nice(Semigroup(4, 5), {3: Rat(1)})
+
+
+@pytest.mark.parametrize("index", [1.9, True, "1"], ids=["float", "bool", "str"])
+def test_nice_refuses_an_index_that_is_not_an_int(index):
+    """A z_j index is an ``int``: read through int(), 1.9, True and "1"
+    would each build z_1 = 1, a curve the caller did not name."""
+    with pytest.raises(ValueError, match="is not an int"):
+        CurveEquation.nice(Semigroup(4, 9), {index: Rat(1)})
 
 
 def test_adapted_requires_unit_times_corner():
@@ -297,8 +304,8 @@ def test_parametrization_solves_the_curve(n, m):
     eq = _all_ones(n, m)
     param = newton_puiseux(eq)
     assert all(c == 0 for c in _fraction_residual(eq.f, param))
-    assert oracle_differential_value(OneForm.basic(eq.f, "dx"), param) == n
-    assert oracle_differential_value(OneForm.basic(eq.f, "dy"), param) == m
+    assert oracle_differential_value(basic_form(eq.f, "dx"), param) == n
+    assert oracle_differential_value(basic_form(eq.f, "dy"), param) == m
     assert oracle_differential_value(OneForm(*eq.partials), param) is None
 
 
@@ -559,8 +566,8 @@ def test_newton_puiseux_horizons_agree_on_common_prefix(eq, above):
     diff = delorme(eq)
     forms = [*diff.forms, *diff.trail, OneForm(*eq.partials)]
     for which in ("dx", "dy"):
-        basic = OneForm.basic(eq.f, which)
-        forms += [basic.mul_monomial(1, (a, b)) for a in range(m + 1) for b in range(n)
+        basic = basic_form(eq.f, which)
+        forms += [form_mul_monomial(basic, 1, (a, b)) for a in range(m + 1) for b in range(n)
                   if n * a + m * b <= n * m]
     for form in forms:
         assert oracle_differential_value(form, wide) == oracle_differential_value(form, param)

@@ -239,8 +239,8 @@ def test_integer_generators_are_euler_and_the_truncated_derivatives():
                                   "n = 4\nm = 9\nmu = 2/3\nterm 5/7 7 1\n"])
 def test_jacobian_stays_on_integers(monkeypatch, capsys, tmp_path, text):
     """A ``jacobian`` or ``bs-roots`` request reads f and every polynomial
-    of its run as integer numerators: with ``coeffs``, ``leading`` and
-    ``sorted_terms``, the views that build ``Rat`` coefficients, made to
+    of its run as integer numerators: with ``coeffs``, ``__str__`` and
+    ``__repr__``, the views that build ``Rat`` coefficients, made to
     raise, each prints what it prints without them (bs-roots refuses the
     adapted curve)."""
     spec = tmp_path / "curve.spec"
@@ -255,9 +255,9 @@ def test_jacobian_stays_on_integers(monkeypatch, capsys, tmp_path, text):
 
     expected = {command: run(command) for command in ("jacobian", "bs-roots")}
     with monkeypatch.context() as patch:
-        for name in ("coeffs", "leading"):
-            patch.setattr(TruncatedPoly, name, property(refuse))
-        patch.setattr(TruncatedPoly, "sorted_terms", refuse)
+        patch.setattr(TruncatedPoly, "coeffs", property(refuse))
+        for name in ("__str__", "__repr__"):
+            patch.setattr(TruncatedPoly, name, refuse)
         assert {command: run(command) for command in expected} == expected
     tau = codimension(jacobian_basis_direct(parse_spec(text)))
     assert expected["jacobian"][0] == 0

@@ -42,7 +42,7 @@ def test_final_reduction_vanishes_on_member():
     f = _p({(0, 4): 1, (5, 0): 1})
     red = final_reduction(f.mul_monomial(Rat(3), (1, 1)), [f])
     assert red.vanished
-    assert red.remainder.is_zero
+    assert not red.remainder
 
 
 def test_final_reduction_single_divisor():
@@ -157,7 +157,7 @@ def _reference_buchberger(gens):
     ``gens``: FIFO pairs, the minimal S-process, final reduction against the
     growing basis, and the same minimality pass; the kept polynomials
     sorted by x-exponent."""
-    basis = [FractionPoly.of(g) for g in gens if not g.is_zero]
+    basis = [FractionPoly.of(g) for g in gens if g]
     order = basis[0].order
     queue = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     while queue:
@@ -168,7 +168,7 @@ def _reference_buchberger(gens):
         basis.append(remainder)
         queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     kept = []
-    for p in sorted(basis, key=lambda q: order.key(q.leading[0])):
+    for p in sorted(basis, key=lambda q: (order.degree(q.leading[0]), q.leading[0][0])):
         if not any(divides(k.leading[0], p.leading[0]) for k in kept):
             kept.append(p)
     return sorted(kept, key=lambda p: p.leading[0][0])
@@ -186,7 +186,7 @@ def _assert_matches_reference(gens):
         coeffs = p.coeffs
         assert p.den == 1 and all(c.denominator == 1 for c in coeffs.values())
         assert gcd(*(c.numerator for c in coeffs.values())) == 1
-        ratio = p.leading.coeff / q.leading[1]
+        ratio = coeffs[p.leading_power] / q.leading[1]
         assert ratio > 0
         assert (p.horizon, coeffs) == (q.horizon, {e: ratio * c for e, c in q.coeffs.items()})
 
@@ -215,7 +215,7 @@ def test_buchberger_matches_the_reference_on_jacobian_generators():
         _assert_matches_reference(euler)
         assert buchberger(euler).leading_powers == buchberger(plain).leading_powers
         h, nm = eq.sg.jacobian_horizon, eq.sg.n * eq.sg.m
-        assert euler[0].is_zero == all(d == nm or d > h for d, _ in eq.f.terms)
+        assert (not euler[0]) == all(d == nm or d > h for d, _ in eq.f.terms)
 
 
 def test_pairs_with_lcm_above_the_horizon_have_a_zero_s_process():
@@ -230,7 +230,7 @@ def test_pairs_with_lcm_above_the_horizon_have_a_zero_s_process():
             for g2 in gens[i + 1:]:
                 if _lcm_key(g1.lead, g2.lead, n, m)[0] > h:
                     skipped += 1
-                    assert s_process_min(g1, g2).is_zero
+                    assert not s_process_min(g1, g2)
                 else:
                     kept += 1
     assert skipped > kept > 0
@@ -269,7 +269,7 @@ def test_steps_are_exact(gens, which, cut):
     which %= len(basis)
     low = basis[which].horizon - cut
     basis[which] = basis[which].truncated(low)
-    if basis[which].is_zero:
+    if not basis[which]:
         return
     refs = [FractionPoly.of(b) for b in basis]
     before = [(dict(b.terms), b.den) for b in basis]

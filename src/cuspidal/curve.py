@@ -168,10 +168,9 @@ class CuspidalSets:
     shifted weights n*p1 + m*p2 - n*m, in bijection with P; M reflects P
     through (m-1, n-1).  All three are empty when n = 2.  j_to_p maps each
     j to its exponent in P, so P is ``j_to_p.values()``, in J's order;
-    j_to_key maps j to the key (j + nm, p1) of its monomial in f's
-    numerators (``TruncatedPoly``), which ``parse_spec`` writes z_j at;
-    and key_to_part maps that key back to (j, p1, p2), which
-    ``CurveEquation`` reads f's form and z_j through.  All three maps are
+    and key_to_part maps the key (j + nm, p1) of that monomial in f's
+    numerators (``TruncatedPoly``) back to (j, p1, p2), which
+    ``CurveEquation`` reads f's form and z_j through.  Both maps are
     read-only: every curve of the pair reads the one mapping.  The sets
     hold no reference back to their pair: every program path reaches them
     through the pair's one ``Semigroup.sets``, so they are compared and
@@ -181,7 +180,6 @@ class CuspidalSets:
     J: tuple
     M: tuple
     j_to_p: MappingProxyType = field(repr=False)
-    j_to_key: MappingProxyType = field(repr=False)
     key_to_part: MappingProxyType = field(repr=False)
 
 
@@ -200,10 +198,9 @@ def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
     if len(set(J)) != len(pairs):
         raise AssertionError("cuspidal values collided below n*m")
     M = tuple((m - p1 - 1, n - p2 - 1) for _, (p1, p2) in pairs)
-    keys = [(j, (j + n * m, p1), p2) for j, (p1, p2) in pairs]
     return CuspidalSets(J, M, MappingProxyType(dict(pairs)),
-                        MappingProxyType({j: key for j, key, _ in keys}),
-                        MappingProxyType({key: (j, key[1], p2) for j, key, p2 in keys}))
+                        MappingProxyType({(j + n * m, p1): (j, p1, p2)
+                                          for j, (p1, p2) in pairs}))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ Either way the lines give f's integer numerators straight away, keyed by
 ``TruncatedPoly`` holds them.  Each value is a reduced pair of integers
 (p, q): decimal digits are read as (int, 1) and p/q of decimal digits as
 two ints over their gcd, so the z lines of a spec build no ``Fraction``;
-any other shape is read by ``Rat``.  A z line's key is read from the
-pair's table ``CuspidalSets.j_to_key``.
+any other shape is read by ``Rat``.  A z line's key (j + nm, p1) is formed
+from its exponent in the pair's table ``CuspidalSets.j_to_p``.
 ``CurveEquation`` checks the result, and whether the curve is nice is read
 off its terms, whichever lines gave them.
 It describes the curve and nothing else: f is held at 2nm, where no layer
@@ -107,8 +107,8 @@ def parse_spec(text: str) -> CurveEquation:
     cannot build is a ParseError.  f's integer numerators, keyed by
     (weighted degree, x-exponent) over the lcm of the denominators, are
     built here in one pass over the values, each a reduced (p, q) pair
-    (``_rational``); a z line's key is read from the pair's table
-    ``CuspidalSets.j_to_key``."""
+    (``_rational``); a z line's key is formed from its exponent in the
+    pair's table ``CuspidalSets.j_to_p``."""
     fields: dict = {}
     coeffs: list = []
     terms: list = []
@@ -170,13 +170,12 @@ def parse_spec(text: str) -> CurveEquation:
     nm = n * m
     # (key, p, q) of every term p/q of f, keyed by (weighted degree, x-exponent)
     values = [((nm, m), *mu), ((nm, 0), 1, 1)]
-    j_to_key = sg.sets.j_to_key
+    j_to_p = sg.sets.j_to_p
     for j, p, q, line_no in coeffs:
-        key = j_to_key.get(j)
-        if key is None:
+        if j not in j_to_p:
             raise CoefficientOutsideJ(
                 f"z {j} is not a cuspidal gap value of ({n}, {m})", line_no)
-        values.append((key, p, q))
+        values.append(((j + nm, j_to_p[j][0]), p, q))
     for (p, q), a, b, line_no in terms:
         w = n * a + m * b
         if w <= nm:

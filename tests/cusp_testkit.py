@@ -1,7 +1,7 @@
 """Shared corpus, random generators, the operators' route to the 1-forms,
-the ``Fraction`` reduction reference, the table-free residue references,
-the Newton-Puiseux references and a call counter for the test suite and its
-sweeps.
+the ``Fraction`` reduction reference, the brute-force staircase count, the
+table-free residue references, the Newton-Puiseux references and a call
+counter for the test suite and its sweeps.
 
 A plain module rather than ``conftest.py``, so that ``from cusp_testkit
 import ...`` names this file even when pytest also collects another suite
@@ -20,10 +20,11 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import NamedTuple
 
-from cuspidal import CurveEquation, OneForm, Semigroup, TruncatedPoly, _series, cuspidal_sets
-from cuspidal.poly import WeightedOrder, divides
+from cuspidal import _series
 from cuspidal.bernstein import GammaExpr, RootDecision, delta_sequences
-from cuspidal.curve import NoSolution
+from cuspidal.curve import CurveEquation, NoSolution, Semigroup
+from cuspidal.differentials import OneForm
+from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
 from cuspidal.rationals import Rat
 
 CORPUS = [
@@ -36,7 +37,7 @@ def random_nice_coeffs(rng: random.Random, sg: Semigroup) -> dict:
     """Coefficient draw for a nice equation: each z_j vanishes with
     probability one half, otherwise it is +/- (1..5)/(1..3)."""
     coeffs = {}
-    for j in cuspidal_sets(sg).J:
+    for j in sg.sets.J:
         if rng.random() < 0.5:
             continue
         num = rng.choice([-1, 1]) * rng.randint(1, 5)
@@ -66,9 +67,15 @@ def nice_curves(seed: int, densities=(0.25, 0.5, 0.75), n_values=range(2, 8), m_
         sg = Semigroup(n, m)
         rng = random.Random(f"{seed}:{n}:{m}")
         for density in densities:
-            yield CurveEquation.nice(sg, {
-                j: Rat(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
-                for j in cuspidal_sets(sg).J if rng.random() < density})
+            yield nice_curve(sg, rng, density)
+
+
+def nice_curve(sg: Semigroup, rng: random.Random, density) -> CurveEquation:
+    """A nice curve whose z_j are each drawn nonzero with probability
+    ``density``, as +/- (1..5)/(1..3)."""
+    return CurveEquation.nice(sg, {
+        j: Rat(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
+        for j in sg.sets.J if rng.random() < density})
 
 
 def random_form(rng: random.Random, eq: CurveEquation) -> OneForm:
@@ -216,6 +223,16 @@ def fraction_reduction(g: FractionPoly, basis) -> tuple:
     while (nxt := fraction_step(g, basis)) is not None:
         g, steps = nxt, steps + 1
     return g, steps
+
+
+def lattice_count(lps) -> int:
+    """The lattice points (a, b) below the corners of the staircase ``lps``
+    that no leading power divides, counted one by one: the codimension's
+    brute-force reference."""
+    a_max = max(a for a, _ in lps)
+    b_max = max(b for _, b in lps)
+    return sum(1 for a in range(a_max + 1) for b in range(b_max + 1)
+               if not any(c <= a and d <= b for c, d in lps))
 
 
 def lower_by_steps(r):

@@ -11,7 +11,7 @@ import random
 import time
 from math import gcd
 
-from cuspidal import CurveEquation, Semigroup, cuspidal_sets
+from cuspidal import CurveEquation, Semigroup
 from cuspidal.bernstein import certified_roots_from_semimodule, decide_root, residue
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
@@ -30,7 +30,7 @@ from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, elements_outside, enumerate_increasing
 from cuspidal.standard_basis import StandardBasis, codimension
 from cuspidal.bernstein import four_condition_check, zariski_condition_check, PreconditionViolation
-from cusp_testkit import CORPUS, coprime_pairs, curve_draws, random_form
+from cusp_testkit import CORPUS, coprime_pairs, curve_draws, lattice_count, random_form
 
 
 def _verdict(num: int, name: str, failures: list) -> None:
@@ -69,7 +69,7 @@ def test_criterion_02_j_set_identity():
             sg = Semigroup(n, m)
             expected = tuple(l for l in range(sg.conductor)
                              if (l + n) not in sg and (l + m) not in sg)
-            got = cuspidal_sets(sg).J
+            got = sg.sets.J
             if got != expected:
                 failures.append((n, m, got, expected))
     _verdict(2, "J-set identity", failures)
@@ -84,13 +84,6 @@ def _random_staircase(rng: random.Random):
     return list(zip(a_vals, b_vals))
 
 
-def _lattice_count(lps) -> int:
-    a_max = max(a for a, _ in lps)
-    b_max = max(b for _, b in lps)
-    return sum(1 for a in range(a_max + 1) for b in range(b_max + 1)
-               if not any(c <= a and d <= b for c, d in lps))
-
-
 def test_criterion_03_codimension_oracle():
     failures = []
     order = WeightedOrder(4, 5)
@@ -100,7 +93,7 @@ def test_criterion_03_codimension_oracle():
         polys = tuple(TruncatedPoly.monomial(order, Rat(1), e, horizon=400)
                       for e in lps)
         got = codimension(StandardBasis(polys))
-        want = _lattice_count(lps)
+        want = lattice_count(lps)
         if got != want:
             failures.append((trial, lps, got, want))
     _verdict(3, "codimension oracle", failures)
@@ -278,6 +271,6 @@ def test_criterion_10_worked_pins():
     # brute-force lattice count of its jacobian staircase
     tau = tjurina_number(jacobian_basis_direct(eq45))
     staircase = jacobian_basis_direct(eq45).leading_powers
-    if tau != 11 or _lattice_count(staircase) != 11:
+    if tau != 11 or lattice_count(staircase) != 11:
         failures.append(("tjurina", tau, staircase))
     _verdict(10, "worked pins", failures)

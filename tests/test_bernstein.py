@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import CurveEquation, Semigroup, bernstein, curve, cuspidal_sets
+from cuspidal import CurveEquation, Semigroup, bernstein, curve
 from cuspidal.bernstein import (
     Certificate,
     GammaExpr,
@@ -35,9 +35,10 @@ from cuspidal.differentials import delorme
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule
-from cusp_testkit import (coprime_pairs, count_calls, nice_curves, reference_from_terms,
-                          reference_residue, reference_table, scan_order, table_values)
-from delta_table_sweep import brute_force_sums, cancelling_curves, check_curve, sweep_curves
+from cusp_testkit import (coprime_pairs, count_calls, nice_curve, nice_curves,
+                          reference_from_terms, reference_residue, reference_table, scan_order,
+                          table_values)
+from sweeps import brute_force_sums, cancelling_curves, check_table, table_curves
 
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
 EQ49_DEG = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1), 2: Rat(7, 18)})
@@ -393,7 +394,7 @@ def test_delta_table_sweep():
     residue cancels: the support sums, the tables of every k up to
     nm - n - m and the verdict of every j agree with the enumeration, and
     every one-term residue that a verdict reads has its entry's sign."""
-    outcomes = [check_curve(eq) for eq in sweep_curves(5, 9)]
+    outcomes = [check_table(eq) for eq in table_curves(5, 9)]
     assert len(outcomes) == 56
     assert [o.mismatch for o in outcomes if o.mismatch] == []
     assert sum(o.tables for o in outcomes) == 1014
@@ -408,10 +409,7 @@ def test_residue_table_is_order_free_and_per_curve():
     passes from one curve to the other."""
     sg = Semigroup(6, 11)
     rng = random.Random("table")
-    eqs = [CurveEquation.nice(sg, {j: Rat(rng.choice([-1, 1]) * rng.randint(1, 5),
-                                          rng.randint(1, 3))
-                                   for j in cuspidal_sets(sg).J if rng.random() < 0.6})
-           for _ in range(2)]
+    eqs = [nice_curve(sg, rng, 0.6) for _ in range(2)]
     assert eqs[0].nice_coeffs != eqs[1].nice_coeffs
     queries = [(eq, q) for eq in eqs for q in _queries(eq)]
     rng.shuffle(queries)

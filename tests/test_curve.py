@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import CurveEquation, Semigroup, _series, curve, cuspidal_sets
+from cuspidal import CurveEquation, Semigroup, _series, curve
 from cuspidal.curve import (CuspidalSets, NoSolution, NotAdapted, Parametrization, _leading_solution,
-                            _scaled_equation, _solve_branch, newton_puiseux)
+                            _scaled_equation, _solve_branch, cuspidal_sets, newton_puiseux)
 from cuspidal.differentials import OneForm, delorme, oracle_differential_value
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
@@ -146,17 +146,16 @@ def test_cuspidal_sets_49_pin():
 
 def test_key_tables_match_the_exponents():
     """On every coprime pair with n <= 9, m <= 21, each j in J has the key
-    of its monomial in P under the pair's order (``j_to_key``, which
-    ``parse_spec`` writes z_j at), and that key maps back to j and its
-    exponent (``key_to_part``, which ``CurveEquation`` reads f through)."""
+    of its monomial in P under the pair's order, which ``parse_spec``
+    writes z_j at, and that key maps back to j and its exponent
+    (``key_to_part``, which ``CurveEquation`` reads f through)."""
     for n, m in coprime_pairs(range(2, 10), 21):
         sg = Semigroup(n, m)
         sets = sg.sets
-        assert len(sets.j_to_key) == len(sets.key_to_part) == len(sets.J)
+        assert len(sets.key_to_part) == len(sets.J)
         for j in sets.J:
             p = sets.j_to_p[j]
-            assert sets.j_to_key[j] == (sg.order.degree(p), p[0])
-            assert sets.key_to_part[sets.j_to_key[j]] == (j, *p)
+            assert sets.key_to_part[(sg.order.degree(p), p[0])] == (j, *p)
 
 
 def test_nice_equation_terms():
@@ -245,7 +244,7 @@ def _adapted_45_mu2() -> CurveEquation:
 
 def _all_ones(n, m) -> CurveEquation:
     sg = Semigroup(n, m)
-    return CurveEquation.nice(sg, {j: Rat(1) for j in cuspidal_sets(sg).J})
+    return CurveEquation.nice(sg, {j: Rat(1) for j in sg.sets.J})
 
 
 # The adapted curves carry a power y^b with b > n and a pure power x^a with

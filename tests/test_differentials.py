@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from cuspidal import CurveEquation, Semigroup, cuspidal_sets, parse_spec
+from cuspidal import CurveEquation, Semigroup
 from cuspidal import differentials
 from cuspidal.curve import newton_puiseux
 from cuspidal.differentials import (
@@ -30,11 +30,12 @@ from cuspidal.differentials import (
 from cuspidal.poly import TruncatedPoly
 from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, _axis, covered
+from cuspidal.specfile import parse_spec
 from cuspidal.standard_basis import final_reduction, reduce_step
 from cusp_testkit import (CORPUS, FractionPoly, adapted_curves, basic_form, coprime_pairs,
                           curve_draws, form_add, form_mul_monomial, fraction_reduction,
-                          nice_curves, random_form)
-from branch_window_sweep import check_curve, sweep_curves
+                          nice_curve, nice_curves, random_form)
+from sweeps import check_window, window_curves
 
 EQ45 = CurveEquation.nice(Semigroup(4, 5), {2: Rat(1)})
 EQ49 = CurveEquation.nice(Semigroup(4, 9), {1: Rat(1)})
@@ -271,7 +272,7 @@ def test_branch_window_sweep():
     oracles and the implicit route read one value.  On 11 of the 164
     curves, y parts from the 2nm branch's later, inside the window: only
     the orders the oracle reads are kept."""
-    outcomes = [check_curve(eq) for eq in sweep_curves(6, 13)]
+    outcomes = [check_window(eq) for eq in window_curves(6, 13)]
     assert len(outcomes) == 164
     assert [o.mismatch for o in outcomes if o.mismatch] == []
     assert sum(o.forms for o in outcomes) == 842
@@ -485,14 +486,12 @@ def _horizon_draws():
     rng = random.Random(2026)
     for n, m in coprime_pairs(range(2, 10), 15):
         sg = Semigroup(n, m)
-        J = cuspidal_sets(sg).J
+        J = sg.sets.J
         yield CurveEquation.nice(sg)
         if J:
             yield CurveEquation.nice(sg, {J[0]: Rat(1)})
         for density in (0.15, 0.15, 0.4, 0.4, 1.0, 1.0):
-            yield CurveEquation.nice(sg, {
-                j: Rat(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
-                for j in J if rng.random() < density})
+            yield nice_curve(sg, rng, density)
         terms = {(m, 0): Rat(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)), (0, n): 1}
         while len(terms) < 5:
             a, b = rng.randint(0, 2 * m), rng.randint(0, n + 2)

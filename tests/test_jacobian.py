@@ -23,7 +23,7 @@ from cuspidal.semimodules import elements_outside
 from cuspidal.specfile import parse_spec
 from cuspidal.standard_basis import HorizonExhausted, StandardBasis, buchberger, codimension
 from cusp_testkit import CORPUS, adapted_curves, curve_draws, nice_curves
-from jacobian_horizon_sweep import check_curve, sweep_curves
+from sweeps import check_horizon, horizon_curves
 
 
 @pytest.mark.parametrize("eq,tau", [
@@ -198,7 +198,7 @@ def test_jacobian_horizon_sweep():
     at z-densities 0, 0.3 and 1, and adapted with mu != 1): at H_J the
     leading powers are those at 2nm and tau = c - #(Lambda \\ Gamma).  One
     degree lower, 13 of the 312 curves change their leading powers."""
-    outcomes = [check_curve(eq) for eq in sweep_curves(8, 16)]
+    outcomes = [check_horizon(eq) for eq in horizon_curves(8, 16)]
     assert len(outcomes) == 312
     assert [o.mismatch for o in outcomes if o.mismatch] == []
     assert sum(o.lower_differs for o in outcomes) == 13

@@ -18,6 +18,31 @@ def test_rationals_are_fractions():
     assert cuspidal.Rat is fractions.Fraction
 
 
+def _top_level_reads(tree: ast.AST) -> set:
+    """The names that ``tree`` imports from ``cuspidal`` or reads as
+    ``cuspidal.<name>``, without the package's modules and dunders."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "cuspidal" and not node.level:
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "cuspidal"):
+            names.add(node.attr)
+    modules = {p.stem for p in Path(cuspidal.__file__).parent.glob("*.py")}
+    return {n for n in names if n not in modules and not n.startswith("__")}
+
+
+def test_exports_are_the_names_the_readers_import():
+    """The top level exports exactly what the README's library quick start
+    and the benchmark read from it; every other name is read from its
+    module, so no second route to a name is kept that nothing uses."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    trees = [ast.parse(readme.split("```python", 1)[1].split("```", 1)[0])]
+    trees += [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((root / "bench").rglob("*.py"))]
+    assert sorted(cuspidal.__all__) == sorted(set().union(*map(_top_level_reads, trees)))
+
+
 def _unused_imports(path: Path) -> list:
     """Names a module imports but never reads (``from __future__`` aside)."""
     tree = ast.parse(path.read_text(), filename=str(path))

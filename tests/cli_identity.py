@@ -22,7 +22,7 @@ The runs are:
   and ``semigroup``, ``cuspidal-sets``, ``delorme`` and ``enumerate``,
   plain and with ``--json``;
 - every ``cuspidal ...`` command of the README on its demo.spec, plain and
-  with ``--json``;
+  with ``--json``, both read through ``tests/readme.py``;
 - ``conjecture-scan --max-m <--max-m>``;
 - fixed argv and spec errors.
 
@@ -37,11 +37,11 @@ import hashlib
 import importlib.util
 import io
 import json
-import re
 import sys
 import tempfile
 from pathlib import Path
 
+import readme
 from cuspidal.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,17 +63,6 @@ def _workloads():
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _readme() -> tuple[str, list]:
-    """The README's demo.spec text and the argv of its ``cuspidal ...``
-    lines, read as the CI's README quick start reads them."""
-    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("# demo.spec"))
-    end = next(i for i in range(start, len(lines)) if lines[i].startswith("```"))
-    commands = [m.group(1).split() for line in lines
-                if (m := re.match(r"cuspidal ([^#]*)", line))]
-    return "\n".join(lines[start:end]) + "\n", commands
 
 
 def _argv_lists(directory: Path, seeds, seconds: float, grid_specs: int, max_m: int):
@@ -98,10 +87,9 @@ def _argv_lists(directory: Path, seeds, seconds: float, grid_specs: int, max_m: 
         for command in SPEC_COMMANDS:
             yield [command, "--spec", path]
             yield [command, "--spec", path, "--json"]
-    demo_text, commands = _readme()
     demo = directory / "demo.spec"
-    demo.write_text(demo_text, encoding="utf-8")
-    for args in commands:
+    demo.write_text(readme.demo_spec(), encoding="utf-8")
+    for args in readme.commands():
         args = [str(demo) if arg == "demo.spec" else arg for arg in args]
         yield args
         yield [*args, "--json"]

@@ -1,7 +1,7 @@
 """Shared corpus, random generators, the operators' route to the 1-forms,
-the ``Fraction`` reduction reference, the brute-force staircase count, the
-table-free residue references, the Newton-Puiseux references and a call
-counter for the test suite and its sweeps.
+the ``Fraction`` reduction reference, a staircase draw and its brute-force
+count, the table-free residue references, the Newton-Puiseux references
+and a call counter for the test suite and its sweeps.
 
 A plain module rather than ``conftest.py``, so that ``from cusp_testkit
 import ...`` names this file even when pytest also collects another suite
@@ -223,6 +223,19 @@ def fraction_reduction(g: FractionPoly, basis) -> tuple:
     while (nxt := fraction_step(g, basis)) is not None:
         g, steps = nxt, steps + 1
     return g, steps
+
+
+def random_staircase(rng: random.Random, most: int, top: int) -> list:
+    """A random staircase of finite codimension: 1 to ``most`` leading
+    powers with exponents below ``top``, the a's strictly increasing from 0
+    and the b's strictly decreasing to 0.  Each sample's least exponent is
+    set to 0, so no exponent repeats."""
+    k = rng.randint(1, most)
+    a_vals = sorted(rng.sample(range(top), k))
+    a_vals[0] = 0
+    b_vals = sorted(rng.sample(range(top), k), reverse=True)
+    b_vals[-1] = 0
+    return list(zip(a_vals, b_vals))
 
 
 def lattice_count(lps) -> int:

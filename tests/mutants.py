@@ -23,10 +23,12 @@ broken at its cut, its rescaling or its stop, and the form replay with the
 shift arguments swapped.  Then the residue verdicts: the wrong test read
 for a target, a lowering product one factor short, residues read as 0
 always, never, unless k = 0 or unless (a, b) = (1, 1), and the certified
-roots without their largest.  Last, the numbers that every verdict rests
+roots without their largest.  Then the numbers that every verdict rests
 on: tau one short, each of the horizons H_Delta, H_J and D one degree low,
 the covered values without their cut at the bound, and Delorme's last
-uncovered value one too high.
+uncovered value one too high.  Last, the README check
+(``tests/readme.py``): a sample that reads equal whatever it prints, and a
+nonzero exit status read as success.
 """
 from __future__ import annotations
 
@@ -46,6 +48,7 @@ BERNSTEIN = "src/cuspidal/bernstein.py"
 JACOBIAN = "src/cuspidal/jacobian.py"
 CURVE = "src/cuspidal/curve.py"
 SEMIMODULES = "src/cuspidal/semimodules.py"
+README_CHECK = "tests/readme.py"
 TEST_CLI = "tests/test_cli.py::"
 TEST_POLY = "tests/test_poly.py::"
 TEST_CURVE = "tests/test_curve.py::"
@@ -54,6 +57,7 @@ TEST_SEMIMODULES = "tests/test_semimodules.py::"
 TEST_DIFFERENTIALS = "tests/test_differentials.py::"
 TEST_BERNSTEIN = "tests/test_bernstein.py::"
 TEST_ACCEPTANCE = "tests/test_acceptance.py::"
+TEST_README = "tests/test_readme.py::"
 CRITERION_06 = TEST_ACCEPTANCE + "test_criterion_06_small_multiplicity_roots"
 CRITERION_08 = TEST_ACCEPTANCE + "test_criterion_08_equivalence_batteries"
 FRACTION_ARITHMETIC = [TEST_POLY + "test_integer_arithmetic_is_the_fraction_arithmetic"]
@@ -167,6 +171,13 @@ MUTANTS = [
      "(~taken & (1 << sg.conductor) - 1).bit_length() - 1",
      "(~taken & (1 << sg.conductor) - 1).bit_length()",
      [TEST_DIFFERENTIALS + "test_branch_window_sweep"]),
+    ("README samples read equal whatever they print", README_CHECK,
+     "out = out[:len(expected)]\n    if out != expected:",
+     "out = out[:len(expected)]\n    if False:",
+     [TEST_README + "test_sample_check_fails_on_an_edited_sample_line"]),
+    ("README check reads a nonzero exit status as success", README_CHECK,
+     "if proc.returncode != 0:", "if False:",
+     [TEST_README + "test_command_check_fails_on_a_nonzero_exit"]),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".benchmarks",

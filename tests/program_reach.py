@@ -2,9 +2,10 @@
 
 Runs every invocation of the command-line identity harness at seed 0
 (``tests/cli_identity.py``) and the README's library quick start (its
-fenced python block) under ``sys.setprofile``, and prints each function
-and method of ``src/cuspidal`` that none of them called, with its lines
-and its code lines (``tests/code_lines.py``).  A function that only the
+fenced python block, read through ``tests/readme.py``) under
+``sys.setprofile``, and prints each function and method of
+``src/cuspidal`` that none of them called, with its lines and its code
+lines (``tests/code_lines.py``).  A function that only the
 tests call is a hook or an alias that the program keeps for nothing: it
 leaves the package, or ``ALLOWED`` names it with the reason it stays.
 The script exits 1 on an unreached function that ``ALLOWED`` does not
@@ -21,6 +22,7 @@ import io
 import sys
 from pathlib import Path
 
+import readme
 from code_lines import code_line_numbers
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,10 +95,7 @@ def called_code() -> set:
         if event == "call":
             called.add(frame.f_code)
 
-    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("```python")) + 1
-    end = next(i for i in range(start, len(lines)) if lines[i].startswith("```"))
-    quick_start = compile("\n".join(lines[start:end]), "README.md", "exec")
+    quick_start = compile(readme.library(), "README.md", "exec")
     sys.setprofile(profile)
     try:
         import cli_identity

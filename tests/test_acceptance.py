@@ -30,7 +30,8 @@ from cuspidal.rationals import Rat
 from cuspidal.semimodules import AbstractSemimodule, elements_outside, enumerate_increasing
 from cuspidal.standard_basis import StandardBasis, codimension
 from cuspidal.bernstein import four_condition_check, zariski_condition_check, PreconditionViolation
-from cusp_testkit import CORPUS, coprime_pairs, curve_draws, lattice_count, random_form
+from cusp_testkit import (CORPUS, coprime_pairs, curve_draws, lattice_count, random_form,
+                          random_staircase)
 
 
 def _verdict(num: int, name: str, failures: list) -> None:
@@ -75,21 +76,12 @@ def test_criterion_02_j_set_identity():
     _verdict(2, "J-set identity", failures)
 
 
-def _random_staircase(rng: random.Random):
-    k = rng.randint(1, 6)
-    a_vals = sorted(rng.sample(range(0, 14), k))
-    a_vals[0] = 0
-    b_vals = sorted(rng.sample(range(0, 14), k), reverse=True)
-    b_vals[-1] = 0
-    return list(zip(a_vals, b_vals))
-
-
 def test_criterion_03_codimension_oracle():
     failures = []
     order = WeightedOrder(4, 5)
     rng = random.Random("staircases")
     for trial in range(100):
-        lps = _random_staircase(rng)
+        lps = random_staircase(rng, 6, 14)
         polys = tuple(TruncatedPoly.monomial(order, Rat(1), e, horizon=400)
                       for e in lps)
         got = codimension(StandardBasis(polys))

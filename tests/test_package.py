@@ -6,6 +6,7 @@ import fractions
 from pathlib import Path
 
 import cuspidal
+import readme
 
 
 def test_public_names_resolve_once():
@@ -37,8 +38,7 @@ def test_exports_are_the_names_the_readers_import():
     and the benchmark read from it; every other name is read from its
     module, so no second route to a name is kept that nothing uses."""
     root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text(encoding="utf-8")
-    trees = [ast.parse(readme.split("```python", 1)[1].split("```", 1)[0])]
+    trees = [ast.parse(readme.library())]
     trees += [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((root / "bench").rglob("*.py"))]
     assert sorted(cuspidal.__all__) == sorted(set().union(*map(_top_level_reads, trees)))
 

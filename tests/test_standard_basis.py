@@ -23,7 +23,7 @@ from cuspidal.standard_basis import (
 )
 
 from cusp_testkit import (FractionPoly, adapted_curves, coprime_pairs, fraction_reduction,
-                          fraction_step, lattice_count, nice_curves)
+                          fraction_step, lattice_count, nice_curves, random_staircase)
 
 O45 = WeightedOrder(4, 5)
 
@@ -108,25 +108,9 @@ def test_codimension_quasihomogeneous_milnor():
     assert codimension(basis) == 12
 
 
-def _staircase(rng: random.Random):
-    """Random finite-codimension antichain: a's strictly increasing from 0,
-    b's strictly decreasing to 0."""
-    k = rng.randint(1, 5)
-    a_vals = sorted(rng.sample(range(0, 12), k))
-    a_vals[0] = 0
-    b_vals = sorted(rng.sample(range(0, 12), k), reverse=True)
-    b_vals[-1] = 0
-    if len(set(a_vals)) < k or len(set(b_vals)) < k:
-        return None
-    return list(zip(a_vals, b_vals))
-
-
 @pytest.mark.parametrize("seed", range(25))
 def test_codimension_matches_lattice_count(seed):
-    rng = random.Random(seed)
-    lps = None
-    while lps is None:
-        lps = _staircase(rng)
+    lps = random_staircase(random.Random(seed), 5, 12)
     order = WeightedOrder(4, 5)
     polys = tuple(TruncatedPoly.monomial(order, Rat(1), e, horizon=200) for e in lps)
     assert codimension(StandardBasis(polys)) == lattice_count(lps)

@@ -46,7 +46,7 @@ from .differentials import (delorme, differential_value, monomial_value,
 from .jacobian import jacobian_basis_direct, jacobian_basis_via_differentials, tjurina_number
 from .rationals import Rat
 from .semimodules import elements_outside, enumerate_increasing
-from .specfile import ParseError, SpecError, parse_spec
+from .specfile import SpecError, parse_spec
 from .standard_basis import HorizonExhausted
 
 
@@ -175,7 +175,7 @@ def cmd_enumerate(eq: CurveEquation, max_m: int | None) -> dict:
         return {"n": n, "m": sg.m, "count": len(sms),
                 "basis": [list(sm.basis) for sm in sms]}
     if max_m <= n:
-        raise ParseError(f"--max-m {max_m} selects no pair: it must exceed n = {n}")
+        raise SpecError(f"--max-m {max_m} selects no pair: it must exceed n = {n}")
     data: dict = {"n": n, "max_m": max_m}
     total = 0
     for m in range(n + 1, max_m + 1):
@@ -260,7 +260,7 @@ def cmd_conjecture_scan(seed: int, max_m: int) -> tuple[dict, bool]:
     """Scan all of Lambda \\ Gamma, not only the lambda_1 cone that
     certified_roots_from_semimodule certifies for n >= 5: that is the conjecture."""
     if max_m < 6:
-        raise ParseError(f"--max-m {max_m} selects no pair: the scan starts at (5, 6)")
+        raise SpecError(f"--max-m {max_m} selects no pair: the scan starts at (5, 6)")
     rng = random.Random(seed)
     data: dict = {"seed": seed, "max_m": max_m}
     curves = checked = 0
@@ -295,11 +295,11 @@ def cmd_conjecture_scan(seed: int, max_m: int) -> tuple[dict, bool]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as a ParseError, so that ``main`` reports it on
+    """Raises a usage error as a SpecError, so that ``main`` reports it on
     one line like any other bad input; the subparsers inherit the class."""
 
     def error(self, message: str):
-        raise ParseError(message)
+        raise SpecError(message)
 
 
 def _seed(text: str) -> int:

@@ -19,7 +19,6 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from types import MappingProxyType
 
-from . import _series
 from .poly import Exponent, TruncatedPoly, WeightedOrder
 from .rationals import ONE, Rat, ZERO
 
@@ -418,8 +417,8 @@ class Parametrization:
                 plain = self._table(b, False)
                 got = tuple(map(mul, range(len(plain)), plain))
             else:
-                got = tuple(_series.mul(self._table(b - 1, False), self.powers[1],
-                                        self.t_horizon))
+                got = tuple(_mul(self._table(b - 1, False), self.powers[1],
+                                 self.t_horizon))
             tables[(b, theta)] = got
         return got
 
@@ -494,6 +493,29 @@ def _leading_solution(n: int, m: int, mu: Rat) -> tuple:
     return -mu_u, mu_v
 
 
+def _exact_div(a: int, b: int) -> int:
+    """a / b for integers with b dividing a; a nonzero remainder raises."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"inexact division: remainder {r} modulo {b}")
+    return q
+
+
+def _mul(u, v, upto: int) -> list:
+    """The product of the series u and v (coefficient lists, c[k] at
+    s^k) through s^upto; only the nonzero coefficients of v are walked."""
+    out = [0] * (upto + 1)
+    nonzero = [(j, b) for j, b in enumerate(v[: upto + 1]) if b]
+    for i, a in enumerate(u[: upto + 1]):
+        if a:
+            top = upto - i
+            for j, b in nonzero:
+                if j > top:
+                    break
+                out[i + j] += a * b
+    return out
+
+
 def _scaled_equation(f: TruncatedPoly, xi: Rat, c0: Rat) -> tuple:
     """(D, H): the scale D = n^2 * L and the integer terms (n*a, b, h) of
     H(s, v) = f(xi * (D*s)^n, c0 * D^m * v) / (c0^n * D^(nm)), whose term
@@ -517,7 +539,7 @@ def _scaled_equation(f: TruncatedPoly, xi: Rat, c0: Rat) -> tuple:
         units.append((n * a, b, d - nm, p // g, q // g))
     # x^m and y^n give -1 and 1, so taking them into L changes nothing.
     scale = n * n * lcm(*(q for *_, q in units))
-    return scale, [(shift, b, _series.exact_div(p * scale ** e, q))
+    return scale, [(shift, b, _exact_div(p * scale ** e, q))
                    for shift, b, e, p, q in units]
 
 
@@ -545,7 +567,7 @@ def _solve_branch(n: int, m: int, terms, window: int) -> list:
     product with w_0 = 1 reads w^(b-1) at i itself, 0 by induction on b.
     So P_i = 0, w_i = 0, and every w^b is 0 at i.
 
-    The check rebuilds each v^b from v alone by ``_series.mul``, and only
+    The check rebuilds each v^b from v alone by ``_mul``, and only
     through L_b = min(work, window + m(b - 1)), work = window + nm - m,
     which is all that it reads: as s^(mb) * w^b, with w^b through
     L_b - mb = min(span, work - mb).  A term (shift, b) = (na, b) of H has
@@ -586,7 +608,7 @@ def _solve_branch(n: int, m: int, terms, window: int) -> list:
                 if i > last:
                     break
                 power[i] = sum(map(mul, ws, read(lower)))
-        w_i = _series.exact_div(-sum(h * row[i - eps] for h, row, eps in active), n)
+        w_i = _exact_div(-sum(h * row[i - eps] for h, row, eps in active), n)
         if w_i:
             js.append(i)
             ws.append(w_i)
@@ -598,13 +620,17 @@ def _solve_branch(n: int, m: int, terms, window: int) -> list:
 
     # The check: each w^b rebuilt from w alone through L_b - mb.
     w = rows[1]
-    pows = [_series.trimmed([1], window), w]
+    pows = [[1] + [0] * window, w]
     for b in range(2, top + 1):
-        pows.append(_series.mul(pows[-1], w, min(span, work - m * b)))
-    residual = _series.zeros(span)
+        pows.append(_mul(pows[-1], w, min(span, work - m * b)))
+    # Each term adds h * s^eps * w^b; one with eps past span reads nothing.
+    residual = [0] * (span + 1)
     for shift, b, h in terms:
-        _series.add_shifted(residual, pows[b], shift + m * b - nm, h)
-    if _series.ord_of(residual) is not None:
+        eps = shift + m * b - nm
+        for k, c in enumerate(pows[b][:max(0, span + 1 - eps)], eps):
+            if c:
+                residual[k] += h * c
+    if any(residual):
         raise NoSolution("residual does not vanish to the horizon")
     return [tuple(([0] * (m * b) + p)[:window + 1]) for b, p in enumerate(pows)]
 
@@ -664,12 +690,12 @@ def newton_puiseux(eq: CurveEquation, horizon: int | None = None) -> Parametriza
     entry of each v^b from v_m..v_(k-1), as one coefficient of
     v^(b-1) * v; reads P_k, the s^(k+nm-m) coefficient of H on the table,
     where every term but v^n reads only finished entries; sets
-    v_k = -P_k / n, an exact division (``_series.exact_div`` raises on a
+    v_k = -P_k / n, an exact division (``_exact_div`` raises on a
     remainder); and adds b * v_k to the entries it filled.  A step whose
     k - m is no sum of the w - nm, w the weights of H's terms, is passed
     by: it would set v_k = 0 and leave every entry 0.  Postcondition (checked):
     the residual H(s, v(s)) vanishes through s^work on a table rebuilt
-    from v alone by ``_series.mul``, not the recursion's own, each v^b
+    from v alone by ``_mul``, not the recursion's own, each v^b
     only as far as the residual reads it.  That table v^0, v^1, ...,
     trimmed to s^t_horizon, is the one the parametrization holds.
     """

@@ -15,7 +15,8 @@ off its terms, whichever lines gave them.
 It describes the curve and nothing else: f is held at 2nm, where no layer
 reads a term above it, and the seed is an option of the subcommand that
 reads it.  Lines are independent, ``#`` starts a comment, and ``=`` may be
-written with or without spaces.
+written with or without spaces; a line of any other key or shape is refused
+as unrecognized.
 """
 from __future__ import annotations
 
@@ -27,7 +28,9 @@ from .rationals import Rat
 
 
 class SpecError(ValueError):
-    """A curve specification problem; ``kind`` is machine-readable."""
+    """Bad input: a spec the parser refuses, or a usage error of the command
+    line.  ``kind`` is machine-readable: ``parse_error`` here, and each
+    subclass names its own."""
 
     kind = "parse_error"
 
@@ -35,10 +38,6 @@ class SpecError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
-
-
-class ParseError(SpecError):
-    kind = "parse_error"
 
 
 class InvalidPair(SpecError):
@@ -75,7 +74,7 @@ def _rational(text: str, line: int) -> tuple[int, int]:
             raise ValueError(text)
         value = Rat(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational, got {text!r}", line) from None
+        raise SpecError(f"expected a rational, got {text!r}", line) from None
     return value.numerator, value.denominator
 
 
@@ -83,28 +82,17 @@ def _natural(text: str, line: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise ParseError(f"expected an integer {what}, got {text!r}", line) from None
+        raise SpecError(f"expected an integer {what}, got {text!r}", line) from None
     if value < 0:
-        raise ParseError(f"{what} must be non-negative, got {value}", line)
+        raise SpecError(f"{what} must be non-negative, got {value}", line)
     return value
-
-
-# Keys the format no longer has, each with why; a spec that sets one is
-# refused rather than read or ignored.
-_REMOVED_KEYS = {
-    "precision": "every residue decision is exact, and residue's interval "
-                 "always starts at 256 bits",
-    "seed": "the seed is a run setting; pass --seed to conjecture-scan",
-    "horizon_mult": "f is held at 2nm, and every layer cuts f at its own "
-                    "proven horizon, at most 2nm",
-}
 
 
 def parse_spec(text: str) -> CurveEquation:
     """Parse and validate a spec and return the curve it describes, with f
     at 2nm.  Diagnostics name the first offending line; a term above 2nm,
     which no layer reads, is refused there, and an equation the text
-    cannot build is a ParseError.  f's integer numerators, keyed by
+    cannot build is a SpecError.  f's integer numerators, keyed by
     (weighted degree, x-exponent) over the lcm of the denominators, are
     built here in one pass over the values, each a reduced (p, q) pair
     (``_rational``); a z line's key is formed from its exponent in the
@@ -121,37 +109,35 @@ def parse_spec(text: str) -> CurveEquation:
         if key == "z" and len(tokens) == 4 and tokens[2] == "=":
             j = _natural(tokens[1], line_no, "gap value")
             if j in seen:
-                raise ParseError(f"duplicate coefficient z {j}", line_no)
+                raise SpecError(f"duplicate coefficient z {j}", line_no)
             seen.add(j)
             coeffs.append((j, *_rational(tokens[3], line_no), line_no))
         elif len(tokens) == 3 and tokens[1] == "=" and key in ("n", "m"):
             if key in fields:
-                raise ParseError(f"duplicate {key}", line_no)
+                raise SpecError(f"duplicate {key}", line_no)
             fields[key] = _natural(tokens[2], line_no, key)
         elif len(tokens) == 3 and tokens[1] == "=" and key == "mu":
             if "mu" in fields:
-                raise ParseError("duplicate mu", line_no)
+                raise SpecError("duplicate mu", line_no)
             mu = _rational(tokens[2], line_no)
             if not mu[0]:
-                raise ParseError("mu must be nonzero", line_no)
+                raise SpecError("mu must be nonzero", line_no)
             fields["mu"] = mu
         elif len(tokens) == 4 and key == "term":
             c = _rational(tokens[1], line_no)
             a = _natural(tokens[2], line_no, "x exponent")
             b = _natural(tokens[3], line_no, "y exponent")
             if (a, b) in seen:
-                raise ParseError(f"duplicate term x^{a} y^{b}", line_no)
+                raise SpecError(f"duplicate term x^{a} y^{b}", line_no)
             seen.add((a, b))
             terms.append((c, a, b, line_no))
-        elif key in _REMOVED_KEYS:
-            raise ParseError(f"the {key} key was removed: {_REMOVED_KEYS[key]}", line_no)
         else:
-            raise ParseError(f"unrecognized line {raw.strip()!r}", line_no)
+            raise SpecError(f"unrecognized line {raw.strip()!r}", line_no)
 
     if "n" not in fields:
-        raise ParseError("missing n")
+        raise SpecError("missing n")
     if "m" not in fields:
-        raise ParseError("missing m")
+        raise SpecError("missing m")
     n, m = fields["n"], fields["m"]
     try:
         # One semigroup per pair in the process: the spec check, the
@@ -163,9 +149,9 @@ def parse_spec(text: str) -> CurveEquation:
     mu = fields.get("mu", (1, 1))
 
     if coeffs and terms:
-        raise ParseError("cannot mix z coefficients (nice form) with raw terms")
+        raise SpecError("cannot mix z coefficients (nice form) with raw terms")
     if coeffs and mu != (1, 1):
-        raise ParseError("nice form fixes the x^m coefficient to 1; drop mu")
+        raise SpecError("nice form fixes the x^m coefficient to 1; drop mu")
 
     nm = n * m
     # (key, p, q) of every term p/q of f, keyed by (weighted degree, x-exponent)
@@ -179,9 +165,9 @@ def parse_spec(text: str) -> CurveEquation:
     for (p, q), a, b, line_no in terms:
         w = n * a + m * b
         if w <= nm:
-            raise ParseError(f"term x^{a} y^{b} has weighted degree {w} <= {nm}", line_no)
+            raise SpecError(f"term x^{a} y^{b} has weighted degree {w} <= {nm}", line_no)
         if w > sg.branch_horizon:
-            raise ParseError(f"term x^{a} y^{b} has weighted degree {w} > 2*n*m = "
+            raise SpecError(f"term x^{a} y^{b} has weighted degree {w} > 2*n*m = "
                              f"{sg.branch_horizon}, where f is held", line_no)
         values.append(((w, a), p, q))
 
@@ -191,4 +177,4 @@ def parse_spec(text: str) -> CurveEquation:
     try:
         return CurveEquation(sg, f)
     except ValueError as exc:    # CurveEquation's checks
-        raise ParseError(str(exc)) from None
+        raise SpecError(str(exc)) from None

@@ -23,7 +23,7 @@ The runs are:
   plain and with ``--json``;
 - every ``cuspidal ...`` command of the README on its demo.spec, plain and
   with ``--json``, both read through ``tests/readme.py``;
-- ``conjecture-scan --max-m <--max-m>``;
+- ``conjecture-scan --max-m 14``;
 - fixed argv and spec errors.
 
 All runs share one process, so a cache that the program keeps carries
@@ -146,9 +146,8 @@ def run(seeds=(0, 3), seconds: float = 12, grid_specs: int = 40,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
-    parser.add_argument("--max-m", type=int, default=14, help="conjecture-scan's --max-m")
     args = parser.parse_args(argv)
-    count, raised, digest = run(args.seeds, max_m=args.max_m)
+    count, raised, digest = run(args.seeds)
     print(f"invocations {count}")
     print(f"raised {raised}")
     print(f"sha256 {digest}")

@@ -20,9 +20,8 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import NamedTuple
 
-from cuspidal import _series
 from cuspidal.bernstein import GammaExpr, RootDecision, delta_sequences
-from cuspidal.curve import CurveEquation, NoSolution, Semigroup
+from cuspidal.curve import CurveEquation, NoSolution, Semigroup, _exact_div, _mul
 from cuspidal.differentials import OneForm
 from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
 from cuspidal.rationals import Rat
@@ -357,25 +356,26 @@ def reference_scaled_equation(f: TruncatedPoly, xi: Rat, c0: Rat) -> tuple:
     units = {(a, b): c * xi ** a * c0 ** (b - n) for (a, b), c in f.coeffs.items()}
     # x^m and y^n give -1 and 1, so taking them into L changes nothing.
     scale = n * n * lcm(*(u.denominator for u in units.values()))
-    terms = [(n * a, b, _series.exact_div(u.numerator * scale ** (n * a + m * b - n * m),
-                                          u.denominator))
+    terms = [(n * a, b, _exact_div(u.numerator * scale ** (n * a + m * b - n * m),
+                                   u.denominator))
              for (a, b), u in units.items()]
     return scale, terms
 
 
 def _reference_powers(v: list, top: int, upto: int) -> list:
     """The table v^0..v^top through s^upto."""
-    pows = [_series.trimmed([1], upto), v]
+    pows = [[1] + [0] * upto, v]
     while len(pows) <= top:
-        pows.append(_series.mul(pows[-1], v, upto))
+        pows.append(_mul(pows[-1], v, upto))
     return pows
 
 
 def _reference_evaluate(terms, pows: list, upto: int) -> list:
     """sum of h * s^shift * v^b over the terms (shift, b, h), through s^upto."""
-    out = _series.zeros(upto)
+    out = [0] * (upto + 1)
     for shift, b, h in terms:
-        _series.add_shifted(out, pows[b], shift, h)
+        for k, c in enumerate(pows[b][:max(0, upto + 1 - shift)], shift):
+            out[k] += h * c
     return out
 
 
@@ -388,7 +388,7 @@ def reference_solve_branch(n: int, m: int, terms, window: int) -> list:
     work = window + nm - m
 
     # Each v^b starts in the table with its leading 1 at s^(mb).
-    table = [_series.zeros(work) for _ in range(top + 1)]
+    table = [[0] * (work + 1) for _ in range(top + 1)]
     for b, power in enumerate(table):
         power[m * b] = 1
     v = table[1]
@@ -402,7 +402,7 @@ def reference_solve_branch(n: int, m: int, terms, window: int) -> list:
             table[b][e] = sum(v[j] * lower[e - j] for j in support)
         p_k = sum(h * table[b][k + nm - m - shift] for shift, b, h in terms
                   if shift <= k + nm - m)
-        v_k = _series.exact_div(-p_k, n)
+        v_k = _exact_div(-p_k, n)
         if v_k:
             support.append(k)
         for b in range(1, top + 1):
@@ -411,8 +411,8 @@ def reference_solve_branch(n: int, m: int, terms, window: int) -> list:
                 break
             table[b][e] += b * v_k
 
-    pows = _reference_powers(_series.trimmed(v, work), top, work)
-    if _series.ord_of(_reference_evaluate(terms, pows, work)) is not None:
+    pows = _reference_powers(v, top, work)
+    if any(_reference_evaluate(terms, pows, work)):
         raise NoSolution("residual does not vanish to the horizon")
     return [tuple(p[:window + 1]) for p in pows]
 

@@ -17,10 +17,12 @@ two oracle reads that check the wrong forms (only dx and dy of the basis,
 or every trail form against one form's value); and ``conjecture-scan``
 exiting 0 on a failure.  Then the run-time checks that guard a result
 inside the library, each turned off: ``DifferentialBasis``'s encoding of
-the values, the branch's residual and the Jacobian staircase's degree
-test.  Then the kernels on numerator maps and their callers: each kernel
-broken at its cut, its rescaling or its stop, and the form replay with the
-shift arguments swapped.  Then the residue verdicts: the wrong test read
+the values, the branch's residual (and, apart, its rule that a term
+shifted past the end reads nothing), the spec parser's refusal of an
+unrecognized line and the Jacobian staircase's degree test.  Then the
+kernels on numerator maps and their callers: each kernel broken at its
+cut, its rescaling or its stop, and the form replay with the shift
+arguments swapped.  Then the residue verdicts: the wrong test read
 for a target, a lowering product one factor short, residues read as 0
 always, never, unless k = 0 or unless (a, b) = (1, 1), and the certified
 roots without their largest.  Then the numbers that every verdict rests
@@ -48,6 +50,7 @@ BERNSTEIN = "src/cuspidal/bernstein.py"
 JACOBIAN = "src/cuspidal/jacobian.py"
 CURVE = "src/cuspidal/curve.py"
 SEMIMODULES = "src/cuspidal/semimodules.py"
+SPECFILE = "src/cuspidal/specfile.py"
 README_CHECK = "tests/readme.py"
 TEST_CLI = "tests/test_cli.py::"
 TEST_POLY = "tests/test_poly.py::"
@@ -58,6 +61,7 @@ TEST_DIFFERENTIALS = "tests/test_differentials.py::"
 TEST_BERNSTEIN = "tests/test_bernstein.py::"
 TEST_ACCEPTANCE = "tests/test_acceptance.py::"
 TEST_README = "tests/test_readme.py::"
+TEST_SPECFILE = "tests/test_specfile.py::"
 CRITERION_06 = TEST_ACCEPTANCE + "test_criterion_06_small_multiplicity_roots"
 CRITERION_08 = TEST_ACCEPTANCE + "test_criterion_08_equivalence_batteries"
 FRACTION_ARITHMETIC = [TEST_POLY + "test_integer_arithmetic_is_the_fraction_arithmetic"]
@@ -104,8 +108,14 @@ MUTANTS = [
      "if False:",
      [TEST_DIFFERENTIALS + "test_differential_basis_rejects_reductions_that_miss_the_values"]),
     ("the branch without its residual check", CURVE,
-     "if _series.ord_of(residual) is not None:", "if False:",
+     "if any(residual):", "if False:",
      [TEST_CURVE + "test_branch_check_does_not_trust_the_recursion"]),
+    ("the branch's residual reads a term past its end", CURVE,
+     "pows[b][:max(0, span + 1 - eps)]", "pows[b][:span + 1 - eps]",
+     [TEST_CURVE + "test_newton_puiseux_horizons_agree_on_common_prefix"]),
+    ("the spec parser skips an unrecognized line", SPECFILE,
+     'raise SpecError(f"unrecognized line {raw.strip()!r}", line_no)', "continue",
+     [TEST_SPECFILE + "test_error_taxonomy"]),
     ("check_jacobian_staircase without its degree test", JACOBIAN,
      "if top > sg.hessian_degree:", "if False:",
      [TEST_JACOBIAN + "test_staircase_check_accepts_at_most_d_and_rejects_past_it"]),

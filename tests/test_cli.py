@@ -737,41 +737,19 @@ def test_conjecture_scan_negative_precision_exits_two(capsys):
     assert "unrecognized arguments: --precision=-5" in err
 
 
-# Why each removed run-setting key is refused, as the refusal says it.
-REMOVED_REASONS = {
-    "seed": "the seed is a run setting; pass --seed to conjecture-scan",
-    "horizon_mult": "f is held at 2nm, and every layer cuts f at its own proven "
-                    "horizon, at most 2nm",
-}
-
-
 @pytest.mark.parametrize("command", [c for c in DECLARED if "--spec" in DECLARED[c]])
-@pytest.mark.parametrize("key,flag", [("seed", "--seed"), ("horizon_mult", "--horizon-mult")])
-def test_run_setting_spec_keys_are_refused(capsys, tmp_path, command, key, flag):
-    """A spec describes the curve alone: a run setting in it is refused on
-    one line that says why, on every subcommand, not ignored.  The reason
-    names the flag only where a subcommand still declares it."""
+@pytest.mark.parametrize("key", ["seed", "horizon_mult", "precision"])
+def test_removed_spec_keys_are_unrecognized_lines(capsys, tmp_path, command, key):
+    """A spec describes the curve alone: a key the format no longer has,
+    a run setting or a residue precision, is an unrecognized line on every
+    subcommand, refused on one line and not ignored."""
     path = tmp_path / "k.spec"
     path.write_text(f"{SPEC49}{key} = 3\n")
     argv = ["--j", "1", "--ab", "1,1"] if command == "residue" else []
     code, out, err = run(capsys, command, "--spec", str(path), *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: parse_error: line 4: the {key} key was removed: {REMOVED_REASONS[key]}\n"
-    assert (flag in err) == any(flag in flags for flags in DECLARED.values())
-
-
-@pytest.mark.parametrize("command", [c for c in DECLARED if "--spec" in DECLARED[c]])
-def test_precision_spec_key_is_refused(capsys, tmp_path, command):
-    """The removed key is named on one line, not ignored."""
-    path = tmp_path / "p.spec"
-    path.write_text(SPEC49 + "precision = 512\n")
-    argv = ["--j", "1", "--ab", "1,1"] if command == "residue" else []
-    code, out, err = run(capsys, command, "--spec", str(path), *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: parse_error: line 4: the precision key was removed")
-    assert err.count("\n") == 1
+    assert err == f"error: parse_error: line 4: unrecognized line '{key} = 3'\n"
 
 
 @pytest.mark.parametrize("command,max_m", [
@@ -911,6 +889,8 @@ def test_abbreviated_flag_is_refused(capsys, spec49, command, bad):
     (["residue", "--spec", "c.spec", "--ab", "1,1"], "the following arguments are required: --j"),
     (["enumerate", "--spec", "c.spec", "--max-m", "x"], "argument --max-m: invalid int value: 'x'"),
     (["conjecture-scan", "--max-m", "x"], "argument --max-m: invalid int value: 'x'"),
+    # argparse reads -1,1 as a flag, so a negative entry needs --ab=-1,1
+    (["residue", "--spec", "c.spec", "--j", "1", "--ab", "-1,1"], "argument --ab: expected one argument"),
 ])
 def test_argparse_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

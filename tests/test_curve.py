@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import CurveEquation, Semigroup, _series, curve
+from cuspidal import CurveEquation, Semigroup, curve
 from cuspidal.curve import (CuspidalSets, NoSolution, NotAdapted, Parametrization, _leading_solution,
                             _scaled_equation, _solve_branch, cuspidal_sets, newton_puiseux)
 from cuspidal.differentials import OneForm, delorme, oracle_differential_value
@@ -112,16 +112,6 @@ def test_membership_decompose_roundtrip(pair, k):
         assert 0 <= b < sg.n
     else:
         assert d is None
-
-
-@pytest.mark.parametrize("n,m", coprime_pairs(range(2, 8), 15))
-def test_j_set_identity(n, m):
-    """J = {l : l + n and l + m are both gaps}."""
-    sg = Semigroup(n, m)
-    sets = cuspidal_sets(sg)
-    expected = tuple(l for l in range(0, sg.conductor)
-                     if (l + n) not in sg and (l + m) not in sg)
-    assert sets.J == expected
 
 
 @pytest.mark.parametrize("n,m", CORPUS)
@@ -396,7 +386,7 @@ def test_branch_check_does_not_trust_the_recursion(monkeypatch, case):
 def test_branch_builds_one_power_table(monkeypatch, eq):
     """The recursion fills its own table; the postcondition's table v^0..v^top
     (top the largest y-degree in f) is the only one built by series products."""
-    calls = count_calls(monkeypatch, _series.mul)
+    calls = count_calls(monkeypatch, curve._mul)
     newton_puiseux(eq)
     top = max(b for _, b in eq.f.coeffs)
     assert len(calls) <= top - 1
@@ -476,9 +466,9 @@ def test_branch_horizon_below_nm_is_refused(h):
 
 
 def test_exact_division_raises_on_a_remainder():
-    assert _series.exact_div(-12, 4) == -3
+    assert curve._exact_div(-12, 4) == -3
     with pytest.raises(ArithmeticError, match="inexact"):
-        _series.exact_div(7, 2)
+        curve._exact_div(7, 2)
 
 
 def test_parametrization_pin_49():

@@ -16,7 +16,6 @@ from cuspidal.rationals import Rat
 from cuspidal.specfile import (
     CoefficientOutsideJ,
     InvalidPair,
-    ParseError,
     SpecError,
     _rational,
     parse_spec,
@@ -88,19 +87,19 @@ def test_horizon_argument_passes_the_equation_check(text):
     ("n=4\nm=8", InvalidPair, "invalid_pair", None),
     ("n=6\nm=3", InvalidPair, "invalid_pair", None),
     ("n=4\nm=5\nz 3 = 1", CoefficientOutsideJ, "coefficient_outside_J", 3),
-    ("n=4\nm=5\nz 3 = 1\nhorizon_mult = 1", ParseError, "parse_error", 4),   # removed key
-    ("m=5", ParseError, "parse_error", None),
-    ("n=4", ParseError, "parse_error", None),
-    ("n=4\nm=5\nz 2 = 1\nterm 1 6 1", ParseError, "parse_error", None),
-    ("n=4\nm=5\nz 2 = 1\nmu = 2", ParseError, "parse_error", None),
-    ("n=4\nm=5\nhorizon_mult = 1", ParseError, "parse_error", 3),   # removed key
-    ("n=4\nm=5\nseed = 7", ParseError, "parse_error", 3),           # removed key
-    ("n=4\nm=5\nt_horizon = 32", ParseError, "parse_error", 3),
-    ("n=4\nm=5\nprecision = 512", ParseError, "parse_error", 3),   # removed key
-    ("n=4\nn=5\nm=7", ParseError, "parse_error", 2),
-    ("n=4\nm=5\nwhat is this", ParseError, "parse_error", 3),
-    ("n=4\nm=5\nterm 1 1 1", ParseError, "parse_error", 3),
-    ("n=4\nm=5\nz 2 = x", ParseError, "parse_error", 3),
+    ("n=4\nm=5\nz 3 = 1\nhorizon_mult = 1", SpecError, "parse_error", 4),   # removed key
+    ("m=5", SpecError, "parse_error", None),
+    ("n=4", SpecError, "parse_error", None),
+    ("n=4\nm=5\nz 2 = 1\nterm 1 6 1", SpecError, "parse_error", None),
+    ("n=4\nm=5\nz 2 = 1\nmu = 2", SpecError, "parse_error", None),
+    ("n=4\nm=5\nhorizon_mult = 1", SpecError, "parse_error", 3),   # removed key
+    ("n=4\nm=5\nseed = 7", SpecError, "parse_error", 3),           # removed key
+    ("n=4\nm=5\nt_horizon = 32", SpecError, "parse_error", 3),
+    ("n=4\nm=5\nprecision = 512", SpecError, "parse_error", 3),   # removed key
+    ("n=4\nn=5\nm=7", SpecError, "parse_error", 2),
+    ("n=4\nm=5\nwhat is this", SpecError, "parse_error", 3),
+    ("n=4\nm=5\nterm 1 1 1", SpecError, "parse_error", 3),
+    ("n=4\nm=5\nz 2 = x", SpecError, "parse_error", 3),
 ])
 def test_error_taxonomy(text, exc, kind, line):
     with pytest.raises(exc) as info:
@@ -108,15 +107,11 @@ def test_error_taxonomy(text, exc, kind, line):
     assert info.value.kind == kind
     assert info.value.line == line
     assert isinstance(info.value, SpecError)
-    if "horizon_mult" in text:
-        assert str(info.value) == (f"line {line}: the horizon_mult key was removed: f is "
-                                   "held at 2nm, and every layer cuts f at its own "
-                                   "proven horizon, at most 2nm")
 
 
 def test_term_weighted_degree_must_exceed_nm():
     # degree exactly nm collides with the corner monomials
-    with pytest.raises(ParseError):
+    with pytest.raises(SpecError):
         parse_spec("n=4\nm=5\nterm 2 5 0")
     parse_spec("n=4\nm=5\nterm 2 4 1")  # degree 21: fine
 
@@ -126,12 +121,12 @@ def test_term_above_2nm_is_refused():
     is refused on its line rather than dropped in silence.  Held at 4nm,
     y^9 here changed no value of the nice curve z_1 = 1, yet labelled it
     adapted."""
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(SpecError) as info:
         parse_spec("n = 4\nm = 9\nterm 1 7 1\nterm 1 0 9")
     assert (info.value.kind, info.value.line) == ("parse_error", 4)
     assert str(info.value) == ("line 4: term x^0 y^9 has weighted degree 81 > "
                                "2*n*m = 72, where f is held")
-    with pytest.raises(ParseError, match=r"line 3: term x\^19 y\^0 has weighted degree 76 >"):
+    with pytest.raises(SpecError, match=r"line 3: term x\^19 y\^0 has weighted degree 76 >"):
         parse_spec("n = 4\nm = 9\nterm 1 19 0\nmu = 2")
     # A term at exactly 2nm is kept.
     eq = parse_spec("n = 4\nm = 9\nterm 1 7 1\nterm 1 18 0")
@@ -155,9 +150,9 @@ def _reference_parse(text: str):
         try:
             value = int(token)
         except ValueError:
-            raise ParseError(f"expected an integer {what}, got {token!r}", line) from None
+            raise SpecError(f"expected an integer {what}, got {token!r}", line) from None
         if value < 0:
-            raise ParseError(f"{what} must be non-negative, got {value}", line)
+            raise SpecError(f"{what} must be non-negative, got {value}", line)
         return value
 
     def rational(token, line):
@@ -166,7 +161,7 @@ def _reference_parse(text: str):
                 raise ValueError(token)
             return Rat(token)
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"expected a rational, got {token!r}", line) from None
+            raise SpecError(f"expected a rational, got {token!r}", line) from None
 
     fields, coeffs, terms = {}, [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -175,30 +170,30 @@ def _reference_parse(text: str):
             continue
         if tokens[0] in ("n", "m"):
             if tokens[0] in fields:
-                raise ParseError(f"duplicate {tokens[0]}", line_no)
+                raise SpecError(f"duplicate {tokens[0]}", line_no)
             fields[tokens[0]] = natural(tokens[2], line_no, tokens[0])
         elif tokens[0] == "mu":
             if "mu" in fields:
-                raise ParseError("duplicate mu", line_no)
+                raise SpecError("duplicate mu", line_no)
             fields["mu"] = rational(tokens[2], line_no)
             if not fields["mu"]:
-                raise ParseError("mu must be nonzero", line_no)
+                raise SpecError("mu must be nonzero", line_no)
         elif tokens[0] == "z":
             j = natural(tokens[1], line_no, "gap value")
             if any(k == j for k, _, _ in coeffs):
-                raise ParseError(f"duplicate coefficient z {j}", line_no)
+                raise SpecError(f"duplicate coefficient z {j}", line_no)
             coeffs.append((j, rational(tokens[3], line_no), line_no))
         else:
             c = rational(tokens[1], line_no)
             a = natural(tokens[2], line_no, "x exponent")
             b = natural(tokens[3], line_no, "y exponent")
             if any((t[1], t[2]) == (a, b) for t in terms):
-                raise ParseError(f"duplicate term x^{a} y^{b}", line_no)
+                raise SpecError(f"duplicate term x^{a} y^{b}", line_no)
             terms.append((c, a, b, line_no))
     if "n" not in fields:
-        raise ParseError("missing n")
+        raise SpecError("missing n")
     if "m" not in fields:
-        raise ParseError("missing m")
+        raise SpecError("missing m")
     n, m = fields["n"], fields["m"]
     try:
         sg = Semigroup(n, m)
@@ -206,9 +201,9 @@ def _reference_parse(text: str):
         raise InvalidPair(str(exc)) from None
     mu = fields.get("mu", Rat(1))
     if coeffs and terms:
-        raise ParseError("cannot mix z coefficients (nice form) with raw terms")
+        raise SpecError("cannot mix z coefficients (nice form) with raw terms")
     if coeffs and mu != 1:
-        raise ParseError("nice form fixes the x^m coefficient to 1; drop mu")
+        raise SpecError("nice form fixes the x^m coefficient to 1; drop mu")
     table = {(m, 0): mu, (0, n): Rat(1)}
     for j, c, line_no in coeffs:
         if j not in sg.sets.j_to_p:
@@ -218,9 +213,9 @@ def _reference_parse(text: str):
     for c, a, b, line_no in terms:
         w = n * a + m * b
         if w <= n * m:
-            raise ParseError(f"term x^{a} y^{b} has weighted degree {w} <= {n * m}", line_no)
+            raise SpecError(f"term x^{a} y^{b} has weighted degree {w} <= {n * m}", line_no)
         if w > 2 * n * m:
-            raise ParseError(f"term x^{a} y^{b} has weighted degree {w} > 2*n*m = "
+            raise SpecError(f"term x^{a} y^{b} has weighted degree {w} > 2*n*m = "
                              f"{2 * n * m}, where f is held", line_no)
         table[(a, b)] = c
     return sg, table
@@ -325,7 +320,7 @@ def test_rational_reads_a_token_as_fraction_does(text):
     optional ``-``) by ``int``, and p/q of such digits by ``int`` on each
     side, building no ``Rat``; every token gives the numerator and
     denominator of ``Fraction(text)``, and one that ``Fraction`` refuses,
-    ``1/0`` among them, raises ``ParseError`` naming it.  A token with
+    ``1/0`` among them, raises ``SpecError`` naming it.  A token with
     non-ASCII digits goes to ``Fraction``; one with ``_`` is refused the
     same way on every Python version, though ``Fraction`` reads it from
     3.11 on."""
@@ -334,7 +329,7 @@ def test_rational_reads_a_token_as_fraction_does(text):
             raise ValueError(text)
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(SpecError) as info:
             _rational(text, 7)
         assert str(info.value) == f"line 7: expected a rational, got {text!r}"
         return

@@ -3,26 +3,30 @@
 Every subcommand reads a curve spec (except conjecture-scan, which builds its
 own random curves), runs one pipeline, and prints a line-oriented ``key =
 value`` report -- or the same data as JSON with ``--json``.  The spec
-describes the curve alone, and a subcommand takes only its own inputs:
-the one run setting is ``--seed`` of conjecture-scan.  f is held at 2nm;
-``delorme`` cuts it at H_Delta = max(D, nm) and the direct Jacobian basis
-at H_J = max(D, nm - n), both below 2nm, with D = 2nm - 2n - 2m; H_J is D
-for every n >= 3.  ``verify`` solves the Newton-Puiseux branch once, on f
-cut at H_Delta (``Semigroup.delorme_horizon``), the horizon at which
-``DifferentialBasis`` replays the forms it checks, so through
-t = H_Delta - nm + n + m: the oracle reads exactly the window of those
-forms, and would refuse one above H_Delta.  Exit
-codes: 0 success, 1 a verification found a mismatch or a computation failed
-its own check, 2 bad input.
+describes the curve alone, and a subcommand takes only its own inputs, each
+declared once, in its row of ``_SUBCOMMANDS``: the one run setting is
+``--seed`` of conjecture-scan.  argparse checks a value's type, and the
+command that reads the value checks its range (``--seed``, ``--max-m``,
+``--j``, ``--ab``), each refusal one error line and exit 2 as argparse's
+are.  f is held at 2nm; ``delorme`` cuts it at H_Delta = max(D, nm) and
+the direct Jacobian basis at H_J = max(D, nm - n), both below 2nm, with
+D = 2nm - 2n - 2m; H_J is D for every n >= 3.  ``verify`` solves the
+Newton-Puiseux branch once, on f cut at H_Delta
+(``Semigroup.delorme_horizon``), the horizon at which ``DifferentialBasis``
+replays the forms it checks, so through t = H_Delta - nm + n + m: the
+oracle reads exactly the window of those forms, and would refuse one above
+H_Delta.  Exit codes: 0 success, 1 a verification found a mismatch or a
+computation failed its own check, 2 bad input.
 
 A request of a curve pays only for that curve's arithmetic; what depends on
 the pair (n, m) or on Lambda alone is built once per process.  The argv
-[command, "--spec", PATH] of a command that reads nothing but --spec gets
-its namespace without argparse (``_parse_args``), and every other argv is
-argparse's, so usage errors, help and exit codes are argparse's.  The spec
-is read unbuffered and parsed to f's numerators with no ``Fraction`` for
-decimal values (``parse_spec``); form, z_j and the residue parts are read
-off f's few terms through the pair's key table (``CuspidalSets``); and
+[command, "--spec", PATH] of a command whose one option besides --json is
+--spec (semigroup, cuspidal-sets, delorme, bs-roots, jacobian and verify)
+gets its namespace without argparse (``_parse_args``), and every other argv
+is argparse's, so usage errors, help and exit codes are argparse's.  The
+spec is read unbuffered and parsed to f's numerators with no ``Fraction``
+for decimal values (``parse_spec``); form, z_j and the residue parts are
+read off f's few terms through the pair's key table (``CuspidalSets``); and
 ``bs-roots`` takes its report keys per pair (``_verdict_keys``), its root
 strings per Lambda (``certified_root_strings``) and each verdict's line
 from the pair's one verdict (``decide_root``).
@@ -259,6 +263,8 @@ def cmd_verify(eq: CurveEquation) -> tuple[dict, bool]:
 def cmd_conjecture_scan(seed: int, max_m: int) -> tuple[dict, bool]:
     """Scan all of Lambda \\ Gamma, not only the lambda_1 cone that
     certified_roots_from_semimodule certifies for n >= 5: that is the conjecture."""
+    if seed < 0:
+        raise SpecError(f"argument --seed: must be non-negative, got {seed}")
     if max_m < 6:
         raise SpecError(f"--max-m {max_m} selects no pair: the scan starts at (5, 6)")
     rng = random.Random(seed)
@@ -302,70 +308,45 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
-def _seed(text: str) -> int:
-    """The type of --seed: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+# --spec, which every subcommand of a curve has, and --json, which every
+# subcommand has.
+_SPEC = ("--spec", {"help": "path to a curve spec file"})
+_JSON = ("--json", {"action": "store_true", "help": "emit JSON instead of key=value lines"})
 
-
-# What [name, "--spec", PATH] parses to, but for handler and spec, for a
-# subcommand whose every option other than --spec has a default.
-_SPEC_DEFAULTS = {"json": False}
-
-# name -> (help line, handler, defaults), in the order of the top-level help; a
-# handler maps the parsed arguments to (report, ok).  ``defaults`` are set on the
-# subcommand's parser (``_declare``) and make up the namespace that
-# ``_parse_args`` builds for [name, "--spec", PATH] without one; None for
-# residue, which requires --j and --ab, and conjecture-scan, which reads no spec.
+# name -> (help line, handler, options), in the order of the top-level help; a
+# handler maps the parsed arguments to (report, ok), and ``options`` holds the
+# subcommand's (flag, add_argument keywords) besides --json, each an input its
+# pipeline reads.  A row whose options are (_SPEC,) needs nothing but --spec,
+# and ``_parse_args`` builds the namespace of [name, "--spec", PATH] for it.
 _SUBCOMMANDS = {
     "semigroup": ("semigroup facts: conductor and gaps",
-                  lambda args: (cmd_semigroup(_load_curve(args)), True), _SPEC_DEFAULTS),
+                  lambda args: (cmd_semigroup(_load_curve(args)), True), (_SPEC,)),
     "cuspidal-sets": ("the exponent sets P, J, M",
-                      lambda args: (cmd_cuspidal_sets(_load_curve(args)), True), _SPEC_DEFAULTS),
+                      lambda args: (cmd_cuspidal_sets(_load_curve(args)), True), (_SPEC,)),
     "delorme": ("minimal standard basis of differential values",
-                lambda args: (cmd_delorme(_load_curve(args)), True), _SPEC_DEFAULTS),
+                lambda args: (cmd_delorme(_load_curve(args)), True), (_SPEC,)),
     "bs-roots": ("certified Bernstein-Sato roots and per-gap verdicts",
-                 lambda args: (cmd_bs_roots(_load_curve(args)), True), _SPEC_DEFAULTS),
+                 lambda args: (cmd_bs_roots(_load_curve(args)), True), (_SPEC,)),
     "residue": ("one residue as an exact Gamma expression",
                 lambda args: (cmd_residue(_load_curve(args), args.j, _parse_ab(args.ab)), True),
-                None),
+                (_SPEC, ("--j", {"type": int, "required": True, "help": "gap value in J"}),
+                 ("--ab", {"required": True, "help": "test exponent a,b (non-negative)"}))),
     "jacobian": ("Jacobian ideal standard basis and Tjurina number",
-                 lambda args: (cmd_jacobian(_load_curve(args)), True), _SPEC_DEFAULTS),
+                 lambda args: (cmd_jacobian(_load_curve(args)), True), (_SPEC,)),
     "enumerate": ("all increasing semimodules of the pair",
                   lambda args: (cmd_enumerate(_load_curve(args), args.max_m), True),
-                  {**_SPEC_DEFAULTS, "max_m": None}),
+                  (_SPEC, ("--max-m", {"type": int, "help": "summarize counts for every "
+                                                            "coprime m up to this bound"}))),
     "verify": ("full consistency battery for one curve",
-               lambda args: cmd_verify(_load_curve(args)), _SPEC_DEFAULTS),
+               lambda args: cmd_verify(_load_curve(args)), (_SPEC,)),
     "conjecture-scan": ("random curves with n >= 5: check every semimodule value "
                         "certifies a root",
-                        lambda args: cmd_conjecture_scan(args.seed, args.max_m), None),
+                        lambda args: cmd_conjecture_scan(args.seed, args.max_m),
+                        (("--seed", {"type": int, "default": 0,
+                                     "help": "random seed for the curves"}),
+                         ("--max-m", {"type": int, "default": 9,
+                                      "help": "largest m (and bound for n) in the scan"}))),
 }
-
-
-def _declare(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give p, the parser of subcommand ``name``, its handler, --json and
-    only the options its pipeline reads."""
-    _, handler, defaults = _SUBCOMMANDS[name]
-    p.set_defaults(handler=handler, **(defaults or {}))
-    if name != "conjecture-scan":
-        p.add_argument("--spec", help="path to a curve spec file")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of key=value lines")
-    if name == "residue":
-        p.add_argument("--j", type=int, required=True, help="gap value in J")
-        p.add_argument("--ab", required=True, help="test exponent a,b (non-negative)")
-    elif name == "enumerate":
-        p.add_argument("--max-m", type=int, dest="max_m",
-                       help="summarize counts for every coprime m up to this bound")
-    elif name == "conjecture-scan":
-        p.add_argument("--seed", type=_seed, default=0, help="random seed for the curves")
-        p.add_argument("--max-m", type=int, dest="max_m", default=9,
-                       help="largest m (and bound for n) in the scan")
-    return p
 
 
 @functools.cache
@@ -377,8 +358,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of plane cusp singularities: semigroup "
                     "data, differential values, and certified Bernstein-Sato roots.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _SUBCOMMANDS.items():
-        _declare(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
+    for name, (help_text, handler, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        # --spec, when the row has it, then --json, then the rest
+        spec = options[:1] == (_SPEC,)
+        for flag, keywords in (*options[:spec], _JSON, *options[spec:]):
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -395,17 +381,17 @@ def _parse_ab(text: str) -> tuple[int, int]:
 def _parse_args(argv) -> argparse.Namespace:
     """The arguments of ``argv``, by one of two routes.  The one shape
     that every request of a curve takes, [command, "--spec", PATH] with a
-    command that needs only --spec and a PATH that is no flag, gets its
-    namespace directly, and no parser is built or run for it: the handler,
-    spec = PATH and the command's defaults in ``_SUBCOMMANDS``, which its
-    parser sets too.  Every other argv goes to the top-level parser
-    (``_build_parser``), so usage errors, help and exit codes are
-    argparse's."""
+    command whose row in ``_SUBCOMMANDS`` has the options (_SPEC,) and a
+    PATH that is no flag, gets its namespace directly, and no parser is
+    built or run for it: the row's handler, spec = PATH and json = False,
+    as its parser would set them.  Every other argv goes to the top-level
+    parser (``_build_parser``), so usage errors, help and exit codes are
+    argparse's; a value's range is checked by its command."""
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[1] == "--spec" and argv[2][:1] != "-":
-        _, handler, defaults = _SUBCOMMANDS.get(argv[0], (None, None, None))
-        if defaults is not None:
-            return argparse.Namespace(handler=handler, spec=argv[2], **defaults)
+        _, handler, options = _SUBCOMMANDS.get(argv[0], (None, None, None))
+        if options == (_SPEC,):
+            return argparse.Namespace(handler=handler, spec=argv[2], json=False)
     return _build_parser().parse_args(argv)
 
 

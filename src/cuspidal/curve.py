@@ -333,7 +333,9 @@ def sums_bitset(parts, limit: int) -> int:
     part l after t shifts, so each part takes about log2(limit/l) shifts;
     a sum above the limit is dropped, as is each sum it extends.  A part
     that is already a sum of the parts before it is passed by: every sum
-    it takes part in is one of those already."""
+    it takes part in is one of those already.  The pass is also what ends
+    the loop on a zero part, which ``_solve_branch`` gives for the x^m and
+    y^n terms: 0 is always a sum, and a shift of 0 would never grow."""
     mask = (1 << (limit + 1)) - 1
     bits = 1
     for part in parts:

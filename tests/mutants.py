@@ -15,11 +15,12 @@ The table holds ``verify``'s report: one mutant per check line that makes
 the check always pass, one that reads ``verify = ok`` off any lines, and
 two oracle reads that check the wrong forms (only dx and dy of the basis,
 or every trail form against one form's value); and ``conjecture-scan``
-exiting 0 on a failure.  Then the run-time checks that guard a result
-inside the library, each turned off: ``DifferentialBasis``'s encoding of
-the values, the branch's residual (and, apart, its rule that a term
-shifted past the end reads nothing), the spec parser's refusal of an
-unrecognized line and the Jacobian staircase's degree test.  Then the
+taking a negative seed and exiting 0 on a failure.  Then the run-time
+checks that guard a result inside the library, each turned off:
+``DifferentialBasis``'s encoding of the values, the branch's residual
+(and, apart, its rule that a term shifted past the end reads nothing),
+the spec parser's refusal of an unrecognized line and the Jacobian
+staircase's degree test.  Then the
 kernels on numerator maps and their callers: each kernel broken at its
 cut, its rescaling or its stop, and the form replay with the shift
 arguments swapped.  Then the residue verdicts: the wrong test read
@@ -100,6 +101,9 @@ MUTANTS = [
     ("verify ok whatever the lines", CLI,
      'line.startswith("FAIL")', "False",
      [TEST_CLI + "test_verify_checks_basis_forms_against_their_values"]),
+    ("conjecture-scan takes a negative seed", CLI,
+     "if seed < 0:", "if False:",
+     [TEST_CLI + "test_negative_setting_flags_exit_two"]),
     ("conjecture-scan exits 0 on a failure", CLI,
      "return data, not failures", "return data, True",
      [TEST_CLI + "test_conjecture_scan_fails_on_an_alpha_verdict"]),

@@ -10,7 +10,10 @@ tests call is a hook or an alias that the program keeps for nothing: it
 leaves the package, or ``ALLOWED`` names it with the reason it stays.
 The script exits 1 on an unreached function that ``ALLOWED`` does not
 name, and on an ``ALLOWED`` entry that was reached or no longer exists,
-so the list cannot go stale.  Run it from anywhere:
+so the list cannot go stale.  It first prints the ``invocations``,
+``raised`` and ``sha256`` lines of that identity run, as
+``tests/cli_identity.py --seeds 0`` prints them, so that one run serves
+both checks.  Run it from anywhere:
 
     python tests/program_reach.py
 """
@@ -86,9 +89,10 @@ def functions() -> dict:
     return out
 
 
-def called_code() -> set:
+def called_code() -> tuple[set, tuple]:
     """The code objects that the identity runs at seed 0 and the README's
-    library quick start call."""
+    library quick start call, and the identity run's (invocations, those
+    that raised, sha256 hex digest)."""
     called = set()
 
     def profile(frame, event, arg):
@@ -99,17 +103,19 @@ def called_code() -> set:
     sys.setprofile(profile)
     try:
         import cli_identity
-        cli_identity.run((0,))
+        identity = cli_identity.run((0,))
         with contextlib.redirect_stdout(io.StringIO()):
             exec(quick_start, {"__name__": "readme_quick_start"})
     finally:
         sys.setprofile(None)
-    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in called}
+    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name)
+            for c in called}, identity
 
 
 def main() -> int:
     every = functions()
-    called = called_code()
+    called, (count, raised, digest) = called_code()
+    print(f"invocations {count}\nraised {raised}\nsha256 {digest}")
     unreached = {key: every[key] for key in sorted(every) if key not in called}
     print(f"{len(every) - len(unreached)} of {len(every)} functions reached, "
           f"{len(unreached)} not:")

@@ -1,14 +1,15 @@
-"""The wide sweeps that CI runs, each by its name:
+"""The wide sweeps that CI runs, all three in one run:
 
-    PYTHONPATH=src python tests/sweeps.py jacobian-horizon --max-n 11 --max-m 24
-    PYTHONPATH=src python tests/sweeps.py branch-window --max-n 8 --max-m 20
-    PYTHONPATH=src python tests/sweeps.py delta-table --max-n 7 --max-m 10
+    PYTHONPATH=src python tests/sweeps.py
 
 A sweep draws its curves on every coprime pair with n <= max_n, n < m <=
-max_m, checks each, and prints the number of curves, its counters summed
-over them, the number of mismatches and one line for each.  It exits 1 on
-any mismatch.  Tier-1 runs each sweep at a smaller size (tests/test_jacobian.py,
-tests/test_differentials.py and tests/test_bernstein.py).
+max_m, at the sizes in ``SWEEPS`` (jacobian-horizon 11/24, branch-window
+8/20, delta-table 7/10), checks each, and prints a header line with its
+name and size, the number of curves, its counters summed over them, the
+number of mismatches and one line for each.  The script exits 1 on any
+mismatch, after all three sweeps have run.  Tier-1 runs each sweep at a
+smaller size (tests/test_jacobian.py, tests/test_differentials.py and
+tests/test_bernstein.py).
 
 ``jacobian-horizon`` sweeps the direct Jacobian basis' horizon
 H_J = max(D, nm - n), which is D = 2nm - 2n - 2m for n >= 3.  On the bare
@@ -65,7 +66,6 @@ in J, the curve z_l = 1, z_2l = t on which a residue of target 2l cancels
 """
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 from typing import NamedTuple
@@ -268,15 +268,16 @@ def check_table(eq: CurveEquation) -> TableOutcome:
     return TableOutcome(mismatch, top + 1, (beta, len(verdicts) - beta), (signed, witnessed))
 
 
-# Each sweep's curves, its check, and its counter lines: the summed counters
-# of its outcomes, in field order after the mismatch, fill the lines.
+# Each sweep's curves, its check, its counter lines and its size (max_n,
+# max_m): the summed counters of its outcomes, in field order after the
+# mismatch, fill the lines.
 SWEEPS = {
-    "jacobian-horizon": (horizon_curves, check_horizon, "changed at H_J - 1 = {0}"),
+    "jacobian-horizon": (horizon_curves, check_horizon, "changed at H_J - 1 = {0}", 11, 24),
     "branch-window": (window_curves, check_window,
-                      "forms checked = {0}\ny parts from 2nm inside the window = {1}"),
+                      "forms checked = {0}\ny parts from 2nm inside the window = {1}", 8, 20),
     "delta-table": (table_curves, check_table,
                     "tables checked = {0}\nverdicts = {1[0]} beta roots, {1[1]} alpha roots\n"
-                    "one-term residues signed = {2[0]}, the witness of {2[1]} verdicts"),
+                    "one-term residues signed = {2[0]}, the witness of {2[1]} verdicts", 7, 10),
 }
 
 
@@ -285,26 +286,22 @@ def _total(column):
     return tuple(map(sum, zip(*column))) if isinstance(column[0], tuple) else sum(column)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("sweep", choices=SWEEPS)
-    parser.add_argument("--max-n", type=int, required=True)
-    parser.add_argument("--max-m", type=int, required=True)
-    args = parser.parse_args(argv)
-    curves, check, lines = SWEEPS[args.sweep]
-    outcomes, failures = [], []
-    for eq in curves(args.max_n, args.max_m):
-        outcomes.append(out := check(eq))
-        if out.mismatch:
-            failures.append(f"({eq.sg.n}, {eq.sg.m}) f = {eq.f.coeffs}: {out.mismatch}")
-    if not outcomes:
-        parser.error(f"{args.sweep} has no curves up to n = {args.max_n}, m = {args.max_m}")
-    print(f"curves = {len(outcomes)}")
-    print(lines.format(*(_total(column) for column in list(zip(*outcomes))[1:])))
-    print(f"mismatches = {len(failures)}")
-    for line in failures:
-        print(line)
-    return 1 if failures else 0
+def main() -> int:
+    mismatched = False
+    for name, (curves, check, lines, max_n, max_m) in SWEEPS.items():
+        outcomes, failures = [], []
+        for eq in curves(max_n, max_m):
+            outcomes.append(out := check(eq))
+            if out.mismatch:
+                failures.append(f"({eq.sg.n}, {eq.sg.m}) f = {eq.f.coeffs}: {out.mismatch}")
+        print(f"{name} (n <= {max_n}, m <= {max_m})")
+        print(f"curves = {len(outcomes)}")
+        print(lines.format(*(_total(column) for column in list(zip(*outcomes))[1:])))
+        print(f"mismatches = {len(failures)}")
+        for line in failures:
+            print(line)
+        mismatched |= bool(failures)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

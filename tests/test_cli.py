@@ -729,14 +729,6 @@ def test_negative_setting_flags_exit_two(capsys, spec49, command, flag):
         assert err == "error: parse_error: argument --seed: must be non-negative, got -3\n"
 
 
-def test_conjecture_scan_negative_precision_exits_two(capsys):
-    """The scan decides every residue by its exact sign: no precision to set."""
-    code, out, err = run(capsys, "conjecture-scan", "--max-m", "7", "--precision=-5")
-    assert code == 2
-    assert out == ""
-    assert "unrecognized arguments: --precision=-5" in err
-
-
 @pytest.mark.parametrize("command", [c for c in DECLARED if "--spec" in DECLARED[c]])
 @pytest.mark.parametrize("key", ["seed", "horizon_mult", "precision"])
 def test_removed_spec_keys_are_unrecognized_lines(capsys, tmp_path, command, key):
@@ -764,16 +756,6 @@ def test_max_m_that_selects_no_pair_exits_two(capsys, spec49, command, max_m):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: parse_error: --max-m {max_m} selects no pair")
-
-
-@pytest.mark.parametrize("argv", [["--spec", "/nonexistent"], ["--horizon-mult", "1"],
-                                  ["--horizon-mult", "4"]])
-def test_conjecture_scan_rejects_spec_flags(capsys, argv):
-    """The scan draws its own curves, so a spec or a horizon would be ignored."""
-    code, out, err = run(capsys, "conjecture-scan", "--max-m", "6", *argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: parse_error: unrecognized arguments: {' '.join(argv)}\n"
 
 
 @pytest.mark.parametrize("command", DECLARED)
@@ -813,14 +795,14 @@ def _spy_parsers(monkeypatch) -> list:
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from([name for name, (_, _, defaults) in cli._SUBCOMMANDS.items()
-                         if defaults is not None]),
+@given(st.sampled_from([name for name, (_, _, options) in cli._SUBCOMMANDS.items()
+                         if options == (cli._SPEC,)]),
        st.text(max_size=12).filter(lambda path: not path.startswith("-")))
 def test_a_spec_argv_gets_argparses_namespace_without_argparse(command, path):
-    """[command, "--spec", PATH], for a command that needs only --spec and
-    a PATH that is no flag, gets the namespace that the top-level parser
-    gives, but for the ``command`` name that only the parser records, and
-    no parser is built or run for it."""
+    """[command, "--spec", PATH], for a command whose options are
+    (``cli._SPEC``,) and a PATH that is no flag, gets the namespace that
+    the top-level parser gives, but for the ``command`` name that only the
+    parser records, and no parser is built or run for it."""
     argv = [command, "--spec", path]
     want = vars(cli._build_parser().parse_args(argv))
     assert want.pop("command") == command
@@ -839,6 +821,7 @@ def test_a_spec_argv_gets_argparses_namespace_without_argparse(command, path):
     ["residue", "--spec", "c.spec"],                        # needs --j and --ab
     ["conjecture-scan", "--spec", "c.spec"],                # reads no spec
     ["enumerate", "--spec", "c.spec", "--max-m", "9"],      # a second option
+    ["enumerate", "--spec", "c.spec"],                      # --max-m is an option
 ])
 def test_every_other_argv_reaches_argparse(capsys, monkeypatch, argv):
     """An argv off the one shape that ``_parse_args`` builds directly is
@@ -891,6 +874,8 @@ def test_abbreviated_flag_is_refused(capsys, spec49, command, bad):
     (["conjecture-scan", "--max-m", "x"], "argument --max-m: invalid int value: 'x'"),
     # argparse reads -1,1 as a flag, so a negative entry needs --ab=-1,1
     (["residue", "--spec", "c.spec", "--j", "1", "--ab", "-1,1"], "argument --ab: expected one argument"),
+    # the parser refuses --bogus before the scan checks the seed's range
+    (["conjecture-scan", "--seed", "-1", "--bogus"], "unrecognized arguments: --bogus"),
 ])
 def test_argparse_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -904,6 +889,31 @@ def test_help_exits_zero(capsys):
     assert code == 0
     assert out.startswith("usage: cuspidal verify")
     assert err == ""
+
+
+@pytest.mark.parametrize("argv,listed", [
+    ([], "semigroup cuspidal-sets delorme bs-roots residue jacobian enumerate verify "
+         "conjecture-scan"),
+    (["semigroup"], "--spec --json"),
+    (["cuspidal-sets"], "--spec --json"),
+    (["delorme"], "--spec --json"),
+    (["bs-roots"], "--spec --json"),
+    (["residue"], "--spec --json --j --ab"),
+    (["jacobian"], "--spec --json"),
+    (["enumerate"], "--spec --json --max-m"),
+    (["verify"], "--spec --json"),
+    (["conjecture-scan"], "--json --seed --max-m"),
+])
+def test_help_lists_each_flag_in_order(capsys, monkeypatch, argv, listed):
+    """``cuspidal -h`` lists the subcommands, and ``cuspidal <name> -h``
+    the subcommand's flags after -h, --help, in the order of its usage
+    line: --spec first, then --json, then the rest."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    code, out, err = run(capsys, *argv, "-h")
+    assert code == 0 and err == ""
+    assert out.startswith(" ".join(["usage: cuspidal", *argv]))
+    pattern = r"^  (--[\w-]+)" if argv else r"^    ([\w-]+)  "
+    assert " ".join(re.findall(pattern, out, re.M)) == listed
 
 
 @pytest.mark.parametrize("command", ["jacobian", "verify"])

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cuspidal import CurveEquation, Semigroup, curve
 from cuspidal.curve import (CuspidalSets, NoSolution, NotAdapted, Parametrization, _leading_solution,
-                            _scaled_equation, _solve_branch, cuspidal_sets, newton_puiseux)
+                            _scaled_equation, _solve_branch, cuspidal_sets, newton_puiseux,
+                            sums_bitset)
 from cuspidal.differentials import OneForm, delorme, oracle_differential_value
 from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
@@ -99,6 +100,12 @@ def test_membership_matches_brute_force(n, m):
             assert (sg.mask >> k & 1 == 1) is want
         assert (sg.decompose(k) is not None) is want
     assert sg.mask >> (n + c) == 0
+
+
+def test_zero_parts_add_no_sum():
+    """A zero part, which the branch's x^m and y^n terms give, is passed
+    by: a shift by 0 would never grow and never end the loop."""
+    assert sums_bitset([0, 0, 3], 9) == sums_bitset([3], 9) == 0b1001001001
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

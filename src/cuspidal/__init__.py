@@ -18,19 +18,30 @@ Jacobian basis with its Tjurina number, ``decide_root``, and the standard
 basis layer.  Every other name is read from its module, for example
 ``cuspidal.specfile.parse_spec``, which turns the command line's plain-text
 curve spec into a ``CurveEquation``, or ``cuspidal.bernstein.residue``.
+
+``import cuspidal`` loads no layer.  Each export is read from its module on
+first use (PEP 562), on every read and with nothing cached here, so the top
+level always reads what its module holds, a patched function included.
 """
 from __future__ import annotations
 
-from .bernstein import decide_root
-from .curve import CurveEquation, Semigroup
-from .differentials import delorme
-from .jacobian import jacobian_basis_direct, tjurina_number
-from .poly import TruncatedPoly, WeightedOrder
-from .rationals import Rat
-from .standard_basis import StandardBasis, codimension
+import importlib
 
-__all__ = [
-    "CurveEquation", "Rat", "Semigroup", "StandardBasis", "TruncatedPoly",
-    "WeightedOrder", "codimension", "decide_root", "delorme",
-    "jacobian_basis_direct", "tjurina_number",
-]
+# export -> the module of the package that holds it
+_HOMES = {
+    "decide_root": "bernstein",
+    "CurveEquation": "curve", "Semigroup": "curve",
+    "delorme": "differentials",
+    "jacobian_basis_direct": "jacobian", "tjurina_number": "jacobian",
+    "TruncatedPoly": "poly", "WeightedOrder": "poly",
+    "Rat": "rationals",
+    "StandardBasis": "standard_basis", "codimension": "standard_basis",
+}
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{home}", __name__), name)

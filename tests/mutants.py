@@ -14,7 +14,8 @@ anywhere:
 The table holds ``verify``'s report: one mutant per check line that makes
 the check always pass, one that reads ``verify = ok`` off any lines, and
 two oracle reads that check the wrong forms (only dx and dy of the basis,
-or every trail form against one form's value); and ``conjecture-scan``
+or every trail form against one form's value); the two batteries that its
+consistency lines read, each always consistent; and ``conjecture-scan``
 taking a negative seed and exiting 0 on a failure.  Then the run-time
 checks that guard a result inside the library, each turned off:
 ``DifferentialBasis``'s encoding of the values, the branch's residual
@@ -29,9 +30,11 @@ always, never, unless k = 0 or unless (a, b) = (1, 1), and the certified
 roots without their largest.  Then the numbers that every verdict rests
 on: tau one short, each of the horizons H_Delta, H_J and D one degree low,
 the covered values without their cut at the bound, and Delorme's last
-uncovered value one too high.  Last, the README check
-(``tests/readme.py``): a sample that reads equal whatever it prints, and a
-nonzero exit status read as success.
+uncovered value one too high.  Then the package's top level, which must
+load no layer until an export is read and must cache none: a layer
+imported eagerly, and an export kept on its first read.  Last, the README
+check (``tests/readme.py``): a sample that reads equal whatever it prints,
+and a nonzero exit status read as success.
 """
 from __future__ import annotations
 
@@ -52,6 +55,7 @@ JACOBIAN = "src/cuspidal/jacobian.py"
 CURVE = "src/cuspidal/curve.py"
 SEMIMODULES = "src/cuspidal/semimodules.py"
 SPECFILE = "src/cuspidal/specfile.py"
+INIT = "src/cuspidal/__init__.py"
 README_CHECK = "tests/readme.py"
 TEST_CLI = "tests/test_cli.py::"
 TEST_POLY = "tests/test_poly.py::"
@@ -63,6 +67,7 @@ TEST_BERNSTEIN = "tests/test_bernstein.py::"
 TEST_ACCEPTANCE = "tests/test_acceptance.py::"
 TEST_README = "tests/test_readme.py::"
 TEST_SPECFILE = "tests/test_specfile.py::"
+TEST_PACKAGE = "tests/test_package.py::"
 CRITERION_06 = TEST_ACCEPTANCE + "test_criterion_06_small_multiplicity_roots"
 CRITERION_08 = TEST_ACCEPTANCE + "test_criterion_08_equivalence_batteries"
 FRACTION_ARITHMETIC = [TEST_POLY + "test_integer_arithmetic_is_the_fraction_arithmetic"]
@@ -95,6 +100,14 @@ MUTANTS = [
     ("four_consistency always ok", CLI,
      "_check(four_condition_check(eq, vals).consistent)", "_check(True)",
      [TEST_CLI + "test_wrong_verdicts_in_one_battery_fail_verify[four-zariski]"]),
+    ("zariski_condition_check always consistent", BERNSTEIN,
+     "tuple(dagger),\n                         consistent)",
+     "tuple(dagger),\n                         True)",
+     [TEST_BERNSTEIN + "test_zariski_check_fails_on_a_shifted_lambda_1"]),
+    ("four_condition_check always consistent", BERNSTEIN,
+     "consistent = q_prime_coeffs == q_prime_delorme and chain_ok and dagger_ok",
+     "consistent = True",
+     [TEST_BERNSTEIN + "test_four_check_fails_on_a_shifted_q_prime"]),
     ("certified_roots always ok", CLI,
      "_check(not bad,", "_check(True,",
      [TEST_CLI + "test_an_alpha_verdict_at_a_certified_value_fails_verify"]),
@@ -185,6 +198,14 @@ MUTANTS = [
      "(~taken & (1 << sg.conductor) - 1).bit_length() - 1",
      "(~taken & (1 << sg.conductor) - 1).bit_length()",
      [TEST_DIFFERENTIALS + "test_branch_window_sweep"]),
+    ("the package imports a layer eagerly", INIT,
+     "import importlib\n", "import importlib\n\nfrom .bernstein import decide_root\n",
+     [TEST_PACKAGE + "test_importing_the_package_loads_no_layer"]),
+    ("the package caches an export on its first read", INIT,
+     "    return getattr(importlib.import_module(f\".{home}\", __name__), name)\n",
+     "    value = globals()[name] = getattr(importlib.import_module(f\".{home}\", __name__), name)\n"
+     "    return value\n",
+     [TEST_PACKAGE + "test_public_names_resolve_once"]),
     ("README samples read equal whatever they print", README_CHECK,
      "out = out[:len(expected)]\n    if out != expected:",
      "out = out[:len(expected)]\n    if False:",

@@ -3,16 +3,70 @@ from __future__ import annotations
 
 import ast
 import fractions
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
+
+import pytest
 
 import cuspidal
 import readme
 
 
-def test_public_names_resolve_once():
+def test_public_names_resolve_once(monkeypatch):
+    """Each export is its home module's very object, read anew on every
+    access; any other name is no attribute, so a submodule's name still
+    imports the submodule."""
     names = cuspidal.__all__
     assert len(names) == len(set(names))
-    assert [n for n in names if not hasattr(cuspidal, n)] == []
+    for name in names:
+        home = importlib.import_module(f"cuspidal.{cuspidal._HOMES[name]}")
+        assert getattr(cuspidal, name) is getattr(home, name)
+    with pytest.raises(AttributeError):
+        cuspidal.residue
+    from cuspidal import bernstein, curve
+    assert isinstance(bernstein, types.ModuleType) and bernstein is sys.modules["cuspidal.bernstein"]
+    assert isinstance(curve, types.ModuleType) and curve is sys.modules["cuspidal.curve"]
+    original, replacement = bernstein.decide_root, object()
+    monkeypatch.setattr(bernstein, "decide_root", replacement)
+    assert cuspidal.decide_root is replacement
+    monkeypatch.undo()
+    assert cuspidal.decide_root is original
+
+
+_LOADED = """\
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "cuspidal")
+steps = []
+import cuspidal
+steps.append(loaded())
+from cuspidal.curve import Semigroup, cuspidal_sets
+steps.append(loaded())
+from cuspidal import delorme
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_importing_the_package_loads_no_layer():
+    """In a fresh interpreter: ``import cuspidal`` loads only the package,
+    the benchmark's set-up imports (``Semigroup`` and ``cuspidal_sets``)
+    load ``curve`` and what it imports, and an export's first read loads
+    its module."""
+    src = str(Path(cuspidal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LOADED], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    package, setup, first_read = json.loads(proc.stdout)
+    assert package == ["cuspidal"]
+    assert setup == ["cuspidal", "cuspidal.curve", "cuspidal.poly", "cuspidal.rationals"]
+    assert "cuspidal.differentials" in first_read
 
 
 def test_rationals_are_fractions():
@@ -61,10 +115,10 @@ def _unused_imports(path: Path) -> list:
 
 
 def test_modules_read_every_name_they_import():
-    """Package modules and test modules alike; the package's __init__.py is
-    skipped, since its imports are the package's re-exports."""
+    """Package modules, the package's __init__.py included, and test
+    modules alike."""
     src = Path(cuspidal.__file__).parent
-    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    paths = sorted(src.glob("*.py"))
     paths += sorted(Path(__file__).parent.glob("*.py"))
     unused = [u for path in paths for u in _unused_imports(path)]
     assert unused == []

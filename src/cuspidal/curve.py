@@ -166,20 +166,21 @@ class CuspidalSets:
     lying strictly above the (n, m)-weight line; J lists the corresponding
     shifted weights n*p1 + m*p2 - n*m, in bijection with P; M reflects P
     through (m-1, n-1).  All three are empty when n = 2.  j_to_p maps each
-    j to its exponent in P, so P is ``j_to_p.values()``, in J's order;
-    and key_to_part maps the key (j + nm, p1) of that monomial in f's
-    numerators (``TruncatedPoly``) back to (j, p1, p2), which
-    ``CurveEquation`` reads f's form and z_j through.  Both maps are
-    read-only: every curve of the pair reads the one mapping.  The sets
-    hold no reference back to their pair: every program path reaches them
-    through the pair's one ``Semigroup.sets``, so they are compared and
-    hashed by identity, as the semigroup is.
+    j to its exponent in P, so P is ``j_to_p.values()``, in J's order.  It
+    is the one P <-> J table: a key (d, a) of f's numerators
+    (``TruncatedPoly``) lies on P exactly when d - nm is in J, since two
+    monomials of one weighted degree differ by a multiple of (m, -n) and
+    P's box leaves room for only one of them, so ``CurveEquation`` reads
+    f's form and z_j through it.  The map is read-only: every curve of the
+    pair reads the one mapping.  The sets hold no reference back to their
+    pair: every program path reaches them through the pair's one
+    ``Semigroup.sets``, so they are compared and hashed by identity, as
+    the semigroup is.
     """
 
     J: tuple
     M: tuple
     j_to_p: MappingProxyType = field(repr=False)
-    key_to_part: MappingProxyType = field(repr=False)
 
 
 def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
@@ -197,9 +198,7 @@ def cuspidal_sets(sg: Semigroup) -> CuspidalSets:
     if len(set(J)) != len(pairs):
         raise AssertionError("cuspidal values collided below n*m")
     M = tuple((m - p1 - 1, n - p2 - 1) for _, (p1, p2) in pairs)
-    return CuspidalSets(J, M, MappingProxyType(dict(pairs)),
-                        MappingProxyType({(j + n * m, p1): (j, p1, p2)
-                                          for j, (p1, p2) in pairs}))
+    return CuspidalSets(J, M, MappingProxyType(dict(pairs)))
 
 
 @dataclass(frozen=True)
@@ -265,11 +264,12 @@ class CurveEquation:
     def form(self) -> str:
         """The form of f: "nice" when mu = 1 and every other term lies on
         P, else "adapted".  f's terms past y^n (``TruncatedPoly.tail``)
-        start at x^m, the one other term of degree nm, and each later key is
-        looked up in the pair's table ``CuspidalSets.key_to_part``."""
+        start at x^m, the one other term of degree nm, and each later key
+        (d, a) lies on P exactly when d - nm is in the pair's table
+        ``CuspidalSets.j_to_p``: the one monomial of degree d is then P's."""
         (_, mu), *rest = self.f.tail
-        parts = self.sg.sets.key_to_part
-        return ("nice" if mu == self.f.den and all(key in parts for key, _ in rest)
+        parts, nm = self.sg.sets.j_to_p, self.sg.n * self.sg.m
+        return ("nice" if mu == self.f.den and all(d - nm in parts for (d, _), _ in rest)
                 else "adapted")
 
     @cached_property
@@ -299,15 +299,17 @@ class CurveEquation:
         (l, l * numerator(z_l), denominator(z_l), p1, p2) for every nonzero
         z_l, l ascending, with (p1, p2) the monomial of l, read off f's
         numerators; nice form required.  f's terms past x^m, ascending
-        (``TruncatedPoly.tail``), are the z_l in that order, and the pair's
-        table ``CuspidalSets.key_to_part`` gives each key's (l, p1, p2)."""
+        (``TruncatedPoly.tail``), are the z_l in that order: the key (d, a)
+        is that of l = d - nm, and the pair's table ``CuspidalSets.j_to_p``
+        gives l's (p1, p2)."""
         if self.form != "nice":
             raise ValueError("coefficients by J-index exist only in nice form")
-        f, parts = self.f, self.sg.sets.key_to_part
+        f, parts, nm = self.f, self.sg.sets.j_to_p, self.sg.n * self.sg.m
         den = f.den
         out = []
-        for key, c in f.tail[1:]:
-            l, p1, p2 = parts[key]
+        for (d, _), c in f.tail[1:]:
+            l = d - nm
+            p1, p2 = parts[l]
             g = gcd(c, den)
             out.append((l, l * (c // g), den // g, p1, p2))
         return tuple(out)

@@ -30,7 +30,7 @@ def jacobian_basis_via_differentials(eq: CurveEquation,
     the basis construction are the final reductions of X_{omega_i}(f)
     themselves.  They stay as ``delorme`` made them, and
     ``StandardBasis`` re-checks that they are nonzero and that their
-    leading powers form an antichain.
+    leading powers, sorted by x-exponent, form a strict staircase.
     """
     if diff.values.sg != eq.sg:
         raise ValueError("differential basis belongs to a different semigroup")
@@ -119,8 +119,9 @@ def check_jacobian_staircase(basis: StandardBasis, sg: Semigroup) -> None:
     """Raise ``HorizonExhausted`` unless the staircase of ``basis`` is finite
     and its highest monomial has weighted degree <= D = ``sg.hessian_degree``.
 
-    With leading powers (a_i, b_i) sorted by increasing a, the outer
-    corners of the staircase are (a_i - 1, b_{i-1} - 1).  It is finite iff
+    The leading powers (a_i, b_i) form ``StandardBasis``'s strict
+    staircase, a rising and b falling, so the outer corners of the
+    staircase are (a_i - 1, b_{i-1} - 1).  It is finite iff
     a_1 = 0 and b_j = 0 (``codimension``), which ``tjurina_number`` then
     counts.
     """

@@ -60,11 +60,6 @@ class WeightedOrder:
         return (a, (d - self.n * a) // self.m)
 
 
-def divides(e1: Exponent, e2: Exponent) -> bool:
-    """x^e1 divides x^e2 (componentwise <=)."""
-    return e1[0] <= e2[0] and e1[1] <= e2[1]
-
-
 class TruncatedPoly:
     """Sparse polynomial, truncated at a weighted-degree horizon.
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .poly import Exponent, TruncatedPoly, _subtract_shifted, divides
+from .poly import Exponent, TruncatedPoly, _subtract_shifted
 
 
 class HorizonExhausted(RuntimeError):
@@ -121,10 +121,14 @@ def s_process_min(g1: TruncatedPoly, g2: TruncatedPoly) -> TruncatedPoly:
 class StandardBasis:
     """Minimal standard basis, sorted by increasing x-exponent of leading powers.
 
-    The leading powers form an antichain under componentwise divisibility, so
-    sorting by increasing a is the same as sorting by decreasing b.  Only
-    ``leading_power`` is read: ``buchberger`` keeps primitive integer
-    polynomials, and ``delorme``'s reductions keep their denominators.
+    The leading powers (a_1, b_1), ..., (a_k, b_k) form a strict staircase:
+    a_i < a_{i+1} and b_i > b_{i+1}, which ``__post_init__`` checks in one
+    pass over adjacent pairs.  That is the same as an antichain under
+    componentwise divisibility sorted by a: for i < j, a_i < a_j and
+    b_i > b_j mean neither power divides the other, and an antichain sorted
+    by a repeats no a, so its b strictly falls.  Only ``leading_power`` is
+    read: ``buchberger`` keeps primitive integer polynomials, and
+    ``delorme``'s reductions keep their denominators.
     """
 
     polys: tuple[TruncatedPoly, ...]
@@ -133,12 +137,9 @@ class StandardBasis:
         lps = self.leading_powers
         if None in lps:
             raise ValueError("zero polynomial in a standard basis")
-        for i, e1 in enumerate(lps):
-            for j, e2 in enumerate(lps):
-                if i != j and divides(e1, e2):
-                    raise ValueError(f"leading powers not an antichain: {e1} | {e2}")
-        if [lp[0] for lp in lps] != sorted(lp[0] for lp in lps):
-            raise ValueError("basis not sorted by increasing x-exponent")
+        for (a1, b1), (a2, b2) in zip(lps, lps[1:]):
+            if a1 >= a2 or b1 <= b2:
+                raise ValueError(f"leading powers not a strict staircase: {(a1, b1)}, {(a2, b2)}")
 
     @cached_property
     def leading_powers(self) -> tuple[Exponent, ...]:
@@ -154,8 +155,11 @@ def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
     lcm above the horizon is passed by: every term of a tail has at least
     its leading degree, so every term of the S-process has at least the
     lcm's degree, and the S-process is 0 at the horizon.  The result is
-    post-processed to minimality by discarding generators whose leading
-    power is divisible by another's.
+    made minimal in one pass: sorted by leading power (a, b), p is kept
+    when its b lies below the last kept one's, the running minimum.  That
+    keeps exactly the leading powers that no other divides, of equal ones
+    the first in basis order (the sort is stable), and leaves them in
+    x-order, the strict staircase that ``StandardBasis`` checks.
     The generators must share one horizon: then every new generator, a
     remainder at that horizon, leads at or below it.
 
@@ -188,20 +192,22 @@ def buchberger(gens: Sequence[TruncatedPoly]) -> StandardBasis:
             continue
         basis.append(red.remainder.primitive())
         queue.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    # minimality: keep only leading powers not divisible by a kept one
+    # minimality: in x-order, keep p when its y-exponent falls below the last kept one's
     kept = []
-    for p in sorted(basis, key=lambda p: p.lead):
-        if not any(divides(k.leading_power, p.leading_power) for k in kept):
+    for p in sorted(basis, key=lambda p: p.leading_power):
+        if not kept or p.leading_power[1] < kept[-1].leading_power[1]:
             kept.append(p)
-    return StandardBasis(tuple(sorted(kept, key=lambda p: p.lead[1])))
+    return StandardBasis(tuple(kept))
 
 
 def codimension(basis: StandardBasis) -> int | None:
     """Vector-space codimension of the staircase ideal; None when infinite.
 
-    With leading powers (a_1,b_1),...,(a_j,b_j) sorted by increasing a, the
-    codimension is finite iff a_1 = 0 and b_j = 0, and then equals
-    sum_{i>=2} b_{i-1} * (a_i - a_{i-1}).
+    The leading powers (a_1,b_1),...,(a_j,b_j) form the strict staircase
+    that ``StandardBasis`` checks, a rising and b falling.  The codimension
+    is finite iff a_1 = 0 and b_j = 0, and then equals
+    sum_{i>=2} b_{i-1} * (a_i - a_{i-1}), the columns a_{i-1} <= a < a_i
+    of height b_{i-1} each.
     """
     lps = basis.leading_powers
     if lps[0][0] != 0 or lps[-1][1] != 0:

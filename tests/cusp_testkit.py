@@ -1,7 +1,8 @@
 """Shared corpus, random generators, the operators' route to the 1-forms,
-the ``Fraction`` reduction reference, a staircase draw and its brute-force
-count, the table-free residue references, the Newton-Puiseux references
-and a call counter for the test suite and its sweeps.
+the ``Fraction`` reduction reference and its divisibility test, a
+staircase draw and its brute-force count, the table-free residue
+references, the Newton-Puiseux references and a call counter for the test
+suite and its sweeps.
 
 A plain module rather than ``conftest.py``, so that ``from cusp_testkit
 import ...`` names this file even when pytest also collects another suite
@@ -23,7 +24,7 @@ from typing import NamedTuple
 from cuspidal.bernstein import GammaExpr, RootDecision, delta_sequences
 from cuspidal.curve import CurveEquation, NoSolution, Semigroup, _exact_div, _mul
 from cuspidal.differentials import OneForm
-from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
+from cuspidal.poly import Exponent, TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 
 CORPUS = [
@@ -162,6 +163,12 @@ def coprime_pairs(n_values, m_bound: int):
 
     return [(n, m) for n in n_values for m in range(n + 1, m_bound + 1)
             if gcd(n, m) == 1]
+
+
+def divides(e1: Exponent, e2: Exponent) -> bool:
+    """x^e1 divides x^e2 (componentwise <=): the reference reductions'
+    test of a divisor, which the library's steps make on keys."""
+    return e1[0] <= e2[0] and e1[1] <= e2[1]
 
 
 class FractionPoly(NamedTuple):

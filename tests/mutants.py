@@ -19,22 +19,28 @@ consistency lines read, each always consistent; and ``conjecture-scan``
 taking a negative seed and exiting 0 on a failure.  Then the run-time
 checks that guard a result inside the library, each turned off:
 ``DifferentialBasis``'s encoding of the values, the branch's residual
-(and, apart, its rule that a term shifted past the end reads nothing),
-the spec parser's refusal of an unrecognized line and the Jacobian
-staircase's degree test.  Then the
+(and, apart, its rule that a term shifted past the end reads nothing), the
+spec parser's refusal of an unrecognized line, the Jacobian staircase's
+degree test and the parser's refusals of a duplicate z and a duplicate
+term.  Then the strict staircase: ``StandardBasis`` taking an equal a or
+an equal b, and ``buchberger``'s minimality keeping a power at the last
+kept one's y-exponent or the last of equal leading powers.  Then the
 kernels on numerator maps and their callers: each kernel broken at its
-cut, its rescaling or its stop, and the form replay with the shift
-arguments swapped.  Then the residue verdicts: the wrong test read
-for a target, a lowering product one factor short, residues read as 0
+cut, its rescaling or its stop, the form replay with the shift arguments
+swapped, and ``apply_vector_field`` over the product of the denominators
+or one degree past its horizon.  Then the residue verdicts: the wrong test
+read for a target, a lowering product one factor short, residues read as 0
 always, never, unless k = 0 or unless (a, b) = (1, 1), and the certified
-roots without their largest.  Then the numbers that every verdict rests
-on: tau one short, each of the horizons H_Delta, H_J and D one degree low,
-the covered values without their cut at the bound, and Delorme's last
-uncovered value one too high.  Then the package's top level, which must
-load no layer until an export is read and must cache none: a layer
-imported eagerly, and an export kept on its first read.  Last, the README
-check (``tests/readme.py``): a sample that reads equal whatever it prints,
-and a nonzero exit status read as success.
+roots without their largest.  Then the reads of the curve: the form taking
+every term as on P, and ``_rational`` without its gcd.  Then the numbers
+that every verdict rests on: Gamma's bitset only below c, g's coefficient
+(nm - d + 1) * c, tau one short, each of the horizons H_Delta, H_J and D
+one degree low, the covered values without their cut at the bound, and
+Delorme's last uncovered value one too high.  Then the package's top
+level, which must load no layer until an export is read and must cache
+none: a layer imported eagerly, and an export kept on its first read.
+Last, the README check (``tests/readme.py``): a sample that reads equal
+whatever it prints, and a nonzero exit status read as success.
 """
 from __future__ import annotations
 
@@ -55,6 +61,7 @@ JACOBIAN = "src/cuspidal/jacobian.py"
 CURVE = "src/cuspidal/curve.py"
 SEMIMODULES = "src/cuspidal/semimodules.py"
 SPECFILE = "src/cuspidal/specfile.py"
+STANDARD_BASIS = "src/cuspidal/standard_basis.py"
 INIT = "src/cuspidal/__init__.py"
 README_CHECK = "tests/readme.py"
 TEST_CLI = "tests/test_cli.py::"
@@ -67,6 +74,7 @@ TEST_BERNSTEIN = "tests/test_bernstein.py::"
 TEST_ACCEPTANCE = "tests/test_acceptance.py::"
 TEST_README = "tests/test_readme.py::"
 TEST_SPECFILE = "tests/test_specfile.py::"
+TEST_STANDARD_BASIS = "tests/test_standard_basis.py::"
 TEST_PACKAGE = "tests/test_package.py::"
 CRITERION_06 = TEST_ACCEPTANCE + "test_criterion_06_small_multiplicity_roots"
 CRITERION_08 = TEST_ACCEPTANCE + "test_criterion_08_equivalence_batteries"
@@ -136,6 +144,26 @@ MUTANTS = [
     ("check_jacobian_staircase without its degree test", JACOBIAN,
      "if top > sg.hessian_degree:", "if False:",
      [TEST_JACOBIAN + "test_staircase_check_accepts_at_most_d_and_rejects_past_it"]),
+    ("the spec parser takes a duplicate z", SPECFILE,
+     "if j in seen:", "if False:",
+     [TEST_SPECFILE + "test_comments_tabs_and_line_ends_read_as_fraction_does"]),
+    ("the spec parser takes a duplicate term", SPECFILE,
+     "if (a, b) in seen:", "if False:",
+     [TEST_SPECFILE + "test_error_taxonomy"]),
+    ("StandardBasis takes an equal a", STANDARD_BASIS,
+     "if a1 >= a2 or b1 <= b2:", "if a1 > a2 or b1 <= b2:",
+     [TEST_STANDARD_BASIS + "test_standard_basis_rejects_nested_leading_powers"]),
+    ("StandardBasis takes an equal b", STANDARD_BASIS,
+     "if a1 >= a2 or b1 <= b2:", "if a1 >= a2 or b1 < b2:",
+     [TEST_STANDARD_BASIS + "test_standard_basis_rejects_nested_leading_powers"]),
+    ("buchberger's minimality keeps an equal y-exponent", STANDARD_BASIS,
+     "p.leading_power[1] < kept[-1].leading_power[1]",
+     "p.leading_power[1] <= kept[-1].leading_power[1]",
+     [TEST_STANDARD_BASIS + "test_buchberger_keeps_the_first_of_one_y_exponent"]),
+    ("buchberger's minimality keeps the last of equal leading powers", STANDARD_BASIS,
+     "sorted(basis, key=lambda p: p.leading_power)",
+     "sorted(basis[::-1], key=lambda p: p.leading_power)",
+     [TEST_STANDARD_BASIS + "test_buchberger_keeps_the_first_of_one_y_exponent"]),
     ("_add_products without its early break", POLY,
      "            if d2 > room:\n                break\n", "",
      [*VECTOR_FIELDS, TEST_POLY + "test_ring_laws", *FRACTION_ARITHMETIC, *REPLAY]),
@@ -152,6 +180,13 @@ MUTANTS = [
     ("_replay swaps the shift arguments", DIFFERENTIALS,
      "_add_shifted(eta.dx, mu, w.dx, degree, shift[0], h)",
      "_add_shifted(eta.dx, mu, w.dx, shift[0], degree, h)",
+     REPLAY),
+    ("apply_vector_field over the product of the denominators", DIFFERENTIALS,
+     "den = lcm(a_side.den, b_side.den)", "den = a_side.den * b_side.den",
+     REPLAY),
+    ("apply_vector_field one degree past the horizon", DIFFERENTIALS,
+     "h = min(a_side.horizon, b_side.horizon, fx.horizon, fy.horizon)",
+     "h = min(a_side.horizon, b_side.horizon, fx.horizon, fy.horizon) + 1",
      REPLAY),
     ("_first_nonzero reads the first test for every target", BERNSTEIN,
      "ab = tests[k]", "ab = tests[min(tests)]",
@@ -175,6 +210,19 @@ MUTANTS = [
     ("certified_roots_from_semimodule drops its largest root", BERNSTEIN,
      "reversed(lams)", "reversed(lams[1:])",
      [TEST_ACCEPTANCE + "test_criterion_10_worked_pins"]),
+    ("the form reads every term as on P", CURVE,
+     "d - nm in parts for", "True for",
+     [TEST_CURVE + "test_adapted_reads_off_mu"]),
+    ("_rational without its gcd", SPECFILE,
+     "return p // g, q // g", "return p, q",
+     [TEST_SPECFILE + "test_rational_reads_a_token_as_fraction_does"]),
+    ("Semigroup.mask only below c", CURVE,
+     "sums_bitset((self.n, self.m), self.n + self.conductor - 1)",
+     "sums_bitset((self.n, self.m), self.conductor - 1)",
+     [TEST_SEMIMODULES + "test_bitsets_are_their_set_definitions"]),
+    ("jacobian_generators' g with the coefficient (nm - d + 1) * c", JACOBIAN,
+     "(nm - d) * c", "(nm - d + 1) * c",
+     [TEST_JACOBIAN + "test_integer_generators_are_euler_and_the_truncated_derivatives"]),
     ("tau - 1", JACOBIAN,
      "    return tau\n", "    return tau - 1\n",
      [TEST_ACCEPTANCE + "test_criterion_10_worked_pins"]),

@@ -142,17 +142,18 @@ def test_cuspidal_sets_49_pin():
 
 
 def test_key_tables_match_the_exponents():
-    """On every coprime pair with n <= 9, m <= 21, each j in J has the key
-    of its monomial in P under the pair's order, which ``parse_spec``
-    writes z_j at, and that key maps back to j and its exponent
-    (``key_to_part``, which ``CurveEquation`` reads f through)."""
+    """On every coprime pair with n <= 9, m <= 21, z_j is written at the key
+    (j + nm, p1) of its monomial p in P, as ``parse_spec`` writes it, and p
+    is the one monomial of degree j + nm, so ``CurveEquation`` reads a key
+    (d, a) of f as P's exactly when d - nm is in ``j_to_p``."""
     for n, m in coprime_pairs(range(2, 10), 21):
         sg = Semigroup(n, m)
-        sets = sg.sets
-        assert len(sets.key_to_part) == len(sets.J)
-        for j in sets.J:
-            p = sets.j_to_p[j]
-            assert sets.key_to_part[(sg.order.degree(p), p[0])] == (j, *p)
+        for j, p in sg.sets.j_to_p.items():
+            d = j + n * m
+            assert sg.order.degree(p) == d
+            assert sg.order.exponent((d, p[0])) == p
+            assert [(a, (d - n * a) // m) for a in range(d // n + 1)
+                    if (d - n * a) % m == 0] == [p]
 
 
 def test_nice_equation_terms():

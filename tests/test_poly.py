@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
+from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat, rat
+
+from cusp_testkit import divides
 
 O45 = WeightedOrder(4, 5)
 

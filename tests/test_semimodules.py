@@ -119,7 +119,8 @@ def _gamma_by_definition(sg) -> frozenset:
 def test_bitsets_are_their_set_definitions():
     """On the 543 increasing semimodules of
     ``test_elements_outside_is_the_membership_definition``, with Gamma built
-    from its generators: ``covered`` of every basis prefix is the set of
+    from its generators: ``covered`` of lambda = 0 is Gamma below n + c,
+    ``Semigroup.mask``; ``covered`` of every basis prefix is the set of
     values below its bound in some lambda + Gamma, ``_last_uncovered`` is
     the largest value below c outside it, and each axis u_i is the least
     value in both lambda_{i-1} + Gamma and Lambda_{i-2}."""
@@ -129,6 +130,8 @@ def test_bitsets_are_their_set_definitions():
     for sm in sms:
         sg, basis, c = sm.sg, sm.basis, sm.sg.conductor
         gamma = _gamma_by_definition(sg)
+        assert covered(sg, (0,), sg.n + c) == sum(
+            1 << v for v in range(sg.n + c) if v in gamma)
 
         def spanned(k, lambdas):
             return any(k - lam in gamma for lam in lambdas)

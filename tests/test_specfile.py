@@ -99,6 +99,7 @@ def test_horizon_argument_passes_the_equation_check(text):
     ("n=4\nn=5\nm=7", SpecError, "parse_error", 2),
     ("n=4\nm=5\nwhat is this", SpecError, "parse_error", 3),
     ("n=4\nm=5\nterm 1 1 1", SpecError, "parse_error", 3),
+    ("n=4\nm=5\nterm 1 6 1\nterm 2 6 1", SpecError, "parse_error", 4),   # duplicate term
     ("n=4\nm=5\nz 2 = x", SpecError, "parse_error", 3),
 ])
 def test_error_taxonomy(text, exc, kind, line):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuspidal import CurveEquation, Semigroup
 from cuspidal.jacobian import jacobian_generators
-from cuspidal.poly import TruncatedPoly, WeightedOrder, divides
+from cuspidal.poly import TruncatedPoly, WeightedOrder
 from cuspidal.rationals import Rat
 from cuspidal.standard_basis import (
     StandardBasis,
@@ -22,8 +22,9 @@ from cuspidal.standard_basis import (
     s_process_min,
 )
 
-from cusp_testkit import (FractionPoly, adapted_curves, coprime_pairs, fraction_reduction,
-                          fraction_step, lattice_count, nice_curves, random_staircase)
+from cusp_testkit import (FractionPoly, adapted_curves, coprime_pairs, divides,
+                          fraction_reduction, fraction_step, lattice_count, nice_curves,
+                          random_staircase)
 
 O45 = WeightedOrder(4, 5)
 
@@ -84,6 +85,15 @@ def test_buchberger_drops_redundant_generator():
     assert set(basis.leading_powers) == {(0, 3), (4, 0)}
 
 
+def test_buchberger_keeps_the_first_of_one_y_exponent():
+    """Of the generators that lead at y^3 or x^2*y^3, only the first to lead
+    at y^3 stays: x^2*y^3 shares its y-exponent, and 3*y^3 its leading
+    power.  Their S-processes all vanish."""
+    gens = [_p({(0, 3): 1, (1, 3): 1}), _p({(2, 3): 1}), _p({(0, 3): 3}), _p({(4, 0): 1})]
+    basis = buchberger(gens)
+    assert basis.polys == (gens[0], gens[3])
+
+
 def test_buchberger_rejects_mixed_horizons():
     """Over mixed horizons a remainder of two high-horizon generators could
     lead past the lowest horizon, where no generator is trustworthy."""
@@ -93,8 +103,15 @@ def test_buchberger_rejects_mixed_horizons():
 
 
 def test_standard_basis_rejects_nested_leading_powers():
-    with pytest.raises(ValueError):
-        StandardBasis((_p({(0, 3): 1}), _p({(1, 3): 1})))
+    """The leading powers must rise strictly in a and fall strictly in b,
+    pair by adjacent pair."""
+    for lps in ([(0, 3), (1, 3)],            # one b: y^3 divides x*y^3
+                [(0, 5), (0, 3)],            # one a: y^3 divides y^5
+                [(0, 3), (0, 3)],            # one leading power twice
+                [(4, 0), (0, 3)],            # an antichain out of x-order
+                [(0, 3), (2, 1), (1, 2)]):   # out of x-order at the last pair only
+        with pytest.raises(ValueError, match="not a strict staircase"):
+            StandardBasis(tuple(_p({e: 1}) for e in lps))
 
 
 def test_codimension_infinite_without_pure_powers():
